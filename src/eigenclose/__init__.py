@@ -65,11 +65,10 @@ from .forms import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    EigenPairs,
     cholesky_spd,
     inv_sqrt,
-    kernel_basis,
-    sym_generalized_eig,
+    psd_eigh,
+    sym_generalized_eigvals,
     symmetrize,
 )
 from .maxwell2d import (
@@ -90,7 +89,6 @@ __all__ = [
     "DeflationWarning",
     "DegenerateShiftError",
     "Detectability",
-    "EigenPairs",
     "EigencloseError",
     "EmptySideError",
     "Enclosure",
@@ -123,17 +121,17 @@ __all__ = [
     "f_curve",
     "galerkin_spectrum",
     "inv_sqrt",
-    "kernel_basis",
     "local_counting",
     "operator_forms",
     "optimal_shift",
     "orthonormalize",
+    "psd_eigh",
     "read_forms",
     "residual_bounds",
     "shift",
     "signature",
     "structured_tri_mesh",
-    "sym_generalized_eig",
+    "sym_generalized_eigvals",
     "symmetrize",
     "uniform_mesh",
     "write_forms",

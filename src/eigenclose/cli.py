@@ -236,6 +236,9 @@ def _validate(cfg):
             f"model must be one of {BUILTIN_MODELS} or a path to a .forms "
             f"file, got {cfg.model!r}"
         )
+    points = [x for w in cfg.windows for x in w] + list(cfg.shifts)
+    if not all(math.isfinite(x) for x in points):
+        raise ConfigError("window ends and shifts must be finite")
     for a, b in cfg.windows:
         if not a < b:
             raise ConfigError(f"window ({a:g}, {b:g}) is not well-ordered")
@@ -246,6 +249,11 @@ def _validate(cfg):
             )
     if not 0.0 <= cfg.jitter < 1.0:
         raise ConfigError(f"jitter must lie in [0, 1), got {cfg.jitter:g}")
+    if cfg.model == "maxwell2d" and cfg.jitter > maxwell2d.MAX_JITTER:
+        raise ConfigError(
+            f"jitter must lie in [0, {maxwell2d.MAX_JITTER:g}] for maxwell2d, "
+            f"got {cfg.jitter:g}"
+        )
     if cfg.j_max < 1:
         raise ConfigError(f"jmax must be positive, got {cfg.j_max}")
     supported = {

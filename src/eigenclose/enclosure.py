@@ -41,7 +41,6 @@ from .linalg import (
     inv_sqrt,
     psd_eigh,
     sym_eigh,
-    sym_generalized_eig,
     sym_generalized_eigvals,
     symmetrize,
 )
@@ -51,14 +50,12 @@ from .linalg import (
 class CountingValues:
     """Local counting function values at one shift.
 
-    ``F`` is ascending and nonnegative; column ``U[:, j]`` holds the
-    M0-orthonormal coefficient vector attaining ``F[j]``.  A values-only
-    evaluation leaves ``U`` as None.
+    ``F`` is ascending and nonnegative: all n values, or only the first
+    ``count`` when :func:`local_counting` was asked for that many.
     """
 
     t: float
     F: np.ndarray
-    U: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,13 +181,10 @@ def _polish_tau(st, tau, vectors):
 def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     """Values of the local counting function at shift t.
 
-    Solves the pencil ``Q_t x = mu^2 M0 x`` and returns
-    ``F_j = sqrt(max(mu^2_j, 0))`` ascending together with the
-    M0-orthonormal eigenvectors.
-
-    With ``count`` given only ``F_1 .. F_count`` are computed and no
-    eigenvectors (``U`` is None); a fixed-point evaluation needs nothing
-    more.  Both modes share the same solve and the same check.
+    Solves the pencil ``Q_t x = mu^2 M0 x`` for its eigenvalues only and
+    returns ``F_j = sqrt(max(mu^2_j, 0))`` ascending.  With ``count``
+    given only ``F_1 .. F_count`` are computed; a fixed-point evaluation
+    needs nothing more.
 
     M0 goes through the pivot-checked Cholesky gate of the generalized
     solve.  The roundoff floor ``-tol * ||Q_t||_2`` is only computed
@@ -206,18 +200,13 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
         represents a square, so that signals corrupted forms.
     """
     qt = shift(forms, t).Qt.astype(float, copy=False)
-    if count is None:
-        pairs = sym_generalized_eig(qt, forms.M0, tol)
-        values, vectors = pairs.values, pairs.vectors
-    else:
-        values = sym_generalized_eigvals(qt, forms.M0, tol, count)
-        vectors = None
+    values = sym_generalized_eigvals(qt, forms.M0, tol, count)
     if values[0] < 0.0:
         floor = -tol * np.linalg.norm(qt, 2)
         if values[0] < floor:
             raise NegativeEigenvalueError(values[0], -floor)
     f = np.sqrt(np.maximum(values, 0.0))
-    return CountingValues(t=float(t), F=f, U=vectors)
+    return CountingValues(t=float(t), F=f)
 
 
 def zm_eigen(forms, t, tol=DEFAULT_TOL):
@@ -406,8 +395,8 @@ def check_detectability(forms, t, tol=DEFAULT_TOL):
     detectable below t iff some quotient lies below t, and above iff
     some quotient lies above.
     """
-    pairs = sym_generalized_eig(forms.M1, forms.M0, tol)
-    lo, hi = pairs.values[0], pairs.values[-1]
+    theta = sym_generalized_eigvals(forms.M1, forms.M0, tol)
+    lo, hi = theta[0], theta[-1]
     t = float(t)
     if lo < t and hi > t:
         return Detectability.MIXED

@@ -26,7 +26,7 @@ from .errors import (
     MaxIterationsError,
     NoSignChangeError,
 )
-from .linalg import DEFAULT_TOL, sym_generalized_eig
+from .linalg import DEFAULT_TOL, sym_generalized_eigvals
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +63,10 @@ class FixedPointResult:
         return self.s_hat + self.f_at_root
 
 
-def _rayleigh_range(forms, tol):
-    """Extreme Rayleigh quotients of the trial subspace."""
-    theta = sym_generalized_eig(forms.M1, forms.M0, tol).values
-    return theta
+def _scale(theta, t):
+    """Spread of the Rayleigh quotients ``theta`` (ascending), floored by
+    the distance from t to either end of their range."""
+    return max(theta[-1] - theta[0], t - theta[0], theta[-1] - t)
 
 
 def default_fp_tol(forms, t, tol=DEFAULT_TOL):
@@ -77,9 +77,8 @@ def default_fp_tol(forms, t, tol=DEFAULT_TOL):
     either end of that range so it cannot degenerate for tiny (even
     one-dimensional) trial spaces.
     """
-    theta = _rayleigh_range(forms, tol)
-    scale = max(theta[-1] - theta[0], t - theta[0], theta[-1] - t)
-    return FP_TOL_FACTOR * scale
+    theta = sym_generalized_eigvals(forms.M1, forms.M0, tol)
+    return FP_TOL_FACTOR * _scale(theta, t)
 
 
 def optimal_shift(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
@@ -115,14 +114,14 @@ def optimal_shift(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
         raise ValueError(f"index j={j} outside 1..{forms.n}")
     t = float(t)
 
-    theta = _rayleigh_range(forms, tol)
+    theta = sym_generalized_eigvals(forms.M1, forms.M0, tol)
     detectable = int(np.sum(theta < t) if side == "left" else np.sum(theta > t))
     if detectable < j:
         raise NoSignChangeError(
             f"only {detectable} spectral points detectable {side} of "
             f"t={t:g}, cannot bound index {j}"
         )
-    scale = max(theta[-1] - theta[0], t - theta[0], theta[-1] - t)
+    scale = _scale(theta, t)
     if fp_tol is None:
         fp_tol = FP_TOL_FACTOR * scale
 

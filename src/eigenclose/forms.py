@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormsFormatError
-from .linalg import DEFAULT_TOL, check_symmetric, cholesky_spd, symmetrize
+from .linalg import (
+    DEFAULT_TOL,
+    check_symmetric,
+    cholesky_spd,
+    sym_eigh,
+    sym_generalized_eigvals,
+    symmetrize,
+)
 
 
 @dataclass
@@ -57,22 +64,18 @@ class TrialForms:
 
         Verifies that ``M2`` is positive semidefinite and that the
         shifted form ``Q_t`` stays positive semidefinite on a sample of
-        shifts (it is a square, so it must).  Raises ``ValueError`` on
-        the first violation.
+        shifts (it is a square, so it must).  By default the sample is
+        seven shifts spanning the Ritz values of ``(M1, M0)`` widened by
+        one on each side.  Raises ``ValueError`` on the first violation.
         """
-        m1 = self.M1.astype(float, copy=False)
-        m2 = self.M2.astype(float, copy=False)
-        w2 = np.linalg.eigvalsh(m2)
+        w2 = sym_eigh(self.M2, vectors=False)
         if w2[0] < -tol * max(1.0, abs(w2[-1])):
             raise ValueError(f"M2 has negative eigenvalue {w2[0]:.3e}")
         if shifts is None:
-            # sample the numerical range of the pencil and beyond
-            lo = np.min(np.linalg.eigvalsh(m1)) - 1.0
-            hi = np.max(np.linalg.eigvalsh(m1)) + 1.0
-            shifts = np.linspace(lo, hi, 7)
+            theta = sym_generalized_eigvals(self.M1, self.M0, tol)
+            shifts = np.linspace(theta[0] - 1.0, theta[-1] + 1.0, 7)
         for t in shifts:
-            qt = shift(self, t).Qt.astype(float, copy=False)
-            w = np.linalg.eigvalsh(qt)
+            w = sym_eigh(shift(self, t).Qt, vectors=False)
             if w[0] < -tol * max(1.0, abs(w[-1])):
                 raise ValueError(
                     f"Q_t at t={t:g} has negative eigenvalue {w[0]:.3e}"
@@ -218,6 +221,8 @@ def read_forms(path):
             value = float(parts[2])
         except ValueError:
             raise FormsFormatError(no, f"malformed entry {line!r}")
+        if not np.isfinite(value):
+            raise FormsFormatError(no, f"non-finite value in {line!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise FormsFormatError(no, f"index ({i}, {j}) out of range 1..{n}")
         current[i - 1, j - 1] = value

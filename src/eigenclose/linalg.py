@@ -1,20 +1,25 @@
 """Dense symmetric linear algebra kernel.
 
 Everything downstream (counting functions, pencil bounds, fixed-point
-solves) reduces to a handful of operations on real symmetric matrices:
+solves) reduces to a handful of operations on real symmetric matrices,
+one function per job:
 
-* a pivot-checked Cholesky factorization (LAPACK ``potrf`` plus a
-  relative test on every pivot), which is also the definiteness gate of
-  every generalized solve;
-* the standard symmetric eigenvalue problem, LAPACK ``syevd`` called
-  directly (:func:`sym_eigh`);
-* the symmetric-definite generalized eigenvalue problem, with vectors
-  (:func:`sym_generalized_eig`) or values only, optionally just the
-  smallest few (:func:`sym_generalized_eigvals`);
-* one classified eigendecomposition of a positive semidefinite matrix
-  (:func:`psd_eigh`), which yields its numerical kernel, the check that
-  it has no genuinely negative eigenvalue and its 2-norm at once;
-* the inverse square root of a Gram matrix.
+* :func:`cholesky_spd`, a pivot-checked Cholesky factorization (LAPACK
+  ``potrf`` plus a relative test on every pivot); it is the
+  definiteness gate;
+* :func:`sym_eigh`, the standard symmetric eigenvalue problem, with or
+  without vectors (LAPACK ``syevd`` called directly); its only gate is
+  that the input is finite;
+* :func:`sym_generalized_eigvals`, the eigenvalues of a
+  symmetric-definite pencil, optionally just the smallest few; both
+  matrices must be symmetric as stored and the right-hand one must pass
+  :func:`cholesky_spd`;
+* :func:`psd_eigh`, one classified eigendecomposition of a positive
+  semidefinite matrix: it yields the numerical kernel and its
+  complement, the check that no eigenvalue is genuinely negative and the
+  2-norm at once;
+* :func:`inv_sqrt`, the inverse square root of a Gram matrix, from
+  :func:`sym_eigh`.
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -66,26 +71,6 @@ def check_symmetric(a, name="matrix"):
             f"pass it through symmetrize() first"
         )
     return a
-
-
-@dataclass
-class EigenPairs:
-    """Eigenvalues (ascending) with matching eigenvector columns.
-
-    ``vectors[:, i]`` belongs to ``values[i]`` and the columns are
-    orthonormal in the inner product the solve was performed in.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.shape[1] != self.values.shape[0]:
-            raise ValueError("values / vectors size mismatch")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("eigenvalues must be ascending")
 
 
 def cholesky_spd(m, tol=DEFAULT_TOL):
@@ -161,52 +146,26 @@ def sym_eigh(a, vectors=True):
     return (values, vecs) if vectors else values
 
 
-def _definite_pencil(a, b, tol):
-    """Double-precision copies of a pencil whose ``b`` passed the gate."""
-    a = check_symmetric(a, "pencil matrix a")
-    b = check_symmetric(b, "pencil matrix b")
-    if a.shape != b.shape:
-        raise ValueError("pencil matrices must have identical shape")
-    b = b.astype(float, copy=False)
-    cholesky_spd(b, tol)  # definiteness gate with a meaningful error
-    return a.astype(float, copy=False), b
-
-
-def sym_generalized_eig(a, b, tol=DEFAULT_TOL):
-    """Solve ``a x = lam b x`` with symmetric ``a`` and SPD ``b``.
+def sym_generalized_eigvals(a, b, tol=DEFAULT_TOL, count=None):
+    """Eigenvalues of ``a x = lam b x`` with symmetric ``a`` and SPD ``b``.
 
     ``b`` is first put through :func:`cholesky_spd`, so an indefinite or
     numerically singular ``b`` fails with the offending pivot rather
     than deep inside LAPACK.  The pencil is then solved in double
-    precision by LAPACK's generalized ``eigh``.  Eigenvalues come back
-    ascending and the eigenvector columns are b-orthonormal:
-    ``vectors.T @ b @ vectors == I``.
+    precision by LAPACK's generalized ``eigh`` without forming
+    eigenvectors.  The eigenvalues come back ascending; with ``count``
+    only the ``count`` smallest are computed.
 
     Raises
     ------
     NotPositiveDefiniteError
         If ``b`` fails the pivot-checked Cholesky test.
     """
-    a, b = _definite_pencil(a, b, tol)
-    if a.shape[0] == 0:
-        return EigenPairs(np.zeros(0), np.zeros((0, 0)))
-    values, vectors = scipy.linalg.eigh(a, b)
-    return EigenPairs(values, vectors)
-
-
-def sym_generalized_eigvals(a, b, tol=DEFAULT_TOL, count=None):
-    """Eigenvalues of ``a x = lam b x`` only, ascending.
-
-    Same gate on ``b`` as :func:`sym_generalized_eig`, but no
-    eigenvectors are formed, and with ``count`` only the ``count``
-    smallest eigenvalues are computed.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If ``b`` fails the pivot-checked Cholesky test.
-    """
-    a, b = _definite_pencil(a, b, tol)
+    a = check_symmetric(a, "pencil matrix a").astype(float, copy=False)
+    b = check_symmetric(b, "pencil matrix b").astype(float, copy=False)
+    if a.shape != b.shape:
+        raise ValueError("pencil matrices must have identical shape")
+    cholesky_spd(b, tol)  # definiteness gate with a meaningful error
     n = a.shape[0]
     if n == 0:
         return np.zeros(0)
@@ -219,8 +178,8 @@ class PsdEigen:
     """Classified eigendecomposition of a positive semidefinite matrix.
 
     ``values`` ascending with orthonormal ``vectors`` columns; the first
-    ``k`` of them span the numerical kernel.  ``norm`` is the 2-norm,
-    ``max |values|``.
+    ``k`` of them span the numerical kernel and the rest its orthogonal
+    complement.  ``norm`` is the 2-norm, ``max |values|``.
     """
 
     values: np.ndarray
@@ -252,44 +211,6 @@ def psd_eigh(m, tol=DEFAULT_TOL):
     return PsdEigen(values, vectors, k, norm)
 
 
-def kernel_basis(m, tol=DEFAULT_TOL):
-    """Numerical kernel of a positive semidefinite symmetric matrix.
-
-    Parameters
-    ----------
-    m : (n, n) array_like
-        Symmetric matrix expected to be PSD up to roundoff.
-    tol : float
-        Eigenvalues at or below ``tol * max(1, ||m||_2)`` count as zero.
-
-    Returns
-    -------
-    k : int
-        Kernel dimension.
-    basis : (n, k) ndarray
-        Orthonormal kernel basis (Euclidean inner product).
-
-    Raises
-    ------
-    NegativeEigenvalueError
-        If the smallest eigenvalue lies below ``-tol * ||m||_2``; a PSD
-        matrix cannot do that except through corrupted input.
-    """
-    kernel, _ = kernel_split(m, tol)
-    return kernel.shape[1], kernel
-
-
-def kernel_split(m, tol=DEFAULT_TOL):
-    """Kernel basis plus an orthonormal basis of its complement.
-
-    Same classification rule as :func:`kernel_basis` (both read it from
-    :func:`psd_eigh`); the second return value spans the orthogonal
-    complement of the numerical kernel and is handy for deflation.
-    """
-    split = psd_eigh(m, tol)
-    return split.vectors[:, : split.k], split.vectors[:, split.k :]
-
-
 def inv_sqrt(g, tol=DEFAULT_TOL):
     """Inverse square root of a symmetric positive definite matrix.
 
@@ -304,7 +225,7 @@ def inv_sqrt(g, tol=DEFAULT_TOL):
     a = check_symmetric(g, "inv_sqrt input")
     if a.shape[0] == 0:
         return np.zeros((0, 0))
-    values, vectors = np.linalg.eigh(a.astype(float, copy=False))
+    values, vectors = sym_eigh(a)
     norm = max(abs(values[0]), abs(values[-1]))
     if values[0] <= tol * norm:
         raise NotPositiveDefiniteError(int(np.argmin(values)), values[0])

@@ -27,12 +27,15 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 from .forms import TrialForms
-from .linalg import symmetrize, sym_generalized_eig
+from .linalg import symmetrize, sym_generalized_eigvals
 
 #: side length of the square cavity
 SIDE = np.pi
 
 SUPPORTED_ORDERS = (1, 2)
+
+#: largest interior-vertex displacement of a jittered mesh, in units of h
+MAX_JITTER = 0.5
 
 _SIDE_NAMES = ("x0", "x1", "y0", "y1")
 
@@ -79,8 +82,8 @@ def structured_tri_mesh(nx, jitter=0.0, seed=None):
     """
     if nx < 2:
         raise ValueError(f"need nx >= 2, got {nx}")
-    if not 0.0 <= jitter <= 0.5:
-        raise ValueError(f"jitter must lie in [0, 0.5], got {jitter}")
+    if not 0.0 <= jitter <= MAX_JITTER:
+        raise ValueError(f"jitter must lie in [0, {MAX_JITTER:g}], got {jitter}")
 
     h = SIDE / nx
     grid = np.linspace(0.0, SIDE, nx + 1)
@@ -344,7 +347,7 @@ def assemble_2d(mesh, order):
 
     m2[s1, s1] = kyy[np.ix_(e1_nodes, e1_nodes)]
     m2[s2, s2] = kxx[np.ix_(e2_nodes, e2_nodes)]
-    cross = -kyx_block(kxy, e1_nodes, e2_nodes)
+    cross = -kxy.T[np.ix_(e1_nodes, e2_nodes)]  # int dy(phi_e1) dx(phi_e2)
     m2[s1, s2] = cross
     m2[s2, s1] = cross.T
     m2[sh, sh] = kxx + kyy
@@ -358,11 +361,6 @@ def assemble_2d(mesh, order):
         e1_nodes=e1_nodes,
         e2_nodes=e2_nodes,
     )
-
-
-def kyx_block(kxy, rows, cols):
-    """``int dy(phi_row) dx(phi_col)`` from the stored ``kxy`` table."""
-    return kxy.T[np.ix_(rows, cols)]
 
 
 def exact_spectrum_2d(max_val):
@@ -414,4 +412,4 @@ def galerkin_spectrum(model, tol=1e-10):
     certified enclosures.
     """
     forms = model.forms
-    return sym_generalized_eig(forms.M1, forms.M0, tol).values
+    return sym_generalized_eigvals(forms.M1, forms.M0, tol)

@@ -399,3 +399,37 @@ def test_bad_jitter_rejected(capsys):
     code = main(["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "8",
                  "--window", "0.5,1.5", "--jitter", "1.5"])
     assert code == 2
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    return len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_non_finite_forms_value_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "nan.forms"
+    path.write_text("2\n%M0\n1 1 1.0\n2 2 nan\n%M1\n%M2\n")
+    code = main(["bounds", "--model", str(path), "--window", "0.5,1.5"])
+    assert code == 1  # the exit code of every malformed .forms entry
+    assert _one_line_error(capsys)
+
+
+def test_jitter_beyond_2d_mesh_limit_rejected(capsys):
+    code = main(["bounds", "--model", "maxwell2d", "--order", "1", "--mesh", "4",
+                 "--window", "0.5,1.5", "--jitter", "0.7"])
+    assert code == 2
+    assert _one_line_error(capsys)
+
+
+def test_infinite_window_end_rejected(capsys):
+    code = main(["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "8",
+                 "--window", "0.5,inf"])
+    assert code == 2
+    assert _one_line_error(capsys)
+
+
+def test_infinite_shift_rejected(capsys):
+    code = main(["equiv", "--model", "dirac1d", "--order", "1", "--mesh", "8",
+                 "--shift", "inf"])
+    assert code == 2
+    assert _one_line_error(capsys)

@@ -43,12 +43,6 @@ def test_counting_values_worked_model():
     assert cv.t == 3.0
 
 
-def test_counting_vectors_are_m0_orthonormal():
-    lam, forms = random_model(2)
-    cv = local_counting(forms, 0.7)
-    npt.assert_allclose(cv.U.T @ forms.M0 @ cv.U, np.eye(forms.n), atol=1e-10)
-
-
 def test_counting_dominates_distance_to_spectrum():
     # F_j(t) can never undercut the j-th nearest true distance
     for seed in range(40):

@@ -4,7 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eigenclose.errors import FormsFormatError, NotPositiveDefiniteError
+from eigenclose.enclosure import local_counting
+from eigenclose.errors import (
+    FormsFormatError,
+    NegativeEigenvalueError,
+    NotPositiveDefiniteError,
+)
 from eigenclose.forms import (
     TrialForms,
     operator_forms,
@@ -112,6 +117,16 @@ def test_validate_rejects_inconsistent_m2():
         forms.validate()
 
 
+def test_validate_samples_the_pencil_range():
+    # Ritz values 1 and 2; Q_t is indefinite only for t in (1.5, 2.5),
+    # far inside the eigenvalue range (1, 2e4) of M1 alone
+    forms = TrialForms(np.diag([1.0, 1e4]), np.diag([1.0, 2e4]), np.diag([1.0, 3.75e4]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        forms.validate()
+    with pytest.raises(NegativeEigenvalueError):
+        local_counting(forms, 2.0)
+
+
 def test_forms_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     w = rng.standard_normal((5, 3))
@@ -159,6 +174,8 @@ def test_read_forms_zero_entries_omitted(tmp_path):
         ("1\n%M0\n1 2 1.0\n", 3, "out of range"),
         ("1\n%M0\n1 1 x\n", 3, "malformed"),
         ("1\n%M0\n1 1 1.0\n%M0\n", 4, "duplicate"),
+        ("1\n%M0\n1 1 nan\n", 3, "non-finite"),
+        ("1\n%M0\n1 1 -inf\n", 3, "non-finite"),
     ],
 )
 def test_read_forms_reports_line_numbers(tmp_path, content, lineno, fragment):

@@ -18,7 +18,7 @@ from eigenclose.enclosure import (
 )
 from eigenclose.errors import DeflationWarning, EmptySideError
 from eigenclose.forms import TrialForms, operator_forms, shift
-from eigenclose.linalg import DEFAULT_TOL, kernel_split, sym_generalized_eig, symmetrize
+from eigenclose.linalg import DEFAULT_TOL, psd_eigh, sym_generalized_eigvals, symmetrize
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
@@ -232,23 +232,24 @@ def test_enclosure_dataclass_width_and_contains():
 def _reference_pencil(forms, t, tol=DEFAULT_TOL):
     """Classified tau built from the public helpers, without the polish.
 
-    The kernel of Q_t is split off with :func:`kernel_split` and the
+    The kernel of Q_t is split off with :func:`psd_eigh` and the
     deflated pencil is solved as a generalized problem, so this route
-    shares no step with the single eigendecomposition of ``zm_eigen``.
+    shares only the kernel split with ``zm_eigen``.
     """
     st = shift(forms, t)
     qt = np.asarray(st.Qt, dtype=float)
     lt = np.asarray(st.Lt, dtype=float)
-    kernel, complement = kernel_split(qt, tol)
-    tau = sym_generalized_eig(
+    split = psd_eigh(qt, tol)
+    complement = split.vectors[:, split.k :]
+    tau = sym_generalized_eigvals(
         symmetrize(complement.T @ lt @ complement),
         symmetrize(complement.T @ qt @ complement),
         tol,
-    ).values
+    )
     zero = tol * np.linalg.norm(lt, 2) / np.linalg.norm(qt, 2)
     minus, plus = tau[tau < -zero], tau[tau > zero][::-1]
     census = Signature(
-        kernel.shape[1], tau.size - minus.size - plus.size, minus.size, plus.size
+        split.k, tau.size - minus.size - plus.size, minus.size, plus.size
     )
     return minus, plus, census
 
@@ -285,7 +286,7 @@ def test_one_eigh_pencil_matches_reference_route(case):
         full = local_counting(forms, t)
         for j in (1, 2, 3):
             fast = local_counting(forms, t, count=j)
-            assert fast.U is None and fast.F.size == j
+            assert fast.F.size == j
             npt.assert_allclose(fast.F[j - 1], full.F[j - 1], rtol=1e-11, atol=1e-12)
     if case == "deflating":
         assert pencil.signature.n_inf == 1
