@@ -24,11 +24,16 @@ Subcommands
     2D mesh).
 
 Configuration comes from ``key = value`` sections in an INI-style file
-(``--config``), with command-line flags taking precedence.  Section
-names are organizational only; a key appearing in two sections is an
-error.  All randomness flows from the single ``seed`` key.  Identical
-configuration gives byte-identical output: floats are printed with
-``repr`` and rows are sorted before emission.
+(``--config``), with command-line flags taking precedence.  One table,
+``KEYS``, defines every experiment key: its config-file name, its flag
+(``--fp-tol`` for ``fp_tol``), its parser and its help text.  A flag
+takes the same syntax as the file value, so ``--window "0.5,1.5;1.5,2.5"``
+gives two windows and ``--order 1,2`` two orders; repeating a list flag
+extends the list.  Section names are organizational only; a key
+appearing in two sections is an error.  All randomness flows from the
+single ``seed`` key.  Identical configuration gives byte-identical
+output: floats are printed with ``repr`` and rows are sorted before
+emission.
 
 Exit codes: 0 success, 1 contract violation or computation failure,
 2 configuration/usage error.
@@ -40,7 +45,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,39 +97,81 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
+#
+# Each parser turns one value string into a field value and raises
+# ValueError on bad input; the same parser reads a config-file value and
+# a flag value.
 
 
-def _parse_float_list(text, field):
-    try:
-        items = [float(p) for p in text.replace(";", ",").split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"field '{field}': {exc}") from None
+def _text(text):
+    """An empty value means the field's default."""
+    return text or None
+
+
+def _float_list(text):
+    items = tuple(float(p) for p in text.replace(";", ",").split(",") if p.strip())
     if not items:
-        raise ConfigError(f"field '{field}': empty list")
-    return tuple(items)
+        raise ValueError("empty list")
+    return items
 
 
-def _parse_int_list(text, field):
-    floats = _parse_float_list(text, field)
-    ints = tuple(int(x) for x in floats)
-    if any(i != x for i, x in zip(ints, floats)):
-        raise ConfigError(f"field '{field}': expected integers, got {text!r}")
-    return ints
+def _int_list(text):
+    floats = _float_list(text)
+    if not all(x.is_integer() for x in floats):
+        raise ValueError(f"expected integers, got {text!r}")
+    return tuple(int(x) for x in floats)
 
 
-def _parse_window(text):
+def _window(text):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 2:
-        raise ConfigError(f"window must be 'a,b', got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"window {text!r}: {exc}") from None
-    return (a, b)
+        raise ValueError(f"expected 'a,b', got {text!r}")
+    return (float(parts[0]), float(parts[1]))
 
 
-def _parse_windows(text):
-    return tuple(_parse_window(chunk) for chunk in text.split(";") if chunk.strip())
+def _windows(text):
+    windows = tuple(_window(chunk) for chunk in text.split(";") if chunk.strip())
+    if not windows:
+        raise ValueError("empty list")
+    return windows
+
+
+@dataclass(frozen=True)
+class Key:
+    """One experiment key: config-file name ``name``, flag ``--name``
+    (``_`` spelled ``-``).  A ``repeat`` key is a list: repeated flags
+    extend it.  For a scalar key the last flag wins."""
+
+    name: str
+    field: str
+    parse: object
+    help: str
+    metavar: str = None
+    repeat: bool = False
+
+
+KEYS = (
+    Key("model", "model", _text,
+        "dirac1d, maxwell2d, or a path to a .forms file"),
+    Key("order", "orders", _int_list,
+        "polynomial degree (repeatable for 'converge')", repeat=True),
+    Key("mesh", "meshes", _int_list,
+        "mesh size: elements (1D) or cells per side (2D); repeatable for "
+        "'converge'", repeat=True),
+    Key("jitter", "jitter", float, "relative node jitter in [0, 1)"),
+    Key("seed", "seed", int, "seed for all randomness"),
+    Key("window", "windows", _windows, "spectral window a,b (repeatable)",
+        metavar="A,B", repeat=True),
+    Key("shift", "shifts", _float_list,
+        "reference shift for 'equiv' (repeatable)", repeat=True),
+    Key("jmax", "j_max", int, "bound indices 1..jmax per window"),
+    Key("tol", "tol", float, "pencil classification tolerance"),
+    Key("fp_tol", "fp_tol", float, "fixed-point bisection tolerance"),
+    Key("flag_tol", "flag_tol", float,
+        "distance beyond which a value counts as spurious"),
+    Key("out", "out", _text, "write CSV/.forms here instead of stdout"),
+    Key("mesh_out", "mesh_out", _text, "also export the 2D mesh (export-forms)"),
+)
 
 
 def load_config_file(path):
@@ -154,78 +201,25 @@ def load_config_file(path):
     return flat
 
 
-_KNOWN_KEYS = {
-    "model", "order", "mesh", "jitter", "seed", "window", "shift",
-    "jmax", "tol", "fp_tol", "flag_tol", "out", "mesh_out",
-}
-
-
 def build_config(args):
     """Merge config-file values and command-line flags (flags win)."""
     raw = load_config_file(args.config) if args.config else {}
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - {key.name for key in KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    cfg = ExperimentConfig()
-
-    def _float(key, flag, current):
-        if flag is not None:
-            return float(flag)
-        if key in raw:
-            try:
-                return float(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"field '{key}': {exc}") from None
-        return current
-
-    model = args.model or raw.get("model") or cfg.model
-    orders = tuple(args.order) if args.order else (
-        _parse_int_list(raw["order"], "order") if "order" in raw else cfg.orders
-    )
-    meshes = tuple(args.mesh) if args.mesh else (
-        _parse_int_list(raw["mesh"], "mesh") if "mesh" in raw else cfg.meshes
-    )
-    if args.window:
-        windows = tuple(_parse_window(w) for w in args.window)
-    elif "window" in raw:
-        windows = _parse_windows(raw["window"])
-    else:
-        windows = cfg.windows
-    if args.shift:
-        shifts = tuple(args.shift)
-    elif "shift" in raw:
-        shifts = _parse_float_list(raw["shift"], "shift")
-    else:
-        shifts = cfg.shifts
-
-    seed = args.seed if args.seed is not None else raw.get("seed", cfg.seed)
+    fields = {}
     try:
-        seed = int(seed)
+        for key in KEYS:
+            texts = getattr(args, key.name) or (
+                [raw[key.name]] if key.name in raw else []
+            )
+            values = [key.parse(text) for text in texts]
+            if values:
+                fields[key.field] = sum(values, ()) if key.repeat else values[-1]
     except ValueError as exc:
-        raise ConfigError(f"field 'seed': {exc}") from None
-    j_max = args.jmax if args.jmax is not None else raw.get("jmax", cfg.j_max)
-    try:
-        j_max = int(j_max)
-    except ValueError as exc:
-        raise ConfigError(f"field 'jmax': {exc}") from None
-
-    cfg = replace(
-        cfg,
-        model=model,
-        orders=orders,
-        meshes=meshes,
-        windows=windows,
-        shifts=shifts,
-        seed=seed,
-        j_max=j_max,
-        jitter=_float("jitter", args.jitter, cfg.jitter),
-        tol=_float("tol", args.tol, cfg.tol),
-        fp_tol=_float("fp_tol", args.fp_tol, cfg.fp_tol),
-        flag_tol=_float("flag_tol", args.flag_tol, cfg.flag_tol),
-        out=args.out or raw.get("out") or None,
-        mesh_out=args.mesh_out or raw.get("mesh_out") or None,
-    )
+        raise ConfigError(f"field '{key.name}': {exc}") from None
+    cfg = ExperimentConfig(**{f: v for f, v in fields.items() if v is not None})
     _validate(cfg)
     return cfg
 
@@ -256,6 +250,11 @@ def _validate(cfg):
         )
     if cfg.j_max < 1:
         raise ConfigError(f"jmax must be positive, got {cfg.j_max}")
+    for name, value in (("tol", cfg.tol), ("fp_tol", cfg.fp_tol)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {value:g}")
+    if not (math.isfinite(cfg.flag_tol) and cfg.flag_tol >= 0.0):
+        raise ConfigError(f"flag_tol must be finite and >= 0, got {cfg.flag_tol:g}")
     supported = {
         "dirac1d": dirac1d.SUPPORTED_ORDERS,
         "maxwell2d": maxwell2d.SUPPORTED_ORDERS,
@@ -609,28 +608,9 @@ def build_parser():
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="INI-style key = value experiment file")
-        p.add_argument("--model",
-                       help="dirac1d, maxwell2d, or a path to a .forms file")
-        p.add_argument("--order", type=int, action="append",
-                       help="polynomial degree (repeatable for 'converge')")
-        p.add_argument("--mesh", type=int, action="append",
-                       help="mesh size: elements (1D) or cells per side (2D); "
-                            "repeatable for 'converge'")
-        p.add_argument("--jitter", type=float, help="relative node jitter in [0, 1)")
-        p.add_argument("--seed", type=int, help="seed for all randomness")
-        p.add_argument("--window", action="append", metavar="A,B",
-                       help="spectral window a,b (repeatable)")
-        p.add_argument("--shift", type=float, action="append",
-                       help="reference shift for 'equiv' (repeatable)")
-        p.add_argument("--jmax", type=int, help="bound indices 1..jmax per window")
-        p.add_argument("--tol", type=float, help="pencil classification tolerance")
-        p.add_argument("--fp-tol", dest="fp_tol", type=float,
-                       help="fixed-point bisection tolerance")
-        p.add_argument("--flag-tol", dest="flag_tol", type=float,
-                       help="distance beyond which a value counts as spurious")
-        p.add_argument("--out", help="write CSV/.forms here instead of stdout")
-        p.add_argument("--mesh-out", dest="mesh_out",
-                       help="also export the 2D mesh (export-forms)")
+        for key in KEYS:
+            p.add_argument("--" + key.name.replace("_", "-"), action="append",
+                           metavar=key.metavar, help=key.help)
     return parser
 
 

@@ -433,3 +433,56 @@ def test_infinite_shift_rejected(capsys):
                  "--shift", "inf"])
     assert code == 2
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--window", "0.5,1.5", "--tol", "nan"],
+    ["bounds", "--window", "0.5,1.5", "--tol", "-1"],
+    ["equiv", "--shift", "0.6", "--fp-tol", "nan"],
+    ["pollute", "--model", "maxwell2d", "--window", "0.2,0.8", "--flag-tol", "-1"],
+], ids=["tol-nan", "tol-negative", "fp-tol-nan", "flag-tol-negative"])
+def test_bad_tolerance_rejected(argv, capsys):
+    code = main(argv + ["--order", "1", "--mesh", "4"])
+    assert code == 2
+    assert _one_line_error(capsys)
+
+
+# --- one parser for flags and config-file values -----------------------
+
+
+def test_flag_semicolon_separated_windows(capsys):
+    code = main(["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "10",
+                 "--window", "0.5,1.5;1.5,2.5", "--jmax", "1"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3  # header + one row per window
+
+
+@pytest.mark.parametrize("flag", [
+    ["--seed", "1.5"], ["--order", "x"], ["--mesh", "nan"],
+])
+def test_unparsable_flag_is_one_line_error(flag, capsys):
+    code = main(["bounds", "--model", "dirac1d", "--window", "0.5,1.5", *flag])
+    assert code == 2
+    assert _one_line_error(capsys)
+
+
+#: one value per key, each different from the key's default
+KEY_SAMPLES = {
+    "model": "maxwell2d", "order": "1,2", "mesh": "4;6", "jitter": "0.25",
+    "seed": "7", "window": "0.5,1.5;1.5,2.5", "shift": "0.6,1.4",
+    "jmax": "3", "tol": "1e-8", "fp_tol": "1e-9", "flag_tol": "0.1",
+    "out": "rows.csv", "mesh_out": "cavity.mesh",
+}
+
+
+@pytest.mark.parametrize("key", [k.name for k in cli.KEYS])
+def test_flag_and_config_file_parse_alike(key, tmp_path):
+    text = KEY_SAMPLES[key]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"[experiment]\n{key} = {text}\n")
+    parser = cli.build_parser()
+    from_file = cli.build_config(parser.parse_args(["bounds", "--config", str(path)]))
+    flag = "--" + key.replace("_", "-")
+    from_flag = cli.build_config(parser.parse_args(["bounds", f"{flag}={text}"]))
+    assert from_flag == from_file != cli.ExperimentConfig()
