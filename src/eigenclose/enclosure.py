@@ -151,24 +151,28 @@ _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 REFINE_COUNT = 32
 
 
-def _polish_tau(st, tau, vectors):
-    """Re-evaluate the pencil eigenvalues nearest zero by extended-precision
-    Rayleigh quotients.
+def _polish_tau(st, tau, vectors, count):
+    """Re-evaluate the pencil eigenvalues nearest zero-distance by
+    extended-precision Rayleigh quotients.
 
     The double-precision solve delivers eigenvectors that are accurate
     enough; re-evaluating ``x' L_t x / x' Q_t x`` in longdouble on the
     stored (possibly extended-precision) forms then removes the solve
     roundoff from the eigenvalues that become the tight bounds.  Only
-    the ``REFINE_COUNT`` largest eigenvalues of either sign are touched
-    -- farther ones yield loose bounds where double accuracy is plenty.
+    the first and the last ``count`` entries of the ascending ``tau``
+    are touched (all of them when there are at most ``2 * count``): the
+    most negative and the most positive eigenvalues when both signs
+    have that many, otherwise the two ends spill into the other sign.
+    Farther eigenvalues yield loose bounds where double accuracy is
+    plenty.
     """
     if not _LONGDOUBLE_OK or tau.size == 0:
         return np.asarray(tau, dtype=float)
     lt = np.asarray(st.Lt, dtype=np.longdouble)
     qt = np.asarray(st.Qt, dtype=np.longdouble)
     polish = np.arange(tau.size)
-    if tau.size > 2 * REFINE_COUNT:
-        polish = np.r_[polish[:REFINE_COUNT], polish[-REFINE_COUNT:]]
+    if tau.size > 2 * count:
+        polish = np.r_[polish[:count], polish[tau.size - count :]]
     out = np.asarray(tau, dtype=float).copy()
     x = vectors[:, polish].astype(np.longdouble)
     num = np.einsum("ij,ij->j", x, lt @ x)
@@ -209,7 +213,7 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     return CountingValues(t=float(t), F=f)
 
 
-def zm_eigen(forms, t, tol=DEFAULT_TOL):
+def zm_eigen(forms, t, tol=DEFAULT_TOL, count=None):
     """Solve and classify the pencil ``tau Q_t x = L_t x`` at shift t.
 
     One eigendecomposition ``Q_t = V W V'`` (:func:`psd_eigh`) gives
@@ -238,6 +242,13 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     precision this pushes the accuracy of the resulting bounds well
     below the double-precision representation floor of ``Q_t``.
 
+    ``count`` is how many of ``tau_minus`` and of ``tau_plus`` the
+    caller reads: the first ``min(count, REFINE_COUNT)`` of each side
+    (the nearest bounds) are polished, and the ones beyond them keep
+    their double-precision values.  Without it ``REFINE_COUNT`` per side
+    are polished.  A side with fewer entries is polished whole, and the
+    rest of its share goes to the near-zero end of the other side.
+
     Raises
     ------
     DegenerateShiftError
@@ -262,7 +273,8 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
     tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))
     vectors = basis @ coeffs
-    tau = _polish_tau(st, tau, vectors)
+    polish = REFINE_COUNT if count is None else min(count, REFINE_COUNT)
+    tau = _polish_tau(st, tau, vectors, polish)
 
     lt_values = sym_eigh(lt_d, vectors=False)
     norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
@@ -312,7 +324,7 @@ def signature(forms, t, tol=DEFAULT_TOL):
             return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
 
 
-def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
+def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL, count=None):
     """Certified one-sided bounds from the pencil at shift t.
 
     Parameters
@@ -322,13 +334,19 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
         spectral points below t, nearest first (so the array is
         decreasing).  ``"right"`` returns upper bounds ``t + 1/tau^+_j``
         for the points above t, nearest first (increasing).
+    count : int, optional
+        How many of the nearest bounds the caller uses.  All bounds of
+        the side are returned; the first ``min(count, REFINE_COUNT)``
+        come from polished eigenvalues (see :func:`zm_eigen`) and the
+        rest from double-precision ones.  Default: ``REFINE_COUNT``
+        polished.
 
     Raises
     ------
     EmptySideError
         If the pencil has no eigenvalues of the requested sign.
     """
-    pencil = zm_eigen(forms, t, tol)
+    pencil = zm_eigen(forms, t, tol, count)
     if side == "left":
         tau = pencil.tau_minus
     elif side == "right":
@@ -353,6 +371,12 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     flagged ``inconsistent`` rather than raised, because it conveys that
     the two shifts disagree about how much spectrum the window holds.
 
+    Only the pencil eigenvalues behind the bounds that can be emitted
+    get the extended-precision polish of :func:`zm_eigen`: the ``j_max``
+    nearest uppers, and the lowers inside the window (up to
+    ``REFINE_COUNT``).  The bounds are the same as when both sides are
+    polished in full.
+
     Raises
     ------
     EmptySideError
@@ -365,8 +389,14 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = zm_bounds_one_sided(forms, a, "right", tol)
-    lowers = zm_bounds_one_sided(forms, b, "left", tol)
+    uppers = zm_bounds_one_sided(forms, a, "right", tol, j_max)
+    lowers = zm_bounds_one_sided(forms, b, "left", tol, j_max)
+    # The pairing reads the smallest lowers in the window, the farthest
+    # from b: when there are more than j_max, solve again with all of
+    # them polished.
+    inside = int(np.count_nonzero(lowers > a))
+    if j_max < min(inside, REFINE_COUNT):
+        lowers = zm_bounds_one_sided(forms, b, "left", tol, inside)
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

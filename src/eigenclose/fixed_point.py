@@ -228,7 +228,7 @@ def equivalence_gap(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
     result = optimal_shift(forms, t, j, side, fp_tol, tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
-        pencil = zm_eigen(forms, t, tol)
+        pencil = zm_eigen(forms, t, tol, count=j)
     tau = pencil.tau_minus if side == "left" else pencil.tau_plus
     if tau.size < j:
         raise NoSignChangeError(

@@ -9,6 +9,7 @@ import pytest
 import eigenclose.enclosure as enclosure_mod
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import (
+    REFINE_COUNT,
     Enclosure,
     Signature,
     local_counting,
@@ -208,7 +209,7 @@ def test_inconsistent_pair_is_flagged_not_raised(monkeypatch):
     two one-sided calls are stubbed to produce the disagreement.
     """
 
-    def fake_bounds(forms, t, side, tol=1e-10):
+    def fake_bounds(forms, t, side, tol=1e-10, count=None):
         if side == "right":  # uppers computed at a
             return np.array([1.2, 1.9])
         return np.array([1.8])  # lone lower at b: certifies a deeper point
@@ -290,3 +291,65 @@ def test_one_eigh_pencil_matches_reference_route(case):
             npt.assert_allclose(fast.F[j - 1], full.F[j - 1], rtol=1e-11, atol=1e-12)
     if case == "deflating":
         assert pencil.signature.n_inf == 1
+
+
+def _polish_case(model):
+    """Forms, shifts and windows of one partial-polish comparison.
+
+    Both models have more than ``2 * REFINE_COUNT`` pencil eigenvalues,
+    so the full polish leaves some of them unpolished too.  Some
+    windows hold more lower bounds than the smaller ``j_max`` values:
+    three in ``(0.5, 3.5)`` for dirac1d, five in ``(0.9, 2.6)`` for
+    maxwell2d.
+    """
+    if model == "dirac1d":  # forms assembled in longdouble
+        forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=4), 3).forms
+        return forms, (-1.3, 0.6, 1.4), ((0.5, 2.5), (-2.5, -0.5), (0.5, 3.5))
+    forms = assemble_2d(structured_tri_mesh(5, jitter=0.25, seed=2), 1).forms
+    return forms, (0.7, 1.6), ((0.8, 1.6), (-1.6, -0.8), (0.9, 2.6))
+
+
+def _rayleigh_quotients(forms, t, x):
+    """``x' L_t x / x' Q_t x`` per column in longdouble: what the polish
+    makes of a pencil eigenvalue."""
+    st = shift(forms, t)
+    lt = np.asarray(st.Lt, dtype=np.longdouble)
+    qt = np.asarray(st.Qt, dtype=np.longdouble)
+    x = x.astype(np.longdouble)
+    num = np.einsum("ij,ij->j", x, lt @ x)
+    return (num / np.einsum("ij,ij->j", x, qt @ x)).astype(float)
+
+
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_partial_polish_keeps_the_used_values_bit_equal(model):
+    forms, shifts, windows = _polish_case(model)
+    assert forms.n > 2 * REFINE_COUNT
+    extended = np.finfo(np.longdouble).eps < 1e-18  # else nothing is polished
+    for t in shifts:
+        full = zm_eigen(forms, t)
+        for j in (1, 2, 3):
+            part = zm_eigen(forms, t, count=j)
+            npt.assert_array_equal(part.tau_minus[:j], full.tau_minus[:j])
+            npt.assert_array_equal(part.tau_plus[:j], full.tau_plus[:j])
+            if extended:
+                npt.assert_array_equal(
+                    part.tau_minus[:j],
+                    _rayleigh_quotients(forms, t, part.vectors_minus[:, :j]),
+                )
+                npt.assert_array_equal(
+                    part.tau_plus[:j],
+                    _rayleigh_quotients(forms, t, part.vectors_plus[:, :j]),
+                )
+
+    more_lowers_than_j_max = False
+    for a, b in windows:
+        uppers = zm_bounds_one_sided(forms, a, "right")
+        lowers = zm_bounds_one_sided(forms, b, "left")
+        uppers = np.sort(uppers[uppers < b])
+        lowers = np.sort(lowers[lowers > a])
+        for j_max in (1, 2, 3):
+            more_lowers_than_j_max |= lowers.size > j_max
+            pairs = list(zip(lowers.tolist(), uppers.tolist()))[:j_max]
+            enc = zm_enclosures(forms, (a, b), j_max)
+            assert [(e.lower, e.upper) for e in enc] == pairs
+    assert more_lowers_than_j_max
