@@ -27,7 +27,6 @@ from .enclosure import (
     Signature,
     check_detectability,
     local_counting,
-    orthonormalize,
     residual_bounds,
     signature,
     zm_bounds_one_sided,
@@ -66,7 +65,6 @@ from .forms import (
 from .linalg import (
     DEFAULT_TOL,
     cholesky_spd,
-    inv_sqrt,
     psd_eigh,
     sym_generalized_eigvals,
     symmetrize,
@@ -120,11 +118,9 @@ __all__ = [
     "exact_spectrum_2d",
     "f_curve",
     "galerkin_spectrum",
-    "inv_sqrt",
     "local_counting",
     "operator_forms",
     "optimal_shift",
-    "orthonormalize",
     "psd_eigh",
     "read_forms",
     "residual_bounds",

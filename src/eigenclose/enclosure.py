@@ -38,7 +38,6 @@ from .errors import (
 from .forms import shift
 from .linalg import (
     DEFAULT_TOL,
-    inv_sqrt,
     psd_eigh,
     sym_eigh,
     sym_generalized_eigvals,
@@ -433,24 +432,6 @@ def check_detectability(forms, t, tol=DEFAULT_TOL):
     if lo >= t:
         return Detectability.ALL_ABOVE
     return Detectability.ALL_BELOW
-
-
-def orthonormalize(basis, m0):
-    """M0-orthonormalize basis columns symmetrically.
-
-    Returns ``V = W @ G^{-1/2}`` with ``G = W.T @ M0 @ W``, which is the
-    closest M0-orthonormal family to the input columns: the j-th output
-    differs from the j-th input by at most ``||I - G^{1/2}||`` in the
-    M0 norm.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the columns are numerically dependent (G not SPD).
-    """
-    w = np.atleast_2d(np.asarray(basis, dtype=float))
-    g = symmetrize(w.T @ m0 @ w)
-    return w @ inv_sqrt(g)
 
 
 def residual_bounds(f_values, distances, isolation, atol=1e-12):

@@ -17,9 +17,7 @@ one function per job:
 * :func:`psd_eigh`, one classified eigendecomposition of a positive
   semidefinite matrix: it yields the numerical kernel and its
   complement, the check that no eigenvalue is genuinely negative and the
-  2-norm at once;
-* :func:`inv_sqrt`, the inverse square root of a Gram matrix, from
-  :func:`sym_eigh`.
+  2-norm at once.
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -209,24 +207,3 @@ def psd_eigh(m, tol=DEFAULT_TOL):
         raise NegativeEigenvalueError(values[0], tol * norm)
     k = int(np.count_nonzero(values <= tol * max(1.0, norm)))
     return PsdEigen(values, vectors, k, norm)
-
-
-def inv_sqrt(g, tol=DEFAULT_TOL):
-    """Inverse square root of a symmetric positive definite matrix.
-
-    Computed from the eigendecomposition, so the result is symmetric and
-    satisfies ``inv_sqrt(g) @ g @ inv_sqrt(g) == I`` up to roundoff.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the smallest eigenvalue is at or below ``tol * ||g||_2``.
-    """
-    a = check_symmetric(g, "inv_sqrt input")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    values, vectors = sym_eigh(a)
-    norm = max(abs(values[0]), abs(values[-1]))
-    if values[0] <= tol * norm:
-        raise NotPositiveDefiniteError(int(np.argmin(values)), values[0])
-    return symmetrize((vectors / np.sqrt(values)) @ vectors.T)

@@ -4,16 +4,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import eigenclose.fixed_point as fixed_point_mod
+from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.fixed_point import (
     FP_TOL_FACTOR,
+    _pencil_taus,
+    _root,
     default_fp_tol,
     dp_bounds,
     equivalence_gap,
     f_curve,
     optimal_shift,
 )
-from eigenclose.errors import NoSignChangeError
+from eigenclose.errors import DegenerateShiftError, NoSignChangeError
 from eigenclose.forms import TrialForms, operator_forms
+from eigenclose.linalg import DEFAULT_TOL
+from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
 
@@ -158,3 +164,118 @@ def test_f_curve_warns_on_lipschitz_violation():
     grid = [2.0 + np.sqrt(c), 2.0 + 1e-5]
     with pytest.warns(UserWarning, match="Lipschitz"):
         f_curve(forms, 1, grid)
+
+
+def _unseeded(forms, t, j, side):
+    return _root(forms, t, j, side, None, DEFAULT_TOL, lambda: None)
+
+
+def _same_root(seeded, unseeded):
+    return (seeded.s_hat, seeded.f_at_root, seeded.bracket_width) == (
+        unseeded.s_hat, unseeded.f_at_root, unseeded.bracket_width
+    )
+
+
+def _record_shifts(monkeypatch):
+    """Make every counting evaluation of the fixed-point route log its shift."""
+    shifts = []
+    real = fixed_point_mod.local_counting
+
+    def counting(forms, s, tol, count):
+        shifts.append(s)
+        return real(forms, s, tol, count)
+
+    monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
+    return shifts
+
+
+@pytest.mark.parametrize("model", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"])
+def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch):
+    # the pencil seed only skips evaluations whose sign is already known:
+    # same bisection path, same root, about 6 evaluations instead of 44
+    if model == "maxwell2d":
+        forms = assemble_2d(structured_tri_mesh(4, jitter=0.25, seed=1), 1).forms
+    else:
+        order = int(model[-1])
+        forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), order).forms
+    t = 1.4
+    shifts = _record_shifts(monkeypatch)
+    for side in ("left", "right"):
+        tau = _pencil_taus(forms, t, side, DEFAULT_TOL, 3)
+        for j in (1, 2, 3):
+            unseeded = _unseeded(forms, t, j, side)
+            shifts.clear()
+            seeded = optimal_shift(forms, t, j, side)
+            assert _same_root(seeded, unseeded), (side, j)
+            assert seeded.tau == tau[j - 1]
+            assert seeded.iterations <= 8 < unseeded.iterations
+            # each evaluation is a distinct shift: the final F_j(s_hat)
+            # comes from the bisection's last hi, not a second solve
+            assert len(set(shifts)) == len(shifts) == seeded.iterations
+
+
+def test_wrong_seed_costs_evaluations_not_the_root():
+    # a seed the counting function does not confirm falls back to the
+    # unseeded search: same root, at least as many evaluations
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=2), 2).forms
+    t = 1.4
+    for side, other in (("left", "right"), ("right", "left")):
+        tau = _pencil_taus(forms, t, side, DEFAULT_TOL, 2)
+        wrong_side = _pencil_taus(forms, t, other, DEFAULT_TOL, 2)
+        for j in (1, 2):
+            unseeded = _unseeded(forms, t, j, side)
+            # 1e-300 predicts a root beyond the expansion's reach
+            for wrong_tau in (0.5 * tau[j - 1], 1.5 * tau[j - 1], 1e-8, 1e-300):
+                wrong = tau.copy()
+                wrong[j - 1] = wrong_tau
+                seeded = _root(forms, t, j, side, None, DEFAULT_TOL, lambda: wrong)
+                assert _same_root(seeded, unseeded), (side, j, wrong_tau)
+                assert seeded.iterations >= unseeded.iterations
+            seeded = _root(forms, t, j, side, None, DEFAULT_TOL, lambda: wrong_side)
+            assert _same_root(seeded, unseeded), (side, j, "wrong side")
+            assert seeded.iterations >= unseeded.iterations
+
+
+def test_captured_shift_draws_no_seed():
+    # g(0) comes first: a captured shift costs one evaluation, no pencil
+    def seed():
+        raise AssertionError("seed drawn for a captured shift")
+
+    res = _root(WORKED, 2.0, 1, "left", None, DEFAULT_TOL, seed)
+    assert res.iterations == 1 and res.tau is None
+
+
+def test_failing_pencil_leaves_the_search_unseeded(monkeypatch):
+    # optimal_shift survives a pencil that raises; equivalence_gap still
+    # raises the pencil's own error, as it did before the seed existed
+    def broken(*args, **kwargs):
+        raise DegenerateShiftError("no pencil")
+
+    unseeded = _unseeded(WORKED, 1.5, 1, "left")
+    monkeypatch.setattr(fixed_point_mod, "zm_eigen", broken)
+    res = optimal_shift(WORKED, 1.5, 1, "left")
+    assert _same_root(res, unseeded) and res.tau is None
+    assert res.iterations == unseeded.iterations
+    npt.assert_array_equal(dp_bounds(WORKED, 1.5, 1, "left"), [unseeded.bound])
+    with pytest.raises(DegenerateShiftError):
+        equivalence_gap(WORKED, 1.5, 1, "left")
+
+
+def test_one_pencil_solve_per_call(monkeypatch):
+    # dp_bounds seeds every index from one solve, equivalence_gap takes
+    # its prediction from the solve that seeded the root
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=3), 2).forms
+    counts = []
+    real = fixed_point_mod.zm_eigen
+
+    def counted(forms, t, tol, count):
+        counts.append(count)
+        return real(forms, t, tol, count=count)
+
+    expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
+    monkeypatch.setattr(fixed_point_mod, "zm_eigen", counted)
+    assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
+    assert counts == [3]
+    counts.clear()
+    equivalence_gap(forms, 1.4, 2, "left")
+    assert counts == [2]

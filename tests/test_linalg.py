@@ -11,7 +11,6 @@ from eigenclose.errors import NegativeEigenvalueError, NotPositiveDefiniteError
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
-    inv_sqrt,
     psd_eigh,
     sym_generalized_eigvals,
     symmetrize,
@@ -190,26 +189,6 @@ def test_kernel_split_complement_is_orthonormal():
     q = np.hstack([ker, rest])
     npt.assert_allclose(q.T @ q, np.eye(5), atol=1e-12)
     assert np.max(np.abs(m @ ker)) < 1e-10 * np.linalg.norm(m, 2)
-
-
-def test_inv_sqrt_diagonal():
-    npt.assert_allclose(
-        inv_sqrt(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]), atol=1e-14
-    )
-
-
-def test_inv_sqrt_identity_property():
-    rng = np.random.default_rng(29)
-    x = rng.standard_normal((6, 6))
-    g = symmetrize(x @ x.T + 3 * np.eye(6))
-    s = inv_sqrt(g)
-    assert np.array_equal(s, s.T)
-    npt.assert_allclose(s @ g @ s, np.eye(6), atol=1e-11)
-
-
-def test_inv_sqrt_rejects_singular():
-    with pytest.raises(NotPositiveDefiniteError):
-        inv_sqrt(np.diag([1.0, 0.0]))
 
 
 @settings(max_examples=60, deadline=None)

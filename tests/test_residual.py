@@ -1,11 +1,11 @@
-"""Tests for eigenvector residual bounds and M0-orthonormalization."""
+"""Tests for eigenvector residual bounds."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eigenclose.enclosure import local_counting, orthonormalize, residual_bounds
-from eigenclose.errors import GapViolationError, NotPositiveDefiniteError
+from eigenclose.enclosure import local_counting, residual_bounds
+from eigenclose.errors import GapViolationError
 from eigenclose.forms import operator_forms
 
 
@@ -116,25 +116,3 @@ def test_eps_upper_bounds_true_subspace_deviation():
         for j, ej in enumerate(np.eye(3)[:, :m].T):
             sine = np.linalg.norm(ej - q @ (q.T @ ej))
             assert rb.eps[j] + 1e-9 >= sine
-
-
-def test_orthonormalize_produces_m0_orthonormal_columns():
-    rng = np.random.default_rng(43)
-    w = rng.standard_normal((5, 3))
-    m0 = np.diag([1.0, 2.0, 0.5, 1.5, 3.0])
-    v = orthonormalize(w, m0)
-    npt.assert_allclose(v.T @ m0 @ v, np.eye(3), atol=1e-11)
-    # spans the same space
-    assert np.linalg.matrix_rank(np.hstack([w, v])) == 3
-
-
-def test_orthonormalize_is_symmetric_variant():
-    # already orthonormal input comes back unchanged (G = I)
-    w = np.eye(4)[:, :2]
-    npt.assert_allclose(orthonormalize(w, np.eye(4)), w, atol=1e-14)
-
-
-def test_orthonormalize_rejects_dependent_columns():
-    w = np.ones((3, 2))
-    with pytest.raises(NotPositiveDefiniteError):
-        orthonormalize(w, np.eye(3))
