@@ -20,9 +20,11 @@ counting function certify it: the residual is positive at the lower
 end and <= 0 at the upper one.  The residual is nonincreasing, so every
 later sign outside the window is known, and the unchanged expansion and
 bisection evaluate F_j only inside it -- about 6 evaluations per root
-instead of 44, on the same path to the same root.  A window the
-counting function does not confirm, or a pencil that fails or has too
-few values, leaves the search unseeded.
+instead of 44, on the same path to the same root.  The sign at the
+root's certified end is evaluated all the same.  A window the counting
+function does not confirm, a pencil that fails or has too few values,
+or forms that fail the exact consistency test of
+:meth:`TrialForms.validate` leave the search unseeded.
 """
 
 import functools
@@ -62,7 +64,8 @@ class FixedPointResult:
     unseeded root and about 6 for one the pencil seeded, the two
     evaluations that check the seed included.  ``tau`` is the pencil
     eigenvalue tau_j offered as the seed, None when none was drawn (a
-    captured shift) or the pencil had none.
+    captured shift or inconsistent forms), the pencil had none, or the
+    counting function contradicted it at the root.
     """
 
     j: int
@@ -109,10 +112,14 @@ def _pencil_taus(forms, t, side, tol, count):
 
 
 def _seed_taus(forms, t, side, tol, count):
-    """:func:`_pencil_taus`, or None where the solve fails: a seed only
-    decides where the bisection looks, so its failure costs nothing but
-    the evaluations it would have saved."""
+    """:func:`_pencil_taus`, or None where the solve fails or the forms
+    fail :meth:`TrialForms.validate`.  A seed only decides where the
+    bisection looks, so its failure costs nothing but the evaluations it
+    would have saved.  Inconsistent forms get the unseeded search: it
+    evaluates F_j at every shift it visits, and so raises wherever one
+    of them shows an indefinite Q_s."""
     try:
+        forms.validate(tol)
         return _pencil_taus(forms, t, side, tol, count)
     except (EigencloseError, ValueError, np.linalg.LinAlgError):
         return None
@@ -261,6 +268,10 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
 
     s_hat = t + sign * hi  # certified endpoint, nearest t with residual <= 0
     f_at_root = f_of(s_hat)
+    if f_at_root - hi > 0.0:
+        # g(hi) <= 0 was inferred from the seed window and the counting
+        # function contradicts it: the residual is not monotone here
+        return _root(forms, t, j, side, fp_tol, tol, lambda: None)
     return FixedPointResult(
         j=j,
         side=side,

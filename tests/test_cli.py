@@ -282,6 +282,31 @@ def test_equiv_needs_shifts(capsys):
 # --- export-forms ------------------------------------------------------
 
 
+def test_equiv_fails_on_corrupted_forms(tmp_path, capsys):
+    # M2 scaled by 0.95: Q_s is indefinite near the spectrum, and the
+    # fixed-point route reports no gap rows for such forms
+    from eigenclose.dirac1d import assemble_1d, uniform_mesh
+
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=0), 2).forms
+    path = tmp_path / "bad.forms"
+    write_forms(
+        TrialForms(
+            np.asarray(forms.M0, dtype=float),
+            np.asarray(forms.M1, dtype=float),
+            0.95 * np.asarray(forms.M2, dtype=float),
+        ),
+        path,
+    )
+    code = main(
+        ["equiv", "--model", str(path), "--shift", "0.6", "--shift", "1.4",
+         "--shift", "2.5", "--jmax", "2"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "corrupted" in captured.err
+
+
 def test_export_forms_roundtrip(tmp_path):
     out = tmp_path / "model.forms"
     code = main(

@@ -16,7 +16,12 @@ from eigenclose.fixed_point import (
     f_curve,
     optimal_shift,
 )
-from eigenclose.errors import DegenerateShiftError, NoSignChangeError
+from eigenclose.errors import (
+    DegenerateShiftError,
+    MaxIterationsError,
+    NegativeEigenvalueError,
+    NoSignChangeError,
+)
 from eigenclose.forms import TrialForms, operator_forms
 from eigenclose.linalg import DEFAULT_TOL
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
@@ -279,3 +284,39 @@ def test_one_pencil_solve_per_call(monkeypatch):
     counts.clear()
     equivalence_gap(forms, 1.4, 2, "left")
     assert counts == [2]
+
+
+def test_inconsistent_forms_get_the_unseeded_search():
+    # M2 scaled by 0.95 fails TrialForms.validate, so no seed is drawn:
+    # the unseeded search visits shifts where Q_s is indefinite and raises
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=0), 2).forms
+    bad = TrialForms(
+        np.asarray(forms.M0, dtype=float),
+        np.asarray(forms.M1, dtype=float),
+        0.95 * np.asarray(forms.M2, dtype=float),
+    )
+    for t in (0.6, 1.4, 2.5):
+        for side in ("left", "right"):
+            for j in (1, 2):
+                with pytest.raises(NegativeEigenvalueError):
+                    equivalence_gap(bad, t, j, side)
+
+
+def test_contradicted_final_sign_falls_back(monkeypatch):
+    # the bisection ends at an hi beyond the seed window, where g(hi) <= 0
+    # was inferred; a counting function that contradicts it sends the
+    # root to the unseeded search, which here finds no sign change
+    t, tau, fp_tol = 1.5, -0.25, 1e-3
+    s_high = t - (0.5 / abs(tau) + fp_tol)
+
+    class Values:
+        def __init__(self, f):
+            self.F = np.array([f])
+
+    def counting(forms, s, tol, count):
+        # residual -1 at the window's upper end, +1 at every other shift
+        return Values(t - s + (-1.0 if s == s_high else 1.0))
+
+    monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
+    with pytest.raises(MaxIterationsError):
+        _root(WORKED, t, 1, "left", fp_tol, DEFAULT_TOL, lambda: np.array([tau]))

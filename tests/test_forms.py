@@ -127,6 +127,16 @@ def test_validate_samples_the_pencil_range():
         local_counting(forms, 2.0)
 
 
+def test_validate_is_exact_between_shifts():
+    # Q_t is indefinite only for |t - 2.1| < 0.01: a test at sampled
+    # shifts passes such forms, the Schur complement diag(0, -1e-4) does not
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.1]), np.diag([1.0, 2.1**2 - 1e-4]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        forms.validate()
+    with pytest.raises(NegativeEigenvalueError):
+        local_counting(forms, 2.1)
+
+
 def test_forms_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     w = rng.standard_normal((5, 3))
