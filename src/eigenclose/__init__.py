@@ -20,12 +20,10 @@ from .dirac1d import (
 )
 from .enclosure import (
     CountingValues,
-    Detectability,
     Enclosure,
     PencilEigen,
     ResidualBounds,
     Signature,
-    check_detectability,
     local_counting,
     residual_bounds,
     signature,
@@ -40,6 +38,7 @@ from .errors import (
     EmptySideError,
     FormsFormatError,
     GapViolationError,
+    InconsistentFormsError,
     InsufficientPointsError,
     MaxIterationsError,
     NegativeEigenvalueError,
@@ -86,7 +85,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DeflationWarning",
     "DegenerateShiftError",
-    "Detectability",
     "EigencloseError",
     "EmptySideError",
     "Enclosure",
@@ -94,6 +92,7 @@ __all__ = [
     "FixedPointResult",
     "FormsFormatError",
     "GapViolationError",
+    "InconsistentFormsError",
     "InsufficientPointsError",
     "MaxIterationsError",
     "MaxwellModel",
@@ -110,7 +109,6 @@ __all__ = [
     "UnsupportedOrderError",
     "assemble_1d",
     "assemble_2d",
-    "check_detectability",
     "cholesky_spd",
     "dp_bounds",
     "equivalence_gap",

@@ -291,9 +291,10 @@ def _build(cfg, order, mesh_n):
         model = assemble_2d(structured_tri_mesh(mesh_n, cfg.jitter, cfg.seed), order)
         return model.forms, exact_spectrum_2d(reach), model
     try:
-        return read_forms(cfg.model), None, None
+        forms = read_forms(cfg.model)
     except OSError as exc:
         raise ConfigError(f"cannot read forms file: {exc}") from None
+    return forms.validate(cfg.tol), None, None
 
 
 def _single_design_point(cfg, command):

@@ -22,7 +22,6 @@ bounds for the eigenvectors follow from the counting values together
 with caller-supplied distances and isolation radii.
 """
 
-import enum
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,14 +93,6 @@ class PencilEigen:
     vectors_minus: np.ndarray = field(repr=False)
     vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
-
-
-class Detectability(enum.Enum):
-    """Which sides of a shift the trial subspace can see."""
-
-    ALL_BELOW = "all-below"
-    ALL_ABOVE = "all-above"
-    MIXED = "mixed"
 
 
 @dataclass
@@ -189,10 +180,10 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     given only ``F_1 .. F_count`` are computed; a fixed-point evaluation
     needs nothing more.
 
-    M0 goes through the pivot-checked Cholesky gate of the generalized
-    solve.  The roundoff floor ``-tol * ||Q_t||_2`` is only computed
-    when the smallest eigenvalue is negative, because only then can it
-    decide anything.
+    The solve uses the forms' Cholesky factor of M0 at ``tol``
+    (:meth:`TrialForms.factor`).  The roundoff floor
+    ``-tol * ||Q_t||_2`` is only computed when the smallest eigenvalue
+    is negative, because only then can it decide anything.
 
     Raises
     ------
@@ -203,7 +194,7 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
         represents a square, so that signals corrupted forms.
     """
     qt = shift(forms, t).Qt.astype(float, copy=False)
-    values = sym_generalized_eigvals(qt, forms.M0, tol, count)
+    values = sym_generalized_eigvals(qt, forms.factor(tol), count)
     if values[0] < 0.0:
         floor = -tol * np.linalg.norm(qt, 2)
         if values[0] < floor:
@@ -318,7 +309,7 @@ def signature(forms, t, tol=DEFAULT_TOL):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
         try:
-            return zm_eigen(forms, t, tol).signature
+            return zm_eigen(forms, t, tol, count=0).signature
         except DegenerateShiftError:
             return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
 
@@ -414,24 +405,6 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
             )
         )
     return out
-
-
-def check_detectability(forms, t, tol=DEFAULT_TOL):
-    """Classify which sides of t the trial subspace detects.
-
-    Based on the extreme eigenvalues of the pencil ``(M1, M0)`` (the
-    range of Rayleigh quotients over the subspace): spectrum is
-    detectable below t iff some quotient lies below t, and above iff
-    some quotient lies above.
-    """
-    theta = sym_generalized_eigvals(forms.M1, forms.M0, tol)
-    lo, hi = theta[0], theta[-1]
-    t = float(t)
-    if lo < t and hi > t:
-        return Detectability.MIXED
-    if lo >= t:
-        return Detectability.ALL_ABOVE
-    return Detectability.ALL_BELOW
 
 
 def residual_bounds(f_values, distances, isolation, atol=1e-12):

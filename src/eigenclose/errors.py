@@ -44,6 +44,10 @@ class NegativeEigenvalueError(EigencloseError):
         super().__init__(message)
 
 
+class InconsistentFormsError(EigencloseError, ValueError):
+    """The trial forms fail the consistency test of ``TrialForms.validate``."""
+
+
 class DegenerateShiftError(EigencloseError):
     """The shifted quadratic form vanishes on the whole trial subspace, so
     no spectral information survives deflation."""

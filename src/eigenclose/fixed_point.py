@@ -41,7 +41,7 @@ from .errors import (
     MaxIterationsError,
     NoSignChangeError,
 )
-from .linalg import DEFAULT_TOL, sym_generalized_eigvals
+from .linalg import DEFAULT_TOL
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +98,7 @@ def default_fp_tol(forms, t, tol=DEFAULT_TOL):
     either end of that range so it cannot degenerate for tiny (even
     one-dimensional) trial spaces.
     """
-    theta = sym_generalized_eigvals(forms.M1, forms.M0, tol)
-    return FP_TOL_FACTOR * _scale(theta, t)
+    return FP_TOL_FACTOR * _scale(forms.ritz(tol), t)
 
 
 def _pencil_taus(forms, t, side, tol, count):
@@ -176,7 +175,7 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
         raise ValueError(f"index j={j} outside 1..{forms.n}")
     t = float(t)
 
-    theta = sym_generalized_eigvals(forms.M1, forms.M0, tol)
+    theta = forms.ritz(tol)
     detectable = int(np.sum(theta < t) if side == "left" else np.sum(theta > t))
     if detectable < j:
         raise NoSignChangeError(

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormsFormatError
+from .errors import FormsFormatError, InconsistentFormsError
 from .linalg import (
     DEFAULT_TOL,
     check_symmetric,
     cholesky_spd,
     sym_eigh,
+    sym_generalized_eigvals,
     symmetrize,
 )
 
@@ -37,8 +38,10 @@ class TrialForms:
     """The three form matrices of a trial subspace.
 
     Construction validates shapes, exact symmetry and positive
-    definiteness of ``M0``.  Deeper (more expensive) consistency checks
-    live in :meth:`validate`.
+    definiteness of ``M0``.  The forms own what depends on no shift and
+    compute it once: M0's Cholesky factor, the Ritz values of (M1, M0)
+    and the consistency test.  The caches rely on the forms being
+    immutable once built: never change M0, M1 or M2 in place.
     """
 
     M0: np.ndarray
@@ -52,11 +55,30 @@ class TrialForms:
         self.M2 = check_symmetric(self.M2, "M2")
         if not (self.M0.shape == self.M1.shape == self.M2.shape):
             raise ValueError("M0, M1, M2 must share one shape")
-        cholesky_spd(self.M0)  # Gram matrix must be SPD
+        self._factors = {}
+        self._ritz = None
+        self._schur_min = None
+        self.factor()  # Gram matrix must be SPD
 
     @property
     def n(self):
         return self.M0.shape[0]
+
+    def factor(self, tol=DEFAULT_TOL):
+        """``cholesky_spd(M0, tol)``, computed once per ``tol``; read-only."""
+        if tol not in self._factors:
+            self._factors[tol] = cholesky_spd(self.M0, tol)
+            self._factors[tol].flags.writeable = False
+        return self._factors[tol]
+
+    def ritz(self, tol=DEFAULT_TOL):
+        """Ritz values of the pencil ``(M1, M0)``, ascending and read-only.
+        They are solved once; M0 must still pass :meth:`factor` at ``tol``."""
+        factor = self.factor(tol)
+        if self._ritz is None:
+            self._ritz = sym_generalized_eigvals(self.M1, factor)
+            self._ritz.flags.writeable = False
+        return self._ritz
 
     def validate(self, tol=DEFAULT_TOL):
         """Check that the forms are consistent, exactly.
@@ -68,17 +90,18 @@ class TrialForms:
         ``Q_t = S + L_t M0^{-1} L_t`` positive semidefinite, so this one
         test covers all shifts with no sampling.  An eigenvalue of S
         below ``-tol`` times the largest diagonal entry of M2 fails it.
-        Raises ``ValueError`` on failure and returns the forms otherwise.
+        That eigenvalue is computed once.  Raises ``InconsistentFormsError``
+        (a ``ValueError``) on failure and returns the forms otherwise.
         """
-        m2 = self.M2.astype(float, copy=False)
-        x = np.linalg.solve(
-            cholesky_spd(self.M0, tol), self.M1.astype(float, copy=False)
-        )
-        w = sym_eigh(symmetrize(m2 - x.T @ x), vectors=False)
-        if w[0] < -tol * max(float(np.max(np.diag(m2))), 0.0):
-            raise ValueError(
-                f"M2 - M1 M0^-1 M1 has negative eigenvalue {w[0]:.3e}: "
-                f"the forms are inconsistent"
+        factor = self.factor(tol)
+        if self._schur_min is None:
+            x = np.linalg.solve(factor, self.M1.astype(float, copy=False))
+            s = self.M2.astype(float, copy=False) - x.T @ x
+            self._schur_min = sym_eigh(symmetrize(s), vectors=False)[0]
+        if self._schur_min < -tol * max(float(np.max(np.diag(self.M2))), 0.0):
+            raise InconsistentFormsError(
+                f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
+                f"eigenvalue {self._schur_min:.3e}; the input forms look corrupted"
             )
         return self
 

@@ -2,7 +2,7 @@
 
 Everything downstream (counting functions, pencil bounds, fixed-point
 solves) reduces to a handful of operations on real symmetric matrices,
-one function per job:
+one function per job, each a direct LAPACK call:
 
 * :func:`cholesky_spd`, a pivot-checked Cholesky factorization (LAPACK
   ``potrf`` plus a relative test on every pivot); it is the
@@ -11,9 +11,9 @@ one function per job:
   without vectors (LAPACK ``syevd`` called directly); its only gate is
   that the input is finite;
 * :func:`sym_generalized_eigvals`, the eigenvalues of a
-  symmetric-definite pencil, optionally just the smallest few; both
-  matrices must be symmetric as stored and the right-hand one must pass
-  :func:`cholesky_spd`;
+  symmetric-definite pencil, optionally just the smallest few, from the
+  Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
+  ``syevd`` or ``syevx``);
 * :func:`psd_eigh`, one classified eigendecomposition of a positive
   semidefinite matrix: it yields the numerical kernel and its
   complement, the check that no eigenvalue is genuinely negative and the
@@ -27,7 +27,6 @@ extended-precision input is rounded on the way in.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import NegativeEigenvalueError, NotPositiveDefiniteError
@@ -144,31 +143,32 @@ def sym_eigh(a, vectors=True):
     return (values, vecs) if vectors else values
 
 
-def sym_generalized_eigvals(a, b, tol=DEFAULT_TOL, count=None):
+def sym_generalized_eigvals(a, factor, count=None):
     """Eigenvalues of ``a x = lam b x`` with symmetric ``a`` and SPD ``b``.
 
-    ``b`` is first put through :func:`cholesky_spd`, so an indefinite or
-    numerically singular ``b`` fails with the offending pivot rather
-    than deep inside LAPACK.  The pencil is then solved in double
-    precision by LAPACK's generalized ``eigh`` without forming
-    eigenvectors.  The eigenvalues come back ascending; with ``count``
-    only the ``count`` smallest are computed.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If ``b`` fails the pivot-checked Cholesky test.
+    ``b`` enters as its lower Cholesky ``factor`` from
+    :func:`cholesky_spd`, so a pencil family with one ``b`` factors it
+    once.  LAPACK ``sygst`` reduces the pencil to standard form, and
+    :func:`sym_eigh` (or ``syevx`` for only the ``count`` smallest)
+    gives the eigenvalues ascending, bit for bit those of the drivers
+    ``sygvd`` / ``sygvx``.
     """
     a = check_symmetric(a, "pencil matrix a").astype(float, copy=False)
-    b = check_symmetric(b, "pencil matrix b").astype(float, copy=False)
-    if a.shape != b.shape:
-        raise ValueError("pencil matrices must have identical shape")
-    cholesky_spd(b, tol)  # definiteness gate with a meaningful error
     n = a.shape[0]
     if n == 0:
         return np.zeros(0)
-    subset = None if count is None or count >= n else [0, count - 1]
-    return scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=subset)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
+    if count is None or count >= n:
+        return sym_eigh(c, vectors=False)
+    lwork, _ = scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
+    values, _, m, _, info = scipy.linalg.lapack.dsyevx(
+        c, compute_v=0, range="I", lower=1, il=1, iu=count, lwork=int(lwork)
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevx did not converge (info={info})")
+    return values[:m]
 
 
 @dataclass

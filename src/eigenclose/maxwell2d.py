@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 from .forms import TrialForms
-from .linalg import symmetrize, sym_generalized_eigvals
+from .linalg import symmetrize
 
 #: side length of the square cavity
 SIDE = np.pi
@@ -409,7 +409,6 @@ def galerkin_spectrum(model, tol=1e-10):
     These are what a naive Galerkin discretization reports and they are
     exactly the values subject to spectral pollution; they come with no
     certification whatsoever and are exposed for contrast with the
-    certified enclosures.
+    certified enclosures.  They are :meth:`TrialForms.ritz`.
     """
-    forms = model.forms
-    return sym_generalized_eigvals(forms.M1, forms.M0, tol)
+    return model.forms.ritz(tol)

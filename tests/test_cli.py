@@ -307,6 +307,40 @@ def test_equiv_fails_on_corrupted_forms(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "corrupted" in captured.err
 
 
+def _slightly_inconsistent_forms(tmp_path):
+    # M2 scaled by 0.999: the fixed-point route and the pencil still
+    # produce numbers for these forms; only the consistency gate sees it
+    from eigenclose.dirac1d import assemble_1d, uniform_mesh
+
+    forms = assemble_1d(uniform_mesh(6), 2).forms
+    path = tmp_path / "slight.forms"
+    write_forms(
+        TrialForms(
+            np.asarray(forms.M0, dtype=float),
+            np.asarray(forms.M1, dtype=float),
+            0.999 * np.asarray(forms.M2, dtype=float),
+        ),
+        path,
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equiv", "--shift", "0.6", "--shift", "1.4", "--jmax", "2"],
+        ["bounds", "--window", "0.5,2.5", "--jmax", "2"],
+    ],
+)
+def test_inconsistent_forms_file_fails_the_gate(tmp_path, capsys, argv):
+    code = main(argv + ["--model", _slightly_inconsistent_forms(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "consistency gate" in captured.err and "corrupted" in captured.err
+
+
 def test_export_forms_roundtrip(tmp_path):
     out = tmp_path / "model.forms"
     code = main(

@@ -1,4 +1,4 @@
-"""Tests for the local counting function, signatures and detectability."""
+"""Tests for the local counting function and signatures."""
 
 import warnings
 
@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenclose.enclosure import (
-    Detectability,
     Signature,
-    check_detectability,
     local_counting,
     signature,
     zm_eigen,
@@ -155,19 +153,3 @@ def test_signature_side_counts_match_true_census():
     assert (sig.n_minus, sig.n_plus) == (2, 2)
     sig = signature(forms, -2.0)
     assert (sig.n_minus, sig.n_plus) == (0, 4)
-
-
-# --- detectability -----------------------------------------------------
-
-
-def test_detectability_three_classes():
-    assert check_detectability(WORKED, 3.0) is Detectability.ALL_BELOW
-    assert check_detectability(WORKED, 1.5) is Detectability.MIXED
-    assert check_detectability(WORKED, 0.5) is Detectability.ALL_ABOVE
-
-
-def test_detectability_subspace_can_miss_a_side():
-    # the trial direction only sees the point at 1, so every shift above
-    # its Rayleigh quotient reports ALL_BELOW even though sigma goes on
-    forms = operator_forms(np.diag([1.0, 5.0]), np.array([[1.0], [0.0]]))
-    assert check_detectability(forms, 2.0) is Detectability.ALL_BELOW

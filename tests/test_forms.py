@@ -1,14 +1,26 @@
 """Tests for trial-form containers, shifting, and the .forms format."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import eigenclose.linalg as linalg_mod
+from eigenclose import dirac1d, enclosure, fixed_point, forms as forms_mod, maxwell2d
+from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import local_counting
 from eigenclose.errors import (
     FormsFormatError,
     NegativeEigenvalueError,
     NotPositiveDefiniteError,
+    NoSignChangeError,
+)
+from eigenclose.fixed_point import (
+    default_fp_tol,
+    dp_bounds,
+    equivalence_gap,
+    optimal_shift,
 )
 from eigenclose.forms import (
     TrialForms,
@@ -135,6 +147,73 @@ def test_validate_is_exact_between_shifts():
         forms.validate()
     with pytest.raises(NegativeEigenvalueError):
         local_counting(forms, 2.1)
+
+
+def _record_calls(monkeypatch, name, record):
+    """Route every package binding of ``linalg.<name>`` through ``record``."""
+    original = getattr(linalg_mod, name)
+
+    def wrapper(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    for module in (linalg_mod, forms_mod, enclosure, fixed_point, dirac1d, maxwell2d):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+
+
+def _key(m):
+    return np.asarray(m, dtype=float).tobytes()
+
+
+def test_factor_and_ritz_values_are_computed_once(monkeypatch):
+    """Over a fixed-point grid M0 is factored once per (forms, tol) and
+    the Ritz values of (M1, M0) are solved once per forms."""
+    factored, solved = [], []
+    _record_calls(
+        monkeypatch, "cholesky_spd",
+        lambda m, tol=linalg_mod.DEFAULT_TOL: factored.append((_key(m), tol)),
+    )
+    _record_calls(
+        monkeypatch, "sym_generalized_eigvals",
+        lambda a, *args, **kwargs: solved.append(_key(a)),
+    )
+    models = [assemble_1d(uniform_mesh(6, 0.3, 0), order).forms for order in (1, 2)]
+    tols = (linalg_mod.DEFAULT_TOL, 1e-9)
+    for forms in models:
+        for tol in tols:
+            for t in (0.6, 1.4):
+                default_fp_tol(forms, t, tol)
+                for side in ("left", "right"):
+                    for j in (1, 2):
+                        try:
+                            equivalence_gap(forms, t, j, side, tol=tol)
+                        except NoSignChangeError:
+                            pass
+                    dp_bounds(forms, t, 2, side, tol=tol)
+    m0 = {_key(forms.M0): i for i, forms in enumerate(models)}
+    m1 = {_key(forms.M1): i for i, forms in enumerate(models)}
+    assert Counter((m0.get(k), tol) for k, tol in factored) == Counter(
+        (i, tol) for i in range(len(models)) for tol in tols
+    )
+    assert Counter(m1[k] for k in solved if k in m1) == Counter(range(len(models)))
+
+
+def test_gate_tolerance_applies_on_every_call():
+    # M0 passes the construction gate at DEFAULT_TOL, not the one at 1e-6;
+    # Ritz values already solved at DEFAULT_TOL must not bypass the latter
+    forms = TrialForms(np.diag([1.0, 1e-8]), np.diag([1.0, 2e-8]), np.diag([1.0, 4e-8]))
+    npt.assert_allclose(forms.ritz(), [1.0, 2.0])
+    for call in (
+        lambda: local_counting(forms, 1.5, tol=1e-6),
+        lambda: optimal_shift(forms, 3.0, 1, "left", tol=1e-6),
+        lambda: default_fp_tol(forms, 3.0, tol=1e-6),
+        lambda: forms.ritz(1e-6),
+    ):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            call()
+        assert exc.value.index == 1
+        assert exc.value.pivot == pytest.approx(1e-8, rel=1e-12)
 
 
 def test_forms_roundtrip_bit_exact(tmp_path):

@@ -133,10 +133,12 @@ def test_cholesky_empty():
 def test_generalized_eig_diagonal_oracle():
     a = np.diag([3.0, -1.0, 2.0])
     b = np.eye(3)
-    values = sym_generalized_eigvals(symmetrize(a), b)
+    values = sym_generalized_eigvals(symmetrize(a), cholesky_spd(b))
     npt.assert_allclose(values, [-1.0, 2.0, 3.0], atol=1e-13)
     # with a count only the smallest ones are computed
-    npt.assert_allclose(sym_generalized_eigvals(a, b, count=2), [-1.0, 2.0], atol=1e-13)
+    npt.assert_allclose(
+        sym_generalized_eigvals(a, cholesky_spd(b), count=2), [-1.0, 2.0], atol=1e-13
+    )
 
 
 def test_generalized_eig_matches_dense_inverse_route():
@@ -149,14 +151,14 @@ def test_generalized_eig_matches_dense_inverse_route():
     L = np.linalg.cholesky(b)
     Li = np.linalg.inv(L)
     expected = np.sort(np.linalg.eigvalsh(symmetrize(Li @ a @ Li.T)))
-    npt.assert_allclose(sym_generalized_eigvals(a, b), expected, atol=1e-11)
+    npt.assert_allclose(sym_generalized_eigvals(a, cholesky_spd(b)), expected, atol=1e-11)
 
 
 def test_generalized_eig_rejects_indefinite_b():
     a = np.eye(2)
     b = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefiniteError):
-        sym_generalized_eigvals(a, b)
+        sym_generalized_eigvals(a, cholesky_spd(b))
 
 
 def test_kernel_basis_diagonal():
@@ -217,6 +219,7 @@ def test_generalized_eig_shift_identity(seed):
     y = rng.standard_normal((4, 4))
     b = symmetrize(y @ y.T + 4 * np.eye(4))
     s = float(rng.uniform(-5, 5))
-    base = sym_generalized_eigvals(a, b)
-    shifted = sym_generalized_eigvals(symmetrize(a + s * b), b)
+    factor = cholesky_spd(b)
+    base = sym_generalized_eigvals(a, factor)
+    shifted = sym_generalized_eigvals(symmetrize(a + s * b), factor)
     npt.assert_allclose(shifted, base + s, rtol=1e-9, atol=1e-9)

@@ -19,7 +19,13 @@ from eigenclose.enclosure import (
 )
 from eigenclose.errors import DeflationWarning, EmptySideError
 from eigenclose.forms import TrialForms, operator_forms, shift
-from eigenclose.linalg import DEFAULT_TOL, psd_eigh, sym_generalized_eigvals, symmetrize
+from eigenclose.linalg import (
+    DEFAULT_TOL,
+    cholesky_spd,
+    psd_eigh,
+    sym_generalized_eigvals,
+    symmetrize,
+)
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
@@ -244,8 +250,7 @@ def _reference_pencil(forms, t, tol=DEFAULT_TOL):
     complement = split.vectors[:, split.k :]
     tau = sym_generalized_eigvals(
         symmetrize(complement.T @ lt @ complement),
-        symmetrize(complement.T @ qt @ complement),
-        tol,
+        cholesky_spd(symmetrize(complement.T @ qt @ complement), tol),
     )
     zero = tol * np.linalg.norm(lt, 2) / np.linalg.norm(qt, 2)
     minus, plus = tau[tau < -zero], tau[tau > zero][::-1]
