@@ -141,35 +141,90 @@ _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 REFINE_COUNT = 32
 
 
-def _polish_tau(st, tau, vectors, count):
-    """Re-evaluate the pencil eigenvalues nearest zero-distance by
-    extended-precision Rayleigh quotients.
+def _solve_pencil(forms, t, tol):
+    """Solve and classify the pencil at shift t, nothing polished.
 
-    The double-precision solve delivers eigenvectors that are accurate
-    enough; re-evaluating ``x' L_t x / x' Q_t x`` in longdouble on the
-    stored (possibly extended-precision) forms then removes the solve
-    roundoff from the eigenvalues that become the tight bounds.  Only
-    the first and the last ``count`` entries of the ascending ``tau``
-    are touched (all of them when there are at most ``2 * count``): the
-    most negative and the most positive eigenvalues when both signs
-    have that many, otherwise the two ends spill into the other sign.
-    Farther eigenvalues yield loose bounds where double accuracy is
-    plenty.
+    Returns the shifted forms, which :func:`_polish` reads, and the
+    double-precision :class:`PencilEigen` described in :func:`zm_eigen`.
     """
-    if not _LONGDOUBLE_OK or tau.size == 0:
-        return np.asarray(tau, dtype=float)
-    lt = np.asarray(st.Lt, dtype=np.longdouble)
-    qt = np.asarray(st.Qt, dtype=np.longdouble)
-    polish = np.arange(tau.size)
-    if tau.size > 2 * count:
-        polish = np.r_[polish[:count], polish[tau.size - count :]]
-    out = np.asarray(tau, dtype=float).copy()
-    x = vectors[:, polish].astype(np.longdouble)
-    num = np.einsum("ij,ij->j", x, lt @ x)
-    den = np.einsum("ij,ij->j", x, qt @ x)
+    st = shift(forms, t)
+    lt_d = np.asarray(st.Lt, dtype=float)
+    split = psd_eigh(np.asarray(st.Qt, dtype=float), tol)
+    n_inf = split.k
+    if n_inf == forms.n:
+        raise DegenerateShiftError(
+            f"the shifted form vanishes on the whole trial subspace at t={t:g}"
+        )
+    if n_inf > 0:
+        warnings.warn(
+            f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
+            DeflationWarning,
+            stacklevel=3,
+        )
+    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
+    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))  # ascending
+    vectors = basis @ coeffs
+
+    lt_values = sym_eigh(lt_d, vectors=False)
+    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
+    norm_q = split.norm
+    zero_threshold = tol * (norm_l / norm_q) if norm_q > 0 else 0.0
+
+    neg = tau < -zero_threshold
+    pos = tau > zero_threshold
+    n_minus = int(np.count_nonzero(neg))
+    n_plus = int(np.count_nonzero(pos))
+    n_zero = tau.size - n_minus - n_plus
+    sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
+
+    # tau ascending -> negatives already most-negative-first; positives
+    # must be flipped so index 0 is the largest (nearest bound first).
+    return st, PencilEigen(
+        t=float(t),
+        tau_minus=tau[neg],
+        tau_plus=tau[pos][::-1],
+        vectors_minus=vectors[:, neg],
+        vectors_plus=vectors[:, pos][:, ::-1],
+        signature=sig,
+    )
+
+
+def _polish(st, pencil, side, k):
+    """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
+    side of a solved pencil in place, and return that side re-sorted:
+    longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
+    double-precision eigenvectors on the stored shifted forms ``st``
+    remove the solve roundoff from the tight bounds.  Polishing is
+    idempotent, so a caller may polish more after reading some.
+    """
+    name = "minus" if side == "left" else "plus"
+    tau, vectors = getattr(pencil, "tau_" + name), getattr(pencil, "vectors_" + name)
+    k = min(k, REFINE_COUNT, tau.size)
+    if not _LONGDOUBLE_OK or k == 0:
+        return tau
+    x = vectors[:, :k].astype(np.longdouble)
+    num = np.einsum("ij,ij->j", x, np.asarray(st.Lt, dtype=np.longdouble) @ x)
+    den = np.einsum("ij,ij->j", x, np.asarray(st.Qt, dtype=np.longdouble) @ x)
     good = den > 0
-    out[polish[good]] = (num[good] / den[good]).astype(float)
-    return out
+    tau = tau.copy()
+    tau[:k][good] = (num[good] / den[good]).astype(float)
+    # nearest bound first is largest |tau| first; the polish may nudge near-ties
+    order = np.argsort(-np.abs(tau), kind="stable")
+    tau = tau[order]
+    setattr(pencil, "tau_" + name, tau)
+    setattr(pencil, "vectors_" + name, vectors[:, order])
+    return tau
+
+
+def _side_bounds(st, pencil, side, k):
+    """Bounds ``t + 1/tau`` on one side, nearest first, the nearest k
+    polished; ``EmptySideError`` if the side is empty."""
+    tau = _polish(st, pencil, side, k)
+    if tau.size == 0:
+        raise EmptySideError(
+            f"no spectrum detectable {side} of t={pencil.t:g} in this trial subspace"
+        )
+    return pencil.t + 1.0 / tau
 
 
 def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
@@ -203,7 +258,7 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     return CountingValues(t=float(t), F=f)
 
 
-def zm_eigen(forms, t, tol=DEFAULT_TOL, count=None):
+def zm_eigen(forms, t, tol=DEFAULT_TOL):
     """Solve and classify the pencil ``tau Q_t x = L_t x`` at shift t.
 
     One eigendecomposition ``Q_t = V W V'`` (:func:`psd_eigh`) gives
@@ -225,19 +280,16 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL, count=None):
     ``|tau| <= tol * ||L_t|| / ||Q_t||`` count as zero.
 
     The pencil is solved in double precision; when the platform offers
-    a genuine extended-precision ``longdouble`` the eigenvalues nearest
-    zero-distance (the ones that turn into tight bounds) are then
+    a genuine extended-precision ``longdouble`` the first
+    ``REFINE_COUNT`` entries of each side (the nearest bounds) are then
     polished with extended-precision Rayleigh quotients evaluated on
     the stored form matrices.  With forms assembled in extended
     precision this pushes the accuracy of the resulting bounds well
-    below the double-precision representation floor of ``Q_t``.
-
-    ``count`` is how many of ``tau_minus`` and of ``tau_plus`` the
-    caller reads: the first ``min(count, REFINE_COUNT)`` of each side
-    (the nearest bounds) are polished, and the ones beyond them keep
-    their double-precision values.  Without it ``REFINE_COUNT`` per side
-    are polished.  A side with fewer entries is polished whole, and the
-    rest of its share goes to the near-zero end of the other side.
+    below the double-precision representation floor of ``Q_t``.  The
+    package's own callers solve once and polish only what they read:
+    one side for :func:`zm_bounds_one_sided` and :func:`zm_enclosures`,
+    j entries of one side for a fixed-point seed, none for
+    :func:`signature`.
 
     Raises
     ------
@@ -246,56 +298,10 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL, count=None):
     NegativeEigenvalueError
         If Q_t is indefinite beyond roundoff.
     """
-    st = shift(forms, t)
-    lt_d = np.asarray(st.Lt, dtype=float)
-    split = psd_eigh(np.asarray(st.Qt, dtype=float), tol)
-    n_inf = split.k
-    if n_inf == forms.n:
-        raise DegenerateShiftError(
-            f"the shifted form vanishes on the whole trial subspace at t={t:g}"
-        )
-    if n_inf > 0:
-        warnings.warn(
-            f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
-            DeflationWarning,
-            stacklevel=2,
-        )
-    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
-    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))
-    vectors = basis @ coeffs
-    polish = REFINE_COUNT if count is None else min(count, REFINE_COUNT)
-    tau = _polish_tau(st, tau, vectors, polish)
-
-    lt_values = sym_eigh(lt_d, vectors=False)
-    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
-    norm_q = split.norm
-    zero_threshold = tol * (norm_l / norm_q) if norm_q > 0 else 0.0
-
-    order = np.argsort(tau, kind="stable")  # polishing may nudge near-ties
-    tau = tau[order]
-    vectors = vectors[:, order]
-
-    neg = tau < -zero_threshold
-    pos = tau > zero_threshold
-    n_minus = int(np.count_nonzero(neg))
-    n_plus = int(np.count_nonzero(pos))
-    n_zero = tau.size - n_minus - n_plus
-    sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
-
-    # tau ascending -> negatives already most-negative-first; positives
-    # must be flipped so index 0 is the largest (nearest bound first).
-    tau_minus = tau[neg]
-    vec_minus = vectors[:, neg]
-    tau_plus = tau[pos][::-1]
-    vec_plus = vectors[:, pos][:, ::-1]
-    return PencilEigen(
-        t=float(t),
-        tau_minus=tau_minus,
-        tau_plus=tau_plus,
-        vectors_minus=vec_minus,
-        vectors_plus=vec_plus,
-        signature=sig,
-    )
+    st, pencil = _solve_pencil(forms, t, tol)
+    _polish(st, pencil, "left", REFINE_COUNT)
+    _polish(st, pencil, "right", REFINE_COUNT)
+    return pencil
 
 
 def signature(forms, t, tol=DEFAULT_TOL):
@@ -309,12 +315,12 @@ def signature(forms, t, tol=DEFAULT_TOL):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
         try:
-            return zm_eigen(forms, t, tol, count=0).signature
+            return _solve_pencil(forms, t, tol)[1].signature
         except DegenerateShiftError:
             return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
 
 
-def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL, count=None):
+def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
     """Certified one-sided bounds from the pencil at shift t.
 
     Parameters
@@ -324,30 +330,20 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL, count=None):
         spectral points below t, nearest first (so the array is
         decreasing).  ``"right"`` returns upper bounds ``t + 1/tau^+_j``
         for the points above t, nearest first (increasing).
-    count : int, optional
-        How many of the nearest bounds the caller uses.  All bounds of
-        the side are returned; the first ``min(count, REFINE_COUNT)``
-        come from polished eigenvalues (see :func:`zm_eigen`) and the
-        rest from double-precision ones.  Default: ``REFINE_COUNT``
-        polished.
+
+    All bounds of the side are returned.  The nearest ``REFINE_COUNT``
+    come from polished eigenvalues (see :func:`zm_eigen`) and the rest
+    from double-precision ones; the other side is not polished.
 
     Raises
     ------
     EmptySideError
         If the pencil has no eigenvalues of the requested sign.
     """
-    pencil = zm_eigen(forms, t, tol, count)
-    if side == "left":
-        tau = pencil.tau_minus
-    elif side == "right":
-        tau = pencil.tau_plus
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if tau.size == 0:
-        raise EmptySideError(
-            f"no spectrum detectable {side} of t={t:g} in this trial subspace"
-        )
-    return pencil.t + 1.0 / tau
+    st, pencil = _solve_pencil(forms, t, tol)
+    return _side_bounds(st, pencil, side, REFINE_COUNT)
 
 
 def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
@@ -361,11 +357,11 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     flagged ``inconsistent`` rather than raised, because it conveys that
     the two shifts disagree about how much spectrum the window holds.
 
-    Only the pencil eigenvalues behind the bounds that can be emitted
-    get the extended-precision polish of :func:`zm_eigen`: the ``j_max``
-    nearest uppers, and the lowers inside the window (up to
-    ``REFINE_COUNT``).  The bounds are the same as when both sides are
-    polished in full.
+    Each window end is solved once.  Only the pencil eigenvalues behind
+    bounds that can be emitted are polished (see :func:`zm_eigen`): the
+    ``j_max`` nearest uppers at a, and at b every lower inside the
+    window (at least ``j_max``, at most ``REFINE_COUNT``).  The bounds
+    are the same as when both sides are polished in full.
 
     Raises
     ------
@@ -379,14 +375,12 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = zm_bounds_one_sided(forms, a, "right", tol, j_max)
-    lowers = zm_bounds_one_sided(forms, b, "left", tol, j_max)
-    # The pairing reads the smallest lowers in the window, the farthest
-    # from b: when there are more than j_max, solve again with all of
-    # them polished.
+    uppers = _side_bounds(*_solve_pencil(forms, a, tol), "right", j_max)
+    st, pencil = _solve_pencil(forms, b, tol)
+    lowers = _side_bounds(st, pencil, "left", j_max)
     inside = int(np.count_nonzero(lowers > a))
-    if j_max < min(inside, REFINE_COUNT):
-        lowers = zm_bounds_one_sided(forms, b, "left", tol, inside)
+    if inside > j_max:
+        lowers = _side_bounds(st, pencil, "left", inside)
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

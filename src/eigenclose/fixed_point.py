@@ -24,7 +24,9 @@ instead of 44, on the same path to the same root.  The sign at the
 root's certified end is evaluated all the same.  A window the counting
 function does not confirm, a pencil that fails or has too few values,
 or forms that fail the exact consistency test of
-:meth:`TrialForms.validate` leave the search unseeded.
+:meth:`TrialForms.validate` leave the search unseeded.  A call solves
+the pencil once and polishes only the first j (``j_max`` for
+:func:`dp_bounds`) tau of the root's side, the ones it reads.
 """
 
 import functools
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import local_counting, zm_eigen
+from .enclosure import _polish, _solve_pencil, local_counting
 from .errors import (
     DeflationWarning,
     EigencloseError,
@@ -106,8 +108,8 @@ def _pencil_taus(forms, t, side, tol, count):
     nearest ``count`` of them are polished."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
-        pencil = zm_eigen(forms, t, tol, count=count)
-    return pencil.tau_minus if side == "left" else pencil.tau_plus
+        st, pencil = _solve_pencil(forms, t, tol)
+    return _polish(st, pencil, side, count)
 
 
 def _seed_taus(forms, t, side, tol, count):

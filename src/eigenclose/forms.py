@@ -89,7 +89,8 @@ class TrialForms:
         trial space.  Conversely ``S >= 0`` makes every shifted form
         ``Q_t = S + L_t M0^{-1} L_t`` positive semidefinite, so this one
         test covers all shifts with no sampling.  An eigenvalue of S
-        below ``-tol`` times the largest diagonal entry of M2 fails it.
+        below ``-max(tol, n u)`` times the largest diagonal entry of M2
+        fails it; u is the double unit roundoff, n u S's roundoff floor.
         That eigenvalue is computed once.  Raises ``InconsistentFormsError``
         (a ``ValueError``) on failure and returns the forms otherwise.
         """
@@ -98,7 +99,8 @@ class TrialForms:
             x = np.linalg.solve(factor, self.M1.astype(float, copy=False))
             s = self.M2.astype(float, copy=False) - x.T @ x
             self._schur_min = sym_eigh(symmetrize(s), vectors=False)[0]
-        if self._schur_min < -tol * max(float(np.max(np.diag(self.M2))), 0.0):
+        floor = max(tol, self.n * np.finfo(float).eps / 2)
+        if self._schur_min < -floor * max(float(np.max(np.diag(self.M2))), 0.0):
             raise InconsistentFormsError(
                 f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
                 f"eigenvalue {self._schur_min:.3e}; the input forms look corrupted"
@@ -123,12 +125,12 @@ def shift(forms, t):
     """Shifted form matrices ``Q_t = M2 - 2t M1 + t^2 M0`` and
     ``L_t = M1 - t M0``.
 
-    Both results are exactly symmetric as stored and keep the precision
-    of the input forms (``t^2`` is squared in that precision too).
+    Both keep the precision of the forms (``t^2`` is squared in it too)
+    and, as entrywise combinations of them, their exact symmetry.
     """
     tt = forms.M0.dtype.type(t)
-    qt = symmetrize(forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0)
-    lt = symmetrize(forms.M1 - tt * forms.M0)
+    qt = forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
+    lt = forms.M1 - tt * forms.M0
     return ShiftedForms(t=float(t), Qt=qt, Lt=lt)
 
 

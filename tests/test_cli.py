@@ -341,6 +341,25 @@ def test_inconsistent_forms_file_fails_the_gate(tmp_path, capsys, argv):
     assert "consistency gate" in captured.err and "corrupted" in captured.err
 
 
+def test_gate_floor_passes_roundoff_below_tol(tmp_path, capsys):
+    # lambda_min(S) of these consistent forms is -2e-16 times max diag(M2),
+    # roundoff below the gate's floor n u = 4.4e-15 (n = 40) though not
+    # below --tol 1e-16; M2 scaled by 0.999 (-1e-3) still fails
+    good = tmp_path / "f.forms"
+    argv = ["export-forms", "--model", "dirac1d", "--order", "2", "--mesh", "5"]
+    assert main(argv + ["--out", str(good)]) == 0
+    forms = read_forms(good)
+    bad = tmp_path / "bad.forms"
+    write_forms(TrialForms(forms.M0, forms.M1, 0.999 * forms.M2), bad)
+    capsys.readouterr()
+    equiv = ["equiv", "--shift", "0.6", "--shift", "1.4"]
+    assert main(equiv + ["--model", str(good), "--tol", "1e-16"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    for tol in (["--tol", "1e-16"], []):
+        assert main(equiv + ["--model", str(bad)] + tol) == 1
+        assert "consistency gate" in capsys.readouterr().err
+
+
 def test_export_forms_roundtrip(tmp_path):
     out = tmp_path / "model.forms"
     code = main(

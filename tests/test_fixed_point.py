@@ -257,7 +257,7 @@ def test_failing_pencil_leaves_the_search_unseeded(monkeypatch):
         raise DegenerateShiftError("no pencil")
 
     unseeded = _unseeded(WORKED, 1.5, 1, "left")
-    monkeypatch.setattr(fixed_point_mod, "zm_eigen", broken)
+    monkeypatch.setattr(fixed_point_mod, "_solve_pencil", broken)
     res = optimal_shift(WORKED, 1.5, 1, "left")
     assert _same_root(res, unseeded) and res.tau is None
     assert res.iterations == unseeded.iterations
@@ -268,22 +268,29 @@ def test_failing_pencil_leaves_the_search_unseeded(monkeypatch):
 
 def test_one_pencil_solve_per_call(monkeypatch):
     # dp_bounds seeds every index from one solve, equivalence_gap takes
-    # its prediction from the solve that seeded the root
+    # its prediction from the solve that seeded the root; each polishes
+    # only the entries of its side that it reads
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=3), 2).forms
-    counts = []
-    real = fixed_point_mod.zm_eigen
+    solves, polished = [], []
+    real_solve, real_polish = fixed_point_mod._solve_pencil, fixed_point_mod._polish
 
-    def counted(forms, t, tol, count):
-        counts.append(count)
-        return real(forms, t, tol, count=count)
+    def counted_solve(forms, t, tol):
+        solves.append(t)
+        return real_solve(forms, t, tol)
+
+    def counted_polish(st, pencil, side, k):
+        polished.append((side, k))
+        return real_polish(st, pencil, side, k)
 
     expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
-    monkeypatch.setattr(fixed_point_mod, "zm_eigen", counted)
+    monkeypatch.setattr(fixed_point_mod, "_solve_pencil", counted_solve)
+    monkeypatch.setattr(fixed_point_mod, "_polish", counted_polish)
     assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
-    assert counts == [3]
-    counts.clear()
+    assert solves == [1.4] and polished == [("right", 3)]
+    solves.clear()
+    polished.clear()
     equivalence_gap(forms, 1.4, 2, "left")
-    assert counts == [2]
+    assert solves == [1.4] and polished == [("left", 2)]
 
 
 def test_inconsistent_forms_get_the_unseeded_search():

@@ -75,6 +75,22 @@ def test_shift_preserves_longdouble():
     assert st.Lt.dtype == np.longdouble
 
 
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_shifted_forms_are_exactly_symmetric(model):
+    # entrywise combinations of exactly symmetric forms need no symmetrize
+    if model == "dirac1d":  # assembled in longdouble
+        forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 3).forms
+        assert forms.M0.dtype == np.longdouble
+    else:
+        mesh = maxwell2d.structured_tri_mesh(4, jitter=0.25, seed=1)
+        forms = maxwell2d.assemble_2d(mesh, 1).forms
+        assert forms.M0.dtype == np.float64
+    for t in (-1.3, 0.0, 1.0 / 3.0, 0.6, 1.4, 2.5, 17.0):
+        st = shift(forms, t)
+        npt.assert_array_equal(st.Qt, st.Qt.T)
+        npt.assert_array_equal(st.Lt, st.Lt.T)
+
+
 def test_operator_forms_full_basis_is_exact():
     a = np.diag([1.0, 2.0])
     forms = operator_forms(a, np.eye(2))

@@ -12,6 +12,8 @@ from eigenclose.enclosure import (
     REFINE_COUNT,
     Enclosure,
     Signature,
+    _polish,
+    _solve_pencil,
     local_counting,
     zm_bounds_one_sided,
     zm_eigen,
@@ -212,15 +214,17 @@ def test_inconsistent_pair_is_flagged_not_raised(monkeypatch):
     Count mismatches need a trial space that hides a window point from
     one end only; exact small models self-heal (the Temple quotient of
     the certifying direction at one end constrains the other), so the
-    two one-sided calls are stubbed to produce the disagreement.
+    pencil solves and the one-sided bounds are stubbed to produce the
+    disagreement.
     """
 
-    def fake_bounds(forms, t, side, tol=1e-10, count=None):
+    def fake_bounds(st, pencil, side, k):
         if side == "right":  # uppers computed at a
             return np.array([1.2, 1.9])
         return np.array([1.8])  # lone lower at b: certifies a deeper point
 
-    monkeypatch.setattr(enclosure_mod, "zm_bounds_one_sided", fake_bounds)
+    monkeypatch.setattr(enclosure_mod, "_solve_pencil", lambda *args: (None, None))
+    monkeypatch.setattr(enclosure_mod, "_side_bounds", fake_bounds)
     enc = zm_enclosures(WORKED, (1.0, 2.0), j_max=3)
     assert len(enc) == 1
     assert enc[0].inconsistent
@@ -332,19 +336,23 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
     extended = np.finfo(np.longdouble).eps < 1e-18  # else nothing is polished
     for t in shifts:
         full = zm_eigen(forms, t)
-        for j in (1, 2, 3):
-            part = zm_eigen(forms, t, count=j)
-            npt.assert_array_equal(part.tau_minus[:j], full.tau_minus[:j])
-            npt.assert_array_equal(part.tau_plus[:j], full.tau_plus[:j])
-            if extended:
-                npt.assert_array_equal(
-                    part.tau_minus[:j],
-                    _rayleigh_quotients(forms, t, part.vectors_minus[:, :j]),
-                )
-                npt.assert_array_equal(
-                    part.tau_plus[:j],
-                    _rayleigh_quotients(forms, t, part.vectors_plus[:, :j]),
-                )
+        for side, name in (("left", "minus"), ("right", "plus")):
+            full_tau = getattr(full, "tau_" + name)
+            for j in (1, 2, 3):
+                st, part = _solve_pencil(forms, t, DEFAULT_TOL)
+                tau = _polish(st, part, side, j)
+                npt.assert_array_equal(tau, getattr(part, "tau_" + name))
+                npt.assert_array_equal(tau[:j], full_tau[:j])
+                if extended:
+                    vectors = getattr(part, "vectors_" + name)
+                    npt.assert_array_equal(
+                        tau[:j], _rayleigh_quotients(forms, t, vectors[:, :j])
+                    )
+            # polishing more after reading some: the way zm_enclosures
+            # polishes the lowers it pairs
+            st, part = _solve_pencil(forms, t, DEFAULT_TOL)
+            _polish(st, part, side, 1)
+            npt.assert_array_equal(_polish(st, part, side, 3)[:3], full_tau[:3])
 
     more_lowers_than_j_max = False
     for a, b in windows:
@@ -358,3 +366,27 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
             enc = zm_enclosures(forms, (a, b), j_max)
             assert [(e.lower, e.upper) for e in enc] == pairs
     assert more_lowers_than_j_max
+
+
+def test_more_lowers_than_j_max_cost_two_pencil_solves(monkeypatch):
+    # the lowers the pairing reads beyond j_max are polished from the
+    # right end's one solve; the window end is not solved a second time
+    forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
+    a, b = 0.5, 3.5
+    uppers = zm_bounds_one_sided(forms, a, "right")
+    lowers = zm_bounds_one_sided(forms, b, "left")
+    uppers = np.sort(uppers[uppers < b])
+    lowers = np.sort(lowers[lowers > a])
+    assert lowers.size > 1
+
+    calls = []
+    real = enclosure_mod.psd_eigh
+
+    def counted(m, tol):
+        calls.append(tol)
+        return real(m, tol)
+
+    monkeypatch.setattr(enclosure_mod, "psd_eigh", counted)
+    enc = zm_enclosures(forms, (a, b), 1)
+    assert len(calls) == 2
+    assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
