@@ -34,7 +34,7 @@ from .errors import (
     GapViolationError,
     NegativeEigenvalueError,
 )
-from .forms import shift
+from .forms import ShiftedForms, shift
 from .linalg import (
     DEFAULT_TOL,
     psd_eigh,
@@ -42,6 +42,13 @@ from .linalg import (
     sym_generalized_eigvals,
     symmetrize,
 )
+
+
+#: extended precision is worth using only if it genuinely beats double
+_LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
+
+#: how many pencil eigenvalues per side get the extended-precision polish
+REFINE_COUNT = 32
 
 
 @dataclass
@@ -84,7 +91,8 @@ class PencilEigen:
     ``tau_minus`` ascending (most negative first, so index j-1 bounds
     the j-th spectral point below t), ``tau_plus`` descending.  Vector
     columns are Q_t-orthonormal coefficient vectors in the full trial
-    basis, deflated kernel directions removed.
+    basis, deflated kernel directions removed.  ``shifted`` holds the
+    forms the pencil was solved at, which :meth:`polish` reads.
     """
 
     t: float
@@ -93,6 +101,38 @@ class PencilEigen:
     vectors_minus: np.ndarray = field(repr=False)
     vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
+    shifted: ShiftedForms = field(repr=False)
+
+    def polish(self, side, k=REFINE_COUNT):
+        """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
+        side in place and return that side, re-sorted nearest first.
+
+        Longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
+        double-precision eigenvectors on the stored shifted forms remove
+        the solve roundoff from the tight bounds.  Polishing is
+        idempotent, so a caller may polish more after reading some.
+        ``side`` is ``"left"`` for ``tau_minus``, ``"right"`` for
+        ``tau_plus``.
+        """
+        name = "minus" if side == "left" else "plus"
+        tau, vectors = getattr(self, "tau_" + name), getattr(self, "vectors_" + name)
+        k = min(k, REFINE_COUNT, tau.size)
+        if not _LONGDOUBLE_OK or k == 0:
+            return tau
+        x = vectors[:, :k].astype(np.longdouble)
+        lt = np.asarray(self.shifted.Lt, dtype=np.longdouble)
+        qt = np.asarray(self.shifted.Qt, dtype=np.longdouble)
+        num = np.einsum("ij,ij->j", x, lt @ x)
+        den = np.einsum("ij,ij->j", x, qt @ x)
+        good = den > 0
+        tau = tau.copy()
+        tau[:k][good] = (num[good] / den[good]).astype(float)
+        # nearest bound first is largest |tau| first; the polish may nudge near-ties
+        order = np.argsort(-np.abs(tau), kind="stable")
+        tau = tau[order]
+        setattr(self, "tau_" + name, tau)
+        setattr(self, "vectors_" + name, vectors[:, order])
+        return tau
 
 
 @dataclass
@@ -134,92 +174,10 @@ class ResidualBounds:
     valid: bool
 
 
-#: extended precision is worth using only if it genuinely beats double
-_LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
-
-#: how many pencil eigenvalues per side get the extended-precision polish
-REFINE_COUNT = 32
-
-
-def _solve_pencil(forms, t, tol):
-    """Solve and classify the pencil at shift t, nothing polished.
-
-    Returns the shifted forms, which :func:`_polish` reads, and the
-    double-precision :class:`PencilEigen` described in :func:`zm_eigen`.
-    """
-    st = shift(forms, t)
-    lt_d = np.asarray(st.Lt, dtype=float)
-    split = psd_eigh(np.asarray(st.Qt, dtype=float), tol)
-    n_inf = split.k
-    if n_inf == forms.n:
-        raise DegenerateShiftError(
-            f"the shifted form vanishes on the whole trial subspace at t={t:g}"
-        )
-    if n_inf > 0:
-        warnings.warn(
-            f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
-            DeflationWarning,
-            stacklevel=3,
-        )
-    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
-    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))  # ascending
-    vectors = basis @ coeffs
-
-    lt_values = sym_eigh(lt_d, vectors=False)
-    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
-    norm_q = split.norm
-    zero_threshold = tol * (norm_l / norm_q) if norm_q > 0 else 0.0
-
-    neg = tau < -zero_threshold
-    pos = tau > zero_threshold
-    n_minus = int(np.count_nonzero(neg))
-    n_plus = int(np.count_nonzero(pos))
-    n_zero = tau.size - n_minus - n_plus
-    sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
-
-    # tau ascending -> negatives already most-negative-first; positives
-    # must be flipped so index 0 is the largest (nearest bound first).
-    return st, PencilEigen(
-        t=float(t),
-        tau_minus=tau[neg],
-        tau_plus=tau[pos][::-1],
-        vectors_minus=vectors[:, neg],
-        vectors_plus=vectors[:, pos][:, ::-1],
-        signature=sig,
-    )
-
-
-def _polish(st, pencil, side, k):
-    """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
-    side of a solved pencil in place, and return that side re-sorted:
-    longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
-    double-precision eigenvectors on the stored shifted forms ``st``
-    remove the solve roundoff from the tight bounds.  Polishing is
-    idempotent, so a caller may polish more after reading some.
-    """
-    name = "minus" if side == "left" else "plus"
-    tau, vectors = getattr(pencil, "tau_" + name), getattr(pencil, "vectors_" + name)
-    k = min(k, REFINE_COUNT, tau.size)
-    if not _LONGDOUBLE_OK or k == 0:
-        return tau
-    x = vectors[:, :k].astype(np.longdouble)
-    num = np.einsum("ij,ij->j", x, np.asarray(st.Lt, dtype=np.longdouble) @ x)
-    den = np.einsum("ij,ij->j", x, np.asarray(st.Qt, dtype=np.longdouble) @ x)
-    good = den > 0
-    tau = tau.copy()
-    tau[:k][good] = (num[good] / den[good]).astype(float)
-    # nearest bound first is largest |tau| first; the polish may nudge near-ties
-    order = np.argsort(-np.abs(tau), kind="stable")
-    tau = tau[order]
-    setattr(pencil, "tau_" + name, tau)
-    setattr(pencil, "vectors_" + name, vectors[:, order])
-    return tau
-
-
-def _side_bounds(st, pencil, side, k):
+def _side_bounds(pencil, side, k):
     """Bounds ``t + 1/tau`` on one side, nearest first, the nearest k
     polished; ``EmptySideError`` if the side is empty."""
-    tau = _polish(st, pencil, side, k)
+    tau = pencil.polish(side, k)
     if tau.size == 0:
         raise EmptySideError(
             f"no spectrum detectable {side} of t={pencil.t:g} in this trial subspace"
@@ -279,17 +237,16 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     ``||L_t||_2`` comes from the eigenvalues of L_t; eigenvalues with
     ``|tau| <= tol * ||L_t|| / ||Q_t||`` count as zero.
 
-    The pencil is solved in double precision; when the platform offers
-    a genuine extended-precision ``longdouble`` the first
-    ``REFINE_COUNT`` entries of each side (the nearest bounds) are then
-    polished with extended-precision Rayleigh quotients evaluated on
-    the stored form matrices.  With forms assembled in extended
-    precision this pushes the accuracy of the resulting bounds well
-    below the double-precision representation floor of ``Q_t``.  The
-    package's own callers solve once and polish only what they read:
-    one side for :func:`zm_bounds_one_sided` and :func:`zm_enclosures`,
-    j entries of one side for a fixed-point seed, none for
-    :func:`signature`.
+    The pencil is solved in double precision and nothing is polished.
+    When the platform offers a genuine extended-precision ``longdouble``,
+    :meth:`PencilEigen.polish` rewrites the nearest ``REFINE_COUNT``
+    entries of one side (the tight bounds) as extended-precision
+    Rayleigh quotients evaluated on the stored form matrices.  With
+    forms assembled in extended precision this pushes the accuracy of
+    the resulting bounds well below the double-precision representation
+    floor of ``Q_t``.  Callers polish only what they read: one side for
+    :func:`zm_bounds_one_sided` and :func:`zm_enclosures`, j entries of
+    one side for a fixed-point seed, none for :func:`signature`.
 
     Raises
     ------
@@ -298,10 +255,47 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     NegativeEigenvalueError
         If Q_t is indefinite beyond roundoff.
     """
-    st, pencil = _solve_pencil(forms, t, tol)
-    _polish(st, pencil, "left", REFINE_COUNT)
-    _polish(st, pencil, "right", REFINE_COUNT)
-    return pencil
+    st = shift(forms, t)
+    lt_d = np.asarray(st.Lt, dtype=float)
+    split = psd_eigh(np.asarray(st.Qt, dtype=float), tol)
+    n_inf = split.k
+    if n_inf == forms.n:
+        raise DegenerateShiftError(
+            f"the shifted form vanishes on the whole trial subspace at t={t:g}"
+        )
+    if n_inf > 0:
+        warnings.warn(
+            f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
+            DeflationWarning,
+            stacklevel=2,
+        )
+    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
+    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))  # ascending
+    vectors = basis @ coeffs
+
+    lt_values = sym_eigh(lt_d, vectors=False)
+    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
+    norm_q = split.norm
+    zero_threshold = tol * (norm_l / norm_q) if norm_q > 0 else 0.0
+
+    neg = tau < -zero_threshold
+    pos = tau > zero_threshold
+    n_minus = int(np.count_nonzero(neg))
+    n_plus = int(np.count_nonzero(pos))
+    n_zero = tau.size - n_minus - n_plus
+    sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
+
+    # tau ascending -> negatives already most-negative-first; positives
+    # must be flipped so index 0 is the largest (nearest bound first).
+    return PencilEigen(
+        t=float(t),
+        tau_minus=tau[neg],
+        tau_plus=tau[pos][::-1],
+        vectors_minus=vectors[:, neg],
+        vectors_plus=vectors[:, pos][:, ::-1],
+        signature=sig,
+        shifted=st,
+    )
 
 
 def signature(forms, t, tol=DEFAULT_TOL):
@@ -315,7 +309,7 @@ def signature(forms, t, tol=DEFAULT_TOL):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
         try:
-            return _solve_pencil(forms, t, tol)[1].signature
+            return zm_eigen(forms, t, tol).signature
         except DegenerateShiftError:
             return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
 
@@ -332,8 +326,8 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
         for the points above t, nearest first (increasing).
 
     All bounds of the side are returned.  The nearest ``REFINE_COUNT``
-    come from polished eigenvalues (see :func:`zm_eigen`) and the rest
-    from double-precision ones; the other side is not polished.
+    come from polished eigenvalues (see :meth:`PencilEigen.polish`) and
+    the rest from double-precision ones; the other side is not polished.
 
     Raises
     ------
@@ -342,8 +336,7 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    st, pencil = _solve_pencil(forms, t, tol)
-    return _side_bounds(st, pencil, side, REFINE_COUNT)
+    return _side_bounds(zm_eigen(forms, t, tol), side, REFINE_COUNT)
 
 
 def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
@@ -358,10 +351,11 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     the two shifts disagree about how much spectrum the window holds.
 
     Each window end is solved once.  Only the pencil eigenvalues behind
-    bounds that can be emitted are polished (see :func:`zm_eigen`): the
-    ``j_max`` nearest uppers at a, and at b every lower inside the
-    window (at least ``j_max``, at most ``REFINE_COUNT``).  The bounds
-    are the same as when both sides are polished in full.
+    bounds that can be emitted are polished (see
+    :meth:`PencilEigen.polish`): the ``j_max`` nearest uppers at a, and
+    at b every lower inside the window (at least ``j_max``, at most
+    ``REFINE_COUNT``).  The bounds are the same as when both sides are
+    polished in full.
 
     Raises
     ------
@@ -375,12 +369,12 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = _side_bounds(*_solve_pencil(forms, a, tol), "right", j_max)
-    st, pencil = _solve_pencil(forms, b, tol)
-    lowers = _side_bounds(st, pencil, "left", j_max)
+    uppers = _side_bounds(zm_eigen(forms, a, tol), "right", j_max)
+    pencil = zm_eigen(forms, b, tol)
+    lowers = _side_bounds(pencil, "left", j_max)
     inside = int(np.count_nonzero(lowers > a))
-    if inside > j_max:
-        lowers = _side_bounds(st, pencil, "left", inside)
+    if j_max < min(inside, REFINE_COUNT):
+        lowers = _side_bounds(pencil, "left", inside)
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

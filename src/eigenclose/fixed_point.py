@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import _polish, _solve_pencil, local_counting
+from .enclosure import local_counting, zm_eigen
 from .errors import (
     DeflationWarning,
     EigencloseError,
@@ -108,8 +108,7 @@ def _pencil_taus(forms, t, side, tol, count):
     nearest ``count`` of them are polished."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
-        st, pencil = _solve_pencil(forms, t, tol)
-    return _polish(st, pencil, side, count)
+        return zm_eigen(forms, t, tol).polish(side, count)
 
 
 def _seed_taus(forms, t, side, tol, count):

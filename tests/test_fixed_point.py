@@ -6,6 +6,7 @@ import pytest
 
 import eigenclose.fixed_point as fixed_point_mod
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
+from eigenclose.enclosure import PencilEigen
 from eigenclose.fixed_point import (
     FP_TOL_FACTOR,
     _pencil_taus,
@@ -257,7 +258,7 @@ def test_failing_pencil_leaves_the_search_unseeded(monkeypatch):
         raise DegenerateShiftError("no pencil")
 
     unseeded = _unseeded(WORKED, 1.5, 1, "left")
-    monkeypatch.setattr(fixed_point_mod, "_solve_pencil", broken)
+    monkeypatch.setattr(fixed_point_mod, "zm_eigen", broken)
     res = optimal_shift(WORKED, 1.5, 1, "left")
     assert _same_root(res, unseeded) and res.tau is None
     assert res.iterations == unseeded.iterations
@@ -272,19 +273,19 @@ def test_one_pencil_solve_per_call(monkeypatch):
     # only the entries of its side that it reads
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=3), 2).forms
     solves, polished = [], []
-    real_solve, real_polish = fixed_point_mod._solve_pencil, fixed_point_mod._polish
+    real_solve, real_polish = fixed_point_mod.zm_eigen, PencilEigen.polish
 
     def counted_solve(forms, t, tol):
         solves.append(t)
         return real_solve(forms, t, tol)
 
-    def counted_polish(st, pencil, side, k):
+    def counted_polish(pencil, side, k):
         polished.append((side, k))
-        return real_polish(st, pencil, side, k)
+        return real_polish(pencil, side, k)
 
     expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
-    monkeypatch.setattr(fixed_point_mod, "_solve_pencil", counted_solve)
-    monkeypatch.setattr(fixed_point_mod, "_polish", counted_polish)
+    monkeypatch.setattr(fixed_point_mod, "zm_eigen", counted_solve)
+    monkeypatch.setattr(PencilEigen, "polish", counted_polish)
     assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
     assert solves == [1.4] and polished == [("right", 3)]
     solves.clear()

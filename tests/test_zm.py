@@ -12,8 +12,6 @@ from eigenclose.enclosure import (
     REFINE_COUNT,
     Enclosure,
     Signature,
-    _polish,
-    _solve_pencil,
     local_counting,
     zm_bounds_one_sided,
     zm_eigen,
@@ -218,12 +216,12 @@ def test_inconsistent_pair_is_flagged_not_raised(monkeypatch):
     disagreement.
     """
 
-    def fake_bounds(st, pencil, side, k):
+    def fake_bounds(pencil, side, k):
         if side == "right":  # uppers computed at a
             return np.array([1.2, 1.9])
         return np.array([1.8])  # lone lower at b: certifies a deeper point
 
-    monkeypatch.setattr(enclosure_mod, "_solve_pencil", lambda *args: (None, None))
+    monkeypatch.setattr(enclosure_mod, "zm_eigen", lambda *args: None)
     monkeypatch.setattr(enclosure_mod, "_side_bounds", fake_bounds)
     enc = zm_enclosures(WORKED, (1.0, 2.0), j_max=3)
     assert len(enc) == 1
@@ -337,10 +335,10 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
     for t in shifts:
         full = zm_eigen(forms, t)
         for side, name in (("left", "minus"), ("right", "plus")):
-            full_tau = getattr(full, "tau_" + name)
+            full_tau = full.polish(side)
             for j in (1, 2, 3):
-                st, part = _solve_pencil(forms, t, DEFAULT_TOL)
-                tau = _polish(st, part, side, j)
+                part = zm_eigen(forms, t)
+                tau = part.polish(side, j)
                 npt.assert_array_equal(tau, getattr(part, "tau_" + name))
                 npt.assert_array_equal(tau[:j], full_tau[:j])
                 if extended:
@@ -350,9 +348,9 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
                     )
             # polishing more after reading some: the way zm_enclosures
             # polishes the lowers it pairs
-            st, part = _solve_pencil(forms, t, DEFAULT_TOL)
-            _polish(st, part, side, 1)
-            npt.assert_array_equal(_polish(st, part, side, 3)[:3], full_tau[:3])
+            part = zm_eigen(forms, t)
+            part.polish(side, 1)
+            npt.assert_array_equal(part.polish(side, 3)[:3], full_tau[:3])
 
     more_lowers_than_j_max = False
     for a, b in windows:
