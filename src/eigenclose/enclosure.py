@@ -34,7 +34,7 @@ from .errors import (
     GapViolationError,
     NegativeEigenvalueError,
 )
-from .forms import ShiftedForms, shift
+from .forms import ShiftedForms, shift, shifted_square
 from .linalg import (
     DEFAULT_TOL,
     psd_eigh,
@@ -206,7 +206,7 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
         If the pencil has an eigenvalue below ``-tol * ||Q_t||``; Q_t
         represents a square, so that signals corrupted forms.
     """
-    qt = shift(forms, t).Qt.astype(float, copy=False)
+    qt = shifted_square(forms, t).astype(float, copy=False)
     values = sym_generalized_eigvals(qt, forms.factor(tol), count)
     if values[0] < 0.0:
         floor = -tol * np.linalg.norm(qt, 2)
@@ -248,6 +248,11 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     :func:`zm_bounds_one_sided` and :func:`zm_enclosures`, j entries of
     one side for a fixed-point seed, none for :func:`signature`.
 
+    Each call solves afresh and returns a new, unshared pencil.  The
+    package's own callers share one solve per shift through the forms'
+    memo of their last solve instead.  A ``DeflationWarning`` names a
+    deflated kernel.
+
     Raises
     ------
     DegenerateShiftError
@@ -264,11 +269,7 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
     if n_inf > 0:
-        warnings.warn(
-            f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
-            DeflationWarning,
-            stacklevel=2,
-        )
+        _warn_deflated(n_inf, t)
     basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
     tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))  # ascending
     vectors = basis @ coeffs
@@ -298,6 +299,38 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     )
 
 
+def _warn_deflated(n_inf, t):
+    """The ``DeflationWarning`` for a kernel of Q_t deflated at t,
+    attributed to the caller of the function that issues it."""
+    warnings.warn(
+        f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
+        DeflationWarning,
+        stacklevel=3,
+    )
+
+
+def _pencil(forms, t, tol, loud=False):
+    """:func:`zm_eigen` at (t, tol), shared through the forms' memo of
+    their last solve.  Users of the shared pencil polish it in place;
+    each reads the other side or a prefix of the same side, and the
+    polish is idempotent.  A miss drops the old pencil before solving,
+    so two are never alive at once; a solve that raises stores nothing.
+
+    The solve itself is silent.  A ``loud`` reader warns from the kept
+    census whenever it reads a deflated kernel, so the warning does not
+    depend on whether a silent reader solved the shift first."""
+    key = (float(t), tol)
+    if forms._pencil is None or forms._pencil[0] != key:
+        forms._pencil = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeflationWarning)
+            forms._pencil = (key, zm_eigen(forms, t, tol))
+    pencil = forms._pencil[1]
+    if loud and pencil.signature.n_inf > 0:
+        _warn_deflated(pencil.signature.n_inf, t)
+    return pencil
+
+
 def signature(forms, t, tol=DEFAULT_TOL):
     """Census (n_inf, n_zero, n_minus, n_plus) of the pencil at shift t.
 
@@ -306,12 +339,10 @@ def signature(forms, t, tol=DEFAULT_TOL):
     on the whole subspace (every trial vector an exact eigenvector at
     t): that census is simply ``n_inf = n``.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeflationWarning)
-        try:
-            return zm_eigen(forms, t, tol).signature
-        except DegenerateShiftError:
-            return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
+    try:
+        return _pencil(forms, t, tol).signature
+    except DegenerateShiftError:
+        return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
 
 
 def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
@@ -328,6 +359,8 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
     All bounds of the side are returned.  The nearest ``REFINE_COUNT``
     come from polished eigenvalues (see :meth:`PencilEigen.polish`) and
     the rest from double-precision ones; the other side is not polished.
+    Every call at a shift with a deflated kernel issues a
+    ``DeflationWarning``, also when the forms' kept solve serves it.
 
     Raises
     ------
@@ -336,7 +369,7 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _side_bounds(zm_eigen(forms, t, tol), side, REFINE_COUNT)
+    return _side_bounds(_pencil(forms, t, tol, loud=True), side, REFINE_COUNT)
 
 
 def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
@@ -350,12 +383,13 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     flagged ``inconsistent`` rather than raised, because it conveys that
     the two shifts disagree about how much spectrum the window holds.
 
-    Each window end is solved once.  Only the pencil eigenvalues behind
-    bounds that can be emitted are polished (see
-    :meth:`PencilEigen.polish`): the ``j_max`` nearest uppers at a, and
-    at b every lower inside the window (at least ``j_max``, at most
-    ``REFINE_COUNT``).  The bounds are the same as when both sides are
-    polished in full.
+    Each window end is solved once, and the forms keep their last
+    solve: touching windows taken in ascending order solve the end they
+    share once, and each window end with a deflated kernel warns.  Only the pencil eigenvalues behind bounds that can be
+    emitted are polished (see :meth:`PencilEigen.polish`): the ``j_max``
+    nearest uppers at a, and at b every lower inside the window (at
+    least ``j_max``, at most ``REFINE_COUNT``).  The bounds are the same
+    as when both sides are polished in full.
 
     Raises
     ------
@@ -369,8 +403,8 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = _side_bounds(zm_eigen(forms, a, tol), "right", j_max)
-    pencil = zm_eigen(forms, b, tol)
+    uppers = _side_bounds(_pencil(forms, a, tol, loud=True), "right", j_max)
+    pencil = _pencil(forms, b, tol, loud=True)
     lowers = _side_bounds(pencil, "left", j_max)
     inside = int(np.count_nonzero(lowers > a))
     if j_max < min(inside, REFINE_COUNT):

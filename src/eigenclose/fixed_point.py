@@ -24,9 +24,11 @@ instead of 44, on the same path to the same root.  The sign at the
 root's certified end is evaluated all the same.  A window the counting
 function does not confirm, a pencil that fails or has too few values,
 or forms that fail the exact consistency test of
-:meth:`TrialForms.validate` leave the search unseeded.  A call solves
-the pencil once and polishes only the first j (``j_max`` for
-:func:`dp_bounds`) tau of the root's side, the ones it reads.
+:meth:`TrialForms.validate` leave the search unseeded.  The pencil is
+solved once per shift per forms (the forms keep their last solve, so
+both sides of an audit and every index share it), and a call polishes
+only the first j (``j_max`` for :func:`dp_bounds`) tau of the root's
+side, the ones it reads.
 """
 
 import functools
@@ -36,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import local_counting, zm_eigen
+from .enclosure import _pencil, local_counting
 from .errors import (
-    DeflationWarning,
     EigencloseError,
     MaxIterationsError,
     NoSignChangeError,
@@ -106,9 +107,7 @@ def default_fp_tol(forms, t, tol=DEFAULT_TOL):
 def _pencil_taus(forms, t, side, tol, count):
     """Pencil eigenvalues on ``side`` of t, nearest bound first; the
     nearest ``count`` of them are polished."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeflationWarning)
-        return zm_eigen(forms, t, tol).polish(side, count)
+    return _pencil(forms, t, tol).polish(side, count)
 
 
 def _seed_taus(forms, t, side, tol, count):
@@ -291,7 +290,8 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None, tol=DEFAULT_TOL):
     truncated there.  Index 0 of the array bounds the spectral point
     nearest t; for ``side="left"`` the array decreases, for
     ``side="right"`` it increases.  One pencil solve at t seeds every
-    index.
+    index: one solve per shift per forms, shared with any other caller
+    at the same shift.
     """
     seed = functools.cache(lambda: _seed_taus(forms, t, side, tol, count=j_max))
     bounds = []

@@ -40,8 +40,13 @@ class TrialForms:
     Construction validates shapes, exact symmetry and positive
     definiteness of ``M0``.  The forms own what depends on no shift and
     compute it once: M0's Cholesky factor, the Ritz values of (M1, M0)
-    and the consistency test.  The caches rely on the forms being
-    immutable once built: never change M0, M1 or M2 in place.
+    and the consistency test.  They also keep their last pencil solve,
+    so that callers reading the same shift (the end two touching
+    windows share, both sides of a fixed-point audit) solve it once.
+    The bounds functions of the ZM route warn of a deflated kernel on
+    every call, also when the kept solve serves it.  The caches
+    rely on the forms being immutable once built: never change M0, M1
+    or M2 in place.
     """
 
     M0: np.ndarray
@@ -58,6 +63,7 @@ class TrialForms:
         self._factors = {}
         self._ritz = None
         self._schur_min = None
+        self._pencil = None  # ((t, tol), PencilEigen) of the last solve
         self.factor()  # Gram matrix must be SPD
 
     @property
@@ -121,6 +127,13 @@ class ShiftedForms:
     Lt: np.ndarray = field(repr=False)
 
 
+def shifted_square(forms, t):
+    """The matrix ``Q_t = M2 - 2t M1 + t^2 M0`` alone, as :func:`shift`
+    forms it; the counting function needs nothing more."""
+    tt = forms.M0.dtype.type(t)
+    return forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
+
+
 def shift(forms, t):
     """Shifted form matrices ``Q_t = M2 - 2t M1 + t^2 M0`` and
     ``L_t = M1 - t M0``.
@@ -128,9 +141,8 @@ def shift(forms, t):
     Both keep the precision of the forms (``t^2`` is squared in it too)
     and, as entrywise combinations of them, their exact symmetry.
     """
-    tt = forms.M0.dtype.type(t)
-    qt = forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
-    lt = forms.M1 - tt * forms.M0
+    qt = shifted_square(forms, t)
+    lt = forms.M1 - forms.M0.dtype.type(t) * forms.M0
     return ShiftedForms(t=float(t), Qt=qt, Lt=lt)
 
 

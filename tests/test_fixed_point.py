@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import eigenclose.enclosure as enclosure_mod
 import eigenclose.fixed_point as fixed_point_mod
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import PencilEigen
@@ -251,47 +252,63 @@ def test_captured_shift_draws_no_seed():
     assert res.iterations == 1 and res.tau is None
 
 
-def test_failing_pencil_leaves_the_search_unseeded(monkeypatch):
+def test_failing_pencil_leaves_the_search_unseeded(monkeypatch, fresh):
     # optimal_shift survives a pencil that raises; equivalence_gap still
     # raises the pencil's own error, as it did before the seed existed
     def broken(*args, **kwargs):
         raise DegenerateShiftError("no pencil")
 
-    unseeded = _unseeded(WORKED, 1.5, 1, "left")
-    monkeypatch.setattr(fixed_point_mod, "zm_eigen", broken)
-    res = optimal_shift(WORKED, 1.5, 1, "left")
+    forms = fresh(WORKED)
+    unseeded = _unseeded(forms, 1.5, 1, "left")
+    monkeypatch.setattr(enclosure_mod, "zm_eigen", broken)
+    res = optimal_shift(forms, 1.5, 1, "left")
     assert _same_root(res, unseeded) and res.tau is None
     assert res.iterations == unseeded.iterations
-    npt.assert_array_equal(dp_bounds(WORKED, 1.5, 1, "left"), [unseeded.bound])
+    npt.assert_array_equal(dp_bounds(forms, 1.5, 1, "left"), [unseeded.bound])
     with pytest.raises(DegenerateShiftError):
-        equivalence_gap(WORKED, 1.5, 1, "left")
+        equivalence_gap(forms, 1.5, 1, "left")
 
 
-def test_one_pencil_solve_per_call(monkeypatch):
+def test_one_pencil_solve_per_call(monkeypatch, pencil_solves):
     # dp_bounds seeds every index from one solve, equivalence_gap takes
-    # its prediction from the solve that seeded the root; each polishes
-    # only the entries of its side that it reads
+    # its prediction from the solve that seeded the root, here the one
+    # dp_bounds made at the same shift; each polishes only the entries
+    # of its side that it reads
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=3), 2).forms
-    solves, polished = [], []
-    real_solve, real_polish = fixed_point_mod.zm_eigen, PencilEigen.polish
-
-    def counted_solve(forms, t, tol):
-        solves.append(t)
-        return real_solve(forms, t, tol)
+    polished = []
+    real_polish = PencilEigen.polish
 
     def counted_polish(pencil, side, k):
         polished.append((side, k))
         return real_polish(pencil, side, k)
 
     expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
-    monkeypatch.setattr(fixed_point_mod, "zm_eigen", counted_solve)
     monkeypatch.setattr(PencilEigen, "polish", counted_polish)
     assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
-    assert solves == [1.4] and polished == [("right", 3)]
-    solves.clear()
+    assert pencil_solves == [1.4] and polished == [("right", 3)]
     polished.clear()
     equivalence_gap(forms, 1.4, 2, "left")
-    assert solves == [1.4] and polished == [("left", 2)]
+    assert pencil_solves == [1.4] and polished == [("left", 2)]  # no new solve
+
+
+def test_both_audit_sides_share_one_solve(fresh, pencil_solves):
+    # the equiv subcommand's order: every index and side at one shift
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=4), 2).forms
+    cases = [(j, side) for j in (1, 2) for side in ("left", "right")]
+    apart = [equivalence_gap(fresh(forms), 1.4, j, side) for j, side in cases]
+    pencil_solves.clear()
+    assert [equivalence_gap(forms, 1.4, j, side) for j, side in cases] == apart
+    assert pencil_solves == [1.4]
+
+
+def test_dp_bounds_and_the_audit_share_one_solve(fresh, pencil_solves):
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=4), 2).forms
+    fresh_bounds = dp_bounds(fresh(forms), 0.6, 3, "right")
+    fresh_gap = equivalence_gap(fresh(forms), 0.6, 2, "right")
+    pencil_solves.clear()
+    npt.assert_array_equal(dp_bounds(forms, 0.6, 3, "right"), fresh_bounds)
+    assert equivalence_gap(forms, 0.6, 2, "right") == fresh_gap
+    assert pencil_solves == [0.6]
 
 
 def test_inconsistent_forms_get_the_unseeded_search():

@@ -13,11 +13,13 @@ from eigenclose.enclosure import (
     Enclosure,
     Signature,
     local_counting,
+    signature,
     zm_bounds_one_sided,
     zm_eigen,
     zm_enclosures,
 )
-from eigenclose.errors import DeflationWarning, EmptySideError
+from eigenclose.errors import DeflationWarning, DegenerateShiftError, EmptySideError
+from eigenclose.fixed_point import optimal_shift
 from eigenclose.forms import TrialForms, operator_forms, shift
 from eigenclose.linalg import (
     DEFAULT_TOL,
@@ -198,12 +200,35 @@ def test_zm_eigen_is_deterministic():
     npt.assert_array_equal(p1.tau_plus, p2.tau_plus)
 
 
-def test_captured_point_routes_through_deflation():
+def test_captured_point_routes_through_deflation(fresh, pencil_solves):
     # shift sitting exactly on a represented eigenvalue: the pencil
-    # deflates that direction and still bounds the remaining point
-    with pytest.warns(DeflationWarning):
-        enc_bounds = zm_bounds_one_sided(WORKED, 1.0, "right")
+    # deflates that direction and still bounds the remaining point; a
+    # call served by the kept solve warns as well
+    forms = fresh(WORKED)
+    with pytest.warns(DeflationWarning, match="1-dimensional kernel of Q_t at t=1$"):
+        enc_bounds = zm_bounds_one_sided(forms, 1.0, "right")
     npt.assert_allclose(enc_bounds, [2.0], atol=1e-12)
+    with pytest.warns(DeflationWarning):
+        npt.assert_array_equal(zm_bounds_one_sided(forms, 1.0, "right"), enc_bounds)
+    assert pencil_solves == [1.0]
+
+
+def test_a_silent_solve_does_not_silence_the_bounds(fresh, pencil_solves):
+    # signature and a fixed-point seed solve without warning; the bounds
+    # functions reading their kept solve still warn
+    forms = fresh(WORKED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeflationWarning)
+        assert signature(forms, 2.0) == Signature(1, 0, 1, 0)
+    with pytest.warns(DeflationWarning, match="at t=2$"):
+        zm_bounds_one_sided(forms, 2.0, "left")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeflationWarning)
+        optimal_shift(forms, 1.0, 1, "right")
+    with pytest.warns(DeflationWarning, match="at t=1$"):
+        enc = zm_enclosures(forms, (1.0, 2.5), 1)
+    assert len(enc) == 1
+    assert pencil_solves == [2.0, 1.0, 2.5]
 
 
 def test_inconsistent_pair_is_flagged_not_raised(monkeypatch):
@@ -212,8 +237,7 @@ def test_inconsistent_pair_is_flagged_not_raised(monkeypatch):
     Count mismatches need a trial space that hides a window point from
     one end only; exact small models self-heal (the Temple quotient of
     the certifying direction at one end constrains the other), so the
-    pencil solves and the one-sided bounds are stubbed to produce the
-    disagreement.
+    one-sided bounds are stubbed to produce the disagreement.
     """
 
     def fake_bounds(pencil, side, k):
@@ -221,9 +245,9 @@ def test_inconsistent_pair_is_flagged_not_raised(monkeypatch):
             return np.array([1.2, 1.9])
         return np.array([1.8])  # lone lower at b: certifies a deeper point
 
-    monkeypatch.setattr(enclosure_mod, "zm_eigen", lambda *args: None)
     monkeypatch.setattr(enclosure_mod, "_side_bounds", fake_bounds)
-    enc = zm_enclosures(WORKED, (1.0, 2.0), j_max=3)
+    with pytest.warns(DeflationWarning):  # both ends sit on eigenvalues
+        enc = zm_enclosures(WORKED, (1.0, 2.0), j_max=3)
     assert len(enc) == 1
     assert enc[0].inconsistent
     assert enc[0].lower == 1.8 and enc[0].upper == 1.2
@@ -388,3 +412,43 @@ def test_more_lowers_than_j_max_cost_two_pencil_solves(monkeypatch):
     enc = zm_enclosures(forms, (a, b), 1)
     assert len(calls) == 2
     assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
+
+
+def test_touching_windows_share_the_end_they_meet_at(fresh, pencil_solves):
+    # the benchmark's pollution windows: 0.8 and 1.6 are each the right
+    # end of one window and the left end of the next, so 4 solves serve
+    # 6 window ends, with the bounds that fresh forms per window give
+    forms = assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms
+    windows = [(0.2, 0.8), (0.8, 1.6), (1.6, 2.3)]
+    apart = [
+        [(e.lower, e.upper) for e in zm_enclosures(fresh(forms), w, 3)]
+        for w in windows
+    ]
+    pencil_solves.clear()
+    shared = [[(e.lower, e.upper) for e in zm_enclosures(forms, w, 3)] for w in windows]
+    assert pencil_solves == [0.2, 0.8, 1.6, 2.3]
+    assert shared == apart and any(apart)
+
+
+def test_a_raising_solve_leaves_no_pencil_kept(pencil_solves):
+    # t = 1 makes the trial space an exact eigenvector: the solve raises
+    forms = operator_forms(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]))
+    zm_bounds_one_sided(forms, 0.0, "right")
+    assert forms._pencil is not None
+    with pytest.raises(DegenerateShiftError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeflationWarning)
+        zm_bounds_one_sided(forms, 1.0, "right")
+    assert forms._pencil is None
+    assert signature(forms, 1.0) == Signature(1, 0, 0, 0)
+    assert forms._pencil is None
+    zm_bounds_one_sided(forms, 0.0, "right")
+    assert pencil_solves == [0.0, 1.0, 1.0, 0.0]
+
+
+def test_public_zm_eigen_returns_an_unshared_pencil():
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    zm_bounds_one_sided(forms, 1.4, "left")
+    kept = forms._pencil[1]
+    first, second = zm_eigen(forms, 1.4), zm_eigen(forms, 1.4)
+    assert first is not second and kept is not first and kept is not second
+    assert forms._pencil[1] is kept
