@@ -92,7 +92,8 @@ class PencilEigen:
     the j-th spectral point below t), ``tau_plus`` descending.  Vector
     columns are Q_t-orthonormal coefficient vectors in the full trial
     basis, deflated kernel directions removed.  ``shifted`` holds the
-    forms the pencil was solved at, which :meth:`polish` reads.
+    forms the pencil was solved at, which :meth:`polish` reads;
+    ``polished`` counts the polished entries of each side.
     """
 
     t: float
@@ -102,6 +103,7 @@ class PencilEigen:
     vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
     shifted: ShiftedForms = field(repr=False)
+    polished: dict = field(default_factory=lambda: {"left": 0, "right": 0})
 
     def polish(self, side, k=REFINE_COUNT):
         """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
@@ -109,15 +111,18 @@ class PencilEigen:
 
         Longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
         double-precision eigenvectors on the stored shifted forms remove
-        the solve roundoff from the tight bounds.  Polishing is
-        idempotent, so a caller may polish more after reading some.
-        ``side`` is ``"left"`` for ``tau_minus``, ``"right"`` for
-        ``tau_plus``.
+        the solve roundoff from the tight bounds.  ``polished`` records
+        how many entries of each side are polished: a call asking for no
+        more returns the side untouched, one asking for more polishes
+        the nearest k afresh, so near-ties re-sort as if all k were
+        polished at once.  ``side`` is ``"left"`` for ``tau_minus``,
+        ``"right"`` for ``tau_plus``.
         """
+        _check_side(side)
         name = "minus" if side == "left" else "plus"
         tau, vectors = getattr(self, "tau_" + name), getattr(self, "vectors_" + name)
         k = min(k, REFINE_COUNT, tau.size)
-        if not _LONGDOUBLE_OK or k == 0:
+        if not _LONGDOUBLE_OK or k <= self.polished[side]:
             return tau
         x = vectors[:, :k].astype(np.longdouble)
         lt = np.asarray(self.shifted.Lt, dtype=np.longdouble)
@@ -132,7 +137,13 @@ class PencilEigen:
         tau = tau[order]
         setattr(self, "tau_" + name, tau)
         setattr(self, "vectors_" + name, vectors[:, order])
+        self.polished[side] = k
         return tau
+
+
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass
@@ -190,8 +201,8 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
 
     Solves the pencil ``Q_t x = mu^2 M0 x`` for its eigenvalues only and
     returns ``F_j = sqrt(max(mu^2_j, 0))`` ascending.  With ``count``
-    given only ``F_1 .. F_count`` are computed; a fixed-point evaluation
-    needs nothing more.
+    given only ``F_1 .. F_count`` are computed (all n when ``count >= n``);
+    a fixed-point evaluation needs nothing more.
 
     The solve uses the forms' Cholesky factor of M0 at ``tol``
     (:meth:`TrialForms.factor`).  The roundoff floor
@@ -205,7 +216,11 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     NegativeEigenvalueError
         If the pencil has an eigenvalue below ``-tol * ||Q_t||``; Q_t
         represents a square, so that signals corrupted forms.
+    ValueError
+        If ``count`` is given and below 1.
     """
+    if count is not None and count < 1:
+        raise ValueError(f"count must be positive, got {count}")
     qt = shifted_square(forms, t).astype(float, copy=False)
     values = sym_generalized_eigvals(qt, forms.factor(tol), count)
     if values[0] < 0.0:
@@ -250,8 +265,8 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
 
     Each call solves afresh and returns a new, unshared pencil.  The
     package's own callers share one solve per shift through the forms'
-    memo of their last solve instead.  A ``DeflationWarning`` names a
-    deflated kernel.
+    memo of their last solve instead.  The solve does not warn: a
+    deflated kernel shows in ``signature.n_inf``.
 
     Raises
     ------
@@ -268,8 +283,6 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
-    if n_inf > 0:
-        _warn_deflated(n_inf, t)
     basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
     tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))  # ascending
     vectors = basis @ coeffs
@@ -299,35 +312,31 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     )
 
 
-def _warn_deflated(n_inf, t):
-    """The ``DeflationWarning`` for a kernel of Q_t deflated at t,
-    attributed to the caller of the function that issues it."""
-    warnings.warn(
-        f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
-        DeflationWarning,
-        stacklevel=3,
-    )
-
-
-def _pencil(forms, t, tol, loud=False):
+def _pencil(forms, t, tol):
     """:func:`zm_eigen` at (t, tol), shared through the forms' memo of
-    their last solve.  Users of the shared pencil polish it in place;
-    each reads the other side or a prefix of the same side, and the
-    polish is idempotent.  A miss drops the old pencil before solving,
-    so two are never alive at once; a solve that raises stores nothing.
-
-    The solve itself is silent.  A ``loud`` reader warns from the kept
-    census whenever it reads a deflated kernel, so the warning does not
-    depend on whether a silent reader solved the shift first."""
+    their last solve.  Users of the shared pencil polish it in place
+    (see :meth:`PencilEigen.polish`).  A miss drops the old pencil
+    before solving, so two are never alive at once; a solve that raises
+    stores nothing."""
     key = (float(t), tol)
     if forms._pencil is None or forms._pencil[0] != key:
         forms._pencil = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeflationWarning)
-            forms._pencil = (key, zm_eigen(forms, t, tol))
-    pencil = forms._pencil[1]
-    if loud and pencil.signature.n_inf > 0:
-        _warn_deflated(pencil.signature.n_inf, t)
+        forms._pencil = (key, zm_eigen(forms, t, tol))
+    return forms._pencil[1]
+
+
+def _bounds_pencil(forms, t, tol):
+    """:func:`_pencil` for a bounds function, with a ``DeflationWarning``
+    to that function's caller when the census shows a deflated kernel,
+    whichever reader solved the shift first."""
+    pencil = _pencil(forms, t, tol)
+    n_inf = pencil.signature.n_inf
+    if n_inf > 0:
+        warnings.warn(
+            f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
+            DeflationWarning,
+            stacklevel=3,
+        )
     return pencil
 
 
@@ -367,9 +376,8 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
     EmptySideError
         If the pencil has no eigenvalues of the requested sign.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _side_bounds(_pencil(forms, t, tol, loud=True), side, REFINE_COUNT)
+    _check_side(side)
+    return _side_bounds(_bounds_pencil(forms, t, tol), side, REFINE_COUNT)
 
 
 def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
@@ -385,11 +393,12 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
 
     Each window end is solved once, and the forms keep their last
     solve: touching windows taken in ascending order solve the end they
-    share once, and each window end with a deflated kernel warns.  Only the pencil eigenvalues behind bounds that can be
-    emitted are polished (see :meth:`PencilEigen.polish`): the ``j_max``
-    nearest uppers at a, and at b every lower inside the window (at
-    least ``j_max``, at most ``REFINE_COUNT``).  The bounds are the same
-    as when both sides are polished in full.
+    share once, and each window end with a deflated kernel warns.  Only
+    the pencil eigenvalues behind bounds that can be emitted are
+    polished (see :meth:`PencilEigen.polish`): the ``j_max`` nearest
+    uppers at a, and at b every lower inside the window (at least
+    ``j_max``, at most ``REFINE_COUNT``).  The bounds are the same as
+    when both sides are polished in full.
 
     Raises
     ------
@@ -403,12 +412,11 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = _side_bounds(_pencil(forms, a, tol, loud=True), "right", j_max)
-    pencil = _pencil(forms, b, tol, loud=True)
+    uppers = _side_bounds(_bounds_pencil(forms, a, tol), "right", j_max)
+    pencil = _bounds_pencil(forms, b, tol)
     lowers = _side_bounds(pencil, "left", j_max)
-    inside = int(np.count_nonzero(lowers > a))
-    if j_max < min(inside, REFINE_COUNT):
-        lowers = _side_bounds(pencil, "left", inside)
+    # the pairing reads every lower inside the window: polish them all
+    lowers = _side_bounds(pencil, "left", int(np.count_nonzero(lowers > a)))
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

@@ -18,10 +18,10 @@ The pencil also tells the bisection where to look.  Its prediction
 ``[alpha* - fp_tol, alpha* + fp_tol]``, and two evaluations of the
 counting function certify it: the residual is positive at the lower
 end and <= 0 at the upper one.  The residual is nonincreasing, so every
-later sign outside the window is known, and the unchanged expansion and
-bisection evaluate F_j only inside it -- about 6 evaluations per root
-instead of 44, on the same path to the same root.  The sign at the
-root's certified end is evaluated all the same.  A window the counting
+later sign outside the window is known, and the expansion and bisection
+evaluate F_j only inside it: about 6 evaluations per root, on the same
+path to the same root as without the window.  The sign at the root's
+certified end is evaluated all the same.  A window the counting
 function does not confirm, a pencil that fails or has too few values,
 or forms that fail the exact consistency test of
 :meth:`TrialForms.validate` leave the search unseeded.  The pencil is
@@ -31,14 +31,14 @@ only the first j (``j_max`` for :func:`dp_bounds`) tau of the root's
 side, the ones it reads.
 """
 
-import functools
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import _pencil, local_counting
+from .enclosure import _check_side, _pencil, local_counting
 from .errors import (
     EigencloseError,
     MaxIterationsError,
@@ -63,12 +63,11 @@ class FixedPointResult:
     nearest t on the certified side), ``f_at_root`` the counting value
     there; ``|f_at_root - |t - s_hat||`` does not exceed the fixed-point
     tolerance used.  ``iterations`` counts the counting-function
-    evaluations actually made, at distinct shifts: about 44 for an
-    unseeded root and about 6 for one the pencil seeded, the two
-    evaluations that check the seed included.  ``tau`` is the pencil
-    eigenvalue tau_j offered as the seed, None when none was drawn (a
-    captured shift or inconsistent forms), the pencil had none, or the
-    counting function contradicted it at the root.
+    evaluations made, each at a distinct shift, the two that check a
+    pencil seed included.  ``tau`` is the pencil eigenvalue tau_j
+    offered as the seed, None when none was drawn (a captured shift or
+    inconsistent forms), the pencil had none, or the counting function
+    contradicted it at the root.
     """
 
     j: int
@@ -104,14 +103,9 @@ def default_fp_tol(forms, t, tol=DEFAULT_TOL):
     return FP_TOL_FACTOR * _scale(forms.ritz(tol), t)
 
 
-def _pencil_taus(forms, t, side, tol, count):
-    """Pencil eigenvalues on ``side`` of t, nearest bound first; the
-    nearest ``count`` of them are polished."""
-    return _pencil(forms, t, tol).polish(side, count)
-
-
 def _seed_taus(forms, t, side, tol, count):
-    """:func:`_pencil_taus`, or None where the solve fails or the forms
+    """Pencil eigenvalues on ``side`` of t, nearest bound first, the
+    nearest ``count`` polished; None where the solve fails or the forms
     fail :meth:`TrialForms.validate`.  A seed only decides where the
     bisection looks, so its failure costs nothing but the evaluations it
     would have saved.  Inconsistent forms get the unseeded search: it
@@ -119,7 +113,7 @@ def _seed_taus(forms, t, side, tol, count):
     of them shows an indefinite Q_s."""
     try:
         forms.validate(tol)
-        return _pencil_taus(forms, t, side, tol, count)
+        return _pencil(forms, t, tol).polish(side, count)
     except (EigencloseError, ValueError, np.linalg.LinAlgError):
         return None
 
@@ -140,8 +134,9 @@ def optimal_shift(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
         1-based index of the target spectral point, counted away from t.
     side : {"left", "right"}
     fp_tol : float, optional
-        Bracket size at which bisection stops.  Defaults to 1e-12 times
-        the spread of the trial Rayleigh quotients around t.
+        Bracket size at which bisection stops, finite and positive.
+        Defaults to 1e-12 times the spread of the trial Rayleigh
+        quotients around t.
 
     Returns
     -------
@@ -169,10 +164,11 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
     It is called only after the argument and detectability checks, and
     only when the shift is not captured.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     if not 1 <= j <= forms.n:
         raise ValueError(f"index j={j} outside 1..{forms.n}")
+    if fp_tol is not None and not (math.isfinite(fp_tol) and fp_tol > 0.0):
+        raise ValueError(f"fp_tol must be finite and positive, got {fp_tol:g}")
     t = float(t)
 
     theta = forms.ritz(tol)
@@ -289,15 +285,16 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None, tol=DEFAULT_TOL):
     is undetectable every larger index is too, so the output is simply
     truncated there.  Index 0 of the array bounds the spectral point
     nearest t; for ``side="left"`` the array decreases, for
-    ``side="right"`` it increases.  One pencil solve at t seeds every
-    index: one solve per shift per forms, shared with any other caller
-    at the same shift.
+    ``side="right"`` it increases.  The forms' kept pencil solve at t
+    seeds every index, polished once for all ``j_max`` of them.
     """
-    seed = functools.cache(lambda: _seed_taus(forms, t, side, tol, count=j_max))
     bounds = []
     for j in range(1, j_max + 1):
         try:
-            result = _root(forms, t, j, side, fp_tol, tol, seed)
+            result = _root(
+                forms, t, j, side, fp_tol, tol,
+                lambda: _seed_taus(forms, t, side, tol, count=j_max),
+            )
         except NoSignChangeError:
             break
         bounds.append(result.bound)
@@ -311,9 +308,9 @@ def equivalence_gap(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
     negative (side="left") or positive (side="right") pencil eigenvalue.
     The return value ``|s_hat - (t + 1/(2 tau_j))|`` should sit at the
     fixed-point tolerance whenever both code paths are healthy.  The
-    pencil solve that seeds the root also gives the prediction; the
-    root is the one an unseeded bisection finds, so this is a genuine
-    audit.
+    prediction reads the forms' kept pencil solve, the one that seeded
+    the root; the root is the one an unseeded bisection finds, so this
+    is a genuine audit.
 
     Raises
     ------
@@ -321,17 +318,12 @@ def equivalence_gap(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
         If the side is undetectable at index j (either route).
     """
     result = optimal_shift(forms, t, j, side, fp_tol, tol)
-    tau_j = result.tau
-    if tau_j is None:
-        # no seed was drawn (captured shift) or the pencil offered none:
-        # solve here, so that a failing pencil raises as it always did
-        tau = _pencil_taus(forms, t, side, tol, count=j)
-        if tau.size < j:
-            raise NoSignChangeError(
-                f"pencil detects only {tau.size} points {side} of t={t:g}"
-            )
-        tau_j = tau[j - 1]
-    predicted = t + 0.5 / tau_j
+    tau = _pencil(forms, t, tol).polish(side, j)
+    if tau.size < j:
+        raise NoSignChangeError(
+            f"pencil detects only {tau.size} points {side} of t={t:g}"
+        )
+    predicted = t + 0.5 / tau[j - 1]
     return abs(result.s_hat - predicted)
 
 

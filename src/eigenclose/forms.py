@@ -43,10 +43,8 @@ class TrialForms:
     and the consistency test.  They also keep their last pencil solve,
     so that callers reading the same shift (the end two touching
     windows share, both sides of a fixed-point audit) solve it once.
-    The bounds functions of the ZM route warn of a deflated kernel on
-    every call, also when the kept solve serves it.  The caches
-    rely on the forms being immutable once built: never change M0, M1
-    or M2 in place.
+    The caches rely on the forms being immutable once built: never
+    change M0, M1 or M2 in place.
     """
 
     M0: np.ndarray

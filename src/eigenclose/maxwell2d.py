@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 from .forms import TrialForms
-from .linalg import symmetrize
+from .linalg import DEFAULT_TOL, symmetrize
 
 #: side length of the square cavity
 SIDE = np.pi
@@ -157,8 +157,6 @@ class MaxwellModel:
 
 
 def _reference_p1():
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
     def values(p):
         x, y = p[:, 0], p[:, 1]
         return np.column_stack([1.0 - x - y, x, y])
@@ -167,14 +165,10 @@ def _reference_p1():
         g = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         return np.broadcast_to(g, (p.shape[0], 3, 2)).copy()
 
-    return nodes, values, grads
+    return values, grads
 
 
 def _reference_p2():
-    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mids = 0.5 * (v + v[[1, 2, 0]])  # midpoints of edges (0,1), (1,2), (2,0)
-    nodes = np.vstack([v, mids])
-
     def bary(p):
         x, y = p[:, 0], p[:, 1]
         return np.column_stack([1.0 - x - y, x, y])
@@ -199,7 +193,7 @@ def _reference_p2():
             )
         return out
 
-    return nodes, values, grads
+    return values, grads
 
 
 def _triangle_quadrature(degree):
@@ -284,8 +278,7 @@ def assemble_2d(mesh, order):
         raise UnsupportedOrderError(
             f"order {order} not supported, choose from {SUPPORTED_ORDERS}"
         )
-    ref = _reference_p1() if order == 1 else _reference_p2()
-    _, ref_values, ref_grads = ref
+    ref_values, ref_grads = _reference_p1() if order == 1 else _reference_p2()
     pts, wts = _triangle_quadrature(2 * order)
     n_vals = ref_values(pts)  # (q, a)
     g_ref = ref_grads(pts)  # (q, a, 2)
@@ -403,7 +396,7 @@ def write_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def galerkin_spectrum(model, tol=1e-10):
+def galerkin_spectrum(model, tol=DEFAULT_TOL):
     """Raw Rayleigh-Ritz eigenvalues of the pencil ``(M1, M0)``.
 
     These are what a naive Galerkin discretization reports and they are

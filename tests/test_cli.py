@@ -1,6 +1,7 @@
 """Tests for the experiment harness CLI (invoked in-process via main)."""
 
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 import eigenclose.cli as cli
 from eigenclose.cli import compact_enclosure, main
 from eigenclose.enclosure import Enclosure
+from eigenclose.errors import DeflationWarning
 from eigenclose.forms import TrialForms, read_forms, write_forms
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
@@ -62,6 +64,35 @@ def test_bounds_worked_model_exact_rows(tmp_path, capsys):
     assert first[:3] == ["1", "1.0", "1.0"]
     second = lines[2].split(",")
     assert second[:3] == ["2", "2.0", "2.0"]
+
+
+#: README's ``.forms`` example, the 2x2 model with the points 1 and 2
+README_FORMS = (
+    "2\n%M0\n1 1 1.0\n2 2 1.0\n%M1\n1 1 1.0\n2 2 2.0\n%M2\n1 1 1.0\n2 2 4.0\n"
+)
+
+
+def test_bounds_deflated_window_ends_warn_at_the_call_site(tmp_path, capsys):
+    # a window end on a represented point deflates a kernel of Q_t there;
+    # the warning names the CLI line that asked for the enclosures
+    path = tmp_path / "readme.forms"
+    path.write_text(README_FORMS)
+    with pytest.warns(DeflationWarning) as record:
+        code = main(
+            ["bounds", "--model", str(path), "--window", "1,2.5", "--jmax", "2"]
+        )
+    assert code == 0
+    assert [str(w.message) for w in record] == [
+        "deflated a 1-dimensional kernel of Q_t at t=1"
+    ]
+    assert os.path.basename(record[0].filename) == "cli.py"
+    assert capsys.readouterr().out.splitlines()[1:] == ["1,2.0,2.0,0.0,2.5,1.0,"]
+
+    with pytest.warns(DeflationWarning) as record:
+        assert main(["bounds", "--model", str(path), "--window", "1,2"]) == 0
+    assert [str(w.message) for w in record] == [
+        f"deflated a 1-dimensional kernel of Q_t at t={t}" for t in (1, 2)
+    ]
 
 
 def test_bounds_dirac1d_contains_truth(tmp_path, capsys):

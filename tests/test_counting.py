@@ -59,6 +59,15 @@ def test_counting_values_worked_model():
     assert cv.t == 3.0
 
 
+def test_counting_count_range():
+    # a count past the dimension gives all n values; below 1 it is refused
+    for count in (2, 3):
+        npt.assert_array_equal(local_counting(WORKED, 3.0, count=count).F, [1.0, 2.0])
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"count must be positive, got {count}"):
+            local_counting(WORKED, 3.0, count=count)
+
+
 def test_counting_dominates_distance_to_spectrum():
     # F_j(t) can never undercut the j-th nearest true distance
     for seed in range(40):
@@ -149,8 +158,10 @@ def test_zm_eigen_degenerate_shift_raises():
 
 
 def test_zm_eigen_deflation_census_and_warning():
-    # t = 1 sits exactly on the represented point 1: one kernel direction
-    with pytest.warns(DeflationWarning, match="1-dimensional kernel"):
+    # t = 1 sits exactly on the represented point 1: one kernel direction;
+    # the solve stays silent and its census reports the deflation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeflationWarning)
         pencil = zm_eigen(WORKED, 1.0)
     assert pencil.signature == Signature(1, 0, 0, 1)
     npt.assert_allclose(pencil.tau_plus, [1.0], atol=1e-12)

@@ -7,10 +7,9 @@ import pytest
 import eigenclose.enclosure as enclosure_mod
 import eigenclose.fixed_point as fixed_point_mod
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
-from eigenclose.enclosure import PencilEigen
+from eigenclose.enclosure import _pencil
 from eigenclose.fixed_point import (
     FP_TOL_FACTOR,
-    _pencil_taus,
     _root,
     default_fp_tol,
     dp_bounds,
@@ -208,7 +207,7 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch):
     t = 1.4
     shifts = _record_shifts(monkeypatch)
     for side in ("left", "right"):
-        tau = _pencil_taus(forms, t, side, DEFAULT_TOL, 3)
+        tau = _pencil(forms, t, DEFAULT_TOL).polish(side, 3)
         for j in (1, 2, 3):
             unseeded = _unseeded(forms, t, j, side)
             shifts.clear()
@@ -227,8 +226,8 @@ def test_wrong_seed_costs_evaluations_not_the_root():
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=2), 2).forms
     t = 1.4
     for side, other in (("left", "right"), ("right", "left")):
-        tau = _pencil_taus(forms, t, side, DEFAULT_TOL, 2)
-        wrong_side = _pencil_taus(forms, t, other, DEFAULT_TOL, 2)
+        tau = _pencil(forms, t, DEFAULT_TOL).polish(side, 2)
+        wrong_side = _pencil(forms, t, DEFAULT_TOL).polish(other, 2)
         for j in (1, 2):
             unseeded = _unseeded(forms, t, j, side)
             # 1e-300 predicts a root beyond the expansion's reach
@@ -241,6 +240,19 @@ def test_wrong_seed_costs_evaluations_not_the_root():
             seeded = _root(forms, t, j, side, None, DEFAULT_TOL, lambda: wrong_side)
             assert _same_root(seeded, unseeded), (side, j, "wrong side")
             assert seeded.iterations >= unseeded.iterations
+
+
+@pytest.mark.parametrize("fp_tol", [np.nan, np.inf, 0.0, -1e-3])
+def test_bad_fp_tol_rejected(fp_tol):
+    # a non-finite tolerance would end the bisection at once, a
+    # nonpositive one never
+    message = "fp_tol must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        optimal_shift(WORKED, 1.5, 1, "left", fp_tol=fp_tol)
+    with pytest.raises(ValueError, match=message):
+        dp_bounds(WORKED, 1.5, 1, "left", fp_tol=fp_tol)
+    with pytest.raises(ValueError, match=message):
+        equivalence_gap(WORKED, 1.5, 1, "left", fp_tol=fp_tol)
 
 
 def test_captured_shift_draws_no_seed():
@@ -269,26 +281,21 @@ def test_failing_pencil_leaves_the_search_unseeded(monkeypatch, fresh):
         equivalence_gap(forms, 1.5, 1, "left")
 
 
-def test_one_pencil_solve_per_call(monkeypatch, pencil_solves):
+def test_one_pencil_solve_per_call(pencil_solves):
     # dp_bounds seeds every index from one solve, equivalence_gap takes
     # its prediction from the solve that seeded the root, here the one
     # dp_bounds made at the same shift; each polishes only the entries
     # of its side that it reads
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=3), 2).forms
-    polished = []
-    real_polish = PencilEigen.polish
-
-    def counted_polish(pencil, side, k):
-        polished.append((side, k))
-        return real_polish(pencil, side, k)
-
+    polishes = 1 if enclosure_mod._LONGDOUBLE_OK else 0  # no longdouble, no polish
     expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
-    monkeypatch.setattr(PencilEigen, "polish", counted_polish)
     assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
-    assert pencil_solves == [1.4] and polished == [("right", 3)]
-    polished.clear()
+    pencil = forms._pencil[1]
+    assert pencil_solves == [1.4]
+    assert pencil.polished == {"left": 0, "right": 3 * polishes}
     equivalence_gap(forms, 1.4, 2, "left")
-    assert pencil_solves == [1.4] and polished == [("left", 2)]  # no new solve
+    assert pencil_solves == [1.4] and forms._pencil[1] is pencil  # no new solve
+    assert pencil.polished == {"left": 2 * polishes, "right": 3 * polishes}
 
 
 def test_both_audit_sides_share_one_solve(fresh, pencil_solves):

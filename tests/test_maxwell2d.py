@@ -81,8 +81,12 @@ def test_quadrature_exactness():
 
 
 def test_reference_elements_nodal_and_partition():
-    for ref in (_reference_p1(), _reference_p2()):
-        nodes, values, grads = ref
+    # P1 nodes are the vertices; P2 adds the midpoints of the edges
+    # (0,1), (1,2), (2,0), in that order
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    p2_nodes = np.vstack([vertices, 0.5 * (vertices + vertices[[1, 2, 0]])])
+    refs = ((vertices, _reference_p1()), (p2_nodes, _reference_p2()))
+    for nodes, (values, grads) in refs:
         v = values(nodes)
         npt.assert_allclose(v, np.eye(nodes.shape[0]), atol=1e-13)
         pts = np.random.default_rng(0).uniform(0.05, 0.3, size=(20, 2))

@@ -445,6 +445,26 @@ def test_a_raising_solve_leaves_no_pencil_kept(pencil_solves):
     assert pencil_solves == [0.0, 1.0, 1.0, 0.0]
 
 
+def test_polish_rejects_an_unknown_side():
+    pencil = zm_eigen(WORKED, 1.5)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'Left'"):
+        pencil.polish("Left")
+
+
+def test_polish_remembers_its_reach():
+    # asking for no more than is polished returns the side untouched;
+    # asking for more polishes the nearest k afresh
+    forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
+    extended = np.finfo(np.longdouble).eps < 1e-18  # else nothing is polished
+    pencil = zm_eigen(forms, 0.5)
+    three = pencil.polish("right", 3)
+    assert pencil.polish("right", 2) is three and pencil.polish("right", 3) is three
+    assert pencil.polished == {"left": 0, "right": 3 if extended else 0}
+    five = pencil.polish("right", 5)
+    npt.assert_array_equal(five, zm_eigen(forms, 0.5).polish("right", 5))
+    assert pencil.polished["right"] == (5 if extended else 0)
+
+
 def test_public_zm_eigen_returns_an_unshared_pencil():
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     zm_bounds_one_sided(forms, 1.4, "left")
