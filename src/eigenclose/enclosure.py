@@ -103,7 +103,9 @@ class PencilEigen:
     vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
     shifted: ShiftedForms = field(repr=False)
-    polished: dict = field(default_factory=lambda: {"left": 0, "right": 0})
+    polished: dict = field(
+        init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
+    )
 
     def polish(self, side, k=REFINE_COUNT):
         """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one

@@ -286,15 +286,20 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None, tol=DEFAULT_TOL):
     truncated there.  Index 0 of the array bounds the spectral point
     nearest t; for ``side="left"`` the array decreases, for
     ``side="right"`` it increases.  The forms' kept pencil solve at t
-    seeds every index, polished once for all ``j_max`` of them.
+    seeds every index, polished once for all ``j_max`` of them; the
+    seed is drawn once, so a solve that fails is not retried per index.
     """
+    seeds = []
+
+    def seed():
+        if not seeds:
+            seeds.append(_seed_taus(forms, t, side, tol, count=j_max))
+        return seeds[0]
+
     bounds = []
     for j in range(1, j_max + 1):
         try:
-            result = _root(
-                forms, t, j, side, fp_tol, tol,
-                lambda: _seed_taus(forms, t, side, tol, count=j_max),
-            )
+            result = _root(forms, t, j, side, fp_tol, tol, seed)
         except NoSignChangeError:
             break
         bounds.append(result.bound)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -92,6 +94,32 @@ def test_bounds_deflated_window_ends_warn_at_the_call_site(tmp_path, capsys):
         assert main(["bounds", "--model", str(path), "--window", "1,2"]) == 0
     assert [str(w.message) for w in record] == [
         f"deflated a 1-dimensional kernel of Q_t at t={t}" for t in (1, 2)
+    ]
+
+
+def test_touching_windows_print_a_shared_deflated_end_once(tmp_path):
+    # both windows read the deflation at t=2, and both warnings name the
+    # same CLI line with the same text, so Python's default filter prints
+    # the second one no more; a fresh process shows what a user sees
+    path = tmp_path / "three.forms"
+    points = np.array([1.0, 2.0, 3.0])
+    write_forms(TrialForms(np.eye(3), np.diag(points), np.diag(points**2)), path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = "import sys; from eigenclose.cli import main; sys.exit(main())"
+    argv = ["bounds", "--model", str(path), "--window", "1.5,2", "--window", "2,2.5"]
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    with open(cli.__file__) as source:
+        lines = source.read().splitlines()
+    call = next(n for n, line in enumerate(lines, 1) if "= zm_enclosures(" in line)
+    assert run.returncode == 0
+    assert run.stderr.splitlines() == [
+        f"{cli.__file__}:{call}: DeflationWarning: "
+        "deflated a 1-dimensional kernel of Q_t at t=2",
+        "  " + lines[call - 1].strip(),
     ]
 
 

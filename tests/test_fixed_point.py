@@ -298,6 +298,22 @@ def test_one_pencil_solve_per_call(pencil_solves):
     assert pencil.polished == {"left": 2 * polishes, "right": 3 * polishes}
 
 
+def test_a_failing_seed_solve_is_made_once(monkeypatch):
+    # a pencil solve that raises on forms passing validate leaves every
+    # index unseeded, and dp_bounds tries that solve once, not per index
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=3), 2).forms
+    expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
+    solves = []
+
+    def failing(forms, t, tol):
+        solves.append(t)
+        raise DegenerateShiftError("injected")
+
+    monkeypatch.setattr(enclosure_mod, "zm_eigen", failing)
+    assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
+    assert solves == [1.4]
+
+
 def test_both_audit_sides_share_one_solve(fresh, pencil_solves):
     # the equiv subcommand's order: every index and side at one shift
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=4), 2).forms

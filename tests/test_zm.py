@@ -1,6 +1,7 @@
 """Tests for the shifted-pencil (Zimmermann-Mertins) bound machinery."""
 
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import (
     REFINE_COUNT,
     Enclosure,
+    PencilEigen,
     Signature,
     local_counting,
     signature,
@@ -463,6 +465,12 @@ def test_polish_remembers_its_reach():
     five = pencil.polish("right", 5)
     npt.assert_array_equal(five, zm_eigen(forms, 0.5).polish("right", 5))
     assert pencil.polished["right"] == (5 if extended else 0)
+    # the count is the pencil's own state: no constructor keyword, and a
+    # copy counts its own polish
+    copy = replace(pencil)
+    assert copy.polished == {"left": 0, "right": 0} and "polished" not in repr(pencil)
+    with pytest.raises(TypeError):
+        PencilEigen(**{f.name: getattr(pencil, f.name) for f in fields(pencil)})
 
 
 def test_public_zm_eigen_returns_an_unshared_pencil():
