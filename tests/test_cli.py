@@ -1,4 +1,5 @@
-"""Tests for the experiment harness CLI (invoked in-process via main)."""
+"""Tests for the experiment harness CLI (invoked in-process via main, and
+once in a fresh process to see Python's default warning filter)."""
 
 import json
 import os
@@ -96,11 +97,9 @@ def test_bounds_deflated_window_ends_warn_at_the_call_site(tmp_path, capsys):
         f"deflated a 1-dimensional kernel of Q_t at t={t}" for t in (1, 2)
     ]
 
-
-def test_touching_windows_print_a_shared_deflated_end_once(tmp_path):
-    # both windows read the deflation at t=2, and both warnings name the
-    # same CLI line with the same text, so Python's default filter prints
-    # the second one no more; a fresh process shows what a user sees
+    # touching windows both read the deflation at t=2; both warnings name
+    # the same CLI line with the same text, so Python's default filter
+    # prints the second no more, as a fresh process shows
     path = tmp_path / "three.forms"
     points = np.array([1.0, 2.0, 3.0])
     write_forms(TrialForms(np.eye(3), np.diag(points), np.diag(points**2)), path)
