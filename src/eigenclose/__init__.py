@@ -50,7 +50,6 @@ from .fixed_point import (
     FixedPointResult,
     dp_bounds,
     equivalence_gap,
-    f_curve,
     optimal_shift,
 )
 from .forms import (
@@ -114,7 +113,6 @@ __all__ = [
     "equivalence_gap",
     "exact_spectrum_1d",
     "exact_spectrum_2d",
-    "f_curve",
     "galerkin_spectrum",
     "local_counting",
     "operator_forms",

@@ -42,6 +42,7 @@ Exit codes: 0 success, 1 contract violation or computation failure,
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -165,7 +166,7 @@ KEYS = (
     Key("shift", "shifts", _float_list,
         "reference shift for 'equiv' (repeatable)", repeat=True),
     Key("jmax", "j_max", int, "bound indices 1..jmax per window"),
-    Key("tol", "tol", float, "pencil classification tolerance"),
+    Key("tol", "tol", float, "the forms' numerical-zero tolerance"),
     Key("fp_tol", "fp_tol", float, "fixed-point bisection tolerance"),
     Key("flag_tol", "flag_tol", float,
         "distance beyond which a value counts as spurious"),
@@ -248,6 +249,8 @@ def _validate(cfg):
             f"jitter must lie in [0, {maxwell2d.MAX_JITTER:g}] for maxwell2d, "
             f"got {cfg.jitter:g}"
         )
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.j_max < 1:
         raise ConfigError(f"jmax must be positive, got {cfg.j_max}")
     for name, value in (("tol", cfg.tol), ("fp_tol", cfg.fp_tol)):
@@ -277,8 +280,8 @@ def _validate(cfg):
 def _build(cfg, order, mesh_n):
     """Assemble (forms, oracle_spectrum, model) for one design point.
 
-    ``oracle_spectrum`` is None for external .forms input: no exact
-    spectrum is known there, only the certified bounds themselves.
+    The forms carry ``cfg.tol``.  ``oracle_spectrum`` and ``model`` are
+    None for external .forms input: no exact spectrum is known there.
     """
     reach = 2.0 + max(
         [abs(a) for a, b in cfg.windows] + [abs(b) for a, b in cfg.windows]
@@ -286,15 +289,21 @@ def _build(cfg, order, mesh_n):
     )
     if cfg.model == "dirac1d":
         model = assemble_1d(uniform_mesh(mesh_n, cfg.jitter, cfg.seed), order)
-        return model.forms, exact_spectrum_1d(math.ceil(reach)), model
-    if cfg.model == "maxwell2d":
+        forms, oracle = model.forms, exact_spectrum_1d(math.ceil(reach))
+    elif cfg.model == "maxwell2d":
         model = assemble_2d(structured_tri_mesh(mesh_n, cfg.jitter, cfg.seed), order)
-        return model.forms, exact_spectrum_2d(reach), model
-    try:
-        forms = read_forms(cfg.model)
-    except OSError as exc:
-        raise ConfigError(f"cannot read forms file: {exc}") from None
-    return forms.validate(cfg.tol), None, None
+        forms, oracle = model.forms, exact_spectrum_2d(reach)
+    else:
+        try:
+            forms = read_forms(cfg.model)
+        except OSError as exc:
+            raise ConfigError(f"cannot read forms file: {exc}") from None
+        oracle = model = None
+    if cfg.tol != forms.tol:
+        forms = dataclasses.replace(forms, tol=cfg.tol)
+    if model is None:
+        forms.validate()
+    return forms, oracle, model
 
 
 def _single_design_point(cfg, command):
@@ -406,7 +415,7 @@ def cmd_bounds(cfg):
     rows = []
     display = []
     for a, b in sorted(cfg.windows):
-        enclosures = zm_enclosures(forms, (a, b), cfg.j_max, cfg.tol)
+        enclosures = zm_enclosures(forms, (a, b), cfg.j_max)
         display.append((a, b, list(enclosures)))
         for e in enclosures:
             rows.append((
@@ -449,7 +458,7 @@ def cmd_converge(cfg):
         for mesh_n in sorted(cfg.meshes):
             forms, oracle, model = _build(cfg, order, mesh_n)
             h = model.mesh.h
-            for e in zm_enclosures(forms, cfg.windows[0], cfg.j_max, cfg.tol):
+            for e in zm_enclosures(forms, cfg.windows[0], cfg.j_max):
                 true_val, _ = _interval_distance(oracle, e.lower, e.upper)
                 rows.append((
                     h, order, e.j, e.lower, e.upper, e.width,
@@ -488,7 +497,7 @@ def cmd_pollute(cfg):
         raise ConfigError("'pollute' needs at least one --window a,b")
     order, mesh_n = _single_design_point(cfg, "pollute")
     forms, oracle, model = _build(cfg, order, mesh_n)
-    theta = galerkin_spectrum(model, cfg.tol)
+    theta = galerkin_spectrum(model)
 
     rows = []
     flagged_enclosures = 0
@@ -499,7 +508,7 @@ def cmd_pollute(cfg):
                 "galerkin", "", value, "", "", "", nearest, dist,
                 int(dist > cfg.flag_tol), "",
             ))
-        for e in zm_enclosures(forms, (a, b), cfg.j_max, cfg.tol):
+        for e in zm_enclosures(forms, (a, b), cfg.j_max):
             nearest, dist = _interval_distance(oracle, e.lower, e.upper)
             spurious = int(dist > cfg.flag_tol)
             flagged_enclosures += spurious
@@ -535,7 +544,7 @@ def cmd_equiv(cfg):
 
     fp_tol_used = cfg.fp_tol
     if fp_tol_used is None:
-        fp_tol_used = max(default_fp_tol(forms, t, cfg.tol) for t in cfg.shifts)
+        fp_tol_used = max(default_fp_tol(forms, t) for t in cfg.shifts)
 
     rows = []
     gaps = []
@@ -544,7 +553,7 @@ def cmd_equiv(cfg):
         for j in range(1, cfg.j_max + 1):
             for side in ("left", "right"):
                 try:
-                    gap = equivalence_gap(forms, t, j, side, fp_tol_used, cfg.tol)
+                    gap = equivalence_gap(forms, t, j, side, fp_tol_used)
                 except NoSignChangeError:
                     skipped += 1
                     rows.append((t, j, side, "", "skipped"))

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .forms import ShiftedForms, shift, shifted_square
 from .linalg import (
-    DEFAULT_TOL,
     psd_eigh,
     sym_eigh,
     sym_generalized_eigvals,
@@ -109,7 +108,8 @@ class PencilEigen:
 
     def polish(self, side, k=REFINE_COUNT):
         """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
-        side in place and return that side, re-sorted nearest first.
+        side in place and return that side, the polished ones re-sorted
+        nearest first and kept ahead of the rest.
 
         Longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
         double-precision eigenvectors on the stored shifted forms remove
@@ -117,8 +117,10 @@ class PencilEigen:
         how many entries of each side are polished: a call asking for no
         more returns the side untouched, one asking for more polishes
         the nearest k afresh, so near-ties re-sort as if all k were
-        polished at once.  ``side`` is ``"left"`` for ``tau_minus``,
-        ``"right"`` for ``tau_plus``.
+        polished at once.  An unpolished entry that ties the last
+        polished one to roundoff stays behind it even when an ulp
+        nearer.  ``side`` is ``"left"`` for ``tau_minus``, ``"right"``
+        for ``tau_plus``.
         """
         _check_side(side)
         name = "minus" if side == "left" else "plus"
@@ -134,8 +136,10 @@ class PencilEigen:
         good = den > 0
         tau = tau.copy()
         tau[:k][good] = (num[good] / den[good]).astype(float)
-        # nearest bound first is largest |tau| first; the polish may nudge near-ties
-        order = np.argsort(-np.abs(tau), kind="stable")
+        # nearest bound first is largest |tau| first; the polish may nudge
+        # near-ties, which re-sort among the k polished entries only
+        order = np.argsort(-np.abs(tau[:k]), kind="stable")
+        order = np.concatenate([order, np.arange(k, tau.size)])
         tau = tau[order]
         setattr(self, "tau_" + name, tau)
         setattr(self, "vectors_" + name, vectors[:, order])
@@ -198,7 +202,7 @@ def _side_bounds(pencil, side, k):
     return pencil.t + 1.0 / tau
 
 
-def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
+def local_counting(forms, t, count=None):
     """Values of the local counting function at shift t.
 
     Solves the pencil ``Q_t x = mu^2 M0 x`` for its eigenvalues only and
@@ -206,15 +210,14 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     given only ``F_1 .. F_count`` are computed (all n when ``count >= n``);
     a fixed-point evaluation needs nothing more.
 
-    The solve uses the forms' Cholesky factor of M0 at ``tol``
+    The solve uses the forms' Cholesky factor of M0
     (:meth:`TrialForms.factor`).  The roundoff floor
-    ``-tol * ||Q_t||_2`` is only computed when the smallest eigenvalue
-    is negative, because only then can it decide anything.
+    ``-tol * ||Q_t||_2``, at the forms' ``tol``, is only computed when
+    the smallest eigenvalue is negative, because only then can it decide
+    anything.
 
     Raises
     ------
-    NotPositiveDefiniteError
-        If M0 is not positive definite.
     NegativeEigenvalueError
         If the pencil has an eigenvalue below ``-tol * ||Q_t||``; Q_t
         represents a square, so that signals corrupted forms.
@@ -224,20 +227,20 @@ def local_counting(forms, t, tol=DEFAULT_TOL, count=None):
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
     qt = shifted_square(forms, t).astype(float, copy=False)
-    values = sym_generalized_eigvals(qt, forms.factor(tol), count)
+    values = sym_generalized_eigvals(qt, forms.factor(), count)
     if values[0] < 0.0:
-        floor = -tol * np.linalg.norm(qt, 2)
+        floor = -forms.tol * np.linalg.norm(qt, 2)
         if values[0] < floor:
             raise NegativeEigenvalueError(values[0], -floor)
     f = np.sqrt(np.maximum(values, 0.0))
     return CountingValues(t=float(t), F=f)
 
 
-def zm_eigen(forms, t, tol=DEFAULT_TOL):
+def zm_eigen(forms, t):
     """Solve and classify the pencil ``tau Q_t x = L_t x`` at shift t.
 
     One eigendecomposition ``Q_t = V W V'`` (:func:`psd_eigh`) gives
-    three things at once:
+    three things at once, ``tol`` being the forms' tolerance:
 
     * the kernel of Q_t, the columns with ``W <= tol * max(1, ||Q_t||)``
       (trial directions on which the shifted operator vanishes); in
@@ -279,7 +282,7 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     """
     st = shift(forms, t)
     lt_d = np.asarray(st.Lt, dtype=float)
-    split = psd_eigh(np.asarray(st.Qt, dtype=float), tol)
+    split = psd_eigh(np.asarray(st.Qt, dtype=float), forms.tol)
     n_inf = split.k
     if n_inf == forms.n:
         raise DegenerateShiftError(
@@ -292,7 +295,7 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     lt_values = sym_eigh(lt_d, vectors=False)
     norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
     norm_q = split.norm
-    zero_threshold = tol * (norm_l / norm_q) if norm_q > 0 else 0.0
+    zero_threshold = forms.tol * (norm_l / norm_q) if norm_q > 0 else 0.0
 
     neg = tau < -zero_threshold
     pos = tau > zero_threshold
@@ -314,24 +317,23 @@ def zm_eigen(forms, t, tol=DEFAULT_TOL):
     )
 
 
-def _pencil(forms, t, tol):
-    """:func:`zm_eigen` at (t, tol), shared through the forms' memo of
-    their last solve.  Users of the shared pencil polish it in place
+def _pencil(forms, t):
+    """:func:`zm_eigen` at t, shared through the forms' memo of their
+    last solve.  Users of the shared pencil polish it in place
     (see :meth:`PencilEigen.polish`).  A miss drops the old pencil
     before solving, so two are never alive at once; a solve that raises
     stores nothing."""
-    key = (float(t), tol)
-    if forms._pencil is None or forms._pencil[0] != key:
+    if forms._pencil is None or forms._pencil[0] != float(t):
         forms._pencil = None
-        forms._pencil = (key, zm_eigen(forms, t, tol))
+        forms._pencil = (float(t), zm_eigen(forms, t))
     return forms._pencil[1]
 
 
-def _bounds_pencil(forms, t, tol):
+def _bounds_pencil(forms, t):
     """:func:`_pencil` for a bounds function, with a ``DeflationWarning``
     to that function's caller when the census shows a deflated kernel,
     whichever reader solved the shift first."""
-    pencil = _pencil(forms, t, tol)
+    pencil = _pencil(forms, t)
     n_inf = pencil.signature.n_inf
     if n_inf > 0:
         warnings.warn(
@@ -342,7 +344,7 @@ def _bounds_pencil(forms, t, tol):
     return pencil
 
 
-def signature(forms, t, tol=DEFAULT_TOL):
+def signature(forms, t):
     """Census (n_inf, n_zero, n_minus, n_plus) of the pencil at shift t.
 
     The four counts always sum to the trial dimension.  Unlike
@@ -351,12 +353,12 @@ def signature(forms, t, tol=DEFAULT_TOL):
     t): that census is simply ``n_inf = n``.
     """
     try:
-        return _pencil(forms, t, tol).signature
+        return _pencil(forms, t).signature
     except DegenerateShiftError:
         return Signature(n_inf=forms.n, n_zero=0, n_minus=0, n_plus=0)
 
 
-def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
+def zm_bounds_one_sided(forms, t, side):
     """Certified one-sided bounds from the pencil at shift t.
 
     Parameters
@@ -364,8 +366,9 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
     side : {"left", "right"}
         ``"left"`` returns lower bounds ``t + 1/tau^-_j`` for the
         spectral points below t, nearest first (so the array is
-        decreasing).  ``"right"`` returns upper bounds ``t + 1/tau^+_j``
-        for the points above t, nearest first (increasing).
+        decreasing, but for roundoff ties after the polished entries).
+        ``"right"`` returns upper bounds ``t + 1/tau^+_j`` for the
+        points above t, nearest first (increasing).
 
     All bounds of the side are returned.  The nearest ``REFINE_COUNT``
     come from polished eigenvalues (see :meth:`PencilEigen.polish`) and
@@ -379,10 +382,10 @@ def zm_bounds_one_sided(forms, t, side, tol=DEFAULT_TOL):
         If the pencil has no eigenvalues of the requested sign.
     """
     _check_side(side)
-    return _side_bounds(_bounds_pencil(forms, t, tol), side, REFINE_COUNT)
+    return _side_bounds(_bounds_pencil(forms, t), side, REFINE_COUNT)
 
 
-def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
+def zm_enclosures(forms, window, j_max):
     """Two-sided enclosures inside a window ``(a, b)``.
 
     Upper bounds are computed at the left end a (for spectral points
@@ -414,8 +417,8 @@ def zm_enclosures(forms, window, j_max, tol=DEFAULT_TOL):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = _side_bounds(_bounds_pencil(forms, a, tol), "right", j_max)
-    pencil = _bounds_pencil(forms, b, tol)
+    uppers = _side_bounds(_bounds_pencil(forms, a), "right", j_max)
+    pencil = _bounds_pencil(forms, b)
     lowers = _side_bounds(pencil, "left", j_max)
     # the pairing reads every lower inside the window: polish them all
     lowers = _side_bounds(pencil, "left", int(np.count_nonzero(lowers > a)))

@@ -33,7 +33,6 @@ side, the ones it reads.
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ from .errors import (
     MaxIterationsError,
     NoSignChangeError,
 )
-from .linalg import DEFAULT_TOL
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +90,7 @@ def _scale(theta, t):
     return max(theta[-1] - theta[0], t - theta[0], theta[-1] - t)
 
 
-def default_fp_tol(forms, t, tol=DEFAULT_TOL):
+def default_fp_tol(forms, t):
     """Default bisection tolerance for the fixed-point solve at shift t.
 
     ``FP_TOL_FACTOR`` times a length scale of the problem: the spread of
@@ -100,10 +98,10 @@ def default_fp_tol(forms, t, tol=DEFAULT_TOL):
     either end of that range so it cannot degenerate for tiny (even
     one-dimensional) trial spaces.
     """
-    return FP_TOL_FACTOR * _scale(forms.ritz(tol), t)
+    return FP_TOL_FACTOR * _scale(forms.ritz(), t)
 
 
-def _seed_taus(forms, t, side, tol, count):
+def _seed_taus(forms, t, side, count):
     """Pencil eigenvalues on ``side`` of t, nearest bound first, the
     nearest ``count`` polished; None where the solve fails or the forms
     fail :meth:`TrialForms.validate`.  A seed only decides where the
@@ -112,13 +110,13 @@ def _seed_taus(forms, t, side, tol, count):
     evaluates F_j at every shift it visits, and so raises wherever one
     of them shows an indefinite Q_s."""
     try:
-        forms.validate(tol)
-        return _pencil(forms, t, tol).polish(side, count)
+        forms.validate()
+        return _pencil(forms, t).polish(side, count)
     except (EigencloseError, ValueError, np.linalg.LinAlgError):
         return None
 
 
-def optimal_shift(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
+def optimal_shift(forms, t, j, side, fp_tol=None):
     """Solve the fixed-point equation for one index and side.
 
     The pencil's prediction of the root seeds the bisection (see the
@@ -151,12 +149,11 @@ def optimal_shift(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
         If bracketing or bisection exhausts its budget.
     """
     return _root(
-        forms, t, j, side, fp_tol, tol,
-        lambda: _seed_taus(forms, t, side, tol, count=j),
+        forms, t, j, side, fp_tol, lambda: _seed_taus(forms, t, side, count=j)
     )
 
 
-def _root(forms, t, j, side, fp_tol, tol, seed):
+def _root(forms, t, j, side, fp_tol, seed):
     """:func:`optimal_shift` seeded by the pencil eigenvalues ``seed()``.
 
     ``seed`` is a function of no arguments returning the pencil
@@ -171,7 +168,7 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
         raise ValueError(f"fp_tol must be finite and positive, got {fp_tol:g}")
     t = float(t)
 
-    theta = forms.ritz(tol)
+    theta = forms.ritz()
     detectable = int(np.sum(theta < t) if side == "left" else np.sum(theta > t))
     if detectable < j:
         raise NoSignChangeError(
@@ -186,7 +183,7 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
 
     def f_of(s):
         if s not in values:
-            values[s] = float(local_counting(forms, s, tol, count=j).F[j - 1])
+            values[s] = float(local_counting(forms, s, count=j).F[j - 1])
         return values[s]
 
     sign = -1.0 if side == "left" else 1.0
@@ -266,7 +263,7 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
     if f_at_root - hi > 0.0:
         # g(hi) <= 0 was inferred from the seed window and the counting
         # function contradicts it: the residual is not monotone here
-        return _root(forms, t, j, side, fp_tol, tol, lambda: None)
+        return _root(forms, t, j, side, fp_tol, lambda: None)
     return FixedPointResult(
         j=j,
         side=side,
@@ -278,7 +275,7 @@ def _root(forms, t, j, side, fp_tol, tol, seed):
     )
 
 
-def dp_bounds(forms, t, j_max, side, fp_tol=None, tol=DEFAULT_TOL):
+def dp_bounds(forms, t, j_max, side, fp_tol=None):
     """Certified one-sided bounds for indices 1..j_max via fixed points.
 
     Returns an array that may be shorter than ``j_max``: once an index
@@ -289,24 +286,26 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None, tol=DEFAULT_TOL):
     seeds every index, polished once for all ``j_max`` of them; the
     seed is drawn once, so a solve that fails is not retried per index.
     """
+    if j_max < 1:
+        raise ValueError(f"j_max must be positive, got {j_max}")
     seeds = []
 
     def seed():
         if not seeds:
-            seeds.append(_seed_taus(forms, t, side, tol, count=j_max))
+            seeds.append(_seed_taus(forms, t, side, count=j_max))
         return seeds[0]
 
     bounds = []
     for j in range(1, j_max + 1):
         try:
-            result = _root(forms, t, j, side, fp_tol, tol, seed)
+            result = _root(forms, t, j, side, fp_tol, seed)
         except NoSignChangeError:
             break
         bounds.append(result.bound)
     return np.asarray(bounds)
 
 
-def equivalence_gap(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
+def equivalence_gap(forms, t, j, side, fp_tol=None):
     """Distance between the fixed-point root and its pencil prediction.
 
     The optimal root equals ``t + 1/(2 tau_j)`` with ``tau_j`` the j-th
@@ -322,36 +321,11 @@ def equivalence_gap(forms, t, j, side, fp_tol=None, tol=DEFAULT_TOL):
     NoSignChangeError
         If the side is undetectable at index j (either route).
     """
-    result = optimal_shift(forms, t, j, side, fp_tol, tol)
-    tau = _pencil(forms, t, tol).polish(side, j)
+    result = optimal_shift(forms, t, j, side, fp_tol)
+    tau = _pencil(forms, t).polish(side, j)
     if tau.size < j:
         raise NoSignChangeError(
             f"pencil detects only {tau.size} points {side} of t={t:g}"
         )
     predicted = t + 0.5 / tau[j - 1]
     return abs(result.s_hat - predicted)
-
-
-def f_curve(forms, j, grid, tol=DEFAULT_TOL):
-    """Sample the j-th counting value on a grid of shifts.
-
-    Returns an ``(len(grid), 2)`` array of ``(s, F_j(s))`` rows.  As a
-    cheap self-check the samples are tested against the 1-Lipschitz
-    property; a violation signals inconsistent forms and triggers a
-    warning, not an error.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.array(
-        [local_counting(forms, s, tol, count=j).F[j - 1] for s in grid]
-    )
-    order = np.argsort(grid)
-    gaps = np.abs(np.diff(values[order]))
-    steps = np.diff(grid[order])
-    slack = 1e-8 * max(1.0, float(np.max(np.abs(values))))
-    if np.any(gaps > steps + slack):
-        warnings.warn(
-            "counting-function samples violate the Lipschitz bound; "
-            "the form matrices look inconsistent",
-            stacklevel=2,
-        )
-    return np.column_stack([grid, values])

@@ -18,6 +18,7 @@ format so externally assembled matrices can be certified by the same
 pipeline.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,21 +36,24 @@ from .linalg import (
 
 @dataclass
 class TrialForms:
-    """The three form matrices of a trial subspace.
+    """The three form matrices of a trial subspace and their tolerance.
 
-    Construction validates shapes, exact symmetry and positive
-    definiteness of ``M0``.  The forms own what depends on no shift and
-    compute it once: M0's Cholesky factor, the Ritz values of (M1, M0)
-    and the consistency test.  They also keep their last pencil solve,
-    so that callers reading the same shift (the end two touching
-    windows share, both sides of a fixed-point audit) solve it once.
-    The caches rely on the forms being immutable once built: never
-    change M0, M1 or M2 in place.
+    ``tol`` is the relative tolerance of every numerical-zero decision on
+    these forms: M0's definiteness, the kernel of Q_t, zero tau and the
+    counting function's roundoff floor.  Construction validates shapes,
+    exact symmetry, ``tol`` and M0's definiteness.  The forms compute
+    once what depends on no shift (M0's Cholesky factor, the Ritz values
+    of (M1, M0), the consistency test) and keep their last pencil solve,
+    so callers reading one shift (the end two touching windows share,
+    both sides of a fixed-point audit) solve it once.  The caches rely
+    on the forms being immutable: never change M0, M1, M2 or ``tol`` in
+    place; build new forms, e.g. with ``dataclasses.replace``.
     """
 
     M0: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         # dtype is preserved: models may assemble in extended precision
@@ -58,33 +62,31 @@ class TrialForms:
         self.M2 = check_symmetric(self.M2, "M2")
         if not (self.M0.shape == self.M1.shape == self.M2.shape):
             raise ValueError("M0, M1, M2 must share one shape")
-        self._factors = {}
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol:g}")
+        # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL
+        self._factor = cholesky_spd(self.M0, max(self.tol, DEFAULT_TOL))
+        self._factor.flags.writeable = False
         self._ritz = None
         self._schur_min = None
-        self._pencil = None  # ((t, tol), PencilEigen) of the last solve
-        self.factor()  # Gram matrix must be SPD
+        self._pencil = None  # (t, PencilEigen) of the last solve
 
     @property
     def n(self):
         return self.M0.shape[0]
 
-    def factor(self, tol=DEFAULT_TOL):
-        """``cholesky_spd(M0, tol)``, computed once per ``tol``; read-only."""
-        if tol not in self._factors:
-            self._factors[tol] = cholesky_spd(self.M0, tol)
-            self._factors[tol].flags.writeable = False
-        return self._factors[tol]
+    def factor(self):
+        """M0's lower Cholesky factor, computed at construction; read-only."""
+        return self._factor
 
-    def ritz(self, tol=DEFAULT_TOL):
-        """Ritz values of the pencil ``(M1, M0)``, ascending and read-only.
-        They are solved once; M0 must still pass :meth:`factor` at ``tol``."""
-        factor = self.factor(tol)
+    def ritz(self):
+        """Ritz values of the pencil ``(M1, M0)``, ascending, solved once; read-only."""
         if self._ritz is None:
-            self._ritz = sym_generalized_eigvals(self.M1, factor)
+            self._ritz = sym_generalized_eigvals(self.M1, self._factor)
             self._ritz.flags.writeable = False
         return self._ritz
 
-    def validate(self, tol=DEFAULT_TOL):
+    def validate(self):
         """Check that the forms are consistent, exactly.
 
         Forms built from one self-adjoint operator have a positive
@@ -98,12 +100,11 @@ class TrialForms:
         That eigenvalue is computed once.  Raises ``InconsistentFormsError``
         (a ``ValueError``) on failure and returns the forms otherwise.
         """
-        factor = self.factor(tol)
         if self._schur_min is None:
-            x = np.linalg.solve(factor, self.M1.astype(float, copy=False))
+            x = np.linalg.solve(self._factor, self.M1.astype(float, copy=False))
             s = self.M2.astype(float, copy=False) - x.T @ x
             self._schur_min = sym_eigh(symmetrize(s), vectors=False)[0]
-        floor = max(tol, self.n * np.finfo(float).eps / 2)
+        floor = max(self.tol, self.n * np.finfo(float).eps / 2)
         if self._schur_min < -floor * max(float(np.max(np.diag(self.M2))), 0.0):
             raise InconsistentFormsError(
                 f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
@@ -218,8 +219,11 @@ def read_forms(path):
     FormsFormatError
         With the offending line number on any malformed content.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         raw = fh.readlines()
+    for no, line in enumerate(raw, 1):
+        if not line.isascii():
+            raise FormsFormatError(no, "non-ASCII byte")
 
     lines = [
         (no + 1, line.strip()) for no, line in enumerate(raw) if line.strip()
@@ -234,6 +238,8 @@ def read_forms(path):
         raise FormsFormatError(no, f"expected the dimension, got {head!r}")
     if n < 1:
         raise FormsFormatError(no, f"dimension must be positive, got {n}")
+    # a positive definite M0 alone lists n entries, its diagonal
+    entries = sum(not line.startswith("%") for _, line in lines[1:])
 
     matrices = {}
     current = None
@@ -243,6 +249,10 @@ def read_forms(path):
                 raise FormsFormatError(no, f"unknown section {line!r}")
             if line in matrices:
                 raise FormsFormatError(no, f"duplicate section {line!r}")
+            if n > entries:  # refused before allocating n^2 values
+                raise FormsFormatError(
+                    lines[0][0], f"dimension {n} exceeds the {entries} entries listed"
+                )
             current = np.zeros((n, n))
             matrices[line] = current
             continue

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedOrderError
 from .forms import TrialForms
-from .linalg import DEFAULT_TOL, symmetrize
+from .linalg import symmetrize
 
 #: side length of the square cavity
 SIDE = np.pi
@@ -396,7 +396,7 @@ def write_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def galerkin_spectrum(model, tol=DEFAULT_TOL):
+def galerkin_spectrum(model):
     """Raw Rayleigh-Ritz eigenvalues of the pencil ``(M1, M0)``.
 
     These are what a naive Galerkin discretization reports and they are
@@ -404,4 +404,4 @@ def galerkin_spectrum(model, tol=DEFAULT_TOL):
     certification whatsoever and are exposed for contrast with the
     certified enclosures.  They are :meth:`TrialForms.ritz`.
     """
-    return model.forms.ritz(tol)
+    return model.forms.ritz()

@@ -13,9 +13,9 @@ def pencil_solves(monkeypatch):
     shifts = []
     real = enclosure_mod.zm_eigen
 
-    def counted(forms, t, tol):
+    def counted(forms, t):
         shifts.append(t)
-        return real(forms, t, tol)
+        return real(forms, t)
 
     monkeypatch.setattr(enclosure_mod, "zm_eigen", counted)
     return shifts

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import eigenclose.cli as cli
+import eigenclose.forms as forms_mod
 from eigenclose.cli import compact_enclosure, main
 from eigenclose.enclosure import Enclosure
 from eigenclose.errors import DeflationWarning
@@ -180,7 +181,7 @@ def test_bounds_missing_forms_file_is_config_error(tmp_path, capsys):
 
 
 def test_bounds_inconsistent_row_sets_exit_code(tmp_path, capsys, monkeypatch):
-    def fake_enclosures(forms, window, j_max, tol):
+    def fake_enclosures(forms, window, j_max):
         return [Enclosure(j=1, lower=1.8, upper=1.2,
                           t_lower_from=window[1], t_upper_from=window[0],
                           inconsistent=True)]
@@ -418,6 +419,36 @@ def test_gate_floor_passes_roundoff_below_tol(tmp_path, capsys):
         assert "consistency gate" in capsys.readouterr().err
 
 
+def test_tol_is_the_tolerance_of_the_forms(tmp_path, capsys, monkeypatch):
+    # M0 = diag(1, 1e-8) passes the default gate, not the one at 1e-6
+    weak = tmp_path / "weak.forms"
+    write_forms(TrialForms(np.diag([1.0, 1e-8]), np.diag([1.0, 2e-8]),
+                           np.diag([1.0, 4e-8])), weak)
+    bounds = ["bounds", "--model", str(weak), "--window", "0.5,2.5"]
+    assert main(bounds) == 0
+    capsys.readouterr()
+    assert main(bounds + ["--tol", "1e-6"]) == 1
+    assert _one_line_error(capsys)
+    # a built-in model's forms take --tol too; they are copied, and M0
+    # factored again, only for a tol other than their own
+    seen, factored = [], []
+    real, real_factor = cli.zm_enclosures, forms_mod.cholesky_spd
+    monkeypatch.setattr(
+        cli, "zm_enclosures",
+        lambda forms, *args: seen.append(forms) or real(forms, *args),
+    )
+    monkeypatch.setattr(
+        forms_mod, "cholesky_spd",
+        lambda m, tol: factored.append(tol) or real_factor(m, tol),
+    )
+    run = ["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "6",
+           "--window", "0.5,1.5"]
+    assert main(run) == 0 and factored == [cli.DEFAULT_TOL]
+    assert main(run + ["--tol", "1e-9"]) == 0
+    assert factored[1:] == [cli.DEFAULT_TOL, 1e-9]
+    assert [forms.tol for forms in seen] == [cli.DEFAULT_TOL, 1e-9]
+
+
 def test_export_forms_roundtrip(tmp_path):
     out = tmp_path / "model.forms"
     code = main(
@@ -548,6 +579,14 @@ def test_non_finite_forms_value_is_one_line_error(tmp_path, capsys):
     code = main(["bounds", "--model", str(path), "--window", "0.5,1.5"])
     assert code == 1  # the exit code of every malformed .forms entry
     assert _one_line_error(capsys)
+
+
+def test_negative_seed_rejected(capsys):
+    code = main(["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "6",
+                 "--jitter", "0.3", "--seed=-1", "--window", "0.5,1.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 def test_jitter_beyond_2d_mesh_limit_rejected(capsys):

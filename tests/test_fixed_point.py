@@ -14,7 +14,6 @@ from eigenclose.fixed_point import (
     default_fp_tol,
     dp_bounds,
     equivalence_gap,
-    f_curve,
     optimal_shift,
 )
 from eigenclose.errors import (
@@ -24,7 +23,6 @@ from eigenclose.errors import (
     NoSignChangeError,
 )
 from eigenclose.forms import TrialForms, operator_forms
-from eigenclose.linalg import DEFAULT_TOL
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
@@ -108,6 +106,12 @@ def test_dp_bounds_truncates_on_undetectable_index():
     npt.assert_allclose(bounds, [1.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("j_max", [0, -1])
+def test_dp_bounds_rejects_a_non_positive_j_max(j_max):
+    with pytest.raises(ValueError, match=f"j_max must be positive, got {j_max}"):
+        dp_bounds(WORKED, 1.5, j_max, "bogus")
+
+
 def test_dp_bounds_right_side_increases():
     forms = operator_forms(np.diag([1.0, 2.0, 5.0]), np.eye(3))
     bounds = dp_bounds(forms, 0.5, 3, "right")
@@ -141,39 +145,8 @@ def test_equivalence_gap_propagates_no_sign_change():
         equivalence_gap(WORKED, 0.5, 1, "left")
 
 
-def test_f_curve_values_and_shape():
-    curve = f_curve(WORKED, 1, [0.5, 1.25, 2.5])
-    assert curve.shape == (3, 2)
-    npt.assert_array_equal(curve[:, 0], [0.5, 1.25, 2.5])
-    npt.assert_allclose(curve[:, 1], [0.5, 0.25, 0.5], atol=1e-12)
-
-
-def test_f_curve_second_index():
-    curve = f_curve(WORKED, 2, [1.5])
-    npt.assert_allclose(curve[0, 1], 0.5, atol=1e-12)
-
-
-def test_f_curve_clean_forms_do_not_warn():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        f_curve(WORKED, 1, np.linspace(0.0, 3.0, 20))
-
-
-def test_f_curve_warns_on_lipschitz_violation():
-    # M2 slightly below the exact square: the deficiency stays under the
-    # indefiniteness threshold but dents F_1 near the affected point, so
-    # consecutive samples move faster than the shift does
-    c = 5e-11
-    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0 - c]))
-    grid = [2.0 + np.sqrt(c), 2.0 + 1e-5]
-    with pytest.warns(UserWarning, match="Lipschitz"):
-        f_curve(forms, 1, grid)
-
-
 def _unseeded(forms, t, j, side):
-    return _root(forms, t, j, side, None, DEFAULT_TOL, lambda: None)
+    return _root(forms, t, j, side, None, lambda: None)
 
 
 def _same_root(seeded, unseeded):
@@ -187,9 +160,9 @@ def _record_shifts(monkeypatch):
     shifts = []
     real = fixed_point_mod.local_counting
 
-    def counting(forms, s, tol, count):
+    def counting(forms, s, count):
         shifts.append(s)
-        return real(forms, s, tol, count)
+        return real(forms, s, count)
 
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
     return shifts
@@ -207,7 +180,7 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch):
     t = 1.4
     shifts = _record_shifts(monkeypatch)
     for side in ("left", "right"):
-        tau = _pencil(forms, t, DEFAULT_TOL).polish(side, 3)
+        tau = _pencil(forms, t).polish(side, 3)
         for j in (1, 2, 3):
             unseeded = _unseeded(forms, t, j, side)
             shifts.clear()
@@ -226,18 +199,18 @@ def test_wrong_seed_costs_evaluations_not_the_root():
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=2), 2).forms
     t = 1.4
     for side, other in (("left", "right"), ("right", "left")):
-        tau = _pencil(forms, t, DEFAULT_TOL).polish(side, 2)
-        wrong_side = _pencil(forms, t, DEFAULT_TOL).polish(other, 2)
+        tau = _pencil(forms, t).polish(side, 2)
+        wrong_side = _pencil(forms, t).polish(other, 2)
         for j in (1, 2):
             unseeded = _unseeded(forms, t, j, side)
             # 1e-300 predicts a root beyond the expansion's reach
             for wrong_tau in (0.5 * tau[j - 1], 1.5 * tau[j - 1], 1e-8, 1e-300):
                 wrong = tau.copy()
                 wrong[j - 1] = wrong_tau
-                seeded = _root(forms, t, j, side, None, DEFAULT_TOL, lambda: wrong)
+                seeded = _root(forms, t, j, side, None, lambda: wrong)
                 assert _same_root(seeded, unseeded), (side, j, wrong_tau)
                 assert seeded.iterations >= unseeded.iterations
-            seeded = _root(forms, t, j, side, None, DEFAULT_TOL, lambda: wrong_side)
+            seeded = _root(forms, t, j, side, None, lambda: wrong_side)
             assert _same_root(seeded, unseeded), (side, j, "wrong side")
             assert seeded.iterations >= unseeded.iterations
 
@@ -260,7 +233,7 @@ def test_captured_shift_draws_no_seed():
     def seed():
         raise AssertionError("seed drawn for a captured shift")
 
-    res = _root(WORKED, 2.0, 1, "left", None, DEFAULT_TOL, seed)
+    res = _root(WORKED, 2.0, 1, "left", None, seed)
     assert res.iterations == 1 and res.tau is None
 
 
@@ -305,7 +278,7 @@ def test_a_failing_seed_solve_is_made_once(monkeypatch):
     expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
     solves = []
 
-    def failing(forms, t, tol):
+    def failing(forms, t):
         solves.append(t)
         raise DegenerateShiftError("injected")
 
@@ -361,10 +334,10 @@ def test_contradicted_final_sign_falls_back(monkeypatch):
         def __init__(self, f):
             self.F = np.array([f])
 
-    def counting(forms, s, tol, count):
+    def counting(forms, s, count):
         # residual -1 at the window's upper end, +1 at every other shift
         return Values(t - s + (-1.0 if s == s_high else 1.0))
 
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
     with pytest.raises(MaxIterationsError):
-        _root(WORKED, t, 1, "left", fp_tol, DEFAULT_TOL, lambda: np.array([tau]))
+        _root(WORKED, t, 1, "left", fp_tol, lambda: np.array([tau]))

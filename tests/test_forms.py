@@ -1,5 +1,6 @@
 """Tests for trial-form containers, shifting, and the .forms format."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,6 @@ from eigenclose.fixed_point import (
     default_fp_tol,
     dp_bounds,
     equivalence_gap,
-    optimal_shift,
 )
 from eigenclose.forms import (
     TrialForms,
@@ -183,8 +183,8 @@ def _key(m):
 
 
 def test_factor_and_ritz_values_are_computed_once(monkeypatch):
-    """Over a fixed-point grid M0 is factored once per (forms, tol) and
-    the Ritz values of (M1, M0) are solved once per forms."""
+    """Over a fixed-point grid M0 is factored once per forms, at the
+    forms' tol, and the Ritz values of (M1, M0) are solved once per forms."""
     factored, solved = [], []
     _record_calls(
         monkeypatch, "cholesky_spd",
@@ -196,40 +196,47 @@ def test_factor_and_ritz_values_are_computed_once(monkeypatch):
     )
     models = [assemble_1d(uniform_mesh(6, 0.3, 0), order).forms for order in (1, 2)]
     tols = (linalg_mod.DEFAULT_TOL, 1e-9)
-    for forms in models:
-        for tol in tols:
-            for t in (0.6, 1.4):
-                default_fp_tol(forms, t, tol)
-                for side in ("left", "right"):
-                    for j in (1, 2):
-                        try:
-                            equivalence_gap(forms, t, j, side, tol=tol)
-                        except NoSignChangeError:
-                            pass
-                    dp_bounds(forms, t, 2, side, tol=tol)
+    for forms in models + [dataclasses.replace(f, tol=1e-9) for f in models]:
+        for t in (0.6, 1.4):
+            default_fp_tol(forms, t)
+            for side in ("left", "right"):
+                for j in (1, 2):
+                    try:
+                        equivalence_gap(forms, t, j, side)
+                    except NoSignChangeError:
+                        pass
+                dp_bounds(forms, t, 2, side)
     m0 = {_key(forms.M0): i for i, forms in enumerate(models)}
     m1 = {_key(forms.M1): i for i, forms in enumerate(models)}
     assert Counter((m0.get(k), tol) for k, tol in factored) == Counter(
         (i, tol) for i in range(len(models)) for tol in tols
     )
-    assert Counter(m1[k] for k in solved if k in m1) == Counter(range(len(models)))
+    assert Counter(m1[k] for k in solved if k in m1) == Counter(
+        i for i in range(len(models)) for tol in tols
+    )
 
 
 def test_gate_tolerance_applies_on_every_call():
-    # M0 passes the construction gate at DEFAULT_TOL, not the one at 1e-6;
-    # Ritz values already solved at DEFAULT_TOL must not bypass the latter
-    forms = TrialForms(np.diag([1.0, 1e-8]), np.diag([1.0, 2e-8]), np.diag([1.0, 4e-8]))
+    # M0 passes the gate at DEFAULT_TOL, not the one at 1e-6: forms at
+    # tol 1e-6 are refused when built, also as a copy of accepted forms
+    m = (np.diag([1.0, 1e-8]), np.diag([1.0, 2e-8]), np.diag([1.0, 4e-8]))
+    forms = TrialForms(*m)
+    assert forms.tol == linalg_mod.DEFAULT_TOL
     npt.assert_allclose(forms.ritz(), [1.0, 2.0])
-    for call in (
-        lambda: local_counting(forms, 1.5, tol=1e-6),
-        lambda: optimal_shift(forms, 3.0, 1, "left", tol=1e-6),
-        lambda: default_fp_tol(forms, 3.0, tol=1e-6),
-        lambda: forms.ritz(1e-6),
+    for build in (
+        lambda: TrialForms(*m, tol=1e-6),
+        lambda: dataclasses.replace(forms, tol=1e-6),
     ):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            call()
+            build()
         assert exc.value.index == 1
         assert exc.value.pivot == pytest.approx(1e-8, rel=1e-12)
+    # a tol below DEFAULT_TOL loosens no gate on M0
+    with pytest.raises(NotPositiveDefiniteError):
+        TrialForms(np.diag([1.0, 1e-11]), np.eye(2), np.eye(2), tol=1e-16)
+    for bad in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            TrialForms(*m, tol=bad)
 
 
 def test_forms_roundtrip_bit_exact(tmp_path):
@@ -281,11 +288,13 @@ def test_read_forms_zero_entries_omitted(tmp_path):
         ("1\n%M0\n1 1 1.0\n%M0\n", 4, "duplicate"),
         ("1\n%M0\n1 1 nan\n", 3, "non-finite"),
         ("1\n%M0\n1 1 -inf\n", 3, "non-finite"),
+        ("1\n%M0\n1 1 1.0\n%M1\n1 1 1.0 \u00e9\n", 5, "non-ASCII byte"),
+        ("10000000000\n%M0\n1 1 1.0\n%M1\n%M2\n", 1, "exceeds the 1 entries"),
     ],
 )
 def test_read_forms_reports_line_numbers(tmp_path, content, lineno, fragment):
     path = tmp_path / "bad.forms"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(FormsFormatError, match=fragment) as exc:
         read_forms(path)
     assert exc.value.lineno == lineno

@@ -473,6 +473,29 @@ def test_polish_remembers_its_reach():
         PencilEigen(**{f.name: getattr(pencil, f.name) for f in fields(pencil)})
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="no extended precision to polish in"
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polish_keeps_the_polished_prefix_polished(k):
+    # on the unjittered 2D mesh the represented gradient kernel gives a
+    # cluster of tau = -1/t that ties to roundoff: a polished entry must
+    # not trade places with an unpolished one beyond k
+    forms = assemble_2d(structured_tri_mesh(4, 0.0, 0), 1).forms
+    t = 0.8
+    raw = zm_eigen(forms, t)
+    pencil = zm_eigen(forms, t)
+    tau = pencil.polish("left", k)
+    x = pencil.vectors_minus[:, :k].astype(np.longdouble)
+    lt = np.asarray(pencil.shifted.Lt, dtype=np.longdouble)
+    qt = np.asarray(pencil.shifted.Qt, dtype=np.longdouble)
+    quotients = np.einsum("ij,ij->j", x, lt @ x) / np.einsum("ij,ij->j", x, qt @ x)
+    npt.assert_array_equal(tau[:k], quotients.astype(float))
+    npt.assert_array_equal(tau[k:], raw.tau_minus[k:])
+    npt.assert_array_equal(pencil.vectors_minus[:, k:], raw.vectors_minus[:, k:])
+    assert np.all(np.diff(np.abs(tau[:k])) <= 0.0)
+
+
 def test_public_zm_eigen_returns_an_unshared_pencil():
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     zm_bounds_one_sided(forms, 1.4, "left")
