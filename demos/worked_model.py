@@ -28,7 +28,7 @@ print()
 # n_plus detectable points above.
 for t in (1.5, 3.0):
     sig = signature(forms, t)
-    F = local_counting(forms, t).F
+    F = local_counting(forms, t)
     print(f"t = {t}: signature {sig}, F = {F}")
 print()
 

@@ -19,7 +19,6 @@ from .dirac1d import (
     uniform_mesh,
 )
 from .enclosure import (
-    CountingValues,
     Enclosure,
     PencilEigen,
     ResidualBounds,
@@ -53,11 +52,9 @@ from .fixed_point import (
     optimal_shift,
 )
 from .forms import (
-    ShiftedForms,
     TrialForms,
     operator_forms,
     read_forms,
-    shift,
     write_forms,
 )
 from .linalg import (
@@ -80,7 +77,6 @@ from .maxwell2d import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountingValues",
     "DEFAULT_TOL",
     "DeflationWarning",
     "DegenerateShiftError",
@@ -101,7 +97,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PencilEigen",
     "ResidualBounds",
-    "ShiftedForms",
     "Signature",
     "TriMesh",
     "TrialForms",
@@ -120,7 +115,6 @@ __all__ = [
     "psd_eigh",
     "read_forms",
     "residual_bounds",
-    "shift",
     "signature",
     "structured_tri_mesh",
     "sym_generalized_eigvals",

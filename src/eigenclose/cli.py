@@ -1,7 +1,10 @@
 """Command-line experiment harness.
 
-Subcommands
------------
+Commands
+--------
+The first argument names the command; every command takes the same
+flags, one per experiment key, and ignores the keys it does not use.
+
 ``bounds``
     Certified enclosure table for one model / order / mesh over one or
     more windows.  CSV columns ``j, lower, upper, width, t_lower_from,
@@ -403,7 +406,7 @@ def compact_enclosure(lower, upper, max_digits=14):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 
 def cmd_bounds(cfg):
@@ -608,19 +611,11 @@ def build_parser():
         prog="eigenclose",
         description="Certified eigenvalue enclosures: experiment harness.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bounds", "certified enclosure table over windows"),
-        ("converge", "mesh-refinement width study with slope fit"),
-        ("pollute", "Galerkin values vs certified enclosures (maxwell2d)"),
-        ("equiv", "fixed-point vs pencil bound agreement audit"),
-        ("export-forms", "assemble a model and write its .forms file"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="INI-style key = value experiment file")
-        for key in KEYS:
-            p.add_argument("--" + key.name.replace("_", "-"), action="append",
-                           metavar=key.metavar, help=key.help)
+    parser.add_argument("command", choices=COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", help="INI-style key = value experiment file")
+    for key in KEYS:
+        parser.add_argument("--" + key.name.replace("_", "-"), action="append",
+                            metavar=key.metavar, help=key.help)
     return parser
 
 

@@ -34,7 +34,7 @@ from .errors import (
     GapViolationError,
     NegativeEigenvalueError,
 )
-from .forms import ShiftedForms, shift, shifted_square
+from .forms import shifted_square
 from .linalg import (
     psd_eigh,
     sym_eigh,
@@ -48,18 +48,6 @@ _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
 #: how many pencil eigenvalues per side get the extended-precision polish
 REFINE_COUNT = 32
-
-
-@dataclass
-class CountingValues:
-    """Local counting function values at one shift.
-
-    ``F`` is ascending and nonnegative: all n values, or only the first
-    ``count`` when :func:`local_counting` was asked for that many.
-    """
-
-    t: float
-    F: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,16 +71,17 @@ class Signature:
         return self.n_inf + self.n_zero + self.n_minus + self.n_plus
 
 
-@dataclass
+@dataclass(eq=False)
 class PencilEigen:
     """Classified eigenpairs of the pencil ``tau Q_t x = L_t x``.
 
     ``tau_minus`` ascending (most negative first, so index j-1 bounds
     the j-th spectral point below t), ``tau_plus`` descending.  Vector
     columns are Q_t-orthonormal coefficient vectors in the full trial
-    basis, deflated kernel directions removed.  ``shifted`` holds the
-    forms the pencil was solved at, which :meth:`polish` reads;
-    ``polished`` counts the polished entries of each side.
+    basis, deflated kernel directions removed.  ``Qt`` and ``Lt`` are
+    the shifted form matrices the pencil was solved at, in the precision
+    of the forms, which :meth:`polish` reads; ``polished`` counts the
+    polished entries of each side.
     """
 
     t: float
@@ -101,7 +90,8 @@ class PencilEigen:
     vectors_minus: np.ndarray = field(repr=False)
     vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
-    shifted: ShiftedForms = field(repr=False)
+    Qt: np.ndarray = field(repr=False)
+    Lt: np.ndarray = field(repr=False)
     polished: dict = field(
         init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
     )
@@ -112,7 +102,7 @@ class PencilEigen:
         nearest first and kept ahead of the rest.
 
         Longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
-        double-precision eigenvectors on the stored shifted forms remove
+        double-precision eigenvectors on the stored ``Qt`` and ``Lt`` remove
         the solve roundoff from the tight bounds.  ``polished`` records
         how many entries of each side are polished: a call asking for no
         more returns the side untouched, one asking for more polishes
@@ -129,8 +119,8 @@ class PencilEigen:
         if not _LONGDOUBLE_OK or k <= self.polished[side]:
             return tau
         x = vectors[:, :k].astype(np.longdouble)
-        lt = np.asarray(self.shifted.Lt, dtype=np.longdouble)
-        qt = np.asarray(self.shifted.Qt, dtype=np.longdouble)
+        lt = np.asarray(self.Lt, dtype=np.longdouble)
+        qt = np.asarray(self.Qt, dtype=np.longdouble)
         num = np.einsum("ij,ij->j", x, lt @ x)
         den = np.einsum("ij,ij->j", x, qt @ x)
         good = den > 0
@@ -203,12 +193,12 @@ def _side_bounds(pencil, side, k):
 
 
 def local_counting(forms, t, count=None):
-    """Values of the local counting function at shift t.
+    """Values of the local counting function at shift t, as an array.
 
     Solves the pencil ``Q_t x = mu^2 M0 x`` for its eigenvalues only and
-    returns ``F_j = sqrt(max(mu^2_j, 0))`` ascending.  With ``count``
-    given only ``F_1 .. F_count`` are computed (all n when ``count >= n``);
-    a fixed-point evaluation needs nothing more.
+    returns the array of ``F_j = sqrt(max(mu^2_j, 0))``, ascending.  With
+    ``count`` given only ``F_1 .. F_count`` are computed (all n when
+    ``count >= n``); a fixed-point evaluation needs nothing more.
 
     The solve uses the forms' Cholesky factor of M0
     (:meth:`TrialForms.factor`).  The roundoff floor
@@ -232,8 +222,7 @@ def local_counting(forms, t, count=None):
         floor = -forms.tol * np.linalg.norm(qt, 2)
         if values[0] < floor:
             raise NegativeEigenvalueError(values[0], -floor)
-    f = np.sqrt(np.maximum(values, 0.0))
-    return CountingValues(t=float(t), F=f)
+    return np.sqrt(np.maximum(values, 0.0))
 
 
 def zm_eigen(forms, t):
@@ -280,9 +269,10 @@ def zm_eigen(forms, t):
     NegativeEigenvalueError
         If Q_t is indefinite beyond roundoff.
     """
-    st = shift(forms, t)
-    lt_d = np.asarray(st.Lt, dtype=float)
-    split = psd_eigh(np.asarray(st.Qt, dtype=float), forms.tol)
+    qt = shifted_square(forms, t)
+    lt = forms.M1 - forms.M0.dtype.type(t) * forms.M0
+    lt_d = np.asarray(lt, dtype=float)
+    split = psd_eigh(np.asarray(qt, dtype=float), forms.tol)
     n_inf = split.k
     if n_inf == forms.n:
         raise DegenerateShiftError(
@@ -313,7 +303,8 @@ def zm_eigen(forms, t):
         vectors_minus=vectors[:, neg],
         vectors_plus=vectors[:, pos][:, ::-1],
         signature=sig,
-        shifted=st,
+        Qt=qt,
+        Lt=lt,
     )
 
 
@@ -323,10 +314,10 @@ def _pencil(forms, t):
     (see :meth:`PencilEigen.polish`).  A miss drops the old pencil
     before solving, so two are never alive at once; a solve that raises
     stores nothing."""
-    if forms._pencil is None or forms._pencil[0] != float(t):
-        forms._pencil = None
-        forms._pencil = (float(t), zm_eigen(forms, t))
-    return forms._pencil[1]
+    if forms._kept.get("pencil", (None,))[0] != float(t):
+        forms._kept.pop("pencil", None)
+        forms._kept["pencil"] = (float(t), zm_eigen(forms, t))
+    return forms._kept["pencil"][1]
 
 
 def _bounds_pencil(forms, t):
@@ -419,9 +410,9 @@ def zm_enclosures(forms, window, j_max):
 
     uppers = _side_bounds(_bounds_pencil(forms, a), "right", j_max)
     pencil = _bounds_pencil(forms, b)
-    lowers = _side_bounds(pencil, "left", j_max)
     # the pairing reads every lower inside the window: polish them all
-    lowers = _side_bounds(pencil, "left", int(np.count_nonzero(lowers > a)))
+    inside = int(np.count_nonzero(b + 1.0 / pencil.tau_minus > a))
+    lowers = _side_bounds(pencil, "left", max(j_max, inside))
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

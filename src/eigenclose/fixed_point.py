@@ -183,7 +183,7 @@ def _root(forms, t, j, side, fp_tol, seed):
 
     def f_of(s):
         if s not in values:
-            values[s] = float(local_counting(forms, s, count=j).F[j - 1])
+            values[s] = float(local_counting(forms, s, count=j)[j - 1])
         return values[s]
 
     sign = -1.0 if side == "left" else 1.0

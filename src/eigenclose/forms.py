@@ -19,7 +19,7 @@ pipeline.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .linalg import (
 )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrialForms:
     """The three form matrices of a trial subspace and their tolerance.
 
@@ -46,8 +46,10 @@ class TrialForms:
     of (M1, M0), the consistency test) and keep their last pencil solve,
     so callers reading one shift (the end two touching windows share,
     both sides of a fixed-point audit) solve it once.  The caches rely
-    on the forms being immutable: never change M0, M1, M2 or ``tol`` in
-    place; build new forms, e.g. with ``dataclasses.replace``.
+    on the forms being immutable, so they are: the fields cannot be
+    assigned and M0, M1, M2 are read-only views.  Build new forms
+    instead, e.g. with ``dataclasses.replace``.  Forms compare equal
+    only to themselves.
     """
 
     M0: np.ndarray
@@ -57,19 +59,20 @@ class TrialForms:
 
     def __post_init__(self):
         # dtype is preserved: models may assemble in extended precision
-        self.M0 = check_symmetric(self.M0, "M0")
-        self.M1 = check_symmetric(self.M1, "M1")
-        self.M2 = check_symmetric(self.M2, "M2")
+        for name in ("M0", "M1", "M2"):
+            view = check_symmetric(getattr(self, name), name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         if not (self.M0.shape == self.M1.shape == self.M2.shape):
             raise ValueError("M0, M1, M2 must share one shape")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol:g}")
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL
-        self._factor = cholesky_spd(self.M0, max(self.tol, DEFAULT_TOL))
-        self._factor.flags.writeable = False
-        self._ritz = None
-        self._schur_min = None
-        self._pencil = None  # (t, PencilEigen) of the last solve
+        factor = cholesky_spd(self.M0, max(self.tol, DEFAULT_TOL))
+        factor.flags.writeable = False
+        object.__setattr__(self, "_factor", factor)
+        # "ritz", "schur_min" and "pencil" (t, PencilEigen) of the last solve
+        object.__setattr__(self, "_kept", {})
 
     @property
     def n(self):
@@ -81,10 +84,11 @@ class TrialForms:
 
     def ritz(self):
         """Ritz values of the pencil ``(M1, M0)``, ascending, solved once; read-only."""
-        if self._ritz is None:
-            self._ritz = sym_generalized_eigvals(self.M1, self._factor)
-            self._ritz.flags.writeable = False
-        return self._ritz
+        if "ritz" not in self._kept:
+            ritz = sym_generalized_eigvals(self.M1, self._factor)
+            ritz.flags.writeable = False
+            self._kept["ritz"] = ritz
+        return self._kept["ritz"]
 
     def validate(self):
         """Check that the forms are consistent, exactly.
@@ -100,49 +104,26 @@ class TrialForms:
         That eigenvalue is computed once.  Raises ``InconsistentFormsError``
         (a ``ValueError``) on failure and returns the forms otherwise.
         """
-        if self._schur_min is None:
+        if "schur_min" not in self._kept:
             x = np.linalg.solve(self._factor, self.M1.astype(float, copy=False))
             s = self.M2.astype(float, copy=False) - x.T @ x
-            self._schur_min = sym_eigh(symmetrize(s), vectors=False)[0]
+            self._kept["schur_min"] = sym_eigh(symmetrize(s), vectors=False)[0]
+        schur_min = self._kept["schur_min"]
         floor = max(self.tol, self.n * np.finfo(float).eps / 2)
-        if self._schur_min < -floor * max(float(np.max(np.diag(self.M2))), 0.0):
+        if schur_min < -floor * max(float(np.max(np.diag(self.M2))), 0.0):
             raise InconsistentFormsError(
                 f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
-                f"eigenvalue {self._schur_min:.3e}; the input forms look corrupted"
+                f"eigenvalue {schur_min:.3e}; the input forms look corrupted"
             )
         return self
 
 
-@dataclass
-class ShiftedForms:
-    """Matrices of the shifted forms at a fixed real shift t.
-
-    ``Qt`` represents the squared graph distance to the shift,
-    ``Lt`` the signed linear distance.
-    """
-
-    t: float
-    Qt: np.ndarray = field(repr=False)
-    Lt: np.ndarray = field(repr=False)
-
-
 def shifted_square(forms, t):
-    """The matrix ``Q_t = M2 - 2t M1 + t^2 M0`` alone, as :func:`shift`
-    forms it; the counting function needs nothing more."""
+    """The matrix ``Q_t = M2 - 2t M1 + t^2 M0``, in the precision of the
+    forms (``t^2`` is squared in it too) and, as an entrywise combination
+    of them, exactly symmetric."""
     tt = forms.M0.dtype.type(t)
     return forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
-
-
-def shift(forms, t):
-    """Shifted form matrices ``Q_t = M2 - 2t M1 + t^2 M0`` and
-    ``L_t = M1 - t M0``.
-
-    Both keep the precision of the forms (``t^2`` is squared in it too)
-    and, as entrywise combinations of them, their exact symmetry.
-    """
-    qt = shifted_square(forms, t)
-    lt = forms.M1 - forms.M0.dtype.type(t) * forms.M0
-    return ShiftedForms(t=float(t), Qt=qt, Lt=lt)
 
 
 def operator_forms(operator, basis, gram=None):

@@ -181,7 +181,7 @@ def test_quadratic_residual_law():
     for theta in thetas:
         W = np.array([[0.0], [np.cos(theta)], [np.sin(theta)]])
         forms = operator_forms(np.diag([1.0, 2.0, 5.0]), W)
-        F1 = local_counting(forms, 3.0).F[0]
+        F1 = local_counting(forms, 3.0)[0]
         npt.assert_allclose(F1, np.sqrt(1.0 + 3.0 * np.sin(theta) ** 2),
                             rtol=1e-12)
         res = residual_bounds([F1], [1.0], [2.0])
@@ -203,7 +203,7 @@ def test_eigenvector_residual_tightness():
     for theta in (0.2, 0.1, 0.05, 0.025):
         phi = np.array([0.0, np.cos(theta), np.sin(theta)])
         forms = operator_forms(np.diag([1.0, 2.0, 5.0]), phi[:, None])
-        F1 = local_counting(forms, 3.0).F[0]
+        F1 = local_counting(forms, 3.0)[0]
         res = residual_bounds([F1], [1.0], [2.0])
 
         assert abs(res.eps[0] - np.sin(theta)) <= 1e-10
@@ -261,7 +261,7 @@ def test_linear_perturbation_bound():
         W[far, np.arange(m)] = np.sin(angles)
         forms = _forms_from_basis(lam, W)
 
-        F = local_counting(forms, t).F
+        F = local_counting(forms, t)
         d = np.sort(np.abs(lam - t))[:m]
         eps_sq = (
             (1.0 - np.cos(angles)) ** 2 * d ** 2
@@ -292,8 +292,8 @@ def test_structural_invariants():
     for _ in range(300):
         _, _, forms = random_model()
         t, s = rng.uniform(-2.5, 2.5, size=2)
-        Ft = local_counting(forms, t).F
-        Fs = local_counting(forms, s).F
+        Ft = local_counting(forms, t)
+        Fs = local_counting(forms, s)
         assert np.all(np.abs(Ft - Fs) <= abs(t - s) + 1e-9)
         checks += 1
 
@@ -301,8 +301,8 @@ def test_structural_invariants():
     for _ in range(300):
         _, _, forms = random_model()
         s, t = np.sort(rng.uniform(-2.5, 2.5, size=2))
-        Ft = local_counting(forms, t).F
-        Fs = local_counting(forms, s).F
+        Ft = local_counting(forms, t)
+        Fs = local_counting(forms, s)
         assert np.all(t + Ft >= s + Fs - 1e-9)
         assert np.all(t - Ft >= s - Fs - 1e-9)
         checks += 1

@@ -661,3 +661,19 @@ def test_flag_and_config_file_parse_alike(key, tmp_path):
     flag = "--" + key.replace("_", "-")
     from_flag = cli.build_config(parser.parse_args(["bounds", f"{flag}={text}"]))
     assert from_flag == from_file != cli.ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "argv, code", [([], 2), (["bogus"], 2), (["equiv", "--help"], 0)]
+)
+def test_command_argument_usage_exits(argv, code, capsys):
+    # no command and an unknown one are usage errors; every command
+    # prints the one shared help
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "--window" in out and "export-forms" in out
+    else:
+        assert "usage: eigenclose" in err

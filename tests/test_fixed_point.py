@@ -263,11 +263,11 @@ def test_one_pencil_solve_per_call(pencil_solves):
     polishes = 1 if enclosure_mod._LONGDOUBLE_OK else 0  # no longdouble, no polish
     expected = [_unseeded(forms, 1.4, j, "right").bound for j in (1, 2, 3)]
     assert dp_bounds(forms, 1.4, 3, "right").tolist() == expected
-    pencil = forms._pencil[1]
+    pencil = forms._kept["pencil"][1]
     assert pencil_solves == [1.4]
     assert pencil.polished == {"left": 0, "right": 3 * polishes}
     equivalence_gap(forms, 1.4, 2, "left")
-    assert pencil_solves == [1.4] and forms._pencil[1] is pencil  # no new solve
+    assert pencil_solves == [1.4] and forms._kept["pencil"][1] is pencil  # no new solve
     assert pencil.polished == {"left": 2 * polishes, "right": 3 * polishes}
 
 
@@ -330,13 +330,9 @@ def test_contradicted_final_sign_falls_back(monkeypatch):
     t, tau, fp_tol = 1.5, -0.25, 1e-3
     s_high = t - (0.5 / abs(tau) + fp_tol)
 
-    class Values:
-        def __init__(self, f):
-            self.F = np.array([f])
-
     def counting(forms, s, count):
         # residual -1 at the window's upper end, +1 at every other shift
-        return Values(t - s + (-1.0 if s == s_high else 1.0))
+        return np.array([t - s + (-1.0 if s == s_high else 1.0)])
 
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
     with pytest.raises(MaxIterationsError):

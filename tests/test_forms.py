@@ -10,7 +10,7 @@ import pytest
 import eigenclose.linalg as linalg_mod
 from eigenclose import dirac1d, enclosure, fixed_point, forms as forms_mod, maxwell2d
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
-from eigenclose.enclosure import local_counting
+from eigenclose.enclosure import local_counting, zm_eigen
 from eigenclose.errors import (
     FormsFormatError,
     NegativeEigenvalueError,
@@ -26,7 +26,7 @@ from eigenclose.forms import (
     TrialForms,
     operator_forms,
     read_forms,
-    shift,
+    shifted_square,
     write_forms,
 )
 
@@ -51,17 +51,19 @@ def test_trial_forms_requires_stored_symmetry():
 
 
 def test_shift_worked_model_t3():
-    st = shift(WORKED, 3.0)
+    pencil = zm_eigen(WORKED, 3.0)
     # Q_3 = M2 - 6 M1 + 9 M0, L_3 = M1 - 3 M0, both diagonal here
-    npt.assert_array_equal(st.Qt, np.diag([4.0, 1.0]))
-    npt.assert_array_equal(st.Lt, np.diag([-2.0, -1.0]))
-    assert st.t == 3.0
+    npt.assert_array_equal(shifted_square(WORKED, 3.0), np.diag([4.0, 1.0]))
+    npt.assert_array_equal(pencil.Qt, np.diag([4.0, 1.0]))
+    npt.assert_array_equal(pencil.Lt, np.diag([-2.0, -1.0]))
+    assert pencil.t == 3.0
 
 
 def test_shift_worked_model_t_between():
-    st = shift(WORKED, 1.5)
-    npt.assert_array_equal(st.Qt, np.diag([0.25, 0.25]))
-    npt.assert_array_equal(st.Lt, np.diag([-0.5, 0.5]))
+    pencil = zm_eigen(WORKED, 1.5)
+    npt.assert_array_equal(shifted_square(WORKED, 1.5), np.diag([0.25, 0.25]))
+    npt.assert_array_equal(pencil.Qt, np.diag([0.25, 0.25]))
+    npt.assert_array_equal(pencil.Lt, np.diag([-0.5, 0.5]))
 
 
 def test_shift_preserves_longdouble():
@@ -70,9 +72,10 @@ def test_shift_preserves_longdouble():
         np.diag(np.array([1, 2], dtype=np.longdouble)),
         np.diag(np.array([1, 4], dtype=np.longdouble)),
     )
-    st = shift(forms, 1.0 / 3.0)
-    assert st.Qt.dtype == np.longdouble
-    assert st.Lt.dtype == np.longdouble
+    pencil = zm_eigen(forms, 1.0 / 3.0)
+    assert shifted_square(forms, 1.0 / 3.0).dtype == np.longdouble
+    assert pencil.Qt.dtype == np.longdouble
+    assert pencil.Lt.dtype == np.longdouble
 
 
 @pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
@@ -86,9 +89,36 @@ def test_shifted_forms_are_exactly_symmetric(model):
         forms = maxwell2d.assemble_2d(mesh, 1).forms
         assert forms.M0.dtype == np.float64
     for t in (-1.3, 0.0, 1.0 / 3.0, 0.6, 1.4, 2.5, 17.0):
-        st = shift(forms, t)
-        npt.assert_array_equal(st.Qt, st.Qt.T)
-        npt.assert_array_equal(st.Lt, st.Lt.T)
+        qt = shifted_square(forms, t)
+        pencil = zm_eigen(forms, t)
+        npt.assert_array_equal(qt, qt.T)
+        npt.assert_array_equal(pencil.Qt, qt)
+        npt.assert_array_equal(pencil.Lt, pencil.Lt.T)
+
+
+def test_trial_forms_are_immutable():
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
+    census = enclosure.signature(forms, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        forms.tol = -5.0
+    for name in ("M0", "M1", "M2"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(forms, name)[0, 0] = 5.0
+    assert forms.tol == linalg_mod.DEFAULT_TOL
+    npt.assert_array_equal(forms.M0, np.eye(2))
+    assert enclosure.signature(forms, 1.0) == census
+    # only the forms' views are read-only, not the arrays they were built from
+    m0 = np.eye(2)
+    TrialForms(m0, m0, m0)
+    m0[1, 1] = 2.0
+
+
+def test_trial_forms_compare_by_identity():
+    first = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
+    second = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
+    assert (first == second) is False and first != second
+    assert (first == first) is True
+    assert len({first, second, first}) == 2
 
 
 def test_operator_forms_full_basis_is_exact():

@@ -24,7 +24,7 @@ def test_eps_equals_sine_of_rotation_angle():
     # one trial vector at angle theta: eps recovers sin(theta) exactly
     for theta in (0.3, 0.1, 0.02):
         forms = rotation_forms(theta)
-        f1 = local_counting(forms, 1.0).F[0]
+        f1 = local_counting(forms, 1.0)[0]
         rb = residual_bounds([f1], [0.0], [2.0])
         npt.assert_allclose(rb.eps[0], np.sin(theta), rtol=1e-10, atol=1e-12)
         assert rb.valid
@@ -33,7 +33,7 @@ def test_eps_equals_sine_of_rotation_angle():
 def test_counting_value_closed_form_for_rotation():
     # F_1(1)^2 = <(A-1)w, (A-1)w> = 4 sin^2(theta)
     theta = 0.17
-    f1 = local_counting(rotation_forms(theta), 1.0).F[0]
+    f1 = local_counting(rotation_forms(theta), 1.0)[0]
     npt.assert_allclose(f1, 2.0 * np.sin(theta), rtol=1e-12)
 
 
@@ -106,9 +106,9 @@ def test_eps_upper_bounds_true_subspace_deviation():
         # random 2-dim trial space moderately aligned with e1, e2
         w = np.eye(3)[:, :2] + 0.2 * rng.standard_normal((3, 2))
         forms = operator_forms(np.diag(lam), w)
-        cv = local_counting(forms, 1.0)
+        f = local_counting(forms, 1.0)
         m = 2
-        rb = residual_bounds(cv.F[:m], [0.0, 2.0], [2.0, 4.0])
+        rb = residual_bounds(f[:m], [0.0, 2.0], [2.0, 4.0])
         if not rb.valid:
             continue
         # true sine of the angle between e_j and the trial span

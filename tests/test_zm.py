@@ -22,7 +22,7 @@ from eigenclose.enclosure import (
 )
 from eigenclose.errors import DeflationWarning, DegenerateShiftError, EmptySideError
 from eigenclose.fixed_point import optimal_shift
-from eigenclose.forms import TrialForms, operator_forms, shift
+from eigenclose.forms import TrialForms, operator_forms, shifted_square
 from eigenclose.linalg import (
     DEFAULT_TOL,
     cholesky_spd,
@@ -49,9 +49,7 @@ def test_pencil_vectors_qt_orthonormal():
     forms = operator_forms(np.diag(lam), w)
     pencil = zm_eigen(forms, 1.4)
     vecs = np.hstack([pencil.vectors_minus, pencil.vectors_plus])
-    from eigenclose.forms import shift
-
-    qt = shift(forms, 1.4).Qt
+    qt = shifted_square(forms, 1.4)
     npt.assert_allclose(vecs.T @ qt @ vecs, np.eye(3), atol=1e-9)
 
 
@@ -271,9 +269,8 @@ def _reference_pencil(forms, t, tol=DEFAULT_TOL):
     deflated pencil is solved as a generalized problem, so this route
     shares only the kernel split with ``zm_eigen``.
     """
-    st = shift(forms, t)
-    qt = np.asarray(st.Qt, dtype=float)
-    lt = np.asarray(st.Lt, dtype=float)
+    qt = np.asarray(shifted_square(forms, t), dtype=float)
+    lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=float)
     split = psd_eigh(qt, tol)
     complement = split.vectors[:, split.k :]
     tau = sym_generalized_eigvals(
@@ -320,8 +317,8 @@ def test_one_eigh_pencil_matches_reference_route(case):
         full = local_counting(forms, t)
         for j in (1, 2, 3):
             fast = local_counting(forms, t, count=j)
-            assert fast.F.size == j
-            npt.assert_allclose(fast.F[j - 1], full.F[j - 1], rtol=1e-11, atol=1e-12)
+            assert fast.size == j
+            npt.assert_allclose(fast[j - 1], full[j - 1], rtol=1e-11, atol=1e-12)
     if case == "deflating":
         assert pencil.signature.n_inf == 1
 
@@ -345,9 +342,8 @@ def _polish_case(model):
 def _rayleigh_quotients(forms, t, x):
     """``x' L_t x / x' Q_t x`` per column in longdouble: what the polish
     makes of a pencil eigenvalue."""
-    st = shift(forms, t)
-    lt = np.asarray(st.Lt, dtype=np.longdouble)
-    qt = np.asarray(st.Qt, dtype=np.longdouble)
+    lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=np.longdouble)
+    qt = np.asarray(shifted_square(forms, t), dtype=np.longdouble)
     x = x.astype(np.longdouble)
     num = np.einsum("ij,ij->j", x, lt @ x)
     return (num / np.einsum("ij,ij->j", x, qt @ x)).astype(float)
@@ -416,6 +412,29 @@ def test_more_lowers_than_j_max_cost_two_pencil_solves(monkeypatch):
     assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
 
 
+def test_more_lowers_than_j_max_polish_each_window_end_once(monkeypatch):
+    # the lowers inside the window are counted before the polish, so the
+    # left side of the pencil at b is polished once, all of them at once
+    forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
+    a, b = 0.5, 3.5
+    lowers = zm_bounds_one_sided(replace(forms), b, "left")
+    inside = int(np.count_nonzero(lowers > a))
+    assert inside > 1
+    expected = [(e.lower, e.upper) for e in zm_enclosures(replace(forms), (a, b), 1)]
+
+    calls = []
+    real = PencilEigen.polish
+
+    def spy(self, side, k=REFINE_COUNT):
+        calls.append((side, k))
+        return real(self, side, k)
+
+    monkeypatch.setattr(PencilEigen, "polish", spy)
+    enc = zm_enclosures(forms, (a, b), 1)
+    assert calls == [("right", 1), ("left", inside)]
+    assert [(e.lower, e.upper) for e in enc] == expected
+
+
 def test_touching_windows_share_the_end_they_meet_at(fresh, pencil_solves):
     # the benchmark's pollution windows: 0.8 and 1.6 are each the right
     # end of one window and the left end of the next, so 4 solves serve
@@ -436,13 +455,13 @@ def test_a_raising_solve_leaves_no_pencil_kept(pencil_solves):
     # t = 1 makes the trial space an exact eigenvector: the solve raises
     forms = operator_forms(np.diag([1.0, 2.0]), np.array([[1.0], [0.0]]))
     zm_bounds_one_sided(forms, 0.0, "right")
-    assert forms._pencil is not None
+    assert "pencil" in forms._kept
     with pytest.raises(DegenerateShiftError), warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
         zm_bounds_one_sided(forms, 1.0, "right")
-    assert forms._pencil is None
+    assert "pencil" not in forms._kept
     assert signature(forms, 1.0) == Signature(1, 0, 0, 0)
-    assert forms._pencil is None
+    assert "pencil" not in forms._kept
     zm_bounds_one_sided(forms, 0.0, "right")
     assert pencil_solves == [0.0, 1.0, 1.0, 0.0]
 
@@ -487,8 +506,8 @@ def test_polish_keeps_the_polished_prefix_polished(k):
     pencil = zm_eigen(forms, t)
     tau = pencil.polish("left", k)
     x = pencil.vectors_minus[:, :k].astype(np.longdouble)
-    lt = np.asarray(pencil.shifted.Lt, dtype=np.longdouble)
-    qt = np.asarray(pencil.shifted.Qt, dtype=np.longdouble)
+    lt = np.asarray(pencil.Lt, dtype=np.longdouble)
+    qt = np.asarray(pencil.Qt, dtype=np.longdouble)
     quotients = np.einsum("ij,ij->j", x, lt @ x) / np.einsum("ij,ij->j", x, qt @ x)
     npt.assert_array_equal(tau[:k], quotients.astype(float))
     npt.assert_array_equal(tau[k:], raw.tau_minus[k:])
@@ -499,7 +518,7 @@ def test_polish_keeps_the_polished_prefix_polished(k):
 def test_public_zm_eigen_returns_an_unshared_pencil():
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     zm_bounds_one_sided(forms, 1.4, "left")
-    kept = forms._pencil[1]
+    kept = forms._kept["pencil"][1]
     first, second = zm_eigen(forms, 1.4), zm_eigen(forms, 1.4)
     assert first is not second and kept is not first and kept is not second
-    assert forms._pencil[1] is kept
+    assert forms._kept["pencil"][1] is kept
