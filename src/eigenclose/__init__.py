@@ -60,8 +60,6 @@ from .forms import (
 from .linalg import (
     DEFAULT_TOL,
     cholesky_spd,
-    psd_eigh,
-    sym_generalized_eigvals,
     symmetrize,
 )
 from .maxwell2d import (
@@ -112,12 +110,10 @@ __all__ = [
     "local_counting",
     "operator_forms",
     "optimal_shift",
-    "psd_eigh",
     "read_forms",
     "residual_bounds",
     "signature",
     "structured_tri_mesh",
-    "sym_generalized_eigvals",
     "symmetrize",
     "uniform_mesh",
     "write_forms",

@@ -10,21 +10,22 @@ spanned by ``(0, 1)``.
 Discretizing both components with continuous Lagrange elements gives a
 genuinely pollution-prone Galerkin pencil, which makes the model a good
 test bed for the certified bound machinery.  The reference-element
-integrals are evaluated in exact rational arithmetic and the element
-loop accumulates in extended precision, so the assembled matrices carry
-no quadrature error at all and only O(1e-19) rounding: every bound
-computed from them is a true statement about the operator, and widths
-can be resolved well below what double-precision assembly allows.
+integrals are exact rational Gram products of the basis coefficients,
+rounded once, and the element matrices of all elements are summed in
+extended precision by one scatter, so the assembled matrices carry no
+quadrature error at all and only O(1e-19) rounding: every bound computed
+from them is a true statement about the operator, and widths can be
+resolved well below what double-precision assembly allows.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyfromroots
 
 from .errors import UnsupportedOrderError
-from .forms import TrialForms
-from .linalg import symmetrize
+from .forms import TrialForms, scatter
 
 #: right end of the interval
 LENGTH = np.pi
@@ -99,42 +100,6 @@ class FEModel:
         return self.x.size
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
-    return out
-
-
-def _poly_deriv(p):
-    return [k * p[k] for k in range(1, len(p))]
-
-
-def _poly_int01(p):
-    return sum((c / (k + 1) for k, c in enumerate(p)), Fraction(0))
-
-
-def _lagrange_coeffs(r):
-    """Exact coefficients of the equispaced Lagrange basis on [0, 1].
-
-    Returns ``r + 1`` coefficient lists (ascending powers, `Fraction`
-    entries) for the basis tied to the nodes ``a / r``.
-    """
-    nodes = [Fraction(a, r) for a in range(r + 1)]
-    basis = []
-    for a, xa in enumerate(nodes):
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for k, xk in enumerate(nodes):
-            if k == a:
-                continue
-            poly = _poly_mul(poly, [-xk, Fraction(1)])
-            denom *= xa - xk
-        basis.append([c / denom for c in poly])
-    return basis
-
-
 def _to_longdouble(rows):
     # numerator and denominator stay far below 2**63 for the supported
     # orders, so both convert exactly
@@ -151,16 +116,22 @@ def _reference_integrals(r):
 
     Returns ``(mass, stiff, deriv)`` in extended precision, where
     ``mass[a, b] = int l_a l_b``, ``stiff[a, b] = int l_a' l_b'`` and
-    ``deriv[a, b] = int l_a' l_b``.  The integrals are computed in exact
-    rational arithmetic and rounded once on conversion, so ``mass`` and
-    ``stiff`` come out exactly symmetric.
+    ``deriv[a, b] = int l_a' l_b``.  With C the exact coefficients of the
+    basis (row a ascending powers of ``l_a``), D those of its derivative
+    and H the Hilbert matrix ``int x^i x^j = 1 / (i + j + 1)``, they are
+    the Gram products ``C H C'``, ``D H D'`` and ``D H C'`` in rational
+    arithmetic, rounded once on conversion, so ``mass`` and ``stiff``
+    come out exactly symmetric.
     """
-    basis = _lagrange_coeffs(r)
-    dbasis = [_poly_deriv(p) for p in basis]
-    n = r + 1
-    mass = [[_poly_int01(_poly_mul(basis[a], basis[b])) for b in range(n)] for a in range(n)]
-    stiff = [[_poly_int01(_poly_mul(dbasis[a], dbasis[b])) for b in range(n)] for a in range(n)]
-    deriv = [[_poly_int01(_poly_mul(dbasis[a], basis[b])) for b in range(n)] for a in range(n)]
+    k = range(r + 1)
+    nodes = np.array([Fraction(a, r) for a in k])
+    others = [np.delete(nodes, a) for a in k]
+    coeffs = np.array([polyfromroots(o) / np.prod(x - o) for x, o in zip(nodes, others)])
+    dcoeffs = coeffs[:, 1:] * np.arange(1, r + 1)
+    hilbert = np.array([[Fraction(1, i + j + 1) for j in k] for i in k])
+    mass = coeffs @ hilbert @ coeffs.T
+    stiff = dcoeffs @ hilbert[:r, :r] @ dcoeffs.T
+    deriv = dcoeffs @ hilbert[:r] @ coeffs.T
     return _to_longdouble(mass), _to_longdouble(stiff), _to_longdouble(deriv)
 
 
@@ -176,10 +147,13 @@ def assemble_1d(mesh, order):
     Returns
     -------
     FEModel
-        The form matrices are exactly symmetric, carry no quadrature
-        error (the piecewise-polynomial integrands are integrated in
-        exact rational arithmetic on the reference element) and are
-        accumulated in extended precision.
+        The form matrices carry no quadrature error (the
+        piecewise-polynomial integrands are integrated in exact rational
+        arithmetic on the reference element).  The element matrices,
+        scaled by the element lengths in extended precision, are summed
+        in element order by one :func:`~eigenclose.forms.scatter` per
+        matrix; as the reference matrices are exactly symmetric, so are
+        the sums.
 
     Raises
     ------
@@ -193,20 +167,19 @@ def assemble_1d(mesh, order):
     r = order
     mass_ref, stiff_ref, deriv_ref = _reference_integrals(r)
 
+    # element e holds the global dofs r e .. r e + r
+    dofs = r * np.arange(mesh.n_elems)[:, None] + np.arange(r + 1)
     n_nodes = r * mesh.n_elems + 1
-    x = np.empty(n_nodes)
-    mass = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)
-    stiff = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)
-    deriv = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)  # int phi_a' phi_b
+    h = np.diff(mesh.nodes.astype(np.longdouble))[:, None, None]
+    mass = scatter(h * mass_ref, dofs, n_nodes)
+    stiff = scatter(stiff_ref / h, dofs, n_nodes)
+    deriv = scatter(deriv_ref, dofs, n_nodes)  # int phi_a' phi_b
 
-    for e in range(mesh.n_elems):
-        left, right = mesh.nodes[e], mesh.nodes[e + 1]
-        h = np.longdouble(right) - np.longdouble(left)
-        dofs = np.arange(r * e, r * e + r + 1)
-        x[dofs] = left + (right - left) * np.linspace(0.0, 1.0, r + 1)
-        mass[np.ix_(dofs, dofs)] += h * mass_ref
-        stiff[np.ix_(dofs, dofs)] += stiff_ref / h
-        deriv[np.ix_(dofs, dofs)] += deriv_ref
+    # each element places its nodes but the right end, which the next
+    # element places as its left end; the last element places both ends
+    left = mesh.nodes[:-1, None]
+    xe = left + (mesh.nodes[1:, None] - left) * np.linspace(0.0, 1.0, r + 1)
+    x = np.append(xe[:, :r], xe[-1, r])
 
     u_nodes = np.arange(1, n_nodes - 1)  # Dirichlet dofs eliminated
 
@@ -217,7 +190,7 @@ def assemble_1d(mesh, order):
     m1 = np.block([[zero_uu, cross], [cross.T, zero_vv]])
     m2 = _block_diag(stiff[np.ix_(u_nodes, u_nodes)], stiff)
 
-    forms = TrialForms(symmetrize(m0), m1, symmetrize(m2))
+    forms = TrialForms(m0, m1, m2)
     return FEModel(mesh=mesh, order=order, forms=forms, x=x, u_nodes=u_nodes)
 
 

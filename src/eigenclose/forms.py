@@ -47,9 +47,9 @@ class TrialForms:
     so callers reading one shift (the end two touching windows share,
     both sides of a fixed-point audit) solve it once.  The caches rely
     on the forms being immutable, so they are: the fields cannot be
-    assigned and M0, M1, M2 are read-only views.  Build new forms
-    instead, e.g. with ``dataclasses.replace``.  Forms compare equal
-    only to themselves.
+    assigned and M0, M1, M2 are read-only copies, which writes to the
+    caller's arrays do not reach.  Build new forms instead, e.g. with
+    ``dataclasses.replace``.  Forms compare equal only to themselves.
     """
 
     M0: np.ndarray
@@ -60,9 +60,9 @@ class TrialForms:
     def __post_init__(self):
         # dtype is preserved: models may assemble in extended precision
         for name in ("M0", "M1", "M2"):
-            view = check_symmetric(getattr(self, name), name).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            own = check_symmetric(getattr(self, name), name).copy()
+            own.flags.writeable = False
+            object.__setattr__(self, name, own)
         if not (self.M0.shape == self.M1.shape == self.M2.shape):
             raise ValueError("M0, M1, M2 must share one shape")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -124,6 +124,20 @@ def shifted_square(forms, t):
     of them, exactly symmetric."""
     tt = forms.M0.dtype.type(t)
     return forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
+
+
+def scatter(values, dofs, n):
+    """Sum element matrices into an ``n`` by ``n`` zero matrix of their dtype.
+
+    ``values[e]`` is the matrix of element ``e`` over the global indices
+    ``dofs[e]``; a matrix shared by all elements broadcasts.  One
+    ``np.add.at`` adds the elements in order, so every entry sees the
+    additions an element loop makes, and exactly symmetric element
+    matrices sum to an exactly symmetric matrix.
+    """
+    out = np.zeros((n, n), dtype=values.dtype)
+    np.add.at(out, (dofs[:, :, None], dofs[:, None, :]), values)
+    return out
 
 
 def operator_forms(operator, basis, gram=None):

@@ -151,9 +151,11 @@ def sym_generalized_eigvals(a, factor, count=None):
     once.  LAPACK ``sygst`` reduces the pencil to standard form, and
     :func:`sym_eigh` (or ``syevx`` for only the ``count`` smallest)
     gives the eigenvalues ascending, bit for bit those of the drivers
-    ``sygvd`` / ``sygvx``.
+    ``sygvd`` / ``sygvx``.  Only the lower triangle of ``a`` is read, so
+    ``a`` must be exactly symmetric: forms checked by ``TrialForms`` and
+    the shifted combinations of them are.
     """
-    a = check_symmetric(a, "pencil matrix a").astype(float, copy=False)
+    a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if n == 0:
         return np.zeros(0)
@@ -190,6 +192,8 @@ def psd_eigh(m, tol=DEFAULT_TOL):
     """One eigendecomposition of a PSD matrix, kernel classified.
 
     Eigenvalues at or below ``tol * max(1, ||m||_2)`` count as zero.
+    Only the lower triangle of ``m`` is read, so ``m`` must be exactly
+    symmetric, as the shifted combinations of checked forms are.
 
     Raises
     ------
@@ -197,7 +201,7 @@ def psd_eigh(m, tol=DEFAULT_TOL):
         If the smallest eigenvalue lies below ``-tol * ||m||_2``; a PSD
         matrix cannot do that except through corrupted input.
     """
-    a = check_symmetric(m, "psd_eigh input")
+    a = np.asarray(m, dtype=float)
     n = a.shape[0]
     if n == 0:
         return PsdEigen(np.zeros(0), np.zeros((0, 0)), 0, 0.0)

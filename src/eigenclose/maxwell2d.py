@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedOrderError
-from .forms import TrialForms
+from .forms import TrialForms, scatter
 from .linalg import symmetrize
 
 #: side length of the square cavity
@@ -267,7 +267,10 @@ def assemble_2d(mesh, order):
     -------
     MaxwellModel
         Form matrices are exactly symmetric; the triangle quadrature is
-        exact for every form integrand (degree <= 2 * order).
+        exact for every form integrand (degree <= 2 * order).  The
+        element matrices of all triangles are computed as one batch and
+        summed in element order by one :func:`~eigenclose.forms.scatter`
+        per matrix.
 
     Raises
     ------
@@ -286,29 +289,30 @@ def assemble_2d(mesh, order):
     coords, connectivity, node_sides = _scalar_nodes(mesh, order)
     n_nodes = coords.shape[0]
 
-    mass = np.zeros((n_nodes, n_nodes))
-    kxx = np.zeros((n_nodes, n_nodes))
-    kyy = np.zeros((n_nodes, n_nodes))
-    kxy = np.zeros((n_nodes, n_nodes))  # kxy[a, b] = int dx(phi_a) dy(phi_b)
-    dx_n = np.zeros((n_nodes, n_nodes))  # dx_n[a, b] = int dx(phi_a) phi_b
-    dy_n = np.zeros((n_nodes, n_nodes))
+    # affine maps of all triangles: Jacobians, determinants and the
+    # inverses by the explicit 2x2 formula (np.linalg.inv rounds otherwise)
+    p = mesh.vertices[mesh.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (e, 2, 2)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    inv = np.stack(
+        [jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]], axis=-1
+    ).reshape(-1, 2, 2) / det[:, None, None]
+    adet = np.abs(det)[:, None, None]  # the measure; inv already carries the sign
+    g = g_ref @ inv[:, None]  # global gradients, (e, q, a, 2)
+    gx, gy = g[..., 0], g[..., 1]
+    vals = np.broadcast_to(n_vals, gx.shape)
 
-    tri_pts = mesh.vertices[mesh.triangles]
-    for e, dofs in enumerate(connectivity):
-        p0, p1, p2 = tri_pts[e]
-        jac = np.column_stack([p1 - p0, p2 - p0])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-        adet = abs(det)  # the measure; inv already carries the sign
-        g = g_ref @ inv  # global gradients, (q, a, 2)
-        gx, gy = g[:, :, 0], g[:, :, 1]
-        idx = np.ix_(dofs, dofs)
-        mass[idx] += adet * np.einsum("q,qa,qb->ab", wts, n_vals, n_vals)
-        kxx[idx] += adet * np.einsum("q,qa,qb->ab", wts, gx, gx)
-        kyy[idx] += adet * np.einsum("q,qa,qb->ab", wts, gy, gy)
-        kxy[idx] += adet * np.einsum("q,qa,qb->ab", wts, gx, gy)
-        dx_n[idx] += adet * np.einsum("q,qa,qb->ab", wts, gx, n_vals)
-        dy_n[idx] += adet * np.einsum("q,qa,qb->ab", wts, gy, n_vals)
+    def form(u, v):  # form[a, b] = int u_a v_b, summed over the triangles
+        return scatter(
+            adet * np.einsum("q,eqa,eqb->eab", wts, u, v), connectivity, n_nodes
+        )
+
+    mass = form(vals, vals)
+    kxx = form(gx, gx)
+    kyy = form(gy, gy)
+    kxy = form(gx, gy)  # kxy[a, b] = int dx(phi_a) dy(phi_b)
+    dx_n = form(gx, vals)  # dx_n[a, b] = int dx(phi_a) phi_b
+    dy_n = form(gy, vals)
 
     all_nodes = np.arange(n_nodes)
     e1_nodes = np.array(

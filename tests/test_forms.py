@@ -113,6 +113,20 @@ def test_trial_forms_are_immutable():
     m0[1, 1] = 2.0
 
 
+@pytest.mark.parametrize("name", ["M0", "M1", "M2"])
+def test_trial_forms_copy_the_caller_arrays(name):
+    # a later write to the array the forms were built from reaches
+    # neither the forms nor their cached Ritz values
+    given = {"M0": np.eye(2), "M1": np.diag([1.0, 2.0]), "M2": np.diag([1.0, 4.0])}
+    forms = TrialForms(**given)
+    npt.assert_array_equal(forms.ritz(), [1.0, 2.0])
+    kept = given[name].copy()
+    given[name][1, 1] = 8.0
+    npt.assert_array_equal(getattr(forms, name), kept)
+    npt.assert_array_equal(forms.ritz(), [1.0, 2.0])
+    forms.validate()
+
+
 def test_trial_forms_compare_by_identity():
     first = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
     second = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))

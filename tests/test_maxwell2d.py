@@ -8,10 +8,12 @@ import pytest
 
 from eigenclose.enclosure import zm_enclosures
 from eigenclose.errors import UnsupportedOrderError
+from eigenclose.linalg import symmetrize
 from eigenclose.maxwell2d import (
     SIDE,
     _reference_p1,
     _reference_p2,
+    _scalar_nodes,
     _triangle_quadrature,
     assemble_2d,
     exact_spectrum_2d,
@@ -100,6 +102,64 @@ def test_block_sizes_nx2_p1():
     # E1 drops the y-boundary rows, E2 the x-boundary columns, H keeps all
     assert model.block_sizes == (3, 3, 9)
     assert model.forms.n == 15
+
+
+def _element_loop_2d(mesh, order, e1_nodes, e2_nodes):
+    """The forms of ``assemble_2d``, summed one triangle at a time: the
+    reference for the batched assembly."""
+    ref_values, ref_grads = _reference_p1() if order == 1 else _reference_p2()
+    pts, wts = _triangle_quadrature(2 * order)
+    n_vals = ref_values(pts)
+    g_ref = ref_grads(pts)
+    coords, connectivity, _ = _scalar_nodes(mesh, order)
+    n_nodes = coords.shape[0]
+    mass, kxx, kyy, kxy, dx_n, dy_n = (np.zeros((n_nodes, n_nodes)) for _ in range(6))
+    tri_pts = mesh.vertices[mesh.triangles]
+    for e, dofs in enumerate(connectivity):
+        p0, p1, p2 = tri_pts[e]
+        jac = np.column_stack([p1 - p0, p2 - p0])
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
+        adet = abs(det)
+        g = g_ref @ inv
+        gx, gy = g[:, :, 0], g[:, :, 1]
+        idx = np.ix_(dofs, dofs)
+        mass[idx] += adet * np.einsum("q,qa,qb->ab", wts, n_vals, n_vals)
+        kxx[idx] += adet * np.einsum("q,qa,qb->ab", wts, gx, gx)
+        kyy[idx] += adet * np.einsum("q,qa,qb->ab", wts, gy, gy)
+        kxy[idx] += adet * np.einsum("q,qa,qb->ab", wts, gx, gy)
+        dx_n[idx] += adet * np.einsum("q,qa,qb->ab", wts, gx, n_vals)
+        dy_n[idx] += adet * np.einsum("q,qa,qb->ab", wts, gy, n_vals)
+
+    n1, n2 = e1_nodes.size, e2_nodes.size
+    m0 = np.zeros((n1 + n2 + n_nodes,) * 2)
+    m1 = np.zeros_like(m0)
+    m2 = np.zeros_like(m0)
+    s1, s2, sh = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, None)
+    m0[s1, s1] = mass[np.ix_(e1_nodes, e1_nodes)]
+    m0[s2, s2] = mass[np.ix_(e2_nodes, e2_nodes)]
+    m0[sh, sh] = mass
+    m1[s1, sh] = -dy_n[e1_nodes]
+    m1[sh, s1] = -dy_n[e1_nodes].T
+    m1[s2, sh] = dx_n[e2_nodes]
+    m1[sh, s2] = dx_n[e2_nodes].T
+    m2[s1, s1] = kyy[np.ix_(e1_nodes, e1_nodes)]
+    m2[s2, s2] = kxx[np.ix_(e2_nodes, e2_nodes)]
+    m2[s1, s2] = -kxy.T[np.ix_(e1_nodes, e2_nodes)]
+    m2[s2, s1] = -kxy.T[np.ix_(e1_nodes, e2_nodes)].T
+    m2[sh, sh] = kxx + kyy
+    return symmetrize(m0), m1, symmetrize(m2)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("nx, jitter, seed", [(2, 0.0, None), (5, 0.25, 1), (7, 0.5, 2)])
+def test_batched_assembly_matches_element_loop(order, nx, jitter, seed):
+    mesh = structured_tri_mesh(nx, jitter=jitter, seed=seed)
+    model = assemble_2d(mesh, order)
+    expected = _element_loop_2d(mesh, order, model.e1_nodes, model.e2_nodes)
+    for got, want in zip((model.forms.M0, model.forms.M1, model.forms.M2), expected):
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 def test_assemble_rejects_unsupported_order():

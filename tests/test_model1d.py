@@ -7,12 +7,14 @@ import pytest
 from eigenclose.dirac1d import (
     LENGTH,
     Mesh1D,
+    _reference_integrals,
     assemble_1d,
     exact_spectrum_1d,
     uniform_mesh,
 )
 from eigenclose.enclosure import Signature, local_counting, signature, zm_enclosures
 from eigenclose.errors import UnsupportedOrderError
+from eigenclose.linalg import symmetrize
 
 
 def test_uniform_mesh_basic():
@@ -69,6 +71,75 @@ def test_assembly_dimensions_and_dtype():
     # exact-integral assembly accumulates in extended precision
     assert model.forms.M0.dtype == np.longdouble
     assert model.x.size == 7
+
+
+def _element_loop_1d(mesh, r):
+    """The forms and node positions of ``assemble_1d``, summed one
+    element at a time: the reference for the batched assembly."""
+    mass_ref, stiff_ref, deriv_ref = _reference_integrals(r)
+    n_nodes = r * mesh.n_elems + 1
+    x = np.empty(n_nodes)
+    mass = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)
+    stiff = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)
+    deriv = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)
+    for e in range(mesh.n_elems):
+        left, right = mesh.nodes[e], mesh.nodes[e + 1]
+        h = np.longdouble(right) - np.longdouble(left)
+        dofs = np.arange(r * e, r * e + r + 1)
+        x[dofs] = left + (right - left) * np.linspace(0.0, 1.0, r + 1)
+        mass[np.ix_(dofs, dofs)] += h * mass_ref
+        stiff[np.ix_(dofs, dofs)] += stiff_ref / h
+        deriv[np.ix_(dofs, dofs)] += deriv_ref
+    u = np.arange(1, n_nodes - 1)
+    nu = u.size
+    m0 = np.zeros((nu + n_nodes,) * 2, dtype=np.longdouble)
+    m1 = np.zeros_like(m0)
+    m2 = np.zeros_like(m0)
+    m0[:nu, :nu] = mass[np.ix_(u, u)]
+    m0[nu:, nu:] = mass
+    m1[:nu, nu:] = -deriv[u]
+    m1[nu:, :nu] = -deriv[u].T
+    m2[:nu, :nu] = stiff[np.ix_(u, u)]
+    m2[nu:, nu:] = stiff
+    return symmetrize(m0), m1, symmetrize(m2), x
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n_elems, jitter, seed", [(2, 0.0, None), (7, 0.3, 1), (16, 0.9, 2)]
+)
+def test_batched_assembly_matches_element_loop(order, n_elems, jitter, seed):
+    mesh = uniform_mesh(n_elems, jitter=jitter, seed=seed)
+    model = assemble_1d(mesh, order)
+    *expected, x = _element_loop_1d(mesh, order)
+    for got, want in zip((model.forms.M0, model.forms.M1, model.forms.M2), expected):
+        assert got.dtype == want.dtype == np.longdouble
+        assert np.array_equal(got, want)
+    assert np.array_equal(model.x, x)
+
+
+def _exact(rows, scale=1):
+    return np.array(rows, dtype=np.longdouble) / np.longdouble(scale)
+
+
+def test_reference_integrals_are_exact():
+    eps = np.finfo(np.longdouble).eps
+    mass, _, _ = _reference_integrals(2)
+    assert np.array_equal(mass, _exact([[4, 2, -1], [2, 16, 2], [-1, 2, 4]], 30))
+    newton_cotes = {1: [1, 1], 2: [1, 4, 1], 3: [1, 3, 3, 1]}
+    for r, weights in newton_cotes.items():
+        mass, stiff, deriv = _reference_integrals(r)
+        assert mass.dtype == stiff.dtype == deriv.dtype == np.longdouble
+        assert np.array_equal(mass, mass.T) and np.array_equal(stiff, stiff.T)
+        # the basis sums to one: mass rows integrate each l_a, stiffness
+        # rows differentiate the constant
+        weights = _exact(weights, sum(weights))
+        npt.assert_allclose(mass.sum(axis=1), weights, rtol=8 * eps, atol=0)
+        npt.assert_allclose(stiff.sum(axis=1), 0, atol=8 * eps * np.max(stiff))
+        # integration by parts: int l_a' l_b + l_a l_b' = [l_a l_b]_0^1
+        ends = np.zeros((r + 1, r + 1), dtype=np.longdouble)
+        ends[0, 0], ends[r, r] = -1, 1
+        assert np.array_equal(deriv + deriv.T, ends)
 
 
 def test_p2_assembly_has_midside_nodes():
