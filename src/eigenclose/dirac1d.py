@@ -18,6 +18,7 @@ from them is a true statement about the operator, and widths can be
 resolved well below what double-precision assembly allows.
 """
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -111,6 +112,7 @@ def _to_longdouble(rows):
     )
 
 
+@functools.cache
 def _reference_integrals(r):
     """Reference integrals of the degree-``r`` Lagrange basis on [0, 1].
 
@@ -121,7 +123,8 @@ def _reference_integrals(r):
     and H the Hilbert matrix ``int x^i x^j = 1 / (i + j + 1)``, they are
     the Gram products ``C H C'``, ``D H D'`` and ``D H C'`` in rational
     arithmetic, rounded once on conversion, so ``mass`` and ``stiff``
-    come out exactly symmetric.
+    come out exactly symmetric.  They depend on r alone, so each order
+    is computed once and its arrays are read-only.
     """
     k = range(r + 1)
     nodes = np.array([Fraction(a, r) for a in k])
@@ -132,7 +135,10 @@ def _reference_integrals(r):
     mass = coeffs @ hilbert @ coeffs.T
     stiff = dcoeffs @ hilbert[:r, :r] @ dcoeffs.T
     deriv = dcoeffs @ hilbert[:r] @ coeffs.T
-    return _to_longdouble(mass), _to_longdouble(stiff), _to_longdouble(deriv)
+    out = tuple(_to_longdouble(m) for m in (mass, stiff, deriv))
+    for m in out:
+        m.flags.writeable = False
+    return out
 
 
 def assemble_1d(mesh, order):

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .forms import shifted_square
 from .linalg import (
+    definite_pencil_eigh,
     psd_eigh,
     sym_eigh,
     sym_generalized_eigvals,
@@ -109,8 +110,11 @@ class PencilEigen:
         the nearest k afresh, so near-ties re-sort as if all k were
         polished at once.  An unpolished entry that ties the last
         polished one to roundoff stays behind it even when an ulp
-        nearer.  ``side`` is ``"left"`` for ``tau_minus``, ``"right"``
-        for ``tau_plus``.
+        nearer.  The quotients are only as good as the eigenvectors, so
+        the polished tau of the two solve routes of :func:`zm_eigen`
+        may differ by a few ulps (more inside a cluster of equal tau).
+        ``side`` is ``"left"`` for ``tau_minus``, ``"right"`` for
+        ``tau_plus``.
         """
         _check_side(side)
         name = "minus" if side == "left" else "plus"
@@ -228,8 +232,28 @@ def local_counting(forms, t, count=None):
 def zm_eigen(forms, t):
     """Solve and classify the pencil ``tau Q_t x = L_t x`` at shift t.
 
-    One eigendecomposition ``Q_t = V W V'`` (:func:`psd_eigh`) gives
-    three things at once, ``tol`` being the forms' tolerance:
+    The pencil is solved by one of two routes, ``tol`` being the forms'
+    tolerance and u the double unit roundoff.
+
+    *Cholesky route*, taken whenever it can certify the census.  A
+    Cholesky factorization of ``Q_t - sigma I`` with
+    ``sigma = 2 max(tol, n u) max(1, ||Q_t||_inf)`` proves that Q_t has
+    no eigenvalue at or below ``tol * max(1, ||Q_t||_2)``, so the
+    eigendecomposition route below would deflate nothing and raise
+    nothing: ``n_inf = 0``.  tau with its Q_t-orthonormal vectors then
+    come from :func:`~eigenclose.linalg.definite_pencil_eigh`, one
+    symmetric eigendecomposition.  The zero threshold
+    ``tol * ||L_t||_2 / ||Q_t||_2`` is not computed but bracketed by
+    O(n^2) norm bounds, the largest column 2-norm below and the largest
+    absolute row sum above, the bracket widened by a factor 2 for
+    roundoff.  When no ``|tau|`` falls inside it, every tau is classified
+    as the exact threshold would classify it, and the census stands.
+
+    *Eigendecomposition route*, taken otherwise: at shifts where Q_t has
+    an eigenvalue at or below sigma (among them every shift that
+    deflates a kernel) and where a tau falls inside the bracket.  One
+    eigendecomposition ``Q_t = V W V'`` (:func:`psd_eigh`) gives three
+    things at once:
 
     * the kernel of Q_t, the columns with ``W <= tol * max(1, ||Q_t||)``
       (trial directions on which the shifted operator vanishes); in
@@ -246,8 +270,10 @@ def zm_eigen(forms, t):
     ``||L_t||_2`` comes from the eigenvalues of L_t; eigenvalues with
     ``|tau| <= tol * ||L_t|| / ||Q_t||`` count as zero.
 
-    The pencil is solved in double precision and nothing is polished.
-    When the platform offers a genuine extended-precision ``longdouble``,
+    Either way the pencil is solved in double precision and nothing is
+    polished.  The two routes agree to roundoff, so the unpolished tau
+    may differ in their last digits between them.  When the platform
+    offers a genuine extended-precision ``longdouble``,
     :meth:`PencilEigen.polish` rewrites the nearest ``REFINE_COUNT``
     entries of one side (the tight bounds) as extended-precision
     Rayleigh quotients evaluated on the stored form matrices.  With
@@ -271,24 +297,19 @@ def zm_eigen(forms, t):
     """
     qt = shifted_square(forms, t)
     lt = forms.M1 - forms.M0.dtype.type(t) * forms.M0
+    qt_d = np.asarray(qt, dtype=float)
     lt_d = np.asarray(lt, dtype=float)
-    split = psd_eigh(np.asarray(qt, dtype=float), forms.tol)
-    n_inf = split.k
+    solved = _cholesky_route(forms, qt_d, lt_d)
+    if solved is None:
+        solved = _eigh_route(forms, qt_d, lt_d)
+    n_inf, tau, vectors, zero = solved
     if n_inf == forms.n:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
-    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
-    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt_d @ basis))  # ascending
-    vectors = basis @ coeffs
 
-    lt_values = sym_eigh(lt_d, vectors=False)
-    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
-    norm_q = split.norm
-    zero_threshold = forms.tol * (norm_l / norm_q) if norm_q > 0 else 0.0
-
-    neg = tau < -zero_threshold
-    pos = tau > zero_threshold
+    neg = (tau < 0.0) & ~zero
+    pos = (tau > 0.0) & ~zero
     n_minus = int(np.count_nonzero(neg))
     n_plus = int(np.count_nonzero(pos))
     n_zero = tau.size - n_minus - n_plus
@@ -306,6 +327,49 @@ def zm_eigen(forms, t):
         Qt=qt,
         Lt=lt,
     )
+
+
+def _norm2_bounds(a):
+    """``(lo, hi)`` with ``lo <= ||a||_2 <= hi`` for symmetric ``a``, in
+    O(n^2): the largest column 2-norm and the largest absolute row sum."""
+    lo = np.sqrt(np.einsum("ij,ij->j", a, a).max(initial=0.0))
+    return float(lo), float(np.abs(a).sum(axis=1).max(initial=0.0))
+
+
+def _cholesky_route(forms, qt, lt):
+    """:func:`zm_eigen`'s Cholesky route: ``(0, tau, vectors, zero)``
+    with tau ascending and ``zero`` marking the zero tau, or ``None``
+    where it cannot certify the census."""
+    q_lo, q_hi = _norm2_bounds(qt)
+    floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
+    solved = definite_pencil_eigh(lt, qt, 2.0 * floor * max(1.0, q_hi))
+    if solved is None:
+        return None
+    tau, vectors = solved
+    # the zero threshold tol ||L_t|| / ||Q_t|| lies in
+    # [tol l_lo / q_hi, tol l_hi / q_lo]; no |tau| may lie near it
+    l_lo, l_hi = _norm2_bounds(lt)
+    size = np.abs(tau)
+    below = 2.0 * size * q_hi < forms.tol * l_lo
+    if np.any(~below & (size * q_lo <= 2.0 * forms.tol * l_hi)):
+        return None
+    return 0, tau, vectors, below
+
+
+def _eigh_route(forms, qt, lt):
+    """:func:`zm_eigen`'s eigendecomposition route, as
+    :func:`_cholesky_route` returns it but with the kernel dimension
+    of Q_t in place of 0."""
+    split = psd_eigh(qt, forms.tol)
+    n_inf = split.k
+    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
+    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt @ basis))  # ascending
+
+    lt_values = sym_eigh(lt, vectors=False)
+    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
+    norm_q = split.norm
+    zero_threshold = forms.tol * (norm_l / norm_q) if norm_q > 0 else 0.0
+    return n_inf, tau, basis @ coeffs, np.abs(tau) <= zero_threshold
 
 
 def _pencil(forms, t):

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import FormsFormatError, InconsistentFormsError
 from .linalg import (
     DEFAULT_TOL,
+    _checked_potrf,
     check_symmetric,
-    cholesky_spd,
     sym_eigh,
     sym_generalized_eigvals,
     symmetrize,
@@ -67,8 +67,9 @@ class TrialForms:
             raise ValueError("M0, M1, M2 must share one shape")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {self.tol:g}")
-        # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL
-        factor = cholesky_spd(self.M0, max(self.tol, DEFAULT_TOL))
+        # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;
+        # M0 was checked above, so the factor skips cholesky_spd's check
+        factor = _checked_potrf(self.M0, max(self.tol, DEFAULT_TOL))
         factor.flags.writeable = False
         object.__setattr__(self, "_factor", factor)
         # "ritz", "schur_min" and "pencil" (t, PencilEigen) of the last solve

@@ -14,10 +14,16 @@ one function per job, each a direct LAPACK call:
   symmetric-definite pencil, optionally just the smallest few, from the
   Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
   ``syevd`` or ``syevx``);
+* :func:`definite_pencil_eigh`, the eigenpairs of a symmetric pencil
+  whose right-hand matrix is certified positive definite past a margin
+  by a Cholesky factorization of the shifted matrix (Sylvester's law of
+  inertia), or ``None`` where that certificate fails (LAPACK ``potrf``
+  twice, ``sygst`` and ``syevd``, then BLAS ``trsm``);
 * :func:`psd_eigh`, one classified eigendecomposition of a positive
   semidefinite matrix: it yields the numerical kernel and its
   complement, the check that no eigenvalue is genuinely negative and the
-  2-norm at once.
+  2-norm at once.  It serves the pencils :func:`definite_pencil_eigh`
+  cannot certify.
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -27,6 +33,7 @@ extended-precision input is rounded on the way in.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .errors import NegativeEigenvalueError, NotPositiveDefiniteError
@@ -96,7 +103,13 @@ def cholesky_spd(m, tol=DEFAULT_TOL):
         If a pivot falls at or below the relative threshold.  The error
         carries the index and value of the first such pivot.
     """
-    a = check_symmetric(m, "cholesky_spd input").astype(float, copy=False)
+    return _checked_potrf(check_symmetric(m, "cholesky_spd input"), tol)
+
+
+def _checked_potrf(m, tol):
+    """:func:`cholesky_spd` of a matrix already checked to be square and
+    exactly symmetric, such as the Gram matrix of checked forms."""
+    a = np.asarray(m).astype(float, copy=False)
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
@@ -171,6 +184,49 @@ def sym_generalized_eigvals(a, factor, count=None):
     if info != 0:
         raise np.linalg.LinAlgError(f"syevx did not converge (info={info})")
     return values[:m]
+
+
+def definite_pencil_eigh(a, b, sigma):
+    """Eigenpairs of ``a x = lam b x`` once ``b`` is certified definite.
+
+    The certificate is a successful LAPACK ``potrf`` of ``b - sigma I``:
+    by Sylvester's law of inertia it proves that every eigenvalue of
+    ``b`` exceeds ``sigma``, up to the backward error of ``potrf``.  The
+    pencil is then solved through the Cholesky factor ``L`` of ``b``:
+    ``sygst`` forms ``L^{-1} a L^{-T}``, :func:`sym_eigh` gives its
+    eigenpairs ``(lam, Y)`` and BLAS ``trsm`` back-transforms
+    ``X = L^{-T} Y``, whose columns are ``b``-orthonormal.
+
+    Returns ``(values, vectors)``, the values ascending, or ``None`` when
+    the certificate fails.  Only the lower triangles are read, so ``a``
+    and ``b`` must be exactly symmetric.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` or ``b`` holds an inf or a NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    n = b.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0))
+    probe = b.copy()
+    probe[np.diag_indices(n)] -= sigma
+    _, info = scipy.linalg.lapack.dpotrf(probe, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        return None
+    factor, info = scipy.linalg.lapack.dpotrf(b, lower=1, clean=1)
+    if info != 0:
+        return None
+    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
+    values, y = sym_eigh(c)
+    # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
+    # milliseconds on a 2 x 2 system when it runs threaded
+    vectors = scipy.linalg.blas.dtrsm(1.0, factor, y, lower=1, trans_a=1, overwrite_b=1)
+    return values, vectors
 
 
 @dataclass

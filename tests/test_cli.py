@@ -432,13 +432,13 @@ def test_tol_is_the_tolerance_of_the_forms(tmp_path, capsys, monkeypatch):
     # a built-in model's forms take --tol too; they are copied, and M0
     # factored again, only for a tol other than their own
     seen, factored = [], []
-    real, real_factor = cli.zm_enclosures, forms_mod.cholesky_spd
+    real, real_factor = cli.zm_enclosures, forms_mod._checked_potrf
     monkeypatch.setattr(
         cli, "zm_enclosures",
         lambda forms, *args: seen.append(forms) or real(forms, *args),
     )
     monkeypatch.setattr(
-        forms_mod, "cholesky_spd",
+        forms_mod, "_checked_potrf",
         lambda m, tol: factored.append(tol) or real_factor(m, tol),
     )
     run = ["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "6",

@@ -231,8 +231,8 @@ def test_factor_and_ritz_values_are_computed_once(monkeypatch):
     forms' tol, and the Ritz values of (M1, M0) are solved once per forms."""
     factored, solved = [], []
     _record_calls(
-        monkeypatch, "cholesky_spd",
-        lambda m, tol=linalg_mod.DEFAULT_TOL: factored.append((_key(m), tol)),
+        monkeypatch, "_checked_potrf",
+        lambda m, tol: factored.append((_key(m), tol)),
     )
     _record_calls(
         monkeypatch, "sym_generalized_eigvals",
@@ -258,6 +258,22 @@ def test_factor_and_ritz_values_are_computed_once(monkeypatch):
     assert Counter(m1[k] for k in solved if k in m1) == Counter(
         i for i in range(len(models)) for tol in tols
     )
+
+
+def test_gram_factor_skips_the_repeated_symmetry_check(monkeypatch):
+    # construction checks each matrix once; M0's factor is the public
+    # cholesky_spd's, bit for bit, in double and extended precision
+    checked = []
+    _record_calls(monkeypatch, "check_symmetric", lambda a, name="matrix": checked.append(name))
+    models = (WORKED, assemble_1d(uniform_mesh(6, 0.3, 0), 2).forms)
+    for forms in models:
+        checked.clear()
+        for tol in (linalg_mod.DEFAULT_TOL, 1e-6):
+            built = TrialForms(forms.M0, forms.M1, forms.M2, tol)
+            factor = linalg_mod.cholesky_spd(forms.M0, tol)
+            assert np.array_equal(built.factor(), factor)
+            assert built.factor().dtype == factor.dtype == np.float64
+        assert checked == ["M0", "M1", "M2", "cholesky_spd input"] * 2
 
 
 def test_gate_tolerance_applies_on_every_call():

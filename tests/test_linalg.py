@@ -11,6 +11,7 @@ from eigenclose.errors import NegativeEigenvalueError, NotPositiveDefiniteError
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
+    definite_pencil_eigh,
     psd_eigh,
     sym_generalized_eigvals,
     symmetrize,
@@ -159,6 +160,38 @@ def test_generalized_eig_rejects_indefinite_b():
     b = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefiniteError):
         sym_generalized_eigvals(a, cholesky_spd(b))
+
+
+def test_definite_pencil_diagonal_oracle():
+    values, vectors = definite_pencil_eigh(np.diag([3.0, -1.0]), np.diag([4.0, 2.0]), 0.1)
+    npt.assert_allclose(values, [-0.5, 0.75], atol=1e-15)
+    npt.assert_allclose(np.abs(vectors), [[0.0, 0.5], [2**-0.5, 0.0]], atol=1e-15)
+
+
+def test_definite_pencil_matches_the_generalized_solve():
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((6, 6))
+    a = symmetrize(x + x.T)
+    y = rng.standard_normal((6, 6))
+    b = symmetrize(y @ y.T + 0.5 * np.eye(6))
+    values, vectors = definite_pencil_eigh(a, b, 0.1)
+    npt.assert_allclose(values, scipy.linalg.eigh(a, b, eigvals_only=True), rtol=1e-12)
+    # b-orthonormal eigenvector columns
+    npt.assert_allclose(vectors.T @ b @ vectors, np.eye(6), atol=1e-12)
+    npt.assert_allclose(a @ vectors, b @ vectors * values, atol=1e-11)
+
+
+def test_definite_pencil_needs_the_certificate():
+    # b's smallest eigenvalue 1e-3 must exceed sigma
+    a, b = np.eye(2), np.diag([1.0, 1e-3])
+    assert definite_pencil_eigh(a, b, 1e-2) is None
+    assert definite_pencil_eigh(a, b, 1e-3 * (1 + 1e-12)) is None
+    assert definite_pencil_eigh(a, b, 1e-4) is not None
+    assert definite_pencil_eigh(a, np.diag([1.0, -1.0]), 0.0) is None
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        definite_pencil_eigh(a, np.diag([1.0, np.nan]), 0.0)
+    values, vectors = definite_pencil_eigh(np.zeros((0, 0)), np.zeros((0, 0)), 1.0)
+    assert values.shape == (0,) and vectors.shape == (0, 0)
 
 
 def test_kernel_basis_diagonal():

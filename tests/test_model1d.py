@@ -6,6 +6,7 @@ import pytest
 
 from eigenclose.dirac1d import (
     LENGTH,
+    SUPPORTED_ORDERS,
     Mesh1D,
     _reference_integrals,
     assemble_1d,
@@ -140,6 +141,28 @@ def test_reference_integrals_are_exact():
         ends = np.zeros((r + 1, r + 1), dtype=np.longdouble)
         ends[0, 0], ends[r, r] = -1, 1
         assert np.array_equal(deriv + deriv.T, ends)
+
+
+def test_reference_integrals_are_cached_read_only():
+    # each order is computed once; the kept arrays cannot be written and
+    # hold the same bits as a fresh computation
+    for r in SUPPORTED_ORDERS:
+        kept = _reference_integrals(r)
+        assert _reference_integrals(r) is kept
+        for got, want in zip(kept, _reference_integrals.__wrapped__(r)):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.0
+    # forms assembled from a fresh computation and from the cache agree
+    # bit for bit
+    mesh = uniform_mesh(7, jitter=0.3, seed=1)
+    _reference_integrals.cache_clear()
+    first = assemble_1d(mesh, 3).forms
+    second = assemble_1d(mesh, 3).forms
+    for name in ("M0", "M1", "M2"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype == np.longdouble and np.array_equal(a, b)
 
 
 def test_p2_assembly_has_midside_nodes():

@@ -323,6 +323,91 @@ def test_one_eigh_pencil_matches_reference_route(case):
         assert pencil.signature.n_inf == 1
 
 
+@pytest.fixture
+def eigh_route(monkeypatch):
+    """One entry per pencil solve that took the eigendecomposition route
+    (it starts with :func:`psd_eigh`) during the test; every other solve
+    took the Cholesky route."""
+    calls = []
+    real = enclosure_mod.psd_eigh
+
+    def counted(m, tol):
+        calls.append(tol)
+        return real(m, tol)
+
+    monkeypatch.setattr(enclosure_mod, "psd_eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2", "deflating"],
+)
+def test_cholesky_route_matches_the_eigh_route(case, eigh_route, monkeypatch):
+    forms, shifts = _pencil_case(case)
+    fast = [zm_eigen(forms, t) for t in shifts]
+    # only the shift that deflates a kernel needs the eigendecomposition
+    assert len(eigh_route) == (len(shifts) if case == "deflating" else 0)
+    monkeypatch.setattr(enclosure_mod, "definite_pencil_eigh", lambda *args: None)
+    for t, pencil in zip(shifts, fast):
+        slow = zm_eigen(forms, t)
+        assert pencil.signature == slow.signature
+        npt.assert_allclose(pencil.tau_minus, slow.tau_minus, rtol=1e-12, atol=0.0)
+        npt.assert_allclose(pencil.tau_plus, slow.tau_plus, rtol=1e-12, atol=0.0)
+        # polished, the nearest tau agree to a few ulps; inside a cluster
+        # of equal tau (maxwell2d's discrete gradient kernel at order 2)
+        # each route polishes its own basis of the cluster, which agrees
+        # only to the cluster's roundoff spread
+        for side in ("left", "right"):
+            got, want = pencil.polish(side, 3)[:3], slow.polish(side, 3)[:3]
+            tau = slow.polish(side)
+            for g, w in zip(got, want):
+                if np.count_nonzero(np.abs(tau - w) <= 1e-10 * abs(w)) == 1:
+                    npt.assert_array_max_ulp(g, w, maxulp=4)
+                else:
+                    npt.assert_allclose(g, w, rtol=1e-13, atol=0.0)
+
+
+def test_uncertified_shifts_take_the_eigh_route(eigh_route):
+    deflating, (t,) = _pencil_case("deflating")
+    cases = [
+        # Q_1 has a kernel, which is deflated
+        (deflating, t, Signature(1, 0, 0, 2)),
+        # at tol 1e-16, Q_t's eigenvalue 1e-14 is too small for the
+        # Cholesky certificate, though nothing is deflated
+        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2)),
+        # tau = 1.5e-10 lies inside the bracket [0.5e-10, 2e-10] of the
+        # zero threshold 1e-10; the exact threshold counts it positive
+        (TrialForms(np.eye(2), np.diag([1.0, 1.5e-10]), np.eye(2)), 0.0,
+         Signature(0, 0, 0, 2)),
+    ]
+    for forms, shift, census in cases:
+        eigh_route.clear()
+        assert zm_eigen(forms, shift).signature == census
+        assert len(eigh_route) == 1
+    # just outside the bracket the Cholesky route settles the census
+    eigh_route.clear()
+    outside = TrialForms(np.eye(2), np.diag([1.0, 2.5e-10]), np.eye(2))
+    assert zm_eigen(outside, 0.0).signature == Signature(0, 0, 0, 2)
+    assert eigh_route == []
+
+
+@pytest.mark.parametrize(
+    "case", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2"]
+)
+def test_cholesky_route_census_matches_the_ritz_inertia(case, eigh_route):
+    # eigenvector-free: Q_t is definite, so the pencil's inertia is that of
+    # L_t = M1 - t M0, and with M0 definite that counts the Ritz values of
+    # (M1, M0) on either side of t
+    forms, _ = _pencil_case(case)
+    ritz = forms.ritz()
+    for t in np.linspace(-2.9, 2.9, 12):
+        census = zm_eigen(forms, t).signature
+        assert eigh_route == [] and census.n_inf == census.n_zero == 0
+        assert census.n_minus == np.count_nonzero(ritz < t)
+        assert census.n_plus == np.count_nonzero(ritz > t)
+
+
 def _polish_case(model):
     """Forms, shifts and windows of one partial-polish comparison.
 
@@ -388,7 +473,7 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
     assert more_lowers_than_j_max
 
 
-def test_more_lowers_than_j_max_cost_two_pencil_solves(monkeypatch):
+def test_more_lowers_than_j_max_cost_two_pencil_solves(pencil_solves):
     # the lowers the pairing reads beyond j_max are polished from the
     # right end's one solve; the window end is not solved a second time
     forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
@@ -399,16 +484,9 @@ def test_more_lowers_than_j_max_cost_two_pencil_solves(monkeypatch):
     lowers = np.sort(lowers[lowers > a])
     assert lowers.size > 1
 
-    calls = []
-    real = enclosure_mod.psd_eigh
-
-    def counted(m, tol):
-        calls.append(tol)
-        return real(m, tol)
-
-    monkeypatch.setattr(enclosure_mod, "psd_eigh", counted)
+    pencil_solves.clear()
     enc = zm_enclosures(forms, (a, b), 1)
-    assert len(calls) == 2
+    assert pencil_solves == [a, b]
     assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
 
 
