@@ -42,6 +42,7 @@ from .errors import (
     MaxIterationsError,
     NegativeEigenvalueError,
     NoSignChangeError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     UnsupportedOrderError,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "Mesh1D",
     "NegativeEigenvalueError",
     "NoSignChangeError",
+    "NonFiniteError",
     "NotPositiveDefiniteError",
     "PencilEigen",
     "ResidualBounds",

@@ -39,7 +39,8 @@ output: floats are printed with ``repr`` and rows are sorted before
 emission.
 
 Exit codes: 0 success, 1 contract violation or computation failure,
-2 configuration/usage error.
+2 configuration/usage error, among them a window end or shift so large
+that the shifted forms overflow double.
 """
 
 import argparse
@@ -60,6 +61,7 @@ from .errors import (
     ConfigError,
     EigencloseError,
     InsufficientPointsError,
+    NonFiniteError,
     NoSignChangeError,
 )
 from .fixed_point import default_fp_tol, equivalence_gap
@@ -281,32 +283,37 @@ def _validate(cfg):
 
 
 def _build(cfg, order, mesh_n):
-    """Assemble (forms, oracle_spectrum, model) for one design point.
+    """Assemble (forms, model) for one design point.
 
-    The forms carry ``cfg.tol``.  ``oracle_spectrum`` and ``model`` are
-    None for external .forms input: no exact spectrum is known there.
+    The forms carry ``cfg.tol``.  ``model`` is None for external .forms
+    input.
     """
-    reach = 2.0 + max(
-        [abs(a) for a, b in cfg.windows] + [abs(b) for a, b in cfg.windows]
-        + [abs(t) for t in cfg.shifts] + [1.0]
-    )
     if cfg.model == "dirac1d":
         model = assemble_1d(uniform_mesh(mesh_n, cfg.jitter, cfg.seed), order)
-        forms, oracle = model.forms, exact_spectrum_1d(math.ceil(reach))
+        forms = model.forms
     elif cfg.model == "maxwell2d":
         model = assemble_2d(structured_tri_mesh(mesh_n, cfg.jitter, cfg.seed), order)
-        forms, oracle = model.forms, exact_spectrum_2d(reach)
+        forms = model.forms
     else:
         try:
             forms = read_forms(cfg.model)
         except OSError as exc:
             raise ConfigError(f"cannot read forms file: {exc}") from None
-        oracle = model = None
+        model = None
     if cfg.tol != forms.tol:
         forms = dataclasses.replace(forms, tol=cfg.tol)
     if model is None:
         forms.validate()
-    return forms, oracle, model
+    return forms, model
+
+
+def _oracle(cfg):
+    """The exact spectrum of a built-in model out to 2 past the farthest
+    window end, for the commands that compare against it."""
+    reach = 2.0 + max([abs(x) for w in cfg.windows for x in w] + [1.0])
+    if cfg.model == "dirac1d":
+        return exact_spectrum_1d(math.ceil(reach))
+    return exact_spectrum_2d(reach)
 
 
 def _single_design_point(cfg, command):
@@ -413,7 +420,7 @@ def cmd_bounds(cfg):
     if not cfg.windows:
         raise ConfigError("'bounds' needs at least one --window a,b")
     order, mesh_n = _single_design_point(cfg, "bounds")
-    forms, _, _ = _build(cfg, order, mesh_n)
+    forms, _ = _build(cfg, order, mesh_n)
 
     rows = []
     display = []
@@ -455,11 +462,12 @@ def cmd_converge(cfg):
             f"{sorted(set(cfg.meshes))}"
         )
 
+    oracle = _oracle(cfg)
     rows = []
     widths = {}  # (r, j) -> list of (h, width)
     for order in sorted(cfg.orders):
         for mesh_n in sorted(cfg.meshes):
-            forms, oracle, model = _build(cfg, order, mesh_n)
+            forms, model = _build(cfg, order, mesh_n)
             h = model.mesh.h
             for e in zm_enclosures(forms, cfg.windows[0], cfg.j_max):
                 true_val, _ = _interval_distance(oracle, e.lower, e.upper)
@@ -499,7 +507,8 @@ def cmd_pollute(cfg):
     if not cfg.windows:
         raise ConfigError("'pollute' needs at least one --window a,b")
     order, mesh_n = _single_design_point(cfg, "pollute")
-    forms, oracle, model = _build(cfg, order, mesh_n)
+    forms, model = _build(cfg, order, mesh_n)
+    oracle = _oracle(cfg)
     theta = galerkin_spectrum(model)
 
     rows = []
@@ -543,7 +552,7 @@ def cmd_equiv(cfg):
     if not cfg.shifts:
         raise ConfigError("'equiv' needs at least one --shift t")
     order, mesh_n = _single_design_point(cfg, "equiv")
-    forms, _, _ = _build(cfg, order, mesh_n)
+    forms, _ = _build(cfg, order, mesh_n)
 
     fp_tol_used = cfg.fp_tol
     if fp_tol_used is None:
@@ -584,7 +593,7 @@ def cmd_export_forms(cfg):
     order, mesh_n = _single_design_point(cfg, "export-forms")
     if cfg.out is None:
         raise ConfigError("'export-forms' needs --out FILE")
-    forms, _, model = _build(cfg, order, mesh_n)
+    forms, model = _build(cfg, order, mesh_n)
     write_forms(forms, cfg.out)
     if cfg.mesh_out is not None:
         if cfg.model != "maxwell2d":
@@ -624,7 +633,7 @@ def main(argv=None):
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except (ConfigError, InsufficientPointsError) as exc:
+    except (ConfigError, InsufficientPointsError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigencloseError as exc:

@@ -33,8 +33,9 @@ from .errors import (
     EmptySideError,
     GapViolationError,
     NegativeEigenvalueError,
+    NonFiniteError,
 )
-from .forms import shifted_square
+from .forms import shifted_linear, shifted_square
 from .linalg import (
     definite_pencil_eigh,
     psd_eigh,
@@ -79,10 +80,13 @@ class PencilEigen:
     ``tau_minus`` ascending (most negative first, so index j-1 bounds
     the j-th spectral point below t), ``tau_plus`` descending.  Vector
     columns are Q_t-orthonormal coefficient vectors in the full trial
-    basis, deflated kernel directions removed.  ``Qt`` and ``Lt`` are
-    the shifted form matrices the pencil was solved at, in the precision
-    of the forms, which :meth:`polish` reads; ``polished`` counts the
-    polished entries of each side.
+    basis, deflated kernel directions removed, of the nearest
+    ``REFINE_COUNT`` tau of each side only: the ones :meth:`polish` can
+    read.  ``Qt`` and ``Lt`` are the shifted form matrices the pencil
+    was solved at, in the precision of the forms, and ``pattern`` the
+    forms' nonzero pattern (:meth:`TrialForms.pattern`), which
+    :meth:`polish` reads; ``polished`` counts the polished entries of
+    each side.
     """
 
     t: float
@@ -93,6 +97,7 @@ class PencilEigen:
     signature: Signature
     Qt: np.ndarray = field(repr=False)
     Lt: np.ndarray = field(repr=False)
+    pattern: tuple = field(repr=False)
     polished: dict = field(
         init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
     )
@@ -123,10 +128,8 @@ class PencilEigen:
         if not _LONGDOUBLE_OK or k <= self.polished[side]:
             return tau
         x = vectors[:, :k].astype(np.longdouble)
-        lt = np.asarray(self.Lt, dtype=np.longdouble)
-        qt = np.asarray(self.Qt, dtype=np.longdouble)
-        num = np.einsum("ij,ij->j", x, lt @ x)
-        den = np.einsum("ij,ij->j", x, qt @ x)
+        num = np.einsum("ij,ij->j", x, _pattern_product(self.Lt, self.pattern, x))
+        den = np.einsum("ij,ij->j", x, _pattern_product(self.Qt, self.pattern, x))
         good = den > 0
         tau = tau.copy()
         tau[:k][good] = (num[good] / den[good]).astype(float)
@@ -136,9 +139,25 @@ class PencilEigen:
         order = np.concatenate([order, np.arange(k, tau.size)])
         tau = tau[order]
         setattr(self, "tau_" + name, tau)
-        setattr(self, "vectors_" + name, vectors[:, order])
+        setattr(self, "vectors_" + name, vectors[:, order[: vectors.shape[1]]])
         self.polished[side] = k
         return tau
+
+
+def _pattern_product(a, pattern, x):
+    """``a @ x`` in longdouble for ``a`` zero off ``pattern``.
+
+    ``np.add.at`` adds the products in the pattern's row-major order, so
+    each row is summed from +0 in ascending column order: bit for bit the
+    dense non-BLAS longdouble product.  That one adds zero terms off the
+    pattern too, but a sum started at +0 is never -0, and adding a zero
+    to it changes nothing.
+    """
+    rows, cols = pattern
+    out = np.zeros(x.shape, dtype=np.longdouble)
+    terms = np.asarray(a[rows, cols], dtype=np.longdouble)[:, None] * x[cols]
+    np.add.at(out, rows, terms)
+    return out
 
 
 def _check_side(side):
@@ -215,13 +234,20 @@ def local_counting(forms, t, count=None):
     NegativeEigenvalueError
         If the pencil has an eigenvalue below ``-tol * ||Q_t||``; Q_t
         represents a square, so that signals corrupted forms.
+    NonFiniteError
+        If Q_t overflows double, as for :func:`zm_eigen`.
     ValueError
         If ``count`` is given and below 1.
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    qt = shifted_square(forms, t).astype(float, copy=False)
-    values = sym_generalized_eigvals(qt, forms.factor(), count)
+    # an overflow is reported once, as the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        qt = shifted_square(forms, t).astype(float, copy=False)
+    try:
+        values = sym_generalized_eigvals(qt, forms.factor(), count)
+    except NonFiniteError:
+        raise _overflow(t) from None
     if values[0] < 0.0:
         floor = -forms.tol * np.linalg.norm(qt, 2)
         if values[0] < floor:
@@ -283,10 +309,14 @@ def zm_eigen(forms, t):
     :func:`zm_bounds_one_sided` and :func:`zm_enclosures`, j entries of
     one side for a fixed-point seed, none for :func:`signature`.
 
-    Each call solves afresh and returns a new, unshared pencil.  The
-    package's own callers share one solve per shift through the forms'
-    memo of their last solve instead.  The solve does not warn: a
-    deflated kernel shows in ``signature.n_inf``.
+    Q_t and L_t are built on the forms' nonzero pattern
+    (:func:`~eigenclose.forms.shifted_square`), and only the vectors
+    the polish can read are back-transformed and kept: those of the
+    ``REFINE_COUNT`` nearest tau of each side.  Each call solves afresh
+    and returns a new, unshared pencil.  The package's own callers share
+    one solve per shift through the forms' memo of their last solve
+    instead.  The solve does not warn: a deflated kernel shows in
+    ``signature.n_inf``.
 
     Raises
     ------
@@ -294,12 +324,18 @@ def zm_eigen(forms, t):
         If deflation removes the whole subspace.
     NegativeEigenvalueError
         If Q_t is indefinite beyond roundoff.
+    NonFiniteError
+        If Q_t or L_t overflows double (``|t|`` beyond about 1e154 for
+        forms with entries of order one); the message names t.
     """
-    qt = shifted_square(forms, t)
-    lt = forms.M1 - forms.M0.dtype.type(t) * forms.M0
-    qt_d = np.asarray(qt, dtype=float)
-    lt_d = np.asarray(lt, dtype=float)
-    solved = _cholesky_route(forms, qt_d, lt_d)
+    # an overflow is reported once, as the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        qt, lt = shifted_square(forms, t), shifted_linear(forms, t)
+        qt_d, lt_d = qt.astype(float, copy=False), lt.astype(float, copy=False)
+    try:
+        solved = _cholesky_route(forms, qt_d, lt_d)
+    except NonFiniteError:
+        raise _overflow(t) from None
     if solved is None:
         solved = _eigh_route(forms, qt_d, lt_d)
     n_inf, tau, vectors, zero = solved
@@ -317,16 +353,36 @@ def zm_eigen(forms, t):
 
     # tau ascending -> negatives already most-negative-first; positives
     # must be flipped so index 0 is the largest (nearest bound first).
+    # The negatives are a prefix of tau and the positives a suffix, so
+    # the vectors the polish can read are among the kept columns.
+    kept = _read_columns(tau.size)
+    nearest_plus = kept >= tau.size - min(n_plus, REFINE_COUNT)
     return PencilEigen(
         t=float(t),
         tau_minus=tau[neg],
         tau_plus=tau[pos][::-1],
-        vectors_minus=vectors[:, neg],
-        vectors_plus=vectors[:, pos][:, ::-1],
+        vectors_minus=vectors[:, kept < min(n_minus, REFINE_COUNT)],
+        vectors_plus=vectors[:, nearest_plus][:, ::-1],
         signature=sig,
         Qt=qt,
         Lt=lt,
+        pattern=forms.pattern(),
     )
+
+
+def _overflow(t):
+    return NonFiniteError(
+        f"the shifted forms overflow double at t={t:g}; the shift is too large"
+    )
+
+
+def _read_columns(size):
+    """Indices of the ``REFINE_COUNT`` smallest and the ``REFINE_COUNT``
+    largest of ``size`` ascending tau: the vectors :meth:`PencilEigen.polish`
+    can read, whatever the zero classification."""
+    if size <= 2 * REFINE_COUNT:
+        return np.arange(size)
+    return np.r_[:REFINE_COUNT, size - REFINE_COUNT : size]
 
 
 def _norm2_bounds(a):
@@ -338,11 +394,14 @@ def _norm2_bounds(a):
 
 def _cholesky_route(forms, qt, lt):
     """:func:`zm_eigen`'s Cholesky route: ``(0, tau, vectors, zero)``
-    with tau ascending and ``zero`` marking the zero tau, or ``None``
-    where it cannot certify the census."""
+    with tau ascending, the vectors of tau at :func:`_read_columns` and
+    ``zero`` marking the zero tau, or ``None`` where it cannot certify
+    the census."""
     q_lo, q_hi = _norm2_bounds(qt)
     floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
-    solved = definite_pencil_eigh(lt, qt, 2.0 * floor * max(1.0, q_hi))
+    solved = definite_pencil_eigh(
+        lt, qt, 2.0 * floor * max(1.0, q_hi), _read_columns(forms.n)
+    )
     if solved is None:
         return None
     tau, vectors = solved
@@ -369,7 +428,8 @@ def _eigh_route(forms, qt, lt):
     norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
     norm_q = split.norm
     zero_threshold = forms.tol * (norm_l / norm_q) if norm_q > 0 else 0.0
-    return n_inf, tau, basis @ coeffs, np.abs(tau) <= zero_threshold
+    vectors = basis @ coeffs[:, _read_columns(tau.size)]
+    return n_inf, tau, vectors, np.abs(tau) <= zero_threshold
 
 
 def _pencil(forms, t):

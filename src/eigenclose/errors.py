@@ -48,6 +48,11 @@ class InconsistentFormsError(EigencloseError, ValueError):
     """The trial forms fail the consistency test of ``TrialForms.validate``."""
 
 
+class NonFiniteError(EigencloseError, ValueError):
+    """A matrix holds an inf or a NaN where LAPACK needs finite input;
+    at a shift, Q_t or L_t overflows double."""
+
+
 class DegenerateShiftError(EigencloseError):
     """The shifted quadratic form vanishes on the whole trial subspace, so
     no spectral information survives deflation."""

@@ -43,7 +43,8 @@ class TrialForms:
     counting function's roundoff floor.  Construction validates shapes,
     exact symmetry, ``tol`` and M0's definiteness.  The forms compute
     once what depends on no shift (M0's Cholesky factor, the Ritz values
-    of (M1, M0), the consistency test) and keep their last pencil solve,
+    of (M1, M0), the consistency test, the nonzero pattern the shifted
+    forms are built on) and keep their last pencil solve,
     so callers reading one shift (the end two touching windows share,
     both sides of a fixed-point audit) solve it once.  The caches rely
     on the forms being immutable, so they are: the fields cannot be
@@ -72,6 +73,10 @@ class TrialForms:
         factor = _checked_potrf(self.M0, max(self.tol, DEFAULT_TOL))
         factor.flags.writeable = False
         object.__setattr__(self, "_factor", factor)
+        pattern = np.nonzero((self.M0 != 0) | (self.M1 != 0) | (self.M2 != 0))
+        for index in pattern:
+            index.flags.writeable = False
+        object.__setattr__(self, "_pattern", pattern)
         # "ritz", "schur_min" and "pencil" (t, PencilEigen) of the last solve
         object.__setattr__(self, "_kept", {})
 
@@ -82,6 +87,12 @@ class TrialForms:
     def factor(self):
         """M0's lower Cholesky factor, computed at construction; read-only."""
         return self._factor
+
+    def pattern(self):
+        """Row and column indices, row-major, of the entries nonzero in
+        M0, M1 or M2: every entry a combination of the forms can make
+        nonzero.  Computed at construction; read-only."""
+        return self._pattern
 
     def ritz(self):
         """Ritz values of the pencil ``(M1, M0)``, ascending, solved once; read-only."""
@@ -122,9 +133,24 @@ class TrialForms:
 def shifted_square(forms, t):
     """The matrix ``Q_t = M2 - 2t M1 + t^2 M0``, in the precision of the
     forms (``t^2`` is squared in it too) and, as an entrywise combination
-    of them, exactly symmetric."""
+    of them, exactly symmetric.  Only the forms' pattern is evaluated;
+    every other entry is +0."""
     tt = forms.M0.dtype.type(t)
-    return forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
+    m0, m1, m2 = (m[forms.pattern()] for m in (forms.M0, forms.M1, forms.M2))
+    return _on_pattern(forms, m2 - (2.0 * tt) * m1 + (tt * tt) * m0)
+
+
+def shifted_linear(forms, t):
+    """The matrix ``L_t = M1 - t M0``, built as :func:`shifted_square`."""
+    m0, m1 = (m[forms.pattern()] for m in (forms.M0, forms.M1))
+    return _on_pattern(forms, m1 - forms.M0.dtype.type(t) * m0)
+
+
+def _on_pattern(forms, values):
+    """The n by n matrix holding ``values`` on the forms' pattern, +0 off it."""
+    out = np.zeros((forms.n, forms.n), dtype=values.dtype)
+    out[forms.pattern()] = values
+    return out
 
 
 def scatter(values, dofs, n):

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .errors import NegativeEigenvalueError, NotPositiveDefiniteError
+from .errors import NegativeEigenvalueError, NonFiniteError, NotPositiveDefiniteError
 
 #: default relative tolerance used for rank / definiteness decisions
 DEFAULT_TOL = 1e-10
@@ -140,14 +140,14 @@ def sym_eigh(a, vectors=True):
 
     Raises
     ------
-    ValueError
+    NonFiniteError
         If the matrix holds an inf or a NaN.
     numpy.linalg.LinAlgError
         If the decomposition does not converge.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteError("array must not contain infs or NaNs")
     values, vecs, info = scipy.linalg.lapack.dsyevd(
         a, compute_v=int(vectors), lower=1
     )
@@ -173,7 +173,7 @@ def sym_generalized_eigvals(a, factor, count=None):
     if n == 0:
         return np.zeros(0)
     if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteError("array must not contain infs or NaNs")
     c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
     if count is None or count >= n:
         return sym_eigh(c, vectors=False)
@@ -186,7 +186,7 @@ def sym_generalized_eigvals(a, factor, count=None):
     return values[:m]
 
 
-def definite_pencil_eigh(a, b, sigma):
+def definite_pencil_eigh(a, b, sigma, columns):
     """Eigenpairs of ``a x = lam b x`` once ``b`` is certified definite.
 
     The certificate is a successful LAPACK ``potrf`` of ``b - sigma I``:
@@ -195,21 +195,22 @@ def definite_pencil_eigh(a, b, sigma):
     pencil is then solved through the Cholesky factor ``L`` of ``b``:
     ``sygst`` forms ``L^{-1} a L^{-T}``, :func:`sym_eigh` gives its
     eigenpairs ``(lam, Y)`` and BLAS ``trsm`` back-transforms
-    ``X = L^{-T} Y``, whose columns are ``b``-orthonormal.
+    ``X = L^{-T} Y[:, columns]``, whose columns are ``b``-orthonormal.
 
-    Returns ``(values, vectors)``, the values ascending, or ``None`` when
-    the certificate fails.  Only the lower triangles are read, so ``a``
-    and ``b`` must be exactly symmetric.
+    Returns ``(values, vectors)``, all the values ascending and the
+    vectors of the values at ``columns`` (an index array, or a slice),
+    or ``None`` when the certificate fails.  Only the lower triangles are
+    read, so ``a`` and ``b`` must be exactly symmetric.
 
     Raises
     ------
-    ValueError
+    NonFiniteError
         If ``a`` or ``b`` holds an inf or a NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteError("array must not contain infs or NaNs")
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros((0, 0))
@@ -225,6 +226,7 @@ def definite_pencil_eigh(a, b, sigma):
     values, y = sym_eigh(c)
     # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
     # milliseconds on a 2 x 2 system when it runs threaded
+    y = y[:, columns]
     vectors = scipy.linalg.blas.dtrsm(1.0, factor, y, lower=1, trans_a=1, overwrite_b=1)
     return values, vectors
 

@@ -610,6 +610,47 @@ def test_infinite_shift_rejected(capsys):
     assert _one_line_error(capsys)
 
 
+def test_only_pollute_and_converge_build_the_exact_spectrum(capsys, monkeypatch):
+    # bounds and equiv never read it, so huge window ends or shifts cost
+    # them nothing; maxwell2d's spectrum out to 1e5 would take 1e10 steps
+    def refuse(cfg):
+        raise AssertionError("the exact spectrum was built")
+
+    monkeypatch.setattr(cli, "_oracle", refuse)
+    assert main(["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "8",
+                 "--window", "0.5,1.5"]) == 0
+    assert main(["equiv", "--model", "maxwell2d", "--order", "1", "--mesh", "3",
+                 "--shift", "1e5"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--model", "dirac1d", "--order", "1", "--mesh", "6", "--shift", "1e200"],
+    ["bounds", "--model", "dirac1d", "--order", "3", "--mesh", "12",
+     "--window", "1e300,1e301"],
+    ["equiv", "--model", "maxwell2d", "--order", "1", "--mesh", "3",
+     "--shift=-1e160"],
+    ["bounds", "--model", "maxwell2d", "--order", "1", "--mesh", "3",
+     "--window", "1e200,1e201"],
+])
+def test_overflowing_shift_is_one_line_usage_error(argv):
+    # Q_t overflows double past |t| ~ 1e154 on both models; a fresh
+    # process shows that no numpy warning reaches stderr either
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = "import sys; from eigenclose.cli import main; sys.exit(main())"
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    t = argv[-1].split("=")[-1].split(",")[0]
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == (
+        f"error: the shifted forms overflow double at t={float(t):g}; "
+        "the shift is too large\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--window", "0.5,1.5", "--tol", "nan"],
     ["bounds", "--window", "0.5,1.5", "--tol", "-1"],

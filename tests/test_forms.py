@@ -10,7 +10,7 @@ import pytest
 import eigenclose.linalg as linalg_mod
 from eigenclose import dirac1d, enclosure, fixed_point, forms as forms_mod, maxwell2d
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
-from eigenclose.enclosure import local_counting, zm_eigen
+from eigenclose.enclosure import local_counting, zm_eigen, zm_enclosures
 from eigenclose.errors import (
     FormsFormatError,
     NegativeEigenvalueError,
@@ -26,6 +26,7 @@ from eigenclose.forms import (
     TrialForms,
     operator_forms,
     read_forms,
+    shifted_linear,
     shifted_square,
     write_forms,
 )
@@ -94,6 +95,63 @@ def test_shifted_forms_are_exactly_symmetric(model):
         npt.assert_array_equal(qt, qt.T)
         npt.assert_array_equal(pencil.Qt, qt)
         npt.assert_array_equal(pencil.Lt, pencil.Lt.T)
+
+
+def _dense_shifted(forms, t):
+    """Q_t and L_t as the dense entrywise expressions of the forms."""
+    tt = forms.M0.dtype.type(t)
+    qt = forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
+    return qt, forms.M1 - tt * forms.M0
+
+
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_pattern_builders_give_the_dense_bits(model):
+    # equal values, and on the pattern equal signs of zero; off it the
+    # builders give +0, where dirac1d's M1, which holds -0.0 off the
+    # pattern, makes the dense L_t at t >= 0 hold -0.0
+    if model == "dirac1d":  # assembled in longdouble
+        forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 3).forms
+    else:
+        mesh = maxwell2d.structured_tri_mesh(4, jitter=0.25, seed=1)
+        forms = maxwell2d.assemble_2d(mesh, 1).forms
+    rows, cols = forms.pattern()
+    assert 0 < rows.size < forms.n**2 and not rows.flags.writeable
+    off = np.ones((forms.n, forms.n), dtype=bool)
+    off[rows, cols] = False
+    for t in (-1.3, -1.0 / 3.0, 0.0, 0.6, 17.0):
+        built = (shifted_square(forms, t), shifted_linear(forms, t))
+        for matrix, dense in zip(built, _dense_shifted(forms, t)):
+            assert matrix.dtype == dense.dtype
+            assert np.array_equal(matrix, dense)
+            npt.assert_array_equal(
+                np.signbit(matrix[rows, cols]), np.signbit(dense[rows, cols])
+            )
+            assert not np.signbit(matrix[off]).any()
+
+
+def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
+    """An explicit -0.0 in M1, off the nonzero pattern: there the dense
+    ``L_t = M1 - t M0`` holds -0.0 at t > 0 and the pattern builder
+    +0.0.  The zero's sign reaches neither the pencil solve nor the
+    polish, so the bounds are identical."""
+    path = tmp_path / "negzero.forms"
+    write_forms(assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms, path)
+    lines = path.read_text().splitlines()
+    n = int(lines[0])
+    lines.insert(lines.index("%M1") + 1, f"1 {n} -0.0")
+    path.write_text("\n".join(lines) + "\n")
+    forms = read_forms(path)
+    assert np.signbit(forms.M1[0, n - 1]) and forms.M1[0, n - 1] == 0.0
+    assert np.signbit(_dense_shifted(forms, 2.5)[1][0, n - 1])
+    assert not np.signbit(shifted_linear(forms, 2.5)[0, n - 1])
+
+    def bounds(forms):
+        return [(e.lower, e.upper) for e in zm_enclosures(forms, (0.5, 2.5), 2)]
+
+    pattern = bounds(forms)
+    monkeypatch.setattr(enclosure, "shifted_square", lambda f, t: _dense_shifted(f, t)[0])
+    monkeypatch.setattr(enclosure, "shifted_linear", lambda f, t: _dense_shifted(f, t)[1])
+    assert len(pattern) == 2 and pattern == bounds(read_forms(path))
 
 
 def test_trial_forms_are_immutable():

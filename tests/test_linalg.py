@@ -7,7 +7,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenclose.errors import NegativeEigenvalueError, NotPositiveDefiniteError
+from eigenclose.errors import (
+    NegativeEigenvalueError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+)
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
@@ -163,9 +167,14 @@ def test_generalized_eig_rejects_indefinite_b():
 
 
 def test_definite_pencil_diagonal_oracle():
-    values, vectors = definite_pencil_eigh(np.diag([3.0, -1.0]), np.diag([4.0, 2.0]), 0.1)
+    a, b = np.diag([3.0, -1.0]), np.diag([4.0, 2.0])
+    values, vectors = definite_pencil_eigh(a, b, 0.1, slice(None))
     npt.assert_allclose(values, [-0.5, 0.75], atol=1e-15)
     npt.assert_allclose(np.abs(vectors), [[0.0, 0.5], [2**-0.5, 0.0]], atol=1e-15)
+    # the vectors of chosen values only; all the values still come back
+    values, vectors = definite_pencil_eigh(a, b, 0.1, [1])
+    npt.assert_allclose(values, [-0.5, 0.75], atol=1e-15)
+    npt.assert_allclose(np.abs(vectors), [[0.5], [0.0]], atol=1e-15)
 
 
 def test_definite_pencil_matches_the_generalized_solve():
@@ -174,24 +183,33 @@ def test_definite_pencil_matches_the_generalized_solve():
     a = symmetrize(x + x.T)
     y = rng.standard_normal((6, 6))
     b = symmetrize(y @ y.T + 0.5 * np.eye(6))
-    values, vectors = definite_pencil_eigh(a, b, 0.1)
+    values, vectors = definite_pencil_eigh(a, b, 0.1, slice(None))
     npt.assert_allclose(values, scipy.linalg.eigh(a, b, eigvals_only=True), rtol=1e-12)
     # b-orthonormal eigenvector columns
     npt.assert_allclose(vectors.T @ b @ vectors, np.eye(6), atol=1e-12)
     npt.assert_allclose(a @ vectors, b @ vectors * values, atol=1e-11)
+    # the chosen columns are those of the full back-transform, bit for bit
+    columns = np.array([0, 1, 5])
+    some, chosen = definite_pencil_eigh(a, b, 0.1, columns)
+    npt.assert_array_equal(some, values)
+    npt.assert_array_equal(chosen, vectors[:, columns])
 
 
 def test_definite_pencil_needs_the_certificate():
     # b's smallest eigenvalue 1e-3 must exceed sigma
     a, b = np.eye(2), np.diag([1.0, 1e-3])
-    assert definite_pencil_eigh(a, b, 1e-2) is None
-    assert definite_pencil_eigh(a, b, 1e-3 * (1 + 1e-12)) is None
-    assert definite_pencil_eigh(a, b, 1e-4) is not None
-    assert definite_pencil_eigh(a, np.diag([1.0, -1.0]), 0.0) is None
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        definite_pencil_eigh(a, np.diag([1.0, np.nan]), 0.0)
-    values, vectors = definite_pencil_eigh(np.zeros((0, 0)), np.zeros((0, 0)), 1.0)
-    assert values.shape == (0,) and vectors.shape == (0, 0)
+    every = slice(None)
+    assert definite_pencil_eigh(a, b, 1e-2, every) is None
+    assert definite_pencil_eigh(a, b, 1e-2, [0]) is None
+    assert definite_pencil_eigh(a, b, 1e-3 * (1 + 1e-12), every) is None
+    assert definite_pencil_eigh(a, b, 1e-4, every) is not None
+    assert definite_pencil_eigh(a, np.diag([1.0, -1.0]), 0.0, every) is None
+    with pytest.raises(NonFiniteError, match="infs or NaNs"):
+        definite_pencil_eigh(a, np.diag([1.0, np.nan]), 0.0, every)
+    empty = np.zeros((0, 0))
+    for columns in (every, []):
+        values, vectors = definite_pencil_eigh(empty, empty, 1.0, columns)
+        assert values.shape == (0,) and vectors.shape == (0, 0)
 
 
 def test_kernel_basis_diagonal():

@@ -1,5 +1,6 @@
 """Tests for the shifted-pencil (Zimmermann-Mertins) bound machinery."""
 
+import re
 import warnings
 from dataclasses import fields, replace
 
@@ -20,7 +21,12 @@ from eigenclose.enclosure import (
     zm_eigen,
     zm_enclosures,
 )
-from eigenclose.errors import DeflationWarning, DegenerateShiftError, EmptySideError
+from eigenclose.errors import (
+    DeflationWarning,
+    DegenerateShiftError,
+    EmptySideError,
+    NonFiniteError,
+)
 from eigenclose.fixed_point import optimal_shift
 from eigenclose.forms import TrialForms, operator_forms, shifted_square
 from eigenclose.linalg import (
@@ -573,14 +579,30 @@ def test_polish_remembers_its_reach():
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= 1e-18, reason="no extended precision to polish in"
 )
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_polish_keeps_the_polished_prefix_polished(k):
+@pytest.mark.parametrize(
+    "model, k",
+    [
+        pytest.param(model, k, id=str(k) if model == "maxwell2d" else f"{model}-{k}")
+        for model in ("maxwell2d", "dirac1d")
+        for k in (1, 2, 3, REFINE_COUNT)
+    ],
+)
+def test_polish_keeps_the_polished_prefix_polished(model, k):
     # on the unjittered 2D mesh the represented gradient kernel gives a
     # cluster of tau = -1/t that ties to roundoff: a polished entry must
-    # not trade places with an unpolished one beyond k
-    forms = assemble_2d(structured_tri_mesh(4, 0.0, 0), 1).forms
+    # not trade places with an unpolished one beyond k; dirac1d's forms
+    # are extended precision, and its left side holds more than
+    # REFINE_COUNT tau.  The polish sums over the forms' nonzero pattern
+    # and must give the dense longdouble quotients bit for bit.
+    if model == "maxwell2d":
+        forms = assemble_2d(structured_tri_mesh(4, 0.0, 0), 1).forms
+    else:
+        forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=4), 3).forms
+        assert forms.M0.dtype == np.longdouble
     t = 0.8
     raw = zm_eigen(forms, t)
+    if model == "dirac1d":
+        assert raw.tau_minus.size > REFINE_COUNT
     pencil = zm_eigen(forms, t)
     tau = pencil.polish("left", k)
     x = pencil.vectors_minus[:, :k].astype(np.longdouble)
@@ -588,9 +610,72 @@ def test_polish_keeps_the_polished_prefix_polished(k):
     qt = np.asarray(pencil.Qt, dtype=np.longdouble)
     quotients = np.einsum("ij,ij->j", x, lt @ x) / np.einsum("ij,ij->j", x, qt @ x)
     npt.assert_array_equal(tau[:k], quotients.astype(float))
+    for a, dense in ((pencil.Lt, lt), (pencil.Qt, qt)):
+        product = enclosure_mod._pattern_product(a, pencil.pattern, x)
+        assert np.array_equal(product, dense @ x)
     npt.assert_array_equal(tau[k:], raw.tau_minus[k:])
     npt.assert_array_equal(pencil.vectors_minus[:, k:], raw.vectors_minus[:, k:])
     assert np.all(np.diff(np.abs(tau[:k])) <= 0.0)
+
+
+def _deflating_large():
+    """Forms of 70 trial vectors, the first an exact eigenvector at t = 0:
+    the shift deflates a kernel, so it takes the eigendecomposition route,
+    and each side keeps more than ``REFINE_COUNT`` tau."""
+    lam = np.linspace(-3.0, 3.0, 81)
+    rng = np.random.default_rng(5)
+    w = np.hstack([np.eye(81)[:, [40]], rng.standard_normal((81, 69))])
+    return operator_forms(np.diag(lam), w), 0.0
+
+
+@pytest.mark.parametrize("route", ["cholesky", "eigh"])
+def test_each_side_keeps_the_vectors_the_polish_can_read(
+    route, eigh_route, monkeypatch
+):
+    if route == "cholesky":
+        forms, t = assemble_1d(uniform_mesh(12, jitter=0.3, seed=4), 3).forms, 0.6
+    else:
+        forms, t = _deflating_large()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeflationWarning)
+        pencil = zm_eigen(forms, t)
+    assert len(eigh_route) == (route == "eigh")
+    assert min(pencil.tau_minus.size, pencil.tau_plus.size) > REFINE_COUNT
+    qt = np.asarray(shifted_square(forms, t), dtype=float)
+    lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=float)
+    for name in ("minus", "plus"):
+        tau, x = getattr(pencil, "tau_" + name), getattr(pencil, "vectors_" + name)
+        assert x.shape == (forms.n, min(tau.size, REFINE_COUNT))
+        # Q_t-orthonormal, each column the vector of its tau, nearest first
+        npt.assert_allclose(x.T @ qt @ x, np.eye(x.shape[1]), atol=1e-9)
+        quotients = np.einsum("ij,ij->j", x, lt @ x)
+        npt.assert_allclose(quotients, tau[: x.shape[1]], rtol=1e-8)
+    # the kept columns are those of a full back-transform, bit for bit
+    monkeypatch.setattr(enclosure_mod, "_read_columns", np.arange)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeflationWarning)
+        full = zm_eigen(forms, t)
+    for name in ("minus", "plus"):
+        for part in ("vectors_", "tau_"):
+            npt.assert_array_equal(getattr(pencil, part + name), getattr(full, part + name))
+
+
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_overflowing_shift_raises_a_typed_error(model):
+    if model == "dirac1d":  # longdouble Q_t is finite, its double is not
+        forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 1).forms
+    else:
+        forms = assemble_2d(structured_tri_mesh(3, jitter=0.2, seed=1), 1).forms
+    message = re.escape("the shifted forms overflow double at t=-1e+155;")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        for solve in (zm_eigen, local_counting):
+            with pytest.raises(NonFiniteError, match=message):
+                solve(forms, -1e155)
+        with pytest.raises(NonFiniteError, match="at t=1e"):
+            zm_enclosures(forms, (1e300, 1e301), 1)
+    # where Q_t still fits in double, the shift is solved
+    assert zm_eigen(forms, 1e150).signature.n_minus > 0
 
 
 def test_public_zm_eigen_returns_an_unshared_pencil():
