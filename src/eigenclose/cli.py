@@ -307,13 +307,22 @@ def _build(cfg, order, mesh_n):
     return forms, model
 
 
-def _oracle(cfg):
-    """The exact spectrum of a built-in model out to 2 past the farthest
-    window end, for the commands that compare against it."""
-    reach = 2.0 + max([abs(x) for w in cfg.windows for x in w] + [1.0])
-    if cfg.model == "dirac1d":
-        return exact_spectrum_1d(math.ceil(reach))
-    return exact_spectrum_2d(reach)
+def _nearest_exact(model, intervals):
+    """The exact eigenvalue of a built-in model nearest each interval
+    ``(lower, upper)`` (a point x is ``(x, x)``) and its distance to it.
+    Neighbouring exact eigenvalues lie less than 1 apart, so the spectrum
+    is built out to 2 past the farthest end compared, and no further."""
+    reach = 2.0 + max((abs(x) for pair in intervals for x in pair), default=0.0)
+    if model == "dirac1d":
+        exact = exact_spectrum_1d(math.ceil(reach))
+    else:
+        exact = exact_spectrum_2d(reach)
+    out = []
+    for lower, upper in intervals:
+        gaps = np.maximum.reduce([lower - exact, exact - upper, np.zeros_like(exact)])
+        i = int(np.argmin(gaps))
+        out.append((float(exact[i]), float(gaps[i])))
+    return out
 
 
 def _single_design_point(cfg, command):
@@ -323,18 +332,6 @@ def _single_design_point(cfg, command):
             f"orders={list(cfg.orders)}, meshes={list(cfg.meshes)}"
         )
     return cfg.orders[0], cfg.meshes[0]
-
-
-def _interval_distance(oracle, lower, upper):
-    """Nearest exact eigenvalue to an interval and its distance to it."""
-    gaps = np.maximum.reduce([lower - oracle, oracle - upper, np.zeros_like(oracle)])
-    i = int(np.argmin(gaps))
-    return float(oracle[i]), float(gaps[i])
-
-
-def _point_distance(oracle, x):
-    i = int(np.argmin(np.abs(oracle - x)))
-    return float(oracle[i]), float(abs(oracle[i] - x))
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +459,15 @@ def cmd_converge(cfg):
             f"{sorted(set(cfg.meshes))}"
         )
 
-    oracle = _oracle(cfg)
     rows = []
     widths = {}  # (r, j) -> list of (h, width)
     for order in sorted(cfg.orders):
         for mesh_n in sorted(cfg.meshes):
             forms, model = _build(cfg, order, mesh_n)
             h = model.mesh.h
-            for e in zm_enclosures(forms, cfg.windows[0], cfg.j_max):
-                true_val, _ = _interval_distance(oracle, e.lower, e.upper)
+            enclosures = zm_enclosures(forms, cfg.windows[0], cfg.j_max)
+            exact = _nearest_exact(cfg.model, [(e.lower, e.upper) for e in enclosures])
+            for e, (true_val, _) in zip(enclosures, exact):
                 rows.append((
                     h, order, e.j, e.lower, e.upper, e.width,
                     true_val, e.upper - true_val,
@@ -508,26 +505,24 @@ def cmd_pollute(cfg):
         raise ConfigError("'pollute' needs at least one --window a,b")
     order, mesh_n = _single_design_point(cfg, "pollute")
     forms, model = _build(cfg, order, mesh_n)
-    oracle = _oracle(cfg)
     theta = galerkin_spectrum(model)
 
+    # each row is compared by the interval in its column 6
     rows = []
-    flagged_enclosures = 0
     for a, b in sorted(cfg.windows):
         for value in theta[(theta > a) & (theta < b)]:
-            nearest, dist = _point_distance(oracle, value)
-            rows.append((
-                "galerkin", "", value, "", "", "", nearest, dist,
-                int(dist > cfg.flag_tol), "",
-            ))
+            rows.append(("galerkin", "", value, "", "", "", (value, value), ""))
         for e in zm_enclosures(forms, (a, b), cfg.j_max):
-            nearest, dist = _interval_distance(oracle, e.lower, e.upper)
-            spurious = int(dist > cfg.flag_tol)
-            flagged_enclosures += spurious
             rows.append((
-                "enclosure", e.j, "", e.lower, e.upper, e.width, nearest, dist,
-                spurious, "inconsistent" if e.inconsistent else "",
+                "enclosure", e.j, "", e.lower, e.upper, e.width, (e.lower, e.upper),
+                "inconsistent" if e.inconsistent else "",
             ))
+    found = _nearest_exact(cfg.model, [r[6] for r in rows])
+    rows = [
+        r[:6] + (nearest, dist, int(dist > cfg.flag_tol), r[7])
+        for r, (nearest, dist) in zip(rows, found)
+    ]
+    flagged_enclosures = sum(r[8] for r in rows if r[0] == "enclosure")
 
     rows.sort(key=lambda r: (r[0], _sort_float(r[2]), _sort_float(r[3])))
     _emit_csv(

@@ -35,7 +35,7 @@ from .errors import (
     NegativeEigenvalueError,
     NonFiniteError,
 )
-from .forms import shifted_linear, shifted_square
+from .forms import _on_pattern, shifted_linear, shifted_square
 from .linalg import (
     definite_pencil_eigh,
     psd_eigh,
@@ -82,11 +82,11 @@ class PencilEigen:
     columns are Q_t-orthonormal coefficient vectors in the full trial
     basis, deflated kernel directions removed, of the nearest
     ``REFINE_COUNT`` tau of each side only: the ones :meth:`polish` can
-    read.  ``Qt`` and ``Lt`` are the shifted form matrices the pencil
-    was solved at, in the precision of the forms, and ``pattern`` the
-    forms' nonzero pattern (:meth:`TrialForms.pattern`), which
-    :meth:`polish` reads; ``polished`` counts the polished entries of
-    each side.
+    read.  ``Qt_values`` and ``Lt_values`` are the values of the shifted
+    forms the pencil was solved at on ``pattern``, the forms' nonzero
+    pattern (:meth:`TrialForms.pattern`), in the precision of the forms:
+    all :meth:`polish` reads of Q_t and L_t, which are +0 off it.
+    ``polished`` counts the polished entries of each side.
     """
 
     t: float
@@ -95,8 +95,8 @@ class PencilEigen:
     vectors_minus: np.ndarray = field(repr=False)
     vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
-    Qt: np.ndarray = field(repr=False)
-    Lt: np.ndarray = field(repr=False)
+    Qt_values: np.ndarray = field(repr=False)
+    Lt_values: np.ndarray = field(repr=False)
     pattern: tuple = field(repr=False)
     polished: dict = field(
         init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
@@ -107,9 +107,12 @@ class PencilEigen:
         side in place and return that side, the polished ones re-sorted
         nearest first and kept ahead of the rest.
 
-        Longdouble Rayleigh quotients ``x' L_t x / x' Q_t x`` of the
-        double-precision eigenvectors on the stored ``Qt`` and ``Lt`` remove
-        the solve roundoff from the tight bounds.  ``polished`` records
+        Rayleigh quotients ``x' L_t x / x' Q_t x`` of the double-precision
+        eigenvectors, in longdouble on the stored shifted forms, remove
+        the solve roundoff from the tight bounds (with forms assembled in
+        extended precision, well below the double representation floor
+        of Q_t); where longdouble is no genuine extended precision,
+        nothing is polished.  ``polished`` records
         how many entries of each side are polished: a call asking for no
         more returns the side untouched, one asking for more polishes
         the nearest k afresh, so near-ties re-sort as if all k were
@@ -127,9 +130,9 @@ class PencilEigen:
         k = min(k, REFINE_COUNT, tau.size)
         if not _LONGDOUBLE_OK or k <= self.polished[side]:
             return tau
-        x = vectors[:, :k].astype(np.longdouble)
-        num = np.einsum("ij,ij->j", x, _pattern_product(self.Lt, self.pattern, x))
-        den = np.einsum("ij,ij->j", x, _pattern_product(self.Qt, self.pattern, x))
+        x, p = vectors[:, :k].astype(np.longdouble), self.pattern
+        num = np.einsum("ij,ij->j", x, _pattern_product(self.Lt_values, p, x))
+        den = np.einsum("ij,ij->j", x, _pattern_product(self.Qt_values, p, x))
         good = den > 0
         tau = tau.copy()
         tau[:k][good] = (num[good] / den[good]).astype(float)
@@ -144,8 +147,8 @@ class PencilEigen:
         return tau
 
 
-def _pattern_product(a, pattern, x):
-    """``a @ x`` in longdouble for ``a`` zero off ``pattern``.
+def _pattern_product(values, pattern, x):
+    """``a @ x`` in longdouble, ``a`` holding ``values`` on ``pattern``, +0 off it.
 
     ``np.add.at`` adds the products in the pattern's row-major order, so
     each row is summed from +0 in ascending column order: bit for bit the
@@ -155,7 +158,7 @@ def _pattern_product(a, pattern, x):
     """
     rows, cols = pattern
     out = np.zeros(x.shape, dtype=np.longdouble)
-    terms = np.asarray(a[rows, cols], dtype=np.longdouble)[:, None] * x[cols]
+    terms = np.asarray(values, dtype=np.longdouble)[:, None] * x[cols]
     np.add.at(out, rows, terms)
     return out
 
@@ -243,13 +246,13 @@ def local_counting(forms, t, count=None):
         raise ValueError(f"count must be positive, got {count}")
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        qt = shifted_square(forms, t).astype(float, copy=False)
+        qt = _on_pattern(forms, shifted_square(forms, t))
     try:
         values = sym_generalized_eigvals(qt, forms.factor(), count)
     except NonFiniteError:
         raise _overflow(t) from None
     if values[0] < 0.0:
-        floor = -forms.tol * np.linalg.norm(qt, 2)
+        floor = -forms.tol * _norm2(qt)
         if values[0] < floor:
             raise NegativeEigenvalueError(values[0], -floor)
     return np.sqrt(np.maximum(values, 0.0))
@@ -261,25 +264,19 @@ def zm_eigen(forms, t):
     The pencil is solved by one of two routes, ``tol`` being the forms'
     tolerance and u the double unit roundoff.
 
-    *Cholesky route*, taken whenever it can certify the census.  A
-    Cholesky factorization of ``Q_t - sigma I`` with
+    *Cholesky route*, taken wherever it can certify that nothing is
+    deflated.  A Cholesky factorization of ``Q_t - sigma I`` with
     ``sigma = 2 max(tol, n u) max(1, ||Q_t||_inf)`` proves that Q_t has
     no eigenvalue at or below ``tol * max(1, ||Q_t||_2)``, so the
     eigendecomposition route below would deflate nothing and raise
     nothing: ``n_inf = 0``.  tau with its Q_t-orthonormal vectors then
     come from :func:`~eigenclose.linalg.definite_pencil_eigh`, one
-    symmetric eigendecomposition.  The zero threshold
-    ``tol * ||L_t||_2 / ||Q_t||_2`` is not computed but bracketed by
-    O(n^2) norm bounds, the largest column 2-norm below and the largest
-    absolute row sum above, the bracket widened by a factor 2 for
-    roundoff.  When no ``|tau|`` falls inside it, every tau is classified
-    as the exact threshold would classify it, and the census stands.
+    symmetric eigendecomposition.
 
-    *Eigendecomposition route*, taken otherwise: at shifts where Q_t has
-    an eigenvalue at or below sigma (among them every shift that
-    deflates a kernel) and where a tau falls inside the bracket.  One
-    eigendecomposition ``Q_t = V W V'`` (:func:`psd_eigh`) gives three
-    things at once:
+    *Eigendecomposition route*, taken where that certificate fails: at
+    shifts where Q_t has an eigenvalue at or below sigma, among them
+    every shift that deflates a kernel.  One eigendecomposition
+    ``Q_t = V W V'`` (:func:`psd_eigh`) gives three things at once:
 
     * the kernel of Q_t, the columns with ``W <= tol * max(1, ||Q_t||)``
       (trial directions on which the shifted operator vanishes); in
@@ -293,30 +290,29 @@ def zm_eigen(forms, t):
     definite by construction, so ``C = V_c W_c^{-1/2}`` is a
     Q_t-orthonormal basis and tau with its Q_t-orthonormal vectors come
     from the *standard* symmetric eigenproblem of ``C' L_t C``.
-    ``||L_t||_2`` comes from the eigenvalues of L_t; eigenvalues with
-    ``|tau| <= tol * ||L_t|| / ||Q_t||`` count as zero.
 
-    Either way the pencil is solved in double precision and nothing is
-    polished.  The two routes agree to roundoff, so the unpolished tau
-    may differ in their last digits between them.  When the platform
-    offers a genuine extended-precision ``longdouble``,
-    :meth:`PencilEigen.polish` rewrites the nearest ``REFINE_COUNT``
-    entries of one side (the tight bounds) as extended-precision
-    Rayleigh quotients evaluated on the stored form matrices.  With
-    forms assembled in extended precision this pushes the accuracy of
-    the resulting bounds well below the double-precision representation
-    floor of ``Q_t``.  Callers polish only what they read: one side for
-    :func:`zm_bounds_one_sided` and :func:`zm_enclosures`, j entries of
-    one side for a fixed-point seed, none for :func:`signature`.
+    Both routes count a tau as zero by one rule,
+    ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.  The threshold is first
+    bracketed by O(n^2) norm bounds, the largest column 2-norm below and
+    the largest absolute row sum above (the eigendecomposition route
+    knows ``||Q_t||_2``), the bracket widened by a factor 2 for
+    roundoff.  Only when some ``|tau|`` falls inside the bracket are the
+    2-norms computed, as largest absolute eigenvalues.
 
-    Q_t and L_t are built on the forms' nonzero pattern
-    (:func:`~eigenclose.forms.shifted_square`), and only the vectors
-    the polish can read are back-transformed and kept: those of the
-    ``REFINE_COUNT`` nearest tau of each side.  Each call solves afresh
-    and returns a new, unshared pencil.  The package's own callers share
-    one solve per shift through the forms' memo of their last solve
-    instead.  The solve does not warn: a deflated kernel shows in
-    ``signature.n_inf``.
+    Either way the pencil is solved in double precision, the unpolished
+    tau of the two routes agreeing to roundoff, and nothing is polished.
+    Callers polish only what they read (:meth:`PencilEigen.polish`): one
+    side for :func:`zm_bounds_one_sided` and :func:`zm_enclosures`, j
+    entries of one side for a fixed-point seed, none for
+    :func:`signature`.
+
+    Q_t and L_t are evaluated on the forms' nonzero pattern only
+    (:func:`~eigenclose.forms.shifted_square`).  The pencil keeps those
+    values and the vectors of the ``REFINE_COUNT`` nearest tau of each
+    side: all the polish can read.  Each call solves afresh and returns
+    a new, unshared pencil; the package's own callers share one solve
+    per shift through the forms' memo of their last solve.  The solve
+    does not warn: a deflated kernel shows in ``signature.n_inf``.
 
     Raises
     ------
@@ -331,19 +327,18 @@ def zm_eigen(forms, t):
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
         qt, lt = shifted_square(forms, t), shifted_linear(forms, t)
-        qt_d, lt_d = qt.astype(float, copy=False), lt.astype(float, copy=False)
+        qt_d, lt_d = _on_pattern(forms, qt), _on_pattern(forms, lt)
     try:
         solved = _cholesky_route(forms, qt_d, lt_d)
     except NonFiniteError:
         raise _overflow(t) from None
-    if solved is None:
-        solved = _eigh_route(forms, qt_d, lt_d)
-    n_inf, tau, vectors, zero = solved
+    n_inf, tau, vectors, q_norm = solved or _eigh_route(forms, qt_d, lt_d)
     if n_inf == forms.n:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
 
+    zero = _zero_tau(forms, tau, q_norm, qt_d, lt_d)
     neg = (tau < 0.0) & ~zero
     pos = (tau > 0.0) & ~zero
     n_minus = int(np.count_nonzero(neg))
@@ -364,8 +359,8 @@ def zm_eigen(forms, t):
         vectors_minus=vectors[:, kept < min(n_minus, REFINE_COUNT)],
         vectors_plus=vectors[:, nearest_plus][:, ::-1],
         signature=sig,
-        Qt=qt,
-        Lt=lt,
+        Qt_values=qt,
+        Lt_values=lt,
         pattern=forms.pattern(),
     )
 
@@ -392,44 +387,49 @@ def _norm2_bounds(a):
     return float(lo), float(np.abs(a).sum(axis=1).max(initial=0.0))
 
 
-def _cholesky_route(forms, qt, lt):
-    """:func:`zm_eigen`'s Cholesky route: ``(0, tau, vectors, zero)``
-    with tau ascending, the vectors of tau at :func:`_read_columns` and
-    ``zero`` marking the zero tau, or ``None`` where it cannot certify
-    the census."""
-    q_lo, q_hi = _norm2_bounds(qt)
-    floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
-    solved = definite_pencil_eigh(
-        lt, qt, 2.0 * floor * max(1.0, q_hi), _read_columns(forms.n)
-    )
-    if solved is None:
-        return None
-    tau, vectors = solved
-    # the zero threshold tol ||L_t|| / ||Q_t|| lies in
-    # [tol l_lo / q_hi, tol l_hi / q_lo]; no |tau| may lie near it
+def _norm2(a):
+    """``||a||_2`` of a nonempty symmetric ``a``: its largest absolute eigenvalue."""
+    values = sym_eigh(a, vectors=False)
+    return float(max(abs(values[0]), abs(values[-1])))
+
+
+def _zero_tau(forms, tau, q_norm, qt, lt):
+    """The mask of the tau :func:`zm_eigen` counts as zero, from double
+    ``qt`` and ``lt`` and ``q_norm = (lo, hi)`` bounding ``||Q_t||_2``
+    (equal ends for a known norm).  The exact 2-norms (:func:`_norm2`)
+    are computed only for a ``|tau|`` the bracket leaves open."""
+    q_lo, q_hi = q_norm
     l_lo, l_hi = _norm2_bounds(lt)
     size = np.abs(tau)
     below = 2.0 * size * q_hi < forms.tol * l_lo
-    if np.any(~below & (size * q_lo <= 2.0 * forms.tol * l_hi)):
-        return None
-    return 0, tau, vectors, below
+    if np.all(below | (size * q_lo > 2.0 * forms.tol * l_hi)):
+        return below
+    norm_q = q_lo if q_lo == q_hi else _norm2(qt)
+    return size <= forms.tol * (_norm2(lt) / norm_q)
+
+
+def _cholesky_route(forms, qt, lt):
+    """:func:`zm_eigen`'s Cholesky route: ``(0, tau, vectors, q_norm)``
+    with tau ascending, the vectors of tau at :func:`_read_columns` and
+    ``q_norm`` the bounds on ``||Q_t||_2`` :func:`_zero_tau` reads, or
+    ``None`` where the certificate fails."""
+    q_norm = _norm2_bounds(qt)
+    floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
+    solved = definite_pencil_eigh(
+        lt, qt, 2.0 * floor * max(1.0, q_norm[1]), _read_columns(forms.n)
+    )
+    return None if solved is None else (0, *solved, q_norm)
 
 
 def _eigh_route(forms, qt, lt):
     """:func:`zm_eigen`'s eigendecomposition route, as
     :func:`_cholesky_route` returns it but with the kernel dimension
-    of Q_t in place of 0."""
+    of Q_t in place of 0 and its exact norm."""
     split = psd_eigh(qt, forms.tol)
-    n_inf = split.k
-    basis = split.vectors[:, n_inf:] / np.sqrt(split.values[n_inf:])
+    basis = split.vectors[:, split.k :] / np.sqrt(split.values[split.k :])
     tau, coeffs = sym_eigh(symmetrize(basis.T @ lt @ basis))  # ascending
-
-    lt_values = sym_eigh(lt, vectors=False)
-    norm_l = max(abs(lt_values[0]), abs(lt_values[-1]))
-    norm_q = split.norm
-    zero_threshold = forms.tol * (norm_l / norm_q) if norm_q > 0 else 0.0
     vectors = basis @ coeffs[:, _read_columns(tau.size)]
-    return n_inf, tau, vectors, np.abs(tau) <= zero_threshold
+    return split.k, tau, vectors, (split.norm, split.norm)
 
 
 def _pencil(forms, t):

@@ -131,24 +131,26 @@ class TrialForms:
 
 
 def shifted_square(forms, t):
-    """The matrix ``Q_t = M2 - 2t M1 + t^2 M0``, in the precision of the
-    forms (``t^2`` is squared in it too) and, as an entrywise combination
-    of them, exactly symmetric.  Only the forms' pattern is evaluated;
-    every other entry is +0."""
+    """The values of ``Q_t = M2 - 2t M1 + t^2 M0`` on the forms' pattern
+    (:meth:`TrialForms.pattern`), in the precision of the forms (``t^2``
+    is squared in it too).  Every other entry of Q_t is +0, and as an
+    entrywise combination of symmetric forms Q_t is exactly symmetric."""
     tt = forms.M0.dtype.type(t)
     m0, m1, m2 = (m[forms.pattern()] for m in (forms.M0, forms.M1, forms.M2))
-    return _on_pattern(forms, m2 - (2.0 * tt) * m1 + (tt * tt) * m0)
+    return m2 - (2.0 * tt) * m1 + (tt * tt) * m0
 
 
 def shifted_linear(forms, t):
-    """The matrix ``L_t = M1 - t M0``, built as :func:`shifted_square`."""
+    """The values of ``L_t = M1 - t M0`` on the forms' pattern, as
+    :func:`shifted_square` gives those of Q_t."""
     m0, m1 = (m[forms.pattern()] for m in (forms.M0, forms.M1))
-    return _on_pattern(forms, m1 - forms.M0.dtype.type(t) * m0)
+    return m1 - forms.M0.dtype.type(t) * m0
 
 
 def _on_pattern(forms, values):
-    """The n by n matrix holding ``values`` on the forms' pattern, +0 off it."""
-    out = np.zeros((forms.n, forms.n), dtype=values.dtype)
+    """The double n by n matrix LAPACK reads: ``values`` on the forms'
+    pattern, rounded to double, +0 off it."""
+    out = np.zeros((forms.n, forms.n))
     out[forms.pattern()] = values
     return out
 

@@ -1,6 +1,8 @@
 """Tests for the experiment harness CLI (invoked in-process via main, and
 once in a fresh process to see Python's default warning filter)."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -612,15 +614,35 @@ def test_infinite_shift_rejected(capsys):
 
 def test_only_pollute_and_converge_build_the_exact_spectrum(capsys, monkeypatch):
     # bounds and equiv never read it, so huge window ends or shifts cost
-    # them nothing; maxwell2d's spectrum out to 1e5 would take 1e10 steps
-    def refuse(cfg):
+    # them nothing
+    def refuse(model, intervals):
         raise AssertionError("the exact spectrum was built")
 
-    monkeypatch.setattr(cli, "_oracle", refuse)
+    monkeypatch.setattr(cli, "_nearest_exact", refuse)
     assert main(["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "8",
                  "--window", "0.5,1.5"]) == 0
     assert main(["equiv", "--model", "maxwell2d", "--order", "1", "--mesh", "3",
                  "--shift", "1e5"]) == 0
+
+
+def test_exact_spectrum_reaches_only_the_compared_values(capsys, monkeypatch):
+    # sized by the window end, maxwell2d's spectrum out to 1e5 would take
+    # 1e10 steps
+    reaches = []
+    real = cli.exact_spectrum_2d
+
+    def counted(reach):
+        reaches.append(reach)
+        return real(reach)
+
+    monkeypatch.setattr(cli, "exact_spectrum_2d", counted)
+    assert main(["pollute", "--model", "maxwell2d", "--order", "1", "--mesh", "4",
+                 "--window", "0.2,1e5", "--jmax", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    compared = [abs(float(row[key])) for row in rows
+                for key in ("value", "lower", "upper") if row[key]]
+    assert any(row["kind"] == "enclosure" for row in rows)
+    assert reaches == [2.0 + max(compared)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -631,6 +653,9 @@ def test_only_pollute_and_converge_build_the_exact_spectrum(capsys, monkeypatch)
      "--shift=-1e160"],
     ["bounds", "--model", "maxwell2d", "--order", "1", "--mesh", "3",
      "--window", "1e200,1e201"],
+    # the exact spectrum is not sized by the window end, which overflows
+    ["converge", "--model", "dirac1d", "--order", "1", "--mesh", "4", "--mesh", "5",
+     "--mesh", "6", "--window", "1e300,1e301"],
 ])
 def test_overflowing_shift_is_one_line_usage_error(argv):
     # Q_t overflows double past |t| ~ 1e154 on both models; a fresh

@@ -53,18 +53,23 @@ def test_trial_forms_requires_stored_symmetry():
 
 def test_shift_worked_model_t3():
     pencil = zm_eigen(WORKED, 3.0)
-    # Q_3 = M2 - 6 M1 + 9 M0, L_3 = M1 - 3 M0, both diagonal here
-    npt.assert_array_equal(shifted_square(WORKED, 3.0), np.diag([4.0, 1.0]))
-    npt.assert_array_equal(pencil.Qt, np.diag([4.0, 1.0]))
-    npt.assert_array_equal(pencil.Lt, np.diag([-2.0, -1.0]))
+    # Q_3 = M2 - 6 M1 + 9 M0, L_3 = M1 - 3 M0, both diagonal here, so
+    # their values on the pattern are their diagonals
+    npt.assert_array_equal(WORKED.pattern(), np.diag_indices(2))
+    npt.assert_array_equal(shifted_square(WORKED, 3.0), [4.0, 1.0])
+    npt.assert_array_equal(pencil.Qt_values, [4.0, 1.0])
+    npt.assert_array_equal(pencil.Lt_values, [-2.0, -1.0])
+    npt.assert_array_equal(
+        forms_mod._on_pattern(WORKED, pencil.Qt_values), np.diag([4.0, 1.0])
+    )
     assert pencil.t == 3.0
 
 
 def test_shift_worked_model_t_between():
     pencil = zm_eigen(WORKED, 1.5)
-    npt.assert_array_equal(shifted_square(WORKED, 1.5), np.diag([0.25, 0.25]))
-    npt.assert_array_equal(pencil.Qt, np.diag([0.25, 0.25]))
-    npt.assert_array_equal(pencil.Lt, np.diag([-0.5, 0.5]))
+    npt.assert_array_equal(shifted_square(WORKED, 1.5), [0.25, 0.25])
+    npt.assert_array_equal(pencil.Qt_values, [0.25, 0.25])
+    npt.assert_array_equal(pencil.Lt_values, [-0.5, 0.5])
 
 
 def test_shift_preserves_longdouble():
@@ -75,8 +80,10 @@ def test_shift_preserves_longdouble():
     )
     pencil = zm_eigen(forms, 1.0 / 3.0)
     assert shifted_square(forms, 1.0 / 3.0).dtype == np.longdouble
-    assert pencil.Qt.dtype == np.longdouble
-    assert pencil.Lt.dtype == np.longdouble
+    assert pencil.Qt_values.dtype == np.longdouble
+    assert pencil.Lt_values.dtype == np.longdouble
+    # what LAPACK reads is rounded to double
+    assert forms_mod._on_pattern(forms, pencil.Qt_values).dtype == np.float64
 
 
 @pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
@@ -90,11 +97,19 @@ def test_shifted_forms_are_exactly_symmetric(model):
         forms = maxwell2d.assemble_2d(mesh, 1).forms
         assert forms.M0.dtype == np.float64
     for t in (-1.3, 0.0, 1.0 / 3.0, 0.6, 1.4, 2.5, 17.0):
-        qt = shifted_square(forms, t)
         pencil = zm_eigen(forms, t)
-        npt.assert_array_equal(qt, qt.T)
-        npt.assert_array_equal(pencil.Qt, qt)
-        npt.assert_array_equal(pencil.Lt, pencil.Lt.T)
+        npt.assert_array_equal(pencil.Qt_values, shifted_square(forms, t))
+        for values in (pencil.Qt_values, pencil.Lt_values):
+            matrix = _matrix(forms, values)
+            npt.assert_array_equal(matrix, matrix.T)
+
+
+def _matrix(forms, values):
+    """The n by n matrix holding ``values`` on the forms' pattern, +0 off
+    it, in the precision of the values."""
+    out = np.zeros((forms.n, forms.n), dtype=values.dtype)
+    out[forms.pattern()] = values
+    return out
 
 
 def _dense_shifted(forms, t):
@@ -106,8 +121,10 @@ def _dense_shifted(forms, t):
 
 @pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
 def test_pattern_builders_give_the_dense_bits(model):
-    # equal values, and on the pattern equal signs of zero; off it the
-    # builders give +0, where dirac1d's M1, which holds -0.0 off the
+    # the builders and the pencil hold the dense Q_t and L_t on the
+    # pattern: equal values, equal signs of zero, the forms' precision.
+    # The double matrix LAPACK reads is the dense one rounded, with +0
+    # off the pattern, where dirac1d's M1, which holds -0.0 off the
     # pattern, makes the dense L_t at t >= 0 hold -0.0
     if model == "dirac1d":  # assembled in longdouble
         forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 3).forms
@@ -119,14 +136,27 @@ def test_pattern_builders_give_the_dense_bits(model):
     off = np.ones((forms.n, forms.n), dtype=bool)
     off[rows, cols] = False
     for t in (-1.3, -1.0 / 3.0, 0.0, 0.6, 17.0):
+        pencil = zm_eigen(forms, t)
         built = (shifted_square(forms, t), shifted_linear(forms, t))
-        for matrix, dense in zip(built, _dense_shifted(forms, t)):
-            assert matrix.dtype == dense.dtype
-            assert np.array_equal(matrix, dense)
-            npt.assert_array_equal(
-                np.signbit(matrix[rows, cols]), np.signbit(dense[rows, cols])
-            )
+        kept = (pencil.Qt_values, pencil.Lt_values)
+        for values, stored, dense in zip(built, kept, _dense_shifted(forms, t)):
+            for got in (values, stored):
+                assert got.dtype == dense.dtype and got.shape == rows.shape
+                assert np.array_equal(got, dense[rows, cols])
+                npt.assert_array_equal(
+                    np.signbit(got), np.signbit(dense[rows, cols])
+                )
+            matrix = forms_mod._on_pattern(forms, values)
+            assert matrix.dtype == np.float64
+            assert np.array_equal(matrix, dense.astype(float))
             assert not np.signbit(matrix[off]).any()
+        # the pencil keeps no n by n matrix: its only 2-D fields are the
+        # eigenvectors the polish can read, at most REFINE_COUNT a side
+        for f in dataclasses.fields(pencil):
+            value = getattr(pencil, f.name)
+            if isinstance(value, np.ndarray) and value.ndim == 2:
+                assert f.name.startswith("vectors_")
+                assert value.shape[1] <= enclosure.REFINE_COUNT
 
 
 def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
@@ -143,15 +173,32 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
     forms = read_forms(path)
     assert np.signbit(forms.M1[0, n - 1]) and forms.M1[0, n - 1] == 0.0
     assert np.signbit(_dense_shifted(forms, 2.5)[1][0, n - 1])
-    assert not np.signbit(shifted_linear(forms, 2.5)[0, n - 1])
+    lt = forms_mod._on_pattern(forms, shifted_linear(forms, 2.5))
+    assert not np.signbit(lt[0, n - 1])
 
     def bounds(forms):
         return [(e.lower, e.upper) for e in zm_enclosures(forms, (0.5, 2.5), 2)]
 
     pattern = bounds(forms)
-    monkeypatch.setattr(enclosure, "shifted_square", lambda f, t: _dense_shifted(f, t)[0])
-    monkeypatch.setattr(enclosure, "shifted_linear", lambda f, t: _dense_shifted(f, t)[1])
+    # the solve then reads the dense matrices, rounded to double, -0.0
+    # included; each is built when its values are
+    dense = []
+
+    def spy(which):
+        real = getattr(enclosure, which)
+
+        def built(f, t):
+            matrices = _dense_shifted(f, t)
+            dense.append(matrices[which == "shifted_linear"].astype(float))
+            return real(f, t)
+
+        return built
+
+    for which in ("shifted_square", "shifted_linear"):
+        monkeypatch.setattr(enclosure, which, spy(which))
+    monkeypatch.setattr(enclosure, "_on_pattern", lambda f, values: dense.pop(0))
     assert len(pattern) == 2 and pattern == bounds(read_forms(path))
+    assert dense == []
 
 
 def test_trial_forms_are_immutable():

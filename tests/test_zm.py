@@ -28,7 +28,13 @@ from eigenclose.errors import (
     NonFiniteError,
 )
 from eigenclose.fixed_point import optimal_shift
-from eigenclose.forms import TrialForms, operator_forms, shifted_square
+from eigenclose.forms import (
+    TrialForms,
+    _on_pattern,
+    operator_forms,
+    shifted_linear,
+    shifted_square,
+)
 from eigenclose.linalg import (
     DEFAULT_TOL,
     cholesky_spd,
@@ -55,7 +61,7 @@ def test_pencil_vectors_qt_orthonormal():
     forms = operator_forms(np.diag(lam), w)
     pencil = zm_eigen(forms, 1.4)
     vecs = np.hstack([pencil.vectors_minus, pencil.vectors_plus])
-    qt = shifted_square(forms, 1.4)
+    qt = _on_pattern(forms, shifted_square(forms, 1.4))
     npt.assert_allclose(vecs.T @ qt @ vecs, np.eye(3), atol=1e-9)
 
 
@@ -275,7 +281,7 @@ def _reference_pencil(forms, t, tol=DEFAULT_TOL):
     deflated pencil is solved as a generalized problem, so this route
     shares only the kernel split with ``zm_eigen``.
     """
-    qt = np.asarray(shifted_square(forms, t), dtype=float)
+    qt = _on_pattern(forms, shifted_square(forms, t))
     lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=float)
     split = psd_eigh(qt, tol)
     complement = split.vectors[:, split.k :]
@@ -374,28 +380,42 @@ def test_cholesky_route_matches_the_eigh_route(case, eigh_route, monkeypatch):
                     npt.assert_allclose(g, w, rtol=1e-13, atol=0.0)
 
 
-def test_uncertified_shifts_take_the_eigh_route(eigh_route):
+def test_uncertified_shifts_take_the_eigh_route(eigh_route, monkeypatch):
+    # the whole matrices the solve decomposes at the pencil level: the
+    # exact 2-norms of the zero threshold, and the eigh route's
+    # projected L_t, which is never L_t itself
+    decomposed = []
+    real = enclosure_mod.sym_eigh
+
+    def spy(a, vectors=True):
+        decomposed.append(np.array(a))
+        return real(a, vectors)
+
+    monkeypatch.setattr(enclosure_mod, "sym_eigh", spy)
     deflating, (t,) = _pencil_case("deflating")
     cases = [
-        # Q_1 has a kernel, which is deflated
-        (deflating, t, Signature(1, 0, 0, 2)),
+        # Q_1 has a kernel, which is deflated; no |tau| lies near the zero
+        # threshold, so L_t's norm is not computed
+        (deflating, t, Signature(1, 0, 0, 2), True, False),
         # at tol 1e-16, Q_t's eigenvalue 1e-14 is too small for the
         # Cholesky certificate, though nothing is deflated
-        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2)),
+        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2), True, False),
         # tau = 1.5e-10 lies inside the bracket [0.5e-10, 2e-10] of the
-        # zero threshold 1e-10; the exact threshold counts it positive
+        # zero threshold 1e-10: the Cholesky route computes the exact
+        # threshold, which counts it positive
         (TrialForms(np.eye(2), np.diag([1.0, 1.5e-10]), np.eye(2)), 0.0,
-         Signature(0, 0, 0, 2)),
+         Signature(0, 0, 0, 2), False, True),
+        # just outside the bracket the norm bounds settle the census
+        (TrialForms(np.eye(2), np.diag([1.0, 2.5e-10]), np.eye(2)), 0.0,
+         Signature(0, 0, 0, 2), False, False),
     ]
-    for forms, shift, census in cases:
+    for forms, shift, census, eigh, exact in cases:
         eigh_route.clear()
+        decomposed.clear()
         assert zm_eigen(forms, shift).signature == census
-        assert len(eigh_route) == 1
-    # just outside the bracket the Cholesky route settles the census
-    eigh_route.clear()
-    outside = TrialForms(np.eye(2), np.diag([1.0, 2.5e-10]), np.eye(2))
-    assert zm_eigen(outside, 0.0).signature == Signature(0, 0, 0, 2)
-    assert eigh_route == []
+        assert len(eigh_route) == eigh
+        lt = _on_pattern(forms, shifted_linear(forms, shift))
+        assert any(np.array_equal(a, lt) for a in decomposed) == exact
 
 
 @pytest.mark.parametrize(
@@ -430,11 +450,20 @@ def _polish_case(model):
     return forms, (0.7, 1.6), ((0.8, 1.6), (-1.6, -0.8), (0.9, 2.6))
 
 
+def _matrix(pattern, n, values):
+    """The n by n longdouble matrix holding ``values`` on ``pattern``,
+    +0 off it."""
+    out = np.zeros((n, n), dtype=np.longdouble)
+    out[pattern] = values
+    return out
+
+
 def _rayleigh_quotients(forms, t, x):
     """``x' L_t x / x' Q_t x`` per column in longdouble: what the polish
     makes of a pencil eigenvalue."""
-    lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=np.longdouble)
-    qt = np.asarray(shifted_square(forms, t), dtype=np.longdouble)
+    lt, qt = (_matrix(forms.pattern(), forms.n, values) for values in (
+        shifted_linear(forms, t), shifted_square(forms, t)
+    ))
     x = x.astype(np.longdouble)
     num = np.einsum("ij,ij->j", x, lt @ x)
     return (num / np.einsum("ij,ij->j", x, qt @ x)).astype(float)
@@ -606,12 +635,12 @@ def test_polish_keeps_the_polished_prefix_polished(model, k):
     pencil = zm_eigen(forms, t)
     tau = pencil.polish("left", k)
     x = pencil.vectors_minus[:, :k].astype(np.longdouble)
-    lt = np.asarray(pencil.Lt, dtype=np.longdouble)
-    qt = np.asarray(pencil.Qt, dtype=np.longdouble)
+    stored = (pencil.Lt_values, pencil.Qt_values)
+    lt, qt = (_matrix(pencil.pattern, forms.n, values) for values in stored)
     quotients = np.einsum("ij,ij->j", x, lt @ x) / np.einsum("ij,ij->j", x, qt @ x)
     npt.assert_array_equal(tau[:k], quotients.astype(float))
-    for a, dense in ((pencil.Lt, lt), (pencil.Qt, qt)):
-        product = enclosure_mod._pattern_product(a, pencil.pattern, x)
+    for values, dense in zip(stored, (lt, qt)):
+        product = enclosure_mod._pattern_product(values, pencil.pattern, x)
         assert np.array_equal(product, dense @ x)
     npt.assert_array_equal(tau[k:], raw.tau_minus[k:])
     npt.assert_array_equal(pencil.vectors_minus[:, k:], raw.vectors_minus[:, k:])
@@ -641,8 +670,8 @@ def test_each_side_keeps_the_vectors_the_polish_can_read(
         pencil = zm_eigen(forms, t)
     assert len(eigh_route) == (route == "eigh")
     assert min(pencil.tau_minus.size, pencil.tau_plus.size) > REFINE_COUNT
-    qt = np.asarray(shifted_square(forms, t), dtype=float)
-    lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=float)
+    qt = _on_pattern(forms, shifted_square(forms, t))
+    lt = _on_pattern(forms, shifted_linear(forms, t))
     for name in ("minus", "plus"):
         tau, x = getattr(pencil, "tau_" + name), getattr(pencil, "vectors_" + name)
         assert x.shape == (forms.n, min(tau.size, REFINE_COUNT))
