@@ -307,12 +307,25 @@ def _build(cfg, order, mesh_n):
     return forms, model
 
 
+#: the largest |value| compared with an exact spectrum; maxwell2d's
+#: spectrum out to it holds about 1.6e6 values
+_EXACT_REACH = 1000.0
+
+
 def _nearest_exact(model, intervals):
     """The exact eigenvalue of a built-in model nearest each interval
     ``(lower, upper)`` (a point x is ``(x, x)``) and its distance to it.
     Neighbouring exact eigenvalues lie less than 1 apart, so the spectrum
-    is built out to 2 past the farthest end compared, and no further."""
-    reach = 2.0 + max((abs(x) for pair in intervals for x in pair), default=0.0)
+    is built out to 2 past the farthest end compared, and no further.
+    A compared end beyond ``_EXACT_REACH`` is refused with a
+    ``ConfigError``."""
+    farthest = max((abs(x) for pair in intervals for x in pair), default=0.0)
+    if farthest > _EXACT_REACH:
+        raise ConfigError(
+            f"cannot compare {farthest:g} with the exact spectrum, which is "
+            f"listed only out to |value| <= {_EXACT_REACH:g}"
+        )
+    reach = 2.0 + farthest
     if model == "dirac1d":
         exact = exact_spectrum_1d(math.ceil(reach))
     else:

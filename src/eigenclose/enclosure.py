@@ -37,11 +37,12 @@ from .errors import (
 )
 from .forms import _on_pattern, shifted_linear, shifted_square
 from .linalg import (
+    TridiagonalEigen,
     definite_pencil_eigh,
+    projected_eigh,
     psd_eigh,
     sym_eigh,
     sym_generalized_eigvals,
-    symmetrize,
 )
 
 
@@ -75,32 +76,58 @@ class Signature:
 
 @dataclass(eq=False)
 class PencilEigen:
-    """Classified eigenpairs of the pencil ``tau Q_t x = L_t x``.
+    """Classified eigenvalues of the pencil ``tau Q_t x = L_t x``, its
+    eigenvectors on demand.
 
     ``tau_minus`` ascending (most negative first, so index j-1 bounds
-    the j-th spectral point below t), ``tau_plus`` descending.  Vector
-    columns are Q_t-orthonormal coefficient vectors in the full trial
-    basis, deflated kernel directions removed, of the nearest
-    ``REFINE_COUNT`` tau of each side only: the ones :meth:`polish` can
-    read.  ``Qt_values`` and ``Lt_values`` are the values of the shifted
-    forms the pencil was solved at on ``pattern``, the forms' nonzero
-    pattern (:meth:`TrialForms.pattern`), in the precision of the forms:
-    all :meth:`polish` reads of Q_t and L_t, which are +0 off it.
-    ``polished`` counts the polished entries of each side.
+    the j-th spectral point below t), ``tau_plus`` descending.
+    ``eigen`` holds all the tau of the solve, ascending, and what their
+    eigenvectors need (:class:`~eigenclose.linalg.TridiagonalEigen`): the
+    tridiagonal reduction as two vectors and its reflectors, in one n by
+    n double array that also holds the Cholesky factor of Q_t, plus on
+    the eigendecomposition route the n by (n - n_inf) basis of the
+    deflated pencil.  The pencil's arrays take 0.57 MB at n = 240
+    (dirac1d, order 3, 40 elements), 0.46 MB of it that n by n array,
+    and 26.4 MB at n = 1775 (maxwell2d, order 1, nx = 24), 25.2 MB of it
+    the array.  ``Qt_values`` and ``Lt_values`` are the values of the
+    shifted forms the pencil was solved at on ``pattern``, the forms'
+    nonzero pattern (:meth:`TrialForms.pattern`), in the precision of
+    the forms: all :meth:`polish` reads of Q_t and L_t, which are +0 off
+    it.  ``polished`` counts the polished entries of each side.
     """
 
     t: float
     tau_minus: np.ndarray
     tau_plus: np.ndarray
-    vectors_minus: np.ndarray = field(repr=False)
-    vectors_plus: np.ndarray = field(repr=False)
     signature: Signature
+    eigen: TridiagonalEigen = field(repr=False)
     Qt_values: np.ndarray = field(repr=False)
     Lt_values: np.ndarray = field(repr=False)
     pattern: tuple = field(repr=False)
     polished: dict = field(
         init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
     )
+
+    @property
+    def vectors_minus(self):
+        """Q_t-orthonormal coefficient vectors, in the full trial basis
+        with deflated kernel directions removed, of the nearest
+        ``REFINE_COUNT`` entries of ``tau_minus``, in its order; computed
+        afresh on every read."""
+        return self._side_vectors("left")
+
+    @property
+    def vectors_plus(self):
+        """As :attr:`vectors_minus`, for ``tau_plus``."""
+        return self._side_vectors("right")
+
+    def _side_vectors(self, side):
+        size = (self.tau_minus if side == "left" else self.tau_plus).size
+        x = self.eigen.vectors(min(size, REFINE_COUNT), top=side == "right")
+        k = self.polished[side]
+        if k:
+            x[:, :k] = x[:, self._polish_prefix(side, k)[1]]
+        return x
 
     def polish(self, side, k=REFINE_COUNT):
         """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
@@ -112,39 +139,45 @@ class PencilEigen:
         the solve roundoff from the tight bounds (with forms assembled in
         extended precision, well below the double representation floor
         of Q_t); where longdouble is no genuine extended precision,
-        nothing is polished.  ``polished`` records
-        how many entries of each side are polished: a call asking for no
-        more returns the side untouched, one asking for more polishes
-        the nearest k afresh, so near-ties re-sort as if all k were
-        polished at once.  An unpolished entry that ties the last
-        polished one to roundoff stays behind it even when an ulp
-        nearer.  The quotients are only as good as the eigenvectors, so
-        the polished tau of the two solve routes of :func:`zm_eigen`
-        may differ by a few ulps (more inside a cluster of equal tau).
-        ``side`` is ``"left"`` for ``tau_minus``, ``"right"`` for
-        ``tau_plus``.
+        nothing is polished.  Only the k vectors read are computed
+        (:meth:`~eigenclose.linalg.TridiagonalEigen.vectors`), and each
+        does not depend on k.  ``polished`` records how many entries of
+        each side are polished: a call asking for no more returns the
+        side untouched, one asking for more polishes the nearest k
+        afresh, so near-ties re-sort as if all k were polished at once.
+        An unpolished entry that ties the last polished one to roundoff
+        stays behind it even when an ulp nearer.  The quotients are only
+        as good as the eigenvectors, so the polished tau of the two solve
+        routes of :func:`zm_eigen` may differ by a few ulps (more inside
+        a cluster of equal tau).  ``side`` is ``"left"`` for
+        ``tau_minus``, ``"right"`` for ``tau_plus``.
         """
         _check_side(side)
         name = "minus" if side == "left" else "plus"
-        tau, vectors = getattr(self, "tau_" + name), getattr(self, "vectors_" + name)
+        tau = getattr(self, "tau_" + name)
         k = min(k, REFINE_COUNT, tau.size)
         if not _LONGDOUBLE_OK or k <= self.polished[side]:
             return tau
-        x, p = vectors[:, :k].astype(np.longdouble), self.pattern
+        tau = np.concatenate([self._polish_prefix(side, k)[0], tau[k:]])
+        setattr(self, "tau_" + name, tau)
+        self.polished[side] = k
+        return tau
+
+    def _polish_prefix(self, side, k):
+        """The nearest k tau of one side polished, nearest first, and the
+        order that sorts them from the unpolished order."""
+        top = side == "right"
+        x = self.eigen.vectors(k, top).astype(np.longdouble)
+        tau = (self.eigen.values[::-1] if top else self.eigen.values)[:k].copy()
+        p = self.pattern
         num = np.einsum("ij,ij->j", x, _pattern_product(self.Lt_values, p, x))
         den = np.einsum("ij,ij->j", x, _pattern_product(self.Qt_values, p, x))
         good = den > 0
-        tau = tau.copy()
-        tau[:k][good] = (num[good] / den[good]).astype(float)
+        tau[good] = (num[good] / den[good]).astype(float)
         # nearest bound first is largest |tau| first; the polish may nudge
         # near-ties, which re-sort among the k polished entries only
-        order = np.argsort(-np.abs(tau[:k]), kind="stable")
-        order = np.concatenate([order, np.arange(k, tau.size)])
-        tau = tau[order]
-        setattr(self, "tau_" + name, tau)
-        setattr(self, "vectors_" + name, vectors[:, order[: vectors.shape[1]]])
-        self.polished[side] = k
-        return tau
+        order = np.argsort(-np.abs(tau), kind="stable")
+        return tau[order], order
 
 
 def _pattern_product(values, pattern, x):
@@ -269,9 +302,10 @@ def zm_eigen(forms, t):
     ``sigma = 2 max(tol, n u) max(1, ||Q_t||_inf)`` proves that Q_t has
     no eigenvalue at or below ``tol * max(1, ||Q_t||_2)``, so the
     eigendecomposition route below would deflate nothing and raise
-    nothing: ``n_inf = 0``.  tau with its Q_t-orthonormal vectors then
-    come from :func:`~eigenclose.linalg.definite_pencil_eigh`, one
-    symmetric eigendecomposition.
+    nothing: ``n_inf = 0``.  All tau then come from
+    :func:`~eigenclose.linalg.definite_pencil_eigh`: one tridiagonal
+    reduction of ``L^{-1} L_t L^{-T}``, L the Cholesky factor of Q_t, and
+    its eigenvalues, no eigenvector.
 
     *Eigendecomposition route*, taken where that certificate fails: at
     shifts where Q_t has an eigenvalue at or below sigma, among them
@@ -288,8 +322,9 @@ def zm_eigen(forms, t):
 
     On the complement ``V_c`` the deflated Q_t is ``diag(W_c)``, positive
     definite by construction, so ``C = V_c W_c^{-1/2}`` is a
-    Q_t-orthonormal basis and tau with its Q_t-orthonormal vectors come
-    from the *standard* symmetric eigenproblem of ``C' L_t C``.
+    Q_t-orthonormal basis and all tau come from one tridiagonal
+    reduction of the *standard* symmetric matrix ``C' L_t C``
+    (:func:`~eigenclose.linalg.projected_eigh`).
 
     Both routes count a tau as zero by one rule,
     ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.  The threshold is first
@@ -300,16 +335,17 @@ def zm_eigen(forms, t):
     2-norms computed, as largest absolute eigenvalues.
 
     Either way the pencil is solved in double precision, the unpolished
-    tau of the two routes agreeing to roundoff, and nothing is polished.
-    Callers polish only what they read (:meth:`PencilEigen.polish`): one
-    side for :func:`zm_bounds_one_sided` and :func:`zm_enclosures`, j
-    entries of one side for a fixed-point seed, none for
-    :func:`signature`.
+    tau of the two routes agreeing to roundoff, and no eigenvector is
+    computed and nothing polished.  Callers polish only what they read
+    (:meth:`PencilEigen.polish`), and only the vectors of the polished
+    tau are computed, on demand: one side for :func:`zm_bounds_one_sided`
+    and :func:`zm_enclosures`, j entries of one side for a fixed-point
+    seed, none for :func:`signature`.
 
     Q_t and L_t are evaluated on the forms' nonzero pattern only
     (:func:`~eigenclose.forms.shifted_square`).  The pencil keeps those
-    values and the vectors of the ``REFINE_COUNT`` nearest tau of each
-    side: all the polish can read.  Each call solves afresh and returns
+    values and the reduction its vectors are computed from (see
+    :class:`PencilEigen`).  Each call solves afresh and returns
     a new, unshared pencil; the package's own callers share one solve
     per shift through the forms' memo of their last solve.  The solve
     does not warn: a deflated kernel shows in ``signature.n_inf``.
@@ -332,7 +368,8 @@ def zm_eigen(forms, t):
         solved = _cholesky_route(forms, qt_d, lt_d)
     except NonFiniteError:
         raise _overflow(t) from None
-    n_inf, tau, vectors, q_norm = solved or _eigh_route(forms, qt_d, lt_d)
+    n_inf, eigen, q_norm = solved or _eigh_route(forms, qt_d, lt_d)
+    tau = eigen.values
     if n_inf == forms.n:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
@@ -347,18 +384,13 @@ def zm_eigen(forms, t):
     sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
 
     # tau ascending -> negatives already most-negative-first; positives
-    # must be flipped so index 0 is the largest (nearest bound first).
-    # The negatives are a prefix of tau and the positives a suffix, so
-    # the vectors the polish can read are among the kept columns.
-    kept = _read_columns(tau.size)
-    nearest_plus = kept >= tau.size - min(n_plus, REFINE_COUNT)
+    # must be flipped so index 0 is the largest (nearest bound first)
     return PencilEigen(
         t=float(t),
         tau_minus=tau[neg],
         tau_plus=tau[pos][::-1],
-        vectors_minus=vectors[:, kept < min(n_minus, REFINE_COUNT)],
-        vectors_plus=vectors[:, nearest_plus][:, ::-1],
         signature=sig,
+        eigen=eigen,
         Qt_values=qt,
         Lt_values=lt,
         pattern=forms.pattern(),
@@ -369,15 +401,6 @@ def _overflow(t):
     return NonFiniteError(
         f"the shifted forms overflow double at t={t:g}; the shift is too large"
     )
-
-
-def _read_columns(size):
-    """Indices of the ``REFINE_COUNT`` smallest and the ``REFINE_COUNT``
-    largest of ``size`` ascending tau: the vectors :meth:`PencilEigen.polish`
-    can read, whatever the zero classification."""
-    if size <= 2 * REFINE_COUNT:
-        return np.arange(size)
-    return np.r_[:REFINE_COUNT, size - REFINE_COUNT : size]
 
 
 def _norm2_bounds(a):
@@ -409,16 +432,14 @@ def _zero_tau(forms, tau, q_norm, qt, lt):
 
 
 def _cholesky_route(forms, qt, lt):
-    """:func:`zm_eigen`'s Cholesky route: ``(0, tau, vectors, q_norm)``
-    with tau ascending, the vectors of tau at :func:`_read_columns` and
-    ``q_norm`` the bounds on ``||Q_t||_2`` :func:`_zero_tau` reads, or
-    ``None`` where the certificate fails."""
+    """:func:`zm_eigen`'s Cholesky route: ``(0, eigen, q_norm)`` with
+    ``eigen`` the :class:`~eigenclose.linalg.TridiagonalEigen` of the
+    pencil and ``q_norm`` the bounds on ``||Q_t||_2`` :func:`_zero_tau`
+    reads, or ``None`` where the certificate fails."""
     q_norm = _norm2_bounds(qt)
     floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
-    solved = definite_pencil_eigh(
-        lt, qt, 2.0 * floor * max(1.0, q_norm[1]), _read_columns(forms.n)
-    )
-    return None if solved is None else (0, *solved, q_norm)
+    eigen = definite_pencil_eigh(lt, qt, 2.0 * floor * max(1.0, q_norm[1]))
+    return None if eigen is None else (0, eigen, q_norm)
 
 
 def _eigh_route(forms, qt, lt):
@@ -427,9 +448,7 @@ def _eigh_route(forms, qt, lt):
     of Q_t in place of 0 and its exact norm."""
     split = psd_eigh(qt, forms.tol)
     basis = split.vectors[:, split.k :] / np.sqrt(split.values[split.k :])
-    tau, coeffs = sym_eigh(symmetrize(basis.T @ lt @ basis))  # ascending
-    vectors = basis @ coeffs[:, _read_columns(tau.size)]
-    return split.k, tau, vectors, (split.norm, split.norm)
+    return split.k, projected_eigh(lt, basis), (split.norm, split.norm)
 
 
 def _pencil(forms, t):

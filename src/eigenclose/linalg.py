@@ -14,11 +14,16 @@ one function per job, each a direct LAPACK call:
   symmetric-definite pencil, optionally just the smallest few, from the
   Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
   ``syevd`` or ``syevx``);
-* :func:`definite_pencil_eigh`, the eigenpairs of a symmetric pencil
-  whose right-hand matrix is certified positive definite past a margin
-  by a Cholesky factorization of the shifted matrix (Sylvester's law of
-  inertia), or ``None`` where that certificate fails (LAPACK ``potrf``
-  twice, ``sygst`` and ``syevd``, then BLAS ``trsm``);
+* :func:`definite_pencil_eigh`, all the eigenvalues of a symmetric
+  pencil whose right-hand matrix is certified positive definite past a
+  margin by a Cholesky factorization of the shifted matrix (Sylvester's
+  law of inertia), or ``None`` where that certificate fails (LAPACK
+  ``potrf`` twice, ``sygst``, ``sytrd`` and ``sterf``);
+* :func:`projected_eigh`, all the eigenvalues of a symmetric matrix
+  projected onto given columns (``sytrd`` and ``sterf``);
+* :class:`TridiagonalEigen`, what those two return: the values, and the
+  eigenvectors of chosen values on demand (LAPACK ``stein`` and
+  ``ormqr``, then BLAS ``trsm`` or the projection's columns);
 * :func:`psd_eigh`, one classified eigendecomposition of a positive
   semidefinite matrix: it yields the numerical kernel and its
   complement, the check that no eigenvalue is genuinely negative and the
@@ -30,7 +35,7 @@ identically under rescaling.  LAPACK works in double precision:
 extended-precision input is rounded on the way in.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg.blas
@@ -137,6 +142,8 @@ def sym_eigh(a, vectors=True):
     in double precision on the lower triangle, called directly: for the
     small matrices of the pencil solves the argument handling of
     ``scipy.linalg.eigh`` costs more than the decomposition itself.
+    Without vectors ``syevd`` runs ``sytrd`` and ``sterf``, here with the
+    workspace in which ``sytrd`` runs blocked, as :func:`_reduce` does.
 
     Raises
     ------
@@ -148,12 +155,25 @@ def sym_eigh(a, vectors=True):
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise NonFiniteError("array must not contain infs or NaNs")
-    values, vecs, info = scipy.linalg.lapack.dsyevd(
-        a, compute_v=int(vectors), lower=1
-    )
+    if vectors:
+        values, vecs, info = scipy.linalg.lapack.dsyevd(a, compute_v=1, lower=1)
+    else:
+        # syevd hands sytrd its workspace beyond the first 2n entries
+        lwork = 2 * a.shape[0] + _sytrd_lwork(a.shape[0])
+        values, vecs, info = scipy.linalg.lapack.dsyevd(
+            a, compute_v=0, lower=1, lwork=lwork
+        )
     if info != 0:
         raise np.linalg.LinAlgError(f"syevd did not converge (info={info})")
     return (values, vecs) if vectors else values
+
+
+def _sytrd_lwork(n):
+    """The workspace of an n by n ``sytrd`` that runs blocked, with level-3
+    BLAS: about half as long as unblocked at n = 1775, and it changes the
+    last bits."""
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+    return max(int(lwork), 1)
 
 
 def sym_generalized_eigvals(a, factor, count=None):
@@ -162,11 +182,11 @@ def sym_generalized_eigvals(a, factor, count=None):
     ``b`` enters as its lower Cholesky ``factor`` from
     :func:`cholesky_spd`, so a pencil family with one ``b`` factors it
     once.  LAPACK ``sygst`` reduces the pencil to standard form, and
-    :func:`sym_eigh` (or ``syevx`` for only the ``count`` smallest)
-    gives the eigenvalues ascending, bit for bit those of the drivers
-    ``sygvd`` / ``sygvx``.  Only the lower triangle of ``a`` is read, so
-    ``a`` must be exactly symmetric: forms checked by ``TrialForms`` and
-    the shifted combinations of them are.
+    ``syevd`` with its minimal workspace (or ``syevx`` for only the
+    ``count`` smallest) gives the eigenvalues ascending, bit for bit
+    those of the drivers ``sygvd`` / ``sygvx``.  Only the lower triangle
+    of ``a`` is read, so ``a`` must be exactly symmetric: forms checked
+    by ``TrialForms`` and the shifted combinations of them are.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -176,31 +196,34 @@ def sym_generalized_eigvals(a, factor, count=None):
         raise NonFiniteError("array must not contain infs or NaNs")
     c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
     if count is None or count >= n:
-        return sym_eigh(c, vectors=False)
-    lwork, _ = scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
-    values, _, m, _, info = scipy.linalg.lapack.dsyevx(
-        c, compute_v=0, range="I", lower=1, il=1, iu=count, lwork=int(lwork)
-    )
+        values, _, info = scipy.linalg.lapack.dsyevd(c, compute_v=0, lower=1)
+        m = n
+    else:
+        lwork, _ = scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
+        values, _, m, _, info = scipy.linalg.lapack.dsyevx(
+            c, compute_v=0, range="I", lower=1, il=1, iu=count, lwork=int(lwork)
+        )
     if info != 0:
-        raise np.linalg.LinAlgError(f"syevx did not converge (info={info})")
+        raise np.linalg.LinAlgError(f"syevd/syevx did not converge (info={info})")
     return values[:m]
 
 
-def definite_pencil_eigh(a, b, sigma, columns):
-    """Eigenpairs of ``a x = lam b x`` once ``b`` is certified definite.
+def definite_pencil_eigh(a, b, sigma):
+    """Eigenvalues of ``a x = lam b x`` once ``b`` is certified definite,
+    its eigenvectors on demand.
 
     The certificate is a successful LAPACK ``potrf`` of ``b - sigma I``:
     by Sylvester's law of inertia it proves that every eigenvalue of
     ``b`` exceeds ``sigma``, up to the backward error of ``potrf``.  The
-    pencil is then solved through the Cholesky factor ``L`` of ``b``:
-    ``sygst`` forms ``L^{-1} a L^{-T}``, :func:`sym_eigh` gives its
-    eigenpairs ``(lam, Y)`` and BLAS ``trsm`` back-transforms
-    ``X = L^{-T} Y[:, columns]``, whose columns are ``b``-orthonormal.
+    pencil is then reduced through the Cholesky factor ``L`` of ``b``:
+    ``sygst`` forms ``C = L^{-1} a L^{-T}`` and :func:`_reduce` gives its
+    eigenvalues, bit for bit those of ``sym_eigh(C, vectors=False)``.  A
+    vector ``y`` of C asked for later is back-transformed by BLAS
+    ``trsm`` to ``L^{-T} y``: the vectors are ``b``-orthonormal.
 
-    Returns ``(values, vectors)``, all the values ascending and the
-    vectors of the values at ``columns`` (an index array, or a slice),
-    or ``None`` when the certificate fails.  Only the lower triangles are
-    read, so ``a`` and ``b`` must be exactly symmetric.
+    Returns a :class:`TridiagonalEigen`, or ``None`` when the
+    certificate fails.  Only the lower triangles are read, so ``a`` and
+    ``b`` must be exactly symmetric.
 
     Raises
     ------
@@ -213,22 +236,213 @@ def definite_pencil_eigh(a, b, sigma, columns):
         raise NonFiniteError("array must not contain infs or NaNs")
     n = b.shape[0]
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    probe = b.copy()
-    probe[np.diag_indices(n)] -= sigma
-    _, info = scipy.linalg.lapack.dpotrf(probe, lower=1, clean=0, overwrite_a=1)
+        return _reduce(b, None)
+    factor = b.copy(order="F")
+    factor[np.diag_indices(n)] -= sigma
+    _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return None
-    factor, info = scipy.linalg.lapack.dpotrf(b, lower=1, clean=1)
+    # the certificate's buffer takes the factor of b; potrf and sygst read
+    # its lower triangle only
+    factor[...] = b
+    _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return None
     c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
-    values, y = sym_eigh(c)
-    # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
-    # milliseconds on a 2 x 2 system when it runs threaded
-    y = y[:, columns]
-    vectors = scipy.linalg.blas.dtrsm(1.0, factor, y, lower=1, trans_a=1, overwrite_b=1)
-    return values, vectors
+    eigen = _reduce(c, None)
+    # the factor's transpose fills the triangle sytrd leaves unused
+    np.copyto(eigen.packed, factor.T, where=np.tri(n, dtype=bool).T)
+    return eigen
+
+
+def projected_eigh(a, basis):
+    """Eigenvalues of the symmetric ``a`` projected onto the columns of
+    ``basis``, the eigenvectors of the projection on demand.
+
+    The projection ``C = basis' a basis`` goes through :func:`_reduce`,
+    and a vector ``y`` of C asked for later is returned as ``basis @ y``:
+    for a basis orthonormal in the metric of some ``b``, the eigenpairs
+    of the pencil ``(a, b)`` restricted to its span.
+    """
+    return _reduce(symmetrize(basis.T @ a @ basis), basis)
+
+
+def _reduce(c, basis):
+    """The :class:`TridiagonalEigen` of the symmetric ``c`` (its lower
+    triangle, overwritten) and a back-transform ``basis``.
+
+    LAPACK ``sytrd`` reduces ``c`` to a tridiagonal T and ``sterf`` gives
+    all its eigenvalues, ascending: bit for bit those of ``sym_eigh(c,
+    vectors=False)``, since ``syevd`` without vectors runs the same two
+    routines with the same workspace, except that it first rescales a
+    matrix whose largest entry lies outside about ``[1e-146, 1e146]``.
+    """
+    n = c.shape[0]
+    if n == 0:
+        empty = np.zeros(0)
+        return TridiagonalEigen(empty, empty, empty, empty, np.zeros((0, 0)), basis)
+    packed, d, e, reflectors, info = scipy.linalg.lapack.dsytrd(
+        c, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1
+    )
+    if info != 0:
+        raise ValueError(f"sytrd rejected argument {-info}")
+    values, _ = _tridiagonal_values(d, e)
+    return TridiagonalEigen(values, d, e, reflectors, packed, basis)
+
+
+def _tridiagonal_values(d, e):
+    """All eigenvalues of the tridiagonal ``(d, e)``, ascending, and the
+    index of the unreduced block (split where ``e`` is exactly 0) each
+    belongs to; equal values keep block order.  Each block's eigenvalues
+    are those ``sterf`` finds for the whole matrix, which splits there
+    too and solves the blocks independently."""
+    if e.all():
+        return _sterf(d, e), np.zeros(d.size, dtype=int)
+    starts, stops = _blocks(e)
+    values = np.concatenate(
+        [_sterf(d[a:b], e[a : b - 1]) for a, b in zip(starts, stops)]
+    )
+    blocks = np.repeat(np.arange(starts.size), stops - starts)
+    order = np.argsort(values, kind="stable")
+    return values[order], blocks[order]
+
+
+def _blocks(e):
+    """Starts and stops of the unreduced blocks of a tridiagonal matrix
+    with subdiagonal ``e``."""
+    stops = np.append(np.flatnonzero(e == 0.0) + 1, e.size + 1)
+    return np.append(0, stops[:-1]), stops
+
+
+def _sterf(d, e):
+    """LAPACK ``sterf``: all eigenvalues of the tridiagonal ``(d, e)``."""
+    if d.size == 1:  # sterf's wrapper takes no empty e
+        return d.copy()
+    values, info = scipy.linalg.lapack.dsterf(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"sterf did not converge (info={info})")
+    return values
+
+
+@dataclass(eq=False)
+class TridiagonalEigen:
+    """All eigenvalues of a symmetric (or definite) eigenproblem, and what
+    its eigenvectors need, computed only on demand by :meth:`vectors`.
+
+    ``values`` ascending.  ``d`` and ``e`` are the diagonal and
+    subdiagonal of the tridiagonal T that ``sytrd`` reduced the standard
+    matrix to, ``reflectors`` the scalar factors of its Householder
+    reflectors.  ``packed`` is one n by n array holding those
+    reflectors' vectors below its first subdiagonal and, where ``basis``
+    is ``None``, the transpose of the Cholesky factor of the pencil's
+    right-hand matrix on and above its diagonal
+    (:func:`definite_pencil_eigh`).  Otherwise ``basis`` holds the
+    columns the standard problem was projected onto
+    (:func:`projected_eigh`).
+    """
+
+    values: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    reflectors: np.ndarray
+    packed: np.ndarray = field(repr=False)
+    basis: object = field(default=None, repr=False)
+
+    def vectors(self, count, top=False):
+        """Eigenvector columns of the ``count`` smallest values, ascending,
+        or with ``top`` of the ``count`` largest, descending.
+
+        LAPACK ``stein`` computes each by inverse iteration on T, then
+        ``ormqr`` applies the reflectors and the back-transform of
+        :class:`TridiagonalEigen` follows.  A column does not depend on
+        how many after it are asked for:
+
+        * ``stein`` seeds each start vector by its position in the call
+          and orthogonalizes a vector against the ones before it whose
+          values are close, so each unreduced block of T computes the
+          whole prefix of the order asked for in one call, and ``top``
+          works on -T, where the largest values come first;
+        * the BLAS kernels behind the back-transform may sum a column
+          in an order that depends on the number of columns, so the
+          columns are back-transformed in fixed chunks, ``[0, 1)``,
+          ``[1, 2)``, ``[2, 4)``, ``[4, 8)`` and so on, each chunk
+          whole: fewer than twice ``count`` vectors are computed.
+
+        Vectors of close values are orthonormal in the metric of the
+        problem (``b`` of :func:`definite_pencil_eigh`).
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            If inverse iteration does not converge.
+        """
+        n = self.d.size
+        count = min(count, n)
+        if count == 0:
+            return np.zeros((n if self.basis is None else self.basis.shape[0], 0))
+        bounds = [0, 1]
+        while bounds[-1] < count:
+            bounds.append(min(2 * bounds[-1], n))
+        z = self._tridiagonal_vectors(bounds[-1], top)
+        chunks = [self._back_transform(z[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+        return np.hstack(chunks)[:, :count]
+
+    def _tridiagonal_vectors(self, count, top):
+        """The eigenvectors of T (of -T with ``top``) of its ``count``
+        smallest values, by ``stein`` on each unreduced block."""
+        d, e, values = self.d, self.e, self.values
+        if top:
+            d, e, values = -d, -e, -values[::-1]
+        if e.all():  # T is one unreduced block
+            return _stein(d, e, values[:count])
+        starts, stops = _blocks(e)
+        values, blocks = _tridiagonal_values(self.d, self.e)
+        if top:
+            values, blocks = -values[::-1], blocks[::-1]
+        values, blocks = values[:count], blocks[:count]
+        z = np.zeros((d.size, count), order="F")
+        for block in np.unique(blocks):
+            start, stop = starts[block], stops[block]
+            columns = np.flatnonzero(blocks == block)
+            z[start:stop, columns] = _stein(
+                d[start:stop], e[start : stop - 1], values[columns]
+            )
+        return z
+
+    def _back_transform(self, z):
+        """The eigenvectors of the problem from eigenvectors ``z`` of T."""
+        n = self.d.size
+        z = np.asfortranarray(z)
+        if n > 2:
+            # Q = diag(1, Q'), Q' the product of the reflectors in
+            # packed[1:, :-1]; with the minimal workspace ormqr applies
+            # them one by one, faster than blocked for up to 8 columns
+            columns = z.shape[1]
+            lwork = columns if columns <= 8 else 64 * columns + 65 * 64
+            z[1:], _, info = scipy.linalg.lapack.dormqr(
+                "L", "N", self.packed[1:, :-1], self.reflectors, z[1:], lwork
+            )
+            if info != 0:
+                raise ValueError(f"ormqr rejected argument {-info}")
+        if self.basis is not None:
+            return self.basis @ z
+        # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
+        # milliseconds on a 2 x 2 system when it runs threaded
+        return scipy.linalg.blas.dtrsm(1.0, self.packed, z, lower=0, overwrite_b=1)
+
+
+def _stein(d, e, values):
+    """LAPACK ``stein``: eigenvectors of the unreduced tridiagonal
+    ``(d, e)`` at its eigenvalues ``values``, ascending."""
+    size = d.size
+    if size == 1:  # stein's wrapper takes no empty e
+        return np.ones((1, values.size), order="F")
+    z, info = scipy.linalg.lapack.dstein(
+        d, e, values, np.ones(size, dtype=int), np.full(size, size)
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stein did not converge (info={info})")
+    return z
 
 
 @dataclass

@@ -366,20 +366,15 @@ def exact_spectrum_2d(max_val):
     Returns a sorted array holding ``+-sqrt(l^2 + m^2)`` once per
     ordered pair ``(l, m)`` of nonnegative integers (not both zero), and
     a single 0 standing in for the kernel, which is infinite dimensional
-    in the continuum problem.
+    in the continuum problem.  The pairs are listed at once, so time and
+    memory grow as ``max_val**2``.
     """
     if max_val <= 0:
         raise ValueError("max_val must be positive")
-    values = [0.0]
-    lmax = int(np.floor(max_val))
-    for l in range(lmax + 1):
-        for m in range(lmax + 1):
-            if l == 0 and m == 0:
-                continue
-            omega = np.hypot(l, m)
-            if omega <= max_val:
-                values.extend([omega, -omega])
-    return np.sort(np.asarray(values))
+    k = np.arange(int(np.floor(max_val)) + 1)
+    omega = np.hypot.outer(k, k).ravel()[1:]  # every pair but (0, 0)
+    omega = omega[omega <= max_val]
+    return np.sort(np.concatenate([[0.0], omega, -omega]))
 
 
 def write_mesh(mesh, path):

@@ -645,6 +645,28 @@ def test_exact_spectrum_reaches_only_the_compared_values(capsys, monkeypatch):
     assert reaches == [2.0 + max(compared)]
 
 
+def test_a_compared_value_beyond_the_exact_reach_is_refused():
+    # the window's right end pairs lower bounds of about 1.9e84, flagged
+    # inconsistent; the 2D exact spectrum out to them would take about
+    # 1e168 steps to list.  A fresh process shows the one stderr line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = "import sys; from eigenclose.cli import main; sys.exit(main())"
+    argv = ["pollute", "--model", "maxwell2d", "--order", "1", "--mesh", "4",
+            "--window", "0.2,1e100", "--jmax", "2"]
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == (
+        "error: cannot compare 1.94267e+84 with the exact spectrum, which is "
+        "listed only out to |value| <= 1000\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["equiv", "--model", "dirac1d", "--order", "1", "--mesh", "6", "--shift", "1e200"],
     ["bounds", "--model", "dirac1d", "--order", "3", "--mesh", "12",

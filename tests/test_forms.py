@@ -150,13 +150,25 @@ def test_pattern_builders_give_the_dense_bits(model):
             assert matrix.dtype == np.float64
             assert np.array_equal(matrix, dense.astype(float))
             assert not np.signbit(matrix[off]).any()
-        # the pencil keeps no n by n matrix: its only 2-D fields are the
-        # eigenvectors the polish can read, at most REFINE_COUNT a side
-        for f in dataclasses.fields(pencil):
-            value = getattr(pencil, f.name)
-            if isinstance(value, np.ndarray) and value.ndim == 2:
-                assert f.name.startswith("vectors_")
-                assert value.shape[1] <= enclosure.REFINE_COUNT
+        # the pencil keeps no eigenvector, and one n by n matrix: the
+        # packed reduction its eigenvectors are computed from.  Where Q_t
+        # has a kernel (t = 0, Q_0 = M2) the reduction is of the deflated
+        # pencil, m by m, and the n by m basis it was projected onto is a
+        # second matrix.  No other array of the pencil or its reduction
+        # is 2-D
+        eigen, m = pencil.eigen, forms.n - pencil.signature.n_inf
+        assert eigen.packed.shape == (m, m) and eigen.packed.dtype == np.float64
+        kept = [eigen.packed]
+        if t == 0.0:
+            assert eigen.basis.shape == (forms.n, m) and m < forms.n
+            kept.append(eigen.basis)
+        else:
+            assert eigen.basis is None and m == forms.n
+        for owner in (pencil, eigen):
+            for f in dataclasses.fields(owner):
+                value = getattr(owner, f.name)
+                if isinstance(value, np.ndarray) and value.ndim == 2:
+                    assert any(value is array for array in kept)
 
 
 def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):

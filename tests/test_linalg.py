@@ -7,19 +7,24 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.errors import (
     NegativeEigenvalueError,
     NonFiniteError,
     NotPositiveDefiniteError,
 )
+from eigenclose.forms import _on_pattern, shifted_linear, shifted_square
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
     definite_pencil_eigh,
+    projected_eigh,
     psd_eigh,
+    sym_eigh,
     sym_generalized_eigvals,
     symmetrize,
 )
+from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 
 def test_symmetrize_is_bitwise_symmetric():
@@ -168,48 +173,126 @@ def test_generalized_eig_rejects_indefinite_b():
 
 def test_definite_pencil_diagonal_oracle():
     a, b = np.diag([3.0, -1.0]), np.diag([4.0, 2.0])
-    values, vectors = definite_pencil_eigh(a, b, 0.1, slice(None))
-    npt.assert_allclose(values, [-0.5, 0.75], atol=1e-15)
+    eigen = definite_pencil_eigh(a, b, 0.1)
+    npt.assert_allclose(eigen.values, [-0.5, 0.75], atol=1e-15)
+    vectors = eigen.vectors(2)
     npt.assert_allclose(np.abs(vectors), [[0.0, 0.5], [2**-0.5, 0.0]], atol=1e-15)
-    # the vectors of chosen values only; all the values still come back
-    values, vectors = definite_pencil_eigh(a, b, 0.1, [1])
-    npt.assert_allclose(values, [-0.5, 0.75], atol=1e-15)
-    npt.assert_allclose(np.abs(vectors), [[0.5], [0.0]], atol=1e-15)
+    # the vectors of the largest values only, largest first
+    npt.assert_allclose(np.abs(eigen.vectors(1, top=True)), [[0.5], [0.0]], atol=1e-15)
+    assert eigen.vectors(0).shape == (2, 0)
+
+
+def _random_pencil(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n))
+    return symmetrize(x + x.T), symmetrize(y @ y.T + 0.5 * np.eye(n))
 
 
 def test_definite_pencil_matches_the_generalized_solve():
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal((6, 6))
-    a = symmetrize(x + x.T)
-    y = rng.standard_normal((6, 6))
-    b = symmetrize(y @ y.T + 0.5 * np.eye(6))
-    values, vectors = definite_pencil_eigh(a, b, 0.1, slice(None))
-    npt.assert_allclose(values, scipy.linalg.eigh(a, b, eigvals_only=True), rtol=1e-12)
-    # b-orthonormal eigenvector columns
-    npt.assert_allclose(vectors.T @ b @ vectors, np.eye(6), atol=1e-12)
-    npt.assert_allclose(a @ vectors, b @ vectors * values, atol=1e-11)
-    # the chosen columns are those of the full back-transform, bit for bit
-    columns = np.array([0, 1, 5])
-    some, chosen = definite_pencil_eigh(a, b, 0.1, columns)
-    npt.assert_array_equal(some, values)
-    npt.assert_array_equal(chosen, vectors[:, columns])
+    a, b = _random_pencil(6, 23)
+    eigen = definite_pencil_eigh(a, b, 0.1)
+    expected = scipy.linalg.eigh(a, b, eigvals_only=True)
+    npt.assert_allclose(eigen.values, expected, rtol=1e-12)
+    for top in (False, True):
+        vectors = eigen.vectors(6, top)
+        values = eigen.values[::-1] if top else eigen.values
+        # b-orthonormal eigenvector columns, in the order asked for
+        npt.assert_allclose(vectors.T @ b @ vectors, np.eye(6), atol=1e-12)
+        npt.assert_allclose(a @ vectors, b @ vectors * values, atol=1e-11)
 
 
 def test_definite_pencil_needs_the_certificate():
     # b's smallest eigenvalue 1e-3 must exceed sigma
     a, b = np.eye(2), np.diag([1.0, 1e-3])
-    every = slice(None)
-    assert definite_pencil_eigh(a, b, 1e-2, every) is None
-    assert definite_pencil_eigh(a, b, 1e-2, [0]) is None
-    assert definite_pencil_eigh(a, b, 1e-3 * (1 + 1e-12), every) is None
-    assert definite_pencil_eigh(a, b, 1e-4, every) is not None
-    assert definite_pencil_eigh(a, np.diag([1.0, -1.0]), 0.0, every) is None
+    assert definite_pencil_eigh(a, b, 1e-2) is None
+    assert definite_pencil_eigh(a, b, 1e-3 * (1 + 1e-12)) is None
+    assert definite_pencil_eigh(a, b, 1e-4) is not None
+    assert definite_pencil_eigh(a, np.diag([1.0, -1.0]), 0.0) is None
     with pytest.raises(NonFiniteError, match="infs or NaNs"):
-        definite_pencil_eigh(a, np.diag([1.0, np.nan]), 0.0, every)
-    empty = np.zeros((0, 0))
-    for columns in (every, []):
-        values, vectors = definite_pencil_eigh(empty, empty, 1.0, columns)
-        assert values.shape == (0,) and vectors.shape == (0, 0)
+        definite_pencil_eigh(a, np.diag([1.0, np.nan]), 0.0)
+
+
+def _pencils():
+    """Pencils ``(a, b)`` of the two models' shifted forms, ``(L_t, Q_t)``
+    at a shift the Cholesky route takes, and two random ones."""
+    out = [_random_pencil(n, seed) for n, seed in ((9, 1), (40, 2))]
+    for forms, t in (
+        (assemble_1d(uniform_mesh(40, jitter=0.3, seed=1), 3).forms, 0.7),
+        # jitter 0: the discrete gradient kernel gives a cluster of equal tau
+        (assemble_2d(structured_tri_mesh(4, 0.0, 0), 1).forms, 0.8),
+    ):
+        qt = _on_pattern(forms, shifted_square(forms, t))
+        out.append((_on_pattern(forms, shifted_linear(forms, t)), qt))
+    return out
+
+
+def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
+    for a, b in _pencils():
+        c, _ = scipy.linalg.lapack.dsygst(a, cholesky_spd(b), lower=1)
+        values = definite_pencil_eigh(a, b, 0.0).values
+        npt.assert_array_equal(values, sym_eigh(c, vectors=False))
+        values = projected_eigh(a, np.eye(a.shape[0])).values
+        npt.assert_array_equal(values, sym_eigh(a, vectors=False))
+
+
+def test_a_vector_does_not_depend_on_the_others_asked_for():
+    for a, b in _pencils():
+        n = a.shape[0]
+        for eigen in (definite_pencil_eigh(a, b, 0.0), projected_eigh(a, np.eye(n))):
+            for top in (False, True):
+                every = eigen.vectors(min(n, 32), top)
+                for k in range(every.shape[1]):
+                    npt.assert_array_equal(eigen.vectors(k + 1, top)[:, k], every[:, k])
+
+
+def test_on_demand_vectors_are_accurate_and_orthonormal():
+    for a, b in _pencils():
+        eigen = definite_pencil_eigh(a, b, 0.0)
+        for top in (False, True):
+            x = eigen.vectors(min(a.shape[0], 32), top)
+            values = (eigen.values[::-1] if top else eigen.values)[: x.shape[1]]
+            residual = np.linalg.norm(a @ x - b @ x * values, axis=0)
+            scale = np.linalg.norm(a, 2) + np.abs(values) * np.linalg.norm(b, 2)
+            assert np.all(residual <= 1e-13 * scale * np.linalg.norm(x, axis=0))
+            npt.assert_allclose(x.T @ b @ x, np.eye(x.shape[1]), atol=1e-12)
+
+
+def test_split_tridiagonal_with_equal_values():
+    # diagonal: every subdiagonal entry of T is 0, and the value 2 is
+    # double; each block is its own tridiagonal solve
+    a, b = np.diag([2.0, 1.0, 2.0, -3.0]), np.eye(4)
+    eigen = definite_pencil_eigh(a, b, 0.5)
+    assert not eigen.e.any()
+    npt.assert_array_equal(eigen.values, [-3.0, 1.0, 2.0, 2.0])
+    npt.assert_array_equal(eigen.values, sym_eigh(a, vectors=False))
+    for top, order in ((False, [3, 1, 0, 2]), (True, [2, 0, 1, 3])):
+        npt.assert_array_equal(np.abs(eigen.vectors(4, top)), np.eye(4)[:, order])
+    # two copies of one block: T splits between them
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 3))
+    block = symmetrize(x + x.T)
+    a = scipy.linalg.block_diag(block, block)
+    eigen = projected_eigh(a, np.eye(6))
+    assert eigen.e[2] == 0.0 and np.all(eigen.e[[0, 1, 3, 4]] != 0.0)
+    npt.assert_array_equal(eigen.values, sym_eigh(a, vectors=False))
+    for top in (False, True):
+        v = eigen.vectors(6, top)
+        npt.assert_allclose(v.T @ v, np.eye(6), atol=1e-14)
+        values = eigen.values[::-1] if top else eigen.values
+        npt.assert_allclose(a @ v, v * values, atol=1e-13)
+        for k in range(6):
+            npt.assert_array_equal(eigen.vectors(k + 1, top)[:, k], v[:, k])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_on_demand_solve_of_the_smallest_sizes(n):
+    a, b = 3.0 * np.eye(n), 4.0 * np.eye(n)
+    for eigen in (definite_pencil_eigh(a, b, 1.0), projected_eigh(a, 0.5 * np.eye(n))):
+        npt.assert_array_equal(eigen.values, [0.75] * n)
+        for top in (False, True):
+            npt.assert_array_equal(eigen.vectors(1, top), 0.5 * np.eye(n))
+            assert eigen.vectors(0, top).shape == (n, 0)
 
 
 def test_kernel_basis_diagonal():

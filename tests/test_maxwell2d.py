@@ -195,6 +195,18 @@ def test_exact_spectrum_multiplicities():
         exact_spectrum_2d(0.0)
 
 
+@pytest.mark.parametrize("max_val", [0.5, 1.0, 2.0**0.5, 2.0, 4.3, 7.07, 33.3])
+def test_exact_spectrum_is_the_pair_loop(max_val):
+    # the pair-by-pair listing the array build replaced, bit for bit
+    values = [0.0]
+    for l in range(int(np.floor(max_val)) + 1):
+        for m in range(int(np.floor(max_val)) + 1):
+            omega = np.hypot(l, m)
+            if (l or m) and omega <= max_val:
+                values.extend([omega, -omega])
+    npt.assert_array_equal(exact_spectrum_2d(max_val), np.sort(values))
+
+
 def test_enclosures_contain_true_eigenvalues():
     model = assemble_2d(structured_tri_mesh(6), 2)
     enc = zm_enclosures(model.forms, (0.7, 1.6), j_max=3)
