@@ -14,16 +14,23 @@ Zimmermann-Mertins pencil, and the certified bound with
 numerically, which is a strong end-to-end check on both code paths.
 
 The pencil also tells the bisection where to look.  Its prediction
-``alpha* = 1/(2 |tau_j|)`` of the root's distance from t gives a window
-``[alpha* - fp_tol, alpha* + fp_tol]``, and two evaluations of the
-counting function certify it: the residual is positive at the lower
-end and <= 0 at the upper one.  The residual is nonincreasing, so every
-later sign outside the window is known, and the expansion and bisection
-evaluate F_j only inside it: about 6 evaluations per root, on the same
-path to the same root as without the window.  The sign at the root's
-certified end is evaluated all the same.  A window the counting
-function does not confirm, a pencil that fails or has too few values,
-or forms that fail the exact consistency test of
+``alpha* = 1/(2 |tau_j|)`` of the root's distance from t gives the
+final bracket ``[lo*, hi*]`` the search would end in if the root were
+alpha*: the search's own expansion and bisection, run once with the
+test ``alpha >= alpha*`` in place of a counting evaluation.  Two
+evaluations certify it: the residual is positive at lo* and <= 0 at
+hi*.  The residual is nonincreasing, so every point the search visits
+lies at or below lo* or at or above hi* and its sign is known; the
+search retraces the dry run without a further evaluation, and the
+counting value at the root's certified end hi* is the one already
+computed.  A root costs 3 evaluations (the residual at t, lo* and hi*)
+on the same path to the same root as without the prediction wherever
+the computed residual's signs are monotone; where rounding makes it
+change sign more than once (a residual flat to rounding), the two
+searches may end at different sign changes, each a certified root.  A
+bracket the counting function does not confirm, a prediction beyond
+the search's reach, a pencil that fails or has too few values, or
+forms that fail the exact consistency test of
 :meth:`TrialForms.validate` leave the search unseeded.  The pencil is
 solved once per shift per forms (the forms keep their last solve, so
 both sides of an audit and every index share it), and a call polishes
@@ -61,8 +68,11 @@ class FixedPointResult:
     nearest t on the certified side), ``f_at_root`` the counting value
     there; ``|f_at_root - |t - s_hat||`` does not exceed the fixed-point
     tolerance used.  ``iterations`` counts the counting-function
-    evaluations made, each at a distinct shift, the two that check a
-    pencil seed included.  ``tau`` is the pencil eigenvalue tau_j
+    evaluations made, each at a distinct shift: 3 for a root whose
+    predicted bracket the counting function confirms (the residual at t
+    and at both ends), 1 for a captured shift, and otherwise those of
+    the unseeded search plus at most the two that checked the
+    prediction.  ``tau`` is the pencil eigenvalue tau_j
     offered as the seed, None when none was drawn (a captured shift or
     inconsistent forms), the pencil had none, or the counting function
     contradicted it at the root.
@@ -82,6 +92,10 @@ class FixedPointResult:
         if self.side == "left":
             return self.s_hat - self.f_at_root
         return self.s_hat + self.f_at_root
+
+
+def _quiet(*args):
+    """A logger call that logs nothing."""
 
 
 def _scale(theta, t):
@@ -159,7 +173,12 @@ def _root(forms, t, j, side, fp_tol, seed):
     ``seed`` is a function of no arguments returning the pencil
     eigenvalues on ``side``, nearest bound first, or None for no seed.
     It is called only after the argument and detectability checks, and
-    only when the shift is not captured.
+    only when the shift is not captured.  Its ``tau_j`` predicts the
+    root's final bracket (see the module docstring); the search runs as
+    one helper, for that dry run and for the real search, which
+    evaluates the counting function only where the residual's sign is
+    not yet known.  Each root logs one debug line: its side, index,
+    evaluations and whether the predicted bracket held.
     """
     _check_side(side)
     if not 1 <= j <= forms.n:
@@ -197,25 +216,70 @@ def _root(forms, t, j, side, fp_tol, seed):
     g0 = g(0.0)
     if g0 <= 0.0:
         # the shift itself is (numerically) captured by the subspace
+        logger.debug("root side=%s j=%d: shift captured, 1 evaluation", side, j)
         return FixedPointResult(
             j=j, side=side, s_hat=t, f_at_root=max(g0, 0.0),
             iterations=len(values), bracket_width=0.0,
         )
 
+    def search(certified, log):
+        """Expansion, then bisection, on ``certified(alpha)``, the sign
+        test ``g(alpha) <= 0``: the final bracket (lo, hi)."""
+        step = scale
+        expansions = 0
+        while not certified(step):
+            expansions += 1
+            if expansions > _MAX_EXPANSIONS:
+                raise MaxIterationsError(
+                    f"no sign change within {step:g} of t={t:g} "
+                    f"(side={side}, j={j})"
+                )
+            step *= 2.0
+        log(
+            "bracketed side=%s j=%d: alpha in [0, %g] after %d expansions",
+            side, j, step, expansions,
+        )
+        # lo has residual > 0 (towards t), hi has residual <= 0
+        lo, hi = (step / 2.0 if expansions else 0.0), step
+        iterations = 0
+        while hi - lo > 0.5 * fp_tol:
+            iterations += 1
+            if iterations > _MAX_BISECTIONS:
+                raise MaxIterationsError(
+                    f"bisection exceeded {_MAX_BISECTIONS} iterations "
+                    f"(side={side}, j={j}, bracket width {hi - lo:g})"
+                )
+            mid = 0.5 * (lo + hi)
+            if certified(mid):
+                hi = mid
+            else:
+                lo = mid
+            log("bracket [%r, %r]", lo, hi)
+        return lo, hi
+
     # The residual is known to be > 0 below `below` and <= 0 from `above`
-    # on; only alphas in between are evaluated.  With a prediction whose
-    # window the residual's own signs confirm, that is a width of
-    # 2 * fp_tol around the root.  A window beyond the farthest point the
-    # expansion can reach is not checked: the search never looks there.
+    # on; only alphas in between are evaluated.  A predicted bracket the
+    # residual's own signs confirm leaves nothing in between: the search
+    # retraces the dry run that found it and evaluates nothing more.
     below, above = 0.0, np.inf
+    predicted = "not drawn"
     taus = seed()
     tau_j = float(taus[j - 1]) if taus is not None and taus.size >= j else None
     if tau_j is not None:
-        alpha = 0.5 / abs(tau_j)
-        low, high = alpha - fp_tol, alpha + fp_tol
-        reach = scale * 2.0**_MAX_EXPANSIONS
-        if 0.0 < low and high <= reach and g(low) > 0.0 and g(high) <= 0.0:
-            below, above = low, high
+        alpha_star = 0.5 / abs(tau_j)
+        try:
+            # a root beyond the expansion's reach, or so far out that the
+            # bisection cannot resolve fp_tol there, gives no prediction
+            low, high = search(lambda alpha: alpha >= alpha_star, _quiet)
+        except MaxIterationsError:
+            predicted = "unreachable"
+        else:
+            # g(0) > 0 is known, so low = 0 costs no evaluation
+            if g(low) > 0.0 and g(high) <= 0.0:
+                below, above = low, high
+                predicted = "held"
+            else:
+                predicted = "missed"
 
     def certified(alpha):
         """Whether g(alpha) <= 0."""
@@ -225,45 +289,19 @@ def _root(forms, t, j, side, fp_tol, seed):
             return True
         return g(alpha) <= 0.0
 
-    # expand outward until the residual changes sign
-    step = scale
-    expansions = 0
-    while not certified(step):
-        expansions += 1
-        if expansions > _MAX_EXPANSIONS:
-            raise MaxIterationsError(
-                f"no sign change within {step:g} of t={t:g} "
-                f"(side={side}, j={j})"
-            )
-        step *= 2.0
-    logger.debug(
-        "bracketed side=%s j=%d: alpha in [0, %g] after %d expansions",
-        side, j, step, expansions,
-    )
-
-    # bisection: lo has residual > 0 (towards t), hi has residual <= 0
-    lo, hi = (step / 2.0 if expansions else 0.0), step
-    iterations = 0
-    while hi - lo > 0.5 * fp_tol:
-        iterations += 1
-        if iterations > _MAX_BISECTIONS:
-            raise MaxIterationsError(
-                f"bisection exceeded {_MAX_BISECTIONS} iterations "
-                f"(side={side}, j={j}, bracket width {hi - lo:g})"
-            )
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-        logger.debug("bracket [%r, %r]", lo, hi)
+    lo, hi = search(certified, logger.debug)
 
     s_hat = t + sign * hi  # certified endpoint, nearest t with residual <= 0
     f_at_root = f_of(s_hat)
     if f_at_root - hi > 0.0:
-        # g(hi) <= 0 was inferred from the seed window and the counting
-        # function contradicts it: the residual is not monotone here
+        # a guard: every hi kept above was evaluated (hi* when the
+        # predicted bracket held), so only a counting function that
+        # contradicts its own signs reaches this
         return _root(forms, t, j, side, fp_tol, lambda: None)
+    logger.debug(
+        "root side=%s j=%d: %d evaluations, predicted bracket %s",
+        side, j, len(values), predicted,
+    )
     return FixedPointResult(
         j=j,
         side=side,

@@ -384,7 +384,13 @@ class TridiagonalEigen:
         while bounds[-1] < count:
             bounds.append(min(2 * bounds[-1], n))
         z = self._tridiagonal_vectors(bounds[-1], top)
-        chunks = [self._back_transform(z[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+        # ormqr's wrapper copies a non-contiguous reflector block whole:
+        # copy it once for all chunks
+        householder = np.asfortranarray(self.packed[1:, :-1]) if n > 2 else None
+        chunks = [
+            self._back_transform(z[:, a:b], householder)
+            for a, b in zip(bounds, bounds[1:])
+        ]
         return np.hstack(chunks)[:, :count]
 
     def _tridiagonal_vectors(self, count, top):
@@ -409,18 +415,19 @@ class TridiagonalEigen:
             )
         return z
 
-    def _back_transform(self, z):
-        """The eigenvectors of the problem from eigenvectors ``z`` of T."""
-        n = self.d.size
+    def _back_transform(self, z, householder):
+        """The eigenvectors of the problem from eigenvectors ``z`` of T;
+        ``householder`` is a Fortran-ordered copy of ``packed[1:, :-1]``
+        (None for n <= 2)."""
         z = np.asfortranarray(z)
-        if n > 2:
+        if householder is not None:
             # Q = diag(1, Q'), Q' the product of the reflectors in
             # packed[1:, :-1]; with the minimal workspace ormqr applies
             # them one by one, faster than blocked for up to 8 columns
             columns = z.shape[1]
             lwork = columns if columns <= 8 else 64 * columns + 65 * 64
             z[1:], _, info = scipy.linalg.lapack.dormqr(
-                "L", "N", self.packed[1:, :-1], self.reflectors, z[1:], lwork
+                "L", "N", householder, self.reflectors, z[1:], lwork
             )
             if info != 0:
                 raise ValueError(f"ormqr rejected argument {-info}")

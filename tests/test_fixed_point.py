@@ -1,8 +1,13 @@
 """Tests for the fixed-point (Davies-Plum) route to one-sided bounds."""
 
+import logging
+import statistics
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigenclose.enclosure as enclosure_mod
 import eigenclose.fixed_point as fixed_point_mod
@@ -10,7 +15,10 @@ from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import _pencil
 from eigenclose.fixed_point import (
     FP_TOL_FACTOR,
+    _MAX_BISECTIONS,
+    _MAX_EXPANSIONS,
     _root,
+    _scale,
     default_fp_tol,
     dp_bounds,
     equivalence_gap,
@@ -215,6 +223,180 @@ def test_wrong_seed_costs_evaluations_not_the_root():
             assert seeded.iterations >= unseeded.iterations
 
 
+def _record_counting(monkeypatch):
+    """Make every counting evaluation of the fixed-point route log its
+    shift and F_j, in order, in a list."""
+    calls = []
+    real = fixed_point_mod.local_counting
+
+    def counting(forms, s, count):
+        values = real(forms, s, count)
+        calls.append((s, float(values[count - 1])))
+        return values
+
+    monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
+    return calls
+
+
+def _replay(forms, t, certified):
+    """The search of the fixed-point route from t at the default fp_tol,
+    on the sign test ``certified(alpha)`` (residual <= 0): its final
+    bracket (lo, hi) and every alpha it tests, or None where it would
+    run out of expansions or bisections."""
+    scale = _scale(forms.ritz(), t)
+    tested = []
+
+    def test(alpha):
+        tested.append(alpha)
+        return certified(alpha)
+
+    hi = scale
+    while not test(hi):
+        if len(tested) > _MAX_EXPANSIONS:
+            return None
+        hi *= 2.0
+    lo = hi / 2.0 if hi > scale else 0.0
+    bisections = 0
+    while hi - lo > 0.5 * FP_TOL_FACTOR * scale:
+        bisections += 1
+        if bisections > _MAX_BISECTIONS:
+            return None
+        mid = 0.5 * (lo + hi)
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, tested
+
+
+def _both_searches(forms, t, j, side, calls):
+    """The unseeded and the seeded root at (t, j, side), with what the
+    search tests: the alphas of the unseeded path and of the predicted
+    bracket (lo*, hi*; None without a prediction) that the seeded
+    search checked, and the residual's sign at each, from the F_j either
+    search evaluated.  ``calls`` is the log of :func:`_record_counting`."""
+    sign = -1.0 if side == "left" else 1.0
+    unseeded = _unseeded(forms, t, j, side)
+    seeded_from = len(calls)
+    seeded = optimal_shift(forms, t, j, side)
+    f_at = dict(calls)
+
+    def residual_positive(alpha):
+        return f_at[t + sign * alpha] - alpha > 0.0
+
+    if not residual_positive(0.0):  # a captured shift: neither search goes on
+        assert seeded == unseeded and len(calls) == 2
+        return unseeded, seeded, calls[seeded_from:], None, [False]
+    lo, hi, path = _replay(forms, t, lambda alpha: not residual_positive(alpha))
+    assert (t + sign * hi, hi - lo) == (unseeded.s_hat, unseeded.bracket_width)
+    taus = _pencil(forms, t).polish(side, j)
+    alpha_star = 0.5 / abs(taus[j - 1]) if taus.size >= j else np.inf
+    predicted = _replay(forms, t, lambda alpha: alpha >= alpha_star)
+    bracket = predicted[:2] if predicted else None
+    checked = {alpha for alpha in bracket or () if t + sign * alpha in f_at}
+    alphas = sorted(set(path) | checked)
+    signs = [residual_positive(alpha) for alpha in alphas]
+    return unseeded, seeded, calls[seeded_from:], bracket, signs
+
+
+def _monotone(signs):
+    """Whether residual signs, in increasing alpha, never turn positive
+    again once they are <= 0.  Where they do, the two searches take
+    their signs from different points and may end in different roots,
+    each a certified sign change of the computed residual."""
+    return signs == sorted(signs, reverse=True)
+
+
+def test_confirmed_prediction_costs_three_evaluations(monkeypatch):
+    # a predicted bracket the residual confirms at both ends leaves the
+    # search nothing to evaluate: the residual at t, lo* and hi*, and
+    # the same root as the unseeded search
+    calls = _record_counting(monkeypatch)
+    evaluations, fallbacks, non_monotone = [], 0, 0
+    for model in ("dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"):
+        if model == "maxwell2d":
+            forms = assemble_2d(structured_tri_mesh(4, jitter=0.25, seed=1), 1).forms
+        else:
+            mesh = uniform_mesh(6, jitter=0.3, seed=1)
+            forms = assemble_1d(mesh, int(model[-1])).forms
+        for t in (-1.4, 0.6, 1.4, 2.5):
+            for side, sign in (("left", -1.0), ("right", 1.0)):
+                for j in (1, 2, 3):
+                    calls.clear()
+                    try:
+                        found = _both_searches(forms, t, j, side, calls)
+                        unseeded, seeded, seeded_calls, bracket, signs = found
+                    except NoSignChangeError:
+                        continue
+                    evaluations.append(seeded.iterations)
+                    lo, hi = bracket
+                    f_at = dict(calls)
+                    if not f_at[t + sign * lo] - lo > 0.0 >= f_at[t + sign * hi] - hi:
+                        fallbacks += 1
+                        continue
+                    case = (model, t, side, j)
+                    shifts = [t, t + sign * lo, t + sign * hi]
+                    assert seeded.iterations == 3, case
+                    assert [s for s, _ in seeded_calls] == shifts, case
+                    assert seeded.s_hat == shifts[-1], case
+                    if _monotone(signs):
+                        assert _same_root(seeded, unseeded), case
+                    else:
+                        non_monotone += 1
+    # 96 roots, none falls back; the one whose residual's signs are not
+    # monotone is dirac1d-1 at t = 2.5, right, j = 3, a root near 471
+    # where the residual is flat to rounding
+    assert len(evaluations) == 96
+    assert statistics.fmean(evaluations) <= 3.2, (fallbacks, evaluations)
+    assert fallbacks <= 2 and non_monotone <= 1
+
+
+def test_one_debug_line_per_root(caplog):
+    # each root reports its evaluations and the prediction's fate; the
+    # dry run that finds the predicted bracket logs nothing
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    unseeded = _unseeded(forms, 1.4, 2, "right")
+    caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
+    optimal_shift(forms, 1.4, 2, "right")
+    _unseeded(forms, 1.4, 2, "right")
+    optimal_shift(WORKED, 2.0, 1, "left")
+    messages = [record.getMessage() for record in caplog.records]
+    assert [m for m in messages if m.startswith("root ")] == [
+        "root side=right j=2: 3 evaluations, predicted bracket held",
+        f"root side=right j=2: {unseeded.iterations} evaluations, "
+        "predicted bracket not drawn",
+        "root side=left j=1: shift captured, 1 evaluation",
+    ]
+    assert sum(m.startswith("bracketed ") for m in messages) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    jitter=st.floats(min_value=0.0, max_value=0.4),
+    t=st.floats(min_value=-3.0, max_value=3.0),
+    j=st.integers(min_value=1, max_value=3),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_seeded_search_property(seed, jitter, t, j, side):
+    # the prediction changes the cost, never the outcome: the unseeded
+    # search's root wherever the residual's signs at the alphas either
+    # search tests are monotone, at most two more evaluations, and no
+    # error the unseeded search does not raise
+    forms = assemble_1d(uniform_mesh(6, jitter=jitter, seed=seed), 2).forms
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _record_counting(patch)
+        try:
+            unseeded, seeded, _, _, signs = _both_searches(forms, t, j, side, calls)
+        except NoSignChangeError:
+            with pytest.raises(NoSignChangeError):
+                optimal_shift(forms, t, j, side)
+            return
+    assert seeded.iterations <= unseeded.iterations + 2
+    if _monotone(signs):
+        assert _same_root(seeded, unseeded)
+
+
 @pytest.mark.parametrize("fp_tol", [np.nan, np.inf, 0.0, -1e-3])
 def test_bad_fp_tol_rejected(fp_tol):
     # a non-finite tolerance would end the bisection at once, a
@@ -324,9 +506,10 @@ def test_inconsistent_forms_get_the_unseeded_search():
 
 
 def test_contradicted_final_sign_falls_back(monkeypatch):
-    # the bisection ends at an hi beyond the seed window, where g(hi) <= 0
-    # was inferred; a counting function that contradicts it sends the
-    # root to the unseeded search, which here finds no sign change
+    # the residual is <= 0 only just beyond the predicted root, not at
+    # the predicted bracket's end hi* = 2: the prediction is refused and
+    # the root goes to the unseeded search, which here finds no sign
+    # change
     t, tau, fp_tol = 1.5, -0.25, 1e-3
     s_high = t - (0.5 / abs(tau) + fp_tol)
 
