@@ -86,7 +86,12 @@ class PencilEigen:
     tridiagonal reduction as two vectors and its reflectors, in one n by
     n double array that also holds the Cholesky factor of Q_t, plus on
     the eigendecomposition route the n by (n - n_inf) basis of the
-    deflated pencil.  The pencil's arrays take 0.57 MB at n = 240
+    deflated pencil.  ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``)
+    is the one way to read eigenvectors: the Q_t-orthonormal coefficient
+    vectors, in the full trial basis with deflated kernel directions
+    removed, of the k nearest entries of ``tau_minus`` (``tau_plus``) in
+    their order before any :meth:`polish`, which may re-sort near-ties.
+    The pencil's arrays take 0.57 MB at n = 240
     (dirac1d, order 3, 40 elements), 0.46 MB of it that n by n array,
     and 26.4 MB at n = 1775 (maxwell2d, order 1, nx = 24), 25.2 MB of it
     the array.  ``Qt_values`` and ``Lt_values`` are the values of the
@@ -107,27 +112,6 @@ class PencilEigen:
     polished: dict = field(
         init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
     )
-
-    @property
-    def vectors_minus(self):
-        """Q_t-orthonormal coefficient vectors, in the full trial basis
-        with deflated kernel directions removed, of the nearest
-        ``REFINE_COUNT`` entries of ``tau_minus``, in its order; computed
-        afresh on every read."""
-        return self._side_vectors("left")
-
-    @property
-    def vectors_plus(self):
-        """As :attr:`vectors_minus`, for ``tau_plus``."""
-        return self._side_vectors("right")
-
-    def _side_vectors(self, side):
-        size = (self.tau_minus if side == "left" else self.tau_plus).size
-        x = self.eigen.vectors(min(size, REFINE_COUNT), top=side == "right")
-        k = self.polished[side]
-        if k:
-            x[:, :k] = x[:, self._polish_prefix(side, k)[1]]
-        return x
 
     def polish(self, side, k=REFINE_COUNT):
         """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
@@ -158,26 +142,21 @@ class PencilEigen:
         k = min(k, REFINE_COUNT, tau.size)
         if not _LONGDOUBLE_OK or k <= self.polished[side]:
             return tau
-        tau = np.concatenate([self._polish_prefix(side, k)[0], tau[k:]])
-        setattr(self, "tau_" + name, tau)
-        self.polished[side] = k
-        return tau
-
-    def _polish_prefix(self, side, k):
-        """The nearest k tau of one side polished, nearest first, and the
-        order that sorts them from the unpolished order."""
         top = side == "right"
         x = self.eigen.vectors(k, top).astype(np.longdouble)
-        tau = (self.eigen.values[::-1] if top else self.eigen.values)[:k].copy()
+        nearest = (self.eigen.values[::-1] if top else self.eigen.values)[:k].copy()
         p = self.pattern
         num = np.einsum("ij,ij->j", x, _pattern_product(self.Lt_values, p, x))
         den = np.einsum("ij,ij->j", x, _pattern_product(self.Qt_values, p, x))
         good = den > 0
-        tau[good] = (num[good] / den[good]).astype(float)
+        nearest[good] = (num[good] / den[good]).astype(float)
         # nearest bound first is largest |tau| first; the polish may nudge
         # near-ties, which re-sort among the k polished entries only
-        order = np.argsort(-np.abs(tau), kind="stable")
-        return tau[order], order
+        nearest = nearest[np.argsort(-np.abs(nearest), kind="stable")]
+        tau = np.concatenate([nearest, tau[k:]])
+        setattr(self, "tau_" + name, tau)
+        self.polished[side] = k
+        return tau
 
 
 def _pattern_product(values, pattern, x):

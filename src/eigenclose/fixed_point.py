@@ -13,24 +13,32 @@ Zimmermann-Mertins pencil, and the certified bound with
 ``t + 1/tau_j``; :func:`equivalence_gap` audits that identity
 numerically, which is a strong end-to-end check on both code paths.
 
-The pencil also tells the bisection where to look.  Its prediction
+The residual of the equation at distance alpha from t is
+nonincreasing in alpha, so one evaluation gives its sign on a whole
+half-line.  Each root keeps one record of known signs, the largest
+alpha evaluated with residual > 0 and the smallest evaluated with
+residual <= 0; every evaluation updates it, and the search evaluates
+the counting function only at an alpha between the two.
+
+The pencil fills that record first.  Its prediction
 ``alpha* = 1/(2 |tau_j|)`` of the root's distance from t gives the
 final bracket ``[lo*, hi*]`` the search would end in if the root were
 alpha*: the search's own expansion and bisection, run once with the
-test ``alpha >= alpha*`` in place of a counting evaluation.  Two
-evaluations certify it: the residual is positive at lo* and <= 0 at
-hi*.  The residual is nonincreasing, so every point the search visits
-lies at or below lo* or at or above hi* and its sign is known; the
-search retraces the dry run without a further evaluation, and the
-counting value at the root's certified end hi* is the one already
-computed.  A root costs 3 evaluations (the residual at t, lo* and hi*)
-on the same path to the same root as without the prediction wherever
-the computed residual's signs are monotone; where rounding makes it
-change sign more than once (a residual flat to rounding), the two
-searches may end at different sign changes, each a certified root.  A
-bracket the counting function does not confirm, a prediction beyond
-the search's reach, a pencil that fails or has too few values, or
-forms that fail the exact consistency test of
+test ``alpha >= alpha*`` in place of a counting evaluation.  Checking
+the residual at lo* and then at hi* fills the record.  Where the residual is
+positive at lo* and <= 0 at hi*, every point the search visits lies at
+or below lo* or at or above hi*: the search retraces the dry run
+without a further evaluation, and the counting value at the root's
+certified end hi* is the one already computed.  A root then costs 3
+evaluations (the residual at t, lo* and hi*) on the same path to the
+same root as without the prediction wherever the computed residual's
+signs are monotone; where rounding makes it change sign more than once
+(a residual flat to rounding), the two searches may end at different
+sign changes, each a certified root.  A bracket the counting function
+does not confirm still narrows the search by the signs found at its
+ends, for at most those two evaluations more than without it.  A
+prediction beyond the search's reach, a pencil that fails or has too
+few values, or forms that fail the exact consistency test of
 :meth:`TrialForms.validate` leave the search unseeded.  The pencil is
 solved once per shift per forms (the forms keep their last solve, so
 both sides of an audit and every index share it), and a call polishes
@@ -38,6 +46,7 @@ only the first j (``j_max`` for :func:`dp_bounds`) tau of the root's
 side, the ones it reads.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -70,9 +79,10 @@ class FixedPointResult:
     tolerance used.  ``iterations`` counts the counting-function
     evaluations made, each at a distinct shift: 3 for a root whose
     predicted bracket the counting function confirms (the residual at t
-    and at both ends), 1 for a captured shift, and otherwise those of
-    the unseeded search plus at most the two that checked the
-    prediction.  ``tau`` is the pencil eigenvalue tau_j
+    and at both ends), 1 for a captured shift, and otherwise at most
+    the unseeded search's count plus the two that checked the
+    prediction, wherever the computed residual's signs are monotone.
+    ``tau`` is the pencil eigenvalue tau_j
     offered as the seed, None when none was drawn (a captured shift or
     inconsistent forms), the pencil had none, or the counting function
     contradicted it at the root.
@@ -92,10 +102,6 @@ class FixedPointResult:
         if self.side == "left":
             return self.s_hat - self.f_at_root
         return self.s_hat + self.f_at_root
-
-
-def _quiet(*args):
-    """A logger call that logs nothing."""
 
 
 def _scale(theta, t):
@@ -174,11 +180,13 @@ def _root(forms, t, j, side, fp_tol, seed):
     eigenvalues on ``side``, nearest bound first, or None for no seed.
     It is called only after the argument and detectability checks, and
     only when the shift is not captured.  Its ``tau_j`` predicts the
-    root's final bracket (see the module docstring); the search runs as
-    one helper, for that dry run and for the real search, which
-    evaluates the counting function only where the residual's sign is
-    not yet known.  Each root logs one debug line: its side, index,
-    evaluations and whether the predicted bracket held.
+    root's final bracket (see the module docstring); one helper runs the
+    search, for that dry run and for the real search, which asks the
+    record of known signs first and evaluates the counting function only
+    where the record leaves the sign open.  Each root logs one debug
+    line: its side, index, evaluations, whether the predicted bracket
+    held and the final bracket width (a captured shift logs its own
+    line).
     """
     _check_side(side)
     if not 1 <= j <= forms.n:
@@ -198,36 +206,45 @@ def _root(forms, t, j, side, fp_tol, seed):
     if fp_tol is None:
         fp_tol = FP_TOL_FACTOR * scale
 
-    values = {}  # F_j by shift: a point the loops revisit is not re-solved
+    values = {}  # F_j by shift, each solved once
 
     def f_of(s):
         if s not in values:
             values[s] = float(local_counting(forms, s, count=j)[j - 1])
         return values[s]
 
+    # The record of known signs of the residual F_j(t + sign alpha) - alpha,
+    # nonincreasing in alpha >= 0 (F_j is 1-Lipschitz): known[False] is the
+    # largest alpha evaluated with residual > 0, known[True] the smallest
+    # evaluated with residual <= 0.
     sign = -1.0 if side == "left" else 1.0
+    known = {False: -np.inf, True: np.inf}
 
-    def g(alpha):
-        # signed residual of the fixed-point equation; nonincreasing in
-        # alpha >= 0 on both sides (F_j is 1-Lipschitz): positive up to
-        # the root, <= 0 exactly on the certified region beyond it
-        return f_of(t + sign * alpha) - alpha
+    def certified(alpha):
+        """Whether the residual at alpha is <= 0: from the record where
+        alpha lies outside it, else by an evaluation that narrows it."""
+        if alpha <= known[False]:
+            return False
+        if alpha >= known[True]:
+            return True
+        result = f_of(t + sign * alpha) - alpha <= 0.0
+        known[result] = alpha
+        return result
 
-    g0 = g(0.0)
-    if g0 <= 0.0:
+    if certified(0.0):
         # the shift itself is (numerically) captured by the subspace
         logger.debug("root side=%s j=%d: shift captured, 1 evaluation", side, j)
         return FixedPointResult(
-            j=j, side=side, s_hat=t, f_at_root=max(g0, 0.0),
-            iterations=len(values), bracket_width=0.0,
+            j=j, side=side, s_hat=t, f_at_root=f_of(t),
+            iterations=1, bracket_width=0.0,
         )
 
-    def search(certified, log):
-        """Expansion, then bisection, on ``certified(alpha)``, the sign
-        test ``g(alpha) <= 0``: the final bracket (lo, hi)."""
+    def search(test):
+        """Expansion, then bisection, on the sign test ``test(alpha)``,
+        residual <= 0: the final bracket (lo, hi)."""
         step = scale
         expansions = 0
-        while not certified(step):
+        while not test(step):
             expansions += 1
             if expansions > _MAX_EXPANSIONS:
                 raise MaxIterationsError(
@@ -235,10 +252,6 @@ def _root(forms, t, j, side, fp_tol, seed):
                     f"(side={side}, j={j})"
                 )
             step *= 2.0
-        log(
-            "bracketed side=%s j=%d: alpha in [0, %g] after %d expansions",
-            side, j, step, expansions,
-        )
         # lo has residual > 0 (towards t), hi has residual <= 0
         lo, hi = (step / 2.0 if expansions else 0.0), step
         iterations = 0
@@ -250,18 +263,16 @@ def _root(forms, t, j, side, fp_tol, seed):
                     f"(side={side}, j={j}, bracket width {hi - lo:g})"
                 )
             mid = 0.5 * (lo + hi)
-            if certified(mid):
+            if test(mid):
                 hi = mid
             else:
                 lo = mid
-            log("bracket [%r, %r]", lo, hi)
         return lo, hi
 
-    # The residual is known to be > 0 below `below` and <= 0 from `above`
-    # on; only alphas in between are evaluated.  A predicted bracket the
-    # residual's own signs confirm leaves nothing in between: the search
-    # retraces the dry run that found it and evaluates nothing more.
-    below, above = 0.0, np.inf
+    # The prediction's dry run only fills the record: where the residual
+    # confirms the predicted bracket, the search retraces the dry run
+    # without a further evaluation; where it does not, the search starts
+    # from the signs found at lo* and hi*.
     predicted = "not drawn"
     taus = seed()
     tau_j = float(taus[j - 1]) if taus is not None and taus.size >= j else None
@@ -270,37 +281,26 @@ def _root(forms, t, j, side, fp_tol, seed):
         try:
             # a root beyond the expansion's reach, or so far out that the
             # bisection cannot resolve fp_tol there, gives no prediction
-            low, high = search(lambda alpha: alpha >= alpha_star, _quiet)
+            low, high = search(lambda alpha: alpha >= alpha_star)
         except MaxIterationsError:
             predicted = "unreachable"
         else:
-            # g(0) > 0 is known, so low = 0 costs no evaluation
-            if g(low) > 0.0 and g(high) <= 0.0:
-                below, above = low, high
-                predicted = "held"
-            else:
-                predicted = "missed"
+            # lo* = 0 is known positive and hi* is known once lo* is not
+            held = [certified(low), certified(high)] == [False, True]
+            predicted = "held" if held else "missed"
 
-    def certified(alpha):
-        """Whether g(alpha) <= 0."""
-        if alpha < below:
-            return False
-        if alpha >= above:
-            return True
-        return g(alpha) <= 0.0
-
-    lo, hi = search(certified, logger.debug)
+    lo, hi = search(certified)
 
     s_hat = t + sign * hi  # certified endpoint, nearest t with residual <= 0
     f_at_root = f_of(s_hat)
     if f_at_root - hi > 0.0:
-        # a guard: every hi kept above was evaluated (hi* when the
-        # predicted bracket held), so only a counting function that
-        # contradicts its own signs reaches this
+        # a guard: the search ends on the record's evaluated end, so only
+        # a counting function that contradicts its own signs reaches this
         return _root(forms, t, j, side, fp_tol, lambda: None)
     logger.debug(
-        "root side=%s j=%d: %d evaluations, predicted bracket %s",
-        side, j, len(values), predicted,
+        "root side=%s j=%d: %d evaluations, predicted bracket %s, "
+        "final bracket width %.3g",
+        side, j, len(values), predicted, hi - lo,
     )
     return FixedPointResult(
         j=j,
@@ -326,13 +326,7 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None):
     """
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
-    seeds = []
-
-    def seed():
-        if not seeds:
-            seeds.append(_seed_taus(forms, t, side, count=j_max))
-        return seeds[0]
-
+    seed = functools.cache(lambda: _seed_taus(forms, t, side, count=j_max))
     bounds = []
     for j in range(1, j_max + 1):
         try:

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg.blas
 
 from .errors import FormsFormatError, InconsistentFormsError
 from .linalg import (
@@ -117,7 +118,8 @@ class TrialForms:
         (a ``ValueError``) on failure and returns the forms otherwise.
         """
         if "schur_min" not in self._kept:
-            x = np.linalg.solve(self._factor, self.M1.astype(float, copy=False))
+            m1 = np.array(self.M1, dtype=float, order="F")
+            x = scipy.linalg.blas.dtrsm(1.0, self._factor, m1, lower=1, overwrite_b=1)
             s = self.M2.astype(float, copy=False) - x.T @ x
             self._kept["schur_min"] = sym_eigh(symmetrize(s), vectors=False)[0]
         schur_min = self._kept["schur_min"]

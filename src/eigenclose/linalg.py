@@ -272,46 +272,41 @@ def _reduce(c, basis):
     triangle, overwritten) and a back-transform ``basis``.
 
     LAPACK ``sytrd`` reduces ``c`` to a tridiagonal T and ``sterf`` gives
-    all its eigenvalues, ascending: bit for bit those of ``sym_eigh(c,
-    vectors=False)``, since ``syevd`` without vectors runs the same two
-    routines with the same workspace, except that it first rescales a
-    matrix whose largest entry lies outside about ``[1e-146, 1e146]``.
+    the eigenvalues of each unreduced block of T (split where its
+    subdiagonal is exactly 0), merged ascending with equal values in
+    block order: bit for bit those of ``sym_eigh(c, vectors=False)``,
+    since ``syevd`` without vectors runs the same two routines with the
+    same workspace and ``sterf`` splits T there too, except that
+    ``syevd`` first rescales a matrix whose largest entry lies outside
+    about ``[1e-146, 1e146]``.
     """
     n = c.shape[0]
     if n == 0:
         empty = np.zeros(0)
-        return TridiagonalEigen(empty, empty, empty, empty, np.zeros((0, 0)), basis)
+        return TridiagonalEigen(
+            empty, np.zeros(0, dtype=int), empty, empty, empty, np.zeros((0, 0)), basis
+        )
     packed, d, e, reflectors, info = scipy.linalg.lapack.dsytrd(
         c, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1
     )
     if info != 0:
         raise ValueError(f"sytrd rejected argument {-info}")
-    values, _ = _tridiagonal_values(d, e)
-    return TridiagonalEigen(values, d, e, reflectors, packed, basis)
-
-
-def _tridiagonal_values(d, e):
-    """All eigenvalues of the tridiagonal ``(d, e)``, ascending, and the
-    index of the unreduced block (split where ``e`` is exactly 0) each
-    belongs to; equal values keep block order.  Each block's eigenvalues
-    are those ``sterf`` finds for the whole matrix, which splits there
-    too and solves the blocks independently."""
-    if e.all():
-        return _sterf(d, e), np.zeros(d.size, dtype=int)
     starts, stops = _blocks(e)
     values = np.concatenate(
         [_sterf(d[a:b], e[a : b - 1]) for a, b in zip(starts, stops)]
     )
-    blocks = np.repeat(np.arange(starts.size), stops - starts)
+    blocks = np.repeat(np.arange(len(starts)), np.subtract(stops, starts))
     order = np.argsort(values, kind="stable")
-    return values[order], blocks[order]
+    return TridiagonalEigen(
+        values[order], blocks[order], d, e, reflectors, packed, basis
+    )
 
 
 def _blocks(e):
-    """Starts and stops of the unreduced blocks of a tridiagonal matrix
-    with subdiagonal ``e``."""
-    stops = np.append(np.flatnonzero(e == 0.0) + 1, e.size + 1)
-    return np.append(0, stops[:-1]), stops
+    """Starts and stops, as lists, of the unreduced blocks of a
+    tridiagonal matrix with subdiagonal ``e``."""
+    splits = (np.flatnonzero(e == 0.0) + 1).tolist()
+    return [0] + splits, splits + [e.size + 1]
 
 
 def _sterf(d, e):
@@ -329,19 +324,20 @@ class TridiagonalEigen:
     """All eigenvalues of a symmetric (or definite) eigenproblem, and what
     its eigenvectors need, computed only on demand by :meth:`vectors`.
 
-    ``values`` ascending.  ``d`` and ``e`` are the diagonal and
-    subdiagonal of the tridiagonal T that ``sytrd`` reduced the standard
-    matrix to, ``reflectors`` the scalar factors of its Householder
-    reflectors.  ``packed`` is one n by n array holding those
-    reflectors' vectors below its first subdiagonal and, where ``basis``
-    is ``None``, the transpose of the Cholesky factor of the pencil's
-    right-hand matrix on and above its diagonal
-    (:func:`definite_pencil_eigh`).  Otherwise ``basis`` holds the
-    columns the standard problem was projected onto
+    ``values`` ascending, ``blocks`` the index of the unreduced block of T
+    each belongs to.  ``d`` and ``e`` are the diagonal and subdiagonal of
+    the tridiagonal T that ``sytrd`` reduced the standard matrix to,
+    ``reflectors`` the scalar factors of its Householder reflectors.
+    ``packed`` is one n by n array holding those reflectors' vectors below
+    its first subdiagonal and, where ``basis`` is ``None``, the transpose
+    of the Cholesky factor of the pencil's right-hand matrix on and above
+    its diagonal (:func:`definite_pencil_eigh`).  Otherwise ``basis``
+    holds the columns the standard problem was projected onto
     (:func:`projected_eigh`).
     """
 
     values: np.ndarray
+    blocks: np.ndarray
     d: np.ndarray
     e: np.ndarray
     reflectors: np.ndarray
@@ -396,18 +392,13 @@ class TridiagonalEigen:
     def _tridiagonal_vectors(self, count, top):
         """The eigenvectors of T (of -T with ``top``) of its ``count``
         smallest values, by ``stein`` on each unreduced block."""
-        d, e, values = self.d, self.e, self.values
+        d, e, values, blocks = self.d, self.e, self.values, self.blocks
         if top:
-            d, e, values = -d, -e, -values[::-1]
-        if e.all():  # T is one unreduced block
-            return _stein(d, e, values[:count])
-        starts, stops = _blocks(e)
-        values, blocks = _tridiagonal_values(self.d, self.e)
-        if top:
-            values, blocks = -values[::-1], blocks[::-1]
+            d, e, values, blocks = -d, -e, -values[::-1], blocks[::-1]
         values, blocks = values[:count], blocks[:count]
+        starts, stops = _blocks(e)
         z = np.zeros((d.size, count), order="F")
-        for block in np.unique(blocks):
+        for block in set(blocks.tolist()):
             start, stop = starts[block], stops[block]
             columns = np.flatnonzero(blocks == block)
             z[start:stop, columns] = _stein(
