@@ -158,8 +158,10 @@ def assemble_1d(mesh, order):
         arithmetic on the reference element).  The element matrices,
         scaled by the element lengths in extended precision, are summed
         in element order by one :func:`~eigenclose.forms.scatter` per
-        matrix; as the reference matrices are exactly symmetric, so are
-        the sums.
+        form, straight into its u and v blocks: the boundary u dofs go
+        to one extra index, which is dropped.  As the reference matrices
+        are exactly symmetric, so are the sums, and every entry no
+        element reaches is +0.
 
     Raises
     ------
@@ -173,13 +175,21 @@ def assemble_1d(mesh, order):
     r = order
     mass_ref, stiff_ref, deriv_ref = _reference_integrals(r)
 
-    # element e holds the global dofs r e .. r e + r
-    dofs = r * np.arange(mesh.n_elems)[:, None] + np.arange(r + 1)
+    # element e holds the global nodes r e .. r e + r
+    nodes = r * np.arange(mesh.n_elems)[:, None] + np.arange(r + 1)
     n_nodes = r * mesh.n_elems + 1
+    n_u = n_nodes - 2  # Dirichlet dofs eliminated
+    n = n_u + n_nodes
+    # each element's trial indices, u-block first: the boundary u dofs go
+    # to the index n, which is dropped, and the v dofs follow the u dofs
+    u = np.where((nodes > 0) & (nodes < n_nodes - 1), nodes - 1, n)
+    v = n_u + nodes
     h = np.diff(mesh.nodes.astype(np.longdouble))[:, None, None]
-    mass = scatter(h * mass_ref, dofs, n_nodes)
-    stiff = scatter(stiff_ref / h, dofs, n_nodes)
-    deriv = scatter(deriv_ref, dofs, n_nodes)  # int phi_a' phi_b
+    mass, stiff, cross = h * mass_ref, stiff_ref / h, -deriv_ref
+    m0 = scatter(n + 1, (mass, u, u), (mass, v, v))[:n, :n]
+    # cross[a, b] = -int phi_a' phi_b couples u dof a to v dof b
+    m1 = scatter(n + 1, (cross, u, v), (cross.T, v, u))[:n, :n]
+    m2 = scatter(n + 1, (stiff, u, u), (stiff, v, v))[:n, :n]
 
     # each element places its nodes but the right end, which the next
     # element places as its left end; the last element places both ends
@@ -187,26 +197,9 @@ def assemble_1d(mesh, order):
     xe = left + (mesh.nodes[1:, None] - left) * np.linspace(0.0, 1.0, r + 1)
     x = np.append(xe[:, :r], xe[-1, r])
 
-    u_nodes = np.arange(1, n_nodes - 1)  # Dirichlet dofs eliminated
-
-    zero_uu = np.zeros((u_nodes.size, u_nodes.size), dtype=np.longdouble)
-    zero_vv = np.zeros((n_nodes, n_nodes), dtype=np.longdouble)
-    cross = -deriv[np.ix_(u_nodes, np.arange(n_nodes))]
-    m0 = _block_diag(mass[np.ix_(u_nodes, u_nodes)], mass)
-    m1 = np.block([[zero_uu, cross], [cross.T, zero_vv]])
-    m2 = _block_diag(stiff[np.ix_(u_nodes, u_nodes)], stiff)
-
     forms = TrialForms(m0, m1, m2)
+    u_nodes = np.arange(1, n_nodes - 1)
     return FEModel(mesh=mesh, order=order, forms=forms, x=x, u_nodes=u_nodes)
-
-
-def _block_diag(a, b):
-    out = np.zeros(
-        (a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.result_type(a, b)
-    )
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def exact_spectrum_1d(k_max):

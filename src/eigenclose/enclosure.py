@@ -119,11 +119,12 @@ class PencilEigen:
         nearest first and kept ahead of the rest.
 
         Rayleigh quotients ``x' L_t x / x' Q_t x`` of the double-precision
-        eigenvectors, in longdouble on the stored shifted forms, remove
-        the solve roundoff from the tight bounds (with forms assembled in
-        extended precision, well below the double representation floor
-        of Q_t); where longdouble is no genuine extended precision,
-        nothing is polished.  Only the k vectors read are computed
+        eigenvectors, in longdouble on the stored shifted forms (the
+        products by :func:`_pattern_products`), remove the solve roundoff
+        from the tight bounds (with forms assembled in extended
+        precision, well below the double representation floor of Q_t);
+        where longdouble is no genuine extended precision, nothing is
+        polished.  Only the k vectors read are computed
         (:meth:`~eigenclose.linalg.TridiagonalEigen.vectors`), and each
         does not depend on k.  ``polished`` records how many entries of
         each side are polished: a call asking for no more returns the
@@ -145,9 +146,9 @@ class PencilEigen:
         top = side == "right"
         x = self.eigen.vectors(k, top).astype(np.longdouble)
         nearest = (self.eigen.values[::-1] if top else self.eigen.values)[:k].copy()
-        p = self.pattern
-        num = np.einsum("ij,ij->j", x, _pattern_product(self.Lt_values, p, x))
-        den = np.einsum("ij,ij->j", x, _pattern_product(self.Qt_values, p, x))
+        lx, qx = _pattern_products(self.pattern, x, self.Lt_values, self.Qt_values)
+        num = np.einsum("ij,ij->j", x, lx)
+        den = np.einsum("ij,ij->j", x, qx)
         good = den > 0
         nearest[good] = (num[good] / den[good]).astype(float)
         # nearest bound first is largest |tau| first; the polish may nudge
@@ -159,20 +160,26 @@ class PencilEigen:
         return tau
 
 
-def _pattern_product(values, pattern, x):
-    """``a @ x`` in longdouble, ``a`` holding ``values`` on ``pattern``, +0 off it.
+def _pattern_products(pattern, x, *values):
+    """``a @ x`` in longdouble, C-contiguous (n, k), for each ``a``
+    holding one of ``values`` on ``pattern`` and +0 off it.
 
-    ``np.add.at`` adds the products in the pattern's row-major order, so
-    each row is summed from +0 in ascending column order: bit for bit the
-    dense non-BLAS longdouble product.  That one adds zero terms off the
-    pattern too, but a sum started at +0 is never -0, and adding a zero
-    to it changes nothing.
+    Per column of x, ``x[cols]`` is gathered once, and a 1-D
+    ``np.add.at`` into a contiguous row adds each product's terms in the
+    pattern's row-major order: each row is summed from +0 in ascending
+    column order, bit for bit the dense non-BLAS longdouble product (the
+    zero terms it adds off the pattern leave a sum started at +0 as it
+    is).  The result is copied to C order, the dense product's, as the
+    summation order of the ``np.einsum`` reading it depends on layout.
     """
     rows, cols = pattern
-    out = np.zeros(x.shape, dtype=np.longdouble)
-    terms = np.asarray(values, dtype=np.longdouble)[:, None] * x[cols]
-    np.add.at(out, rows, terms)
-    return out
+    values = [np.asarray(v, dtype=np.longdouble) for v in values]
+    out = np.zeros((len(values), x.shape[1], x.shape[0]), dtype=np.longdouble)
+    for c in range(x.shape[1]):
+        gathered = x[cols, c]
+        for v, product in zip(values, out[:, c]):
+            np.add.at(product, rows, v * gathered)
+    return out.transpose(0, 2, 1).copy()
 
 
 def _check_side(side):
@@ -365,14 +372,8 @@ def zm_eigen(forms, t):
     # tau ascending -> negatives already most-negative-first; positives
     # must be flipped so index 0 is the largest (nearest bound first)
     return PencilEigen(
-        t=float(t),
-        tau_minus=tau[neg],
-        tau_plus=tau[pos][::-1],
-        signature=sig,
-        eigen=eigen,
-        Qt_values=qt,
-        Lt_values=lt,
-        pattern=forms.pattern(),
+        t=float(t), tau_minus=tau[neg], tau_plus=tau[pos][::-1], signature=sig,
+        eigen=eigen, Qt_values=qt, Lt_values=lt, pattern=forms.pattern(),
     )
 
 
@@ -538,21 +539,14 @@ def zm_enclosures(forms, window, j_max):
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 
-    count = min(uppers.size, lowers.size, j_max)
-    out = []
-    for k in range(count):
-        low, up = float(lowers[k]), float(uppers[k])
-        out.append(
-            Enclosure(
-                j=k + 1,
-                lower=low,
-                upper=up,
-                t_lower_from=b,
-                t_upper_from=a,
-                inconsistent=low > up,
-            )
+    pairs = zip(lowers[:j_max].tolist(), uppers[:j_max].tolist())
+    return [
+        Enclosure(
+            j=k + 1, lower=low, upper=up, t_lower_from=b, t_upper_from=a,
+            inconsistent=low > up,
         )
-    return out
+        for k, (low, up) in enumerate(pairs)
+    ]
 
 
 def residual_bounds(f_values, distances, isolation, atol=1e-12):

@@ -43,7 +43,8 @@ few values, or forms that fail the exact consistency test of
 solved once per shift per forms (the forms keep their last solve, so
 both sides of an audit and every index share it), and a call polishes
 only the first j (``j_max`` for :func:`dp_bounds`) tau of the root's
-side, the ones it reads.
+side, the ones it reads.  The forms keep the last F_j(t) too, so the
+second side of an audit at (t, j) costs 2 solves where the first costs 3.
 """
 
 import functools
@@ -76,16 +77,17 @@ class FixedPointResult:
     ``s_hat`` is the certified endpoint of the final bracket (the root
     nearest t on the certified side), ``f_at_root`` the counting value
     there; ``|f_at_root - |t - s_hat||`` does not exceed the fixed-point
-    tolerance used.  ``iterations`` counts the counting-function
-    evaluations made, each at a distinct shift: 3 for a root whose
+    tolerance used.  ``iterations`` counts the counting-function solves
+    the root made, each at a distinct shift: 3 for a root whose
     predicted bracket the counting function confirms (the residual at t
     and at both ends), 1 for a captured shift, and otherwise at most
     the unseeded search's count plus the two that checked the
-    prediction, wherever the computed residual's signs are monotone.
-    ``tau`` is the pencil eigenvalue tau_j
-    offered as the seed, None when none was drawn (a captured shift or
-    inconsistent forms), the pencil had none, or the counting function
-    contradicted it at the root.
+    prediction, wherever the computed residual's signs are monotone;
+    one less where F_j(t) came from the forms (see :func:`_root`).
+    ``tau`` is the pencil eigenvalue tau_j offered as the seed, None
+    when none was drawn (a captured shift or inconsistent forms), the
+    pencil had none, or the counting function contradicted it at the
+    root.
     """
 
     j: int
@@ -183,10 +185,12 @@ def _root(forms, t, j, side, fp_tol, seed):
     root's final bracket (see the module docstring); one helper runs the
     search, for that dry run and for the real search, which asks the
     record of known signs first and evaluates the counting function only
-    where the record leaves the sign open.  Each root logs one debug
-    line: its side, index, evaluations, whether the predicted bracket
-    held and the final bracket width (a captured shift logs its own
-    line).
+    where the record leaves the sign open.  The forms keep F_j(t), the
+    first value every root reads, for the last (t, j) (j is the
+    ``count``), and a root counts only the solves it makes.  Each root
+    logs one debug line: its side, index, solves, whether the predicted
+    bracket held and the final bracket width (a captured shift logs its
+    own line).
     """
     _check_side(side)
     if not 1 <= j <= forms.n:
@@ -207,6 +211,9 @@ def _root(forms, t, j, side, fp_tol, seed):
         fp_tol = FP_TOL_FACTOR * scale
 
     values = {}  # F_j by shift, each solved once
+    if forms._kept.get("counting", (None,))[0] == (t, j):
+        values[t] = forms._kept["counting"][1]  # the last root at (t, j) solved it
+    reused = len(values)
 
     def f_of(s):
         if s not in values:
@@ -231,12 +238,16 @@ def _root(forms, t, j, side, fp_tol, seed):
         known[result] = alpha
         return result
 
+    forms._kept["counting"] = ((t, j), f_of(t))
     if certified(0.0):
         # the shift itself is (numerically) captured by the subspace
-        logger.debug("root side=%s j=%d: shift captured, 1 evaluation", side, j)
+        logger.debug(
+            "root side=%s j=%d: shift captured, %d evaluation%s",
+            side, j, 1 - reused, "s" * reused,
+        )
         return FixedPointResult(
             j=j, side=side, s_hat=t, f_at_root=f_of(t),
-            iterations=1, bracket_width=0.0,
+            iterations=1 - reused, bracket_width=0.0,
         )
 
     def search(test):
@@ -297,19 +308,15 @@ def _root(forms, t, j, side, fp_tol, seed):
         # a guard: the search ends on the record's evaluated end, so only
         # a counting function that contradicts its own signs reaches this
         return _root(forms, t, j, side, fp_tol, lambda: None)
+    solves = len(values) - reused
     logger.debug(
         "root side=%s j=%d: %d evaluations, predicted bracket %s, "
         "final bracket width %.3g",
-        side, j, len(values), predicted, hi - lo,
+        side, j, solves, predicted, hi - lo,
     )
     return FixedPointResult(
-        j=j,
-        side=side,
-        s_hat=s_hat,
-        f_at_root=f_at_root,
-        iterations=len(values),
-        bracket_width=hi - lo,
-        tau=tau_j,
+        j=j, side=side, s_hat=s_hat, f_at_root=f_at_root,
+        iterations=solves, bracket_width=hi - lo, tau=tau_j,
     )
 
 

@@ -45,12 +45,13 @@ class TrialForms:
     exact symmetry, ``tol`` and M0's definiteness.  The forms compute
     once what depends on no shift (M0's Cholesky factor, the Ritz values
     of (M1, M0), the consistency test, the nonzero pattern the shifted
-    forms are built on) and keep their last pencil solve,
-    so callers reading one shift (the end two touching windows share,
-    both sides of a fixed-point audit) solve it once.  The caches rely
-    on the forms being immutable, so they are: the fields cannot be
-    assigned and M0, M1, M2 are read-only copies, which writes to the
-    caller's arrays do not reach.  Build new forms instead, e.g. with
+    forms are built on) and keep their last pencil solve and the last
+    F_j(t) a fixed-point root solved at its shift t, so callers reading
+    one shift (the end two touching windows share, both sides of a
+    fixed-point audit) solve it once.  The caches rely on the forms
+    being immutable, so they are: the fields cannot be assigned and M0,
+    M1, M2 are read-only copies, which writes to the caller's arrays do
+    not reach.  Build new forms instead, e.g. with
     ``dataclasses.replace``.  Forms compare equal only to themselves.
     """
 
@@ -78,7 +79,8 @@ class TrialForms:
         for index in pattern:
             index.flags.writeable = False
         object.__setattr__(self, "_pattern", pattern)
-        # "ritz", "schur_min" and "pencil" (t, PencilEigen) of the last solve
+        # "ritz", "schur_min", the last "pencil" (t, PencilEigen) and the
+        # last "counting" ((t, j), F_j(t)) of a fixed-point root
         object.__setattr__(self, "_kept", {})
 
     @property
@@ -157,18 +159,20 @@ def _on_pattern(forms, values):
     return out
 
 
-def scatter(values, dofs, n):
+def scatter(n, *blocks):
     """Sum element matrices into an ``n`` by ``n`` zero matrix of their dtype.
 
-    ``values[e]`` is the matrix of element ``e`` over the global indices
-    ``dofs[e]``; a matrix shared by all elements broadcasts.  One
-    ``np.add.at`` adds the elements in order, so every entry sees the
-    additions an element loop makes, and exactly symmetric element
-    matrices sum to an exactly symmetric matrix.
+    Each block is ``(values, rows, cols)``: ``values[e]`` is the matrix
+    of element ``e`` over the global rows ``rows[e]`` and columns
+    ``cols[e]``; a matrix shared by all elements broadcasts.  One
+    ``np.add.at`` per block on the flattened matrix adds the elements in
+    order, so every entry sees the additions an element loop makes, and
+    exactly symmetric element matrices sum to an exactly symmetric matrix.
     """
-    out = np.zeros((n, n), dtype=values.dtype)
-    np.add.at(out, (dofs[:, :, None], dofs[:, None, :]), values)
-    return out
+    out = np.zeros(n * n, dtype=np.result_type(*(block[0] for block in blocks)))
+    for values, rows, cols in blocks:
+        np.add.at(out, rows[:, :, None] * n + cols[:, None, :], values)
+    return out.reshape(n, n)
 
 
 def operator_forms(operator, basis, gram=None):

@@ -303,9 +303,8 @@ def assemble_2d(mesh, order):
     vals = np.broadcast_to(n_vals, gx.shape)
 
     def form(u, v):  # form[a, b] = int u_a v_b, summed over the triangles
-        return scatter(
-            adet * np.einsum("q,eqa,eqb->eab", wts, u, v), connectivity, n_nodes
-        )
+        values = adet * np.einsum("q,eqa,eqb->eab", wts, u, v)
+        return scatter(n_nodes, (values, connectivity, connectivity))
 
     mass = form(vals, vals)
     kxx = form(gx, gx)

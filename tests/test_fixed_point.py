@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eigenclose.enclosure as enclosure_mod
@@ -70,9 +70,9 @@ def test_one_dimensional_trial_space():
     assert res.bracket_width <= default_fp_tol(forms, 3.0)
 
 
-def test_captured_shift_short_circuits():
+def test_captured_shift_short_circuits(fresh):
     # t exactly on a represented point: g(0) <= 0, no bisection needed
-    res = optimal_shift(WORKED, 2.0, 1, "left")
+    res = optimal_shift(fresh(WORKED), 2.0, 1, "left")
     assert res.s_hat == 2.0
     assert res.f_at_root == 0.0
     assert res.bound == 2.0
@@ -177,7 +177,7 @@ def _record_shifts(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"])
-def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch):
+def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch, fresh):
     # the pencil seed only skips evaluations whose sign is already known:
     # same bisection path, same root, 3 evaluations instead of about 44
     if model == "maxwell2d":
@@ -190,7 +190,7 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch):
     for side in ("left", "right"):
         tau = _pencil(forms, t).polish(side, 3)
         for j in (1, 2, 3):
-            unseeded = _unseeded(forms, t, j, side)
+            unseeded = _unseeded(fresh(forms), t, j, side)
             shifts.clear()
             seeded = optimal_shift(forms, t, j, side)
             assert _same_root(seeded, unseeded), (side, j)
@@ -201,7 +201,7 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch):
             assert len(set(shifts)) == len(shifts) == seeded.iterations
 
 
-def test_wrong_seed_costs_evaluations_not_the_root():
+def test_wrong_seed_costs_evaluations_not_the_root(fresh):
     # a seed the counting function does not confirm leaves the search to
     # the signs it found: same root, at most the two checks more
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=2), 2).forms
@@ -210,20 +210,20 @@ def test_wrong_seed_costs_evaluations_not_the_root():
         tau = _pencil(forms, t).polish(side, 2)
         wrong_side = _pencil(forms, t).polish(other, 2)
         for j in (1, 2):
-            unseeded = _unseeded(forms, t, j, side)
+            unseeded = _unseeded(fresh(forms), t, j, side)
             # 1e-300 predicts a root beyond the expansion's reach
             for wrong_tau in (0.5 * tau[j - 1], 1.5 * tau[j - 1], 1e-8, 1e-300):
                 wrong = tau.copy()
                 wrong[j - 1] = wrong_tau
-                seeded = _root(forms, t, j, side, None, lambda: wrong)
+                seeded = _root(fresh(forms), t, j, side, None, lambda: wrong)
                 assert _same_root(seeded, unseeded), (side, j, wrong_tau)
                 assert seeded.iterations <= unseeded.iterations + 2
-            seeded = _root(forms, t, j, side, None, lambda: wrong_side)
+            seeded = _root(fresh(forms), t, j, side, None, lambda: wrong_side)
             assert _same_root(seeded, unseeded), (side, j, "wrong side")
             assert seeded.iterations <= unseeded.iterations + 2
 
 
-def test_missed_prediction_narrows_the_search(monkeypatch):
+def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     # the pencil's alpha* misses the bracket of this root: the search goes
     # on from the signs found at lo* and hi* instead of starting over, to
     # the unseeded root at 21 evaluations instead of 43
@@ -231,7 +231,7 @@ def test_missed_prediction_narrows_the_search(monkeypatch):
     t, j, side = 1.4, 3, "right"
     calls = _record_counting(monkeypatch)
     unseeded, seeded, seeded_calls, (lo, hi), _ = _both_searches(
-        forms, t, j, side, calls
+        forms, t, j, side, calls, fresh
     )
     f_at = dict(seeded_calls)
     held = f_at[t + lo] - lo > 0.0 and t + hi in f_at and f_at[t + hi] - hi <= 0.0
@@ -287,14 +287,17 @@ def _replay(forms, t, certified):
     return lo, hi, tested
 
 
-def _both_searches(forms, t, j, side, calls):
-    """The unseeded and the seeded root at (t, j, side), with what the
-    search tests: the alphas of the unseeded path and of the predicted
-    bracket (lo*, hi*; None without a prediction) that the seeded
-    search checked, and the residual's sign at each, from the F_j either
-    search evaluated.  ``calls`` is the log of :func:`_record_counting`."""
+def _both_searches(forms, t, j, side, calls, fresh):
+    """The unseeded root at (t, j, side) on ``fresh(forms)`` and the
+    seeded one on ``forms``, with what the search tests: the alphas of
+    the unseeded path and of the predicted bracket (lo*, hi*; None
+    without a prediction) that the seeded search checked, and the
+    residual's sign at each, from the F_j either search evaluated.
+    ``calls`` is the log of :func:`_record_counting`; the unseeded
+    search evaluates F_j(t), which the seeded one may take from the
+    forms' kept value."""
     sign = -1.0 if side == "left" else 1.0
-    unseeded = _unseeded(forms, t, j, side)
+    unseeded = _unseeded(fresh(forms), t, j, side)
     seeded_from = len(calls)
     seeded = optimal_shift(forms, t, j, side)
     f_at = dict(calls)
@@ -325,10 +328,12 @@ def _monotone(signs):
     return signs == sorted(signs, reverse=True)
 
 
-def test_confirmed_prediction_costs_three_evaluations(monkeypatch):
+def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
     # a predicted bracket the residual confirms at both ends leaves the
     # search nothing to evaluate: the residual at t, lo* and hi*, and
-    # the same root as the unseeded search
+    # the same root as the unseeded search.  In the equiv subcommand's
+    # order the second side at (t, j) takes F_j(t) from the forms, so
+    # its root costs 2 solves
     calls = _record_counting(monkeypatch)
     evaluations, fallbacks, non_monotone = [], 0, 0
     for model in ("dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"):
@@ -338,23 +343,26 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch):
             mesh = uniform_mesh(6, jitter=0.3, seed=1)
             forms = assemble_1d(mesh, int(model[-1])).forms
         for t in (-1.4, 0.6, 1.4, 2.5):
-            for side, sign in (("left", -1.0), ("right", 1.0)):
-                for j in (1, 2, 3):
+            for j in (1, 2, 3):
+                first = True  # no root at (t, j) has solved F_j(t) yet
+                for side, sign in (("left", -1.0), ("right", 1.0)):
                     calls.clear()
                     try:
-                        found = _both_searches(forms, t, j, side, calls)
+                        found = _both_searches(forms, t, j, side, calls, fresh)
                         unseeded, seeded, seeded_calls, bracket, signs = found
                     except NoSignChangeError:
                         continue
-                    evaluations.append(seeded.iterations)
+                    solves_at_t, first = int(first), False
+                    # the F_j the root reads: its solves and a kept F_j(t)
+                    evaluations.append(seeded.iterations + 1 - solves_at_t)
                     lo, hi = bracket
                     f_at = dict(calls)
                     if not f_at[t + sign * lo] - lo > 0.0 >= f_at[t + sign * hi] - hi:
                         fallbacks += 1
                         continue
                     case = (model, t, side, j)
-                    shifts = [t, t + sign * lo, t + sign * hi]
-                    assert seeded.iterations == 3, case
+                    shifts = [t] * solves_at_t + [t + sign * lo, t + sign * hi]
+                    assert seeded.iterations == 2 + solves_at_t, case
                     assert [s for s, _ in seeded_calls] == shifts, case
                     assert seeded.s_hat == shifts[-1], case
                     if _monotone(signs):
@@ -369,16 +377,16 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch):
     assert fallbacks <= 2 and non_monotone <= 1
 
 
-def test_one_debug_line_per_root(caplog):
+def test_one_debug_line_per_root(caplog, fresh):
     # each root reports its evaluations, the prediction's fate and the
     # final bracket width, and nothing else is logged: neither the dry
     # run that finds the predicted bracket nor the search
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
-    unseeded = _unseeded(forms, 1.4, 2, "right")
+    unseeded = _unseeded(fresh(forms), 1.4, 2, "right")
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
-    optimal_shift(forms, 1.4, 2, "right")
-    _unseeded(forms, 1.4, 2, "right")
-    optimal_shift(WORKED, 2.0, 1, "left")
+    optimal_shift(fresh(forms), 1.4, 2, "right")
+    _unseeded(fresh(forms), 1.4, 2, "right")
+    optimal_shift(fresh(WORKED), 2.0, 1, "left")
     messages = [record.getMessage() for record in caplog.records]
     width = f"final bracket width {unseeded.bracket_width:.3g}"
     assert messages == [
@@ -389,7 +397,12 @@ def test_one_debug_line_per_root(caplog):
     ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(
+    max_examples=60,
+    deadline=None,
+    # fresh is stateless: it builds new forms on each call
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     jitter=st.floats(min_value=0.0, max_value=0.4),
@@ -397,7 +410,7 @@ def test_one_debug_line_per_root(caplog):
     j=st.integers(min_value=1, max_value=3),
     side=st.sampled_from(["left", "right"]),
 )
-def test_seeded_search_property(seed, jitter, t, j, side):
+def test_seeded_search_property(fresh, seed, jitter, t, j, side):
     # the prediction changes the cost, never the outcome: the unseeded
     # search's root wherever the residual's signs at the alphas either
     # search tests are monotone, at most two more evaluations, and no
@@ -406,7 +419,8 @@ def test_seeded_search_property(seed, jitter, t, j, side):
     with pytest.MonkeyPatch.context() as patch:
         calls = _record_counting(patch)
         try:
-            unseeded, seeded, _, _, signs = _both_searches(forms, t, j, side, calls)
+            found = _both_searches(forms, t, j, side, calls, fresh)
+            unseeded, seeded, _, _, signs = found
         except NoSignChangeError:
             with pytest.raises(NoSignChangeError):
                 optimal_shift(forms, t, j, side)
@@ -429,12 +443,12 @@ def test_bad_fp_tol_rejected(fp_tol):
         equivalence_gap(WORKED, 1.5, 1, "left", fp_tol=fp_tol)
 
 
-def test_captured_shift_draws_no_seed():
+def test_captured_shift_draws_no_seed(fresh):
     # g(0) comes first: a captured shift costs one evaluation, no pencil
     def seed():
         raise AssertionError("seed drawn for a captured shift")
 
-    res = _root(WORKED, 2.0, 1, "left", None, seed)
+    res = _root(fresh(WORKED), 2.0, 1, "left", None, seed)
     assert res.iterations == 1 and res.tau is None
 
 
@@ -445,7 +459,7 @@ def test_failing_pencil_leaves_the_search_unseeded(monkeypatch, fresh):
         raise DegenerateShiftError("no pencil")
 
     forms = fresh(WORKED)
-    unseeded = _unseeded(forms, 1.5, 1, "left")
+    unseeded = _unseeded(fresh(WORKED), 1.5, 1, "left")
     monkeypatch.setattr(enclosure_mod, "zm_eigen", broken)
     res = optimal_shift(forms, 1.5, 1, "left")
     assert _same_root(res, unseeded) and res.tau is None

@@ -15,6 +15,7 @@ from eigenclose.dirac1d import (
 )
 from eigenclose.enclosure import Signature, local_counting, signature, zm_enclosures
 from eigenclose.errors import UnsupportedOrderError
+from eigenclose.forms import TrialForms
 from eigenclose.linalg import symmetrize
 
 
@@ -117,6 +118,34 @@ def test_batched_assembly_matches_element_loop(order, n_elems, jitter, seed):
         assert got.dtype == want.dtype == np.longdouble
         assert np.array_equal(got, want)
     assert np.array_equal(model.x, x)
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b)
+    )
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n_elems, jitter, seed", [(2, 0.0, None), (7, 0.3, 1), (16, 0.9, 2)]
+)
+def test_assembled_forms_compute_what_element_loop_forms_do(
+    order, n_elems, jitter, seed
+):
+    # off the pattern the assembly's M1 holds +0 where the element loop's
+    # holds -0; nothing computed from the forms sees the difference
+    mesh = uniform_mesh(n_elems, jitter=jitter, seed=seed)
+    forms = assemble_1d(mesh, order).forms
+    m0, m1, m2, _ = _element_loop_1d(mesh, order)
+    loop = TrialForms(m0, m1, m2)
+    assert all(map(_bits_equal, forms.pattern(), loop.pattern()))
+    assert _bits_equal(forms.factor(), loop.factor())
+    assert _bits_equal(forms.ritz(), loop.ritz())
+    forms.validate()
+    loop.validate()
+    assert _bits_equal(forms._kept["schur_min"], loop._kept["schur_min"])
 
 
 def _exact(rows, scale=1):

@@ -7,6 +7,8 @@ from dataclasses import fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigenclose.enclosure as enclosure_mod
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
@@ -667,13 +669,70 @@ def test_polish_keeps_the_polished_prefix_polished(model, k):
     lt, qt = (_matrix(pencil.pattern, forms.n, values) for values in stored)
     quotients = np.einsum("ij,ij->j", x, lt @ x) / np.einsum("ij,ij->j", x, qt @ x)
     npt.assert_array_equal(tau[:k], _nearest_first(quotients.astype(float)))
-    for values, dense in zip(stored, (lt, qt)):
-        product = enclosure_mod._pattern_product(values, pencil.pattern, x)
+    products = enclosure_mod._pattern_products(pencil.pattern, x, *stored)
+    for product, dense in zip(products, (lt, qt)):
         assert np.array_equal(product, dense @ x)
     npt.assert_array_equal(tau[k:], raw.tau_minus[k:])
     count = min(raw.tau_minus.size, REFINE_COUNT)
     npt.assert_array_equal(pencil.eigen.vectors(count), raw.eigen.vectors(count))
     assert np.all(np.diff(np.abs(tau[:k])) <= 0.0)
+
+
+def _assert_dense_products(pattern, x, values):
+    """:func:`enclosure._pattern_products` is, bit for bit and signed
+    zeros included, the dense longdouble ``a @ x`` of each ``a`` holding
+    one of ``values`` on ``pattern``, and C-contiguous."""
+    n, k = x.shape
+    products = enclosure_mod._pattern_products(pattern, x, *values)
+    assert products.shape == (len(values), n, k)
+    assert products.dtype == np.longdouble and products.flags.c_contiguous
+    for product, v in zip(products, values):
+        dense = _matrix(pattern, n, v) @ x
+        assert product.flags.c_contiguous
+        assert np.array_equal(product, dense)
+        assert np.array_equal(np.signbit(product), np.signbit(dense))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, REFINE_COUNT])
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_pattern_products_equal_the_dense_products(model, k):
+    # the polish's products on both models' stored shifted forms: dirac1d
+    # in longdouble, maxwell2d in double
+    forms = _polish_case(model)[0]
+    pencil = zm_eigen(forms, 0.8)
+    assert pencil.tau_minus.size >= k
+    x = pencil.eigen.vectors(k).astype(np.longdouble)
+    _assert_dense_products(pencil.pattern, x, (pencil.Lt_values, pencil.Qt_values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=1, max_value=12),
+    k=st.integers(min_value=1, max_value=4),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+)
+def test_pattern_products_match_dense_on_random_patterns(seed, n, k, density, dtype):
+    # random symmetric patterns with random values, signed zeros among
+    # them and in x, and x using the extended bits of longdouble
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    pattern = np.nonzero(mask | mask.T)
+
+    def with_zeros(a):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        return a
+
+    values = []
+    for _ in range(2):
+        a = rng.standard_normal((n, n)).astype(dtype)
+        a = with_zeros(a + a.T)
+        values.append(a[pattern])
+    x = rng.standard_normal((n, k)).astype(np.longdouble)
+    x = with_zeros(x + rng.standard_normal((n, k)).astype(np.longdouble) * 2.0**-60)
+    _assert_dense_products(pattern, x, values)
 
 
 def _deflating_large():
