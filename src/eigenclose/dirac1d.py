@@ -157,11 +157,13 @@ def assemble_1d(mesh, order):
         piecewise-polynomial integrands are integrated in exact rational
         arithmetic on the reference element).  The element matrices,
         scaled by the element lengths in extended precision, are summed
-        in element order by one :func:`~eigenclose.forms.scatter` per
-        form, straight into its u and v blocks: the boundary u dofs go
-        to one extra index, which is dropped.  As the reference matrices
-        are exactly symmetric, so are the sums, and every entry no
-        element reaches is +0.
+        in element order by one :func:`~eigenclose.forms.scatter`,
+        straight into the u and v blocks of each form on their nonzero
+        pattern: the boundary u dofs go to one extra index, which is
+        dropped.  Each entry gets the additions a dense sum gets, in its
+        order, so the stored values are its bits.  As the reference
+        matrices are exactly symmetric, so are the sums, and every entry
+        no element reaches is +0.
 
     Raises
     ------
@@ -186,10 +188,12 @@ def assemble_1d(mesh, order):
     v = n_u + nodes
     h = np.diff(mesh.nodes.astype(np.longdouble))[:, None, None]
     mass, stiff, cross = h * mass_ref, stiff_ref / h, -deriv_ref
-    m0 = scatter(n + 1, (mass, u, u), (mass, v, v))[:n, :n]
     # cross[a, b] = -int phi_a' phi_b couples u dof a to v dof b
-    m1 = scatter(n + 1, (cross, u, v), (cross.T, v, u))[:n, :n]
-    m2 = scatter(n + 1, (stiff, u, u), (stiff, v, v))[:n, :n]
+    (rows, cols), values = scatter(
+        n + 1, [(mass, u, u), (mass, v, v)], [(cross, u, v), (cross.T, v, u)],
+        [(stiff, u, u), (stiff, v, v)],
+    )
+    kept = (rows < n) & (cols < n)
 
     # each element places its nodes but the right end, which the next
     # element places as its left end; the last element places both ends
@@ -197,7 +201,7 @@ def assemble_1d(mesh, order):
     xe = left + (mesh.nodes[1:, None] - left) * np.linspace(0.0, 1.0, r + 1)
     x = np.append(xe[:, :r], xe[-1, r])
 
-    forms = TrialForms(m0, m1, m2)
+    forms = TrialForms._from_pattern(n, rows[kept], cols[kept], [m[kept] for m in values])
     u_nodes = np.arange(1, n_nodes - 1)
     return FEModel(mesh=mesh, order=order, forms=forms, x=x, u_nodes=u_nodes)
 

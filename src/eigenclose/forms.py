@@ -13,6 +13,11 @@ For a real shift t the quadratic form of ``(A - t)^2`` has matrix
 ``Q_t = M2 - 2 t M1 + t^2 M0`` and the form of ``A - t`` has matrix
 ``L_t = M1 - t M0``.
 
+The forms are stored on the pattern of the entries nonzero in any of
+them, one vector of values per form.  Dense matrices are built on
+demand: in double where LAPACK reads one, read-only as ``M0``, ``M1``,
+``M2``.
+
 The module also reads and writes the plain-text ``.forms`` exchange
 format so externally assembled matrices can be certified by the same
 pipeline.
@@ -35,57 +40,75 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TrialForms:
     """The three form matrices of a trial subspace and their tolerance.
 
     ``tol`` is the relative tolerance of every numerical-zero decision on
     these forms: M0's definiteness, the kernel of Q_t, zero tau and the
-    counting function's roundoff floor.  Construction validates shapes,
-    exact symmetry, ``tol`` and M0's definiteness.  The forms compute
-    once what depends on no shift (M0's Cholesky factor, the Ritz values
-    of (M1, M0), the consistency test, the nonzero pattern the shifted
-    forms are built on) and keep their last pencil solve and the last
-    F_j(t) a fixed-point root solved at its shift t, so callers reading
-    one shift (the end two touching windows share, both sides of a
-    fixed-point audit) solve it once.  The caches rely on the forms
-    being immutable, so they are: the fields cannot be assigned and M0,
-    M1, M2 are read-only copies, which writes to the caller's arrays do
-    not reach.  Build new forms instead, e.g. with
-    ``dataclasses.replace``.  Forms compare equal only to themselves.
+    counting function's roundoff floor.  The forms store their values on
+    the nonzero pattern (:meth:`pattern`), each in its own precision, and
+    check ``tol``, the mirrored entries' symmetry and M0's definiteness.
+    They compute once what depends on no shift (M0's Cholesky factor, the
+    Ritz values of (M1, M0), the consistency test) and keep their last
+    pencil solve and the last F_j(t) a fixed-point root solved at its
+    shift t, so callers reading one shift (the end two touching windows
+    share, both sides of a fixed-point audit) solve it once.  The caches
+    rely on the forms being immutable, so they are: the fields cannot be
+    assigned, and M0, M1, M2 are read-only dense arrays built on each
+    read.  Build new forms instead, e.g. with ``dataclasses.replace``.
+    Forms compare equal only to themselves.
     """
 
-    M0: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
+    # the fields dataclasses.replace builds new forms from
+    M0: np.ndarray = property(lambda self: self._dense(0))
+    M1: np.ndarray = property(lambda self: self._dense(1))
+    M2: np.ndarray = property(lambda self: self._dense(2))
     tol: float = DEFAULT_TOL
 
-    def __post_init__(self):
-        # dtype is preserved: models may assemble in extended precision
-        for name in ("M0", "M1", "M2"):
-            own = check_symmetric(getattr(self, name), name).copy()
-            own.flags.writeable = False
-            object.__setattr__(self, name, own)
-        if not (self.M0.shape == self.M1.shape == self.M2.shape):
+    def __init__(self, M0, M1, M2, tol=DEFAULT_TOL):
+        # each array checked square and exactly symmetric; the dtype is
+        # kept, as forms may come in extended precision
+        dense = [check_symmetric(m, f"M{k}") for k, m in enumerate((M0, M1, M2))]
+        if not (dense[0].shape == dense[1].shape == dense[2].shape):
             raise ValueError("M0, M1, M2 must share one shape")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol:g}")
+        pattern = np.nonzero((dense[0] != 0) | (dense[1] != 0) | (dense[2] != 0))
+        self._store(dense[0].shape[0], *pattern, [m[pattern] for m in dense], tol)
+
+    @classmethod
+    def _from_pattern(cls, n, rows, cols, values, tol=DEFAULT_TOL):
+        """Forms holding ``values``, one vector per form, on the distinct
+        entries ``(rows, cols)`` in row-major order, and +0 off them."""
+        forms = object.__new__(cls)
+        forms._store(n, rows, cols, values, tol)
+        return forms
+
+    def _store(self, n, rows, cols, values, tol):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {tol:g}")
+        # an entry zero in all three forms is off the pattern
+        keep = (values[0] != 0) | (values[1] != 0) | (values[2] != 0)
+        rows, cols, *values = (a[keep] for a in (rows, cols, *values))
+        # symmetry in O(nnz), on the pairs of mirrored entries
+        mirror = _mirror(n, rows, cols)
+        pairs = [(rows, cols), (cols, rows), *zip(values, values)]
+        if not all(np.array_equal(a, b[mirror]) for a, b in pairs):
+            raise ValueError("the forms are not symmetric as stored")
+        # frozen: the state is set in the instance dict.  "ritz",
+        # "schur_min", the last "pencil" (t, PencilEigen) and the last
+        # "counting" ((t, j), F_j(t)) of a fixed-point root are _kept
+        state = vars(self)
+        state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;
         # M0 was checked above, so the factor skips cholesky_spd's check
-        factor = _checked_potrf(self.M0, max(self.tol, DEFAULT_TOL))
-        factor.flags.writeable = False
-        object.__setattr__(self, "_factor", factor)
-        pattern = np.nonzero((self.M0 != 0) | (self.M1 != 0) | (self.M2 != 0))
-        for index in pattern:
-            index.flags.writeable = False
-        object.__setattr__(self, "_pattern", pattern)
-        # "ritz", "schur_min", the last "pencil" (t, PencilEigen) and the
-        # last "counting" ((t, j), F_j(t)) of a fixed-point root
-        object.__setattr__(self, "_kept", {})
+        state["_factor"] = _checked_potrf(_on_pattern(self, values[0]), max(tol, DEFAULT_TOL))
+        for a in (rows, cols, *values, self._factor):
+            a.flags.writeable = False
 
-    @property
-    def n(self):
-        return self.M0.shape[0]
+    def _dense(self, k):
+        out = _on_pattern(self, self._values[k], self._values[k].dtype)
+        out.flags.writeable = False
+        return out
 
     def factor(self):
         """M0's lower Cholesky factor, computed at construction; read-only."""
@@ -94,13 +117,13 @@ class TrialForms:
     def pattern(self):
         """Row and column indices, row-major, of the entries nonzero in
         M0, M1 or M2: every entry a combination of the forms can make
-        nonzero.  Computed at construction; read-only."""
+        nonzero, and the entries the forms are stored on.  Read-only."""
         return self._pattern
 
     def ritz(self):
         """Ritz values of the pencil ``(M1, M0)``, ascending, solved once; read-only."""
         if "ritz" not in self._kept:
-            ritz = sym_generalized_eigvals(self.M1, self._factor)
+            ritz = sym_generalized_eigvals(_on_pattern(self, self._values[1]), self._factor)
             ritz.flags.writeable = False
             self._kept["ritz"] = ritz
         return self._kept["ritz"]
@@ -116,17 +139,21 @@ class TrialForms:
         test covers all shifts with no sampling.  An eigenvalue of S
         below ``-max(tol, n u)`` times the largest diagonal entry of M2
         fails it; u is the double unit roundoff, n u S's roundoff floor.
-        That eigenvalue is computed once.  Raises ``InconsistentFormsError``
-        (a ``ValueError``) on failure and returns the forms otherwise.
+        That eigenvalue is computed once, from M1 and M2 rounded to
+        double.  Raises ``InconsistentFormsError`` (a ``ValueError``) on
+        failure and returns the forms otherwise.
         """
         if "schur_min" not in self._kept:
-            m1 = np.array(self.M1, dtype=float, order="F")
-            x = scipy.linalg.blas.dtrsm(1.0, self._factor, m1, lower=1, overwrite_b=1)
-            s = self.M2.astype(float, copy=False) - x.T @ x
+            m1, m2 = (_on_pattern(self, v) for v in self._values[1:])
+            # M1 is symmetric, so its transpose is the F-ordered M1 trsm reads
+            x = scipy.linalg.blas.dtrsm(1.0, self._factor, m1.T, lower=1, overwrite_b=1)
+            s = m2 - x.T @ x
             self._kept["schur_min"] = sym_eigh(symmetrize(s), vectors=False)[0]
         schur_min = self._kept["schur_min"]
         floor = max(self.tol, self.n * np.finfo(float).eps / 2)
-        if schur_min < -floor * max(float(np.max(np.diag(self.M2))), 0.0):
+        rows, cols = self._pattern
+        # M0 is definite, so the whole diagonal is on the pattern
+        if schur_min < -floor * max(float(np.max(self._values[2][rows == cols])), 0.0):
             raise InconsistentFormsError(
                 f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
                 f"eigenvalue {schur_min:.3e}; the input forms look corrupted"
@@ -134,45 +161,61 @@ class TrialForms:
         return self
 
 
+def _mirror(n, rows, cols):
+    """The index of each entry's transpose in a row-major n by n pattern,
+    or of a neighbour where the pattern is not symmetric."""
+    index = np.searchsorted(rows * n + cols, cols * n + rows)
+    return np.minimum(index, rows.size - 1)
+
+
 def shifted_square(forms, t):
     """The values of ``Q_t = M2 - 2t M1 + t^2 M0`` on the forms' pattern
     (:meth:`TrialForms.pattern`), in the precision of the forms (``t^2``
     is squared in it too).  Every other entry of Q_t is +0, and as an
     entrywise combination of symmetric forms Q_t is exactly symmetric."""
-    tt = forms.M0.dtype.type(t)
-    m0, m1, m2 = (m[forms.pattern()] for m in (forms.M0, forms.M1, forms.M2))
+    m0, m1, m2 = forms._values
+    tt = m0.dtype.type(t)
     return m2 - (2.0 * tt) * m1 + (tt * tt) * m0
 
 
 def shifted_linear(forms, t):
     """The values of ``L_t = M1 - t M0`` on the forms' pattern, as
     :func:`shifted_square` gives those of Q_t."""
-    m0, m1 = (m[forms.pattern()] for m in (forms.M0, forms.M1))
-    return m1 - forms.M0.dtype.type(t) * m0
+    m0, m1, _ = forms._values
+    return m1 - m0.dtype.type(t) * m0
 
 
-def _on_pattern(forms, values):
-    """The double n by n matrix LAPACK reads: ``values`` on the forms'
-    pattern, rounded to double, +0 off it."""
-    out = np.zeros((forms.n, forms.n))
+def _on_pattern(forms, values, dtype=float):
+    """The n by n matrix of ``dtype`` holding ``values`` on the forms'
+    pattern and +0 off it; in double, the matrix LAPACK reads."""
+    out = np.zeros((forms.n, forms.n), dtype)
     out[forms.pattern()] = values
     return out
 
 
-def scatter(n, *blocks):
-    """Sum element matrices into an ``n`` by ``n`` zero matrix of their dtype.
+def scatter(n, *forms):
+    """Sum the element matrices of n by n forms on the entries they reach.
 
-    Each block is ``(values, rows, cols)``: ``values[e]`` is the matrix
-    of element ``e`` over the global rows ``rows[e]`` and columns
-    ``cols[e]``; a matrix shared by all elements broadcasts.  One
-    ``np.add.at`` per block on the flattened matrix adds the elements in
-    order, so every entry sees the additions an element loop makes, and
-    exactly symmetric element matrices sum to an exactly symmetric matrix.
+    Each form is a sequence of blocks ``(values, rows, cols)``:
+    ``values[e]`` is the matrix of element ``e`` over the global rows
+    ``rows[e]`` and columns ``cols[e]``; a matrix shared by all elements
+    broadcasts.  Returns ``(rows, cols)``, row-major, of every entry any
+    block reaches, and each form's sums there in the dtype of its values.
+    Each sum starts at +0 and one ``np.add.at`` per block adds the
+    elements in order: the additions, in the order, of an element loop
+    into a dense zero matrix.
     """
-    out = np.zeros(n * n, dtype=np.result_type(*(block[0] for block in blocks)))
-    for values, rows, cols in blocks:
-        np.add.at(out, rows[:, :, None] * n + cols[:, None, :], values)
-    return out.reshape(n, n)
+    keys = [[r[:, :, None] * n + c[:, None, :] for _, r, c in form] for form in forms]
+    # the distinct keys, by a sort: np.unique's hashing is slower here
+    pattern = np.sort(np.concatenate([k.ravel() for form in keys for k in form]))
+    pattern = pattern[np.append(True, pattern[1:] != pattern[:-1])]
+    sums = []
+    for form, form_keys in zip(forms, keys):
+        out = np.zeros(pattern.size, dtype=np.result_type(*(block[0] for block in form)))
+        for (values, _, _), k in zip(form, form_keys):
+            np.add.at(out, np.searchsorted(pattern, k), values)
+        sums.append(out)
+    return np.divmod(pattern, n), sums
 
 
 def operator_forms(operator, basis, gram=None):
@@ -228,15 +271,16 @@ def write_forms(forms, path):
     that round-trips the IEEE double exactly, so a read-back reproduces
     the matrices bit for bit.
     """
+    rows, cols = forms.pattern()
+    upper = rows <= cols
     lines = [str(forms.n)]
-    for tag, m in zip(_SECTIONS, (forms.M0, forms.M1, forms.M2)):
-        lines.append(tag)
-        for i in range(forms.n):
-            for j in range(i, forms.n):
-                if m[i, j] != 0.0:
-                    # extended-precision entries round to double here;
-                    # the format carries at most 17 significant digits
-                    lines.append(f"{i + 1} {j + 1} {float(m[i, j])!r}")
+    for tag, values in zip(_SECTIONS, forms._values):
+        # the upper triangle's nonzero entries, row-major; extended
+        # precision rounds to double, the format carrying 17 digits
+        on = upper & (values != 0)
+        entries = zip((rows[on] + 1).tolist(), (cols[on] + 1).tolist(),
+                      values[on].astype(float).tolist())
+        lines += [tag, *(f"{i} {j} {x!r}" for i, j, x in entries)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -283,7 +327,7 @@ def read_forms(path):
                 raise FormsFormatError(
                     lines[0][0], f"dimension {n} exceeds the {entries} entries listed"
                 )
-            current = np.zeros((n, n))
+            current = {}  # (i, j) with i <= j -> value, 0-based
             matrices[line] = current
             continue
         if current is None:
@@ -300,11 +344,19 @@ def read_forms(path):
             raise FormsFormatError(no, f"non-finite value in {line!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise FormsFormatError(no, f"index ({i}, {j}) out of range 1..{n}")
-        current[i - 1, j - 1] = value
-        current[j - 1, i - 1] = value
+        current[min(i, j) - 1, max(i, j) - 1] = value  # a later entry wins
 
     for tag in _SECTIONS:
         if tag not in matrices:
             raise FormsFormatError(len(raw), f"missing section {tag}")
 
-    return TrialForms(matrices["%M0"], matrices["%M1"], matrices["%M2"])
+    # the listed entries and their mirrors; an entry one form lists and
+    # another does not is +0 in the other
+    upper = list(set().union(*matrices.values()))
+    i, j = np.array(upper, dtype=np.intp).reshape(-1, 2).T
+    off = i != j
+    values = [np.array([matrices[tag].get(key, 0.0) for key in upper]) for tag in _SECTIONS]
+    rows, cols = np.append(i, j[off]), np.append(j, i[off])
+    row_major = np.argsort(rows * n + cols)
+    values = [np.append(v, v[off])[row_major] for v in values]
+    return TrialForms._from_pattern(n, rows[row_major], cols[row_major], values)

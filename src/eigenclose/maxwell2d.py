@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedOrderError
-from .forms import TrialForms, scatter
-from .linalg import symmetrize
+from .forms import TrialForms, _mirror, scatter
 
 #: side length of the square cavity
 SIDE = np.pi
@@ -270,7 +269,10 @@ def assemble_2d(mesh, order):
         exact for every form integrand (degree <= 2 * order).  The
         element matrices of all triangles are computed as one batch and
         summed in element order by one :func:`~eigenclose.forms.scatter`
-        per matrix.
+        onto one node pattern, six node-level forms.  Each block of the
+        trial forms is gathered from them on that pattern, negated,
+        added (``kxx + kyy``) and symmetrized entry by entry as the
+        dense blocks are, so the stored values are the dense bits.
 
     Raises
     ------
@@ -302,16 +304,14 @@ def assemble_2d(mesh, order):
     gx, gy = g[..., 0], g[..., 1]
     vals = np.broadcast_to(n_vals, gx.shape)
 
-    def form(u, v):  # form[a, b] = int u_a v_b, summed over the triangles
-        values = adet * np.einsum("q,eqa,eqb->eab", wts, u, v)
-        return scatter(n_nodes, (values, connectivity, connectivity))
-
-    mass = form(vals, vals)
-    kxx = form(gx, gx)
-    kyy = form(gy, gy)
-    kxy = form(gx, gy)  # kxy[a, b] = int dx(phi_a) dy(phi_b)
-    dx_n = form(gx, vals)  # dx_n[a, b] = int dx(phi_a) phi_b
-    dy_n = form(gy, vals)
+    # the six node-level forms, summed in element order on one pattern:
+    # form[a, b] = int u_a v_b, e.g. kxy[a, b] = int dx(phi_a) dy(phi_b)
+    # and dx_n[a, b] = int dx(phi_a) phi_b
+    pairs = [(vals, vals), (gx, gx), (gy, gy), (gx, gy), (gx, vals), (gy, vals)]
+    (rows, cols), (mass, kxx, kyy, kxy, dx_n, dy_n) = scatter(n_nodes, *(
+        [(adet * np.einsum("q,eqa,eqb->eab", wts, u, v), connectivity, connectivity)]
+        for u, v in pairs
+    ))
 
     all_nodes = np.arange(n_nodes)
     e1_nodes = np.array(
@@ -321,34 +321,36 @@ def assemble_2d(mesh, order):
         [i for i in all_nodes if not ({"x0", "x1"} & node_sides[i])], dtype=int
     )
 
-    n1, n2, nh = e1_nodes.size, e2_nodes.size, n_nodes
-    m0 = np.zeros((n1 + n2 + nh,) * 2)
-    m1 = np.zeros_like(m0)
-    m2 = np.zeros_like(m0)
-    s1 = slice(0, n1)
-    s2 = slice(n1, n1 + n2)
-    sh = slice(n1 + n2, n1 + n2 + nh)
-
-    m0[s1, s1] = mass[np.ix_(e1_nodes, e1_nodes)]
-    m0[s2, s2] = mass[np.ix_(e2_nodes, e2_nodes)]
-    m0[sh, sh] = mass
-
-    # image of an E1 basis function is (0, 0, -dy phi); of E2, (0, 0, dx phi)
-    b1 = -dy_n[np.ix_(e1_nodes, all_nodes)]
-    b2 = dx_n[np.ix_(e2_nodes, all_nodes)]
-    m1[s1, sh] = b1
-    m1[sh, s1] = b1.T
-    m1[s2, sh] = b2
-    m1[sh, s2] = b2.T
-
-    m2[s1, s1] = kyy[np.ix_(e1_nodes, e1_nodes)]
-    m2[s2, s2] = kxx[np.ix_(e2_nodes, e2_nodes)]
-    cross = -kxy.T[np.ix_(e1_nodes, e2_nodes)]  # int dy(phi_e1) dx(phi_e2)
-    m2[s1, s2] = cross
-    m2[s2, s1] = cross.T
-    m2[sh, sh] = kxx + kyy
-
-    forms = TrialForms(symmetrize(m0), m1, symmetrize(m2))
+    # each node's trial index in the E1, E2 and H blocks, -1 for none
+    n1, n2 = e1_nodes.size, e2_nodes.size
+    e1, e2, h = np.full(n_nodes, -1), np.full(n_nodes, -1), n1 + n2 + all_nodes
+    e1[e1_nodes], e2[e2_nodes] = np.arange(n1), n1 + np.arange(n2)
+    # m[mirror] is m transposed, the pattern being symmetric.  The
+    # quadrature sums are not exactly symmetric, so the blocks of M0 and
+    # M2 are symmetrized, 0.5 (m + m'), as the dense ones would be
+    mirror = _mirror(n_nodes, rows, cols)
+    mass, kxx, kyy, kk = (0.5 * (m + m[mirror]) for m in (mass, kxx, kyy, kxx + kyy))
+    zero = np.zeros_like(mass)
+    # (rows, cols, M0, M1, M2) of each block on the node pattern: the
+    # image of an E1 basis function is (0, 0, -dy phi), of E2 (0, 0, dx
+    # phi), and the E1-E2 block of M2 is int dy(phi_e1) dx(phi_e2)
+    blocks = [
+        (e1, e1, mass, zero, kyy), (e1, e2, zero, zero, -kxy[mirror]),
+        (e1, h, zero, -dy_n, zero), (e2, e1, zero, zero, -kxy),
+        (e2, e2, mass, zero, kxx), (e2, h, zero, dx_n, zero),
+        (h, e1, zero, -dy_n[mirror], zero), (h, e2, zero, dx_n[mirror], zero),
+        (h, h, mass, zero, kk),
+    ]
+    parts = []
+    for r, c, *values in blocks:
+        on = (r[rows] >= 0) & (c[cols] >= 0)
+        parts.append([r[rows[on]], c[cols[on]], *(m[on] for m in values)])
+    n = n1 + n2 + n_nodes
+    trial_rows, trial_cols, *values = map(np.concatenate, zip(*parts))
+    row_major = np.argsort(trial_rows * n + trial_cols)
+    forms = TrialForms._from_pattern(
+        n, trial_rows[row_major], trial_cols[row_major], [m[row_major] for m in values]
+    )
     return MaxwellModel(
         mesh=mesh,
         order=order,

@@ -112,11 +112,28 @@ def _matrix(forms, values):
     return out
 
 
-def _dense_shifted(forms, t):
-    """Q_t and L_t as the dense entrywise expressions of the forms."""
-    tt = forms.M0.dtype.type(t)
-    qt = forms.M2 - (2.0 * tt) * forms.M1 + (tt * tt) * forms.M0
-    return qt, forms.M1 - tt * forms.M0
+def _dense_shifted(matrices, t):
+    """Q_t and L_t as the dense entrywise expressions of the matrices
+    ``(M0, M1, M2)``."""
+    m0, m1, m2 = matrices
+    tt = m0.dtype.type(t)
+    return m2 - (2.0 * tt) * m1 + (tt * tt) * m0, m1 - tt * m0
+
+
+def _read_dense(path):
+    """The dense M0, M1, M2 of a ``.forms`` file, each listed entry and
+    its mirror set to the value written, -0.0 included."""
+    lines = path.read_text().split("\n%")
+    n = int(lines[0])
+    out = []
+    for section in lines[1:]:
+        m = np.zeros((n, n))
+        for entry in section.split("\n")[1:]:
+            if entry:
+                i, j, value = entry.split()
+                m[int(i) - 1, int(j) - 1] = m[int(j) - 1, int(i) - 1] = float(value)
+        out.append(m)
+    return out
 
 
 @pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
@@ -124,8 +141,7 @@ def test_pattern_builders_give_the_dense_bits(model):
     # the builders and the pencil hold the dense Q_t and L_t on the
     # pattern: equal values, equal signs of zero, the forms' precision.
     # The double matrix LAPACK reads is the dense one rounded, with +0
-    # off the pattern, where dirac1d's M1, which holds -0.0 off the
-    # pattern, makes the dense L_t at t >= 0 hold -0.0
+    # off the pattern
     if model == "dirac1d":  # assembled in longdouble
         forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 3).forms
     else:
@@ -139,7 +155,8 @@ def test_pattern_builders_give_the_dense_bits(model):
         pencil = zm_eigen(forms, t)
         built = (shifted_square(forms, t), shifted_linear(forms, t))
         kept = (pencil.Qt_values, pencil.Lt_values)
-        for values, stored, dense in zip(built, kept, _dense_shifted(forms, t)):
+        dense_forms = _dense_shifted((forms.M0, forms.M1, forms.M2), t)
+        for values, stored, dense in zip(built, kept, dense_forms):
             for got in (values, stored):
                 assert got.dtype == dense.dtype and got.shape == rows.shape
                 assert np.array_equal(got, dense[rows, cols])
@@ -172,10 +189,11 @@ def test_pattern_builders_give_the_dense_bits(model):
 
 
 def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
-    """An explicit -0.0 in M1, off the nonzero pattern: there the dense
-    ``L_t = M1 - t M0`` holds -0.0 at t > 0 and the pattern builder
-    +0.0.  The zero's sign reaches neither the pencil solve nor the
-    polish, so the bounds are identical."""
+    """An explicit -0.0 in M1, off the nonzero pattern: the forms store
+    no value there, but the dense ``L_t = M1 - t M0`` of the file's
+    entries holds -0.0 at t > 0 where the pattern builder gives +0.0.
+    The zero's sign reaches neither the pencil solve nor the polish, so
+    the bounds are identical."""
     path = tmp_path / "negzero.forms"
     write_forms(assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms, path)
     lines = path.read_text().splitlines()
@@ -183,8 +201,11 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
     lines.insert(lines.index("%M1") + 1, f"1 {n} -0.0")
     path.write_text("\n".join(lines) + "\n")
     forms = read_forms(path)
-    assert np.signbit(forms.M1[0, n - 1]) and forms.M1[0, n - 1] == 0.0
-    assert np.signbit(_dense_shifted(forms, 2.5)[1][0, n - 1])
+    entries = _read_dense(path)
+    assert all(map(np.array_equal, entries, (forms.M0, forms.M1, forms.M2)))
+    assert np.signbit(entries[1][0, n - 1]) and entries[1][0, n - 1] == 0.0
+    assert not np.signbit(forms.M1[0, n - 1])
+    assert np.signbit(_dense_shifted(entries, 2.5)[1][0, n - 1])
     lt = forms_mod._on_pattern(forms, shifted_linear(forms, 2.5))
     assert not np.signbit(lt[0, n - 1])
 
@@ -192,15 +213,15 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
         return [(e.lower, e.upper) for e in zm_enclosures(forms, (0.5, 2.5), 2)]
 
     pattern = bounds(forms)
-    # the solve then reads the dense matrices, rounded to double, -0.0
-    # included; each is built when its values are
+    # the solve then reads the dense matrices of the file's entries,
+    # rounded to double, -0.0 included; each is built when its values are
     dense = []
 
     def spy(which):
         real = getattr(enclosure, which)
 
         def built(f, t):
-            matrices = _dense_shifted(f, t)
+            matrices = _dense_shifted(entries, t)
             dense.append(matrices[which == "shifted_linear"].astype(float))
             return real(f, t)
 
@@ -449,6 +470,29 @@ def test_read_forms_zero_entries_omitted(tmp_path):
     path.write_text("2\n%M0\n1 1 1.0\n2 2 1.0\n%M1\n1 2 0.5\n%M2\n1 1 1.0\n2 2 1.0\n")
     forms = read_forms(path)
     npt.assert_array_equal(forms.M1, np.array([[0.0, 0.5], [0.5, 0.0]]))
+
+
+def test_read_forms_stores_the_dense_entries(tmp_path):
+    # entries in either triangle, a pair listed twice (the later wins),
+    # an explicit 0.0 and -0.0 on the pattern and a -0.0 off it: the forms
+    # read hold the bits of the dense matrices of the file's entries on
+    # the pattern of their nonzero entries
+    path = tmp_path / "entries.forms"
+    path.write_text(
+        "3\n%M0\n1 1 2.0\n2 2 2.0\n3 3 2.0\n2 1 0.5\n1 2 0.25\n"
+        "%M1\n1 1 -0.0\n3 2 1.5\n1 3 -0.0\n2 2 0.0\n%M2\n3 3 4.0\n1 1 0.0\n"
+    )
+    forms, dense = read_forms(path), _read_dense(path)
+    reference = TrialForms(*dense)
+    npt.assert_array_equal(forms.pattern(), reference.pattern())
+    npt.assert_array_equal(forms.pattern(), ([0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]))
+    rows, cols = forms.pattern()
+    for got, want in zip((forms.M0, forms.M1, forms.M2), dense):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        npt.assert_array_equal(np.signbit(got[rows, cols]), np.signbit(want[rows, cols]))
+    assert np.signbit(forms.M1[0, 0]) and not np.signbit(forms.M1[0, 2])
+    assert forms.M0[0, 1] == forms.M0[1, 0] == 0.25
+    npt.assert_array_equal(forms.factor(), reference.factor())
 
 
 @pytest.mark.parametrize(
