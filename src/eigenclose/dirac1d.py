@@ -201,7 +201,7 @@ def assemble_1d(mesh, order):
     xe = left + (mesh.nodes[1:, None] - left) * np.linspace(0.0, 1.0, r + 1)
     x = np.append(xe[:, :r], xe[-1, r])
 
-    forms = TrialForms._from_pattern(n, rows[kept], cols[kept], [m[kept] for m in values])
+    forms = TrialForms._from_pattern(n, rows[kept], cols[kept], *(m[kept] for m in values))
     u_nodes = np.arange(1, n_nodes - 1)
     return FEModel(mesh=mesh, order=order, forms=forms, x=x, u_nodes=u_nodes)
 

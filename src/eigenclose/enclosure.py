@@ -265,13 +265,15 @@ def local_counting(forms, t, count=None):
         raise ValueError(f"count must be positive, got {count}")
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        qt = _on_pattern(forms, shifted_square(forms, t))
+        qt = shifted_square(forms, t)
+        qt_d = _on_pattern(forms, qt)
     try:
-        values = sym_generalized_eigvals(qt, forms.factor(), count)
+        # Q_t is symmetric: its transpose is Q_t in F order, reduced in place
+        values = sym_generalized_eigvals(qt_d.T, forms.factor(), count)
     except NonFiniteError:
         raise _overflow(t) from None
     if values[0] < 0.0:
-        floor = -forms.tol * _norm2(qt)
+        floor = -forms.tol * _norm2(_on_pattern(forms, qt))
         if values[0] < floor:
             raise NegativeEigenvalueError(values[0], -floor)
     return np.sqrt(np.maximum(values, 0.0))
@@ -350,6 +352,7 @@ def zm_eigen(forms, t):
     with np.errstate(over="ignore", invalid="ignore"):
         qt, lt = shifted_square(forms, t), shifted_linear(forms, t)
         qt_d, lt_d = _on_pattern(forms, qt), _on_pattern(forms, lt)
+        l_norm = _norm2_bounds(lt_d)  # the Cholesky route overwrites lt_d
     try:
         solved = _cholesky_route(forms, qt_d, lt_d)
     except NonFiniteError:
@@ -361,7 +364,7 @@ def zm_eigen(forms, t):
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
 
-    zero = _zero_tau(forms, tau, q_norm, qt_d, lt_d)
+    zero = _zero_tau(forms, tau, q_norm, l_norm, qt_d, lt)
     neg = (tau < 0.0) & ~zero
     pos = (tau > 0.0) & ~zero
     n_minus = int(np.count_nonzero(neg))
@@ -396,29 +399,32 @@ def _norm2(a):
     return float(max(abs(values[0]), abs(values[-1])))
 
 
-def _zero_tau(forms, tau, q_norm, qt, lt):
-    """The mask of the tau :func:`zm_eigen` counts as zero, from double
-    ``qt`` and ``lt`` and ``q_norm = (lo, hi)`` bounding ``||Q_t||_2``
-    (equal ends for a known norm).  The exact 2-norms (:func:`_norm2`)
-    are computed only for a ``|tau|`` the bracket leaves open."""
+def _zero_tau(forms, tau, q_norm, l_norm, qt, lt):
+    """The mask of the tau :func:`zm_eigen` counts as zero, from
+    ``q_norm`` and ``l_norm``, ``(lo, hi)`` bounding ``||Q_t||_2`` and
+    ``||L_t||_2`` (equal ends for a known norm).  The exact 2-norms
+    (:func:`_norm2`) of the double ``qt`` and of L_t, from its values
+    ``lt``, are computed only for a ``|tau|`` the bracket leaves open."""
     q_lo, q_hi = q_norm
-    l_lo, l_hi = _norm2_bounds(lt)
+    l_lo, l_hi = l_norm
     size = np.abs(tau)
     below = 2.0 * size * q_hi < forms.tol * l_lo
     if np.all(below | (size * q_lo > 2.0 * forms.tol * l_hi)):
         return below
     norm_q = q_lo if q_lo == q_hi else _norm2(qt)
-    return size <= forms.tol * (_norm2(lt) / norm_q)
+    return size <= forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q)
 
 
 def _cholesky_route(forms, qt, lt):
     """:func:`zm_eigen`'s Cholesky route: ``(0, eigen, q_norm)`` with
     ``eigen`` the :class:`~eigenclose.linalg.TridiagonalEigen` of the
     pencil and ``q_norm`` the bounds on ``||Q_t||_2`` :func:`_zero_tau`
-    reads, or ``None`` where the certificate fails."""
+    reads, or ``None`` where the certificate fails.  The reduction is
+    made in the memory of ``lt``."""
     q_norm = _norm2_bounds(qt)
     floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
-    eigen = definite_pencil_eigh(lt, qt, 2.0 * floor * max(1.0, q_norm[1]))
+    # lt is symmetric: its transpose is L_t in F order, reduced in place
+    eigen = definite_pencil_eigh(lt.T, qt, 2.0 * floor * max(1.0, q_norm[1]))
     return None if eigen is None else (0, eigen, q_norm)
 
 

@@ -76,18 +76,20 @@ class TrialForms:
         self._store(dense[0].shape[0], *pattern, [m[pattern] for m in dense], tol)
 
     @classmethod
-    def _from_pattern(cls, n, rows, cols, values, tol=DEFAULT_TOL):
+    def _from_pattern(cls, n, rows, cols, *values):
         """Forms holding ``values``, one vector per form, on the distinct
-        entries ``(rows, cols)`` in row-major order, and +0 off them."""
+        entries ``(rows, cols)``, in any order, and +0 off them."""
         forms = object.__new__(cls)
-        forms._store(n, rows, cols, values, tol)
+        forms._store(n, rows, cols, values, DEFAULT_TOL)
         return forms
 
     def _store(self, n, rows, cols, values, tol):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {tol:g}")
-        # an entry zero in all three forms is off the pattern
-        keep = (values[0] != 0) | (values[1] != 0) | (values[2] != 0)
+        # row-major, without the entries zero in all three forms; the
+        # stable sort is one pass over input already row-major (scatter's)
+        keep = np.flatnonzero((values[0] != 0) | (values[1] != 0) | (values[2] != 0))
+        keep = keep[np.argsort(rows[keep] * n + cols[keep], kind="stable")]
         rows, cols, *values = (a[keep] for a in (rows, cols, *values))
         # symmetry in O(nnz), on the pairs of mirrored entries
         mirror = _mirror(n, rows, cols)
@@ -101,7 +103,8 @@ class TrialForms:
         state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;
         # M0 was checked above, so the factor skips cholesky_spd's check
-        state["_factor"] = _checked_potrf(_on_pattern(self, values[0]), max(tol, DEFAULT_TOL))
+        m0 = _on_pattern(self, values[0])
+        state["_factor"] = _checked_potrf(m0, max(tol, DEFAULT_TOL))
         for a in (rows, cols, *values, self._factor):
             a.flags.writeable = False
 
@@ -123,7 +126,9 @@ class TrialForms:
     def ritz(self):
         """Ritz values of the pencil ``(M1, M0)``, ascending, solved once; read-only."""
         if "ritz" not in self._kept:
-            ritz = sym_generalized_eigvals(_on_pattern(self, self._values[1]), self._factor)
+            # M1 is symmetric: its transpose is M1 in F order, reduced in place
+            m1 = _on_pattern(self, self._values[1])
+            ritz = sym_generalized_eigvals(m1.T, self._factor)
             ritz.flags.writeable = False
             self._kept["ritz"] = ritz
         return self._kept["ritz"]
@@ -147,8 +152,8 @@ class TrialForms:
             m1, m2 = (_on_pattern(self, v) for v in self._values[1:])
             # M1 is symmetric, so its transpose is the F-ordered M1 trsm reads
             x = scipy.linalg.blas.dtrsm(1.0, self._factor, m1.T, lower=1, overwrite_b=1)
-            s = m2 - x.T @ x
-            self._kept["schur_min"] = sym_eigh(symmetrize(s), vectors=False)[0]
+            m2 -= x.T @ x  # the Schur complement S
+            self._kept["schur_min"] = sym_eigh(symmetrize(m2), vectors=False)[0]
         schur_min = self._kept["schur_min"]
         floor = max(self.tol, self.n * np.finfo(float).eps / 2)
         rows, cols = self._pattern
@@ -162,10 +167,9 @@ class TrialForms:
 
 
 def _mirror(n, rows, cols):
-    """The index of each entry's transpose in a row-major n by n pattern,
-    or of a neighbour where the pattern is not symmetric."""
-    index = np.searchsorted(rows * n + cols, cols * n + rows)
-    return np.minimum(index, rows.size - 1)
+    """The index of each entry's transpose in a symmetric row-major n by n
+    pattern: the order that sorts the pattern column-major."""
+    return np.argsort(cols * n + rows, kind="stable")
 
 
 def shifted_square(forms, t):
@@ -206,8 +210,10 @@ def scatter(n, *forms):
     into a dense zero matrix.
     """
     keys = [[r[:, :, None] * n + c[:, None, :] for _, r, c in form] for form in forms]
-    # the distinct keys, by a sort: np.unique's hashing is slower here
-    pattern = np.sort(np.concatenate([k.ravel() for form in keys for k in form]))
+    # the distinct keys, by a sort: np.unique's hashing is slower here,
+    # and the default kind pages in 0.3 MB of SIMD code no other sort uses
+    pattern = np.concatenate([k.ravel() for form in keys for k in form])
+    pattern.sort(kind="stable")
     pattern = pattern[np.append(True, pattern[1:] != pattern[:-1])]
     sums = []
     for form, form_keys in zip(forms, keys):
@@ -357,6 +363,4 @@ def read_forms(path):
     off = i != j
     values = [np.array([matrices[tag].get(key, 0.0) for key in upper]) for tag in _SECTIONS]
     rows, cols = np.append(i, j[off]), np.append(j, i[off])
-    row_major = np.argsort(rows * n + cols)
-    values = [np.append(v, v[off])[row_major] for v in values]
-    return TrialForms._from_pattern(n, rows[row_major], cols[row_major], values)
+    return TrialForms._from_pattern(n, rows, cols, *(np.append(v, v[off]) for v in values))

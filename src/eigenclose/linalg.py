@@ -186,7 +186,9 @@ def sym_generalized_eigvals(a, factor, count=None):
     ``count`` smallest) gives the eigenvalues ascending, bit for bit
     those of the drivers ``sygvd`` / ``sygvx``.  Only the lower triangle
     of ``a`` is read, so ``a`` must be exactly symmetric: forms checked
-    by ``TrialForms`` and the shifted combinations of them are.
+    by ``TrialForms`` and the shifted combinations of them are.  A
+    double ``a`` that is not C-ordered, such as the transpose of a
+    C-ordered one, is reduced in place and left overwritten.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -194,14 +196,18 @@ def sym_generalized_eigvals(a, factor, count=None):
         return np.zeros(0)
     if not np.isfinite(a).all():
         raise NonFiniteError("array must not contain infs or NaNs")
-    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
+    in_place = not a.flags.c_contiguous
+    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
     if count is None or count >= n:
-        values, _, info = scipy.linalg.lapack.dsyevd(c, compute_v=0, lower=1)
+        values, _, info = scipy.linalg.lapack.dsyevd(
+            c, compute_v=0, lower=1, overwrite_a=1
+        )
         m = n
     else:
         lwork, _ = scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
         values, _, m, _, info = scipy.linalg.lapack.dsyevx(
-            c, compute_v=0, range="I", lower=1, il=1, iu=count, lwork=int(lwork)
+            c, compute_v=0, range="I", lower=1, il=1, iu=count, lwork=int(lwork),
+            overwrite_a=1,
         )
     if info != 0:
         raise np.linalg.LinAlgError(f"syevd/syevx did not converge (info={info})")
@@ -223,7 +229,9 @@ def definite_pencil_eigh(a, b, sigma):
 
     Returns a :class:`TridiagonalEigen`, or ``None`` when the
     certificate fails.  Only the lower triangles are read, so ``a`` and
-    ``b`` must be exactly symmetric.
+    ``b`` must be exactly symmetric.  Where the certificate holds, a
+    double ``a`` that is not C-ordered is reduced in place, as by
+    :func:`sym_generalized_eigvals`, and holds the reduction.
 
     Raises
     ------
@@ -248,7 +256,8 @@ def definite_pencil_eigh(a, b, sigma):
     _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return None
-    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1)
+    in_place = not a.flags.c_contiguous
+    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
     eigen = _reduce(c, None)
     # the factor's transpose fills the triangle sytrd leaves unused
     np.copyto(eigen.packed, factor.T, where=np.tri(n, dtype=bool).T)

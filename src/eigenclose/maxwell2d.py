@@ -345,12 +345,7 @@ def assemble_2d(mesh, order):
     for r, c, *values in blocks:
         on = (r[rows] >= 0) & (c[cols] >= 0)
         parts.append([r[rows[on]], c[cols[on]], *(m[on] for m in values)])
-    n = n1 + n2 + n_nodes
-    trial_rows, trial_cols, *values = map(np.concatenate, zip(*parts))
-    row_major = np.argsort(trial_rows * n + trial_cols)
-    forms = TrialForms._from_pattern(
-        n, trial_rows[row_major], trial_cols[row_major], [m[row_major] for m in values]
-    )
+    forms = TrialForms._from_pattern(n1 + n2 + n_nodes, *map(np.concatenate, zip(*parts)))
     return MaxwellModel(
         mesh=mesh,
         order=order,

@@ -258,6 +258,23 @@ def test_on_demand_vectors_are_accurate_and_orthonormal():
             npt.assert_allclose(x.T @ b @ x, np.eye(x.shape[1]), atol=1e-12)
 
 
+def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits():
+    for a, b in _pencils():
+        n, factor, kept = a.shape[0], cholesky_spd(b), a.copy()
+        eigen = definite_pencil_eigh(a, b, 0.0)
+        for count in (None, 3):
+            values = sym_generalized_eigvals(a, factor, count)
+            work = np.asfortranarray(a)
+            npt.assert_array_equal(sym_generalized_eigvals(work, factor, count), values)
+            assert not np.array_equal(work, a)
+        npt.assert_array_equal(a, kept)  # a C-ordered a is copied
+        work = np.asfortranarray(a)
+        in_place = definite_pencil_eigh(work, b, 0.0)
+        assert np.shares_memory(in_place.packed, work)
+        npt.assert_array_equal(in_place.values, eigen.values)
+        npt.assert_array_equal(in_place.vectors(min(n, 8)), eigen.vectors(min(n, 8)))
+
+
 def test_split_tridiagonal_with_equal_values():
     # diagonal: every subdiagonal entry of T is 0, and the value 2 is
     # double; each block is its own tridiagonal solve
