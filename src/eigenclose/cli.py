@@ -46,7 +46,6 @@ that the shifted forms overflow double.
 import argparse
 import configparser
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -65,7 +64,7 @@ from .errors import (
     NoSignChangeError,
 )
 from .fixed_point import default_fp_tol, equivalence_gap
-from .forms import read_forms, write_forms
+from .forms import TrialForms, read_forms, write_forms
 from .linalg import DEFAULT_TOL
 from .maxwell2d import (
     assemble_2d,
@@ -300,8 +299,10 @@ def _build(cfg, order, mesh_n):
         except OSError as exc:
             raise ConfigError(f"cannot read forms file: {exc}") from None
         model = None
-    if cfg.tol != forms.tol:
-        forms = dataclasses.replace(forms, tol=cfg.tol)
+    if cfg.tol != forms.tol:  # the same stored entries, no dense copy
+        forms = TrialForms._from_pattern(
+            forms.n, *forms.pattern(), *forms._values, tol=cfg.tol
+        )
     if model is None:
         forms.validate()
     return forms, model

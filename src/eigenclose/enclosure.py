@@ -39,8 +39,7 @@ from .forms import _on_pattern, shifted_linear, shifted_square
 from .linalg import (
     TridiagonalEigen,
     definite_pencil_eigh,
-    projected_eigh,
-    psd_eigh,
+    kernel_split,
     sym_eigh,
     sym_generalized_eigvals,
 )
@@ -83,22 +82,22 @@ class PencilEigen:
     the j-th spectral point below t), ``tau_plus`` descending.
     ``eigen`` holds all the tau of the solve, ascending, and what their
     eigenvectors need (:class:`~eigenclose.linalg.TridiagonalEigen`): the
-    tridiagonal reduction as two vectors and its reflectors, in one n by
-    n double array that also holds the Cholesky factor of Q_t, plus on
-    the eigendecomposition route the n by (n - n_inf) basis of the
-    deflated pencil.  ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``)
-    is the one way to read eigenvectors: the Q_t-orthonormal coefficient
-    vectors, in the full trial basis with deflated kernel directions
-    removed, of the k nearest entries of ``tau_minus`` (``tau_plus``) in
-    their order before any :meth:`polish`, which may re-sort near-ties.
-    The pencil's arrays take 0.57 MB at n = 240
-    (dirac1d, order 3, 40 elements), 0.46 MB of it that n by n array,
-    and 26.4 MB at n = 1775 (maxwell2d, order 1, nx = 24), 25.2 MB of it
-    the array.  ``Qt_values`` and ``Lt_values`` are the values of the
-    shifted forms the pencil was solved at on ``pattern``, the forms'
-    nonzero pattern (:meth:`TrialForms.pattern`), in the precision of
-    the forms: all :meth:`polish` reads of Q_t and L_t, which are +0 off
-    it.  ``polished`` counts the polished entries of each side.
+    tridiagonal reduction as two vectors and its reflectors, in one
+    (n - n_inf) square double array that also holds the Cholesky factor
+    of Q_t, plus on the kernel-split route an index of the n coordinates.
+    ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``) is the one way
+    to read eigenvectors: the Q_t-orthonormal coefficient vectors, in the
+    full trial basis and zero on the deflated coordinates, of the k
+    nearest entries of ``tau_minus`` (``tau_plus``) in their order before
+    any :meth:`polish`, which may re-sort near-ties.  The pencil's arrays
+    take 0.57 MB at n = 240 (dirac1d, order 3, 40 elements), 0.46 MB of
+    it that square array, and 26.4 MB at n = 1775 (maxwell2d, order 1,
+    nx = 24), 25.2 MB of it the array.  ``Qt_values`` and ``Lt_values``
+    are the values of the shifted forms the pencil was solved at on
+    ``pattern``, the forms' nonzero pattern (:meth:`TrialForms.pattern`),
+    in the precision of the forms: all :meth:`polish` reads of Q_t and
+    L_t, which are +0 off it.  ``polished`` counts the polished entries
+    of each side.
     """
 
     t: float
@@ -288,39 +287,32 @@ def zm_eigen(forms, t):
     *Cholesky route*, taken wherever it can certify that nothing is
     deflated.  A Cholesky factorization of ``Q_t - sigma I`` with
     ``sigma = 2 max(tol, n u) max(1, ||Q_t||_inf)`` proves that Q_t has
-    no eigenvalue at or below ``tol * max(1, ||Q_t||_2)``, so the
-    eigendecomposition route below would deflate nothing and raise
-    nothing: ``n_inf = 0``.  All tau then come from
+    no eigenvalue at or below ``tol * max(1, ||Q_t||_inf)``, so the
+    route below would deflate nothing and raise nothing: ``n_inf = 0``.
+    All tau then come from
     :func:`~eigenclose.linalg.definite_pencil_eigh`: one tridiagonal
     reduction of ``L^{-1} L_t L^{-T}``, L the Cholesky factor of Q_t, and
     its eigenvalues, no eigenvector.
 
-    *Eigendecomposition route*, taken where that certificate fails: at
-    shifts where Q_t has an eigenvalue at or below sigma, among them
-    every shift that deflates a kernel.  One eigendecomposition
-    ``Q_t = V W V'`` (:func:`psd_eigh`) gives three things at once:
-
-    * the kernel of Q_t, the columns with ``W <= tol * max(1, ||Q_t||)``
-      (trial directions on which the shifted operator vanishes); in
-      exact arithmetic it lies inside the kernel of L_t as well, so
-      deflating it loses nothing;
-    * the check that Q_t, a square, has no eigenvalue below
-      ``-tol * ||Q_t||`` (``NegativeEigenvalueError``);
-    * ``||Q_t||_2 = max |W|``.
-
-    On the complement ``V_c`` the deflated Q_t is ``diag(W_c)``, positive
-    definite by construction, so ``C = V_c W_c^{-1/2}`` is a
-    Q_t-orthonormal basis and all tau come from one tridiagonal
-    reduction of the *standard* symmetric matrix ``C' L_t C``
-    (:func:`~eigenclose.linalg.projected_eigh`).
+    *Kernel-split route*, taken where that certificate fails: at shifts
+    where Q_t has an eigenvalue at or below sigma, among them every shift
+    that deflates a kernel.  A pivoted Cholesky factorization of Q_t
+    (:func:`~eigenclose.linalg.kernel_split`) stops at the first pivot at
+    or below ``tol * max(1, ||Q_t||_inf)``; the coordinates it did not
+    factor are deflated.  The kernel of Q_t lies, in exact arithmetic,
+    inside that of L_t too, so deflating it loses nothing, and the pencil
+    on the kept coordinates, solved as on the Cholesky route through the
+    pivoted factor, has the tau of every complement of the kernel.  Q_t,
+    a square, must have no eigenvalue below ``-tol * ||Q_t||_2``
+    (``NegativeEigenvalueError``): the smallest eigenvalue of the Schur
+    complement of the kept coordinates, at most that of Q_t, is checked.
 
     Both routes count a tau as zero by one rule,
     ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.  The threshold is first
     bracketed by O(n^2) norm bounds, the largest column 2-norm below and
-    the largest absolute row sum above (the eigendecomposition route
-    knows ``||Q_t||_2``), the bracket widened by a factor 2 for
-    roundoff.  Only when some ``|tau|`` falls inside the bracket are the
-    2-norms computed, as largest absolute eigenvalues.
+    the largest absolute row sum above, the bracket widened by a factor
+    2 for roundoff.  Only when some ``|tau|`` falls inside the bracket
+    are the 2-norms computed, as largest absolute eigenvalues.
 
     Either way the pencil is solved in double precision, the unpolished
     tau of the two routes agreeing to roundoff, and no eigenvector is
@@ -352,13 +344,17 @@ def zm_eigen(forms, t):
     with np.errstate(over="ignore", invalid="ignore"):
         qt, lt = shifted_square(forms, t), shifted_linear(forms, t)
         qt_d, lt_d = _on_pattern(forms, qt), _on_pattern(forms, lt)
-        l_norm = _norm2_bounds(lt_d)  # the Cholesky route overwrites lt_d
+        # taken before the Cholesky route reduces lt_d in place
+        q_norm, l_norm = _norm2_bounds(qt_d), _norm2_bounds(lt_d)
+    floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
     try:
-        solved = _cholesky_route(forms, qt_d, lt_d)
+        # lt_d is symmetric: its transpose is L_t in F order
+        eigen = definite_pencil_eigh(lt_d.T, qt_d, 2.0 * floor * max(1.0, q_norm[1]))
     except NonFiniteError:
         raise _overflow(t) from None
-    n_inf, eigen, q_norm = solved or _eigh_route(forms, qt_d, lt_d)
+    eigen = eigen or _split_route(forms, qt_d, lt_d, q_norm)
     tau = eigen.values
+    n_inf = forms.n - tau.size
     if n_inf == forms.n:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
@@ -395,7 +391,7 @@ def _norm2_bounds(a):
 
 def _norm2(a):
     """``||a||_2`` of a nonempty symmetric ``a``: its largest absolute eigenvalue."""
-    values = sym_eigh(a, vectors=False)
+    values = sym_eigh(a)
     return float(max(abs(values[0]), abs(values[-1])))
 
 
@@ -415,26 +411,19 @@ def _zero_tau(forms, tau, q_norm, l_norm, qt, lt):
     return size <= forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q)
 
 
-def _cholesky_route(forms, qt, lt):
-    """:func:`zm_eigen`'s Cholesky route: ``(0, eigen, q_norm)`` with
-    ``eigen`` the :class:`~eigenclose.linalg.TridiagonalEigen` of the
-    pencil and ``q_norm`` the bounds on ``||Q_t||_2`` :func:`_zero_tau`
-    reads, or ``None`` where the certificate fails.  The reduction is
-    made in the memory of ``lt``."""
-    q_norm = _norm2_bounds(qt)
-    floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
-    # lt is symmetric: its transpose is L_t in F order, reduced in place
-    eigen = definite_pencil_eigh(lt.T, qt, 2.0 * floor * max(1.0, q_norm[1]))
-    return None if eigen is None else (0, eigen, q_norm)
-
-
-def _eigh_route(forms, qt, lt):
-    """:func:`zm_eigen`'s eigendecomposition route, as
-    :func:`_cholesky_route` returns it but with the kernel dimension
-    of Q_t in place of 0 and its exact norm."""
-    split = psd_eigh(qt, forms.tol)
-    basis = split.vectors[:, split.k :] / np.sqrt(split.values[split.k :])
-    return split.k, projected_eigh(lt, basis), (split.norm, split.norm)
+def _split_route(forms, qt, lt, q_norm):
+    """:func:`zm_eigen`'s kernel-split route: the
+    :class:`~eigenclose.linalg.TridiagonalEigen` of the pencil on the
+    coordinates a pivoted Cholesky factorization of Q_t keeps, once the
+    Schur complement of the others shows no eigenvalue below
+    ``-tol * ||Q_t||_2``; ``q_norm`` bounds ``||Q_t||_2``, which is
+    computed only where the bounds leave the check open."""
+    eigen, schur_min = kernel_split(lt, qt, forms.tol * max(1.0, q_norm[1]))
+    if schur_min < -forms.tol * q_norm[0]:
+        floor = forms.tol * _norm2(qt)
+        if schur_min < -floor:
+            raise NegativeEigenvalueError(schur_min, floor)
+    return eigen
 
 
 def _pencil(forms, t):

@@ -76,11 +76,11 @@ class TrialForms:
         self._store(dense[0].shape[0], *pattern, [m[pattern] for m in dense], tol)
 
     @classmethod
-    def _from_pattern(cls, n, rows, cols, *values):
+    def _from_pattern(cls, n, rows, cols, *values, tol=DEFAULT_TOL):
         """Forms holding ``values``, one vector per form, on the distinct
         entries ``(rows, cols)``, in any order, and +0 off them."""
         forms = object.__new__(cls)
-        forms._store(n, rows, cols, values, DEFAULT_TOL)
+        forms._store(n, rows, cols, values, tol)
         return forms
 
     def _store(self, n, rows, cols, values, tol):
@@ -153,7 +153,7 @@ class TrialForms:
             # M1 is symmetric, so its transpose is the F-ordered M1 trsm reads
             x = scipy.linalg.blas.dtrsm(1.0, self._factor, m1.T, lower=1, overwrite_b=1)
             m2 -= x.T @ x  # the Schur complement S
-            self._kept["schur_min"] = sym_eigh(symmetrize(m2), vectors=False)[0]
+            self._kept["schur_min"] = sym_eigh(symmetrize(m2))[0]
         schur_min = self._kept["schur_min"]
         floor = max(self.tol, self.n * np.finfo(float).eps / 2)
         rows, cols = self._pattern

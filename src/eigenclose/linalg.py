@@ -7,8 +7,8 @@ one function per job, each a direct LAPACK call:
 * :func:`cholesky_spd`, a pivot-checked Cholesky factorization (LAPACK
   ``potrf`` plus a relative test on every pivot); it is the
   definiteness gate;
-* :func:`sym_eigh`, the standard symmetric eigenvalue problem, with or
-  without vectors (LAPACK ``syevd`` called directly); its only gate is
+* :func:`sym_eigh`, the eigenvalues of a standard symmetric matrix
+  (LAPACK ``syevd`` called directly, without vectors); its only gate is
   that the input is finite;
 * :func:`sym_generalized_eigvals`, the eigenvalues of a
   symmetric-definite pencil, optionally just the smallest few, from the
@@ -19,16 +19,14 @@ one function per job, each a direct LAPACK call:
   margin by a Cholesky factorization of the shifted matrix (Sylvester's
   law of inertia), or ``None`` where that certificate fails (LAPACK
   ``potrf`` twice, ``sygst``, ``sytrd`` and ``sterf``);
-* :func:`projected_eigh`, all the eigenvalues of a symmetric matrix
-  projected onto given columns (``sytrd`` and ``sterf``);
+* :func:`kernel_split`, the same solve with the numerical kernel of a
+  semidefinite right-hand matrix split off by a pivoted Cholesky
+  factorization (LAPACK ``pstrf``), and the Schur complement that shows
+  an indefinite one; it serves the pencils :func:`definite_pencil_eigh`
+  cannot certify;
 * :class:`TridiagonalEigen`, what those two return: the values, and the
   eigenvectors of chosen values on demand (LAPACK ``stein`` and
-  ``ormqr``, then BLAS ``trsm`` or the projection's columns);
-* :func:`psd_eigh`, one classified eigendecomposition of a positive
-  semidefinite matrix: it yields the numerical kernel and its
-  complement, the check that no eigenvalue is genuinely negative and the
-  2-norm at once.  It serves the pencils :func:`definite_pencil_eigh`
-  cannot certify.
+  ``ormqr``, then BLAS ``trsm``).
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -41,7 +39,7 @@ import numpy as np
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .errors import NegativeEigenvalueError, NonFiniteError, NotPositiveDefiniteError
+from .errors import NonFiniteError, NotPositiveDefiniteError
 
 #: default relative tolerance used for rank / definiteness decisions
 DEFAULT_TOL = 1e-10
@@ -134,16 +132,15 @@ def _checked_potrf(m, tol):
     return L
 
 
-def sym_eigh(a, vectors=True):
+def sym_eigh(a):
     """Eigenvalues, ascending, of a real symmetric matrix.
 
-    With ``vectors`` (the default) the orthonormal eigenvector columns
-    come back too, as ``(values, vectors)``.  This is LAPACK ``syevd``
-    in double precision on the lower triangle, called directly: for the
-    small matrices of the pencil solves the argument handling of
-    ``scipy.linalg.eigh`` costs more than the decomposition itself.
-    Without vectors ``syevd`` runs ``sytrd`` and ``sterf``, here with the
-    workspace in which ``sytrd`` runs blocked, as :func:`_reduce` does.
+    This is LAPACK ``syevd`` without vectors in double precision on the
+    lower triangle, called directly: for the small matrices of the pencil
+    solves the argument handling of ``scipy.linalg.eigvalsh`` costs more
+    than the decomposition itself.  ``syevd`` runs ``sytrd`` and
+    ``sterf``, here with the workspace in which ``sytrd`` runs blocked,
+    as :func:`_reduce` does.
 
     Raises
     ------
@@ -155,17 +152,12 @@ def sym_eigh(a, vectors=True):
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise NonFiniteError("array must not contain infs or NaNs")
-    if vectors:
-        values, vecs, info = scipy.linalg.lapack.dsyevd(a, compute_v=1, lower=1)
-    else:
-        # syevd hands sytrd its workspace beyond the first 2n entries
-        lwork = 2 * a.shape[0] + _sytrd_lwork(a.shape[0])
-        values, vecs, info = scipy.linalg.lapack.dsyevd(
-            a, compute_v=0, lower=1, lwork=lwork
-        )
+    # syevd hands sytrd its workspace beyond the first 2n entries
+    lwork = 2 * a.shape[0] + _sytrd_lwork(a.shape[0])
+    values, _, info = scipy.linalg.lapack.dsyevd(a, compute_v=0, lower=1, lwork=lwork)
     if info != 0:
         raise np.linalg.LinAlgError(f"syevd did not converge (info={info})")
-    return (values, vecs) if vectors else values
+    return values
 
 
 def _sytrd_lwork(n):
@@ -223,9 +215,9 @@ def definite_pencil_eigh(a, b, sigma):
     ``b`` exceeds ``sigma``, up to the backward error of ``potrf``.  The
     pencil is then reduced through the Cholesky factor ``L`` of ``b``:
     ``sygst`` forms ``C = L^{-1} a L^{-T}`` and :func:`_reduce` gives its
-    eigenvalues, bit for bit those of ``sym_eigh(C, vectors=False)``.  A
-    vector ``y`` of C asked for later is back-transformed by BLAS
-    ``trsm`` to ``L^{-T} y``: the vectors are ``b``-orthonormal.
+    eigenvalues, bit for bit those of ``sym_eigh(C)``.  A vector ``y`` of
+    C asked for later is back-transformed by BLAS ``trsm`` to
+    ``L^{-T} y``: the vectors are ``b``-orthonormal.
 
     Returns a :class:`TridiagonalEigen`, or ``None`` when the
     certificate fails.  Only the lower triangles are read, so ``a`` and
@@ -238,13 +230,8 @@ def definite_pencil_eigh(a, b, sigma):
     NonFiniteError
         If ``a`` or ``b`` holds an inf or a NaN.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NonFiniteError("array must not contain infs or NaNs")
+    a, b = _finite_pair(a, b)
     n = b.shape[0]
-    if n == 0:
-        return _reduce(b, None)
     factor = b.copy(order="F")
     factor[np.diag_indices(n)] -= sigma
     _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
@@ -256,34 +243,88 @@ def definite_pencil_eigh(a, b, sigma):
     _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return None
+    return _factored_eigh(a, factor, None)
+
+
+def kernel_split(a, b, threshold):
+    """Eigenvalues of ``a x = lam b x`` with the numerical kernel of the
+    positive semidefinite ``b`` split off, its eigenvectors on demand;
+    and the check that ``b`` is not indefinite.
+
+    LAPACK ``pstrf`` factors ``b[keep, keep] = L11 L11'`` with diagonal
+    pivoting and stops at the first pivot at or below ``threshold``; the
+    coordinates ``rest`` it did not factor are deflated.  The pencil on
+    ``keep`` is reduced through ``L11`` as by :func:`definite_pencil_eigh`,
+    and its vectors, ``b``-orthonormal, are zero on ``rest``.  Where the
+    kernel of ``b`` lies in that of ``a``, every complement of the kernel
+    gives the same eigenvalues, those of the deflated pencil.
+
+    ``pstrf`` does not leave the Schur complement
+    ``S = b[rest, rest] - X' X``, ``X = L11^{-1} b[keep, rest]``, in its
+    trailing block, so BLAS ``trsm`` forms it.  By Haynsworth's inertia
+    additivity S has as many negative eigenvalues as ``b``, and its
+    smallest is at most that of ``b``.  Returns ``(eigen, schur_min)``:
+    the :class:`TridiagonalEigen` of the deflated pencil, with no value
+    where all of ``b`` is deflated, and the smallest eigenvalue of S,
+    ``inf`` where nothing is.  Only the lower triangles are read, so
+    ``a`` and ``b`` must be exactly symmetric.
+
+    Raises
+    ------
+    NonFiniteError
+        If ``a`` or ``b`` holds an inf or a NaN.
+    """
+    a, b = _finite_pair(a, b)
+    factor, pivots, r, info = scipy.linalg.lapack.dpstrf(b, tol=threshold, lower=1)
+    if info < 0:
+        raise ValueError(f"pstrf rejected argument {-info}")
+    pivots = pivots.astype(np.intp) - 1
+    keep, rest = pivots[:r], pivots[r:]
+    factor = factor[:r, :r]
+    schur = b[np.ix_(rest, rest)]
+    if r and rest.size:
+        x = scipy.linalg.blas.dtrsm(1.0, factor, b[np.ix_(keep, rest)], lower=1)
+        schur -= x.T @ x
+    schur_min = sym_eigh(schur)[0] if rest.size else np.inf
+    # a[keep, keep] is symmetric: its F-ordered transpose is reduced in place
+    return _factored_eigh(a[np.ix_(keep, keep)].T, factor, pivots), schur_min
+
+
+def _finite_pair(a, b):
+    """``a`` and ``b`` as double arrays, both finite."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteError("array must not contain infs or NaNs")
+    return a, b
+
+
+def _factored_eigh(a, factor, pivots):
+    """The :class:`TridiagonalEigen` of ``a x = lam b x`` from the lower
+    Cholesky ``factor`` of ``b``, back-transformed onto ``pivots``.
+
+    ``sygst`` reduces the pencil to standard form, in place where ``a``
+    is not C-ordered, and :func:`_reduce` reduces that; the factor's
+    transpose fills the triangle ``sytrd`` leaves unused.
+    """
+    n = factor.shape[0]
+    if n == 0:
+        return _reduce(np.zeros((0, 0)), pivots)
     in_place = not a.flags.c_contiguous
     c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
-    eigen = _reduce(c, None)
-    # the factor's transpose fills the triangle sytrd leaves unused
+    eigen = _reduce(c, pivots)
     np.copyto(eigen.packed, factor.T, where=np.tri(n, dtype=bool).T)
     return eigen
 
 
-def projected_eigh(a, basis):
-    """Eigenvalues of the symmetric ``a`` projected onto the columns of
-    ``basis``, the eigenvectors of the projection on demand.
-
-    The projection ``C = basis' a basis`` goes through :func:`_reduce`,
-    and a vector ``y`` of C asked for later is returned as ``basis @ y``:
-    for a basis orthonormal in the metric of some ``b``, the eigenpairs
-    of the pencil ``(a, b)`` restricted to its span.
-    """
-    return _reduce(symmetrize(basis.T @ a @ basis), basis)
-
-
-def _reduce(c, basis):
+def _reduce(c, pivots):
     """The :class:`TridiagonalEigen` of the symmetric ``c`` (its lower
-    triangle, overwritten) and a back-transform ``basis``.
+    triangle, overwritten) on the coordinates ``pivots``.
 
     LAPACK ``sytrd`` reduces ``c`` to a tridiagonal T and ``sterf`` gives
     the eigenvalues of each unreduced block of T (split where its
     subdiagonal is exactly 0), merged ascending with equal values in
-    block order: bit for bit those of ``sym_eigh(c, vectors=False)``,
+    block order: bit for bit those of ``sym_eigh(c)``,
     since ``syevd`` without vectors runs the same two routines with the
     same workspace and ``sterf`` splits T there too, except that
     ``syevd`` first rescales a matrix whose largest entry lies outside
@@ -293,7 +334,7 @@ def _reduce(c, basis):
     if n == 0:
         empty = np.zeros(0)
         return TridiagonalEigen(
-            empty, np.zeros(0, dtype=int), empty, empty, empty, np.zeros((0, 0)), basis
+            empty, np.zeros(0, dtype=int), empty, empty, empty, np.zeros((0, 0)), pivots
         )
     packed, d, e, reflectors, info = scipy.linalg.lapack.dsytrd(
         c, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1
@@ -307,7 +348,7 @@ def _reduce(c, basis):
     blocks = np.repeat(np.arange(len(starts)), np.subtract(stops, starts))
     order = np.argsort(values, kind="stable")
     return TridiagonalEigen(
-        values[order], blocks[order], d, e, reflectors, packed, basis
+        values[order], blocks[order], d, e, reflectors, packed, pivots
     )
 
 
@@ -338,11 +379,12 @@ class TridiagonalEigen:
     the tridiagonal T that ``sytrd`` reduced the standard matrix to,
     ``reflectors`` the scalar factors of its Householder reflectors.
     ``packed`` is one n by n array holding those reflectors' vectors below
-    its first subdiagonal and, where ``basis`` is ``None``, the transpose
-    of the Cholesky factor of the pencil's right-hand matrix on and above
-    its diagonal (:func:`definite_pencil_eigh`).  Otherwise ``basis``
-    holds the columns the standard problem was projected onto
-    (:func:`projected_eigh`).
+    its first subdiagonal and the transpose of the Cholesky factor of the
+    pencil's right-hand matrix on and above its diagonal.  ``pivots`` is
+    ``None`` where the pencil was solved on all coordinates
+    (:func:`definite_pencil_eigh`); otherwise it orders the coordinates of
+    the vectors, which may be more than n, and its first n are the ones
+    the pencil was solved on (:func:`kernel_split`).
     """
 
     values: np.ndarray
@@ -351,7 +393,7 @@ class TridiagonalEigen:
     e: np.ndarray
     reflectors: np.ndarray
     packed: np.ndarray = field(repr=False)
-    basis: object = field(default=None, repr=False)
+    pivots: object = field(default=None, repr=False)
 
     def vectors(self, count, top=False):
         """Eigenvector columns of the ``count`` smallest values, ascending,
@@ -374,7 +416,8 @@ class TridiagonalEigen:
           whole: fewer than twice ``count`` vectors are computed.
 
         Vectors of close values are orthonormal in the metric of the
-        problem (``b`` of :func:`definite_pencil_eigh`).
+        problem (``b`` of :func:`definite_pencil_eigh` and
+        :func:`kernel_split`).
 
         Raises
         ------
@@ -384,7 +427,7 @@ class TridiagonalEigen:
         n = self.d.size
         count = min(count, n)
         if count == 0:
-            return np.zeros((n if self.basis is None else self.basis.shape[0], 0))
+            return np.zeros((n if self.pivots is None else self.pivots.size, 0))
         bounds = [0, 1]
         while bounds[-1] < count:
             bounds.append(min(2 * bounds[-1], n))
@@ -431,11 +474,14 @@ class TridiagonalEigen:
             )
             if info != 0:
                 raise ValueError(f"ormqr rejected argument {-info}")
-        if self.basis is not None:
-            return self.basis @ z
         # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
         # milliseconds on a 2 x 2 system when it runs threaded
-        return scipy.linalg.blas.dtrsm(1.0, self.packed, z, lower=0, overwrite_b=1)
+        x = scipy.linalg.blas.dtrsm(1.0, self.packed, z, lower=0, overwrite_b=1)
+        if self.pivots is None:
+            return x
+        out = np.zeros((self.pivots.size, x.shape[1]))
+        out[self.pivots[: x.shape[0]]] = x
+        return out
 
 
 def _stein(d, e, values):
@@ -450,43 +496,3 @@ def _stein(d, e, values):
     if info != 0:
         raise np.linalg.LinAlgError(f"stein did not converge (info={info})")
     return z
-
-
-@dataclass
-class PsdEigen:
-    """Classified eigendecomposition of a positive semidefinite matrix.
-
-    ``values`` ascending with orthonormal ``vectors`` columns; the first
-    ``k`` of them span the numerical kernel and the rest its orthogonal
-    complement.  ``norm`` is the 2-norm, ``max |values|``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    k: int
-    norm: float
-
-
-def psd_eigh(m, tol=DEFAULT_TOL):
-    """One eigendecomposition of a PSD matrix, kernel classified.
-
-    Eigenvalues at or below ``tol * max(1, ||m||_2)`` count as zero.
-    Only the lower triangle of ``m`` is read, so ``m`` must be exactly
-    symmetric, as the shifted combinations of checked forms are.
-
-    Raises
-    ------
-    NegativeEigenvalueError
-        If the smallest eigenvalue lies below ``-tol * ||m||_2``; a PSD
-        matrix cannot do that except through corrupted input.
-    """
-    a = np.asarray(m, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return PsdEigen(np.zeros(0), np.zeros((0, 0)), 0, 0.0)
-    values, vectors = sym_eigh(a)
-    norm = float(max(abs(values[0]), abs(values[-1])))
-    if values[0] < -tol * norm:
-        raise NegativeEigenvalueError(values[0], tol * norm)
-    k = int(np.count_nonzero(values <= tol * max(1.0, norm)))
-    return PsdEigen(values, vectors, k, norm)

@@ -446,9 +446,18 @@ def test_tol_is_the_tolerance_of_the_forms(tmp_path, capsys, monkeypatch):
     run = ["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "6",
            "--window", "0.5,1.5"]
     assert main(run) == 0 and factored == [cli.DEFAULT_TOL]
+    # the copy is built from the stored entries, with no dense M0, M1, M2
+    dense = []
+    real_dense = forms_mod.TrialForms._dense
+    monkeypatch.setattr(
+        forms_mod.TrialForms, "_dense",
+        lambda forms, k: dense.append(k) or real_dense(forms, k),
+    )
     assert main(run + ["--tol", "1e-9"]) == 0
-    assert factored[1:] == [cli.DEFAULT_TOL, 1e-9]
+    assert factored[1:] == [cli.DEFAULT_TOL, 1e-9] and dense == []
     assert [forms.tol for forms in seen] == [cli.DEFAULT_TOL, 1e-9]
+    stored = [(*forms.pattern(), *forms._values) for forms in seen]
+    assert all(np.array_equal(a, b) for a, b in zip(*stored))
 
 
 def test_export_forms_roundtrip(tmp_path):

@@ -170,17 +170,17 @@ def test_pattern_builders_give_the_dense_bits(model):
         # the pencil keeps no eigenvector, and one n by n matrix: the
         # packed reduction its eigenvectors are computed from.  Where Q_t
         # has a kernel (t = 0, Q_0 = M2) the reduction is of the deflated
-        # pencil, m by m, and the n by m basis it was projected onto is a
-        # second matrix.  No other array of the pencil or its reduction
-        # is 2-D
+        # pencil, m by m, and an index of the n coordinates, the first m
+        # of them kept, places its vectors.  No other array of the pencil
+        # or its reduction is 2-D
         eigen, m = pencil.eigen, forms.n - pencil.signature.n_inf
         assert eigen.packed.shape == (m, m) and eigen.packed.dtype == np.float64
         kept = [eigen.packed]
         if t == 0.0:
-            assert eigen.basis.shape == (forms.n, m) and m < forms.n
-            kept.append(eigen.basis)
+            assert eigen.pivots.shape == (forms.n,) and m < forms.n
+            assert np.array_equal(np.sort(eigen.pivots), np.arange(forms.n))
         else:
-            assert eigen.basis is None and m == forms.n
+            assert eigen.pivots is None and m == forms.n
         for owner in (pencil, eigen):
             for f in dataclasses.fields(owner):
                 value = getattr(owner, f.name)

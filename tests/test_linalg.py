@@ -13,13 +13,13 @@ from eigenclose.errors import (
     NonFiniteError,
     NotPositiveDefiniteError,
 )
-from eigenclose.forms import _on_pattern, shifted_linear, shifted_square
+from eigenclose.enclosure import zm_eigen
+from eigenclose.forms import TrialForms, _on_pattern, shifted_linear, shifted_square
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
     definite_pencil_eigh,
-    projected_eigh,
-    psd_eigh,
+    kernel_split,
     sym_eigh,
     sym_generalized_eigvals,
     symmetrize,
@@ -231,15 +231,21 @@ def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
     for a, b in _pencils():
         c, _ = scipy.linalg.lapack.dsygst(a, cholesky_spd(b), lower=1)
         values = definite_pencil_eigh(a, b, 0.0).values
-        npt.assert_array_equal(values, sym_eigh(c, vectors=False))
-        values = projected_eigh(a, np.eye(a.shape[0])).values
-        npt.assert_array_equal(values, sym_eigh(a, vectors=False))
+        npt.assert_array_equal(values, sym_eigh(c))
+        # b is definite: the pivoted factor keeps every coordinate
+        factor, pivots, rank, _ = scipy.linalg.lapack.dpstrf(b, tol=0.0, lower=1)
+        pivots = pivots - 1
+        assert rank == b.shape[0]
+        c, _ = scipy.linalg.lapack.dsygst(a[np.ix_(pivots, pivots)], factor, lower=1)
+        eigen, _ = kernel_split(a, b, 0.0)
+        npt.assert_array_equal(eigen.pivots, pivots)
+        npt.assert_array_equal(eigen.values, sym_eigh(c))
 
 
 def test_a_vector_does_not_depend_on_the_others_asked_for():
     for a, b in _pencils():
         n = a.shape[0]
-        for eigen in (definite_pencil_eigh(a, b, 0.0), projected_eigh(a, np.eye(n))):
+        for eigen in (definite_pencil_eigh(a, b, 0.0), kernel_split(a, b, 0.0)[0]):
             for top in (False, True):
                 every = eigen.vectors(min(n, 32), top)
                 for k in range(every.shape[1]):
@@ -282,7 +288,7 @@ def test_split_tridiagonal_with_equal_values():
     eigen = definite_pencil_eigh(a, b, 0.5)
     assert not eigen.e.any()
     npt.assert_array_equal(eigen.values, [-3.0, 1.0, 2.0, 2.0])
-    npt.assert_array_equal(eigen.values, sym_eigh(a, vectors=False))
+    npt.assert_array_equal(eigen.values, sym_eigh(a))
     for top, order in ((False, [3, 1, 0, 2]), (True, [2, 0, 1, 3])):
         npt.assert_array_equal(np.abs(eigen.vectors(4, top)), np.eye(4)[:, order])
     # two copies of one block: T splits between them
@@ -290,9 +296,10 @@ def test_split_tridiagonal_with_equal_values():
     x = rng.standard_normal((3, 3))
     block = symmetrize(x + x.T)
     a = scipy.linalg.block_diag(block, block)
-    eigen = projected_eigh(a, np.eye(6))
+    eigen, _ = kernel_split(a, np.eye(6), 0.5)
+    npt.assert_array_equal(eigen.pivots, np.arange(6))
     assert eigen.e[2] == 0.0 and np.all(eigen.e[[0, 1, 3, 4]] != 0.0)
-    npt.assert_array_equal(eigen.values, sym_eigh(a, vectors=False))
+    npt.assert_array_equal(eigen.values, sym_eigh(a))
     for top in (False, True):
         v = eigen.vectors(6, top)
         npt.assert_allclose(v.T @ v, np.eye(6), atol=1e-14)
@@ -305,7 +312,7 @@ def test_split_tridiagonal_with_equal_values():
 @pytest.mark.parametrize("n", [0, 1])
 def test_on_demand_solve_of_the_smallest_sizes(n):
     a, b = 3.0 * np.eye(n), 4.0 * np.eye(n)
-    for eigen in (definite_pencil_eigh(a, b, 1.0), projected_eigh(a, 0.5 * np.eye(n))):
+    for eigen in (definite_pencil_eigh(a, b, 1.0), kernel_split(a, b, 1.0)[0]):
         npt.assert_array_equal(eigen.values, [0.75] * n)
         for top in (False, True):
             npt.assert_array_equal(eigen.vectors(1, top), 0.5 * np.eye(n))
@@ -313,35 +320,73 @@ def test_on_demand_solve_of_the_smallest_sizes(n):
 
 
 def test_kernel_basis_diagonal():
-    split = psd_eigh(np.diag([0.0, 1.0, 2.0]))
-    assert split.k == 1
-    assert split.norm == 2.0
-    npt.assert_allclose(np.abs(split.vectors[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
+    # the pivots take the largest diagonal entry first; the zero one is
+    # deflated, and the pencil is solved on the other two coordinates
+    a, b = np.diag([5.0, 6.0, 7.0]), np.diag([0.0, 1.0, 2.0])
+    eigen, schur_min = kernel_split(a, b, 1e-10)
+    npt.assert_array_equal(eigen.pivots, [2, 1, 0])
+    assert schur_min == 0.0
+    npt.assert_allclose(eigen.values, [3.5, 6.0], rtol=1e-15)
+    x = eigen.vectors(2)
+    npt.assert_allclose(np.abs(x), [[0.0, 0.0], [0.0, 1.0], [2**-0.5, 0.0]], rtol=1e-15)
 
 
 def test_kernel_basis_full_rank():
-    split = psd_eigh(np.diag([1.0, 2.0]))
-    assert split.k == 0
-    assert split.vectors[:, : split.k].shape == (2, 0)
+    eigen, schur_min = kernel_split(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-10)
+    assert schur_min == np.inf and eigen.values.size == 2
+    # a zero matrix is its own kernel: nothing is solved, no vector exists
+    eigen, schur_min = kernel_split(np.eye(3), np.zeros((3, 3)), 1e-10)
+    assert schur_min == 0.0 and eigen.values.size == 0
+    assert eigen.vectors(2).shape == (3, 0)
 
 
 def test_kernel_basis_rejects_negative():
+    # the leading pivot 0.25 is definite and pstrf stops at -0.75 as at
+    # a kernel; only the Schur complement of the kept coordinate shows
+    # the negative eigenvalue
+    b = np.diag([0.25, -0.75])
+    _, _, rank, _ = scipy.linalg.lapack.dpstrf(b, tol=1e-10, lower=1)
+    assert rank == 1
+    eigen, schur_min = kernel_split(np.eye(2), b, 1e-10)
+    assert schur_min == -0.75 and eigen.values.size == 1
+    # zm_eigen rejects it: Q_1.5 = M2 - 3 M1 + 2.25 M0 = diag(0.25, -0.75)
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
     with pytest.raises(NegativeEigenvalueError):
-        psd_eigh(np.diag([-1.0, 1.0]))
+        zm_eigen(forms, 1.5)
+    # off the diagonal: the leading pivot 4 is definite, and its Schur
+    # complement 0.999 - 2 * 2 / 4 = -1e-3 lies below the smallest
+    # eigenvalue of b itself
+    b = np.array([[4.0, 2.0], [2.0, 0.999]])
+    eigen, schur_min = kernel_split(np.eye(2), b, 1e-10)
+    assert eigen.values.size == 1
+    npt.assert_allclose(schur_min, -1e-3, rtol=1e-12)
+    assert schur_min < scipy.linalg.eigh(b, eigvals_only=True)[0] < 0.0
 
 
 def test_kernel_split_complement_is_orthonormal():
     rng = np.random.default_rng(23)
-    # PSD with a 2-dimensional kernel
+    # b PSD with a 2-dimensional kernel, which also lies in the kernel of a
     w = rng.standard_normal((5, 3))
-    m = symmetrize(w @ w.T)
-    split = psd_eigh(m)
-    ker, rest = split.vectors[:, : split.k], split.vectors[:, split.k :]
-    assert ker.shape == (5, 2)
-    assert rest.shape == (5, 3)
-    q = np.hstack([ker, rest])
-    npt.assert_allclose(q.T @ q, np.eye(5), atol=1e-12)
-    assert np.max(np.abs(m @ ker)) < 1e-10 * np.linalg.norm(m, 2)
+    x = rng.standard_normal((3, 3))
+    b = symmetrize(w @ w.T)
+    a = symmetrize(w @ (x + x.T) @ w.T)
+    eigen, schur_min = kernel_split(a, b, 1e-10 * np.abs(b).sum(axis=1).max())
+    assert abs(schur_min) < 1e-13 * np.linalg.norm(b, 2)
+    kept, deflated = eigen.pivots[:3], eigen.pivots[3:]
+    assert deflated.size == 2
+    for top in (False, True):
+        v = eigen.vectors(3, top)
+        values = eigen.values[::-1] if top else eigen.values
+        # exactly zero on the deflated coordinates, b-orthonormal, and
+        # eigenvectors of the pencil
+        assert not v[deflated].any() and v[kept].all()
+        npt.assert_allclose(v.T @ b @ v, np.eye(3), atol=1e-12)
+        npt.assert_allclose(a @ v, b @ v * values, atol=1e-11)
+    # the values are those of the pencil deflated on the orthogonal
+    # complement of the kernel
+    c = scipy.linalg.eigh(b)[1][:, 2:]
+    want = scipy.linalg.eigh(c.T @ a @ c, c.T @ b @ c, eigvals_only=True)
+    npt.assert_allclose(eigen.values, want, rtol=1e-11)
 
 
 @settings(max_examples=60, deadline=None)

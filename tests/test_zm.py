@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,13 +38,7 @@ from eigenclose.forms import (
     shifted_linear,
     shifted_square,
 )
-from eigenclose.linalg import (
-    DEFAULT_TOL,
-    cholesky_spd,
-    psd_eigh,
-    sym_generalized_eigvals,
-    symmetrize,
-)
+from eigenclose.linalg import DEFAULT_TOL
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
@@ -300,25 +295,29 @@ def test_enclosure_dataclass_width_and_contains():
 
 
 def _reference_pencil(forms, t, tol=DEFAULT_TOL):
-    """Classified tau built from the public helpers, without the polish.
+    """Classified tau from ``scipy.linalg.eigh``, without the polish.
 
-    The kernel of Q_t is split off with :func:`psd_eigh` and the
-    deflated pencil is solved as a generalized problem, so this route
-    shares only the kernel split with ``zm_eigen``.
+    The eigendecomposition of the dense Q_t splits off its kernel, the
+    eigenvalues at or below ``tol * max(1, ||Q_t||_2)``, and the pencil
+    is solved on the orthogonal complement of the kernel: this oracle
+    shares no code with either solve route of ``zm_eigen``.
     """
-    qt = _on_pattern(forms, shifted_square(forms, t))
-    lt = np.asarray(forms.M1 - forms.M0.dtype.type(t) * forms.M0, dtype=float)
-    split = psd_eigh(qt, tol)
-    complement = split.vectors[:, split.k :]
-    tau = sym_generalized_eigvals(
-        symmetrize(complement.T @ lt @ complement),
-        cholesky_spd(symmetrize(complement.T @ qt @ complement), tol),
+    m0, m1, m2 = forms.M0, forms.M1, forms.M2
+    tt = m0.dtype.type(t)
+    qt = np.asarray(m2 - (2.0 * tt) * m1 + (tt * tt) * m0, dtype=float)
+    lt = np.asarray(m1 - tt * m0, dtype=float)
+    values, vectors = scipy.linalg.eigh(qt)
+    k = int(np.count_nonzero(values <= tol * max(1.0, np.abs(values).max())))
+    if k == forms.n:
+        return np.zeros(0), np.zeros(0), Signature(k, 0, 0, 0)
+    complement = vectors[:, k:]
+    tau = scipy.linalg.eigh(
+        complement.T @ lt @ complement, complement.T @ qt @ complement,
+        eigvals_only=True,
     )
     zero = tol * np.linalg.norm(lt, 2) / np.linalg.norm(qt, 2)
     minus, plus = tau[tau < -zero], tau[tau > zero][::-1]
-    census = Signature(
-        split.k, tau.size - minus.size - plus.size, minus.size, plus.size
-    )
+    census = Signature(k, tau.size - minus.size - plus.size, minus.size, plus.size)
     return minus, plus, census
 
 
@@ -361,18 +360,18 @@ def test_one_eigh_pencil_matches_reference_route(case):
 
 
 @pytest.fixture
-def eigh_route(monkeypatch):
-    """One entry per pencil solve that took the eigendecomposition route
-    (it starts with :func:`psd_eigh`) during the test; every other solve
-    took the Cholesky route."""
+def split_route(monkeypatch):
+    """One entry per pencil solve that took the kernel-split route (it
+    starts with :func:`~eigenclose.linalg.kernel_split`) during the test;
+    every other solve took the Cholesky route."""
     calls = []
-    real = enclosure_mod.psd_eigh
+    real = enclosure_mod.kernel_split
 
-    def counted(m, tol):
-        calls.append(tol)
-        return real(m, tol)
+    def counted(a, b, threshold):
+        calls.append(threshold)
+        return real(a, b, threshold)
 
-    monkeypatch.setattr(enclosure_mod, "psd_eigh", counted)
+    monkeypatch.setattr(enclosure_mod, "kernel_split", counted)
     return calls
 
 
@@ -380,15 +379,21 @@ def eigh_route(monkeypatch):
     "case",
     ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2", "deflating"],
 )
-def test_cholesky_route_matches_the_eigh_route(case, eigh_route, monkeypatch):
+def test_cholesky_route_matches_the_eigh_route(case, split_route, monkeypatch):
+    # the shifts solved as zm_eigen solves them, by the Cholesky route
+    # where it certifies, then by the kernel-split route forced on every
+    # shift, against the eigh oracle: one census and the same tau
     forms, shifts = _pencil_case(case)
     fast = [zm_eigen(forms, t) for t in shifts]
-    # only the shift that deflates a kernel needs the eigendecomposition
-    assert len(eigh_route) == (len(shifts) if case == "deflating" else 0)
+    # only the shift that deflates a kernel needs the kernel split
+    assert len(split_route) == (len(shifts) if case == "deflating" else 0)
     monkeypatch.setattr(enclosure_mod, "definite_pencil_eigh", lambda *args: None)
     for t, pencil in zip(shifts, fast):
         slow = zm_eigen(forms, t)
-        assert pencil.signature == slow.signature
+        minus, plus, census = _reference_pencil(forms, t)
+        assert pencil.signature == slow.signature == census
+        npt.assert_allclose(slow.tau_minus, minus, rtol=1e-12, atol=0.0)
+        npt.assert_allclose(slow.tau_plus, plus, rtol=1e-12, atol=0.0)
         npt.assert_allclose(pencil.tau_minus, slow.tau_minus, rtol=1e-12, atol=0.0)
         npt.assert_allclose(pencil.tau_plus, slow.tau_plus, rtol=1e-12, atol=0.0)
         # polished, the nearest tau agree to a few ulps; inside a cluster
@@ -405,16 +410,58 @@ def test_cholesky_route_matches_the_eigh_route(case, eigh_route, monkeypatch):
                     npt.assert_allclose(g, w, rtol=1e-13, atol=0.0)
 
 
-def test_uncertified_shifts_take_the_eigh_route(eigh_route, monkeypatch):
+def _deflating_case(case):
+    """Forms and a shift t at which Q_t has a kernel."""
+    if case == "two":  # README's 2 x 2 forms: e1 is an eigenvector at 1
+        return WORKED, 1.0
+    if case == "whole":  # Q_1 = 0: every trial vector is an eigenvector
+        return TrialForms(np.eye(2), np.eye(2), np.eye(2)), 1.0
+    model, order = case.split("-")
+    if model == "dirac1d":
+        return assemble_1d(uniform_mesh(8, jitter=0.3, seed=4), int(order)).forms, 0.0
+    # at order 2 the discrete gradients in ker M2 form a 32-dimensional kernel
+    return assemble_2d(structured_tri_mesh(4, 0.3, 0), int(order)).forms, 0.0
+
+
+@pytest.mark.parametrize(
+    "case", ["dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2", "two", "whole"]
+)
+def test_split_route_matches_the_eigh_oracle_where_q_t_has_a_kernel(case, split_route):
+    forms, t = _deflating_case(case)
+    minus, plus, census = _reference_pencil(forms, t)
+    assert census.n_inf == {"maxwell2d-2": 32, "whole": forms.n}.get(case, 1)
+    assert signature(forms, t) == census
+    assert len(split_route) == 1
+    if census.n_inf == forms.n:
+        with pytest.raises(DegenerateShiftError):
+            zm_eigen(forms, t)
+        return
+    pencil = zm_eigen(forms, t)
+    assert pencil.signature == census
+    # the vectors are Q_t-orthonormal and exactly zero where deflated
+    qt = _on_pattern(forms, shifted_square(forms, t))
+    deflated = pencil.eigen.pivots[forms.n - census.n_inf :]
+    for top in (False, True):
+        x = pencil.eigen.vectors(8, top)
+        assert not x[deflated].any()
+        npt.assert_allclose(x.T @ qt @ x, np.eye(x.shape[1]), atol=1e-9)
+    # the unpolished tau, but for those far below the largest
+    scale = np.abs(np.concatenate([minus, plus])).max()
+    for got, want in ((pencil.tau_minus, minus), (pencil.tau_plus, plus)):
+        large = np.abs(want) >= 1e-8 * scale
+        npt.assert_allclose(got[large], want[large], rtol=1e-11, atol=0.0)
+
+
+def test_uncertified_shifts_take_the_split_route(split_route, monkeypatch):
     # the whole matrices the solve decomposes at the pencil level: the
-    # exact 2-norms of the zero threshold, and the eigh route's
-    # projected L_t, which is never L_t itself
+    # exact 2-norms of the zero threshold and of the negative-eigenvalue
+    # check, and the kernel split's Schur complement, which is never L_t
     decomposed = []
     real = enclosure_mod.sym_eigh
 
-    def spy(a, vectors=True):
+    def spy(a):
         decomposed.append(np.array(a))
-        return real(a, vectors)
+        return real(a)
 
     monkeypatch.setattr(enclosure_mod, "sym_eigh", spy)
     deflating, (t,) = _pencil_case("deflating")
@@ -434,11 +481,11 @@ def test_uncertified_shifts_take_the_eigh_route(eigh_route, monkeypatch):
         (TrialForms(np.eye(2), np.diag([1.0, 2.5e-10]), np.eye(2)), 0.0,
          Signature(0, 0, 0, 2), False, False),
     ]
-    for forms, shift, census, eigh, exact in cases:
-        eigh_route.clear()
+    for forms, shift, census, split, exact in cases:
+        split_route.clear()
         decomposed.clear()
         assert zm_eigen(forms, shift).signature == census
-        assert len(eigh_route) == eigh
+        assert len(split_route) == split
         lt = _on_pattern(forms, shifted_linear(forms, shift))
         assert any(np.array_equal(a, lt) for a in decomposed) == exact
 
@@ -446,7 +493,7 @@ def test_uncertified_shifts_take_the_eigh_route(eigh_route, monkeypatch):
 @pytest.mark.parametrize(
     "case", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2"]
 )
-def test_cholesky_route_census_matches_the_ritz_inertia(case, eigh_route):
+def test_cholesky_route_census_matches_the_ritz_inertia(case, split_route):
     # eigenvector-free: Q_t is definite, so the pencil's inertia is that of
     # L_t = M1 - t M0, and with M0 definite that counts the Ritz values of
     # (M1, M0) on either side of t
@@ -454,7 +501,7 @@ def test_cholesky_route_census_matches_the_ritz_inertia(case, eigh_route):
     ritz = forms.ritz()
     for t in np.linspace(-2.9, 2.9, 12):
         census = zm_eigen(forms, t).signature
-        assert eigh_route == [] and census.n_inf == census.n_zero == 0
+        assert split_route == [] and census.n_inf == census.n_zero == 0
         assert census.n_minus == np.count_nonzero(ritz < t)
         assert census.n_plus == np.count_nonzero(ritz > t)
 
@@ -737,16 +784,16 @@ def test_pattern_products_match_dense_on_random_patterns(seed, n, k, density, dt
 
 def _deflating_large():
     """Forms of 70 trial vectors, the first an exact eigenvector at t = 0:
-    the shift deflates a kernel, so it takes the eigendecomposition route,
-    and each side keeps more than ``REFINE_COUNT`` tau."""
+    the shift deflates a kernel, so it takes the kernel-split route, and
+    each side keeps more than ``REFINE_COUNT`` tau."""
     lam = np.linspace(-3.0, 3.0, 81)
     rng = np.random.default_rng(5)
     w = np.hstack([np.eye(81)[:, [40]], rng.standard_normal((81, 69))])
     return operator_forms(np.diag(lam), w), 0.0
 
 
-@pytest.mark.parametrize("route", ["cholesky", "eigh"])
-def test_each_side_keeps_the_vectors_the_polish_can_read(route, eigh_route):
+@pytest.mark.parametrize("route", ["cholesky", "split"])
+def test_each_side_keeps_the_vectors_the_polish_can_read(route, split_route):
     if route == "cholesky":
         forms, t = assemble_1d(uniform_mesh(12, jitter=0.3, seed=4), 3).forms, 0.6
     else:
@@ -754,7 +801,7 @@ def test_each_side_keeps_the_vectors_the_polish_can_read(route, eigh_route):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
         pencil = zm_eigen(forms, t)
-    assert len(eigh_route) == (route == "eigh")
+    assert len(split_route) == (route == "split")
     assert min(pencil.tau_minus.size, pencil.tau_plus.size) > REFINE_COUNT
     qt = _on_pattern(forms, shifted_square(forms, t))
     lt = _on_pattern(forms, shifted_linear(forms, t))
