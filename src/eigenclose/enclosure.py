@@ -36,13 +36,7 @@ from .errors import (
     NonFiniteError,
 )
 from .forms import _on_pattern, shifted_linear, shifted_square
-from .linalg import (
-    TridiagonalEigen,
-    definite_pencil_eigh,
-    kernel_split,
-    sym_eigh,
-    sym_generalized_eigvals,
-)
+from .linalg import TridiagonalEigen, kernel_split, sym_eigh, sym_generalized_eigvals
 
 
 #: extended precision is worth using only if it genuinely beats double
@@ -83,14 +77,15 @@ class PencilEigen:
     ``eigen`` holds all the tau of the solve, ascending, and what their
     eigenvectors need (:class:`~eigenclose.linalg.TridiagonalEigen`): the
     tridiagonal reduction as two vectors and its reflectors, in one
-    (n - n_inf) square double array that also holds the Cholesky factor
-    of Q_t, plus on the kernel-split route an index of the n coordinates.
+    (n - n_inf) square double array that also holds the pivoted Cholesky
+    factor of Q_t, and the index of the n coordinates in pivot order, the
+    kept ones first.
     ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``) is the one way
     to read eigenvectors: the Q_t-orthonormal coefficient vectors, in the
     full trial basis and zero on the deflated coordinates, of the k
     nearest entries of ``tau_minus`` (``tau_plus``) in their order before
     any :meth:`polish`, which may re-sort near-ties.  The pencil's arrays
-    take 0.57 MB at n = 240 (dirac1d, order 3, 40 elements), 0.46 MB of
+    take 0.58 MB at n = 240 (dirac1d, order 3, 40 elements), 0.46 MB of
     it that square array, and 26.4 MB at n = 1775 (maxwell2d, order 1,
     nx = 24), 25.2 MB of it the array.  ``Qt_values`` and ``Lt_values``
     are the values of the shifted forms the pencil was solved at on
@@ -131,9 +126,9 @@ class PencilEigen:
         afresh, so near-ties re-sort as if all k were polished at once.
         An unpolished entry that ties the last polished one to roundoff
         stays behind it even when an ulp nearer.  The quotients are only
-        as good as the eigenvectors, so the polished tau of the two solve
-        routes of :func:`zm_eigen` may differ by a few ulps (more inside
-        a cluster of equal tau).  ``side`` is ``"left"`` for
+        as good as the eigenvectors, so two solves of one pencil that
+        differ in their roundoff may polish a tau a few ulps apart (more
+        inside a cluster of equal tau).  ``side`` is ``"left"`` for
         ``tau_minus``, ``"right"`` for ``tau_plus``.
         """
         _check_side(side)
@@ -281,41 +276,29 @@ def local_counting(forms, t, count=None):
 def zm_eigen(forms, t):
     """Solve and classify the pencil ``tau Q_t x = L_t x`` at shift t.
 
-    The pencil is solved by one of two routes, ``tol`` being the forms'
-    tolerance and u the double unit roundoff.
-
-    *Cholesky route*, taken wherever it can certify that nothing is
-    deflated.  A Cholesky factorization of ``Q_t - sigma I`` with
-    ``sigma = 2 max(tol, n u) max(1, ||Q_t||_inf)`` proves that Q_t has
-    no eigenvalue at or below ``tol * max(1, ||Q_t||_inf)``, so the
-    route below would deflate nothing and raise nothing: ``n_inf = 0``.
-    All tau then come from
-    :func:`~eigenclose.linalg.definite_pencil_eigh`: one tridiagonal
-    reduction of ``L^{-1} L_t L^{-T}``, L the Cholesky factor of Q_t, and
-    its eigenvalues, no eigenvector.
-
-    *Kernel-split route*, taken where that certificate fails: at shifts
-    where Q_t has an eigenvalue at or below sigma, among them every shift
-    that deflates a kernel.  A pivoted Cholesky factorization of Q_t
+    One pivoted Cholesky factorization of Q_t
     (:func:`~eigenclose.linalg.kernel_split`) stops at the first pivot at
-    or below ``tol * max(1, ||Q_t||_inf)``; the coordinates it did not
-    factor are deflated.  The kernel of Q_t lies, in exact arithmetic,
-    inside that of L_t too, so deflating it loses nothing, and the pencil
-    on the kept coordinates, solved as on the Cholesky route through the
-    pivoted factor, has the tau of every complement of the kernel.  Q_t,
-    a square, must have no eigenvalue below ``-tol * ||Q_t||_2``
+    or below ``tol * max(1, ||Q_t||_inf)``, ``tol`` the forms' tolerance;
+    the coordinates it did not factor are deflated (``n_inf``).  The
+    kernel of Q_t lies, in exact arithmetic, inside that of L_t too, so
+    deflating it loses nothing, and the pencil on the kept coordinates,
+    reduced through the pivoted factor, has the tau of every complement
+    of the kernel.  All tau come from one tridiagonal reduction of
+    ``L^{-1} L_t L^{-T}`` on those coordinates, L the factor, and its
+    eigenvalues, no eigenvector.  Where nothing is deflated the
+    factorization shows Q_t definite; where something is, Q_t, a
+    square, must have no eigenvalue below ``-tol * ||Q_t||_2``
     (``NegativeEigenvalueError``): the smallest eigenvalue of the Schur
     complement of the kept coordinates, at most that of Q_t, is checked.
 
-    Both routes count a tau as zero by one rule,
-    ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.  The threshold is first
-    bracketed by O(n^2) norm bounds, the largest column 2-norm below and
-    the largest absolute row sum above, the bracket widened by a factor
-    2 for roundoff.  Only when some ``|tau|`` falls inside the bracket
-    are the 2-norms computed, as largest absolute eigenvalues.
+    A tau counts as zero where ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.
+    The threshold is first bracketed by O(nnz) norm bounds, the largest
+    column 2-norm below and the largest absolute row sum above, the
+    bracket widened by a factor 2 for roundoff.  Only when some ``|tau|``
+    falls inside the bracket are the 2-norms computed, as largest
+    absolute eigenvalues.
 
-    Either way the pencil is solved in double precision, the unpolished
-    tau of the two routes agreeing to roundoff, and no eigenvector is
+    The pencil is solved in double precision, and no eigenvector is
     computed and nothing polished.  Callers polish only what they read
     (:meth:`PencilEigen.polish`), and only the vectors of the polished
     tau are computed, on demand: one side for :func:`zm_bounds_one_sided`
@@ -323,12 +306,15 @@ def zm_eigen(forms, t):
     seed, none for :func:`signature`.
 
     Q_t and L_t are evaluated on the forms' nonzero pattern only
-    (:func:`~eigenclose.forms.shifted_square`).  The pencil keeps those
-    values and the reduction its vectors are computed from (see
-    :class:`PencilEigen`).  Each call solves afresh and returns
-    a new, unshared pencil; the package's own callers share one solve
-    per shift through the forms' memo of their last solve.  The solve
-    does not warn: a deflated kernel shows in ``signature.n_inf``.
+    (:func:`~eigenclose.forms.shifted_square`); the one n by n array of
+    the solve is the dense Q_t the factorization overwrites, and the
+    pencil on the kept coordinates is written from the values of L_t.
+    The pencil keeps those values and the reduction its vectors are
+    computed from (see :class:`PencilEigen`).  Each call solves afresh
+    and returns a new, unshared pencil; the package's own callers share
+    one solve per shift through the forms' memo of their last solve.
+    The solve does not warn: a deflated kernel shows in
+    ``signature.n_inf``.
 
     Raises
     ------
@@ -343,16 +329,19 @@ def zm_eigen(forms, t):
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
         qt, lt = shifted_square(forms, t), shifted_linear(forms, t)
-        qt_d, lt_d = _on_pattern(forms, qt), _on_pattern(forms, lt)
-        # taken before the Cholesky route reduces lt_d in place
-        q_norm, l_norm = _norm2_bounds(qt_d), _norm2_bounds(lt_d)
-    floor = max(forms.tol, forms.n * np.finfo(float).eps / 2)
+        # the values LAPACK reads, rounded to double
+        qt_d, lt_d = qt.astype(float, copy=False), lt.astype(float, copy=False)
+        q_norm, l_norm = _norm2_bounds(forms, qt_d), _norm2_bounds(forms, lt_d)
     try:
-        # lt_d is symmetric: its transpose is L_t in F order
-        eigen = definite_pencil_eigh(lt_d.T, qt_d, 2.0 * floor * max(1.0, q_norm[1]))
+        eigen, schur_min = kernel_split(
+            lt_d, qt_d, forms.n, forms.pattern(), forms.tol * max(1.0, q_norm[1])
+        )
     except NonFiniteError:
         raise _overflow(t) from None
-    eigen = eigen or _split_route(forms, qt_d, lt_d, q_norm)
+    if schur_min < -forms.tol * q_norm[0]:
+        floor = forms.tol * _norm2(_on_pattern(forms, qt_d))
+        if schur_min < -floor:
+            raise NegativeEigenvalueError(schur_min, floor)
     tau = eigen.values
     n_inf = forms.n - tau.size
     if n_inf == forms.n:
@@ -360,7 +349,7 @@ def zm_eigen(forms, t):
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
 
-    zero = _zero_tau(forms, tau, q_norm, l_norm, qt_d, lt)
+    zero = _zero_tau(forms, tau, q_norm, l_norm, qt_d, lt_d)
     neg = (tau < 0.0) & ~zero
     pos = (tau > 0.0) & ~zero
     n_minus = int(np.count_nonzero(neg))
@@ -382,11 +371,13 @@ def _overflow(t):
     )
 
 
-def _norm2_bounds(a):
-    """``(lo, hi)`` with ``lo <= ||a||_2 <= hi`` for symmetric ``a``, in
-    O(n^2): the largest column 2-norm and the largest absolute row sum."""
-    lo = np.sqrt(np.einsum("ij,ij->j", a, a).max(initial=0.0))
-    return float(lo), float(np.abs(a).sum(axis=1).max(initial=0.0))
+def _norm2_bounds(forms, values):
+    """``(lo, hi)`` with ``lo <= ||a||_2 <= hi`` for the symmetric ``a``
+    holding the double ``values`` on the forms' pattern, in O(nnz): the
+    largest column 2-norm and the largest absolute row sum."""
+    rows, cols = forms.pattern()
+    lo = np.sqrt(np.bincount(cols, values * values, forms.n).max())
+    return float(lo), float(np.bincount(rows, np.abs(values), forms.n).max())
 
 
 def _norm2(a):
@@ -399,7 +390,7 @@ def _zero_tau(forms, tau, q_norm, l_norm, qt, lt):
     """The mask of the tau :func:`zm_eigen` counts as zero, from
     ``q_norm`` and ``l_norm``, ``(lo, hi)`` bounding ``||Q_t||_2`` and
     ``||L_t||_2`` (equal ends for a known norm).  The exact 2-norms
-    (:func:`_norm2`) of the double ``qt`` and of L_t, from its values
+    (:func:`_norm2`) of Q_t and L_t, from their double values ``qt`` and
     ``lt``, are computed only for a ``|tau|`` the bracket leaves open."""
     q_lo, q_hi = q_norm
     l_lo, l_hi = l_norm
@@ -407,23 +398,8 @@ def _zero_tau(forms, tau, q_norm, l_norm, qt, lt):
     below = 2.0 * size * q_hi < forms.tol * l_lo
     if np.all(below | (size * q_lo > 2.0 * forms.tol * l_hi)):
         return below
-    norm_q = q_lo if q_lo == q_hi else _norm2(qt)
+    norm_q = q_lo if q_lo == q_hi else _norm2(_on_pattern(forms, qt))
     return size <= forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q)
-
-
-def _split_route(forms, qt, lt, q_norm):
-    """:func:`zm_eigen`'s kernel-split route: the
-    :class:`~eigenclose.linalg.TridiagonalEigen` of the pencil on the
-    coordinates a pivoted Cholesky factorization of Q_t keeps, once the
-    Schur complement of the others shows no eigenvalue below
-    ``-tol * ||Q_t||_2``; ``q_norm`` bounds ``||Q_t||_2``, which is
-    computed only where the bounds leave the check open."""
-    eigen, schur_min = kernel_split(lt, qt, forms.tol * max(1.0, q_norm[1]))
-    if schur_min < -forms.tol * q_norm[0]:
-        floor = forms.tol * _norm2(qt)
-        if schur_min < -floor:
-            raise NegativeEigenvalueError(schur_min, floor)
-    return eigen
 
 
 def _pencil(forms, t):

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.blas
 
 from .errors import FormsFormatError, InconsistentFormsError
 from .linalg import (
     DEFAULT_TOL,
     _checked_potrf,
     check_symmetric,
-    sym_eigh,
+    schur_min,
     sym_generalized_eigvals,
     symmetrize,
 )
@@ -151,17 +150,15 @@ class TrialForms:
         if "schur_min" not in self._kept:
             m1, m2 = (_on_pattern(self, v) for v in self._values[1:])
             # M1 is symmetric, so its transpose is the F-ordered M1 trsm reads
-            x = scipy.linalg.blas.dtrsm(1.0, self._factor, m1.T, lower=1, overwrite_b=1)
-            m2 -= x.T @ x  # the Schur complement S
-            self._kept["schur_min"] = sym_eigh(symmetrize(m2))[0]
-        schur_min = self._kept["schur_min"]
+            self._kept["schur_min"] = schur_min(self._factor, m1.T, m2)
+        least = self._kept["schur_min"]
         floor = max(self.tol, self.n * np.finfo(float).eps / 2)
         rows, cols = self._pattern
         # M0 is definite, so the whole diagonal is on the pattern
-        if schur_min < -floor * max(float(np.max(self._values[2][rows == cols])), 0.0):
+        if least < -floor * max(float(np.max(self._values[2][rows == cols])), 0.0):
             raise InconsistentFormsError(
                 f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
-                f"eigenvalue {schur_min:.3e}; the input forms look corrupted"
+                f"eigenvalue {least:.3e}; the input forms look corrupted"
             )
         return self
 

@@ -14,19 +14,18 @@ one function per job, each a direct LAPACK call:
   symmetric-definite pencil, optionally just the smallest few, from the
   Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
   ``syevd`` or ``syevx``);
-* :func:`definite_pencil_eigh`, all the eigenvalues of a symmetric
-  pencil whose right-hand matrix is certified positive definite past a
-  margin by a Cholesky factorization of the shifted matrix (Sylvester's
-  law of inertia), or ``None`` where that certificate fails (LAPACK
-  ``potrf`` twice, ``sygst``, ``sytrd`` and ``sterf``);
-* :func:`kernel_split`, the same solve with the numerical kernel of a
-  semidefinite right-hand matrix split off by a pivoted Cholesky
-  factorization (LAPACK ``pstrf``), and the Schur complement that shows
-  an indefinite one; it serves the pencils :func:`definite_pencil_eigh`
-  cannot certify;
-* :class:`TridiagonalEigen`, what those two return: the values, and the
-  eigenvectors of chosen values on demand (LAPACK ``stein`` and
-  ``ormqr``, then BLAS ``trsm``).
+* :func:`kernel_split`, all the eigenvalues of a symmetric pencil whose
+  right-hand matrix is positive semidefinite, from one pivoted Cholesky
+  factorization of it (LAPACK ``pstrf``, then ``sygst``, ``sytrd`` and
+  ``sterf``): the factorization splits off its numerical kernel, and
+  where it deflates coordinates :func:`schur_min` shows an indefinite
+  one;
+* :func:`schur_min`, the smallest eigenvalue of a Schur complement from
+  the Cholesky factor of its leading block (BLAS ``trsm``, then
+  ``syevd``);
+* :class:`TridiagonalEigen`, what :func:`kernel_split` returns: the
+  values, and the eigenvectors of chosen values on demand (LAPACK
+  ``stein`` and ``ormqr``, then BLAS ``trsm``).
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -206,115 +205,99 @@ def sym_generalized_eigvals(a, factor, count=None):
     return values[:m]
 
 
-def definite_pencil_eigh(a, b, sigma):
-    """Eigenvalues of ``a x = lam b x`` once ``b`` is certified definite,
-    its eigenvectors on demand.
-
-    The certificate is a successful LAPACK ``potrf`` of ``b - sigma I``:
-    by Sylvester's law of inertia it proves that every eigenvalue of
-    ``b`` exceeds ``sigma``, up to the backward error of ``potrf``.  The
-    pencil is then reduced through the Cholesky factor ``L`` of ``b``:
-    ``sygst`` forms ``C = L^{-1} a L^{-T}`` and :func:`_reduce` gives its
-    eigenvalues, bit for bit those of ``sym_eigh(C)``.  A vector ``y`` of
-    C asked for later is back-transformed by BLAS ``trsm`` to
-    ``L^{-T} y``: the vectors are ``b``-orthonormal.
-
-    Returns a :class:`TridiagonalEigen`, or ``None`` when the
-    certificate fails.  Only the lower triangles are read, so ``a`` and
-    ``b`` must be exactly symmetric.  Where the certificate holds, a
-    double ``a`` that is not C-ordered is reduced in place, as by
-    :func:`sym_generalized_eigvals`, and holds the reduction.
-
-    Raises
-    ------
-    NonFiniteError
-        If ``a`` or ``b`` holds an inf or a NaN.
-    """
-    a, b = _finite_pair(a, b)
-    n = b.shape[0]
-    factor = b.copy(order="F")
-    factor[np.diag_indices(n)] -= sigma
-    _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        return None
-    # the certificate's buffer takes the factor of b; potrf and sygst read
-    # its lower triangle only
-    factor[...] = b
-    _, info = scipy.linalg.lapack.dpotrf(factor, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        return None
-    return _factored_eigh(a, factor, None)
-
-
-def kernel_split(a, b, threshold):
+def kernel_split(a, b, n, pattern, threshold):
     """Eigenvalues of ``a x = lam b x`` with the numerical kernel of the
     positive semidefinite ``b`` split off, its eigenvectors on demand;
     and the check that ``b`` is not indefinite.
 
+    ``a`` and ``b`` are n by n symmetric matrices given by their double
+    values on ``pattern``, the ``(rows, cols)`` of a symmetric pattern,
+    and +0 off it; only the lower triangles enter the factorizations.
     LAPACK ``pstrf`` factors ``b[keep, keep] = L11 L11'`` with diagonal
-    pivoting and stops at the first pivot at or below ``threshold``; the
-    coordinates ``rest`` it did not factor are deflated.  The pencil on
-    ``keep`` is reduced through ``L11`` as by :func:`definite_pencil_eigh`,
-    and its vectors, ``b``-orthonormal, are zero on ``rest``.  Where the
-    kernel of ``b`` lies in that of ``a``, every complement of the kernel
-    gives the same eigenvalues, those of the deflated pencil.
+    pivoting, in place in the one n by n array made here, and stops at
+    the first pivot at or below ``threshold``; the coordinates ``rest``
+    it did not factor are deflated.  Where none are, ``b`` is positive
+    definite up to the backward error of the factorization.  The pencil
+    on ``keep`` is written in pivot order from the values of ``a`` and
+    reduced through ``L11``: ``sygst`` forms ``C = L11^{-1} a L11^{-T}``
+    in place, and :func:`_reduce` gives its eigenvalues, bit for bit
+    those of ``sym_eigh(C)``.  Its vectors, ``b``-orthonormal, are zero
+    on ``rest``.  Where the kernel of ``b`` lies in that of ``a``, every
+    complement of the kernel gives the same eigenvalues, those of the
+    deflated pencil.
 
-    ``pstrf`` does not leave the Schur complement
-    ``S = b[rest, rest] - X' X``, ``X = L11^{-1} b[keep, rest]``, in its
-    trailing block, so BLAS ``trsm`` forms it.  By Haynsworth's inertia
-    additivity S has as many negative eigenvalues as ``b``, and its
-    smallest is at most that of ``b``.  Returns ``(eigen, schur_min)``:
-    the :class:`TridiagonalEigen` of the deflated pencil, with no value
-    where all of ``b`` is deflated, and the smallest eigenvalue of S,
-    ``inf`` where nothing is.  Only the lower triangles are read, so
-    ``a`` and ``b`` must be exactly symmetric.
+    ``pstrf`` does not leave the Schur complement of ``b[keep, keep]``
+    in its trailing block, so :func:`schur_min` forms it from the values
+    of ``b``.  By Haynsworth's inertia additivity it has as many negative
+    eigenvalues as ``b``, and its smallest is at most that of ``b``.
+    Returns ``(eigen, schur_min)``: the :class:`TridiagonalEigen` of the
+    deflated pencil, with no value where all of ``b`` is deflated, and
+    the smallest eigenvalue of the Schur complement, ``inf`` where
+    nothing is deflated.
 
     Raises
     ------
     NonFiniteError
         If ``a`` or ``b`` holds an inf or a NaN.
     """
-    a, b = _finite_pair(a, b)
-    factor, pivots, r, info = scipy.linalg.lapack.dpstrf(b, tol=threshold, lower=1)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteError("array must not contain infs or NaNs")
+    rows, cols = pattern
+    # b is symmetric: the transpose is b in F order, factored in place
+    factor, pivots, r, info = scipy.linalg.lapack.dpstrf(
+        _placed(b, rows, cols, (n, n)).T, tol=threshold, lower=1, overwrite_a=1
+    )
     if info < 0:
         raise ValueError(f"pstrf rejected argument {-info}")
     pivots = pivots.astype(np.intp) - 1
-    keep, rest = pivots[:r], pivots[r:]
+    # each coordinate's place in pivot order
+    place = np.empty(n, dtype=np.intp)
+    place[pivots] = np.arange(n)
+    i, j = place[rows], place[cols]
     factor = factor[:r, :r]
-    schur = b[np.ix_(rest, rest)]
-    if r and rest.size:
-        x = scipy.linalg.blas.dtrsm(1.0, factor, b[np.ix_(keep, rest)], lower=1)
-        schur -= x.T @ x
-    schur_min = sym_eigh(schur)[0] if rest.size else np.inf
+    if r == n:
+        kept, least = slice(None), np.inf
+    else:
+        kept = (i < r) & (j < r)
+        # the Schur complement's blocks: b[rest, keep], whose transpose is
+        # the F-ordered b[keep, rest], and b[rest, rest]
+        left, corner = (i >= r) & (j < r), (i >= r) & (j >= r)
+        b12 = _placed(b[left], i[left] - r, j[left], (n - r, r)).T
+        b22 = _placed(b[corner], i[corner] - r, j[corner] - r, (n - r, n - r))
+        least = schur_min(factor, b12, b22)
     # a[keep, keep] is symmetric: its F-ordered transpose is reduced in place
-    return _factored_eigh(a[np.ix_(keep, keep)].T, factor, pivots), schur_min
+    a11 = _placed(a[kept], i[kept], j[kept], (r, r)).T
+    if r:  # sygst's wrapper takes no empty matrix
+        a11, _ = scipy.linalg.lapack.dsygst(a11, factor, lower=1, overwrite_a=1)
+    eigen = _reduce(a11, pivots)
+    # the factor's transpose fills the triangle sytrd leaves unused
+    np.copyto(eigen.packed, factor.T, where=np.tri(r, dtype=bool).T)
+    return eigen, least
 
 
-def _finite_pair(a, b):
-    """``a`` and ``b`` as double arrays, both finite."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NonFiniteError("array must not contain infs or NaNs")
-    return a, b
+def schur_min(factor, b12, b22):
+    """The smallest eigenvalue of the Schur complement ``b22 - X' X``,
+    ``X = L^{-1} b12``, of the block ``L L'`` of a symmetric matrix, from
+    the lower Cholesky ``factor`` L of that block.
 
-
-def _factored_eigh(a, factor, pivots):
-    """The :class:`TridiagonalEigen` of ``a x = lam b x`` from the lower
-    Cholesky ``factor`` of ``b``, back-transformed onto ``pivots``.
-
-    ``sygst`` reduces the pencil to standard form, in place where ``a``
-    is not C-ordered, and :func:`_reduce` reduces that; the factor's
-    transpose fills the triangle ``sytrd`` leaves unused.
+    BLAS ``trsm`` forms X, in place where ``b12`` is F-ordered, and the
+    complement is formed in place of ``b22``, which must be exactly
+    symmetric.  NumPy forms ``X' X`` by BLAS ``syrk`` and mirrors its
+    triangle, so the complement is exactly symmetric too, and
+    :func:`sym_eigh` reads its lower triangle.
     """
-    n = factor.shape[0]
-    if n == 0:
-        return _reduce(np.zeros((0, 0)), pivots)
-    in_place = not a.flags.c_contiguous
-    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
-    eigen = _reduce(c, pivots)
-    np.copyto(eigen.packed, factor.T, where=np.tri(n, dtype=bool).T)
-    return eigen
+    x = scipy.linalg.blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
+    b22 -= x.T @ x
+    return sym_eigh(b22)[0]
+
+
+def _placed(values, i, j, shape):
+    """The double array of ``shape`` holding ``values`` at ``(i, j)`` and
+    +0 elsewhere."""
+    out = np.zeros(shape)
+    out[i, j] = values
+    return out
 
 
 def _reduce(c, pivots):
@@ -380,11 +363,10 @@ class TridiagonalEigen:
     ``reflectors`` the scalar factors of its Householder reflectors.
     ``packed`` is one n by n array holding those reflectors' vectors below
     its first subdiagonal and the transpose of the Cholesky factor of the
-    pencil's right-hand matrix on and above its diagonal.  ``pivots`` is
-    ``None`` where the pencil was solved on all coordinates
-    (:func:`definite_pencil_eigh`); otherwise it orders the coordinates of
-    the vectors, which may be more than n, and its first n are the ones
-    the pencil was solved on (:func:`kernel_split`).
+    pencil's right-hand matrix on and above its diagonal.  ``pivots``
+    orders the coordinates of the vectors, which may be more than n, and
+    its first n are the ones the pencil was solved on
+    (:func:`kernel_split`).
     """
 
     values: np.ndarray
@@ -393,7 +375,7 @@ class TridiagonalEigen:
     e: np.ndarray
     reflectors: np.ndarray
     packed: np.ndarray = field(repr=False)
-    pivots: object = field(default=None, repr=False)
+    pivots: np.ndarray = field(repr=False)
 
     def vectors(self, count, top=False):
         """Eigenvector columns of the ``count`` smallest values, ascending,
@@ -416,8 +398,7 @@ class TridiagonalEigen:
           whole: fewer than twice ``count`` vectors are computed.
 
         Vectors of close values are orthonormal in the metric of the
-        problem (``b`` of :func:`definite_pencil_eigh` and
-        :func:`kernel_split`).
+        problem (``b`` of :func:`kernel_split`).
 
         Raises
         ------
@@ -427,7 +408,7 @@ class TridiagonalEigen:
         n = self.d.size
         count = min(count, n)
         if count == 0:
-            return np.zeros((n if self.pivots is None else self.pivots.size, 0))
+            return np.zeros((self.pivots.size, 0))
         bounds = [0, 1]
         while bounds[-1] < count:
             bounds.append(min(2 * bounds[-1], n))
@@ -477,8 +458,6 @@ class TridiagonalEigen:
         # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
         # milliseconds on a 2 x 2 system when it runs threaded
         x = scipy.linalg.blas.dtrsm(1.0, self.packed, z, lower=0, overwrite_b=1)
-        if self.pivots is None:
-            return x
         out = np.zeros((self.pivots.size, x.shape[1]))
         out[self.pivots[: x.shape[0]]] = x
         return out

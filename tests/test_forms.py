@@ -170,17 +170,14 @@ def test_pattern_builders_give_the_dense_bits(model):
         # the pencil keeps no eigenvector, and one n by n matrix: the
         # packed reduction its eigenvectors are computed from.  Where Q_t
         # has a kernel (t = 0, Q_0 = M2) the reduction is of the deflated
-        # pencil, m by m, and an index of the n coordinates, the first m
-        # of them kept, places its vectors.  No other array of the pencil
-        # or its reduction is 2-D
+        # pencil, m by m.  An index of the n coordinates, the first m of
+        # them kept, places its vectors.  No other array of the pencil or
+        # its reduction is 2-D
         eigen, m = pencil.eigen, forms.n - pencil.signature.n_inf
         assert eigen.packed.shape == (m, m) and eigen.packed.dtype == np.float64
         kept = [eigen.packed]
-        if t == 0.0:
-            assert eigen.pivots.shape == (forms.n,) and m < forms.n
-            assert np.array_equal(np.sort(eigen.pivots), np.arange(forms.n))
-        else:
-            assert eigen.pivots is None and m == forms.n
+        assert eigen.pivots.shape == (forms.n,) and (m < forms.n) == (t == 0.0)
+        assert np.array_equal(np.sort(eigen.pivots), np.arange(forms.n))
         for owner in (pencil, eigen):
             for f in dataclasses.fields(owner):
                 value = getattr(owner, f.name)
@@ -214,7 +211,8 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
 
     pattern = bounds(forms)
     # the solve then reads the dense matrices of the file's entries,
-    # rounded to double, -0.0 included; each is built when its values are
+    # rounded to double, -0.0 included, as values on every entry; each
+    # is built when its values are
     dense = []
 
     def spy(which):
@@ -227,9 +225,15 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
 
         return built
 
+    def split(a, b, n, pattern, threshold):
+        qt, lt = dense.pop(0), dense.pop(0)
+        every = np.indices((n, n)).reshape(2, -1)
+        return real_split(lt.ravel(), qt.ravel(), n, tuple(every), threshold)
+
     for which in ("shifted_square", "shifted_linear"):
         monkeypatch.setattr(enclosure, which, spy(which))
-    monkeypatch.setattr(enclosure, "_on_pattern", lambda f, values: dense.pop(0))
+    real_split = enclosure.kernel_split
+    monkeypatch.setattr(enclosure, "kernel_split", split)
     assert len(pattern) == 2 and pattern == bounds(read_forms(path))
     assert dense == []
 

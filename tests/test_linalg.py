@@ -18,7 +18,6 @@ from eigenclose.forms import TrialForms, _on_pattern, shifted_linear, shifted_sq
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
-    definite_pencil_eigh,
     kernel_split,
     sym_eigh,
     sym_generalized_eigvals,
@@ -171,15 +170,26 @@ def test_generalized_eig_rejects_indefinite_b():
         sym_generalized_eigvals(a, cholesky_spd(b))
 
 
+def _split(a, b, threshold):
+    """:func:`kernel_split` of the dense symmetric ``a`` and ``b``, given
+    by their values on every entry."""
+    n = b.shape[0]
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    return kernel_split(a[rows, cols], b[rows, cols], n, (rows, cols), threshold)
+
+
 def test_definite_pencil_diagonal_oracle():
     a, b = np.diag([3.0, -1.0]), np.diag([4.0, 2.0])
-    eigen = definite_pencil_eigh(a, b, 0.1)
+    eigen, schur_min = _split(a, b, 0.1)
+    assert schur_min == np.inf
     npt.assert_allclose(eigen.values, [-0.5, 0.75], atol=1e-15)
     vectors = eigen.vectors(2)
     npt.assert_allclose(np.abs(vectors), [[0.0, 0.5], [2**-0.5, 0.0]], atol=1e-15)
     # the vectors of the largest values only, largest first
     npt.assert_allclose(np.abs(eigen.vectors(1, top=True)), [[0.5], [0.0]], atol=1e-15)
     assert eigen.vectors(0).shape == (2, 0)
+    with pytest.raises(NonFiniteError, match="infs or NaNs"):
+        _split(a, np.diag([1.0, np.nan]), 0.1)
 
 
 def _random_pencil(n, seed):
@@ -191,7 +201,7 @@ def _random_pencil(n, seed):
 
 def test_definite_pencil_matches_the_generalized_solve():
     a, b = _random_pencil(6, 23)
-    eigen = definite_pencil_eigh(a, b, 0.1)
+    eigen, _ = _split(a, b, 0.1)
     expected = scipy.linalg.eigh(a, b, eigvals_only=True)
     npt.assert_allclose(eigen.values, expected, rtol=1e-12)
     for top in (False, True):
@@ -202,20 +212,9 @@ def test_definite_pencil_matches_the_generalized_solve():
         npt.assert_allclose(a @ vectors, b @ vectors * values, atol=1e-11)
 
 
-def test_definite_pencil_needs_the_certificate():
-    # b's smallest eigenvalue 1e-3 must exceed sigma
-    a, b = np.eye(2), np.diag([1.0, 1e-3])
-    assert definite_pencil_eigh(a, b, 1e-2) is None
-    assert definite_pencil_eigh(a, b, 1e-3 * (1 + 1e-12)) is None
-    assert definite_pencil_eigh(a, b, 1e-4) is not None
-    assert definite_pencil_eigh(a, np.diag([1.0, -1.0]), 0.0) is None
-    with pytest.raises(NonFiniteError, match="infs or NaNs"):
-        definite_pencil_eigh(a, np.diag([1.0, np.nan]), 0.0)
-
-
 def _pencils():
     """Pencils ``(a, b)`` of the two models' shifted forms, ``(L_t, Q_t)``
-    at a shift the Cholesky route takes, and two random ones."""
+    at a shift where Q_t is definite, and two random ones."""
     out = [_random_pencil(n, seed) for n, seed in ((9, 1), (40, 2))]
     for forms, t in (
         (assemble_1d(uniform_mesh(40, jitter=0.3, seed=1), 3).forms, 0.7),
@@ -227,17 +226,22 @@ def _pencils():
     return out
 
 
+def _pivoted_reduction(a, b):
+    """``C = L^{-1} a[p, p] L^{-T}`` and the pivots p of the pivoted
+    Cholesky factorization ``b[p, p] = L L'`` of a definite ``b``, by
+    LAPACK out of place."""
+    factor, pivots, rank, _ = scipy.linalg.lapack.dpstrf(b, tol=0.0, lower=1)
+    pivots = pivots - 1
+    assert rank == b.shape[0]
+    c, _ = scipy.linalg.lapack.dsygst(a[np.ix_(pivots, pivots)], factor, lower=1)
+    return c, pivots
+
+
 def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
     for a, b in _pencils():
-        c, _ = scipy.linalg.lapack.dsygst(a, cholesky_spd(b), lower=1)
-        values = definite_pencil_eigh(a, b, 0.0).values
-        npt.assert_array_equal(values, sym_eigh(c))
         # b is definite: the pivoted factor keeps every coordinate
-        factor, pivots, rank, _ = scipy.linalg.lapack.dpstrf(b, tol=0.0, lower=1)
-        pivots = pivots - 1
-        assert rank == b.shape[0]
-        c, _ = scipy.linalg.lapack.dsygst(a[np.ix_(pivots, pivots)], factor, lower=1)
-        eigen, _ = kernel_split(a, b, 0.0)
+        c, pivots = _pivoted_reduction(a, b)
+        eigen, _ = _split(a, b, 0.0)
         npt.assert_array_equal(eigen.pivots, pivots)
         npt.assert_array_equal(eigen.values, sym_eigh(c))
 
@@ -245,16 +249,16 @@ def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
 def test_a_vector_does_not_depend_on_the_others_asked_for():
     for a, b in _pencils():
         n = a.shape[0]
-        for eigen in (definite_pencil_eigh(a, b, 0.0), kernel_split(a, b, 0.0)[0]):
-            for top in (False, True):
-                every = eigen.vectors(min(n, 32), top)
-                for k in range(every.shape[1]):
-                    npt.assert_array_equal(eigen.vectors(k + 1, top)[:, k], every[:, k])
+        eigen, _ = _split(a, b, 0.0)
+        for top in (False, True):
+            every = eigen.vectors(min(n, 32), top)
+            for k in range(every.shape[1]):
+                npt.assert_array_equal(eigen.vectors(k + 1, top)[:, k], every[:, k])
 
 
 def test_on_demand_vectors_are_accurate_and_orthonormal():
     for a, b in _pencils():
-        eigen = definite_pencil_eigh(a, b, 0.0)
+        eigen, _ = _split(a, b, 0.0)
         for top in (False, True):
             x = eigen.vectors(min(a.shape[0], 32), top)
             values = (eigen.values[::-1] if top else eigen.values)[: x.shape[1]]
@@ -264,28 +268,41 @@ def test_on_demand_vectors_are_accurate_and_orthonormal():
             npt.assert_allclose(x.T @ b @ x, np.eye(x.shape[1]), atol=1e-12)
 
 
-def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits():
+def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits(monkeypatch):
     for a, b in _pencils():
-        n, factor, kept = a.shape[0], cholesky_spd(b), a.copy()
-        eigen = definite_pencil_eigh(a, b, 0.0)
+        factor, kept = cholesky_spd(b), a.copy()
         for count in (None, 3):
             values = sym_generalized_eigvals(a, factor, count)
             work = np.asfortranarray(a)
             npt.assert_array_equal(sym_generalized_eigvals(work, factor, count), values)
             assert not np.array_equal(work, a)
         npt.assert_array_equal(a, kept)  # a C-ordered a is copied
-        work = np.asfortranarray(a)
-        in_place = definite_pencil_eigh(work, b, 0.0)
-        assert np.shares_memory(in_place.packed, work)
-        npt.assert_array_equal(in_place.values, eigen.values)
-        npt.assert_array_equal(in_place.vectors(min(n, 8)), eigen.vectors(min(n, 8)))
+    # kernel_split factors b and reduces a in place, in the arrays it
+    # writes them into, to the bits of the out-of-place reduction
+    in_place = []
+    for name in ("dpstrf", "dsygst"):
+        real = getattr(scipy.linalg.lapack, name)
+
+        def spy(x, *args, real=real, **kwargs):
+            out = real(x, *args, **kwargs)
+            in_place.append(np.shares_memory(out[0], x))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+    for a, b in _pencils():
+        c, _ = _pivoted_reduction(a, b)
+        in_place.clear()
+        eigen, _ = _split(a, b, 0.0)
+        assert in_place == [True, True]
+        npt.assert_array_equal(eigen.values, sym_eigh(c))
 
 
 def test_split_tridiagonal_with_equal_values():
     # diagonal: every subdiagonal entry of T is 0, and the value 2 is
     # double; each block is its own tridiagonal solve
     a, b = np.diag([2.0, 1.0, 2.0, -3.0]), np.eye(4)
-    eigen = definite_pencil_eigh(a, b, 0.5)
+    eigen, _ = _split(a, b, 0.5)
+    npt.assert_array_equal(eigen.pivots, np.arange(4))
     assert not eigen.e.any()
     npt.assert_array_equal(eigen.values, [-3.0, 1.0, 2.0, 2.0])
     npt.assert_array_equal(eigen.values, sym_eigh(a))
@@ -296,7 +313,7 @@ def test_split_tridiagonal_with_equal_values():
     x = rng.standard_normal((3, 3))
     block = symmetrize(x + x.T)
     a = scipy.linalg.block_diag(block, block)
-    eigen, _ = kernel_split(a, np.eye(6), 0.5)
+    eigen, _ = _split(a, np.eye(6), 0.5)
     npt.assert_array_equal(eigen.pivots, np.arange(6))
     assert eigen.e[2] == 0.0 and np.all(eigen.e[[0, 1, 3, 4]] != 0.0)
     npt.assert_array_equal(eigen.values, sym_eigh(a))
@@ -312,18 +329,18 @@ def test_split_tridiagonal_with_equal_values():
 @pytest.mark.parametrize("n", [0, 1])
 def test_on_demand_solve_of_the_smallest_sizes(n):
     a, b = 3.0 * np.eye(n), 4.0 * np.eye(n)
-    for eigen in (definite_pencil_eigh(a, b, 1.0), kernel_split(a, b, 1.0)[0]):
-        npt.assert_array_equal(eigen.values, [0.75] * n)
-        for top in (False, True):
-            npt.assert_array_equal(eigen.vectors(1, top), 0.5 * np.eye(n))
-            assert eigen.vectors(0, top).shape == (n, 0)
+    eigen, _ = _split(a, b, 1.0)
+    npt.assert_array_equal(eigen.values, [0.75] * n)
+    for top in (False, True):
+        npt.assert_array_equal(eigen.vectors(1, top), 0.5 * np.eye(n))
+        assert eigen.vectors(0, top).shape == (n, 0)
 
 
 def test_kernel_basis_diagonal():
     # the pivots take the largest diagonal entry first; the zero one is
     # deflated, and the pencil is solved on the other two coordinates
     a, b = np.diag([5.0, 6.0, 7.0]), np.diag([0.0, 1.0, 2.0])
-    eigen, schur_min = kernel_split(a, b, 1e-10)
+    eigen, schur_min = _split(a, b, 1e-10)
     npt.assert_array_equal(eigen.pivots, [2, 1, 0])
     assert schur_min == 0.0
     npt.assert_allclose(eigen.values, [3.5, 6.0], rtol=1e-15)
@@ -332,10 +349,10 @@ def test_kernel_basis_diagonal():
 
 
 def test_kernel_basis_full_rank():
-    eigen, schur_min = kernel_split(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-10)
+    eigen, schur_min = _split(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-10)
     assert schur_min == np.inf and eigen.values.size == 2
     # a zero matrix is its own kernel: nothing is solved, no vector exists
-    eigen, schur_min = kernel_split(np.eye(3), np.zeros((3, 3)), 1e-10)
+    eigen, schur_min = _split(np.eye(3), np.zeros((3, 3)), 1e-10)
     assert schur_min == 0.0 and eigen.values.size == 0
     assert eigen.vectors(2).shape == (3, 0)
 
@@ -347,7 +364,7 @@ def test_kernel_basis_rejects_negative():
     b = np.diag([0.25, -0.75])
     _, _, rank, _ = scipy.linalg.lapack.dpstrf(b, tol=1e-10, lower=1)
     assert rank == 1
-    eigen, schur_min = kernel_split(np.eye(2), b, 1e-10)
+    eigen, schur_min = _split(np.eye(2), b, 1e-10)
     assert schur_min == -0.75 and eigen.values.size == 1
     # zm_eigen rejects it: Q_1.5 = M2 - 3 M1 + 2.25 M0 = diag(0.25, -0.75)
     forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
@@ -357,7 +374,7 @@ def test_kernel_basis_rejects_negative():
     # complement 0.999 - 2 * 2 / 4 = -1e-3 lies below the smallest
     # eigenvalue of b itself
     b = np.array([[4.0, 2.0], [2.0, 0.999]])
-    eigen, schur_min = kernel_split(np.eye(2), b, 1e-10)
+    eigen, schur_min = _split(np.eye(2), b, 1e-10)
     assert eigen.values.size == 1
     npt.assert_allclose(schur_min, -1e-3, rtol=1e-12)
     assert schur_min < scipy.linalg.eigh(b, eigvals_only=True)[0] < 0.0
@@ -370,7 +387,7 @@ def test_kernel_split_complement_is_orthonormal():
     x = rng.standard_normal((3, 3))
     b = symmetrize(w @ w.T)
     a = symmetrize(w @ (x + x.T) @ w.T)
-    eigen, schur_min = kernel_split(a, b, 1e-10 * np.abs(b).sum(axis=1).max())
+    eigen, schur_min = _split(a, b, 1e-10 * np.abs(b).sum(axis=1).max())
     assert abs(schur_min) < 1e-13 * np.linalg.norm(b, 2)
     kept, deflated = eigen.pivots[:3], eigen.pivots[3:]
     assert deflated.size == 2

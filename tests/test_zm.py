@@ -361,15 +361,15 @@ def test_one_eigh_pencil_matches_reference_route(case):
 
 @pytest.fixture
 def split_route(monkeypatch):
-    """One entry per pencil solve that took the kernel-split route (it
-    starts with :func:`~eigenclose.linalg.kernel_split`) during the test;
-    every other solve took the Cholesky route."""
+    """One entry per pivoted Cholesky factorization of Q_t
+    (:func:`~eigenclose.linalg.kernel_split`) a pencil solve ran during
+    the test."""
     calls = []
     real = enclosure_mod.kernel_split
 
-    def counted(a, b, threshold):
+    def counted(a, b, n, pattern, threshold):
         calls.append(threshold)
-        return real(a, b, threshold)
+        return real(a, b, n, pattern, threshold)
 
     monkeypatch.setattr(enclosure_mod, "kernel_split", counted)
     return calls
@@ -379,35 +379,20 @@ def split_route(monkeypatch):
     "case",
     ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2", "deflating"],
 )
-def test_cholesky_route_matches_the_eigh_route(case, split_route, monkeypatch):
-    # the shifts solved as zm_eigen solves them, by the Cholesky route
-    # where it certifies, then by the kernel-split route forced on every
-    # shift, against the eigh oracle: one census and the same tau
+def test_cholesky_route_matches_the_eigh_route(case, split_route):
+    # every shift solved as zm_eigen solves it, by one pivoted Cholesky
+    # factorization of Q_t, against the eigh oracle: one census and the
+    # same tau, unpolished and polished
     forms, shifts = _pencil_case(case)
-    fast = [zm_eigen(forms, t) for t in shifts]
-    # only the shift that deflates a kernel needs the kernel split
-    assert len(split_route) == (len(shifts) if case == "deflating" else 0)
-    monkeypatch.setattr(enclosure_mod, "definite_pencil_eigh", lambda *args: None)
-    for t, pencil in zip(shifts, fast):
-        slow = zm_eigen(forms, t)
+    for t in shifts:
+        pencil = zm_eigen(forms, t)
         minus, plus, census = _reference_pencil(forms, t)
-        assert pencil.signature == slow.signature == census
-        npt.assert_allclose(slow.tau_minus, minus, rtol=1e-12, atol=0.0)
-        npt.assert_allclose(slow.tau_plus, plus, rtol=1e-12, atol=0.0)
-        npt.assert_allclose(pencil.tau_minus, slow.tau_minus, rtol=1e-12, atol=0.0)
-        npt.assert_allclose(pencil.tau_plus, slow.tau_plus, rtol=1e-12, atol=0.0)
-        # polished, the nearest tau agree to a few ulps; inside a cluster
-        # of equal tau (maxwell2d's discrete gradient kernel at order 2)
-        # each route polishes its own basis of the cluster, which agrees
-        # only to the cluster's roundoff spread
-        for side in ("left", "right"):
-            got, want = pencil.polish(side, 3)[:3], slow.polish(side, 3)[:3]
-            tau = slow.polish(side)
-            for g, w in zip(got, want):
-                if np.count_nonzero(np.abs(tau - w) <= 1e-10 * abs(w)) == 1:
-                    npt.assert_array_max_ulp(g, w, maxulp=4)
-                else:
-                    npt.assert_allclose(g, w, rtol=1e-13, atol=0.0)
+        assert pencil.signature == census
+        for side, want in (("left", minus), ("right", plus)):
+            tau = pencil.tau_minus if side == "left" else pencil.tau_plus
+            npt.assert_allclose(tau, want, rtol=1e-12, atol=0.0)
+            npt.assert_allclose(pencil.polish(side, 3)[:3], want[:3], rtol=1e-12, atol=0.0)
+    assert len(split_route) == len(shifts)
 
 
 def _deflating_case(case):
@@ -455,7 +440,8 @@ def test_split_route_matches_the_eigh_oracle_where_q_t_has_a_kernel(case, split_
 def test_uncertified_shifts_take_the_split_route(split_route, monkeypatch):
     # the whole matrices the solve decomposes at the pencil level: the
     # exact 2-norms of the zero threshold and of the negative-eigenvalue
-    # check, and the kernel split's Schur complement, which is never L_t
+    # check (the kernel split's Schur complement goes through linalg's
+    # own binding, and is never L_t)
     decomposed = []
     real = enclosure_mod.sym_eigh
 
@@ -468,26 +454,45 @@ def test_uncertified_shifts_take_the_split_route(split_route, monkeypatch):
     cases = [
         # Q_1 has a kernel, which is deflated; no |tau| lies near the zero
         # threshold, so L_t's norm is not computed
-        (deflating, t, Signature(1, 0, 0, 2), True, False),
-        # at tol 1e-16, Q_t's eigenvalue 1e-14 is too small for the
-        # Cholesky certificate, though nothing is deflated
-        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2), True, False),
+        (deflating, t, Signature(1, 0, 0, 2), False),
+        # at tol 1e-16, Q_t's eigenvalue 1e-14 lies above the pivot
+        # threshold: nothing is deflated
+        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2), False),
         # tau = 1.5e-10 lies inside the bracket [0.5e-10, 2e-10] of the
-        # zero threshold 1e-10: the Cholesky route computes the exact
-        # threshold, which counts it positive
+        # zero threshold 1e-10: the solve computes the exact threshold,
+        # which counts it positive
         (TrialForms(np.eye(2), np.diag([1.0, 1.5e-10]), np.eye(2)), 0.0,
-         Signature(0, 0, 0, 2), False, True),
+         Signature(0, 0, 0, 2), True),
         # just outside the bracket the norm bounds settle the census
         (TrialForms(np.eye(2), np.diag([1.0, 2.5e-10]), np.eye(2)), 0.0,
-         Signature(0, 0, 0, 2), False, False),
+         Signature(0, 0, 0, 2), False),
     ]
-    for forms, shift, census, split, exact in cases:
+    for forms, shift, census, exact in cases:
         split_route.clear()
         decomposed.clear()
         assert zm_eigen(forms, shift).signature == census
-        assert len(split_route) == split
+        assert len(split_route) == 1
         lt = _on_pattern(forms, shifted_linear(forms, shift))
         assert any(np.array_equal(a, lt) for a in decomposed) == exact
+
+
+def test_each_shift_is_factored_once(monkeypatch):
+    # one pivoted Cholesky factorization of Q_t per solve and no other,
+    # on a shift that deflates a kernel and on a full-rank one
+    forms, (t,) = _pencil_case("deflating")
+    calls = []
+    for name in ("dpstrf", "dpotrf"):
+        real = getattr(scipy.linalg.lapack, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+    for shift, n_inf in ((t, 1), (t + 0.5, 0)):
+        calls.clear()
+        assert zm_eigen(forms, shift).signature.n_inf == n_inf
+        assert calls == ["dpstrf"]
 
 
 @pytest.mark.parametrize(
@@ -500,8 +505,9 @@ def test_cholesky_route_census_matches_the_ritz_inertia(case, split_route):
     forms, _ = _pencil_case(case)
     ritz = forms.ritz()
     for t in np.linspace(-2.9, 2.9, 12):
+        split_route.clear()
         census = zm_eigen(forms, t).signature
-        assert split_route == [] and census.n_inf == census.n_zero == 0
+        assert len(split_route) == 1 and census.n_inf == census.n_zero == 0
         assert census.n_minus == np.count_nonzero(ritz < t)
         assert census.n_plus == np.count_nonzero(ritz > t)
 
@@ -784,8 +790,8 @@ def test_pattern_products_match_dense_on_random_patterns(seed, n, k, density, dt
 
 def _deflating_large():
     """Forms of 70 trial vectors, the first an exact eigenvector at t = 0:
-    the shift deflates a kernel, so it takes the kernel-split route, and
-    each side keeps more than ``REFINE_COUNT`` tau."""
+    the pivoted factorization of Q_0 deflates a kernel, and each side
+    keeps more than ``REFINE_COUNT`` tau."""
     lam = np.linspace(-3.0, 3.0, 81)
     rng = np.random.default_rng(5)
     w = np.hstack([np.eye(81)[:, [40]], rng.standard_normal((81, 69))])
@@ -801,7 +807,8 @@ def test_each_side_keeps_the_vectors_the_polish_can_read(route, split_route):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeflationWarning)
         pencil = zm_eigen(forms, t)
-    assert len(split_route) == (route == "split")
+    assert len(split_route) == 1
+    assert pencil.signature.n_inf == (route == "split")
     assert min(pencil.tau_minus.size, pencil.tau_plus.size) > REFINE_COUNT
     qt = _on_pattern(forms, shifted_square(forms, t))
     lt = _on_pattern(forms, shifted_linear(forms, t))
