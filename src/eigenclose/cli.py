@@ -46,6 +46,7 @@ that the shifted forms overflow double.
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import sys
@@ -624,7 +625,10 @@ COMMANDS = {
 # entry point
 
 
+@functools.cache
 def build_parser():
+    """The one parser of every command, built once per process: parsing
+    leaves it as it was, and each ``append`` flag starts a new list."""
     parser = argparse.ArgumentParser(
         prog="eigenclose",
         description="Certified eigenvalue enclosures: experiment harness.",

@@ -18,33 +18,49 @@ nonincreasing in alpha, so one evaluation gives its sign on a whole
 half-line.  Each root keeps one record of known signs, the largest
 alpha evaluated with residual > 0 and the smallest evaluated with
 residual <= 0; every evaluation updates it, and the search evaluates
-the counting function only at an alpha between the two.
+the residual only at an alpha between the two.
 
-The pencil fills that record first.  Its prediction
+An evaluation that needs only the sign does not solve for F_j.  The
+residual at s = t -/+ alpha is <= 0 exactly where the pencil
+``(Q_s, M0)`` has at least j eigenvalues <= alpha**2, and by
+Sylvester's law of inertia that is where ``Q_s - alpha**2 M0`` has at
+least j eigenvalues <= 0: one LDL' factorization counts them
+(:func:`~eigenclose.linalg.count_nonpositive`), at about a third of the
+cost of the eigensolve of :func:`local_counting` at n = 40.  The count
+is the sign only where every Q_s is positive semidefinite, so it is
+used only for forms that pass the exact consistency test of
+:meth:`TrialForms.validate`; inconsistent forms solve for F_j at every
+point, and so raise wherever one shows an indefinite Q_s.  F_j is
+solved where its value is read: at the root's certified end s_hat.
+Where it contradicts the counted sign there (the two rules round a
+residual within rounding of 0 differently), the root is searched again
+with eigensolve signs only.
+
+The pencil fills the record first.  Its prediction
 ``alpha* = 1/(2 |tau_j|)`` of the root's distance from t gives the
 final bracket ``[lo*, hi*]`` the search would end in if the root were
 alpha*: the search's own expansion and bisection, run once with the
-test ``alpha >= alpha*`` in place of a counting evaluation.  Checking
-the residual at lo* and then at hi* fills the record.  Where the residual is
-positive at lo* and <= 0 at hi*, every point the search visits lies at
-or below lo* or at or above hi*: the search retraces the dry run
-without a further evaluation, and the counting value at the root's
-certified end hi* is the one already computed.  A root then costs 3
-evaluations (the residual at t, lo* and hi*) on the same path to the
-same root as without the prediction wherever the computed residual's
-signs are monotone; where rounding makes it change sign more than once
-(a residual flat to rounding), the two searches may end at different
-sign changes, each a certified root.  A bracket the counting function
-does not confirm still narrows the search by the signs found at its
-ends, for at most those two evaluations more than without it.  A
-prediction beyond the search's reach, a pencil that fails or has too
-few values, or forms that fail the exact consistency test of
-:meth:`TrialForms.validate` leave the search unseeded.  The pencil is
-solved once per shift per forms (the forms keep their last solve, so
-both sides of an audit and every index share it), and a call polishes
-only the first j (``j_max`` for :func:`dp_bounds`) tau of the root's
-side, the ones it reads.  The forms keep the last F_j(t) too, so the
-second side of an audit at (t, j) costs 2 solves where the first costs 3.
+test ``alpha >= alpha*`` in place of an evaluation.  Counting the sign
+at lo* and then solving for F_j at hi* fills the record.  Where the
+residual is positive at lo* and <= 0 at hi*, every point the search
+visits lies at or below lo* or at or above hi*: the search retraces the
+dry run without a further evaluation, and the counting value at the
+root's certified end hi* is the one already computed.  A root then
+evaluates 3 shifts (the sign at t and at lo* counted, F_j at hi*
+solved) on the same path to the same root as without the prediction
+wherever the computed residual's signs are monotone; where rounding
+makes it change sign more than once (a residual flat to rounding), the
+two searches may end at different sign changes, each a certified root.
+A bracket the residual does not confirm still narrows the search by the
+signs found at its ends, for at most those two evaluations more than
+without it.  A prediction beyond the search's reach, a pencil that
+fails or has too few values, or inconsistent forms leave the search
+unseeded.  The pencil is solved once per shift per forms (the forms
+keep their last solve, so both sides of an audit and every index share
+it), and a call polishes only the first j (``j_max`` for
+:func:`dp_bounds`) tau of the root's side, the ones it reads.  The
+forms keep the last sign at (t, j) too, so the second side of an audit
+at (t, j) evaluates 2 shifts where the first evaluates 3.
 """
 
 import functools
@@ -54,12 +70,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enclosure import _check_side, _pencil, local_counting
+from .enclosure import _check_side, _overflow, _pencil, local_counting
 from .errors import (
     EigencloseError,
     MaxIterationsError,
     NoSignChangeError,
+    NonFiniteError,
 )
+from .forms import shifted_square
+from .linalg import count_nonpositive
 
 logger = logging.getLogger(__name__)
 
@@ -77,13 +96,15 @@ class FixedPointResult:
     ``s_hat`` is the certified endpoint of the final bracket (the root
     nearest t on the certified side), ``f_at_root`` the counting value
     there; ``|f_at_root - |t - s_hat||`` does not exceed the fixed-point
-    tolerance used.  ``iterations`` counts the counting-function solves
-    the root made, each at a distinct shift: 3 for a root whose
-    predicted bracket the counting function confirms (the residual at t
-    and at both ends), 1 for a captured shift, and otherwise at most
-    the unseeded search's count plus the two that checked the
-    prediction, wherever the computed residual's signs are monotone;
-    one less where F_j(t) came from the forms (see :func:`_root`).
+    tolerance used.  ``iterations`` counts the shifts at which the root
+    evaluated the residual, by an inertia count or an eigensolve (s_hat
+    counts once where it had both): 3 for a root whose predicted bracket
+    the residual confirms (the residual at t and at both ends), 1 for a
+    captured shift, and otherwise at most the unseeded search's count
+    plus the two that checked the prediction, wherever the computed
+    residual's signs are monotone; one less where the sign at t came
+    from the forms (see :func:`_root`).  A root searched again with
+    eigensolve signs counts that search only.
     ``tau`` is the pencil eigenvalue tau_j offered as the seed, None
     when none was drawn (a captured shift or inconsistent forms), the
     pencil had none, or the counting function contradicted it at the
@@ -125,14 +146,10 @@ def default_fp_tol(forms, t):
 
 def _seed_taus(forms, t, side, count):
     """Pencil eigenvalues on ``side`` of t, nearest bound first, the
-    nearest ``count`` polished; None where the solve fails or the forms
-    fail :meth:`TrialForms.validate`.  A seed only decides where the
-    bisection looks, so its failure costs nothing but the evaluations it
-    would have saved.  Inconsistent forms get the unseeded search: it
-    evaluates F_j at every shift it visits, and so raises wherever one
-    of them shows an indefinite Q_s."""
+    nearest ``count`` polished; None where the solve fails.  A seed only
+    decides where the bisection looks, so its failure costs nothing but
+    the evaluations it would have saved."""
     try:
-        forms.validate()
         return _pencil(forms, t).polish(side, count)
     except (EigencloseError, ValueError, np.linalg.LinAlgError):
         return None
@@ -175,22 +192,34 @@ def optimal_shift(forms, t, j, side, fp_tol=None):
     )
 
 
-def _root(forms, t, j, side, fp_tol, seed):
+def _root(forms, t, j, side, fp_tol, seed, inertia=True):
     """:func:`optimal_shift` seeded by the pencil eigenvalues ``seed()``.
 
     ``seed`` is a function of no arguments returning the pencil
     eigenvalues on ``side``, nearest bound first, or None for no seed.
     It is called only after the argument and detectability checks, and
-    only when the shift is not captured.  Its ``tau_j`` predicts the
+    only when the shift is not captured and the signs are counted.  Its ``tau_j`` predicts the
     root's final bracket (see the module docstring); one helper runs the
     search, for that dry run and for the real search, which asks the
-    record of known signs first and evaluates the counting function only
-    where the record leaves the sign open.  The forms keep F_j(t), the
-    first value every root reads, for the last (t, j) (j is the
-    ``count``), and a root counts only the solves it makes.  Each root
-    logs one debug line: its side, index, solves, whether the predicted
-    bracket held and the final bracket width (a captured shift logs its
-    own line).
+    record of known signs first and evaluates the residual only where
+    the record leaves the sign open.
+
+    With ``inertia`` and forms that pass :meth:`TrialForms.validate`, a
+    sign whose F_j is not read comes from an inertia count
+    (:func:`_at_most`): the sign at t, at lo* and at every point of the
+    search.  F_j is solved (:func:`local_counting`) at hi*, the root's
+    end when the prediction holds, and at the final s_hat.  Where that
+    F_j contradicts the counted sign at s_hat, as at a rounding tie of
+    the two rules, the root falls back to the unseeded search with
+    eigensolve signs only, which reads every sign from F_j and so cannot
+    fall back again.  Inconsistent forms get eigensolve signs and no
+    seed: the search solves for F_j at every shift it visits, and so
+    raises wherever one of them shows an indefinite Q_s.  The forms keep the sign at t for the last (t, j) and
+    sign rule, and a root counts the shifts it evaluates, by either
+    rule.  Each root logs one debug line: its side, index, whether the
+    shift was captured or the predicted bracket held, its shifts,
+    inertia counts and eigensolves, and the final bracket width.  A root
+    that falls back logs the contradiction first.
     """
     _check_side(side)
     if not 1 <= j <= forms.n:
@@ -209,11 +238,11 @@ def _root(forms, t, j, side, fp_tol, seed):
     scale = _scale(theta, t)
     if fp_tol is None:
         fp_tol = FP_TOL_FACTOR * scale
+    inertia = inertia and _consistent(forms)
 
+    sign = -1.0 if side == "left" else 1.0
     values = {}  # F_j by shift, each solved once
-    if forms._kept.get("counting", (None,))[0] == (t, j):
-        values[t] = forms._kept["counting"][1]  # the last root at (t, j) solved it
-    reused = len(values)
+    counted = set()  # the shifts an inertia count decided
 
     def f_of(s):
         if s not in values:
@@ -224,31 +253,33 @@ def _root(forms, t, j, side, fp_tol, seed):
     # nonincreasing in alpha >= 0 (F_j is 1-Lipschitz): known[False] is the
     # largest alpha evaluated with residual > 0, known[True] the smallest
     # evaluated with residual <= 0.
-    sign = -1.0 if side == "left" else 1.0
     known = {False: -np.inf, True: np.inf}
 
-    def certified(alpha):
+    def certified(alpha, read=False):
         """Whether the residual at alpha is <= 0: from the record where
-        alpha lies outside it, else by an evaluation that narrows it."""
+        alpha lies outside it, else by an evaluation that narrows it,
+        from F_j where it is ``read`` or the signs are the eigensolve's
+        and by an inertia count otherwise."""
         if alpha <= known[False]:
             return False
         if alpha >= known[True]:
             return True
-        result = f_of(t + sign * alpha) - alpha <= 0.0
+        s = t + sign * alpha
+        if read or not inertia:
+            result = f_of(s) - alpha <= 0.0
+        else:
+            counted.add(s)
+            result = _at_most(forms, s, alpha, j)
         known[result] = alpha
         return result
 
-    forms._kept["counting"] = ((t, j), f_of(t))
-    if certified(0.0):
-        # the shift itself is (numerically) captured by the subspace
-        logger.debug(
-            "root side=%s j=%d: shift captured, %d evaluation%s",
-            side, j, 1 - reused, "s" * reused,
-        )
-        return FixedPointResult(
-            j=j, side=side, s_hat=t, f_at_root=f_of(t),
-            iterations=1 - reused, bracket_width=0.0,
-        )
+    key = (t, j, inertia)
+    if forms._kept.get("counting", (None,))[0] == key:
+        captured = forms._kept["counting"][1]  # the last root at (t, j) found it
+        known[captured] = 0.0
+    else:
+        captured = certified(0.0)
+        forms._kept["counting"] = (key, captured)
 
     def search(test):
         """Expansion, then bisection, on the sign test ``test(alpha)``,
@@ -284,40 +315,81 @@ def _root(forms, t, j, side, fp_tol, seed):
     # confirms the predicted bracket, the search retraces the dry run
     # without a further evaluation; where it does not, the search starts
     # from the signs found at lo* and hi*.
-    predicted = "not drawn"
-    taus = seed()
-    tau_j = float(taus[j - 1]) if taus is not None and taus.size >= j else None
-    if tau_j is not None:
-        alpha_star = 0.5 / abs(tau_j)
-        try:
-            # a root beyond the expansion's reach, or so far out that the
-            # bisection cannot resolve fp_tol there, gives no prediction
-            low, high = search(lambda alpha: alpha >= alpha_star)
-        except MaxIterationsError:
-            predicted = "unreachable"
-        else:
-            # lo* = 0 is known positive and hi* is known once lo* is not
-            held = [certified(low), certified(high)] == [False, True]
-            predicted = "held" if held else "missed"
-
-    lo, hi = search(certified)
+    outcome, tau_j, lo, hi = "shift captured", None, 0.0, 0.0
+    if not captured:
+        outcome = "predicted bracket not drawn"
+        taus = seed() if inertia else None
+        tau_j = float(taus[j - 1]) if taus is not None and taus.size >= j else None
+        if tau_j is not None:
+            alpha_star = 0.5 / abs(tau_j)
+            try:
+                # a root beyond the expansion's reach, or so far out that
+                # the bisection cannot resolve fp_tol there, gives no
+                # prediction
+                low, high = search(lambda alpha: alpha >= alpha_star)
+            except MaxIterationsError:
+                outcome = "predicted bracket unreachable"
+            else:
+                # lo* = 0 is known positive and hi* is known once lo* is
+                # not; F_j at hi* is the root's when the prediction holds
+                held = [certified(low), certified(high, read=True)] == [False, True]
+                outcome = "predicted bracket " + ("held" if held else "missed")
+        lo, hi = search(certified)
 
     s_hat = t + sign * hi  # certified endpoint, nearest t with residual <= 0
     f_at_root = f_of(s_hat)
     if f_at_root - hi > 0.0:
-        # a guard: the search ends on the record's evaluated end, so only
-        # a counting function that contradicts its own signs reaches this
-        return _root(forms, t, j, side, fp_tol, lambda: None)
-    solves = len(values) - reused
+        # F_j contradicts a counted sign at s_hat; with eigensolve signs
+        # only the search ends on an evaluated end, so only a counting
+        # function that contradicts its own signs falls back again
+        logger.debug(
+            "root side=%s j=%d: F_j(%r) - %r = %.3g contradicts the sign "
+            "found there, searching again with eigensolve signs",
+            side, j, float(s_hat), float(hi), f_at_root - hi,
+        )
+        return _root(forms, t, j, side, fp_tol, lambda: None, inertia=False)
+    shifts = len(counted | values.keys())
     logger.debug(
-        "root side=%s j=%d: %d evaluations, predicted bracket %s, "
-        "final bracket width %.3g",
-        side, j, solves, predicted, hi - lo,
+        "root side=%s j=%d: %s; shifts %d, inertia counts %d, "
+        "eigensolves %d; final bracket width %.3g",
+        side, j, outcome, shifts, len(counted), len(values), hi - lo,
     )
     return FixedPointResult(
         j=j, side=side, s_hat=s_hat, f_at_root=f_at_root,
-        iterations=solves, bracket_width=hi - lo, tau=tau_j,
+        iterations=shifts, bracket_width=hi - lo, tau=tau_j,
     )
+
+
+def _consistent(forms):
+    """Whether the forms pass :meth:`TrialForms.validate`, which makes
+    every Q_s positive semidefinite: only then is an inertia count the
+    sign of the residual."""
+    try:
+        forms.validate()
+    except (EigencloseError, ValueError, np.linalg.LinAlgError):
+        return False
+    return True
+
+
+def _at_most(forms, s, alpha, j):
+    """Whether F_j(s) <= alpha, alpha >= 0, by an inertia count: exactly
+    where the pencil (Q_s, M0) has at least j eigenvalues <= alpha**2,
+    which by Sylvester's law of inertia (M0 is definite) is where
+    ``Q_s - alpha**2 M0`` has at least j eigenvalues <= 0.  That matrix
+    is formed on the forms' pattern in their precision and counted in
+    double (:func:`~eigenclose.linalg.count_nonpositive`).  A shift whose
+    Q_s overflows raises ``NonFiniteError`` naming it, as
+    :func:`local_counting` does."""
+    m0 = forms._values[0]
+    aa = m0.dtype.type(alpha)
+    # an overflow is reported once, as the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = shifted_square(forms, s) - (aa * aa) * m0
+        values = values.astype(float, copy=False)
+    try:
+        return count_nonpositive(values, forms.n, forms.pattern()) >= j
+    except NonFiniteError:
+        raise _overflow(s) from None
 
 
 def dp_bounds(forms, t, j_max, side, fp_tol=None):

@@ -50,12 +50,12 @@ class TrialForms:
     check ``tol``, the mirrored entries' symmetry and M0's definiteness.
     They compute once what depends on no shift (M0's Cholesky factor, the
     Ritz values of (M1, M0), the consistency test) and keep their last
-    pencil solve and the last F_j(t) a fixed-point root solved at its
-    shift t, so callers reading one shift (the end two touching windows
-    share, both sides of a fixed-point audit) solve it once.  The caches
-    rely on the forms being immutable, so they are: the fields cannot be
-    assigned, and M0, M1, M2 are read-only dense arrays built on each
-    read.  Build new forms instead, e.g. with ``dataclasses.replace``.
+    pencil solve and the last sign of F_j(t) a fixed-point root found at
+    its shift t, so callers reading one shift (the end two touching
+    windows share, both sides of a fixed-point audit) evaluate it once.
+    The caches rely on the forms being immutable, so they are: the
+    fields cannot be assigned, and M0, M1, M2 are read-only dense arrays
+    built on each read.  Build new forms instead, e.g. with ``dataclasses.replace``.
     Forms compare equal only to themselves.
     """
 
@@ -97,7 +97,8 @@ class TrialForms:
             raise ValueError("the forms are not symmetric as stored")
         # frozen: the state is set in the instance dict.  "ritz",
         # "schur_min", the last "pencil" (t, PencilEigen) and the last
-        # "counting" ((t, j), F_j(t)) of a fixed-point root are _kept
+        # "counting" ((t, j, inertia), F_j(t) <= 0) of a fixed-point root
+        # are _kept
         state = vars(self)
         state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;

@@ -23,6 +23,9 @@ one function per job, each a direct LAPACK call:
 * :func:`schur_min`, the smallest eigenvalue of a Schur complement from
   the Cholesky factor of its leading block (BLAS ``trsm``, then
   ``syevd``);
+* :func:`count_nonpositive`, the number of eigenvalues <= 0 of a
+  symmetric matrix, its inertia from one Bunch-Kaufman factorization
+  (LAPACK ``sytrf``), no eigenvalue;
 * :class:`TridiagonalEigen`, what :func:`kernel_split` returns: the
   values, and the eigenvectors of chosen values on demand (LAPACK
   ``stein`` and ``ormqr``, then BLAS ``trsm``).
@@ -290,6 +293,43 @@ def schur_min(factor, b12, b22):
     x = scipy.linalg.blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
     b22 -= x.T @ x
     return sym_eigh(b22)[0]
+
+
+def count_nonpositive(a, n, pattern):
+    """The number of eigenvalues <= 0 of the n by n symmetric matrix
+    holding the double values ``a`` on ``pattern``, the ``(rows, cols)``
+    of a symmetric pattern, and +0 off it.
+
+    LAPACK ``sytrf`` factors it as ``P L D L' P'`` with diagonal
+    pivoting (Bunch-Kaufman) in the one n by n array made here, reading
+    its lower triangle; D is block diagonal with blocks of order 1 and
+    2, and by Sylvester's law of inertia it has as many eigenvalues
+    <= 0 as the matrix.  A block of order 1 counts where it is <= 0,
+    the exact zero pivot ``sytrf`` reports (``info > 0``) among them.  A
+    block ``[[p, q], [q, r]]`` of order 2 counts once: ``sytrf`` pivots
+    on one only where ``|p r| < alpha**2 q**2``, ``alpha**2`` about
+    0.41, so its determinant is negative and it has one eigenvalue of
+    each sign.
+
+    Raises
+    ------
+    NonFiniteError
+        If ``a`` holds an inf or a NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise NonFiniteError("array must not contain infs or NaNs")
+    rows, cols = pattern
+    # a is symmetric: the transpose is a in F order, factored in place
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(
+        _placed(a, rows, cols, (n, n)).T, lower=1, overwrite_a=1
+    )
+    if info < 0:
+        raise ValueError(f"sytrf rejected argument {-info}")
+    # a block of order 1 at k has ipiv[k] > 0, one of order 2 at (k, k + 1)
+    # has ipiv[k] = ipiv[k + 1] < 0
+    ones = np.count_nonzero(np.diagonal(ldu)[ipiv > 0] <= 0.0)
+    return int(ones + np.count_nonzero(ipiv < 0) // 2)
 
 
 def _placed(values, i, j, shape):

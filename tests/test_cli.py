@@ -760,6 +760,28 @@ def test_flag_and_config_file_parse_alike(key, tmp_path):
     assert from_flag == from_file != cli.ExperimentConfig()
 
 
+def test_repeated_main_calls_print_what_fresh_calls_print(tmp_path, capsys):
+    # the parser is built once per process: list flags given in one call
+    # must not leak into the next
+    path = worked_forms_path(tmp_path)
+    runs = [
+        ["equiv", "--model", path, "--shift", "1.5", "--shift", "2.5"],
+        ["equiv", "--model", path, "--shift", "0.5", "--jmax", "2"],
+        ["bounds", "--model", path, "--window", "0.5,1.5", "--window", "1.5,2.5"],
+        ["bounds", "--model", path, "--window", "0.5,2.5", "--jmax", "2"],
+    ]
+
+    def outputs(fresh):
+        printed = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            printed.append((main(argv), capsys.readouterr()))
+        return printed
+
+    assert outputs(fresh=False) == outputs(fresh=True)
+
+
 @pytest.mark.parametrize(
     "argv, code", [([], 2), (["bogus"], 2), (["equiv", "--help"], 0)]
 )

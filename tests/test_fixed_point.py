@@ -164,15 +164,21 @@ def _same_root(seeded, unseeded):
 
 
 def _record_shifts(monkeypatch):
-    """Make every counting evaluation of the fixed-point route log its shift."""
+    """Make every evaluation of the fixed-point route, an eigensolve or an
+    inertia count, log its shift."""
     shifts = []
-    real = fixed_point_mod.local_counting
+    real, real_count = fixed_point_mod.local_counting, fixed_point_mod._at_most
 
     def counting(forms, s, count):
         shifts.append(s)
         return real(forms, s, count)
 
+    def at_most(forms, s, alpha, j):
+        shifts.append(s)
+        return real_count(forms, s, alpha, j)
+
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
+    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
     return shifts
 
 
@@ -226,9 +232,9 @@ def test_wrong_seed_costs_evaluations_not_the_root(fresh):
 def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     # the pencil's alpha* misses the bracket of this root: the search goes
     # on from the signs found at lo* and hi* instead of starting over, to
-    # the unseeded root at 21 evaluations instead of 43
-    forms = assemble_2d(structured_tri_mesh(4, 0.25, 5), 1).forms
-    t, j, side = 1.4, 3, "right"
+    # the unseeded root at 27 evaluations instead of 46
+    forms = assemble_2d(structured_tri_mesh(4, 0.25, 6), 1).forms
+    t, j, side = 2.5, 3, "right"
     calls = _record_counting(monkeypatch)
     unseeded, seeded, seeded_calls, (lo, hi), _ = _both_searches(
         forms, t, j, side, calls, fresh
@@ -238,21 +244,47 @@ def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     assert not held
     assert _same_root(seeded, unseeded)
     assert seeded.iterations < unseeded.iterations
-    assert len(set(seeded_calls)) == len(seeded_calls) == seeded.iterations
+    # one evaluation per shift, but for s_hat: a count found its sign in
+    # the search and a solve its F_j at the end
+    shifts = [s for s, _ in seeded_calls]
+    assert len(set(shifts)) == len(shifts) - 1 == seeded.iterations
+    assert shifts[-1] == seeded.s_hat and shifts.count(seeded.s_hat) == 2
+
+
+class _Log(list):
+    """Evaluations of the fixed-point route, in order, as (shift, F_j);
+    ``fallbacks`` counts the roots that searched again with eigensolve
+    signs after F_j contradicted a counted sign."""
+
+    fallbacks = 0
 
 
 def _record_counting(monkeypatch):
-    """Make every counting evaluation of the fixed-point route log its
-    shift and F_j, in order, in a list."""
-    calls = []
-    real = fixed_point_mod.local_counting
+    """Make every evaluation of the fixed-point route log its shift and
+    F_j in a :class:`_Log`.  An inertia count logs the sign it found as
+    an F_j giving the residual that sign at any alpha: -inf where
+    F_j <= alpha, inf where not."""
+    calls = _Log()
+    real, real_count = fixed_point_mod.local_counting, fixed_point_mod._at_most
+    real_root = fixed_point_mod._root
 
     def counting(forms, s, count):
         values = real(forms, s, count)
         calls.append((s, float(values[count - 1])))
         return values
 
+    def at_most(forms, s, alpha, j):
+        result = real_count(forms, s, alpha, j)
+        calls.append((s, -np.inf if result else np.inf))
+        return result
+
+    def root(*args, **kwargs):
+        calls.fallbacks += kwargs.get("inertia") is False
+        return real_root(*args, **kwargs)
+
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
+    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
+    monkeypatch.setattr(fixed_point_mod, "_root", root)
     return calls
 
 
@@ -292,21 +324,25 @@ def _both_searches(forms, t, j, side, calls, fresh):
     seeded one on ``forms``, with what the search tests: the alphas of
     the unseeded path and of the predicted bracket (lo*, hi*; None
     without a prediction) that the seeded search checked, and the
-    residual's sign at each, from the F_j either search evaluated.
-    ``calls`` is the log of :func:`_record_counting`; the unseeded
-    search evaluates F_j(t), which the seeded one may take from the
-    forms' kept value."""
+    residual's sign at each, from the evaluations of either search
+    (None where either fell back to eigensolve signs: there the two
+    rules gave one shift different signs).  ``calls`` is the log of
+    :func:`_record_counting`; the unseeded search evaluates the sign at
+    t, which the seeded one may take from the forms' kept value."""
     sign = -1.0 if side == "left" else 1.0
+    fallbacks = calls.fallbacks
     unseeded = _unseeded(fresh(forms), t, j, side)
     seeded_from = len(calls)
     seeded = optimal_shift(forms, t, j, side)
+    if calls.fallbacks > fallbacks:
+        return unseeded, seeded, calls[seeded_from:], None, None
     f_at = dict(calls)
 
     def residual_positive(alpha):
         return f_at[t + sign * alpha] - alpha > 0.0
 
     if not residual_positive(0.0):  # a captured shift: neither search goes on
-        assert seeded == unseeded and len(calls) == 2
+        assert seeded == unseeded and {s for s, _ in calls} == {t}
         return unseeded, seeded, calls[seeded_from:], None, [False]
     lo, hi, path = _replay(forms, t, lambda alpha: not residual_positive(alpha))
     assert (t + sign * hi, hi - lo) == (unseeded.s_hat, unseeded.bracket_width)
@@ -377,10 +413,54 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
     assert fallbacks <= 2 and non_monotone <= 1
 
 
+def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
+    # at every point the seeded search counts, the inertia count gives
+    # the residual the sign F_j from an eigensolve gives it, but at ties:
+    # a residual below the fixed-point tolerance, which either rule may
+    # round to either sign (13 of 1171 points here, all below 0.04
+    # fp_tol: flat residuals of dirac1d r = 1 at t = 2.5, j = 3, and
+    # three maxwell2d points within 2e-14 of a sign change)
+    counted = []
+    real = fixed_point_mod._at_most
+
+    def at_most(forms, s, alpha, j):
+        result = real(forms, s, alpha, j)
+        counted.append((s, alpha, result))
+        return result
+
+    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
+    visited = 0
+    for seed in range(6):
+        models = [assemble_1d(uniform_mesh(6, jitter=0.3, seed=seed), r).forms
+                  for r in (1, 2, 3)]
+        models += [assemble_2d(structured_tri_mesh(4, 0.25, seed), r).forms
+                   for r in (1, 2)]
+        for forms in models:
+            for t in (-1.4, 0.6, 1.4, 2.5):
+                tie = default_fp_tol(forms, t)
+                for j in (1, 2, 3):
+                    for side in ("left", "right"):
+                        counted.clear()
+                        try:
+                            optimal_shift(forms, t, j, side)
+                        except NoSignChangeError:
+                            continue
+                        for s, alpha, result in counted:
+                            visited += 1
+                            f = enclosure_mod.local_counting(forms, s, j)[j - 1]
+                            residual = float(f) - alpha
+                            if abs(residual) > tie:
+                                assert result == (residual <= 0.0), (s, alpha, j)
+    assert visited > 1000
+
+
 def test_one_debug_line_per_root(caplog, fresh):
-    # each root reports its evaluations, the prediction's fate and the
-    # final bracket width, and nothing else is logged: neither the dry
-    # run that finds the predicted bracket nor the search
+    # each root reports the prediction's fate, the shifts it evaluated,
+    # inertia counts and eigensolves apart, and the final bracket width,
+    # and nothing else is logged: neither the dry run that finds the
+    # predicted bracket nor the search.  The unseeded search counts
+    # every sign and solves F_j once, at s_hat; a captured shift counts
+    # its sign and solves the F_j it returns
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     unseeded = _unseeded(fresh(forms), 1.4, 2, "right")
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
@@ -389,11 +469,14 @@ def test_one_debug_line_per_root(caplog, fresh):
     optimal_shift(fresh(WORKED), 2.0, 1, "left")
     messages = [record.getMessage() for record in caplog.records]
     width = f"final bracket width {unseeded.bracket_width:.3g}"
+    shifts = unseeded.iterations
     assert messages == [
-        f"root side=right j=2: 3 evaluations, predicted bracket held, {width}",
-        f"root side=right j=2: {unseeded.iterations} evaluations, "
-        f"predicted bracket not drawn, {width}",
-        "root side=left j=1: shift captured, 1 evaluation",
+        "root side=right j=2: predicted bracket held; shifts 3, "
+        f"inertia counts 2, eigensolves 1; {width}",
+        "root side=right j=2: predicted bracket not drawn; "
+        f"shifts {shifts}, inertia counts {shifts}, eigensolves 1; {width}",
+        "root side=left j=1: shift captured; shifts 1, inertia counts 1, "
+        "eigensolves 1; final bracket width 0",
     ]
 
 
@@ -426,7 +509,7 @@ def test_seeded_search_property(fresh, seed, jitter, t, j, side):
                 optimal_shift(forms, t, j, side)
             return
     assert seeded.iterations <= unseeded.iterations + 2
-    if _monotone(signs):
+    if signs is not None and _monotone(signs):
         assert _same_root(seeded, unseeded)
 
 
@@ -538,6 +621,23 @@ def test_inconsistent_forms_get_the_unseeded_search():
                     equivalence_gap(bad, t, j, side)
 
 
+def test_a_contradicted_count_searches_again_with_eigensolve_signs(
+    monkeypatch, caplog, fresh
+):
+    # a count that finds every residual <= 0 takes t as captured; F_j(t)
+    # contradicts it, and the root is the one eigensolve signs alone
+    # find, after one debug line that says so
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    alone = _root(fresh(forms), 1.4, 2, "right", None, lambda: None, inertia=False)
+    monkeypatch.setattr(fixed_point_mod, "_at_most", lambda *args: True)
+    caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
+    assert optimal_shift(forms, 1.4, 2, "right") == alone
+    contradiction, root = [record.getMessage() for record in caplog.records]
+    assert contradiction.startswith("root side=right j=2: F_j(1.4) - 0.0 = ")
+    assert contradiction.endswith("searching again with eigensolve signs")
+    assert f"inertia counts 0, eigensolves {alone.iterations}" in root
+
+
 def test_contradicted_final_sign_falls_back(monkeypatch):
     # the residual is <= 0 only just beyond the predicted root, not at
     # the predicted bracket's end hi* = 2: the prediction is refused, and
@@ -550,6 +650,10 @@ def test_contradicted_final_sign_falls_back(monkeypatch):
         # residual -1 at the window's upper end, +1 at every other shift
         return np.array([t - s + (-1.0 if s == s_high else 1.0)])
 
+    def at_most(forms, s, alpha, j):
+        return counting(forms, s, j)[0] <= alpha  # the count agrees
+
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
+    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
     with pytest.raises(MaxIterationsError):
         _root(WORKED, t, 1, "left", fp_tol, lambda: np.array([tau]))

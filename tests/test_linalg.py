@@ -18,6 +18,7 @@ from eigenclose.forms import TrialForms, _on_pattern, shifted_linear, shifted_sq
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
+    count_nonpositive,
     kernel_split,
     sym_eigh,
     sym_generalized_eigvals,
@@ -436,3 +437,69 @@ def test_generalized_eig_shift_identity(seed):
     base = sym_generalized_eigvals(a, factor)
     shifted = sym_generalized_eigvals(symmetrize(a + s * b), factor)
     npt.assert_allclose(shifted, base + s, rtol=1e-9, atol=1e-9)
+
+
+def _count(a):
+    """:func:`count_nonpositive` of a dense symmetric ``a``, given on its
+    nonzero pattern."""
+    rows, cols = np.nonzero(a)
+    return count_nonpositive(a[rows, cols], a.shape[0], (rows, cols))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_count_nonpositive_matches_the_eigenvalues(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 5, 8, 13, 40):
+        x = rng.standard_normal((n, n))
+        a = symmetrize(x + x.T)
+        assert _count(a) == np.count_nonzero(np.linalg.eigvalsh(a) <= 0.0)
+        # a prescribed inertia, every eigenvalue at least 0.1 from 0
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        a = symmetrize((q * values) @ q.T)
+        assert _count(a) == np.count_nonzero(values < 0.0)
+
+
+@pytest.mark.parametrize(
+    "a, count",
+    [
+        # zero diagonals force blocks of order 2, each with one eigenvalue
+        # of either sign
+        ([[0.0, 1.0], [1.0, 0.0]], 1),
+        ([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 3.0, 0.0]], 2),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -2.0]], 2),
+        ([[1e-300, 1e300], [1e300, 1e-300]], 1),  # no overflow in the test
+        # exactly singular: an exact zero pivot counts
+        ([[1.0, 1.0], [1.0, 1.0]], 1),
+        ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]], 2),
+        (np.zeros((3, 3)), 3),
+        # 1 by 1
+        ([[2.0]], 0),
+        ([[-2.0]], 1),
+        ([[0.0]], 1),
+    ],
+)
+def test_count_nonpositive_pivots_of_order_two_and_zero(a, count):
+    # the exact inertia: eigvalsh rounds the zero eigenvalues either way
+    assert _count(np.asarray(a)) == count
+
+
+def test_count_nonpositive_on_the_pattern_of_forms():
+    # Q_s - alpha^2 M0 on the forms' pattern: the count is that of the
+    # pencil (Q_s, M0) below alpha^2
+    forms = assemble_2d(structured_tri_mesh(4, jitter=0.25, seed=1), 2).forms
+    m0 = np.asarray(forms.M0, dtype=float)
+    for s, alpha in ((0.0, 0.0), (0.0, 0.7), (1.4, 0.3), (2.5, 1.0)):
+        values = shifted_square(forms, s) - alpha**2 * forms._values[0]
+        q = _on_pattern(forms, shifted_square(forms, s))
+        mu = scipy.linalg.eigvalsh(q, m0)
+        below = np.count_nonzero(mu <= alpha**2)
+        assert count_nonpositive(values, forms.n, forms.pattern()) == below
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_count_nonpositive_rejects_non_finite_input(bad):
+    a = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(NonFiniteError):
+        _count(a)
