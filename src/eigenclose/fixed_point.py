@@ -30,37 +30,39 @@ cost of the eigensolve of :func:`local_counting` at n = 40.  The count
 is the sign only where every Q_s is positive semidefinite, so it is
 used only for forms that pass the exact consistency test of
 :meth:`TrialForms.validate`; inconsistent forms solve for F_j at every
-point, and so raise wherever one shows an indefinite Q_s.  F_j is
-solved where its value is read: at the root's certified end s_hat.
-Where it contradicts the counted sign there (the two rules round a
-residual within rounding of 0 differently), the root is searched again
-with eigensolve signs only.
+point, and so raise wherever one shows an indefinite Q_s.  On
+consistent forms the count decides every sign of the search, and F_j
+is solved once, where its value is read: at the root's certified end
+s_hat.  Where it contradicts the counted sign there (the two rules
+round a residual within rounding of 0 differently), the search goes on
+beyond s_hat with eigensolve signs, from the sign F_j found there; it
+ends on a point whose F_j is <= its distance from t.
 
 The pencil fills the record first.  Its prediction
 ``alpha* = 1/(2 |tau_j|)`` of the root's distance from t gives the
 final bracket ``[lo*, hi*]`` the search would end in if the root were
 alpha*: the search's own expansion and bisection, run once with the
-test ``alpha >= alpha*`` in place of an evaluation.  Counting the sign
-at lo* and then solving for F_j at hi* fills the record.  Where the
-residual is positive at lo* and <= 0 at hi*, every point the search
-visits lies at or below lo* or at or above hi*: the search retraces the
-dry run without a further evaluation, and the counting value at the
-root's certified end hi* is the one already computed.  A root then
-evaluates 3 shifts (the sign at t and at lo* counted, F_j at hi*
-solved) on the same path to the same root as without the prediction
-wherever the computed residual's signs are monotone; where rounding
-makes it change sign more than once (a residual flat to rounding), the
-two searches may end at different sign changes, each a certified root.
-A bracket the residual does not confirm still narrows the search by the
-signs found at its ends, for at most those two evaluations more than
-without it.  A prediction beyond the search's reach, a pencil that
-fails or has too few values, or inconsistent forms leave the search
-unseeded.  The pencil is solved once per shift per forms (the forms
-keep their last solve, so both sides of an audit and every index share
-it), and a call polishes only the first j (``j_max`` for
-:func:`dp_bounds`) tau of the root's side, the ones it reads.  The
-forms keep the last sign at (t, j) too, so the second side of an audit
-at (t, j) evaluates 2 shifts where the first evaluates 3.
+test ``alpha >= alpha*`` in place of an evaluation.  Counting the signs
+at lo* and hi* fills the record.  Where the residual is positive at lo*
+and <= 0 at hi*, every point the search visits lies at or below lo* or
+at or above hi*: the search retraces the dry run without a further
+evaluation and ends at hi*.  A root then evaluates 3 shifts (the signs
+at t, lo* and hi* counted, F_j solved at hi*) on the same path to the
+same root as without the prediction wherever the counted signs are
+monotone; where rounding makes them change more than once (a residual
+flat to rounding), the two searches may end at different sign
+changes, each a certified root.  Both take the same signs from the
+same rule at every point, so the prediction never decides which rule
+gives a sign.  A bracket the residual does not confirm still narrows
+the search by the signs found at its ends, for at most those two
+evaluations more than without it.  A prediction beyond the search's
+reach, a pencil that fails or has too few values, or inconsistent
+forms leave the search unseeded.  The pencil is solved once per shift
+per forms (the forms keep their last solve, so both sides of an audit
+and every index share it), and a call polishes only the first j
+(``j_max`` for :func:`dp_bounds`) tau of the root's side, the ones it
+reads.  The forms keep the last sign at (t, j) too, so the second side
+of an audit at (t, j) evaluates 2 shifts where the first evaluates 3.
 """
 
 import functools
@@ -97,14 +99,14 @@ class FixedPointResult:
     nearest t on the certified side), ``f_at_root`` the counting value
     there; ``|f_at_root - |t - s_hat||`` does not exceed the fixed-point
     tolerance used.  ``iterations`` counts the shifts at which the root
-    evaluated the residual, by an inertia count or an eigensolve (s_hat
-    counts once where it had both): 3 for a root whose predicted bracket
-    the residual confirms (the residual at t and at both ends), 1 for a
-    captured shift, and otherwise at most the unseeded search's count
-    plus the two that checked the prediction, wherever the computed
-    residual's signs are monotone; one less where the sign at t came
-    from the forms (see :func:`_root`).  A root searched again with
-    eigensolve signs counts that search only.
+    evaluated the residual, by an inertia count or an eigensolve (s_hat,
+    counted and then solved, counts once): 3 for a root whose predicted
+    bracket the residual confirms (the residual at t and at both ends),
+    1 for a captured shift, and otherwise at most the unseeded search's
+    count plus the two that checked the prediction, wherever the counted
+    signs are monotone; one less where the sign at t came from the forms
+    (see :func:`_root`).  A root whose F_j contradicts a counted sign
+    counts the shifts of both parts of its search.
     ``tau`` is the pencil eigenvalue tau_j offered as the seed, None
     when none was drawn (a captured shift or inconsistent forms), the
     pencil had none, or the counting function contradicted it at the
@@ -192,34 +194,34 @@ def optimal_shift(forms, t, j, side, fp_tol=None):
     )
 
 
-def _root(forms, t, j, side, fp_tol, seed, inertia=True):
+def _root(forms, t, j, side, fp_tol, seed):
     """:func:`optimal_shift` seeded by the pencil eigenvalues ``seed()``.
 
     ``seed`` is a function of no arguments returning the pencil
     eigenvalues on ``side``, nearest bound first, or None for no seed.
     It is called only after the argument and detectability checks, and
-    only when the shift is not captured and the signs are counted.  Its ``tau_j`` predicts the
-    root's final bracket (see the module docstring); one helper runs the
-    search, for that dry run and for the real search, which asks the
-    record of known signs first and evaluates the residual only where
-    the record leaves the sign open.
+    only when the shift is not captured and the forms are consistent.
+    Its ``tau_j`` predicts the root's final bracket (see the module
+    docstring); one helper runs the search, for that dry run and for the
+    real search, which asks the record of known signs first and
+    evaluates the residual only where the record leaves the sign open.
 
-    With ``inertia`` and forms that pass :meth:`TrialForms.validate`, a
-    sign whose F_j is not read comes from an inertia count
-    (:func:`_at_most`): the sign at t, at lo* and at every point of the
-    search.  F_j is solved (:func:`local_counting`) at hi*, the root's
-    end when the prediction holds, and at the final s_hat.  Where that
-    F_j contradicts the counted sign at s_hat, as at a rounding tie of
-    the two rules, the root falls back to the unseeded search with
-    eigensolve signs only, which reads every sign from F_j and so cannot
-    fall back again.  Inconsistent forms get eigensolve signs and no
-    seed: the search solves for F_j at every shift it visits, and so
-    raises wherever one of them shows an indefinite Q_s.  The forms keep the sign at t for the last (t, j) and
-    sign rule, and a root counts the shifts it evaluates, by either
-    rule.  Each root logs one debug line: its side, index, whether the
-    shift was captured or the predicted bracket held, its shifts,
-    inertia counts and eigensolves, and the final bracket width.  A root
-    that falls back logs the contradiction first.
+    On forms that pass :meth:`TrialForms.validate` every sign of the
+    search, at t, lo* and hi* included, comes from an inertia count
+    (:func:`_at_most`), and F_j is solved (:func:`local_counting`) only
+    at the final s_hat.  Where that F_j contradicts the counted sign, as
+    at a rounding tie of the two rules, the record keeps the sign F_j
+    found at s_hat, drops the counted signs beyond it, and the search
+    goes on with eigensolve signs: it ends on a point whose sign F_j
+    gave, so it cannot be contradicted again.  Inconsistent forms get
+    eigensolve signs and no seed: the search solves for F_j at every
+    shift it visits, and so raises wherever one of them shows an
+    indefinite Q_s.  The forms keep the sign at t for the last (t, j),
+    and a root counts the shifts it evaluates, by either rule.  Each
+    root logs one debug line: its side, index, whether the shift was
+    captured or the predicted bracket held, its shifts, inertia counts
+    and eigensolves, and the final bracket width.  A root whose F_j
+    contradicts a counted sign logs that first.
     """
     _check_side(side)
     if not 1 <= j <= forms.n:
@@ -238,7 +240,7 @@ def _root(forms, t, j, side, fp_tol, seed, inertia=True):
     scale = _scale(theta, t)
     if fp_tol is None:
         fp_tol = FP_TOL_FACTOR * scale
-    inertia = inertia and _consistent(forms)
+    inertia = _consistent(forms)
 
     sign = -1.0 if side == "left" else 1.0
     values = {}  # F_j by shift, each solved once
@@ -255,17 +257,16 @@ def _root(forms, t, j, side, fp_tol, seed, inertia=True):
     # evaluated with residual <= 0.
     known = {False: -np.inf, True: np.inf}
 
-    def certified(alpha, read=False):
+    def certified(alpha):
         """Whether the residual at alpha is <= 0: from the record where
-        alpha lies outside it, else by an evaluation that narrows it,
-        from F_j where it is ``read`` or the signs are the eigensolve's
-        and by an inertia count otherwise."""
+        alpha lies outside it, else by an evaluation that narrows it, an
+        inertia count or, where the signs are the eigensolve's, F_j."""
         if alpha <= known[False]:
             return False
         if alpha >= known[True]:
             return True
         s = t + sign * alpha
-        if read or not inertia:
+        if not inertia:
             result = f_of(s) - alpha <= 0.0
         else:
             counted.add(s)
@@ -273,7 +274,7 @@ def _root(forms, t, j, side, fp_tol, seed, inertia=True):
         known[result] = alpha
         return result
 
-    key = (t, j, inertia)
+    key = (t, j)
     if forms._kept.get("counting", (None,))[0] == key:
         captured = forms._kept["counting"][1]  # the last root at (t, j) found it
         known[captured] = 0.0
@@ -330,24 +331,25 @@ def _root(forms, t, j, side, fp_tol, seed, inertia=True):
             except MaxIterationsError:
                 outcome = "predicted bracket unreachable"
             else:
-                # lo* = 0 is known positive and hi* is known once lo* is
-                # not; F_j at hi* is the root's when the prediction holds
-                held = [certified(low), certified(high, read=True)] == [False, True]
+                # lo* = 0 is known positive and hi* is known once lo* is not
+                held = [certified(low), certified(high)] == [False, True]
                 outcome = "predicted bracket " + ("held" if held else "missed")
         lo, hi = search(certified)
 
     s_hat = t + sign * hi  # certified endpoint, nearest t with residual <= 0
     f_at_root = f_of(s_hat)
     if f_at_root - hi > 0.0:
-        # F_j contradicts a counted sign at s_hat; with eigensolve signs
-        # only the search ends on an evaluated end, so only a counting
-        # function that contradicts its own signs falls back again
+        # F_j contradicts the count at s_hat: the search goes on beyond
+        # hi with eigensolve signs, and ends where F_j gave the sign
         logger.debug(
-            "root side=%s j=%d: F_j(%r) - %r = %.3g contradicts the sign "
-            "found there, searching again with eigensolve signs",
+            "root side=%s j=%d: F_j(%r) - %r = %.3g contradicts the counted "
+            "sign, searching on with eigensolve signs",
             side, j, float(s_hat), float(hi), f_at_root - hi,
         )
-        return _root(forms, t, j, side, fp_tol, lambda: None, inertia=False)
+        inertia, known[False], known[True] = False, hi, np.inf
+        lo, hi = search(certified)
+        s_hat = t + sign * hi
+        f_at_root = f_of(s_hat)
     shifts = len(counted | values.keys())
     logger.debug(
         "root side=%s j=%d: %s; shifts %d, inertia counts %d, "

@@ -55,7 +55,8 @@ class TrialForms:
     windows share, both sides of a fixed-point audit) evaluate it once.
     The caches rely on the forms being immutable, so they are: the
     fields cannot be assigned, and M0, M1, M2 are read-only dense arrays
-    built on each read.  Build new forms instead, e.g. with ``dataclasses.replace``.
+    built on each read.  Build new forms instead, e.g. with
+    ``dataclasses.replace``.
     Forms compare equal only to themselves.
     """
 
@@ -97,8 +98,7 @@ class TrialForms:
             raise ValueError("the forms are not symmetric as stored")
         # frozen: the state is set in the instance dict.  "ritz",
         # "schur_min", the last "pencil" (t, PencilEigen) and the last
-        # "counting" ((t, j, inertia), F_j(t) <= 0) of a fixed-point root
-        # are _kept
+        # "counting" ((t, j), F_j(t) <= 0) of a fixed-point root are _kept
         state = vars(self)
         state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;

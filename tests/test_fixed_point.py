@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import eigenclose.enclosure as enclosure_mod
@@ -202,9 +202,11 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch, fresh)
             assert _same_root(seeded, unseeded), (side, j)
             assert seeded.tau == tau[j - 1]
             assert seeded.iterations <= 8 < unseeded.iterations
-            # each evaluation is a distinct shift: the final F_j(s_hat)
-            # comes from the bisection's last hi, not a second solve
-            assert len(set(shifts)) == len(shifts) == seeded.iterations
+            # each evaluation is a distinct shift but s_hat, the
+            # bisection's last hi: a count found its sign in the search
+            # and a solve its F_j at the end
+            assert len(set(shifts)) == len(shifts) - 1 == seeded.iterations
+            assert shifts[-1] == seeded.s_hat and shifts.count(seeded.s_hat) == 2
 
 
 def test_wrong_seed_costs_evaluations_not_the_root(fresh):
@@ -239,8 +241,8 @@ def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     unseeded, seeded, seeded_calls, (lo, hi), _ = _both_searches(
         forms, t, j, side, calls, fresh
     )
-    f_at = dict(seeded_calls)
-    held = f_at[t + lo] - lo > 0.0 and t + hi in f_at and f_at[t + hi] - hi <= 0.0
+    counted, _ = _split(seeded_calls)
+    held = counted[t + lo] - lo > 0.0 and counted[t + hi] - hi <= 0.0
     assert not held
     assert _same_root(seeded, unseeded)
     assert seeded.iterations < unseeded.iterations
@@ -251,22 +253,13 @@ def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     assert shifts[-1] == seeded.s_hat and shifts.count(seeded.s_hat) == 2
 
 
-class _Log(list):
-    """Evaluations of the fixed-point route, in order, as (shift, F_j);
-    ``fallbacks`` counts the roots that searched again with eigensolve
-    signs after F_j contradicted a counted sign."""
-
-    fallbacks = 0
-
-
 def _record_counting(monkeypatch):
     """Make every evaluation of the fixed-point route log its shift and
-    F_j in a :class:`_Log`.  An inertia count logs the sign it found as
-    an F_j giving the residual that sign at any alpha: -inf where
+    F_j, in order, in a list.  An inertia count logs the sign it found
+    as an F_j giving the residual that sign at any alpha: -inf where
     F_j <= alpha, inf where not."""
-    calls = _Log()
+    calls = []
     real, real_count = fixed_point_mod.local_counting, fixed_point_mod._at_most
-    real_root = fixed_point_mod._root
 
     def counting(forms, s, count):
         values = real(forms, s, count)
@@ -278,14 +271,16 @@ def _record_counting(monkeypatch):
         calls.append((s, -np.inf if result else np.inf))
         return result
 
-    def root(*args, **kwargs):
-        calls.fallbacks += kwargs.get("inertia") is False
-        return real_root(*args, **kwargs)
-
     monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
     monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
-    monkeypatch.setattr(fixed_point_mod, "_root", root)
     return calls
+
+
+def _split(calls):
+    """The logged signs a count found and the F_j a solve found, each as
+    a dict by shift."""
+    counted = {s: f for s, f in calls if np.isinf(f)}
+    return counted, {s: f for s, f in calls if np.isfinite(f)}
 
 
 def _replay(forms, t, certified):
@@ -324,35 +319,44 @@ def _both_searches(forms, t, j, side, calls, fresh):
     seeded one on ``forms``, with what the search tests: the alphas of
     the unseeded path and of the predicted bracket (lo*, hi*; None
     without a prediction) that the seeded search checked, and the
-    residual's sign at each, from the evaluations of either search
-    (None where either fell back to eigensolve signs: there the two
-    rules gave one shift different signs).  ``calls`` is the log of
-    :func:`_record_counting`; the unseeded search evaluates the sign at
-    t, which the seeded one may take from the forms' kept value."""
+    residual's counted sign at each, from the counts of either search.
+    ``calls`` is the log of :func:`_record_counting`; the unseeded
+    search counts the sign at t, which the seeded one may take from the
+    forms' kept value.  Where F_j at the counted path's end contradicts
+    its count, both searches go on beyond it with the signs of the F_j
+    they solved there and after, and the replay follows them."""
     sign = -1.0 if side == "left" else 1.0
-    fallbacks = calls.fallbacks
+    unseeded_from = len(calls)
     unseeded = _unseeded(fresh(forms), t, j, side)
     seeded_from = len(calls)
+    kept = forms._kept.get("counting", (None,))[0] == (t, j)
     seeded = optimal_shift(forms, t, j, side)
-    if calls.fallbacks > fallbacks:
-        return unseeded, seeded, calls[seeded_from:], None, None
-    f_at = dict(calls)
+    counted, solved = _split(calls[unseeded_from:])
 
-    def residual_positive(alpha):
+    def positive(f_at, alpha):
         return f_at[t + sign * alpha] - alpha > 0.0
 
-    if not residual_positive(0.0):  # a captured shift: neither search goes on
-        assert seeded == unseeded and {s for s, _ in calls} == {t}
-        return unseeded, seeded, calls[seeded_from:], None, [False]
-    lo, hi, path = _replay(forms, t, lambda alpha: not residual_positive(alpha))
+    bracket, checked = None, set()
+    if positive(counted, 0.0):
+        lo, hi, path = _replay(forms, t, lambda alpha: not positive(counted, alpha))
+        taus = _pencil(forms, t).polish(side, j)
+        alpha_star = 0.5 / abs(taus[j - 1]) if taus.size >= j else np.inf
+        predicted = _replay(forms, t, lambda alpha: alpha >= alpha_star)
+        bracket = predicted[:2] if predicted else None
+        checked = {alpha for alpha in bracket or () if t + sign * alpha in counted}
+    else:  # a captured shift: neither search draws a seed
+        lo, hi, path = 0.0, 0.0, [0.0]
+        if not positive(solved, 0.0):
+            # each counts the sign at t (but a kept one) and solves F_j(t)
+            assert seeded == unseeded
+            assert [s for s, _ in calls[unseeded_from:]] == [t] * (4 - kept)
+    if positive(solved, hi):
+        lo, hi, _ = _replay(
+            forms, t, lambda alpha, end=hi: alpha > end and not positive(solved, alpha)
+        )
     assert (t + sign * hi, hi - lo) == (unseeded.s_hat, unseeded.bracket_width)
-    taus = _pencil(forms, t).polish(side, j)
-    alpha_star = 0.5 / abs(taus[j - 1]) if taus.size >= j else np.inf
-    predicted = _replay(forms, t, lambda alpha: alpha >= alpha_star)
-    bracket = predicted[:2] if predicted else None
-    checked = {alpha for alpha in bracket or () if t + sign * alpha in f_at}
     alphas = sorted(set(path) | checked)
-    signs = [residual_positive(alpha) for alpha in alphas]
+    signs = [positive(counted, alpha) for alpha in alphas]
     return unseeded, seeded, calls[seeded_from:], bracket, signs
 
 
@@ -366,10 +370,10 @@ def _monotone(signs):
 
 def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
     # a predicted bracket the residual confirms at both ends leaves the
-    # search nothing to evaluate: the residual at t, lo* and hi*, and
-    # the same root as the unseeded search.  In the equiv subcommand's
-    # order the second side at (t, j) takes F_j(t) from the forms, so
-    # its root costs 2 solves
+    # search nothing to evaluate: the signs at t, lo* and hi* counted,
+    # F_j(hi*) solved, and the same root as the unseeded search.  In the
+    # equiv subcommand's order the second side at (t, j) takes the sign
+    # at t from the forms, so its root evaluates 2 shifts
     calls = _record_counting(monkeypatch)
     evaluations, fallbacks, non_monotone = [], 0, 0
     for model in ("dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"):
@@ -380,7 +384,7 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
             forms = assemble_1d(mesh, int(model[-1])).forms
         for t in (-1.4, 0.6, 1.4, 2.5):
             for j in (1, 2, 3):
-                first = True  # no root at (t, j) has solved F_j(t) yet
+                first = True  # no root at (t, j) has counted at t yet
                 for side, sign in (("left", -1.0), ("right", 1.0)):
                     calls.clear()
                     try:
@@ -388,17 +392,22 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
                         unseeded, seeded, seeded_calls, bracket, signs = found
                     except NoSignChangeError:
                         continue
-                    solves_at_t, first = int(first), False
-                    # the F_j the root reads: its solves and a kept F_j(t)
-                    evaluations.append(seeded.iterations + 1 - solves_at_t)
+                    counts_at_t, first = int(first), False
+                    # the signs the root reads: its evaluations and a kept one
+                    evaluations.append(seeded.iterations + 1 - counts_at_t)
                     lo, hi = bracket
-                    f_at = dict(calls)
-                    if not f_at[t + sign * lo] - lo > 0.0 >= f_at[t + sign * hi] - hi:
+                    counted, solved = _split(calls)
+                    s_lo, s_hi = t + sign * lo, t + sign * hi
+                    # the counts confirm the bracket and F_j(hi*) its end
+                    if not (
+                        counted[s_lo] - lo > 0.0 >= counted[s_hi] - hi
+                        and solved[s_hi] - hi <= 0.0
+                    ):
                         fallbacks += 1
                         continue
                     case = (model, t, side, j)
-                    shifts = [t] * solves_at_t + [t + sign * lo, t + sign * hi]
-                    assert seeded.iterations == 2 + solves_at_t, case
+                    shifts = [t] * counts_at_t + [s_lo, s_hi, s_hi]
+                    assert seeded.iterations == 2 + counts_at_t, case
                     assert [s for s, _ in seeded_calls] == shifts, case
                     assert seeded.s_hat == shifts[-1], case
                     if _monotone(signs):
@@ -417,7 +426,7 @@ def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
     # at every point the seeded search counts, the inertia count gives
     # the residual the sign F_j from an eigensolve gives it, but at ties:
     # a residual below the fixed-point tolerance, which either rule may
-    # round to either sign (13 of 1171 points here, all below 0.04
+    # round to either sign (13 of 1862 points here, all below 0.04
     # fp_tol: flat residuals of dirac1d r = 1 at t = 2.5, j = 3, and
     # three maxwell2d points within 2e-14 of a sign change)
     counted = []
@@ -458,8 +467,8 @@ def test_one_debug_line_per_root(caplog, fresh):
     # each root reports the prediction's fate, the shifts it evaluated,
     # inertia counts and eigensolves apart, and the final bracket width,
     # and nothing else is logged: neither the dry run that finds the
-    # predicted bracket nor the search.  The unseeded search counts
-    # every sign and solves F_j once, at s_hat; a captured shift counts
+    # predicted bracket nor the search.  Each root counts every sign it
+    # evaluates and solves F_j once, at s_hat; a captured shift counts
     # its sign and solves the F_j it returns
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     unseeded = _unseeded(fresh(forms), 1.4, 2, "right")
@@ -472,7 +481,7 @@ def test_one_debug_line_per_root(caplog, fresh):
     shifts = unseeded.iterations
     assert messages == [
         "root side=right j=2: predicted bracket held; shifts 3, "
-        f"inertia counts 2, eigensolves 1; {width}",
+        f"inertia counts 3, eigensolves 1; {width}",
         "root side=right j=2: predicted bracket not drawn; "
         f"shifts {shifts}, inertia counts {shifts}, eigensolves 1; {width}",
         "root side=left j=1: shift captured; shifts 1, inertia counts 1, "
@@ -493,6 +502,11 @@ def test_one_debug_line_per_root(caplog, fresh):
     j=st.integers(min_value=1, max_value=3),
     side=st.sampled_from(["left", "right"]),
 )
+# t = 0, where M2's near-kernel makes F_1 flat to rounding: a count
+# finds a sign F_1 contradicts, on the Ritz-value shift and on a jittered
+# mesh, and both searches go on with eigensolve signs from there
+@example(seed=0, jitter=0.0, t=0.0, j=1, side="left")
+@example(seed=1960127676, jitter=0.21744999658616915, t=0.0, j=1, side="left")
 def test_seeded_search_property(fresh, seed, jitter, t, j, side):
     # the prediction changes the cost, never the outcome: the unseeded
     # search's root wherever the residual's signs at the alphas either
@@ -509,7 +523,7 @@ def test_seeded_search_property(fresh, seed, jitter, t, j, side):
                 optimal_shift(forms, t, j, side)
             return
     assert seeded.iterations <= unseeded.iterations + 2
-    if signs is not None and _monotone(signs):
+    if _monotone(signs):
         assert _same_root(seeded, unseeded)
 
 
@@ -621,21 +635,58 @@ def test_inconsistent_forms_get_the_unseeded_search():
                     equivalence_gap(bad, t, j, side)
 
 
-def test_a_contradicted_count_searches_again_with_eigensolve_signs(
+def _eigensolve_signs(forms, t, j, side):
+    """The unseeded root with every sign from F_j, as on inconsistent
+    forms."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixed_point_mod, "_consistent", lambda forms: False)
+        return _unseeded(forms, t, j, side)
+
+
+def test_a_contradicted_captured_count_searches_on_with_eigensolve_signs(
     monkeypatch, caplog, fresh
 ):
     # a count that finds every residual <= 0 takes t as captured; F_j(t)
-    # contradicts it, and the root is the one eigensolve signs alone
-    # find, after one debug line that says so
+    # contradicts it, and the search goes on from t with eigensolve
+    # signs, to the root they find alone, after one debug line that
+    # says so.  The root counts t once, as both searches evaluate it
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
-    alone = _root(fresh(forms), 1.4, 2, "right", None, lambda: None, inertia=False)
+    alone = _eigensolve_signs(fresh(forms), 1.4, 2, "right")
     monkeypatch.setattr(fixed_point_mod, "_at_most", lambda *args: True)
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
     assert optimal_shift(forms, 1.4, 2, "right") == alone
     contradiction, root = [record.getMessage() for record in caplog.records]
     assert contradiction.startswith("root side=right j=2: F_j(1.4) - 0.0 = ")
-    assert contradiction.endswith("searching again with eigensolve signs")
-    assert f"inertia counts 0, eigensolves {alone.iterations}" in root
+    assert contradiction.endswith("searching on with eigensolve signs")
+    assert root.startswith("root side=right j=2: shift captured; ")
+    assert f"inertia counts 1, eigensolves {alone.iterations}" in root
+
+
+def test_a_contradicted_count_keeps_the_signs_below_it(monkeypatch, fresh):
+    # counts that take every alpha from 0.9 of the root's on as <= 0 end
+    # the counted search short of the root; F_j there contradicts, and
+    # the search goes on beyond that end with eigensolve signs: it solves
+    # no shift nearer t and none twice, and the root counts the shifts
+    # of both parts
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    t, j, side = 1.4, 2, "right"
+    root = _eigensolve_signs(fresh(forms), t, j, side)
+    real = fixed_point_mod._at_most
+
+    def short(forms, s, alpha, j):
+        return alpha >= 0.9 * (root.s_hat - t) or real(forms, s, alpha, j)
+
+    monkeypatch.setattr(fixed_point_mod, "_at_most", short)
+    calls = _record_counting(monkeypatch)
+    res = _unseeded(forms, t, j, side)
+    counted, solved = _split(calls)
+    end = min(solved)  # the counted search's end
+    assert counted[end] == -np.inf < 0.0 < solved[end] - (end - t)
+    assert 0.9 * (root.s_hat - t) <= end - t < root.s_hat - t
+    assert len(solved) == sum(np.isfinite(f) for _, f in calls)
+    assert res.iterations == len(counted.keys() | solved.keys())
+    assert solved[res.s_hat] == res.f_at_root <= res.s_hat - t
+    npt.assert_allclose(res.bound, root.bound, rtol=0, atol=default_fp_tol(forms, t))
 
 
 def test_contradicted_final_sign_falls_back(monkeypatch):
