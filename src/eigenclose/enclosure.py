@@ -485,10 +485,15 @@ def zm_enclosures(forms, window, j_max):
     solve: touching windows taken in ascending order solve the end they
     share once, and each window end with a deflated kernel warns.  Only
     the pencil eigenvalues behind bounds that can be emitted are
-    polished (see :meth:`PencilEigen.polish`): the ``j_max`` nearest
-    uppers at a, and at b every lower inside the window (at least
-    ``j_max``, at most ``REFINE_COUNT``).  The bounds are the same as
-    when both sides are polished in full.
+    polished (see :meth:`PencilEigen.polish`), counted on their values
+    before the polish: at a the uppers below b, at most ``j_max`` of
+    them, and at b every lower above a (at most ``REFINE_COUNT``).  A
+    window in a spectral gap polishes nothing and computes no
+    eigenvector.  The bounds are those of both sides polished in full
+    except where the polish would move a bound across the window end
+    it was counted against: one left outside by its unpolished value is
+    dropped, though polished it might fall inside.  The polish moves a
+    bound only by the roundoff of the double-precision solve.
 
     Raises
     ------
@@ -502,11 +507,15 @@ def zm_enclosures(forms, window, j_max):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    uppers = _side_bounds(_bounds_pencil(forms, a), "right", j_max)
+    pencil = _bounds_pencil(forms, a)
+    # the pairing reads the first j_max uppers inside the window
+    inside = int(np.count_nonzero(a + 1.0 / pencil.tau_plus < b))
+    uppers = _side_bounds(pencil, "right", min(j_max, inside))
+    del pencil  # the forms' memo drops it before solving b: one at a time
     pencil = _bounds_pencil(forms, b)
-    # the pairing reads every lower inside the window: polish them all
+    # and every lower inside it, the smallest first
     inside = int(np.count_nonzero(b + 1.0 / pencil.tau_minus > a))
-    lowers = _side_bounds(pencil, "left", max(j_max, inside))
+    lowers = _side_bounds(pencil, "left", inside)
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

@@ -44,13 +44,14 @@ final bracket ``[lo*, hi*]`` the search would end in if the root were
 alpha*: the search's own expansion and bisection, run once with the
 test ``alpha >= alpha*`` in place of an evaluation.  Counting the signs
 at lo* and hi* fills the record.  Where the residual is positive at lo*
-and <= 0 at hi*, every point the search visits lies at or below lo* or
-at or above hi*: the search retraces the dry run without a further
-evaluation and ends at hi*.  A root then evaluates 3 shifts (the signs
-at t, lo* and hi* counted, F_j solved at hi*) on the same path to the
-same root as without the prediction wherever the counted signs are
-monotone; where rounding makes them change more than once (a residual
-flat to rounding), the two searches may end at different sign
+and <= 0 at hi*, every point the search would visit lies at or below lo*
+or at or above hi*, where the record answers it as the dry run did: the
+search would retrace the dry run, so it is not run, and the dry run's
+bracket, ending at hi*, is the root's.  A root then evaluates 3 shifts
+(the signs at t, lo* and hi* counted, F_j solved at hi*) on the same
+path to the same root as without the prediction wherever the counted
+signs are monotone; where rounding makes them change more than once (a
+residual flat to rounding), the two searches may end at different sign
 changes, each a certified root.  Both take the same signs from the
 same rule at every point, so the prediction never decides which rule
 gives a sign.  A bracket the residual does not confirm still narrows
@@ -205,6 +206,9 @@ def _root(forms, t, j, side, fp_tol, seed):
     docstring); one helper runs the search, for that dry run and for the
     real search, which asks the record of known signs first and
     evaluates the residual only where the record leaves the sign open.
+    Where the residual confirms the predicted bracket the real search is
+    skipped: the record would answer each of its points as the dry run
+    did, so the dry run's bracket is the search's.
 
     On forms that pass :meth:`TrialForms.validate` every sign of the
     search, at t, lo* and hi* included, comes from an inertia count
@@ -312,13 +316,13 @@ def _root(forms, t, j, side, fp_tol, seed):
                 lo = mid
         return lo, hi
 
-    # The prediction's dry run only fills the record: where the residual
-    # confirms the predicted bracket, the search retraces the dry run
-    # without a further evaluation; where it does not, the search starts
-    # from the signs found at lo* and hi*.
+    # The prediction's dry run fills the record: where the residual
+    # confirms the predicted bracket, the search would retrace the dry run
+    # and is skipped; where it does not, the search starts from the signs
+    # found at lo* and hi*.
     outcome, tau_j, lo, hi = "shift captured", None, 0.0, 0.0
     if not captured:
-        outcome = "predicted bracket not drawn"
+        outcome, held = "predicted bracket not drawn", False
         taus = seed() if inertia else None
         tau_j = float(taus[j - 1]) if taus is not None and taus.size >= j else None
         if tau_j is not None:
@@ -334,7 +338,7 @@ def _root(forms, t, j, side, fp_tol, seed):
                 # lo* = 0 is known positive and hi* is known once lo* is not
                 held = [certified(low), certified(high)] == [False, True]
                 outcome = "predicted bracket " + ("held" if held else "missed")
-        lo, hi = search(certified)
+        lo, hi = (low, high) if held else search(certified)
 
     s_hat = t + sign * hi  # certified endpoint, nearest t with residual <= 0
     f_at_root = f_of(s_hat)

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from eigenclose.forms import (
     shifted_linear,
     shifted_square,
 )
-from eigenclose.linalg import DEFAULT_TOL
+from eigenclose.linalg import DEFAULT_TOL, TridiagonalEigen
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 
 WORKED = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0]))
@@ -519,13 +520,15 @@ def _polish_case(model):
     so the full polish leaves some of them unpolished too.  Some
     windows hold more lower bounds than the smaller ``j_max`` values:
     three in ``(0.5, 3.5)`` for dirac1d, five in ``(0.9, 2.6)`` for
-    maxwell2d.
+    maxwell2d.  The last window of each lies in a spectral gap, where
+    :func:`zm_enclosures` polishes nothing.
     """
     if model == "dirac1d":  # forms assembled in longdouble
         forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=4), 3).forms
-        return forms, (-1.3, 0.6, 1.4), ((0.5, 2.5), (-2.5, -0.5), (0.5, 3.5))
+        windows = ((0.5, 2.5), (-2.5, -0.5), (0.5, 3.5), (2.1, 2.9))
+        return forms, (-1.3, 0.6, 1.4), windows
     forms = assemble_2d(structured_tri_mesh(5, jitter=0.25, seed=2), 1).forms
-    return forms, (0.7, 1.6), ((0.8, 1.6), (-1.6, -0.8), (0.9, 2.6))
+    return forms, (0.7, 1.6), ((0.8, 1.6), (-1.6, -0.8), (0.9, 2.6), (0.2, 0.8))
 
 
 def _matrix(pattern, n, values):
@@ -618,17 +621,79 @@ def test_more_lowers_than_j_max_polish_each_window_end_once(monkeypatch):
     assert inside > 1
     expected = [(e.lower, e.upper) for e in zm_enclosures(replace(forms), (a, b), 1)]
 
-    calls = []
-    real = PencilEigen.polish
-
-    def spy(self, side, k=REFINE_COUNT):
-        calls.append((side, k))
-        return real(self, side, k)
-
-    monkeypatch.setattr(PencilEigen, "polish", spy)
+    calls, _ = _polish_spy(monkeypatch)
     enc = zm_enclosures(forms, (a, b), 1)
     assert calls == [("right", 1), ("left", inside)]
     assert [(e.lower, e.upper) for e in enc] == expected
+
+
+def _polish_spy(monkeypatch):
+    """Lists of the ``(side, k)`` of every :meth:`PencilEigen.polish` call
+    and the ``(count, top)`` of every eigenvector request the package
+    makes during the test, in order."""
+    polishes, requests = [], []
+    polish, vectors = PencilEigen.polish, TridiagonalEigen.vectors
+
+    def polish_spy(self, side, k=REFINE_COUNT):
+        polishes.append((side, k))
+        return polish(self, side, k)
+
+    def vectors_spy(self, count, top=False):
+        requests.append((count, top))
+        return vectors(self, count, top)
+
+    monkeypatch.setattr(PencilEigen, "polish", polish_spy)
+    monkeypatch.setattr(TridiagonalEigen, "vectors", vectors_spy)
+    return polishes, requests
+
+
+def test_a_window_in_a_spectral_gap_computes_no_eigenvector(monkeypatch):
+    # the pollution windows' gap: the pencils at both ends are solved, but
+    # no bound of theirs falls inside, so nothing is polished
+    forms = assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms
+    a, b = 0.2, 0.8
+    assert np.all(zm_bounds_one_sided(replace(forms), a, "right") >= b)
+    assert np.all(zm_bounds_one_sided(replace(forms), b, "left") <= a)
+
+    polishes, requests = _polish_spy(monkeypatch)
+    assert zm_enclosures(forms, (a, b), 3) == []
+    assert polishes == [("right", 0), ("left", 0)] and requests == []
+
+
+def test_a_window_holding_fewer_points_than_j_max_polishes_those_alone(monkeypatch):
+    # one point, 2, inside (1.5, 2.5) under j_max = 3: one bound per end is
+    # polished, from one eigenvector each, and the enclosure is the one
+    # the full polish of both sides pairs
+    forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 2).forms
+    a, b, j_max = 1.5, 2.5, 3
+    uppers = zm_bounds_one_sided(replace(forms), a, "right")
+    lowers = zm_bounds_one_sided(replace(forms), b, "left")
+    uppers, lowers = np.sort(uppers[uppers < b]), np.sort(lowers[lowers > a])
+    assert uppers.size == lowers.size == 1
+
+    polishes, requests = _polish_spy(monkeypatch)
+    enc = zm_enclosures(forms, (a, b), j_max)
+    assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
+    assert polishes == [("right", 1), ("left", 1)]
+    extended = np.finfo(np.longdouble).eps < 1e-18  # else nothing is polished
+    assert requests == ([(1, True), (1, False)] if extended else [])
+
+
+def test_a_window_keeps_one_pencil_alive_at_a_time(monkeypatch):
+    # the pencil at a, whose uppers are read, is gone before b is solved
+    forms = assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms
+    pencils, alive = [], []
+    real = enclosure_mod.zm_eigen
+
+    def solve(forms, t):
+        alive.append(sum(p() is not None for p in pencils))
+        pencil = real(forms, t)
+        pencils.append(weakref.ref(pencil))
+        return pencil
+
+    monkeypatch.setattr(enclosure_mod, "zm_eigen", solve)
+    assert zm_enclosures(forms, (0.8, 1.6), 3)
+    assert alive == [0, 0]
 
 
 def test_touching_windows_share_the_end_they_meet_at(fresh, pencil_solves):
