@@ -45,6 +45,9 @@ _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 #: how many pencil eigenvalues per side get the extended-precision polish
 REFINE_COUNT = 32
 
+#: no tau
+_NONE = np.zeros(0)
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -69,43 +72,92 @@ class Signature:
 
 @dataclass(eq=False)
 class PencilEigen:
-    """Classified eigenvalues of the pencil ``tau Q_t x = L_t x``, its
-    eigenvectors on demand.
+    """Classified eigenvalues of the pencil ``tau Q_t x = L_t x``, read on
+    demand, and its eigenvectors on demand.
 
-    ``tau_minus`` ascending (most negative first, so index j-1 bounds
-    the j-th spectral point below t), ``tau_plus`` descending.
-    ``eigen`` holds all the tau of the solve, ascending, and what their
-    eigenvectors need (:class:`~eigenclose.linalg.TridiagonalEigen`): the
-    tridiagonal reduction as two vectors and its reflectors, in one
-    (n - n_inf) square double array that also holds the pivoted Cholesky
-    factor of Q_t, and the index of the n coordinates in pivot order, the
-    kept ones first.
+    ``eigen`` (:class:`~eigenclose.linalg.TridiagonalEigen`) holds the
+    solve: the tridiagonal reduction as two vectors and its reflectors,
+    in one (n - n_inf) square double array that also holds the pivoted
+    Cholesky factor of Q_t, and the index of the n coordinates in pivot
+    order, the kept ones first.  No tau is computed until it is read:
+    :meth:`nearest` bisects the k nearest of one side, and the sides
+    ``tau_minus`` (ascending, most negative first, so index j-1 bounds
+    the j-th spectral point below t) and ``tau_plus`` (descending) are
+    bisected whole when first read, both by the rule of
+    :meth:`~eigenclose.linalg.TridiagonalEigen.end_values`, so a tau is
+    the same whichever read computed it.
     ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``) is the one way
     to read eigenvectors: the Q_t-orthonormal coefficient vectors, in the
     full trial basis and zero on the deflated coordinates, of the k
     nearest entries of ``tau_minus`` (``tau_plus``) in their order before
-    any :meth:`polish`, which may re-sort near-ties.  The pencil's arrays
-    take 0.58 MB at n = 240 (dirac1d, order 3, 40 elements), 0.46 MB of
-    it that square array, and 26.4 MB at n = 1775 (maxwell2d, order 1,
-    nx = 24), 25.2 MB of it the array.  ``Qt_values`` and ``Lt_values``
-    are the values of the shifted forms the pencil was solved at on
-    ``pattern``, the forms' nonzero pattern (:meth:`TrialForms.pattern`),
-    in the precision of the forms: all :meth:`polish` reads of Q_t and
-    L_t, which are +0 off it.  ``polished`` counts the polished entries
-    of each side.
+    any :meth:`polish`, which may re-sort near-ties.  Before any tau is
+    read the pencil's arrays take 0.60 MB at n = 240 (dirac1d, order 3,
+    40 elements), 0.46 MB of it that square array, and 26.4 MB at
+    n = 1775 (maxwell2d, order 1, nx = 24), 25.2 MB of it the array;
+    each tau bisected adds 8 bytes, and 8 more in a side read whole.
+    ``Qt_values`` and ``Lt_values`` are the values of the shifted forms
+    the pencil was solved at on ``pattern``, the forms' nonzero pattern
+    (:meth:`TrialForms.pattern`), in the precision of the forms: all
+    :meth:`polish` reads of Q_t and L_t, which are +0 off it.
+    ``polished`` counts the polished entries of each side.
     """
 
     t: float
-    tau_minus: np.ndarray
-    tau_plus: np.ndarray
     signature: Signature
     eigen: TridiagonalEigen = field(repr=False)
     Qt_values: np.ndarray = field(repr=False)
     Lt_values: np.ndarray = field(repr=False)
     pattern: tuple = field(repr=False)
-    polished: dict = field(
-        init=False, repr=False, default_factory=lambda: {"left": 0, "right": 0}
+    # each side's polished tau, nearest bound first, and each side read whole
+    _polished: dict = field(
+        init=False, repr=False, default_factory=lambda: {"left": _NONE, "right": _NONE}
     )
+    _sides: dict = field(init=False, repr=False, default_factory=dict)
+
+    @property
+    def polished(self):
+        """The number of polished entries of each side, by side."""
+        return {side: tau.size for side, tau in self._polished.items()}
+
+    @property
+    def tau_minus(self):
+        """The negative tau, ascending, bisected whole when first read."""
+        return self._side("left")
+
+    @property
+    def tau_plus(self):
+        """The positive tau, descending, bisected whole when first read."""
+        return self._side("right")
+
+    def _side(self, side):
+        """One side whole, the polished entries first, bisected when first
+        read."""
+        if side not in self._sides:
+            self._sides[side] = self._read(side, self.eigen.size)
+        return self._sides[side]
+
+    def _read(self, side, k):
+        """The k nearest tau of one side (all of it where it holds fewer),
+        nearest bound first: the polished ones, then those of the solve."""
+        k = min(k, self._size(side))
+        polished = self._polished[side]
+        if k <= polished.size:
+            return polished[:k]
+        tau = self.eigen.end_values(k, top=side == "right")
+        return np.concatenate([polished, tau[polished.size :]])
+
+    def _size(self, side):
+        """The number of tau on one side."""
+        sig = self.signature
+        return sig.n_minus if side == "left" else sig.n_plus
+
+    def nearest(self, side, k):
+        """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
+        side as :meth:`polish` does and return the nearest k of that side
+        (all of it where it holds fewer), nearest bound first; only those
+        k are bisected."""
+        self._polish(side, k)
+        return self._read(side, k)
 
     def polish(self, side, k=REFINE_COUNT):
         """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
@@ -129,17 +181,22 @@ class PencilEigen:
         as good as the eigenvectors, so two solves of one pencil that
         differ in their roundoff may polish a tau a few ulps apart (more
         inside a cluster of equal tau).  ``side`` is ``"left"`` for
-        ``tau_minus``, ``"right"`` for ``tau_plus``.
+        ``tau_minus``, ``"right"`` for ``tau_plus``.  The side returned
+        is read whole (see :class:`PencilEigen`); :meth:`nearest` reads
+        only the entries asked for.
         """
+        self._polish(side, k)
+        return self._side(side)
+
+    def _polish(self, side, k):
+        """The polish of :meth:`polish`, returning nothing."""
         _check_side(side)
-        name = "minus" if side == "left" else "plus"
-        tau = getattr(self, "tau_" + name)
-        k = min(k, REFINE_COUNT, tau.size)
-        if not _LONGDOUBLE_OK or k <= self.polished[side]:
-            return tau
+        k = min(k, REFINE_COUNT, self._size(side))
+        if not _LONGDOUBLE_OK or k <= self._polished[side].size:
+            return
         top = side == "right"
         x = self.eigen.vectors(k, top).astype(np.longdouble)
-        nearest = (self.eigen.values[::-1] if top else self.eigen.values)[:k].copy()
+        nearest = self.eigen.end_values(k, top)
         lx, qx = _pattern_products(self.pattern, x, self.Lt_values, self.Qt_values)
         num = np.einsum("ij,ij->j", x, lx)
         den = np.einsum("ij,ij->j", x, qx)
@@ -147,11 +204,8 @@ class PencilEigen:
         nearest[good] = (num[good] / den[good]).astype(float)
         # nearest bound first is largest |tau| first; the polish may nudge
         # near-ties, which re-sort among the k polished entries only
-        nearest = nearest[np.argsort(-np.abs(nearest), kind="stable")]
-        tau = np.concatenate([nearest, tau[k:]])
-        setattr(self, "tau_" + name, tau)
-        self.polished[side] = k
-        return tau
+        self._polished[side] = nearest[np.argsort(-np.abs(nearest), kind="stable")]
+        self._sides.pop(side, None)
 
 
 def _pattern_products(pattern, x, *values):
@@ -220,14 +274,16 @@ class ResidualBounds:
     valid: bool
 
 
-def _side_bounds(pencil, side, k):
-    """Bounds ``t + 1/tau`` on one side, nearest first, the nearest k
-    polished; ``EmptySideError`` if the side is empty."""
-    tau = pencil.polish(side, k)
-    if tau.size == 0:
+def _side_bounds(pencil, side, k=None):
+    """Bounds ``t + 1/tau`` on one side, nearest first: the nearest k,
+    polished (:meth:`PencilEigen.nearest`), or with no k the whole side,
+    its nearest ``REFINE_COUNT`` polished.  ``EmptySideError`` if the side
+    is empty."""
+    if pencil._size(side) == 0:
         raise EmptySideError(
             f"no spectrum detectable {side} of t={pencil.t:g} in this trial subspace"
         )
+    tau = pencil.polish(side) if k is None else pencil.nearest(side, k)
     return pencil.t + 1.0 / tau
 
 
@@ -283,27 +339,33 @@ def zm_eigen(forms, t):
     kernel of Q_t lies, in exact arithmetic, inside that of L_t too, so
     deflating it loses nothing, and the pencil on the kept coordinates,
     reduced through the pivoted factor, has the tau of every complement
-    of the kernel.  All tau come from one tridiagonal reduction of
-    ``L^{-1} L_t L^{-T}`` on those coordinates, L the factor, and its
-    eigenvalues, no eigenvector.  Where nothing is deflated the
-    factorization shows Q_t definite; where something is, Q_t, a
-    square, must have no eigenvalue below ``-tol * ||Q_t||_2``
-    (``NegativeEigenvalueError``): the smallest eigenvalue of the Schur
-    complement of the kept coordinates, at most that of Q_t, is checked.
+    of the kernel.  All tau are eigenvalues of one tridiagonal reduction
+    T of ``L^{-1} L_t L^{-T}`` on those coordinates, L the factor; the
+    solve computes only that reduction and the census, from counts of T.
+    Where nothing is deflated the factorization shows Q_t definite;
+    where something is, Q_t, a square, must have no eigenvalue below
+    ``-tol * ||Q_t||_2`` (``NegativeEigenvalueError``): the smallest
+    eigenvalue of the Schur complement of the kept coordinates, at most
+    that of Q_t, is checked.
 
     A tau counts as zero where ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.
     The threshold is first bracketed by O(nnz) norm bounds, the largest
     column 2-norm below and the largest absolute row sum above, the
-    bracket widened by a factor 2 for roundoff.  Only when some ``|tau|``
-    falls inside the bracket are the 2-norms computed, as largest
-    absolute eigenvalues.
+    bracket widened by a factor 2 for roundoff.  Every tau beyond the
+    bracket is nonzero, so a Sturm count of T at the bracket's negative
+    end and a bisection of the band the bracket spans about 0, usually
+    empty, give the census (two LAPACK ``stebz`` calls).  Only when some
+    ``|tau|`` of the band falls inside the bracket are the 2-norms
+    computed, as largest absolute eigenvalues.
 
-    The pencil is solved in double precision, and no eigenvector is
-    computed and nothing polished.  Callers polish only what they read
-    (:meth:`PencilEigen.polish`), and only the vectors of the polished
-    tau are computed, on demand: one side for :func:`zm_bounds_one_sided`
-    and :func:`zm_enclosures`, j entries of one side for a fixed-point
-    seed, none for :func:`signature`.
+    The pencil is solved in double precision, and no tau and no
+    eigenvector is computed and nothing polished.  Callers bisect and
+    polish only what they read (:meth:`PencilEigen.nearest`), and only
+    the vectors of the polished tau are computed, on demand: at a window
+    end of :func:`zm_enclosures` the entries of one side behind the
+    bounds it can emit, j entries of one side for a fixed-point seed,
+    none for :func:`signature`; the whole side for
+    :func:`zm_bounds_one_sided`, its nearest ``REFINE_COUNT`` polished.
 
     Q_t and L_t are evaluated on the forms' nonzero pattern only
     (:func:`~eigenclose.forms.shifted_square`); the one n by n array of
@@ -342,26 +404,16 @@ def zm_eigen(forms, t):
         floor = forms.tol * _norm2(_on_pattern(forms, qt_d))
         if schur_min < -floor:
             raise NegativeEigenvalueError(schur_min, floor)
-    tau = eigen.values
-    n_inf = forms.n - tau.size
+    n_inf = forms.n - eigen.size
     if n_inf == forms.n:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
-
-    zero = _zero_tau(forms, tau, q_norm, l_norm, qt_d, lt_d)
-    neg = (tau < 0.0) & ~zero
-    pos = (tau > 0.0) & ~zero
-    n_minus = int(np.count_nonzero(neg))
-    n_plus = int(np.count_nonzero(pos))
-    n_zero = tau.size - n_minus - n_plus
+    n_minus, n_zero, n_plus = _census(forms, eigen, q_norm, l_norm, qt_d, lt_d)
     sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
-
-    # tau ascending -> negatives already most-negative-first; positives
-    # must be flipped so index 0 is the largest (nearest bound first)
     return PencilEigen(
-        t=float(t), tau_minus=tau[neg], tau_plus=tau[pos][::-1], signature=sig,
-        eigen=eigen, Qt_values=qt, Lt_values=lt, pattern=forms.pattern(),
+        t=float(t), signature=sig, eigen=eigen, Qt_values=qt, Lt_values=lt,
+        pattern=forms.pattern(),
     )
 
 
@@ -386,20 +438,34 @@ def _norm2(a):
     return float(max(abs(values[0]), abs(values[-1])))
 
 
-def _zero_tau(forms, tau, q_norm, l_norm, qt, lt):
-    """The mask of the tau :func:`zm_eigen` counts as zero, from
-    ``q_norm`` and ``l_norm``, ``(lo, hi)`` bounding ``||Q_t||_2`` and
-    ``||L_t||_2`` (equal ends for a known norm).  The exact 2-norms
-    (:func:`_norm2`) of Q_t and L_t, from their double values ``qt`` and
-    ``lt``, are computed only for a ``|tau|`` the bracket leaves open."""
+def _census(forms, eigen, q_norm, l_norm, qt, lt):
+    """The numbers ``(n_minus, n_zero, n_plus)`` of negative, zero and
+    positive tau in the :class:`~eigenclose.linalg.TridiagonalEigen`
+    ``eigen`` of :func:`zm_eigen`, from ``q_norm`` and ``l_norm``,
+    ``(lo, hi)`` bounding ``||Q_t||_2`` and ``||L_t||_2``.
+
+    Every tau beyond ``edge = 2 tol l_hi / q_lo`` in size is nonzero by
+    the bracket, so one Sturm count at ``-edge`` and one bisection of the
+    band ``(-edge, edge]``, which is usually empty, settle the census.  A
+    tau of the band is zero where ``2 |tau| q_hi < tol l_lo``; where one
+    is not, the exact 2-norms (:func:`_norm2`) of Q_t and L_t, from their
+    double values ``qt`` and ``lt``, decide each tau of the band.  The
+    edge is kept above the underflow threshold, where a Sturm count
+    cannot tell an exact zero from its neighbours.
+    """
     q_lo, q_hi = q_norm
     l_lo, l_hi = l_norm
-    size = np.abs(tau)
-    below = 2.0 * size * q_hi < forms.tol * l_lo
-    if np.all(below | (size * q_lo > 2.0 * forms.tol * l_hi)):
-        return below
-    norm_q = q_lo if q_lo == q_hi else _norm2(_on_pattern(forms, qt))
-    return size <= forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q)
+    edge = max(2.0 * forms.tol * l_hi / q_lo, 4.0 * np.finfo(float).tiny)
+    below = eigen.count(-edge)
+    band = eigen.between(-edge, edge).tolist()
+    zero = [2.0 * abs(tau) * q_hi < forms.tol * l_lo for tau in band]
+    if not all(zero):
+        norm_q = q_lo if q_lo == q_hi else _norm2(_on_pattern(forms, qt))
+        limit = forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q)
+        zero = [abs(tau) <= limit for tau in band]
+    n_zero = sum(zero)
+    n_minus = below + sum(tau < 0.0 for tau, z in zip(band, zero) if not z)
+    return n_minus, n_zero, eigen.size - n_minus - n_zero
 
 
 def _pencil(forms, t):
@@ -455,9 +521,10 @@ def zm_bounds_one_sided(forms, t, side):
         ``"right"`` returns upper bounds ``t + 1/tau^+_j`` for the
         points above t, nearest first (increasing).
 
-    All bounds of the side are returned.  The nearest ``REFINE_COUNT``
+    All bounds of the side are returned, so every eigenvalue of the side
+    is bisected (see :class:`PencilEigen`).  The nearest ``REFINE_COUNT``
     come from polished eigenvalues (see :meth:`PencilEigen.polish`) and
-    the rest from double-precision ones; the other side is not polished.
+    the rest from double-precision ones; the other side is not computed.
     Every call at a shift with a deflated kernel issues a
     ``DeflationWarning``, also when the forms' kept solve serves it.
 
@@ -467,7 +534,7 @@ def zm_bounds_one_sided(forms, t, side):
         If the pencil has no eigenvalues of the requested sign.
     """
     _check_side(side)
-    return _side_bounds(_bounds_pencil(forms, t), side, REFINE_COUNT)
+    return _side_bounds(_bounds_pencil(forms, t), side)
 
 
 def zm_enclosures(forms, window, j_max):
@@ -485,15 +552,18 @@ def zm_enclosures(forms, window, j_max):
     solve: touching windows taken in ascending order solve the end they
     share once, and each window end with a deflated kernel warns.  Only
     the pencil eigenvalues behind bounds that can be emitted are
-    polished (see :meth:`PencilEigen.polish`), counted on their values
-    before the polish: at a the uppers below b, at most ``j_max`` of
-    them, and at b every lower above a (at most ``REFINE_COUNT``).  A
-    window in a spectral gap polishes nothing and computes no
+    bisected and polished (see :meth:`PencilEigen.nearest`), counted
+    before any is computed, by one Sturm count at ``|tau| = 1/(b - a)``
+    per window end (:meth:`~eigenclose.linalg.TridiagonalEigen.count`):
+    at a the uppers below b, at most ``j_max`` of them, and at b every
+    lower above a (the nearest ``REFINE_COUNT`` of them polished).  A
+    window in a spectral gap bisects no eigenvalue and computes no
     eigenvector.  The bounds are those of both sides polished in full
-    except where the polish would move a bound across the window end
-    it was counted against: one left outside by its unpolished value is
-    dropped, though polished it might fall inside.  The polish moves a
-    bound only by the roundoff of the double-precision solve.
+    except where the polish or the roundoff of the count would move a
+    bound across the window end it was counted against: one the count
+    leaves outside is dropped, though polished it might fall inside.
+    The polish moves a bound only by the roundoff of the
+    double-precision solve.
 
     Raises
     ------
@@ -507,15 +577,16 @@ def zm_enclosures(forms, window, j_max):
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
+    # a bound t + 1/tau from a window end lies inside where |tau| > reach
+    reach = 1.0 / (b - a)
     pencil = _bounds_pencil(forms, a)
     # the pairing reads the first j_max uppers inside the window
-    inside = int(np.count_nonzero(a + 1.0 / pencil.tau_plus < b))
+    inside = pencil.eigen.size - pencil.eigen.count(reach)
     uppers = _side_bounds(pencil, "right", min(j_max, inside))
     del pencil  # the forms' memo drops it before solving b: one at a time
     pencil = _bounds_pencil(forms, b)
     # and every lower inside it, the smallest first
-    inside = int(np.count_nonzero(b + 1.0 / pencil.tau_minus > a))
-    lowers = _side_bounds(pencil, "left", inside)
+    lowers = _side_bounds(pencil, "left", pencil.eigen.count(-reach))
     uppers = np.sort(uppers[uppers < b])
     lowers = np.sort(lowers[lowers > a])
 

@@ -60,10 +60,11 @@ evaluations more than without it.  A prediction beyond the search's
 reach, a pencil that fails or has too few values, or inconsistent
 forms leave the search unseeded.  The pencil is solved once per shift
 per forms (the forms keep their last solve, so both sides of an audit
-and every index share it), and a call polishes only the first j
-(``j_max`` for :func:`dp_bounds`) tau of the root's side, the ones it
-reads.  The forms keep the last sign at (t, j) too, so the second side
-of an audit at (t, j) evaluates 2 shifts where the first evaluates 3.
+and every index share it), and a call bisects and polishes only the
+first j (``j_max`` for :func:`dp_bounds`) tau of the root's side, the
+ones it reads.  The forms keep the last sign at (t, j) too, so the
+second side of an audit at (t, j) evaluates 2 shifts where the first
+evaluates 3.
 """
 
 import functools
@@ -148,12 +149,13 @@ def default_fp_tol(forms, t):
 
 
 def _seed_taus(forms, t, side, count):
-    """Pencil eigenvalues on ``side`` of t, nearest bound first, the
-    nearest ``count`` polished; None where the solve fails.  A seed only
-    decides where the bisection looks, so its failure costs nothing but
-    the evaluations it would have saved."""
+    """The nearest ``count`` pencil eigenvalues on ``side`` of t (fewer
+    where the side holds fewer), nearest bound first and polished; None
+    where the solve fails.  A seed only decides where the bisection
+    looks, so its failure costs nothing but the evaluations it would
+    have saved."""
     try:
-        return _pencil(forms, t).polish(side, count)
+        return _pencil(forms, t).nearest(side, count)
     except (EigencloseError, ValueError, np.linalg.LinAlgError):
         return None
 
@@ -439,7 +441,7 @@ def equivalence_gap(forms, t, j, side, fp_tol=None):
         If the side is undetectable at index j (either route).
     """
     result = optimal_shift(forms, t, j, side, fp_tol)
-    tau = _pencil(forms, t).polish(side, j)
+    tau = _pencil(forms, t).nearest(side, j)
     if tau.size < j:
         raise NoSignChangeError(
             f"pencil detects only {tau.size} points {side} of t={t:g}"

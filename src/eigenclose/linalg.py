@@ -14,10 +14,10 @@ one function per job, each a direct LAPACK call:
   symmetric-definite pencil, optionally just the smallest few, from the
   Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
   ``syevd`` or ``syevx``);
-* :func:`kernel_split`, all the eigenvalues of a symmetric pencil whose
-  right-hand matrix is positive semidefinite, from one pivoted Cholesky
-  factorization of it (LAPACK ``pstrf``, then ``sygst``, ``sytrd`` and
-  ``sterf``): the factorization splits off its numerical kernel, and
+* :func:`kernel_split`, the tridiagonal reduction of a symmetric pencil
+  whose right-hand matrix is positive semidefinite, from one pivoted
+  Cholesky factorization of it (LAPACK ``pstrf``, then ``sygst`` and
+  ``sytrd``): the factorization splits off its numerical kernel, and
   where it deflates coordinates :func:`schur_min` shows an indefinite
   one;
 * :func:`schur_min`, the smallest eigenvalue of a Schur complement from
@@ -26,8 +26,10 @@ one function per job, each a direct LAPACK call:
 * :func:`count_nonpositive`, the number of eigenvalues <= 0 of a
   symmetric matrix, its inertia from one Bunch-Kaufman factorization
   (LAPACK ``sytrf``), no eigenvalue;
-* :class:`TridiagonalEigen`, what :func:`kernel_split` returns: the
-  values, and the eigenvectors of chosen values on demand (LAPACK
+* :class:`TridiagonalEigen`, what :func:`kernel_split` returns: on
+  demand, how many eigenvalues lie at or below a point (a Sturm count)
+  and the eigenvalues nearest either end of the spectrum (bisection),
+  both by LAPACK ``stebz``, and the eigenvectors of those values (LAPACK
   ``stein`` and ``ormqr``, then BLAS ``trsm``).
 
 All tolerances are relative to the matrix scale so the routines behave
@@ -210,9 +212,10 @@ def sym_generalized_eigvals(a, factor, count=None):
 
 
 def kernel_split(a, b, n, pattern, threshold):
-    """Eigenvalues of ``a x = lam b x`` with the numerical kernel of the
-    positive semidefinite ``b`` split off, its eigenvectors on demand;
-    and the check that ``b`` is not indefinite.
+    """The tridiagonal reduction of ``a x = lam b x`` with the numerical
+    kernel of the positive semidefinite ``b`` split off, from which its
+    eigenvalue counts, eigenvalues and eigenvectors are computed on
+    demand; and the check that ``b`` is not indefinite.
 
     ``a`` and ``b`` are n by n symmetric matrices given by their double
     values on ``pattern``, the ``(rows, cols)`` of a symmetric pattern,
@@ -224,11 +227,11 @@ def kernel_split(a, b, n, pattern, threshold):
     definite up to the backward error of the factorization.  The pencil
     on ``keep`` is written in pivot order from the values of ``a`` and
     reduced through ``L11``: ``sygst`` forms ``C = L11^{-1} a L11^{-T}``
-    in place, and :func:`_reduce` gives its eigenvalues, bit for bit
-    those of ``sym_eigh(C)``.  Its vectors, ``b``-orthonormal, are zero
-    on ``rest``.  Where the kernel of ``b`` lies in that of ``a``, every
-    complement of the kernel gives the same eigenvalues, those of the
-    deflated pencil.
+    in place, and :func:`_reduce` reduces it to a tridiagonal T; no
+    eigenvalue is computed here.  Its vectors, ``b``-orthonormal, are
+    zero on ``rest``.  Where the kernel of ``b`` lies in that of ``a``,
+    every complement of the kernel gives the same eigenvalues, those of
+    the deflated pencil.
 
     ``pstrf`` does not leave the Schur complement of ``b[keep, keep]``
     in its trailing block, so :func:`schur_min` forms it from the values
@@ -355,89 +358,169 @@ def _placed(values, i, j, shape):
 
 def _reduce(c, pivots):
     """The :class:`TridiagonalEigen` of the symmetric ``c`` (its lower
-    triangle, overwritten) on the coordinates ``pivots``.
-
-    LAPACK ``sytrd`` reduces ``c`` to a tridiagonal T and ``sterf`` gives
-    the eigenvalues of each unreduced block of T (split where its
-    subdiagonal is exactly 0), merged ascending with equal values in
-    block order: bit for bit those of ``sym_eigh(c)``,
-    since ``syevd`` without vectors runs the same two routines with the
-    same workspace and ``sterf`` splits T there too, except that
-    ``syevd`` first rescales a matrix whose largest entry lies outside
-    about ``[1e-146, 1e146]``.
-    """
+    triangle, overwritten) on the coordinates ``pivots``: LAPACK
+    ``sytrd`` reduces ``c`` to a tridiagonal T, with the workspace in
+    which it runs blocked, and nothing else is computed."""
     n = c.shape[0]
     if n == 0:
         empty = np.zeros(0)
-        return TridiagonalEigen(
-            empty, np.zeros(0, dtype=int), empty, empty, empty, np.zeros((0, 0)), pivots
-        )
+        return TridiagonalEigen(empty, empty, empty, np.zeros((0, 0)), pivots)
     packed, d, e, reflectors, info = scipy.linalg.lapack.dsytrd(
         c, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1
     )
     if info != 0:
         raise ValueError(f"sytrd rejected argument {-info}")
-    starts, stops = _blocks(e)
-    values = np.concatenate(
-        [_sterf(d[a:b], e[a : b - 1]) for a, b in zip(starts, stops)]
-    )
-    blocks = np.repeat(np.arange(len(starts)), np.subtract(stops, starts))
-    order = np.argsort(values, kind="stable")
-    return TridiagonalEigen(
-        values[order], blocks[order], d, e, reflectors, packed, pivots
-    )
+    return TridiagonalEigen(d, e, reflectors, packed, pivots)
 
 
-def _blocks(e):
-    """Starts and stops, as lists, of the unreduced blocks of a
-    tridiagonal matrix with subdiagonal ``e``."""
-    splits = (np.flatnonzero(e == 0.0) + 1).tolist()
-    return [0] + splits, splits + [e.size + 1]
+def _chunks(count, n):
+    """The bounds of the fixed chunks ``[0, 1)``, ``[1, 2)``, ``[2, 4)``,
+    ``[4, 8)`` and so on of n indices that hold the first ``count``, the
+    last chunk cut at n."""
+    bounds = [0, 1]
+    while bounds[-1] < count:
+        bounds.append(min(2 * bounds[-1], n))
+    return bounds
 
 
-def _sterf(d, e):
-    """LAPACK ``sterf``: all eigenvalues of the tridiagonal ``(d, e)``."""
-    if d.size == 1:  # sterf's wrapper takes no empty e
-        return d.copy()
-    values, info = scipy.linalg.lapack.dsterf(d, e)
+def _stebz(d, e, *args):
+    """LAPACK ``stebz`` on the tridiagonal ``(d, e)`` of order at least 1,
+    with the arguments ``range, vl, vu, il, iu, abstol``: the eigenvalues
+    it bisects, ordered by the blocks it splits T into."""
+    if d.size == 1:  # stebz's wrapper takes no empty e
+        e = np.zeros(1)
+    m, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, *args, "B")
     if info != 0:
-        raise np.linalg.LinAlgError(f"sterf did not converge (info={info})")
-    return values
+        raise np.linalg.LinAlgError(f"stebz failed (info={info})")
+    return w[:m]
 
 
 @dataclass(eq=False)
 class TridiagonalEigen:
-    """All eigenvalues of a symmetric (or definite) eigenproblem, and what
-    its eigenvectors need, computed only on demand by :meth:`vectors`.
+    """A symmetric (or definite) eigenproblem reduced to a tridiagonal T,
+    from which what is read is computed on demand and nothing else:
+    eigenvalue counts (:meth:`count`, :meth:`between`), the eigenvalues
+    nearest either end of the spectrum (:meth:`end_values`) and their
+    eigenvectors (:meth:`vectors`).
 
-    ``values`` ascending, ``blocks`` the index of the unreduced block of T
-    each belongs to.  ``d`` and ``e`` are the diagonal and subdiagonal of
-    the tridiagonal T that ``sytrd`` reduced the standard matrix to,
-    ``reflectors`` the scalar factors of its Householder reflectors.
-    ``packed`` is one n by n array holding those reflectors' vectors below
-    its first subdiagonal and the transpose of the Cholesky factor of the
-    pencil's right-hand matrix on and above its diagonal.  ``pivots``
-    orders the coordinates of the vectors, which may be more than n, and
-    its first n are the ones the pencil was solved on
-    (:func:`kernel_split`).
+    ``d`` and ``e`` are the diagonal and subdiagonal of the tridiagonal T
+    that ``sytrd`` reduced the standard matrix to, ``reflectors`` the
+    scalar factors of its Householder reflectors.  ``packed`` is one n by
+    n array holding those reflectors' vectors below its first
+    subdiagonal and the transpose of the Cholesky factor of the pencil's
+    right-hand matrix on and above its diagonal.  ``pivots`` orders the
+    coordinates of the vectors, which may be more than n, and its first n
+    are the ones the pencil was solved on (:func:`kernel_split`).
     """
 
-    values: np.ndarray
-    blocks: np.ndarray
     d: np.ndarray
     e: np.ndarray
     reflectors: np.ndarray
     packed: np.ndarray = field(repr=False)
     pivots: np.ndarray = field(repr=False)
+    # the values bisected so far from one end of each unreduced block of
+    # T, by the block's start and that end
+    _bisected: dict = field(init=False, repr=False, default_factory=dict)
+
+    @functools.cached_property
+    def _blocks(self):
+        """Starts and stops, as lists, of the unreduced blocks of T, split
+        where its subdiagonal is exactly 0."""
+        splits = (np.flatnonzero(self.e == 0.0) + 1).tolist()
+        return [0] + splits, splits + [self.d.size]
+
+    @property
+    def size(self):
+        """The order n of the problem."""
+        return self.d.size
+
+    def count(self, x):
+        """The number of eigenvalues at or below x: a Sturm count of T,
+        by ``stebz`` over ``(-inf, x]`` with an infinite tolerance, at
+        which it bisects nothing."""
+        if self.d.size == 0 or x == -np.inf:
+            return 0
+        return _stebz(self.d, self.e, 1, -np.inf, x, 0, 0, np.inf).size
+
+    def between(self, lo, hi):
+        """The eigenvalues in ``(lo, hi]``, ``lo < hi``, ascending, bisected
+        by ``stebz`` to its default tolerance (see :meth:`end_values`)."""
+        if self.d.size == 0:
+            return np.zeros(0)
+        return np.sort(_stebz(self.d, self.e, 1, lo, hi, 0, 0, 0.0))
+
+    @property
+    def values(self):
+        """All the eigenvalues, ascending: :meth:`end_values` of all n."""
+        return self.end_values(self.d.size)
+
+    def end_values(self, count, top=False):
+        """The ``count`` smallest eigenvalues, ascending, or with ``top``
+        the ``count`` largest, descending.
+
+        LAPACK ``stebz`` bisects them by index on each unreduced block of
+        T (split where its subdiagonal is exactly 0), to within about
+        eps ||T||, in the fixed chunks of :meth:`vectors` counted from
+        the block's end, each chunk whole.  Bisection to roundoff may put
+        the values of a cluster out of order across chunks, and ``stein``
+        needs them in order: a running maximum over the block's values
+        from its end (a minimum with ``top``) keeps them so.  A value's
+        bits thus do not depend on how many are asked for.  The blocks'
+        values are merged stably, equal values in block order (reversed
+        with ``top``), and each block's are cached.
+        """
+        return self._end_values(count, top)[0]
+
+    def _end_values(self, count, top):
+        """:meth:`end_values` and the index of the unreduced block of T
+        that each belongs to."""
+        count = min(count, self.d.size)
+        if count <= 0:
+            return np.zeros(0), np.zeros(0, dtype=int)
+        starts, stops = self._blocks
+        if len(starts) == 1:  # a copy: the cache stays as bisected
+            values = self._block_end_values(0, self.d.size, count, top).copy()
+            return values, np.zeros(count, dtype=int)
+        parts = [
+            self._block_end_values(start, stop, count, top)
+            for start, stop in zip(starts, stops)
+        ]
+        values = np.concatenate(parts)
+        blocks = np.repeat(np.arange(len(parts)), [part.size for part in parts])
+        order = np.argsort(values, kind="stable")
+        order = (order[::-1] if top else order)[:count]
+        return values[order], blocks[order]
+
+    def _block_end_values(self, start, stop, count, top):
+        """The ``min(count, stop - start)`` eigenvalues nearest one end of
+        the unreduced block ``[start, stop)`` of T, ascending (descending
+        with ``top``)."""
+        size = stop - start
+        count = min(count, size)
+        known = self._bisected.get((start, top), np.zeros(0))
+        if known.size < count:
+            d, e = self.d[start:stop], self.e[start : stop - 1]
+            bounds = _chunks(count, size)
+            parts = [known]
+            for a, b in zip(bounds, bounds[1:]):
+                if a >= known.size:
+                    il, iu = (size - b + 1, size - a) if top else (a + 1, b)
+                    part = np.sort(_stebz(d, e, 2, 0.0, 0.0, il, iu, 0.0))
+                    parts.append(part[::-1] if top else part)
+            running = np.minimum if top else np.maximum
+            known = running.accumulate(np.concatenate(parts))
+            self._bisected[start, top] = known
+        return known[:count]
 
     def vectors(self, count, top=False):
         """Eigenvector columns of the ``count`` smallest values, ascending,
         or with ``top`` of the ``count`` largest, descending.
 
-        LAPACK ``stein`` computes each by inverse iteration on T, then
-        ``ormqr`` applies the reflectors and the back-transform of
-        :class:`TridiagonalEigen` follows.  A column does not depend on
-        how many after it are asked for:
+        LAPACK ``stein`` computes each by inverse iteration on T at its
+        value from :meth:`end_values`, then ``ormqr`` applies the
+        reflectors and the back-transform of :class:`TridiagonalEigen`
+        follows.  A column does not depend on how many after it are
+        asked for:
 
         * ``stein`` seeds each start vector by its position in the call
           and orthogonalizes a vector against the ones before it whose
@@ -462,9 +545,7 @@ class TridiagonalEigen:
         count = min(count, n)
         if count == 0:
             return np.zeros((self.pivots.size, 0))
-        bounds = [0, 1]
-        while bounds[-1] < count:
-            bounds.append(min(2 * bounds[-1], n))
+        bounds = _chunks(count, n)
         z = self._tridiagonal_vectors(bounds[-1], top)
         # ormqr's wrapper copies a non-contiguous reflector block whole:
         # copy it once for all chunks
@@ -478,11 +559,11 @@ class TridiagonalEigen:
     def _tridiagonal_vectors(self, count, top):
         """The eigenvectors of T (of -T with ``top``) of its ``count``
         smallest values, by ``stein`` on each unreduced block."""
-        d, e, values, blocks = self.d, self.e, self.values, self.blocks
+        values, blocks = self._end_values(count, top)
+        d, e = self.d, self.e
         if top:
-            d, e, values, blocks = -d, -e, -values[::-1], blocks[::-1]
-        values, blocks = values[:count], blocks[:count]
-        starts, stops = _blocks(e)
+            d, e, values = -d, -e, -values
+        starts, stops = self._blocks
         z = np.zeros((d.size, count), order="F")
         for block in set(blocks.tolist()):
             start, stop = starts[block], stops[block]

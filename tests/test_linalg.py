@@ -1,5 +1,7 @@
 """Tests for the dense symmetric kernel routines."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,6 +15,7 @@ from eigenclose.errors import (
     NonFiniteError,
     NotPositiveDefiniteError,
 )
+from eigenclose import linalg as linalg_mod
 from eigenclose.enclosure import zm_eigen
 from eigenclose.forms import TrialForms, _on_pattern, shifted_linear, shifted_square
 from eigenclose.linalg import (
@@ -238,13 +241,63 @@ def _pivoted_reduction(a, b):
     return c, pivots
 
 
+def _stebz(d, e, *args):
+    """LAPACK ``dstebz`` called directly: the m values it returns, ordered
+    by its blocks."""
+    e = e if d.size > 1 else np.zeros(1)  # the wrapper takes no empty e
+    m, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, *args, "B")
+    assert info == 0
+    return w[:m]
+
+
+def _documented_values(c):
+    """All eigenvalues of the symmetric ``c``, ascending, by the rule that
+    :meth:`TridiagonalEigen.end_values` documents, from direct LAPACK
+    calls: ``dsytrd`` in its blocked workspace, then ``dstebz`` by index
+    in the chunks [0, 1), [1, 2), [2, 4), ... of each block of T split at
+    an exact zero of e, a running maximum over each block's chunks, and
+    the blocks merged stably; with the tridiagonal T as ``(d, e)``."""
+    n = c.shape[0]
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+    _, d, e, _, info = scipy.linalg.lapack.dsytrd(c, lower=1, lwork=int(lwork))
+    assert info == 0
+    splits = (np.flatnonzero(e == 0.0) + 1).tolist()
+    values = []
+    for start, stop in zip([0] + splits, splits + [n]):
+        bounds = [0, 1]
+        while bounds[-1] < stop - start:
+            bounds.append(min(2 * bounds[-1], stop - start))
+        block = d[start:stop], e[start : stop - 1]
+        chunks = [
+            np.sort(_stebz(*block, 2, 0.0, 0.0, i + 1, j, 0.0))
+            for i, j in zip(bounds, bounds[1:])
+        ]
+        values.append(np.maximum.accumulate(np.concatenate(chunks)))
+    return np.sort(np.concatenate(values), kind="stable"), d, e
+
+
+def _assert_documented_values(eigen, c):
+    """``eigen`` holds the values of the documented rule bit for bit, and
+    its counts are those of ``sym_eigh(c)`` at the midpoints between
+    distinct values and beyond the ends."""
+    values, d, e = _documented_values(c)
+    npt.assert_array_equal(eigen.d, d)
+    npt.assert_array_equal(eigen.e, e)
+    npt.assert_array_equal(eigen.values, values)
+    exact = sym_eigh(c)
+    ends = [exact[0] - 1.0, exact[-1] + 1.0]
+    distinct = np.flatnonzero(np.diff(exact) > 1e-6 * np.abs(exact).max())
+    for x in ends + ((exact[distinct] + exact[distinct + 1]) / 2).tolist():
+        assert eigen.count(x) == np.count_nonzero(exact <= x)
+
+
 def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
     for a, b in _pencils():
         # b is definite: the pivoted factor keeps every coordinate
         c, pivots = _pivoted_reduction(a, b)
         eigen, _ = _split(a, b, 0.0)
         npt.assert_array_equal(eigen.pivots, pivots)
-        npt.assert_array_equal(eigen.values, sym_eigh(c))
+        _assert_documented_values(eigen, c)
 
 
 def test_a_vector_does_not_depend_on_the_others_asked_for():
@@ -295,7 +348,7 @@ def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits(monkeypatch):
         in_place.clear()
         eigen, _ = _split(a, b, 0.0)
         assert in_place == [True, True]
-        npt.assert_array_equal(eigen.values, sym_eigh(c))
+        _assert_documented_values(eigen, c)
 
 
 def test_split_tridiagonal_with_equal_values():
@@ -306,7 +359,7 @@ def test_split_tridiagonal_with_equal_values():
     npt.assert_array_equal(eigen.pivots, np.arange(4))
     assert not eigen.e.any()
     npt.assert_array_equal(eigen.values, [-3.0, 1.0, 2.0, 2.0])
-    npt.assert_array_equal(eigen.values, sym_eigh(a))
+    _assert_documented_values(eigen, a)
     for top, order in ((False, [3, 1, 0, 2]), (True, [2, 0, 1, 3])):
         npt.assert_array_equal(np.abs(eigen.vectors(4, top)), np.eye(4)[:, order])
     # two copies of one block: T splits between them
@@ -317,7 +370,7 @@ def test_split_tridiagonal_with_equal_values():
     eigen, _ = _split(a, np.eye(6), 0.5)
     npt.assert_array_equal(eigen.pivots, np.arange(6))
     assert eigen.e[2] == 0.0 and np.all(eigen.e[[0, 1, 3, 4]] != 0.0)
-    npt.assert_array_equal(eigen.values, sym_eigh(a))
+    _assert_documented_values(eigen, a)
     for top in (False, True):
         v = eigen.vectors(6, top)
         npt.assert_allclose(v.T @ v, np.eye(6), atol=1e-14)
@@ -325,6 +378,113 @@ def test_split_tridiagonal_with_equal_values():
         npt.assert_allclose(a @ v, v * values, atol=1e-13)
         for k in range(6):
             npt.assert_array_equal(eigen.vectors(k + 1, top)[:, k], v[:, k])
+
+
+def _tridiagonals():
+    """Tridiagonal matrices ``(d, e)``: random ones of orders 0 to 40; one
+    split by exact zeros of e into three blocks, two of them equal; one
+    whose 24 values cluster within 1e-13 of 1, its e so small that
+    ``stebz`` splits it into blocks of order 1 itself; three copies of
+    Wilkinson's W21+ glued by e = 1e-15, whose largest values come in
+    clusters of six that agree to 1e-14 and better, so that bisection by
+    chunks returns some out of order from either end; and a diagonal one
+    with a double value."""
+    rng = np.random.default_rng(11)
+    out = [
+        (rng.standard_normal(n), rng.standard_normal(max(n - 1, 0)))
+        for n in (0, 1, 2, 3, 9, 40)
+    ]
+    d, e = rng.standard_normal(4), rng.standard_normal(3)
+    out.append((np.concatenate([d, d, [0.5]]), np.concatenate([e, [0.0], e, [0.0]])))
+    out.append((np.ones(24), 1e-14 * rng.standard_normal(23)))
+    glue = np.append(np.ones(20), 1e-15)
+    out.append((np.tile(np.abs(np.arange(-10.0, 11.0)), 3), np.tile(glue, 3)[:-1]))
+    out.append((np.array([2.0, 1.0, 2.0, -3.0]), np.zeros(3)))
+    return out
+
+
+def _tridiagonal_eigen(d, e):
+    """The :class:`TridiagonalEigen` of the tridiagonal ``(d, e)``, solved
+    as the pencil ``(T, I)``, whose reduction leaves T as it is; and T."""
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    eigen, _ = _split(t, np.eye(d.size), 0.5)
+    npt.assert_array_equal(eigen.d, d)
+    npt.assert_array_equal(eigen.e, e)
+    return eigen, t
+
+
+def test_tridiagonal_counts_and_values_match_the_dense_solve():
+    eps = np.finfo(float).eps
+    for d, e in _tridiagonals():
+        eigen, t = _tridiagonal_eigen(d, e)
+        n = d.size
+        assert eigen.count(np.inf) == n and eigen.count(-np.inf) == 0
+        if n == 0:
+            assert eigen.count(0.0) == 0 and eigen.values.size == 0
+            assert eigen.between(-1.0, 1.0).size == 0
+            continue
+        exact = sym_eigh(t)
+        norm = np.abs(exact).max()
+        # counts at the midpoints between distinct values and beyond the ends
+        gaps = np.flatnonzero(np.diff(exact) > 1e-6 * norm)
+        points = [exact[0] - 1.0, exact[-1] + 1.0]
+        for x in points + ((exact[gaps] + exact[gaps + 1]) / 2).tolist():
+            assert eigen.count(x) == np.count_nonzero(exact <= x)
+        # every value within 16 eps ||T|| of the dense solve's, from either
+        # end (the dense solve's own error reaches 6 eps ||T|| at n = 40,
+        # bisection's 0.6 eps ||T||)
+        for top in (False, True):
+            values = eigen.end_values(n, top)
+            error = np.abs(values - (exact[::-1] if top else exact))
+            assert np.all(error <= 16 * eps * norm)
+        # and those of a band about the middle of the spectrum
+        reach = 0.25 * (exact[-1] - exact[0]) + 1e-3
+        inner = (exact[0] + exact[-1]) / 2 + np.array([-reach, reach])
+        band = eigen.between(*inner)
+        want = exact[(exact > inner[0]) & (exact <= inner[1])]
+        assert band.size == want.size and np.all(np.abs(band - want) <= 16 * eps * norm)
+
+
+def test_a_tridiagonal_value_does_not_depend_on_the_others_asked_for():
+    for d, e in _tridiagonals():
+        n = d.size
+        eigen, _ = _tridiagonal_eigen(d, e)
+        for top in (False, True):
+            every = eigen.end_values(n, top)
+            assert np.all(np.diff(every[::-1] if top else every) >= 0.0)
+            for k in sorted({1, 2, 3, 5, n}):
+                # a fresh copy bisects anew, asked for k values at once ...
+                fresh = replace(eigen)
+                npt.assert_array_equal(fresh.end_values(k, top), every[:k])
+                # ... or for 1 first and then k
+                fresh = replace(eigen)
+                fresh.end_values(1, top)
+                npt.assert_array_equal(fresh.end_values(k, top), every[:k])
+
+
+def test_stein_gets_its_values_ascending_within_each_block(monkeypatch):
+    seen = []
+    real = linalg_mod._stein
+
+    def spy(d, e, values):
+        seen.append(values.copy())
+        return real(d, e, values)
+
+    monkeypatch.setattr(linalg_mod, "_stein", spy)
+    for d, e in _tridiagonals():
+        n = d.size
+        eigen, t = _tridiagonal_eigen(d, e)
+        for top in (False, True):
+            seen.clear()
+            v = eigen.vectors(n, top)
+            # one stein call per block of T split at an exact zero of e
+            assert v.shape == (n, n)
+            assert len(seen) == (np.count_nonzero(e == 0.0) + 1 if n else 0)
+            assert all(np.all(np.diff(values) >= 0.0) for values in seen)
+            values = eigen.end_values(n, top)
+            npt.assert_allclose(v.T @ v, np.eye(n), atol=1e-13)
+            scale = max(np.abs(values).max(initial=0.0), 1.0)
+            npt.assert_allclose(t @ v, v * values, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -31,7 +31,7 @@ from eigenclose.errors import (
     EmptySideError,
     NonFiniteError,
 )
-from eigenclose.fixed_point import optimal_shift
+from eigenclose.fixed_point import _seed_taus, optimal_shift
 from eigenclose.forms import (
     TrialForms,
     _on_pattern,
@@ -108,6 +108,15 @@ def test_one_sided_bounds_worked_model():
 def test_one_sided_bounds_between():
     npt.assert_allclose(zm_bounds_one_sided(WORKED, 1.5, "left"), [1.0], atol=1e-12)
     npt.assert_allclose(zm_bounds_one_sided(WORKED, 1.5, "right"), [2.0], atol=1e-12)
+
+
+def test_a_window_narrower_than_its_reach_holds_nothing(capfd):
+    # b - a = 5e-324: a bound lies inside only where |tau| > 1/(b - a),
+    # which overflows to inf, and the counts at +-inf are made without
+    # handing LAPACK an empty interval
+    forms = operator_forms(np.diag([-1.0, 1.0]), np.eye(2))
+    assert zm_enclosures(forms, (0.0, 5e-324), 1) == []
+    assert capfd.readouterr().out == ""
 
 
 def test_one_sided_rejects_bad_side():
@@ -628,13 +637,14 @@ def test_more_lowers_than_j_max_polish_each_window_end_once(monkeypatch):
 
 
 def _polish_spy(monkeypatch):
-    """Lists of the ``(side, k)`` of every :meth:`PencilEigen.polish` call
-    and the ``(count, top)`` of every eigenvector request the package
-    makes during the test, in order."""
+    """Lists of the ``(side, k)`` of every polish the package asks for,
+    through :meth:`PencilEigen.polish` or :meth:`PencilEigen.nearest`,
+    and the ``(count, top)`` of every eigenvector request it makes during
+    the test, in order."""
     polishes, requests = [], []
-    polish, vectors = PencilEigen.polish, TridiagonalEigen.vectors
+    polish, vectors = PencilEigen._polish, TridiagonalEigen.vectors
 
-    def polish_spy(self, side, k=REFINE_COUNT):
+    def polish_spy(self, side, k):
         polishes.append((side, k))
         return polish(self, side, k)
 
@@ -642,7 +652,7 @@ def _polish_spy(monkeypatch):
         requests.append((count, top))
         return vectors(self, count, top)
 
-    monkeypatch.setattr(PencilEigen, "polish", polish_spy)
+    monkeypatch.setattr(PencilEigen, "_polish", polish_spy)
     monkeypatch.setattr(TridiagonalEigen, "vectors", vectors_spy)
     return polishes, requests
 
@@ -694,6 +704,75 @@ def test_a_window_keeps_one_pencil_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(enclosure_mod, "zm_eigen", solve)
     assert zm_enclosures(forms, (0.8, 1.6), 3)
     assert alive == [0, 0]
+
+
+def _bisection_spy(monkeypatch):
+    """A list of the number of pencil eigenvalues each LAPACK ``dstebz``
+    call bisects during the test: every value it returns, but none for a
+    Sturm count (an infinite tolerance), which bisects nothing."""
+    bisected = []
+    real = scipy.linalg.lapack.dstebz
+
+    def spy(d, e, *args):
+        out = real(d, e, *args)
+        bisected.append(out[0] if args[-2] < np.inf else 0)
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy)
+    return bisected
+
+
+def test_a_window_bisects_only_the_values_it_can_emit(monkeypatch):
+    # the benchmark's bounds windows: each end emits 2 bounds, and 2 tau
+    # are bisected there; the census's band about 0 holds none
+    forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
+    bisected = _bisection_spy(monkeypatch)
+    for a, b in ((0.5, 2.5), (-2.5, -0.5)):
+        want = []
+        for t, side in ((a, "right"), (b, "left")):
+            bounds = zm_bounds_one_sided(replace(forms), t, side)
+            want.append(np.sort(bounds[(bounds > a) & (bounds < b)]))
+        bisected.clear()
+        enc = zm_enclosures(forms, (a, b), 2)
+        assert sum(bisected) == 4 and len(enc) == 2
+        assert [(e.lower, e.upper) for e in enc] == list(zip(want[1], want[0]))
+    # a window in a spectral gap and a census bisect nothing: 2 stebz
+    # calls per census and 1 count per window end
+    forms = assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms
+    bisected.clear()
+    assert zm_enclosures(forms, (0.2, 0.8), 3) == []
+    assert signature(replace(forms), 1.2).n_plus > 0
+    assert len(bisected) == 3 * 2 + 2 and sum(bisected) == 0
+
+
+def test_a_fixed_point_seed_bisects_the_values_it_reads(monkeypatch):
+    forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 2).forms
+    bisected = _bisection_spy(monkeypatch)
+    # j values, rounded up to whole chunks [0, 1), [1, 2), [2, 4)
+    for j, chunked in ((1, 1), (2, 2), (3, 4)):
+        for side in ("left", "right"):
+            bisected.clear()
+            taus = _seed_taus(replace(forms), 1.4, side, j)
+            assert taus.size == j and sum(bisected) == chunked
+            full = zm_eigen(forms, 1.4).polish(side)
+            npt.assert_array_equal(taus, full[:j])
+
+
+def test_a_window_holding_more_lowers_than_are_polished():
+    # 38 points lie in (0.5, 40): the pairs are those of the one-sided
+    # bounds, and the lowers beyond the REFINE_COUNT nearest b, the 6
+    # smallest, are the solve's own, unpolished
+    forms = assemble_1d(uniform_mesh(30, jitter=0.3, seed=0), 3).forms
+    a, b = 0.5, 40.0
+    uppers = zm_bounds_one_sided(replace(forms), a, "right")
+    lowers = zm_bounds_one_sided(replace(forms), b, "left")
+    uppers = np.sort(uppers[uppers < b])
+    lowers = np.sort(lowers[lowers > a])
+    assert lowers.size == 38 > REFINE_COUNT
+    pairs = list(zip(lowers.tolist(), uppers.tolist()))
+    assert [(e.lower, e.upper) for e in zm_enclosures(forms, (a, b), 40)] == pairs
+    raw = b + 1.0 / zm_eigen(forms, b).tau_minus[REFINE_COUNT:38]
+    npt.assert_array_equal(lowers[:6], np.sort(raw))
 
 
 def test_touching_windows_share_the_end_they_meet_at(fresh, pencil_solves):
