@@ -20,7 +20,7 @@ print(f"shift t = {t}, order 2, 16 elements")
 print(f"{'side':^6} {'j':^3} {'s_hat':^22} {'t + 1/(2 tau_j)':^22} {'gap':^10}")
 
 for side in ("left", "right"):
-    tau = pencil.polish(side)
+    tau = pencil.nearest(side, 2)
     for j in (1, 2):
         res = optimal_shift(forms, t, j, side)
         predicted = t + 0.5 / tau[j - 1]

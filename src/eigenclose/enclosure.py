@@ -47,6 +47,7 @@ REFINE_COUNT = 32
 
 #: no tau
 _NONE = np.zeros(0)
+_NONE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -79,26 +80,27 @@ class PencilEigen:
     solve: the tridiagonal reduction as two vectors and its reflectors,
     in one (n - n_inf) square double array that also holds the pivoted
     Cholesky factor of Q_t, and the index of the n coordinates in pivot
-    order, the kept ones first.  No tau is computed until it is read:
-    :meth:`nearest` bisects the k nearest of one side, and the sides
-    ``tau_minus`` (ascending, most negative first, so index j-1 bounds
-    the j-th spectral point below t) and ``tau_plus`` (descending) are
-    bisected whole when first read, both by the rule of
+    order, the kept ones first.  No tau is computed until it is read, and
+    :meth:`nearest` is the one way to read and polish them: it bisects
+    only the k it returns, by the rule of
     :meth:`~eigenclose.linalg.TridiagonalEigen.end_values`, so a tau is
-    the same whichever read computed it.
+    the same whichever read computed it.  ``tau_minus`` (ascending, most
+    negative first, so index j-1 bounds the j-th spectral point below t)
+    and ``tau_plus`` (descending) read a whole side, every tau of it
+    bisected, and polish nothing more.  Every array read is read-only.
     ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``) is the one way
     to read eigenvectors: the Q_t-orthonormal coefficient vectors, in the
     full trial basis and zero on the deflated coordinates, of the k
     nearest entries of ``tau_minus`` (``tau_plus``) in their order before
-    any :meth:`polish`, which may re-sort near-ties.  Before any tau is
-    read the pencil's arrays take 0.60 MB at n = 240 (dirac1d, order 3,
-    40 elements), 0.46 MB of it that square array, and 26.4 MB at
-    n = 1775 (maxwell2d, order 1, nx = 24), 25.2 MB of it the array;
-    each tau bisected adds 8 bytes, and 8 more in a side read whole.
+    the polish, which may re-sort near-ties.  Before any tau is read the
+    pencil's arrays take 0.60 MB at n = 240 (dirac1d, order 3, 40
+    elements), 0.46 MB of it that square array, and 26.4 MB at n = 1775
+    (maxwell2d, order 1, nx = 24), 25.2 MB of it the array; each tau
+    bisected adds 8 bytes, and 8 more for each one polished.
     ``Qt_values`` and ``Lt_values`` are the values of the shifted forms
     the pencil was solved at on ``pattern``, the forms' nonzero pattern
     (:meth:`TrialForms.pattern`), in the precision of the forms: all
-    :meth:`polish` reads of Q_t and L_t, which are +0 off it.
+    the polish reads of Q_t and L_t, which are +0 off it.
     ``polished`` counts the polished entries of each side.
     """
 
@@ -108,11 +110,10 @@ class PencilEigen:
     Qt_values: np.ndarray = field(repr=False)
     Lt_values: np.ndarray = field(repr=False)
     pattern: tuple = field(repr=False)
-    # each side's polished tau, nearest bound first, and each side read whole
+    # each side's polished tau, nearest bound first
     _polished: dict = field(
         init=False, repr=False, default_factory=lambda: {"left": _NONE, "right": _NONE}
     )
-    _sides: dict = field(init=False, repr=False, default_factory=dict)
 
     @property
     def polished(self):
@@ -121,30 +122,24 @@ class PencilEigen:
 
     @property
     def tau_minus(self):
-        """The negative tau, ascending, bisected whole when first read."""
-        return self._side("left")
+        """The negative tau, ascending, polished as far as read so far."""
+        return self._read("left", self.signature.n_minus)
 
     @property
     def tau_plus(self):
-        """The positive tau, descending, bisected whole when first read."""
-        return self._side("right")
-
-    def _side(self, side):
-        """One side whole, the polished entries first, bisected when first
-        read."""
-        if side not in self._sides:
-            self._sides[side] = self._read(side, self.eigen.size)
-        return self._sides[side]
+        """The positive tau, descending, polished as far as read so far."""
+        return self._read("right", self.signature.n_plus)
 
     def _read(self, side, k):
         """The k nearest tau of one side (all of it where it holds fewer),
         nearest bound first: the polished ones, then those of the solve."""
         k = min(k, self._size(side))
-        polished = self._polished[side]
-        if k <= polished.size:
-            return polished[:k]
-        tau = self.eigen.end_values(k, top=side == "right")
-        return np.concatenate([polished, tau[polished.size :]])
+        tau = self._polished[side]
+        if k > tau.size:
+            rest = self.eigen.end_values(k, top=side == "right")[tau.size :]
+            tau = np.concatenate([tau, rest])
+            tau.flags.writeable = False
+        return tau[:k]
 
     def _size(self, side):
         """The number of tau on one side."""
@@ -152,60 +147,54 @@ class PencilEigen:
         return sig.n_minus if side == "left" else sig.n_plus
 
     def nearest(self, side, k):
-        """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
-        side as :meth:`polish` does and return the nearest k of that side
-        (all of it where it holds fewer), nearest bound first; only those
-        k are bisected."""
-        self._polish(side, k)
-        return self._read(side, k)
+        """The nearest k eigenvalues of one side (all of it where it holds
+        fewer), nearest bound first, read-only; only those k are bisected.
+        ``side`` is ``"left"`` for ``tau_minus``, ``"right"`` for
+        ``tau_plus``.
 
-    def polish(self, side, k=REFINE_COUNT):
-        """Polish the nearest ``min(k, REFINE_COUNT)`` eigenvalues of one
-        side in place and return that side, the polished ones re-sorted
-        nearest first and kept ahead of the rest.
-
+        The nearest ``min(k, REFINE_COUNT)`` are polished first:
         Rayleigh quotients ``x' L_t x / x' Q_t x`` of the double-precision
         eigenvectors, in longdouble on the stored shifted forms (the
         products by :func:`_pattern_products`), remove the solve roundoff
         from the tight bounds (with forms assembled in extended
         precision, well below the double representation floor of Q_t);
         where longdouble is no genuine extended precision, nothing is
-        polished.  Only the k vectors read are computed
+        polished.  Only the vectors of the polished tau are computed
         (:meth:`~eigenclose.linalg.TridiagonalEigen.vectors`), and each
         does not depend on k.  ``polished`` records how many entries of
-        each side are polished: a call asking for no more returns the
-        side untouched, one asking for more polishes the nearest k
-        afresh, so near-ties re-sort as if all k were polished at once.
-        An unpolished entry that ties the last polished one to roundoff
-        stays behind it even when an ulp nearer.  The quotients are only
-        as good as the eigenvectors, so two solves of one pencil that
-        differ in their roundoff may polish a tau a few ulps apart (more
-        inside a cluster of equal tau).  ``side`` is ``"left"`` for
-        ``tau_minus``, ``"right"`` for ``tau_plus``.  The side returned
-        is read whole (see :class:`PencilEigen`); :meth:`nearest` reads
-        only the entries asked for.
-        """
-        self._polish(side, k)
-        return self._side(side)
+        each side are polished: a read asking for no more polishes
+        nothing, one asking for more polishes the nearest k afresh, so
+        near-ties re-sort as if all k were polished at once, among the
+        polished entries only.  An unpolished entry that ties the last
+        polished one to roundoff stays behind it even when an ulp nearer.
+        The quotients are only as good as the eigenvectors, so two solves
+        of one pencil that differ in their roundoff may polish a tau a few
+        ulps apart (more inside a cluster of equal tau).
 
-    def _polish(self, side, k):
-        """The polish of :meth:`polish`, returning nothing."""
+        Raises
+        ------
+        ValueError
+            If ``side`` is neither ``"left"`` nor ``"right"``, or k < 0.
+        """
         _check_side(side)
-        k = min(k, REFINE_COUNT, self._size(side))
-        if not _LONGDOUBLE_OK or k <= self._polished[side].size:
-            return
-        top = side == "right"
-        x = self.eigen.vectors(k, top).astype(np.longdouble)
-        nearest = self.eigen.end_values(k, top)
-        lx, qx = _pattern_products(self.pattern, x, self.Lt_values, self.Qt_values)
-        num = np.einsum("ij,ij->j", x, lx)
-        den = np.einsum("ij,ij->j", x, qx)
-        good = den > 0
-        nearest[good] = (num[good] / den[good]).astype(float)
-        # nearest bound first is largest |tau| first; the polish may nudge
-        # near-ties, which re-sort among the k polished entries only
-        self._polished[side] = nearest[np.argsort(-np.abs(nearest), kind="stable")]
-        self._sides.pop(side, None)
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
+        count = min(k, REFINE_COUNT, self._size(side))
+        if _LONGDOUBLE_OK and count > self._polished[side].size:
+            top = side == "right"
+            x = self.eigen.vectors(count, top).astype(np.longdouble)
+            nearest = self.eigen.end_values(count, top).copy()
+            lx, qx = _pattern_products(self.pattern, x, self.Lt_values, self.Qt_values)
+            num = np.einsum("ij,ij->j", x, lx)
+            den = np.einsum("ij,ij->j", x, qx)
+            good = den > 0
+            nearest[good] = (num[good] / den[good]).astype(float)
+            # nearest bound first is largest |tau| first; the polish may
+            # nudge near-ties, which re-sort among the polished entries only
+            polished = nearest[np.argsort(-np.abs(nearest), kind="stable")]
+            polished.flags.writeable = False
+            self._polished[side] = polished
+        return self._read(side, k)
 
 
 def _pattern_products(pattern, x, *values):
@@ -274,17 +263,15 @@ class ResidualBounds:
     valid: bool
 
 
-def _side_bounds(pencil, side, k=None):
-    """Bounds ``t + 1/tau`` on one side, nearest first: the nearest k,
-    polished (:meth:`PencilEigen.nearest`), or with no k the whole side,
-    its nearest ``REFINE_COUNT`` polished.  ``EmptySideError`` if the side
-    is empty."""
+def _side_bounds(pencil, side, k):
+    """Bounds ``t + 1/tau`` from the nearest k tau of one side
+    (:meth:`PencilEigen.nearest`), nearest first.  ``EmptySideError`` if
+    the side is empty."""
     if pencil._size(side) == 0:
         raise EmptySideError(
             f"no spectrum detectable {side} of t={pencil.t:g} in this trial subspace"
         )
-    tau = pencil.polish(side) if k is None else pencil.nearest(side, k)
-    return pencil.t + 1.0 / tau
+    return pencil.t + 1.0 / pencil.nearest(side, k)
 
 
 def local_counting(forms, t, count=None):
@@ -471,7 +458,7 @@ def _census(forms, eigen, q_norm, l_norm, qt, lt):
 def _pencil(forms, t):
     """:func:`zm_eigen` at t, shared through the forms' memo of their
     last solve.  Users of the shared pencil polish it in place
-    (see :meth:`PencilEigen.polish`).  A miss drops the old pencil
+    (see :meth:`PencilEigen.nearest`).  A miss drops the old pencil
     before solving, so two are never alive at once; a solve that raises
     stores nothing."""
     if forms._kept.get("pencil", (None,))[0] != float(t):
@@ -523,7 +510,7 @@ def zm_bounds_one_sided(forms, t, side):
 
     All bounds of the side are returned, so every eigenvalue of the side
     is bisected (see :class:`PencilEigen`).  The nearest ``REFINE_COUNT``
-    come from polished eigenvalues (see :meth:`PencilEigen.polish`) and
+    come from polished eigenvalues (see :meth:`PencilEigen.nearest`) and
     the rest from double-precision ones; the other side is not computed.
     Every call at a shift with a deflated kernel issues a
     ``DeflationWarning``, also when the forms' kept solve serves it.
@@ -534,7 +521,8 @@ def zm_bounds_one_sided(forms, t, side):
         If the pencil has no eigenvalues of the requested sign.
     """
     _check_side(side)
-    return _side_bounds(_bounds_pencil(forms, t), side)
+    pencil = _bounds_pencil(forms, t)
+    return _side_bounds(pencil, side, pencil._size(side))
 
 
 def zm_enclosures(forms, window, j_max):

@@ -449,11 +449,6 @@ class TridiagonalEigen:
             return np.zeros(0)
         return np.sort(_stebz(self.d, self.e, 1, lo, hi, 0, 0, 0.0))
 
-    @property
-    def values(self):
-        """All the eigenvalues, ascending: :meth:`end_values` of all n."""
-        return self.end_values(self.d.size)
-
     def end_values(self, count, top=False):
         """The ``count`` smallest eigenvalues, ascending, or with ``top``
         the ``count`` largest, descending.
@@ -467,7 +462,8 @@ class TridiagonalEigen:
         from its end (a minimum with ``top``) keeps them so.  A value's
         bits thus do not depend on how many are asked for.  The blocks'
         values are merged stably, equal values in block order (reversed
-        with ``top``), and each block's are cached.
+        with ``top``), and each block's are cached, read-only: the array
+        returned may be a view of that cache.
         """
         return self._end_values(count, top)[0]
 
@@ -478,8 +474,8 @@ class TridiagonalEigen:
         if count <= 0:
             return np.zeros(0), np.zeros(0, dtype=int)
         starts, stops = self._blocks
-        if len(starts) == 1:  # a copy: the cache stays as bisected
-            values = self._block_end_values(0, self.d.size, count, top).copy()
+        if len(starts) == 1:
+            values = self._block_end_values(0, self.d.size, count, top)
             return values, np.zeros(count, dtype=int)
         parts = [
             self._block_end_values(start, stop, count, top)
@@ -509,6 +505,7 @@ class TridiagonalEigen:
                     parts.append(part[::-1] if top else part)
             running = np.minimum if top else np.maximum
             known = running.accumulate(np.concatenate(parts))
+            known.flags.writeable = False
             self._bisected[start, top] = known
         return known[:count]
 

@@ -156,7 +156,7 @@ class MaxwellModel:
 
 
 def _reference_p1():
-    def values(p):
+    def basis(p):
         x, y = p[:, 0], p[:, 1]
         return np.column_stack([1.0 - x - y, x, y])
 
@@ -164,7 +164,7 @@ def _reference_p1():
         g = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         return np.broadcast_to(g, (p.shape[0], 3, 2)).copy()
 
-    return values, grads
+    return basis, grads
 
 
 def _reference_p2():
@@ -172,7 +172,7 @@ def _reference_p2():
         x, y = p[:, 0], p[:, 1]
         return np.column_stack([1.0 - x - y, x, y])
 
-    def values(p):
+    def basis(p):
         lam = bary(p)
         out = np.empty((p.shape[0], 6))
         for i in range(3):
@@ -192,7 +192,7 @@ def _reference_p2():
             )
         return out
 
-    return values, grads
+    return basis, grads
 
 
 def _triangle_quadrature(degree):
@@ -223,21 +223,18 @@ def _scalar_nodes(mesh, order):
     """Global scalar node table: coordinates, element connectivity and
     per-node boundary-side tags (exact, derived from the edge tags)."""
     nv = mesh.vertices.shape[0]
-    vertex_sides = [set() for _ in range(nv)]
+    vertex_tags = [set() for _ in range(nv)]
     for a, b, side in mesh.boundary_edges:
-        vertex_sides[a].add(side)
-        vertex_sides[b].add(side)
+        vertex_tags[a].add(side)
+        vertex_tags[b].add(side)
 
     if order == 1:
-        coords = mesh.vertices.copy()
-        connectivity = mesh.triangles.copy()
-        node_sides = vertex_sides
-        return coords, connectivity, node_sides
+        return mesh.vertices.copy(), mesh.triangles.copy(), vertex_tags
 
     # order 2: add one node on every edge of the triangulation
     edge_ids = {}
     extra = []
-    sides = list(vertex_sides)
+    tags = list(vertex_tags)
     connectivity = np.empty((mesh.triangles.shape[0], 6), dtype=int)
     for e, tri in enumerate(mesh.triangles):
         connectivity[e, :3] = tri
@@ -247,10 +244,10 @@ def _scalar_nodes(mesh, order):
             if key not in edge_ids:
                 edge_ids[key] = nv + len(extra)
                 extra.append(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-                sides.append(vertex_sides[a] & vertex_sides[b])
+                tags.append(vertex_tags[a] & vertex_tags[b])
             connectivity[e, 3 + k] = edge_ids[key]
     coords = np.vstack([mesh.vertices, np.array(extra)])
-    return coords, connectivity, sides
+    return coords, connectivity, tags
 
 
 def assemble_2d(mesh, order):
@@ -288,7 +285,7 @@ def assemble_2d(mesh, order):
     n_vals = ref_values(pts)  # (q, a)
     g_ref = ref_grads(pts)  # (q, a, 2)
 
-    coords, connectivity, node_sides = _scalar_nodes(mesh, order)
+    coords, connectivity, node_tags = _scalar_nodes(mesh, order)
     n_nodes = coords.shape[0]
 
     # affine maps of all triangles: Jacobians, determinants and the
@@ -315,10 +312,10 @@ def assemble_2d(mesh, order):
 
     all_nodes = np.arange(n_nodes)
     e1_nodes = np.array(
-        [i for i in all_nodes if not ({"y0", "y1"} & node_sides[i])], dtype=int
+        [i for i in all_nodes if not ({"y0", "y1"} & node_tags[i])], dtype=int
     )
     e2_nodes = np.array(
-        [i for i in all_nodes if not ({"x0", "x1"} & node_sides[i])], dtype=int
+        [i for i in all_nodes if not ({"x0", "x1"} & node_tags[i])], dtype=int
     )
 
     # each node's trial index in the E1, E2 and H blocks, -1 for none

@@ -194,7 +194,7 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch, fresh)
     t = 1.4
     shifts = _record_shifts(monkeypatch)
     for side in ("left", "right"):
-        tau = _pencil(forms, t).polish(side, 3)
+        tau = _pencil(forms, t).nearest(side, 3)
         for j in (1, 2, 3):
             unseeded = _unseeded(fresh(forms), t, j, side)
             shifts.clear()
@@ -215,8 +215,8 @@ def test_wrong_seed_costs_evaluations_not_the_root(fresh):
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=2), 2).forms
     t = 1.4
     for side, other in (("left", "right"), ("right", "left")):
-        tau = _pencil(forms, t).polish(side, 2)
-        wrong_side = _pencil(forms, t).polish(other, 2)
+        tau = _pencil(forms, t).nearest(side, 2)
+        wrong_side = _pencil(forms, t).nearest(other, 2)
         for j in (1, 2):
             unseeded = _unseeded(fresh(forms), t, j, side)
             # 1e-300 predicts a root beyond the expansion's reach
@@ -339,7 +339,7 @@ def _both_searches(forms, t, j, side, calls, fresh):
     bracket, checked = None, set()
     if positive(counted, 0.0):
         lo, hi, path = _replay(forms, t, lambda alpha: not positive(counted, alpha))
-        taus = _pencil(forms, t).polish(side, j)
+        taus = _pencil(forms, t).nearest(side, j)
         alpha_star = 0.5 / abs(taus[j - 1]) if taus.size >= j else np.inf
         predicted = _replay(forms, t, lambda alpha: alpha >= alpha_star)
         bracket = predicted[:2] if predicted else None

@@ -1,5 +1,6 @@
 """Tests for the shifted-pencil (Zimmermann-Mertins) bound machinery."""
 
+import functools
 import re
 import warnings
 import weakref
@@ -91,8 +92,8 @@ def test_diagonal_forms_split_the_reduction():
     ):
         pencil = zm_eigen(forms, t)
         assert not pencil.eigen.e.any()
-        npt.assert_array_equal(pencil.polish("left"), minus)
-        npt.assert_array_equal(pencil.polish("right"), plus)
+        npt.assert_array_equal(pencil.nearest("left", forms.n), minus)
+        npt.assert_array_equal(pencil.nearest("right", forms.n), plus)
         x = _both_sides_vectors(pencil)
         qt = _on_pattern(forms, shifted_square(forms, t))
         npt.assert_array_equal(x.T @ qt @ x, np.eye(forms.n))
@@ -401,7 +402,7 @@ def test_cholesky_route_matches_the_eigh_route(case, split_route):
         for side, want in (("left", minus), ("right", plus)):
             tau = pencil.tau_minus if side == "left" else pencil.tau_plus
             npt.assert_allclose(tau, want, rtol=1e-12, atol=0.0)
-            npt.assert_allclose(pencil.polish(side, 3)[:3], want[:3], rtol=1e-12, atol=0.0)
+            npt.assert_allclose(pencil.nearest(side, 3), want[:3], rtol=1e-12, atol=0.0)
     assert len(split_route) == len(shifts)
 
 
@@ -573,12 +574,12 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
     for t in shifts:
         full = zm_eigen(forms, t)
         for side, name in (("left", "minus"), ("right", "plus")):
-            full_tau = full.polish(side)
+            full_tau = full.nearest(side, forms.n)
             for j in (1, 2, 3):
                 part = zm_eigen(forms, t)
-                tau = part.polish(side, j)
-                npt.assert_array_equal(tau, getattr(part, "tau_" + name))
-                npt.assert_array_equal(tau[:j], full_tau[:j])
+                tau = part.nearest(side, j)
+                npt.assert_array_equal(tau, getattr(part, "tau_" + name)[:j])
+                npt.assert_array_equal(tau, full_tau[:j])
                 if extended:
                     vectors = part.eigen.vectors(j, top=side == "right")
                     quotients = _rayleigh_quotients(forms, t, vectors)
@@ -586,8 +587,8 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
             # polishing more after reading some: the way zm_enclosures
             # polishes the lowers it pairs
             part = zm_eigen(forms, t)
-            part.polish(side, 1)
-            npt.assert_array_equal(part.polish(side, 3)[:3], full_tau[:3])
+            part.nearest(side, 1)
+            npt.assert_array_equal(part.nearest(side, 3), full_tau[:3])
 
     more_lowers_than_j_max = False
     for a, b in windows:
@@ -601,6 +602,48 @@ def test_partial_polish_keeps_the_used_values_bit_equal(model):
             enc = zm_enclosures(forms, (a, b), j_max)
             assert [(e.lower, e.upper) for e in enc] == pairs
     assert more_lowers_than_j_max
+
+
+@functools.cache
+def _invariant_case(model):
+    """:func:`_polish_case`'s forms and first shift, and each side of a
+    fresh pencil there read whole, once per model.  A side holds more
+    than ``REFINE_COUNT`` tau on both, and more than 40 on maxwell2d."""
+    forms, shifts, _ = _polish_case(model)
+    t = shifts[0]
+    pencil = zm_eigen(forms, t)
+    return forms, t, {side: pencil.nearest(side, forms.n) for side in ("left", "right")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(["dirac1d", "maxwell2d"]),
+    reads=st.lists(
+        st.tuples(
+            st.sampled_from(["left", "right"]), st.sampled_from([1, 2, 5, 40, None, "side"])
+        ),
+        max_size=8,
+    ),
+)
+def test_every_read_of_a_side_agrees(model, reads):
+    # nearest(side, k) is the one reader of a side: after any interleaving
+    # of reads (None reads the whole side, "side" reads tau_minus or
+    # tau_plus), those two and the one-sided bounds are the whole side
+    # read by nearest, bit for bit
+    forms, t, whole = _invariant_case(model)
+    assert max(tau.size for tau in whole.values()) > REFINE_COUNT
+    pencil = zm_eigen(forms, t)
+    for side, k in reads:
+        if k == "side":
+            getattr(pencil, "tau_minus" if side == "left" else "tau_plus")
+        else:
+            pencil.nearest(side, forms.n if k is None else k)
+    for side, name in (("left", "minus"), ("right", "plus")):
+        size = getattr(pencil.signature, "n_" + name)
+        npt.assert_array_equal(pencil.nearest(side, size), whole[side])
+        npt.assert_array_equal(getattr(pencil, "tau_" + name), whole[side])
+        bounds = zm_bounds_one_sided(replace(forms), t, side)
+        npt.assert_array_equal(bounds, t + 1.0 / whole[side])
 
 
 def test_more_lowers_than_j_max_cost_two_pencil_solves(pencil_solves):
@@ -637,22 +680,22 @@ def test_more_lowers_than_j_max_polish_each_window_end_once(monkeypatch):
 
 
 def _polish_spy(monkeypatch):
-    """Lists of the ``(side, k)`` of every polish the package asks for,
-    through :meth:`PencilEigen.polish` or :meth:`PencilEigen.nearest`,
-    and the ``(count, top)`` of every eigenvector request it makes during
-    the test, in order."""
+    """Lists of the ``(side, k)`` of every read of a side the package
+    makes, through :meth:`PencilEigen.nearest`, the one way to read and
+    polish one, and the ``(count, top)`` of every eigenvector request it
+    makes during the test, in order."""
     polishes, requests = [], []
-    polish, vectors = PencilEigen._polish, TridiagonalEigen.vectors
+    nearest, vectors = PencilEigen.nearest, TridiagonalEigen.vectors
 
-    def polish_spy(self, side, k):
+    def nearest_spy(self, side, k):
         polishes.append((side, k))
-        return polish(self, side, k)
+        return nearest(self, side, k)
 
     def vectors_spy(self, count, top=False):
         requests.append((count, top))
         return vectors(self, count, top)
 
-    monkeypatch.setattr(PencilEigen, "_polish", polish_spy)
+    monkeypatch.setattr(PencilEigen, "nearest", nearest_spy)
     monkeypatch.setattr(TridiagonalEigen, "vectors", vectors_spy)
     return polishes, requests
 
@@ -754,7 +797,7 @@ def test_a_fixed_point_seed_bisects_the_values_it_reads(monkeypatch):
             bisected.clear()
             taus = _seed_taus(replace(forms), 1.4, side, j)
             assert taus.size == j and sum(bisected) == chunked
-            full = zm_eigen(forms, 1.4).polish(side)
+            full = zm_eigen(forms, 1.4).nearest(side, forms.n)
             npt.assert_array_equal(taus, full[:j])
 
 
@@ -809,20 +852,60 @@ def test_a_raising_solve_leaves_no_pencil_kept(pencil_solves):
 def test_polish_rejects_an_unknown_side():
     pencil = zm_eigen(WORKED, 1.5)
     with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'Left'"):
-        pencil.polish("Left")
+        pencil.nearest("Left", 1)
 
 
-def test_polish_remembers_its_reach():
-    # asking for no more than is polished returns the side untouched;
-    # asking for more polishes the nearest k afresh
+def test_nearest_rejects_a_negative_count():
+    # a negative k is refused, not taken as a slice from the side's end,
+    # before and after a polish
+    pencil = zm_eigen(assemble_1d(uniform_mesh(12, 0.3, 0), 3).forms, 0.5)
+    for _ in range(2):
+        for k in (-1, -3):
+            with pytest.raises(ValueError, match=f"k must be nonnegative, got {k}"):
+                pencil.nearest("right", k)
+        pencil.nearest("right", 3)
+    assert pencil.nearest("right", 0).size == 0
+
+
+def test_returned_tau_are_read_only():
+    # a read returns the pencil's caches (the polished tau, the bisected
+    # tau of T), views of them or new arrays, all read-only: a write
+    # raises and leaves every later read as the first
+    forms = assemble_1d(uniform_mesh(12, 0.3, 0), 3).forms
+    pencil = zm_eigen(forms, 0.5)
+    assert pencil.eigen.e.all()  # one block: end_values is a view of its cache
+    reads = [
+        lambda: pencil.nearest("right", 2),
+        lambda: pencil.nearest("right", 40),
+        lambda: pencil.tau_plus,
+        lambda: pencil.tau_minus,
+        lambda: pencil.eigen.end_values(3, top=True),
+        lambda: pencil.nearest("left", 0),
+    ]
+    for read in reads:
+        first = read().copy()
+        with pytest.raises(ValueError, match="read-only"):
+            read()[:1] = 99.0
+        npt.assert_array_equal(read(), first)
+    assert pencil.nearest("right", 2)[0] != 99.0 and pencil.tau_plus[0] != 99.0
+
+
+def test_polish_remembers_its_reach(monkeypatch):
+    # asking for no more than is polished computes no eigenvector and
+    # returns the same values; asking for more polishes the nearest k afresh
     forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
     extended = np.finfo(np.longdouble).eps < 1e-18  # else nothing is polished
     pencil = zm_eigen(forms, 0.5)
-    three = pencil.polish("right", 3)
-    assert pencil.polish("right", 2) is three and pencil.polish("right", 3) is three
+    _, requests = _polish_spy(monkeypatch)
+    three = pencil.nearest("right", 3)
+    assert requests == ([(3, True)] if extended else [])
+    npt.assert_array_equal(pencil.nearest("right", 2), three[:2])
+    npt.assert_array_equal(pencil.nearest("right", 3), three)
+    npt.assert_array_equal(pencil.tau_plus[:3], three)
+    assert requests == ([(3, True)] if extended else [])
     assert pencil.polished == {"left": 0, "right": 3 if extended else 0}
-    five = pencil.polish("right", 5)
-    npt.assert_array_equal(five, zm_eigen(forms, 0.5).polish("right", 5))
+    five = pencil.nearest("right", 5)
+    npt.assert_array_equal(five, zm_eigen(forms, 0.5).nearest("right", 5))
     assert pencil.polished["right"] == (5 if extended else 0)
     # the count is the pencil's own state: no constructor keyword, and a
     # copy counts its own polish
@@ -860,7 +943,10 @@ def test_polish_keeps_the_polished_prefix_polished(model, k):
     if model == "dirac1d":
         assert raw.tau_minus.size > REFINE_COUNT
     pencil = zm_eigen(forms, t)
-    tau = pencil.polish("left", k)
+    tau = pencil.nearest("left", k)
+    assert pencil.polished["left"] == k
+    npt.assert_array_equal(pencil.tau_minus[:k], tau)
+    tau = pencil.tau_minus
     x = pencil.eigen.vectors(k).astype(np.longdouble)
     stored = (pencil.Lt_values, pencil.Qt_values)
     lt, qt = (_matrix(pencil.pattern, forms.n, values) for values in stored)
