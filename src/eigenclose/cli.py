@@ -575,6 +575,8 @@ def cmd_equiv(cfg):
         for j in range(1, cfg.j_max + 1):
             for side in ("left", "right"):
                 try:
+                    if j > forms.n:  # beyond the trial dimension: undetectable
+                        raise NoSignChangeError(f"index {j} exceeds n={forms.n}")
                     gap = equivalence_gap(forms, t, j, side, fp_tol_used)
                 except NoSignChangeError:
                     skipped += 1

@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteError,
 )
 from .forms import _on_pattern, shifted_linear, shifted_square
-from .linalg import TridiagonalEigen, kernel_split, sym_eigh, sym_generalized_eigvals
+from .linalg import TridiagonalEigen, kernel_split, sym_generalized_eigvals, sym_reduce
 
 
 #: extended precision is worth using only if it genuinely beats double
@@ -339,9 +339,9 @@ def zm_eigen(forms, t):
     The threshold is first bracketed by O(nnz) norm bounds, the largest
     column 2-norm below and the largest absolute row sum above, the
     bracket widened by a factor 2 for roundoff.  Every tau beyond the
-    bracket is nonzero, so a Sturm count of T at the bracket's negative
-    end and a bisection of the band the bracket spans about 0, usually
-    empty, give the census (two LAPACK ``stebz`` calls).  Only when some
+    bracket is nonzero, so Sturm counts of T at the bracket's two ends
+    (LAPACK ``stebz``) give the census where the band between them is
+    empty, as it usually is; the census reads no tau.  Only when some
     ``|tau|`` of the band falls inside the bracket are the 2-norms
     computed, as largest absolute eigenvalues.
 
@@ -420,38 +420,45 @@ def _norm2_bounds(forms, values):
 
 
 def _norm2(a):
-    """``||a||_2`` of a nonempty symmetric ``a``: its largest absolute eigenvalue."""
-    values = sym_eigh(a)
-    return float(max(abs(values[0]), abs(values[-1])))
+    """``||a||_2`` of a nonempty symmetric C-ordered ``a``, overwritten:
+    the larger absolute eigenvalue at either end of its spectrum."""
+    eigen = sym_reduce(a.T)  # a is symmetric: a.T is a in F order
+    ends = eigen.end_values(1)[0], eigen.end_values(1, top=True)[0]
+    return float(max(abs(ends[0]), abs(ends[1])))
 
 
 def _census(forms, eigen, q_norm, l_norm, qt, lt):
     """The numbers ``(n_minus, n_zero, n_plus)`` of negative, zero and
     positive tau in the :class:`~eigenclose.linalg.TridiagonalEigen`
-    ``eigen`` of :func:`zm_eigen`, from ``q_norm`` and ``l_norm``,
-    ``(lo, hi)`` bounding ``||Q_t||_2`` and ``||L_t||_2``.
+    ``eigen`` of :func:`zm_eigen`, by Sturm counts of T alone, from
+    ``q_norm`` and ``l_norm``, ``(lo, hi)`` bounding ``||Q_t||_2`` and
+    ``||L_t||_2``.
 
-    Every tau beyond ``edge = 2 tol l_hi / q_lo`` in size is nonzero by
-    the bracket, so one Sturm count at ``-edge`` and one bisection of the
-    band ``(-edge, edge]``, which is usually empty, settle the census.  A
-    tau of the band is zero where ``2 |tau| q_hi < tol l_lo``; where one
-    is not, the exact 2-norms (:func:`_norm2`) of Q_t and L_t, from their
-    double values ``qt`` and ``lt``, decide each tau of the band.  The
-    edge is kept above the underflow threshold, where a Sturm count
-    cannot tell an exact zero from its neighbours.
+    Every tau beyond ``edge = 2 tol l_hi / q_lo`` in size is nonzero, so
+    counts at ``-edge`` and ``edge`` settle the census where the band
+    ``(-edge, edge]`` is empty, as it usually is.  Where counts at ``-r``
+    and ``r``, ``r = tol l_lo / (2 q_hi)``, find every tau of the band
+    in ``(-r, r)``, all are zero; where not, the exact 2-norms
+    (:func:`_norm2`) of Q_t and L_t, from their double values ``qt`` and
+    ``lt``, give the threshold ``limit``, and counts at ``-limit`` and
+    ``limit`` split the band.  The three points are kept above the
+    underflow threshold, where a Sturm count cannot tell an exact zero
+    from its neighbours.
     """
     q_lo, q_hi = q_norm
     l_lo, l_hi = l_norm
-    edge = max(2.0 * forms.tol * l_hi / q_lo, 4.0 * np.finfo(float).tiny)
+    floor = 4.0 * np.finfo(float).tiny
+    edge = max(2.0 * forms.tol * l_hi / q_lo, floor)
     below = eigen.count(-edge)
-    band = eigen.between(-edge, edge).tolist()
-    zero = [2.0 * abs(tau) * q_hi < forms.tol * l_lo for tau in band]
-    if not all(zero):
-        norm_q = q_lo if q_lo == q_hi else _norm2(_on_pattern(forms, qt))
-        limit = forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q)
-        zero = [abs(tau) <= limit for tau in band]
-    n_zero = sum(zero)
-    n_minus = below + sum(tau < 0.0 for tau, z in zip(band, zero) if not z)
+    band = eigen.count(edge) - below
+    n_minus, n_zero = below, band
+    if band:
+        r = max(forms.tol * l_lo / (2.0 * q_hi), floor)
+        if eigen.count(np.nextafter(r, -np.inf)) - eigen.count(-r) < band:
+            norm_q = q_lo if q_lo == q_hi else _norm2(_on_pattern(forms, qt))
+            limit = max(forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q), floor)
+            n_minus = eigen.count(np.nextafter(-limit, -np.inf))
+            n_zero = eigen.count(limit) - n_minus
     return n_minus, n_zero, eigen.size - n_minus - n_zero
 
 

@@ -110,9 +110,9 @@ class FixedPointResult:
     (see :func:`_root`).  A root whose F_j contradicts a counted sign
     counts the shifts of both parts of its search.
     ``tau`` is the pencil eigenvalue tau_j offered as the seed, None
-    when none was drawn (a captured shift or inconsistent forms), the
-    pencil had none, or the counting function contradicted it at the
-    root.
+    when none was drawn (a captured shift or inconsistent forms) or the
+    pencil had none.  It is kept where the predicted bracket missed or
+    F_j contradicted a counted sign and the search went on without it.
     """
 
     j: int

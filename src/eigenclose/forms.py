@@ -145,8 +145,10 @@ class TrialForms:
         below ``-max(tol, n u)`` times the largest diagonal entry of M2
         fails it; u is the double unit roundoff, n u S's roundoff floor.
         That eigenvalue is computed once, from M1 and M2 rounded to
-        double.  Raises ``InconsistentFormsError`` (a ``ValueError``) on
-        failure and returns the forms otherwise.
+        double, and alone: only it is bisected from S's tridiagonal
+        reduction (:func:`~eigenclose.linalg.schur_min`).  Raises
+        ``InconsistentFormsError`` (a ``ValueError``) on failure and
+        returns the forms otherwise.
         """
         if "schur_min" not in self._kept:
             m1, m2 = (_on_pattern(self, v) for v in self._values[1:])

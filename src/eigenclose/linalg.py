@@ -7,9 +7,9 @@ one function per job, each a direct LAPACK call:
 * :func:`cholesky_spd`, a pivot-checked Cholesky factorization (LAPACK
   ``potrf`` plus a relative test on every pivot); it is the
   definiteness gate;
-* :func:`sym_eigh`, the eigenvalues of a standard symmetric matrix
-  (LAPACK ``syevd`` called directly, without vectors); its only gate is
-  that the input is finite;
+* :func:`sym_reduce`, the tridiagonal reduction (LAPACK ``sytrd``) of a
+  standard symmetric matrix, the one way its spectrum is read; its only
+  gate is that the input is finite;
 * :func:`sym_generalized_eigvals`, the eigenvalues of a
   symmetric-definite pencil, optionally just the smallest few, from the
   Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
@@ -22,15 +22,16 @@ one function per job, each a direct LAPACK call:
   one;
 * :func:`schur_min`, the smallest eigenvalue of a Schur complement from
   the Cholesky factor of its leading block (BLAS ``trsm``, then
-  ``syevd``);
+  :func:`sym_reduce` and one bisected value);
 * :func:`count_nonpositive`, the number of eigenvalues <= 0 of a
   symmetric matrix, its inertia from one Bunch-Kaufman factorization
   (LAPACK ``sytrf``), no eigenvalue;
-* :class:`TridiagonalEigen`, what :func:`kernel_split` returns: on
-  demand, how many eigenvalues lie at or below a point (a Sturm count)
-  and the eigenvalues nearest either end of the spectrum (bisection),
-  both by LAPACK ``stebz``, and the eigenvectors of those values (LAPACK
-  ``stein`` and ``ormqr``, then BLAS ``trsm``).
+* :class:`TridiagonalEigen`, what :func:`sym_reduce` and
+  :func:`kernel_split` return: on demand, how many eigenvalues lie at or
+  below a point (a Sturm count) and the eigenvalues nearest either end
+  of the spectrum (bisection), both by LAPACK ``stebz``, and the
+  eigenvectors of those values (LAPACK ``stein`` and ``ormqr``, then
+  BLAS ``trsm``).
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -137,40 +138,25 @@ def _checked_potrf(m, tol):
     return L
 
 
-def sym_eigh(a):
-    """Eigenvalues, ascending, of a real symmetric matrix.
-
-    This is LAPACK ``syevd`` without vectors in double precision on the
-    lower triangle, called directly: for the small matrices of the pencil
-    solves the argument handling of ``scipy.linalg.eigvalsh`` costs more
-    than the decomposition itself.  ``syevd`` runs ``sytrd`` and
-    ``sterf``, here with the workspace in which ``sytrd`` runs blocked,
-    as :func:`_reduce` does.
+def sym_reduce(a):
+    """The :class:`TridiagonalEigen` of a real symmetric matrix, from its
+    lower triangle by :func:`_reduce` alone: no eigenvalue is computed
+    until read.  The factor in ``packed`` is that of I.  A double ``a``
+    that is F-ordered, such as the transpose of a C-ordered one, is
+    reduced in place and left overwritten.
 
     Raises
     ------
     NonFiniteError
         If the matrix holds an inf or a NaN.
-    numpy.linalg.LinAlgError
-        If the decomposition does not converge.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise NonFiniteError("array must not contain infs or NaNs")
-    # syevd hands sytrd its workspace beyond the first 2n entries
-    lwork = 2 * a.shape[0] + _sytrd_lwork(a.shape[0])
-    values, _, info = scipy.linalg.lapack.dsyevd(a, compute_v=0, lower=1, lwork=lwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"syevd did not converge (info={info})")
-    return values
-
-
-def _sytrd_lwork(n):
-    """The workspace of an n by n ``sytrd`` that runs blocked, with level-3
-    BLAS: about half as long as unblocked at n = 1775, and it changes the
-    last bits."""
-    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
-    return max(int(lwork), 1)
+    n = a.shape[0]
+    eigen = _reduce(a, np.arange(n))
+    np.copyto(eigen.packed, np.eye(n), where=np.tri(n, dtype=bool).T)
+    return eigen
 
 
 def sym_generalized_eigvals(a, factor, count=None):
@@ -292,11 +278,12 @@ def schur_min(factor, b12, b22):
     complement is formed in place of ``b22``, which must be exactly
     symmetric.  NumPy forms ``X' X`` by BLAS ``syrk`` and mirrors its
     triangle, so the complement is exactly symmetric too, and
-    :func:`sym_eigh` reads its lower triangle.
+    :func:`sym_reduce` reduces its transpose in place; only the smallest
+    eigenvalue is bisected.
     """
     x = scipy.linalg.blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
     b22 -= x.T @ x
-    return sym_eigh(b22)[0]
+    return float(sym_reduce(b22.T).end_values(1)[0])
 
 
 def count_nonpositive(a, n, pattern):
@@ -359,14 +346,16 @@ def _placed(values, i, j, shape):
 def _reduce(c, pivots):
     """The :class:`TridiagonalEigen` of the symmetric ``c`` (its lower
     triangle, overwritten) on the coordinates ``pivots``: LAPACK
-    ``sytrd`` reduces ``c`` to a tridiagonal T, with the workspace in
-    which it runs blocked, and nothing else is computed."""
+    ``sytrd`` reduces ``c`` to a tridiagonal T, and nothing else is
+    computed.  It runs blocked, with level-3 BLAS, in the workspace it
+    asks for: about half as long as unblocked at n = 1775."""
     n = c.shape[0]
     if n == 0:
         empty = np.zeros(0)
         return TridiagonalEigen(empty, empty, empty, np.zeros((0, 0)), pivots)
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
     packed, d, e, reflectors, info = scipy.linalg.lapack.dsytrd(
-        c, lower=1, lwork=_sytrd_lwork(n), overwrite_a=1
+        c, lower=1, lwork=max(int(lwork), 1), overwrite_a=1
     )
     if info != 0:
         raise ValueError(f"sytrd rejected argument {-info}")
@@ -399,9 +388,9 @@ def _stebz(d, e, *args):
 class TridiagonalEigen:
     """A symmetric (or definite) eigenproblem reduced to a tridiagonal T,
     from which what is read is computed on demand and nothing else:
-    eigenvalue counts (:meth:`count`, :meth:`between`), the eigenvalues
-    nearest either end of the spectrum (:meth:`end_values`) and their
-    eigenvectors (:meth:`vectors`).
+    eigenvalue counts (:meth:`count`), the eigenvalues nearest either end
+    of the spectrum (:meth:`end_values`) and their eigenvectors
+    (:meth:`vectors`).
 
     ``d`` and ``e`` are the diagonal and subdiagonal of the tridiagonal T
     that ``sytrd`` reduced the standard matrix to, ``reflectors`` the
@@ -441,13 +430,6 @@ class TridiagonalEigen:
         if self.d.size == 0 or x == -np.inf:
             return 0
         return _stebz(self.d, self.e, 1, -np.inf, x, 0, 0, np.inf).size
-
-    def between(self, lo, hi):
-        """The eigenvalues in ``(lo, hi]``, ``lo < hi``, ascending, bisected
-        by ``stebz`` to its default tolerance (see :meth:`end_values`)."""
-        if self.d.size == 0:
-            return np.zeros(0)
-        return np.sort(_stebz(self.d, self.e, 1, lo, hi, 0, 0, 0.0))
 
     def end_values(self, count, top=False):
         """The ``count`` smallest eigenvalues, ascending, or with ``top``

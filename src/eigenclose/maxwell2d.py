@@ -36,8 +36,6 @@ SUPPORTED_ORDERS = (1, 2)
 #: largest interior-vertex displacement of a jittered mesh, in units of h
 MAX_JITTER = 0.5
 
-_SIDE_NAMES = ("x0", "x1", "y0", "y1")
-
 
 @dataclass
 class TriMesh:

@@ -335,6 +335,20 @@ def test_equiv_counts_skipped_sides(tmp_path, capsys):
     assert report["skipped"] == 1
 
 
+def test_equiv_skips_indices_beyond_the_trial_dimension(capsys):
+    # n = 6: indices 7 and 8 are undetectable on both sides, like the six
+    # rows of indices 1..6 that lie on the far side of the shift
+    code = main(
+        ["equiv", "--model", "dirac1d", "--order", "1", "--mesh", "3",
+         "--shift", "0.6", "--jmax", "8"]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["rows"], report["skipped"]) == (16, 10)
+    assert captured.err == ""
+
+
 def test_equiv_needs_shifts(capsys):
     code = main(["equiv", "--model", "dirac1d", "--order", "1", "--mesh", "6"])
     assert code == 2

@@ -689,6 +689,27 @@ def test_a_contradicted_count_keeps_the_signs_below_it(monkeypatch, fresh):
     npt.assert_allclose(res.bound, root.bound, rtol=0, atol=default_fp_tol(forms, t))
 
 
+def test_a_contradicted_seeded_root_keeps_its_tau(monkeypatch, caplog, fresh):
+    # the same short counts miss the predicted bracket and end the search
+    # short of the root, where F_j contradicts them: the root still
+    # reports the tau that seeded it
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    t, j, side = 1.4, 2, "right"
+    root = _eigensolve_signs(fresh(forms), t, j, side)
+    real = fixed_point_mod._at_most
+
+    def short(forms, s, alpha, j):
+        return alpha >= 0.9 * (root.s_hat - t) or real(forms, s, alpha, j)
+
+    monkeypatch.setattr(fixed_point_mod, "_at_most", short)
+    caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
+    res = optimal_shift(forms, t, j, side)
+    contradiction, summary = [record.getMessage() for record in caplog.records]
+    assert contradiction.endswith("searching on with eigensolve signs")
+    assert "predicted bracket missed" in summary
+    assert res.tau == float(_pencil(forms, t).nearest(side, j)[j - 1])
+
+
 def test_contradicted_final_sign_falls_back(monkeypatch):
     # the residual is <= 0 only just beyond the predicted root, not at
     # the predicted bracket's end hi* = 2: the prediction is refused, and

@@ -2,12 +2,13 @@
 
 The lines are the console-script lines of the three benchmark workloads
 at their smallest mesh sizes, and a window holding 38 points under
-``--jmax 40``.  Each runs in a fresh process with one BLAS thread, as
-the byte-identity figures are taken.  The last digits of the output
-depend on the numpy and scipy builds, the machine and the width of
-longdouble, so the comparison runs only where all four match what the
-expected files were recorded with, and is skipped, naming what differs,
-elsewhere.
+``--jmax 40``; with them one fixed-point root whose F_j contradicts its
+counted sign is pinned.  Each runs in a fresh process with one BLAS
+thread, as the byte-identity figures are taken.  The last digits of the
+output depend on the numpy and scipy builds, the machine and the width
+of longdouble, so the comparison runs only where all four match what
+the expected files were recorded with, and is skipped, naming what
+differs, elsewhere.
 
 Regenerate the expected files (after a change meant to move the
 output) with::
@@ -48,22 +49,21 @@ def _environment():
     }
 
 
-def _run(argv, cwd):
-    """The CLI's stdout for ``argv`` from a fresh process with one BLAS
-    thread; fails on a nonzero exit."""
+def _run(argv, cwd, script=SCRIPT):
+    """The stdout of ``script`` (the CLI) for ``argv`` from a fresh process
+    with one BLAS thread; fails on a nonzero exit."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     run = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv], capture_output=True, text=True,
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
         env=env, cwd=cwd, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     return run.stdout
 
 
-@pytest.mark.parametrize("name", sorted(LINES))
-def test_cli_output_is_byte_identical(name, tmp_path):
+def _skip_unless_comparable():
     recorded = json.loads((GOLDEN / "environment.json").read_text())
     here = _environment()
     differ = [
@@ -73,8 +73,42 @@ def test_cli_output_is_byte_identical(name, tmp_path):
     ]
     if differ:
         pytest.skip("golden output not comparable: " + "; ".join(differ))
+
+
+@pytest.mark.parametrize("name", sorted(LINES))
+def test_cli_output_is_byte_identical(name, tmp_path):
+    _skip_unless_comparable()
     expected = (GOLDEN / f"{name}.out").read_text()
     assert _run(LINES[name].split(), tmp_path) == expected
+
+
+#: maxwell2d order 2 on the 4 x 4 mesh of jitter 0.3, seed 0: the right
+#: root j = 1 at t = 1.4, its tau, whether F_j contradicted the counted
+#: sign at s_hat, and its evaluations
+CONTRADICTED_ROOT = """
+import json, logging
+from eigenclose.fixed_point import optimal_shift
+from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
+messages = []
+handler = logging.Handler()
+handler.emit = lambda record: messages.append(record.getMessage())
+logger = logging.getLogger("eigenclose.fixed_point")
+logger.addHandler(handler)
+logger.setLevel(logging.DEBUG)
+forms = assemble_2d(structured_tri_mesh(4, 0.3, 0), 2).forms
+root = optimal_shift(forms, 1.4, 1, "right")
+contradicted = any("contradicts the counted sign" in m for m in messages)
+print(json.dumps([root.tau, contradicted, root.iterations]))
+"""
+
+
+def test_a_contradicted_root_keeps_its_tau(tmp_path):
+    # F_j at the predicted bracket's end contradicts the counted sign, and
+    # the search goes on with eigensolve signs: the root evaluates 27
+    # shifts, and its tau is still the pencil eigenvalue that seeded it
+    _skip_unless_comparable()
+    result = json.loads(_run([], tmp_path, CONTRADICTED_ROOT))
+    assert result == [2.890419800041339, True, 27]
 
 
 def regenerate():

@@ -448,43 +448,77 @@ def test_split_route_matches_the_eigh_oracle_where_q_t_has_a_kernel(case, split_
         npt.assert_allclose(got[large], want[large], rtol=1e-11, atol=0.0)
 
 
+def _diagonal_forms(m1, m2=(1.0, 1.0)):
+    """Forms with M0 = I and the diagonal M1 and M2."""
+    return TrialForms(np.eye(2), np.diag(m1), np.diag(m2))
+
+
 def test_uncertified_shifts_take_the_split_route(split_route, monkeypatch):
     # the whole matrices the solve decomposes at the pencil level: the
     # exact 2-norms of the zero threshold and of the negative-eigenvalue
     # check (the kernel split's Schur complement goes through linalg's
-    # own binding, and is never L_t)
+    # own binding, and is never L_t or Q_t)
     decomposed = []
-    real = enclosure_mod.sym_eigh
+    real = enclosure_mod.sym_reduce
 
     def spy(a):
         decomposed.append(np.array(a))
         return real(a)
 
-    monkeypatch.setattr(enclosure_mod, "sym_eigh", spy)
+    monkeypatch.setattr(enclosure_mod, "sym_reduce", spy)
     deflating, (t,) = _pencil_case("deflating")
+    # at the default tol 1e-10 and M0 = Q_0 = I, ||L_0||_2 = 1: the zero
+    # threshold of |tau| is 1e-10 and its bracket [0.5e-10, 2e-10]
     cases = [
         # Q_1 has a kernel, which is deflated; no |tau| lies near the zero
         # threshold, so L_t's norm is not computed
-        (deflating, t, Signature(1, 0, 0, 2), False),
+        (deflating, t, Signature(1, 0, 0, 2), ()),
         # at tol 1e-16, Q_t's eigenvalue 1e-14 lies above the pivot
         # threshold: nothing is deflated
-        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2), False),
-        # tau = 1.5e-10 lies inside the bracket [0.5e-10, 2e-10] of the
-        # zero threshold 1e-10: the solve computes the exact threshold,
-        # which counts it positive
-        (TrialForms(np.eye(2), np.diag([1.0, 1.5e-10]), np.eye(2)), 0.0,
-         Signature(0, 0, 0, 2), True),
+        (replace(deflating, tol=1e-16), t + 1e-7, Signature(0, 0, 1, 2), ()),
+        # tau = 1.5e-10 lies inside the bracket: the solve computes the
+        # exact threshold, which counts it positive (Q_0's norm is its
+        # bounds' common value)
+        (_diagonal_forms([1.0, 1.5e-10]), 0.0, Signature(0, 0, 0, 2), ("L_t",)),
         # just outside the bracket the norm bounds settle the census
-        (TrialForms(np.eye(2), np.diag([1.0, 2.5e-10]), np.eye(2)), 0.0,
-         Signature(0, 0, 0, 2), False),
+        (_diagonal_forms([1.0, 2.5e-10]), 0.0, Signature(0, 0, 0, 2), ()),
+        # an exact zero tau, at the Ritz value t = 2 of diagonal forms
+        # (L_2 = diag(-1, 0), Q_2 = diag(1.5, 0.5)), lies below the
+        # bracket: zero without a norm
+        (_diagonal_forms([1.0, 2.0], [1.5, 4.5]), 2.0, Signature(0, 1, 1, 0), ()),
+        # L_1 = 0 and Q_1 = diag(0, 1): the kept tau is an exact zero, the
+        # bracket collapses to the underflow floor, and still no norm
+        (_diagonal_forms([1.0, 1.0], [1.0, 2.0]), 1.0, Signature(1, 1, 0, 0), ()),
+        # negative tau inside the bracket: beyond the threshold it is
+        # negative, within it zero
+        (_diagonal_forms([1.0, -1.5e-10]), 0.0, Signature(0, 0, 1, 1), ("L_t",)),
+        (_diagonal_forms([1.0, -0.8e-10]), 0.0, Signature(0, 1, 0, 1), ("L_t",)),
+        # tau at the ends of the bracket: -2e-10 is beyond it, 2e-10 and
+        # +-0.5e-10 inside it and decided by the exact threshold
+        (_diagonal_forms([1.0, -2e-10]), 0.0, Signature(0, 0, 1, 1), ()),
+        (_diagonal_forms([1.0, 2e-10]), 0.0, Signature(0, 0, 0, 2), ("L_t",)),
+        (_diagonal_forms([1.0, 0.5e-10]), 0.0, Signature(0, 1, 0, 1), ("L_t",)),
+        (_diagonal_forms([1.0, -0.5e-10]), 0.0, Signature(0, 1, 0, 1), ("L_t",)),
+        # tau at the exact threshold -1e-10 is zero
+        (_diagonal_forms([1.0, -1e-10]), 0.0, Signature(0, 1, 0, 1), ("L_t",)),
+        # Q_0 = [[2, 1], [1, 2]] has the norm bounds sqrt(5) and 3, so its
+        # exact norm is computed too: tau, about 2.5e-11, lies inside the
+        # bracket [1.7e-11, 8.9e-11] and within the threshold 1e-10 / 3
+        (TrialForms(np.eye(2), np.diag([1.0, 0.5e-10]), np.array([[2.0, 1.0], [1.0, 2.0]])),
+         0.0, Signature(0, 1, 0, 1), ("Q_t", "L_t")),
     ]
     for forms, shift, census, exact in cases:
         split_route.clear()
         decomposed.clear()
-        assert zm_eigen(forms, shift).signature == census
+        assert zm_eigen(forms, shift).signature == census, (forms, shift)
         assert len(split_route) == 1
-        lt = _on_pattern(forms, shifted_linear(forms, shift))
-        assert any(np.array_equal(a, lt) for a in decomposed) == exact
+        shifted = {"Q_t": shifted_square(forms, shift), "L_t": shifted_linear(forms, shift)}
+        computed = tuple(
+            name for name, values in shifted.items()
+            if any(np.array_equal(a, _on_pattern(forms, values)) for a in decomposed)
+        )
+        assert computed == exact, (forms, shift)
+        assert len(decomposed) == len(exact)
 
 
 def test_each_shift_is_factored_once(monkeypatch):
