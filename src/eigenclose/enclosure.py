@@ -23,7 +23,7 @@ with caller-supplied distances and isolation radii.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,6 +102,10 @@ class PencilEigen:
     (:meth:`TrialForms.pattern`), in the precision of the forms: all
     the polish reads of Q_t and L_t, which are +0 off it.
     ``polished`` counts the polished entries of each side.
+    On graded forms the package reads the pencil at t from a solve at -t
+    (:func:`_reflected`): its ``eigen`` is then a :class:`_ReflectedEigen`
+    of that solve, with the same reads, and only ``Qt_values`` and
+    ``Lt_values`` are its own.
     """
 
     t: float
@@ -195,6 +199,35 @@ class PencilEigen:
             polished.flags.writeable = False
             self._polished[side] = polished
         return self._read(side, k)
+
+
+@dataclass(eq=False)
+class _ReflectedEigen:
+    """The eigenproblem of ``pencil``, a solve at -t on graded forms
+    (:meth:`~eigenclose.forms.TrialForms.grading`, J), read as that of
+    the pencil at t.  ``Q_t = J Q_{-t} J`` and ``L_t = -J L_{-t} J``, so
+    its eigenvalues are those of ``pencil`` negated and its vectors those
+    of ``pencil`` times J: the reads of a
+    :class:`~eigenclose.linalg.TridiagonalEigen`, from ``pencil.eigen``
+    with its ends swapped, and nothing solved or bisected afresh."""
+
+    pencil: PencilEigen
+    grading: np.ndarray = field(repr=False)
+
+    @property
+    def size(self):
+        return self.pencil.eigen.size
+
+    def count(self, x):
+        """The number of eigenvalues at or below x."""
+        eigen = self.pencil.eigen
+        return eigen.size - eigen.count(np.nextafter(-x, -np.inf))
+
+    def end_values(self, count, top=False):
+        return -self.pencil.eigen.end_values(count, not top)
+
+    def vectors(self, count, top=False):
+        return self.grading[:, None] * self.pencil.eigen.vectors(count, not top)
 
 
 def _pattern_products(pattern, x, *values):
@@ -465,13 +498,50 @@ def _census(forms, eigen, q_norm, l_norm, qt, lt):
 def _pencil(forms, t):
     """:func:`zm_eigen` at t, shared through the forms' memo of their
     last solve.  Users of the shared pencil polish it in place
-    (see :meth:`PencilEigen.nearest`).  A miss drops the old pencil
-    before solving, so two are never alive at once; a solve that raises
-    stores nothing."""
-    if forms._kept.get("pencil", (None,))[0] != float(t):
-        forms._kept.pop("pencil", None)
-        forms._kept["pencil"] = (float(t), zm_eigen(forms, t))
-    return forms._kept["pencil"][1]
+    (see :meth:`PencilEigen.nearest`).  Where the memo holds the pencil
+    at -t, t nonzero, and the forms are graded
+    (:meth:`~eigenclose.forms.TrialForms.grading`), it is read at t
+    instead (:func:`_reflected`): nothing is factored, bisected or
+    polished again.  Any other miss drops the old pencil before solving,
+    so two are never alive at once; a solve that raises stores nothing."""
+    t = float(t)
+    kept = forms._kept.pop("pencil", (None, None))
+    if kept[0] == t:
+        pencil = kept[1]
+    elif t != 0.0 and kept[0] == -t and forms.grading() is not None:
+        pencil = _reflected(forms, kept[1], t)
+    else:
+        kept = None  # dropped before solving: one pencil alive at a time
+        pencil = zm_eigen(forms, t)
+    forms._kept["pencil"] = (t, pencil)
+    return pencil
+
+
+def _reflected(forms, pencil, t):
+    """The pencil at t read from ``pencil``, the one at -t, on graded
+    forms: where ``pencil`` is itself such a reading, the solve it reads,
+    and otherwise a new reading sharing ``pencil``'s arrays, its
+    signature's sides swapped, through a :class:`_ReflectedEigen`, with
+    the values of Q_t and L_t at t for a deeper polish.  What either has
+    polished the other holds too, each side's tau negated as the other
+    side's; the polish of the one is bit for bit the other's negated."""
+    if isinstance(pencil.eigen, _ReflectedEigen):
+        reflected = pencil.eigen.pencil
+    else:
+        sig = pencil.signature
+        reflected = PencilEigen(
+            t=t, signature=replace(sig, n_minus=sig.n_plus, n_plus=sig.n_minus),
+            eigen=_ReflectedEigen(pencil, forms.grading()),
+            Qt_values=shifted_square(forms, t), Lt_values=shifted_linear(forms, t),
+            pattern=pencil.pattern,
+        )
+    for side, other in (("left", "right"), ("right", "left")):
+        tau = pencil._polished[other]
+        if tau.size > reflected._polished[side].size:
+            tau = -tau
+            tau.flags.writeable = False
+            reflected._polished[side] = tau
+    return reflected
 
 
 def _bounds_pencil(forms, t):
@@ -545,7 +615,9 @@ def zm_enclosures(forms, window, j_max):
 
     Each window end is solved once, and the forms keep their last
     solve: touching windows taken in ascending order solve the end they
-    share once, and each window end with a deflated kernel warns.  Only
+    share once, on graded forms a window end at -t right after one at t
+    reads that solve mirrored (the windows (-b, -a), (a, b) solve three
+    ends), and each window end with a deflated kernel warns.  Only
     the pencil eigenvalues behind bounds that can be emitted are
     bisected and polished (see :meth:`PencilEigen.nearest`), counted
     before any is computed, by one Sturm count at ``|tau| = 1/(b - a)``

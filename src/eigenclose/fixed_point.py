@@ -405,7 +405,8 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None):
 
     Returns an array that may be shorter than ``j_max``: once an index
     is undetectable every larger index is too, so the output is simply
-    truncated there.  Index 0 of the array bounds the spectral point
+    truncated there, and it stops at the trial dimension n, beyond which
+    no index is detectable.  Index 0 of the array bounds the spectral point
     nearest t; for ``side="left"`` the array decreases, for
     ``side="right"`` it increases.  The forms' kept pencil solve at t
     seeds every index, polished once for all ``j_max`` of them; the
@@ -415,7 +416,7 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None):
         raise ValueError(f"j_max must be positive, got {j_max}")
     seed = functools.cache(lambda: _seed_taus(forms, t, side, count=j_max))
     bounds = []
-    for j in range(1, j_max + 1):
+    for j in range(1, min(j_max, forms.n) + 1):
         try:
             result = _root(forms, t, j, side, fp_tol, seed)
         except NoSignChangeError:

@@ -49,10 +49,12 @@ class TrialForms:
     the nonzero pattern (:meth:`pattern`), each in its own precision, and
     check ``tol``, the mirrored entries' symmetry and M0's definiteness.
     They compute once what depends on no shift (M0's Cholesky factor, the
-    Ritz values of (M1, M0), the consistency test) and keep their last
-    pencil solve and the last sign of F_j(t) a fixed-point root found at
-    its shift t, so callers reading one shift (the end two touching
-    windows share, both sides of a fixed-point audit) evaluate it once.
+    Ritz values of (M1, M0), the consistency test, the grading) and keep
+    their last pencil solve and the last sign of F_j(t) a fixed-point
+    root found at its shift t, so callers reading one shift (the end two
+    touching windows share, both sides of a fixed-point audit) evaluate
+    it once.  On graded forms (:meth:`grading`) the kept solve at t also
+    serves a read at -t.
     The caches rely on the forms being immutable, so they are: the
     fields cannot be assigned, and M0, M1, M2 are read-only dense arrays
     built on each read.  Build new forms instead, e.g. with
@@ -97,8 +99,9 @@ class TrialForms:
         if not all(np.array_equal(a, b[mirror]) for a, b in pairs):
             raise ValueError("the forms are not symmetric as stored")
         # frozen: the state is set in the instance dict.  "ritz",
-        # "schur_min", the last "pencil" (t, PencilEigen) and the last
-        # "counting" ((t, j), F_j(t) <= 0) of a fixed-point root are _kept
+        # "schur_min", "grading", the last "pencil" (t, PencilEigen) and
+        # the last "counting" ((t, j), F_j(t) <= 0) of a fixed-point root
+        # are _kept
         state = vars(self)
         state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;
@@ -132,6 +135,19 @@ class TrialForms:
             ritz.flags.writeable = False
             self._kept["ritz"] = ritz
         return self._kept["ritz"]
+
+    def grading(self):
+        """The grading of the forms, worked out once: the sign vector J,
+        ``+1.0`` or ``-1.0`` per coordinate, with ``J M0 J = M0``,
+        ``J M2 J = M2`` and ``J M1 J = -M1`` entry by entry, or None
+        where there is none (:func:`_grading`).  Forms of a block
+        operator with zero diagonal blocks, as both models are, are
+        graded, so ``Q_{-t} = J Q_t J`` and ``L_{-t} = -J L_t J`` hold bit
+        for bit and the pencil at -t is that at t mirrored.  Read-only.
+        """
+        if "grading" not in self._kept:
+            self._kept["grading"] = _grading(self.n, *self._pattern, self._values)
+        return self._kept["grading"]
 
     def validate(self):
         """Check that the forms are consistent, exactly.
@@ -170,6 +186,46 @@ def _mirror(n, rows, cols):
     """The index of each entry's transpose in a symmetric row-major n by n
     pattern: the order that sorts the pattern column-major."""
     return np.argsort(cols * n + rows, kind="stable")
+
+
+def _grading(n, rows, cols, values):
+    """The sign vector J of the forms holding ``values`` on the pattern
+    ``(rows, cols)``, or None (see :meth:`TrialForms.grading`).
+
+    J 2-colours the doubled graph of the pattern, whose node i is
+    coordinate i at sign +1 and node n + i the same at -1: an entry
+    nonzero in M0 or M2 joins equal signs, one nonzero in M1 opposite
+    signs.  The components are found by hooking each one's root onto the
+    least root it meets and pointer jumping, until every edge lies in one
+    component; each root is its component's least node, and J is +1
+    where coordinate i's +1 node has the lesser root.  Every stored
+    entry is then checked against J, M1's diagonal too: an odd cycle of
+    the graph (i at both signs in one component) fails the check.
+    """
+    m0, m1, m2 = (v != 0 for v in values)
+    even = m0 | m2
+    # each edge once, from the upper triangle: an even one joins i and j
+    # at both signs, an odd one i at each sign and j at the other
+    upper = rows < cols
+    ei, ej = rows[even & upper], cols[even & upper]
+    oi, oj = rows[m1 & upper], cols[m1 & upper]
+    a = np.concatenate([ei, ei + n, oi, oi + n])
+    b = np.concatenate([ej, ej + n, oj + n, oj])
+    root = np.arange(2 * n)
+    while True:
+        ends = root[a], root[b]
+        if np.array_equal(*ends):
+            break
+        np.minimum.at(root, np.maximum(*ends), np.minimum(*ends))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    signs = np.where(root[:n] < root[n:], 1.0, -1.0)
+    flipped = signs[rows] != signs[cols]
+    if (m1 & ~flipped).any() or (even & flipped).any():
+        return None
+    signs.flags.writeable = False
+    return signs
 
 
 def shifted_square(forms, t):

@@ -127,6 +127,13 @@ def test_dp_bounds_right_side_increases():
     assert np.all(np.diff(bounds) > 0)
 
 
+def test_dp_bounds_stop_at_the_trial_dimension():
+    # both Ritz values lie right of 0.5, so indices 1 and 2 are bounded
+    # and index 3, beyond n = 2, truncates the array rather than raising
+    bounds = dp_bounds(WORKED, 0.5, 3, "right")
+    npt.assert_allclose(bounds, [1.0, 2.0], atol=1e-10)
+
+
 def test_dp_bounds_match_pencil_bounds_on_random_models():
     # the two routes certify the same numbers on healthy inputs
     from eigenclose.enclosure import zm_bounds_one_sided

@@ -441,6 +441,40 @@ def test_gate_tolerance_applies_on_every_call():
             TrialForms(*m, tol=bad)
 
 
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_model_forms_are_graded_and_so_are_their_files(model, tmp_path):
+    if model == "dirac1d":  # forms assembled in longdouble
+        forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    else:
+        forms = maxwell2d.assemble_2d(maxwell2d.structured_tri_mesh(4, 0.3, 0), 2).forms
+    grading = forms.grading()
+    assert forms.grading() is grading and not grading.flags.writeable
+    flip = np.outer(grading, grading)
+    npt.assert_array_equal(flip * forms.M0, forms.M0)
+    npt.assert_array_equal(-flip * forms.M1, forms.M1)
+    npt.assert_array_equal(flip * forms.M2, forms.M2)
+    # so Q_-t = J Q_t J and L_-t = -J L_t J, bit for bit
+    rows, cols = forms.pattern()
+    flip = grading[rows] * grading[cols]
+    for t in (0.6, 1.4):
+        npt.assert_array_equal(shifted_square(forms, -t), flip * shifted_square(forms, t))
+        npt.assert_array_equal(shifted_linear(forms, -t), -flip * shifted_linear(forms, t))
+    path = tmp_path / "model.forms"
+    write_forms(forms, path)
+    npt.assert_array_equal(read_forms(path).grading(), grading)
+
+
+def test_grading_checks_every_entry():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    npt.assert_array_equal(TrialForms(np.eye(2), swap, np.eye(2)).grading(), [1.0, -1.0])
+    # M1's diagonal, an entry nonzero in M0 and M1, and an odd cycle of
+    # M1's entries each leave no sign vector
+    assert WORKED.grading() is None
+    assert TrialForms(np.eye(2) + 0.5 * swap, swap, np.eye(2)).grading() is None
+    triangle = np.ones((3, 3)) - np.eye(3)
+    assert TrialForms(np.eye(3), triangle, 4.0 * np.eye(3)).grading() is None
+
+
 def test_forms_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     w = rng.standard_normal((5, 3))

@@ -1,9 +1,11 @@
 """Golden CLI output: the stdout of fixed command lines, byte for byte.
 
 The lines are the console-script lines of the three benchmark workloads
-at their smallest mesh sizes, and a window holding 38 points under
-``--jmax 40``; with them one fixed-point root whose F_j contradicts its
-counted sign is pinned.  Each runs in a fresh process with one BLAS
+at their smallest mesh sizes, a window holding 38 points under
+``--jmax 40``, and two mirrored windows on the 2D model, whose end 0.8
+is read from the solve at -0.8; with them one fixed-point root whose
+F_j contradicts its counted sign is pinned.  Each runs in a fresh
+process with one BLAS
 thread, as the byte-identity figures are taken.  The last digits of the
 output depend on the numpy and scipy builds, the machine and the width
 of longdouble, so the comparison runs only where all four match what
@@ -36,6 +38,7 @@ LINES = {
     "pollute-2d": "pollute --model maxwell2d --order 1 --mesh 6 --jitter 0.25 --seed 0 --window 0.2,0.8 --window 0.8,1.6 --window 1.6,2.3 --jmax 3",
     "equiv-1d": "equiv --model dirac1d --order 2 --mesh 5 --jitter 0.3 --seed 0 --shift 0.6 --shift 1.4 --shift 2.5 --jmax 1",
     "bounds-38-points": "bounds --model dirac1d --order 3 --mesh 30 --jitter 0.3 --seed 0 --window 0.5,40 --jmax 40",
+    "bounds-mirrored-2d": "bounds --model maxwell2d --order 1 --mesh 6 --jitter 0.25 --seed 0 --window=-1.6,-0.8 --window 0.8,1.6 --jmax 3",
 }
 
 

@@ -781,6 +781,10 @@ def test_a_window_keeps_one_pencil_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(enclosure_mod, "zm_eigen", solve)
     assert zm_enclosures(forms, (0.8, 1.6), 3)
     assert alive == [0, 0]
+    # the mirrored window reads -1.6 from the kept solve at 1.6, which is
+    # gone with its reading before -0.8 is solved
+    assert zm_enclosures(forms, (-1.6, -0.8), 3)
+    assert alive == [0, 0, 0]
 
 
 def _bisection_spy(monkeypatch):
@@ -804,15 +808,26 @@ def test_a_window_bisects_only_the_values_it_can_emit(monkeypatch):
     # are bisected there; the census's band about 0 holds none
     forms = assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms
     bisected = _bisection_spy(monkeypatch)
-    for a, b in ((0.5, 2.5), (-2.5, -0.5)):
+    windows = ((0.5, 2.5), (-2.5, -0.5))
+    pairs = []
+    for a, b in windows:
         want = []
         for t, side in ((a, "right"), (b, "left")):
             bounds = zm_bounds_one_sided(replace(forms), t, side)
             want.append(np.sort(bounds[(bounds > a) & (bounds < b)]))
+        pairs.append(list(zip(want[1], want[0])))
         bisected.clear()
-        enc = zm_enclosures(forms, (a, b), 2)
+        enc = zm_enclosures(replace(forms), (a, b), 2)
         assert sum(bisected) == 4 and len(enc) == 2
-        assert [(e.lower, e.upper) for e in enc] == list(zip(want[1], want[0]))
+        assert [(e.lower, e.upper) for e in enc] == pairs[-1]
+    # on shared forms the second window's end -2.5 reads the kept solve at
+    # 2.5 mirrored, whose 2 lowers were bisected for the first window:
+    # only its end -0.5 bisects, 2 tau in all
+    enc = zm_enclosures(forms, windows[0], 2)
+    bisected.clear()
+    enc += zm_enclosures(forms, windows[1], 2)
+    assert sum(bisected) == 2
+    assert [(e.lower, e.upper) for e in enc] == pairs[0] + pairs[1]
     # a window in a spectral gap and a census bisect nothing: 2 stebz
     # calls per census and 1 count per window end
     forms = assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms
@@ -1115,3 +1130,72 @@ def test_public_zm_eigen_returns_an_unshared_pencil():
     first, second = zm_eigen(forms, 1.4), zm_eigen(forms, 1.4)
     assert first is not second and kept is not first and kept is not second
     assert forms._kept["pencil"][1] is kept
+
+
+#: forms of both models at every order, and a shift of each whose
+#: mirror -t is read from the kept solve at t
+_MIRRORED = {
+    "dirac1d-1": (lambda: assemble_1d(uniform_mesh(8, jitter=0.3, seed=2), 1).forms, 0.5),
+    "dirac1d-2": (lambda: assemble_1d(uniform_mesh(8, jitter=0.3, seed=2), 2).forms, 1.4),
+    "dirac1d-3": (lambda: assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms, 2.5),
+    "maxwell2d-1": (lambda: assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms, 0.8),
+    "maxwell2d-2": (lambda: assemble_2d(structured_tri_mesh(4, jitter=0.3, seed=0), 2).forms, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIRRORED))
+def test_a_mirrored_read_negates_the_kept_solve(case, pencil_solves):
+    build, t = _MIRRORED[case]
+    forms = build()
+    grading = forms.grading()
+    assert grading is not None and set(grading.tolist()) == {-1.0, 1.0}
+    kept = enclosure_mod._pencil(forms, -t)
+    kept.nearest("left", 2)
+    kept.nearest("right", 3)
+    mirrored = enclosure_mod._pencil(forms, t)
+    assert pencil_solves == [-t] and mirrored.t == t
+    sig = kept.signature
+    assert mirrored.signature == replace(sig, n_minus=sig.n_plus, n_plus=sig.n_minus)
+    # what the kept solve polished is not polished again
+    assert mirrored.polished == {"left": 3, "right": 2}
+    for side, other, top in (("left", "right", False), ("right", "left", True)):
+        # 5 reads deeper than either side's polish: the mirror polishes
+        # its own, and equals the kept solve's deeper polish negated
+        npt.assert_array_equal(mirrored.nearest(side, 5), -kept.nearest(other, 5))
+        x = kept.eigen.vectors(4, not top)
+        npt.assert_array_equal(mirrored.eigen.vectors(4, top), grading[:, None] * x)
+    # the mirror of the mirror is the kept solve, holding both polishes
+    assert enclosure_mod._pencil(forms, -t) is kept and pencil_solves == [-t]
+    assert kept.polished == {"left": 5, "right": 5}
+
+
+@pytest.mark.parametrize("case", sorted(_MIRRORED))
+def test_a_mirrored_read_matches_a_fresh_solve(case):
+    build, t = _MIRRORED[case]
+    forms = build()
+    enclosure_mod._pencil(forms, -t)
+    mirrored = enclosure_mod._pencil(forms, t)
+    fresh = zm_eigen(replace(forms), t)
+    assert mirrored.signature == fresh.signature
+    sides = [(mirrored.nearest(s, forms.n), fresh.nearest(s, forms.n)) for s in ("left", "right")]
+    scale = max(np.abs(tau).max() for pair in sides for tau in pair)
+    grid = np.concatenate([np.linspace(-scale, scale, 41), [-1e-3, 0.0, 1e-3]])
+    counts = [[pencil.eigen.count(x) for x in grid] for pencil in (mirrored, fresh)]
+    assert counts[0] == counts[1]
+    for ours, theirs in sides:
+        if case.startswith("dirac1d"):
+            npt.assert_array_equal(ours, theirs)
+        else:  # a 2D solve's roundoff is not sign-symmetric
+            npt.assert_allclose(ours, theirs, rtol=0, atol=4 * np.spacing(scale))
+
+
+def test_forms_with_an_m1_diagonal_solve_the_mirror_afresh(pencil_solves):
+    # README's 2 x 2 example: M1 = diag(1, 2) is no off-diagonal block,
+    # so there is no grading and -1.5 is solved, not read from 1.5
+    assert WORKED.grading() is None
+    forms = replace(WORKED)
+    left = zm_bounds_one_sided(forms, 1.5, "left")
+    with pytest.raises(EmptySideError):
+        zm_bounds_one_sided(forms, -1.5, "left")
+    npt.assert_allclose(zm_bounds_one_sided(forms, -1.5, "right"), [1.0, 2.0], atol=1e-12)
+    assert pencil_solves == [1.5, -1.5] and left.size == 1
