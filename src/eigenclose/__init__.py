@@ -29,6 +29,7 @@ from .enclosure import (
     zm_bounds_one_sided,
     zm_eigen,
     zm_enclosures,
+    zm_enclosures_all,
 )
 from .errors import (
     DeflationWarning,
@@ -123,4 +124,5 @@ __all__ = [
     "zm_bounds_one_sided",
     "zm_eigen",
     "zm_enclosures",
+    "zm_enclosures_all",
 ]

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import dirac1d, maxwell2d
 from .dirac1d import assemble_1d, exact_spectrum_1d, uniform_mesh
-from .enclosure import zm_enclosures
+from .enclosure import zm_enclosures, zm_enclosures_all
 from .errors import (
     ConfigError,
     EigencloseError,
@@ -436,9 +436,10 @@ def cmd_bounds(cfg):
 
     rows = []
     display = []
-    for a, b in sorted(cfg.windows):
-        enclosures = zm_enclosures(forms, (a, b), cfg.j_max)
-        display.append((a, b, list(enclosures)))
+    windows = sorted(cfg.windows)
+    found = zm_enclosures_all(forms, windows, cfg.j_max)
+    for (a, b), enclosures in zip(windows, found):
+        display.append((a, b, enclosures))
         for e in enclosures:
             rows.append((
                 e.j, e.lower, e.upper, e.width, e.t_lower_from, e.t_upper_from,
@@ -524,10 +525,12 @@ def cmd_pollute(cfg):
 
     # each row is compared by the interval in its column 6
     rows = []
-    for a, b in sorted(cfg.windows):
+    windows = sorted(cfg.windows)
+    found = zm_enclosures_all(forms, windows, cfg.j_max)
+    for (a, b), enclosures in zip(windows, found):
         for value in theta[(theta > a) & (theta < b)]:
             rows.append(("galerkin", "", value, "", "", "", (value, value), ""))
-        for e in zm_enclosures(forms, (a, b), cfg.j_max):
+        for e in enclosures:
             rows.append((
                 "enclosure", e.j, "", e.lower, e.upper, e.width, (e.lower, e.upper),
                 "inconsistent" if e.inconsistent else "",

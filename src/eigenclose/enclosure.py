@@ -544,17 +544,17 @@ def _reflected(forms, pencil, t):
     return reflected
 
 
-def _bounds_pencil(forms, t):
+def _bounds_pencil(forms, t, stacklevel):
     """:func:`_pencil` for a bounds function, with a ``DeflationWarning``
-    to that function's caller when the census shows a deflated kernel,
-    whichever reader solved the shift first."""
+    ``stacklevel`` frames up, at that function's caller, when the census
+    shows a deflated kernel, whichever reader solved the shift first."""
     pencil = _pencil(forms, t)
     n_inf = pencil.signature.n_inf
     if n_inf > 0:
         warnings.warn(
             f"deflated a {n_inf}-dimensional kernel of Q_t at t={t:g}",
             DeflationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return pencil
 
@@ -598,7 +598,7 @@ def zm_bounds_one_sided(forms, t, side):
         If the pencil has no eigenvalues of the requested sign.
     """
     _check_side(side)
-    pencil = _bounds_pencil(forms, t)
+    pencil = _bounds_pencil(forms, t, 3)
     return _side_bounds(pencil, side, pencil._size(side))
 
 
@@ -613,24 +613,25 @@ def zm_enclosures(forms, window, j_max):
     flagged ``inconsistent`` rather than raised, because it conveys that
     the two shifts disagree about how much spectrum the window holds.
 
-    Each window end is solved once, and the forms keep their last
-    solve: touching windows taken in ascending order solve the end they
-    share once, on graded forms a window end at -t right after one at t
-    reads that solve mirrored (the windows (-b, -a), (a, b) solve three
-    ends), and each window end with a deflated kernel warns.  Only
-    the pencil eigenvalues behind bounds that can be emitted are
-    bisected and polished (see :meth:`PencilEigen.nearest`), counted
-    before any is computed, by one Sturm count at ``|tau| = 1/(b - a)``
-    per window end (:meth:`~eigenclose.linalg.TridiagonalEigen.count`):
-    at a the uppers below b, at most ``j_max`` of them, and at b every
-    lower above a (the nearest ``REFINE_COUNT`` of them polished).  A
-    window in a spectral gap bisects no eigenvalue and computes no
-    eigenvector.  The bounds are those of both sides polished in full
-    except where the polish or the roundoff of the count would move a
-    bound across the window end it was counted against: one the count
-    leaves outside is dropped, though polished it might fall inside.
-    The polish moves a bound only by the roundoff of the
-    double-precision solve.
+    This is :func:`zm_enclosures_all` on the one window, so each window
+    end is solved once, and the forms keep their last solve: touching
+    windows taken in ascending order solve the end they share once, on
+    graded forms a window end at -t read right after one at t reads
+    that solve mirrored, and each window end with a deflated kernel
+    warns.  Taken together by :func:`zm_enclosures_all`, the windows
+    (-b, -a), (a, b) solve two ends.  Only the pencil eigenvalues behind
+    bounds that can be emitted are bisected and polished (see
+    :meth:`PencilEigen.nearest`), counted before any is computed, by one
+    Sturm count at ``|tau| = 1/(b - a)`` per window end
+    (:meth:`~eigenclose.linalg.TridiagonalEigen.count`): at a the uppers
+    below b, at most ``j_max`` of them, and at b every lower above a
+    (the nearest ``REFINE_COUNT`` of them polished).  A window in a
+    spectral gap bisects no eigenvalue and computes no eigenvector.  The
+    bounds are those of both sides polished in full except where the
+    polish or the roundoff of the count would move a bound across the
+    window end it was counted against: one the count leaves outside is
+    dropped, though polished it might fall inside.  The polish moves a
+    bound only by the roundoff of the double-precision solve.
 
     Raises
     ------
@@ -638,33 +639,101 @@ def zm_enclosures(forms, window, j_max):
         Propagated when a window end detects nothing on the required
         side.
     """
-    a, b = (float(window[0]), float(window[1]))
-    if not a < b:
-        raise ValueError(f"window must satisfy a < b, got ({a:g}, {b:g})")
+    return _enclosures(forms, [window], j_max)[0]
+
+
+def zm_enclosures_all(forms, windows, j_max):
+    """The enclosures of :func:`zm_enclosures` in each of ``windows``,
+    one list per window, in the order the windows are given.
+
+    Every window and ``j_max`` are checked before anything is solved.
+    Each window end reads what :func:`zm_enclosures` reads there, but the
+    ends of all windows are read in one schedule, grouped by ``|t|``, so
+    that equal and mirrored ends are read back to back and each is
+    served by the forms' kept solve: on graded forms
+    (:meth:`~eigenclose.forms.TrialForms.grading`) each distinct ``|t|``
+    is solved once, and on other forms each distinct t.  The group of
+    the forms' kept solve is read first, that solve's own shift first;
+    the others follow in ascending ``|t|``, each ascending in t.  The
+    windows (-b, -a), (a, b) solve two ends, and (-2.5, -0.5),
+    (0.5, 2.5) read -0.5, 0.5, -2.5 and 2.5.  One pencil is alive at a
+    time.  Where window ends raise, the error raised is the one that
+    reading the windows one by one in their order, a before b, meets
+    first.
+
+    Raises
+    ------
+    EmptySideError
+        Propagated when a window end detects nothing on the required
+        side.
+    """
+    return _enclosures(forms, windows, j_max)
+
+
+def _enclosures(forms, windows, j_max):
+    """:func:`zm_enclosures_all`, warning the caller of the public
+    function that called it."""
+    windows = [(float(a), float(b)) for a, b in windows]
+    for a, b in windows:
+        if not a < b:
+            raise ValueError(f"window must satisfy a < b, got ({a:g}, {b:g})")
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")
 
-    # a bound t + 1/tau from a window end lies inside where |tau| > reach
-    reach = 1.0 / (b - a)
-    pencil = _bounds_pencil(forms, a)
+    # the window ends by rank, the order of reading the windows one by one:
+    # end r is a (r even) or b (r odd) of window r // 2
+    ends = [t for window in windows for t in window]
+    # NaN, equal to no shift, where the forms keep no solve
+    kept = forms._kept.get("pencil", (np.nan,))[0]
+
+    def scheduled(r):
+        # the kept solve's |t| first, its own t first; then by |t|, t, rank
+        t = ends[r]
+        return (abs(t) != abs(kept), abs(t), t != kept, t, r)
+
+    bounds = [None] * len(ends)
+    failed = None  # the rank and error of the first end to raise, by rank
+    for r in sorted(range(len(ends)), key=scheduled):
+        if failed is not None and r > failed[0]:
+            continue  # it cannot change the error raised
+        a, b = windows[r // 2]
+        try:
+            bounds[r] = _end_bounds(forms, ends[r], r % 2 == 1, 1.0 / (b - a), j_max)
+        except (
+            EmptySideError, NegativeEigenvalueError, DegenerateShiftError, NonFiniteError
+        ) as exc:
+            # its traceback would keep the failing end's pencil alive
+            failed = (r, exc.with_traceback(None))
+    if failed is not None:
+        raise failed[1]
+
+    enclosures = []
+    for (a, b), uppers, lowers in zip(windows, bounds[::2], bounds[1::2]):
+        uppers = np.sort(uppers[uppers < b])
+        lowers = np.sort(lowers[lowers > a])
+        pairs = zip(lowers[:j_max].tolist(), uppers[:j_max].tolist())
+        enclosures.append([
+            Enclosure(
+                j=k + 1, lower=low, upper=up, t_lower_from=b, t_upper_from=a,
+                inconsistent=low > up,
+            )
+            for k, (low, up) in enumerate(pairs)
+        ])
+    return enclosures
+
+
+def _end_bounds(forms, t, right, reach, j_max):
+    """The bounds of :func:`zm_enclosures` from a window end t, its left
+    end a or ``right`` end b, whose bounds lie inside the window where
+    ``|tau| > reach``; its pencil is gone on return, before the next end
+    is solved."""
+    pencil = _bounds_pencil(forms, t, 5)
+    if right:
+        # every lower inside the window, the smallest first
+        return _side_bounds(pencil, "left", pencil.eigen.count(-reach))
     # the pairing reads the first j_max uppers inside the window
     inside = pencil.eigen.size - pencil.eigen.count(reach)
-    uppers = _side_bounds(pencil, "right", min(j_max, inside))
-    del pencil  # the forms' memo drops it before solving b: one at a time
-    pencil = _bounds_pencil(forms, b)
-    # and every lower inside it, the smallest first
-    lowers = _side_bounds(pencil, "left", pencil.eigen.count(-reach))
-    uppers = np.sort(uppers[uppers < b])
-    lowers = np.sort(lowers[lowers > a])
-
-    pairs = zip(lowers[:j_max].tolist(), uppers[:j_max].tolist())
-    return [
-        Enclosure(
-            j=k + 1, lower=low, upper=up, t_lower_from=b, t_upper_from=a,
-            inconsistent=low > up,
-        )
-        for k, (low, up) in enumerate(pairs)
-    ]
+    return _side_bounds(pencil, "right", min(j_max, inside))
 
 
 def residual_bounds(f_values, distances, isolation, atol=1e-12):

@@ -375,10 +375,19 @@ def _chunks(count, n):
 def _stebz(d, e, *args):
     """LAPACK ``stebz`` on the tridiagonal ``(d, e)`` of order at least 1,
     with the arguments ``range, vl, vu, il, iu, abstol``: the eigenvalues
-    it bisects, ordered by the blocks it splits T into."""
+    it bisects, ordered by the blocks it splits T into.
+
+    A range by index (``range`` 2) can meet Sturm counts that are not
+    monotone, at eigenvalues tied to roundoff across ``il`` or ``iu``
+    (``info`` 2); there LAPACK's cure is taken: all the eigenvalues
+    (``range`` 0) are bisected, and those of indices ``il .. iu`` returned,
+    ascending."""
     if d.size == 1:  # stebz's wrapper takes no empty e
         e = np.zeros(1)
     m, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, *args, "B")
+    if info == 2 and args[0] == 2:
+        il, iu, abstol = args[3:]
+        return np.sort(_stebz(d, e, 0, 0.0, 0.0, 0, 0, abstol))[il - 1 : iu]
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz failed (info={info})")
     return w[:m]
@@ -438,14 +447,15 @@ class TridiagonalEigen:
         LAPACK ``stebz`` bisects them by index on each unreduced block of
         T (split where its subdiagonal is exactly 0), to within about
         eps ||T||, in the fixed chunks of :meth:`vectors` counted from
-        the block's end, each chunk whole.  Bisection to roundoff may put
-        the values of a cluster out of order across chunks, and ``stein``
-        needs them in order: a running maximum over the block's values
-        from its end (a minimum with ``top``) keeps them so.  A value's
-        bits thus do not depend on how many are asked for.  The blocks'
-        values are merged stably, equal values in block order (reversed
-        with ``top``), and each block's are cached, read-only: the array
-        returned may be a view of that cache.
+        the block's end, each chunk whole (from all the block's values
+        where bisection by index fails, see :func:`_stebz`).  Bisection
+        to roundoff may put the values of a cluster out of order across
+        chunks, and ``stein`` needs them in order: a running maximum over
+        the block's values from its end (a minimum with ``top``) keeps
+        them so.  A value's bits thus do not depend on how many are asked
+        for.  The blocks' values are merged stably, equal values in block
+        order (reversed with ``top``), and each block's are cached,
+        read-only: the array returned may be a view of that cache.
         """
         return self._end_values(count, top)[0]
 

@@ -116,7 +116,7 @@ def test_bounds_deflated_window_ends_warn_at_the_call_site(tmp_path, capsys):
     )
     with open(cli.__file__) as source:
         lines = source.read().splitlines()
-    call = next(n for n, line in enumerate(lines, 1) if "= zm_enclosures(" in line)
+    call = next(n for n, line in enumerate(lines, 1) if "= zm_enclosures_all(" in line)
     assert run.returncode == 0
     assert run.stderr.splitlines() == [
         f"{cli.__file__}:{call}: DeflationWarning: "
@@ -146,6 +146,20 @@ def test_bounds_negative_window_syntax(capsys):
     assert code == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert float(row[1]) <= -1.0 <= float(row[2])
+
+
+def test_bounds_reports_the_first_failing_window_end_in_window_order(capsys):
+    # both -2000 (the first window's right end) and 1000 (the second's
+    # left end) see no spectrum on their side; window by window, -2000
+    # fails first, whichever end is solved first
+    code = main(
+        ["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "6",
+         "--window=-3000,-2000", "--window", "1000,1500"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: no spectrum detectable left of t=-2000 in this trial subspace\n"
+    )
 
 
 def test_bounds_out_file_plus_table(tmp_path, capsys):
@@ -188,7 +202,10 @@ def test_bounds_inconsistent_row_sets_exit_code(tmp_path, capsys, monkeypatch):
                           t_lower_from=window[1], t_upper_from=window[0],
                           inconsistent=True)]
 
-    monkeypatch.setattr(cli, "zm_enclosures", fake_enclosures)
+    monkeypatch.setattr(
+        cli, "zm_enclosures_all",
+        lambda forms, windows, j_max: [fake_enclosures(forms, w, j_max) for w in windows],
+    )
     out = tmp_path / "rows.csv"
     code = main(
         ["bounds", "--model", worked_forms_path(tmp_path),
@@ -448,9 +465,9 @@ def test_tol_is_the_tolerance_of_the_forms(tmp_path, capsys, monkeypatch):
     # a built-in model's forms take --tol too; they are copied, and M0
     # factored again, only for a tol other than their own
     seen, factored = [], []
-    real, real_factor = cli.zm_enclosures, forms_mod._checked_potrf
+    real, real_factor = cli.zm_enclosures_all, forms_mod._checked_potrf
     monkeypatch.setattr(
-        cli, "zm_enclosures",
+        cli, "zm_enclosures_all",
         lambda forms, *args: seen.append(forms) or real(forms, *args),
     )
     monkeypatch.setattr(

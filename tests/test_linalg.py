@@ -479,6 +479,26 @@ def test_a_tridiagonal_value_does_not_depend_on_the_others_asked_for():
                 npt.assert_array_equal(fresh.end_values(k, top), every[:k])
 
 
+def test_a_failed_bisection_by_index_reads_all_the_values(monkeypatch):
+    # stebz by index can meet Sturm counts that are not monotone at values
+    # tied to roundoff (info 2); the chunk is then read from all the
+    # values, bisected by range 0, so a one-block T gives them sorted
+    real = scipy.linalg.lapack.dstebz
+
+    def failing(d, e, range_, *args):
+        m, w, iblock, isplit, info = real(d, e, range_, *args)
+        return (0, w, iblock, isplit, 2) if range_ == 2 else (m, w, iblock, isplit, info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
+    for d, e in _tridiagonals():
+        if d.size == 0 or not np.all(e):
+            continue
+        eigen, _ = _tridiagonal_eigen(d, e)
+        every = np.sort(_stebz(d, e, 0, 0.0, 0.0, 0, 0, 0.0))
+        npt.assert_array_equal(eigen.end_values(d.size), every)
+        npt.assert_array_equal(eigen.end_values(3, top=True), every[::-1][:3])
+
+
 def test_stein_gets_its_values_ascending_within_each_block(monkeypatch):
     seen = []
     real = linalg_mod._stein

@@ -25,6 +25,7 @@ from eigenclose.enclosure import (
     zm_bounds_one_sided,
     zm_eigen,
     zm_enclosures,
+    zm_enclosures_all,
 )
 from eigenclose.errors import (
     DeflationWarning,
@@ -692,8 +693,13 @@ def test_more_lowers_than_j_max_cost_two_pencil_solves(pencil_solves):
     assert lowers.size > 1
 
     pencil_solves.clear()
-    enc = zm_enclosures(forms, (a, b), 1)
+    enc = zm_enclosures(replace(forms), (a, b), 1)
     assert pencil_solves == [a, b]
+    assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
+    # the forms that keep the solve at b read b from it first, then solve a
+    pencil_solves.clear()
+    enc = zm_enclosures(forms, (a, b), 1)
+    assert pencil_solves == [a]
     assert [(e.lower, e.upper) for e in enc] == [(lowers[0], uppers[0])]
 
 
@@ -784,6 +790,17 @@ def test_a_window_keeps_one_pencil_alive_at_a_time(monkeypatch):
     # the mirrored window reads -1.6 from the kept solve at 1.6, which is
     # gone with its reading before -0.8 is solved
     assert zm_enclosures(forms, (-1.6, -0.8), 3)
+    assert alive == [0, 0, 0]
+    # one schedule of several windows reads -0.8 and 0.8 from the kept
+    # solve, then solves -1.6 and -2.3, each with the one before gone
+    alive.clear()
+    windows = [(-2.3, -1.6), (-1.6, -0.8), (0.8, 1.6), (1.6, 2.3)]
+    assert any(zm_enclosures_all(forms, windows, 3))
+    assert alive == [0, 0]
+    # so does one whose ends raise: 1000 and -2000 fail, -3000 is read
+    alive.clear()
+    with pytest.raises(EmptySideError, match="left of t=-2000 "):
+        zm_enclosures_all(forms, [(-3000, -2000), (1000, 1500)], 3)
     assert alive == [0, 0, 0]
 
 
@@ -881,6 +898,127 @@ def test_touching_windows_share_the_end_they_meet_at(fresh, pencil_solves):
     shared = [[(e.lower, e.upper) for e in zm_enclosures(forms, w, 3)] for w in windows]
     assert pencil_solves == [0.2, 0.8, 1.6, 2.3]
     assert shared == apart and any(apart)
+
+
+#: the windows of the benchmark's bounds line, on its forms
+_BOUNDS_1D = (
+    lambda: assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms,
+    [(-2.5, -0.5), (0.5, 2.5)],
+)
+
+
+def test_mirrored_windows_in_one_schedule_solve_each_magnitude_once(pencil_solves):
+    # -0.5 is solved and 0.5 read from it, then -2.5 solved and 2.5 read
+    # from it; window by window, 0.5 is solved afresh
+    build, windows = _BOUNDS_1D
+    forms = build()
+    apart = [zm_enclosures(replace(forms), w, 2) for w in windows]
+    pencil_solves.clear()
+    assert zm_enclosures_all(forms, windows, 2) == apart
+    assert pencil_solves == [-0.5, -2.5]
+    pencil_solves.clear()
+    forms = build()
+    for w in windows:
+        zm_enclosures(forms, w, 2)
+    assert pencil_solves == [-0.5, -2.5, 0.5]
+
+
+def test_overlapping_windows_in_one_schedule_solve_each_end_once(pencil_solves):
+    forms = assemble_1d(uniform_mesh(8, jitter=0.3, seed=1), 2).forms
+    windows = [(0.5, 1.5), (1.5, 2.5), (0.5, 2.5)]
+    apart = [zm_enclosures(replace(forms), w, 2) for w in windows]
+    assert pencil_solves == [0.5, 1.5, 1.5, 2.5, 0.5, 2.5]
+    pencil_solves.clear()
+    assert zm_enclosures_all(forms, windows, 2) == apart
+    assert pencil_solves == [0.5, 1.5, 2.5]
+
+
+def test_ungraded_forms_solve_each_shift_once(pencil_solves):
+    # README's 2 x 2 forms have no grading: t and -t are separate solves,
+    # each once, and -1.5 and 1.5 are each read by two windows
+    forms = replace(WORKED)
+    windows = [(-1.5, 1.5), (-1.5, 2.5), (-2.5, 1.5)]
+    apart = [zm_enclosures(replace(forms), w, 2) for w in windows]
+    pencil_solves.clear()
+    assert zm_enclosures_all(forms, windows, 2) == apart
+    assert pencil_solves == [-1.5, 1.5, -2.5, 2.5]
+    assert [len(enc) for enc in apart] == [1, 2, 1]
+
+
+_MODEL_FORMS = {
+    "dirac1d": lambda: assemble_1d(uniform_mesh(12, jitter=0.3, seed=0), 3).forms,
+    "maxwell2d": lambda: assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=0), 1).forms,
+}
+
+
+@pytest.mark.parametrize("model", sorted(_MODEL_FORMS))
+@pytest.mark.parametrize(
+    "windows",
+    [
+        [(-2.5, -0.5), (0.5, 2.5)],
+        [(-1.6, -0.8), (0.8, 1.6)],
+        [(0.2, 0.8), (0.8, 1.6), (1.6, 2.3)],
+        [(-2.3, -1.6), (-1.6, -0.8), (0.8, 1.6), (1.6, 2.3)],
+        [(0.5, 1.5), (1.5, 2.5), (0.5, 2.5)],
+        [(0.8, 1.6), (-1.6, -0.8), (-2.3, -0.8), (0.8, 1.6)],
+    ],
+)
+def test_one_schedule_gives_each_window_its_own_enclosures(model, windows, pencil_solves):
+    # bit for bit the enclosures of each window on new forms, with one
+    # solve per distinct |t| on the graded forms of both models
+    forms = _MODEL_FORMS[model]()
+    apart = [zm_enclosures(replace(forms), w, 3) for w in windows]
+    pencil_solves.clear()
+    assert zm_enclosures_all(forms, windows, 3) == apart and any(apart)
+    assert sorted(map(abs, pencil_solves)) == sorted({abs(t) for w in windows for t in w})
+
+
+def test_one_schedule_reads_the_kept_solve_first(pencil_solves):
+    # the forms keep 2.5, so -2.5 is read from it before -0.5 is solved
+    build, windows = _BOUNDS_1D
+    forms = build()
+    zm_bounds_one_sided(forms, 2.5, "left")
+    pencil_solves.clear()
+    zm_enclosures_all(forms, windows, 2)
+    assert pencil_solves == [-0.5]
+
+
+def test_one_schedule_checks_every_window_before_solving(pencil_solves):
+    forms = replace(WORKED)
+    with pytest.raises(ValueError, match="a < b"):
+        zm_enclosures_all(forms, [(0.5, 1.5), (2.0, 2.0)], 1)
+    with pytest.raises(ValueError, match="j_max"):
+        zm_enclosures_all(forms, [(0.5, 1.5)], 0)
+    assert pencil_solves == [] and zm_enclosures_all(forms, [], 1) == []
+
+
+def test_one_schedule_raises_the_first_error_window_by_window(pencil_solves):
+    # window by window, the end -2000 fails first; the schedule reads 1000
+    # first, which fails too, and skips 1500, after both in either order
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=0), 1).forms
+    windows = [(-3000.0, -2000.0), (1000.0, 1500.0)]
+    with pytest.raises(EmptySideError, match="left of t=-2000 "):
+        zm_enclosures(replace(forms), windows[0], 1)
+    with pytest.raises(EmptySideError, match="right of t=1000 "):
+        zm_enclosures(replace(forms), windows[1], 1)
+    pencil_solves.clear()
+    with pytest.raises(EmptySideError, match="left of t=-2000 "):
+        zm_enclosures_all(forms, windows, 1)
+    assert pencil_solves == [1000.0, -2000.0, -3000.0]
+
+
+def test_deflation_warnings_name_the_callers_line(fresh):
+    # each public bounds function warns at the line that calls it
+    for call in (
+        lambda forms: zm_enclosures(forms, (1.0, 2.5), 1),
+        lambda forms: zm_enclosures_all(forms, [(1.0, 2.5), (1.0, 1.5)], 1),
+        lambda forms: zm_bounds_one_sided(forms, 1.0, "right"),
+    ):
+        with pytest.warns(DeflationWarning) as record:
+            call(fresh(WORKED))
+        assert {(w.filename, w.lineno) for w in record} == {
+            (__file__, call.__code__.co_firstlineno)
+        }
 
 
 def test_a_raising_solve_leaves_no_pencil_kept(pencil_solves):
@@ -1187,6 +1325,20 @@ def test_a_mirrored_read_matches_a_fresh_solve(case):
             npt.assert_array_equal(ours, theirs)
         else:  # a 2D solve's roundoff is not sign-symmetric
             npt.assert_allclose(ours, theirs, rtol=0, atol=4 * np.spacing(scale))
+
+
+def test_a_side_read_across_values_tied_to_roundoff():
+    # maxwell2d order 2 at -2.78: the 8th to 10th largest tau agree to
+    # roundoff, and bisecting the 5th to 8th by index fails there; they
+    # are read, fresh and mirrored, as a dense solve gives them
+    forms = assemble_2d(structured_tri_mesh(6, jitter=0.25, seed=33), 2).forms
+    tau = zm_eigen(forms, -2.78).nearest("right", 10)
+    enclosure_mod._pencil(forms, -2.78)
+    mirrored = enclosure_mod._pencil(forms, 2.78).nearest("left", 10)
+    npt.assert_array_equal(mirrored, -tau)
+    _, plus, _ = _reference_pencil(forms, -2.78)
+    npt.assert_allclose(tau, plus[:10], rtol=1e-9)
+    assert np.ptp(tau[7:]) < 1e-14
 
 
 def test_forms_with_an_m1_diagonal_solve_the_mirror_afresh(pencil_solves):
