@@ -73,39 +73,20 @@ class Signature:
 
 @dataclass(eq=False)
 class PencilEigen:
-    """Classified eigenvalues of the pencil ``tau Q_t x = L_t x``, read on
-    demand, and its eigenvectors on demand.
+    """The pencil ``tau Q_t x = L_t x`` at shift t, solved, its tau and
+    eigenvectors computed only as they are read.
 
-    ``eigen`` (:class:`~eigenclose.linalg.TridiagonalEigen`) holds the
-    solve: the tridiagonal reduction as two vectors and its reflectors,
-    in one (n - n_inf) square double array that also holds the pivoted
-    Cholesky factor of Q_t, and the index of the n coordinates in pivot
-    order, the kept ones first.  No tau is computed until it is read, and
-    :meth:`nearest` is the one way to read and polish them: it bisects
-    only the k it returns, by the rule of
-    :meth:`~eigenclose.linalg.TridiagonalEigen.end_values`, so a tau is
-    the same whichever read computed it.  ``tau_minus`` (ascending, most
-    negative first, so index j-1 bounds the j-th spectral point below t)
-    and ``tau_plus`` (descending) read a whole side, every tau of it
-    bisected, and polish nothing more.  Every array read is read-only.
-    ``eigen.vectors(k)`` (``eigen.vectors(k, top=True)``) is the one way
-    to read eigenvectors: the Q_t-orthonormal coefficient vectors, in the
-    full trial basis and zero on the deflated coordinates, of the k
-    nearest entries of ``tau_minus`` (``tau_plus``) in their order before
-    the polish, which may re-sort near-ties.  Before any tau is read the
-    pencil's arrays take 0.60 MB at n = 240 (dirac1d, order 3, 40
-    elements), 0.46 MB of it that square array, and 26.4 MB at n = 1775
-    (maxwell2d, order 1, nx = 24), 25.2 MB of it the array; each tau
-    bisected adds 8 bytes, and 8 more for each one polished.
-    ``Qt_values`` and ``Lt_values`` are the values of the shifted forms
-    the pencil was solved at on ``pattern``, the forms' nonzero pattern
-    (:meth:`TrialForms.pattern`), in the precision of the forms: all
-    the polish reads of Q_t and L_t, which are +0 off it.
-    ``polished`` counts the polished entries of each side.
-    On graded forms the package reads the pencil at t from a solve at -t
-    (:func:`_reflected`): its ``eigen`` is then a :class:`_ReflectedEigen`
-    of that solve, with the same reads, and only ``Qt_values`` and
-    ``Lt_values`` are its own.
+    ``eigen`` (:class:`~eigenclose.linalg.TridiagonalEigen`) is the
+    solve; ``Qt_values`` and ``Lt_values`` are Q_t and L_t on
+    ``pattern``, the forms' nonzero pattern, in the forms' precision.
+    :meth:`nearest` is the one way to read and polish tau; ``tau_minus``
+    (ascending, so index j-1 bounds the j-th spectral point below t) and
+    ``tau_plus`` (descending) read a whole side, bisected, and polish
+    nothing more.  ``polished`` counts the polished tau of each side.  A
+    tau has the same bits whichever read computed it, and every tau
+    array read is read-only.  ``eigen.vectors(k)`` (with ``top=True``)
+    reads the Q_t-orthonormal vectors, zero on the deflated coordinates,
+    of the k nearest ``tau_minus`` (``tau_plus``) before the polish.
     """
 
     t: float
@@ -137,7 +118,7 @@ class PencilEigen:
     def _read(self, side, k):
         """The k nearest tau of one side (all of it where it holds fewer),
         nearest bound first: the polished ones, then those of the solve."""
-        k = min(k, self._size(side))
+        k = min(k, _side_size(self.signature, side))
         tau = self._polished[side]
         if k > tau.size:
             rest = self.eigen.end_values(k, top=side == "right")[tau.size :]
@@ -145,35 +126,22 @@ class PencilEigen:
             tau.flags.writeable = False
         return tau[:k]
 
-    def _size(self, side):
-        """The number of tau on one side."""
-        sig = self.signature
-        return sig.n_minus if side == "left" else sig.n_plus
-
     def nearest(self, side, k):
-        """The nearest k eigenvalues of one side (all of it where it holds
-        fewer), nearest bound first, read-only; only those k are bisected.
-        ``side`` is ``"left"`` for ``tau_minus``, ``"right"`` for
-        ``tau_plus``.
+        """The nearest k tau of one side (all of it where it holds fewer),
+        nearest bound first, read-only: ``side`` is ``"left"`` for
+        ``tau_minus`` and ``"right"`` for ``tau_plus``.  Only those k are
+        bisected.
 
-        The nearest ``min(k, REFINE_COUNT)`` are polished first:
-        Rayleigh quotients ``x' L_t x / x' Q_t x`` of the double-precision
-        eigenvectors, in longdouble on the stored shifted forms (the
-        products by :func:`_pattern_products`), remove the solve roundoff
-        from the tight bounds (with forms assembled in extended
-        precision, well below the double representation floor of Q_t);
-        where longdouble is no genuine extended precision, nothing is
-        polished.  Only the vectors of the polished tau are computed
-        (:meth:`~eigenclose.linalg.TridiagonalEigen.vectors`), and each
-        does not depend on k.  ``polished`` records how many entries of
-        each side are polished: a read asking for no more polishes
-        nothing, one asking for more polishes the nearest k afresh, so
-        near-ties re-sort as if all k were polished at once, among the
-        polished entries only.  An unpolished entry that ties the last
-        polished one to roundoff stays behind it even when an ulp nearer.
-        The quotients are only as good as the eigenvectors, so two solves
-        of one pencil that differ in their roundoff may polish a tau a few
-        ulps apart (more inside a cluster of equal tau).
+        Where longdouble is a genuine extended precision, the nearest
+        ``min(k, REFINE_COUNT)`` are polished: each becomes the Rayleigh
+        quotient ``x' L_t x / x' Q_t x`` of its double eigenvector, summed
+        in longdouble on the stored forms (:func:`_pattern_products`),
+        and the polished entries re-sort among themselves.  A read asking
+        for no more than ``polished`` polishes nothing; one asking for
+        more polishes the nearest k afresh, each quotient the same bits
+        whatever k.  An unpolished entry stays behind the polished ones
+        even where a roundoff tie puts it an ulp nearer.  Two solves of
+        one pencil may polish a tau some ulps apart.
 
         Raises
         ------
@@ -183,7 +151,7 @@ class PencilEigen:
         _check_side(side)
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
-        count = min(k, REFINE_COUNT, self._size(side))
+        count = min(k, REFINE_COUNT, _side_size(self.signature, side))
         if _LONGDOUBLE_OK and count > self._polished[side].size:
             top = side == "right"
             x = self.eigen.vectors(count, top).astype(np.longdouble)
@@ -201,33 +169,66 @@ class PencilEigen:
         return self._read(side, k)
 
 
-@dataclass(eq=False)
-class _ReflectedEigen:
-    """The eigenproblem of ``pencil``, a solve at -t on graded forms
-    (:meth:`~eigenclose.forms.TrialForms.grading`, J), read as that of
-    the pencil at t.  ``Q_t = J Q_{-t} J`` and ``L_t = -J L_{-t} J``, so
-    its eigenvalues are those of ``pencil`` negated and its vectors those
-    of ``pencil`` times J: the reads of a
-    :class:`~eigenclose.linalg.TridiagonalEigen`, from ``pencil.eigen``
-    with its ends swapped, and nothing solved or bisected afresh."""
+#: the side of the kept solve that each side of its mirror reads
+_OTHER = {"left": "right", "right": "left"}
 
-    pencil: PencilEigen
+
+@dataclass(frozen=True, eq=False)
+class _Mirror:
+    """The pencil at t of graded forms, a view of ``kept``, their solve at
+    -t, that owns nothing.  With J the forms' ``grading``,
+    ``Q_t = J Q_{-t} J`` and ``L_t = -J L_{-t} J`` entry by entry: each
+    side is the other side of ``kept`` negated bit for bit, polish
+    included, and the vectors are ``kept``'s times J.  What a read
+    bisects or polishes, ``kept`` holds.  It is its own ``eigen``, with
+    the reads of a :class:`~eigenclose.linalg.TridiagonalEigen`, and the
+    tau it returns are read-only."""
+
+    t: float
+    kept: PencilEigen
     grading: np.ndarray = field(repr=False)
 
     @property
+    def signature(self):
+        sig = self.kept.signature
+        return replace(sig, n_minus=sig.n_plus, n_plus=sig.n_minus)
+
+    @property
+    def polished(self):
+        return {side: self.kept.polished[other] for side, other in _OTHER.items()}
+
+    @property
+    def eigen(self):
+        return self
+
+    @property
     def size(self):
-        return self.pencil.eigen.size
+        return self.kept.eigen.size
+
+    def nearest(self, side, k):
+        _check_side(side)
+        return _negated(self.kept.nearest(_OTHER[side], k))
 
     def count(self, x):
         """The number of eigenvalues at or below x."""
-        eigen = self.pencil.eigen
-        return eigen.size - eigen.count(np.nextafter(-x, -np.inf))
+        return self.size - self.kept.eigen.count(np.nextafter(-x, -np.inf))
 
     def end_values(self, count, top=False):
-        return -self.pencil.eigen.end_values(count, not top)
+        return _negated(self.kept.eigen.end_values(count, not top))
 
     def vectors(self, count, top=False):
-        return self.grading[:, None] * self.pencil.eigen.vectors(count, not top)
+        return self.grading[:, None] * self.kept.eigen.vectors(count, not top)
+
+
+def _side_size(signature, side):
+    """The number of tau on one side of a pencil of that signature."""
+    return signature.n_minus if side == "left" else signature.n_plus
+
+
+def _negated(tau):
+    tau = -tau
+    tau.flags.writeable = False
+    return tau
 
 
 def _pattern_products(pattern, x, *values):
@@ -300,7 +301,7 @@ def _side_bounds(pencil, side, k):
     """Bounds ``t + 1/tau`` from the nearest k tau of one side
     (:meth:`PencilEigen.nearest`), nearest first.  ``EmptySideError`` if
     the side is empty."""
-    if pencil._size(side) == 0:
+    if _side_size(pencil.signature, side) == 0:
         raise EmptySideError(
             f"no spectrum detectable {side} of t={pencil.t:g} in this trial subspace"
         )
@@ -310,24 +311,20 @@ def _side_bounds(pencil, side, k):
 def local_counting(forms, t, count=None):
     """Values of the local counting function at shift t, as an array.
 
-    Solves the pencil ``Q_t x = mu^2 M0 x`` for its eigenvalues only and
-    returns the array of ``F_j = sqrt(max(mu^2_j, 0))``, ascending.  With
-    ``count`` given only ``F_1 .. F_count`` are computed (all n when
-    ``count >= n``); a fixed-point evaluation needs nothing more.
-
-    The solve uses the forms' Cholesky factor of M0
-    (:meth:`TrialForms.factor`).  The roundoff floor
-    ``-tol * ||Q_t||_2``, at the forms' ``tol``, is only computed when
-    the smallest eigenvalue is negative, because only then can it decide
-    anything.
+    Returns ``F_j = sqrt(max(mu^2_j, 0))``, ascending, from the
+    eigenvalues of the pencil ``Q_t x = mu^2 M0 x``, solved for
+    eigenvalues only with the forms' Cholesky factor of M0
+    (:meth:`TrialForms.factor`).  With ``count`` given only
+    ``F_1 .. F_count`` are computed (all n when ``count >= n``).
 
     Raises
     ------
     NegativeEigenvalueError
-        If the pencil has an eigenvalue below ``-tol * ||Q_t||``; Q_t
-        represents a square, so that signals corrupted forms.
+        If the pencil has an eigenvalue below ``-tol * ||Q_t||_2``, at
+        the forms' ``tol``; Q_t represents a square, so that signals
+        corrupted forms.
     NonFiniteError
-        If Q_t overflows double, as for :func:`zm_eigen`.
+        As for :func:`zm_eigen`.
     ValueError
         If ``count`` is given and below 1.
     """
@@ -352,61 +349,32 @@ def local_counting(forms, t, count=None):
 def zm_eigen(forms, t):
     """Solve and classify the pencil ``tau Q_t x = L_t x`` at shift t.
 
-    One pivoted Cholesky factorization of Q_t
-    (:func:`~eigenclose.linalg.kernel_split`) stops at the first pivot at
-    or below ``tol * max(1, ||Q_t||_inf)``, ``tol`` the forms' tolerance;
-    the coordinates it did not factor are deflated (``n_inf``).  The
-    kernel of Q_t lies, in exact arithmetic, inside that of L_t too, so
-    deflating it loses nothing, and the pencil on the kept coordinates,
-    reduced through the pivoted factor, has the tau of every complement
-    of the kernel.  All tau are eigenvalues of one tridiagonal reduction
-    T of ``L^{-1} L_t L^{-T}`` on those coordinates, L the factor; the
-    solve computes only that reduction and the census, from counts of T.
-    Where nothing is deflated the factorization shows Q_t definite;
-    where something is, Q_t, a square, must have no eigenvalue below
-    ``-tol * ||Q_t||_2`` (``NegativeEigenvalueError``): the smallest
-    eigenvalue of the Schur complement of the kept coordinates, at most
-    that of Q_t, is checked.
-
-    A tau counts as zero where ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``.
-    The threshold is first bracketed by O(nnz) norm bounds, the largest
-    column 2-norm below and the largest absolute row sum above, the
-    bracket widened by a factor 2 for roundoff.  Every tau beyond the
-    bracket is nonzero, so Sturm counts of T at the bracket's two ends
-    (LAPACK ``stebz``) give the census where the band between them is
-    empty, as it usually is; the census reads no tau.  Only when some
-    ``|tau|`` of the band falls inside the bracket are the 2-norms
-    computed, as largest absolute eigenvalues.
-
-    The pencil is solved in double precision, and no tau and no
-    eigenvector is computed and nothing polished.  Callers bisect and
-    polish only what they read (:meth:`PencilEigen.nearest`), and only
-    the vectors of the polished tau are computed, on demand: at a window
-    end of :func:`zm_enclosures` the entries of one side behind the
-    bounds it can emit, j entries of one side for a fixed-point seed,
-    none for :func:`signature`; the whole side for
-    :func:`zm_bounds_one_sided`, its nearest ``REFINE_COUNT`` polished.
-
-    Q_t and L_t are evaluated on the forms' nonzero pattern only
-    (:func:`~eigenclose.forms.shifted_square`); the one n by n array of
-    the solve is the dense Q_t the factorization overwrites, and the
-    pencil on the kept coordinates is written from the values of L_t.
-    The pencil keeps those values and the reduction its vectors are
-    computed from (see :class:`PencilEigen`).  Each call solves afresh
-    and returns a new, unshared pencil; the package's own callers share
-    one solve per shift through the forms' memo of their last solve.
-    The solve does not warn: a deflated kernel shows in
-    ``signature.n_inf``.
+    Returns a new, unshared :class:`PencilEigen`: the solve, in double
+    precision, and its census, with no tau bisected, no vector computed
+    and nothing polished until it is read.  Q_t and L_t are evaluated on
+    the forms' nonzero pattern.  One pivoted Cholesky factorization of
+    Q_t (:func:`~eigenclose.linalg.kernel_split`) stops at the first
+    pivot at or below ``tol * max(1, ||Q_t||_inf)``, ``tol`` the forms'
+    tolerance, and deflates the coordinates it did not factor
+    (``n_inf``); the tau are the eigenvalues of one tridiagonal
+    reduction of the pencil on the kept coordinates.  A tau counts as
+    zero where ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``, and the census
+    is read from Sturm counts alone (:func:`_census`).  The solve does
+    not warn: a deflated kernel shows in ``signature.n_inf``.
 
     Raises
     ------
     DegenerateShiftError
         If deflation removes the whole subspace.
     NegativeEigenvalueError
-        If Q_t is indefinite beyond roundoff.
+        If Q_t, a square, has an eigenvalue below ``-tol * ||Q_t||_2``
+        (where nothing is deflated the factorization shows Q_t definite;
+        where something is, the Schur complement of the kept coordinates
+        is checked).
     NonFiniteError
-        If Q_t or L_t overflows double (``|t|`` beyond about 1e154 for
-        forms with entries of order one); the message names t.
+        If t is not finite, or Q_t or L_t overflows double (``|t|``
+        beyond about 1e154 for forms with entries of order one); the
+        message names t.
     """
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -424,20 +392,20 @@ def zm_eigen(forms, t):
         floor = forms.tol * _norm2(_on_pattern(forms, qt_d))
         if schur_min < -floor:
             raise NegativeEigenvalueError(schur_min, floor)
-    n_inf = forms.n - eigen.size
-    if n_inf == forms.n:
+    if eigen.size == 0:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
         )
-    n_minus, n_zero, n_plus = _census(forms, eigen, q_norm, l_norm, qt_d, lt_d)
-    sig = Signature(n_inf=n_inf, n_zero=n_zero, n_minus=n_minus, n_plus=n_plus)
+    census = _census(forms, eigen, q_norm, l_norm, qt_d, lt_d)
     return PencilEigen(
-        t=float(t), signature=sig, eigen=eigen, Qt_values=qt, Lt_values=lt,
-        pattern=forms.pattern(),
+        t=float(t), signature=Signature(forms.n - eigen.size, *census), eigen=eigen,
+        Qt_values=qt, Lt_values=lt, pattern=forms.pattern(),
     )
 
 
 def _overflow(t):
+    if not np.isfinite(t):
+        return NonFiniteError(f"the shift t={t:g} is not finite")
     return NonFiniteError(
         f"the shifted forms overflow double at t={t:g}; the shift is too large"
     )
@@ -461,11 +429,10 @@ def _norm2(a):
 
 
 def _census(forms, eigen, q_norm, l_norm, qt, lt):
-    """The numbers ``(n_minus, n_zero, n_plus)`` of negative, zero and
-    positive tau in the :class:`~eigenclose.linalg.TridiagonalEigen`
-    ``eigen`` of :func:`zm_eigen`, by Sturm counts of T alone, from
-    ``q_norm`` and ``l_norm``, ``(lo, hi)`` bounding ``||Q_t||_2`` and
-    ``||L_t||_2``.
+    """The numbers ``(n_zero, n_minus, n_plus)`` of zero, negative and
+    positive tau in ``eigen``, the solve of :func:`zm_eigen`, by Sturm
+    counts alone; ``q_norm`` and ``l_norm`` are ``(lo, hi)`` bounding
+    ``||Q_t||_2`` and ``||L_t||_2``.
 
     Every tau beyond ``edge = 2 tol l_hi / q_lo`` in size is nonzero, so
     counts at ``-edge`` and ``edge`` settle the census where the band
@@ -492,56 +459,29 @@ def _census(forms, eigen, q_norm, l_norm, qt, lt):
             limit = max(forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q), floor)
             n_minus = eigen.count(np.nextafter(-limit, -np.inf))
             n_zero = eigen.count(limit) - n_minus
-    return n_minus, n_zero, eigen.size - n_minus - n_zero
+    return n_zero, n_minus, eigen.size - n_minus - n_zero
 
 
 def _pencil(forms, t):
-    """:func:`zm_eigen` at t, shared through the forms' memo of their
-    last solve.  Users of the shared pencil polish it in place
-    (see :meth:`PencilEigen.nearest`).  Where the memo holds the pencil
-    at -t, t nonzero, and the forms are graded
-    (:meth:`~eigenclose.forms.TrialForms.grading`), it is read at t
-    instead (:func:`_reflected`): nothing is factored, bisected or
-    polished again.  Any other miss drops the old pencil before solving,
-    so two are never alive at once; a solve that raises stores nothing."""
+    """The pencil at t for the package's readers, who polish it in
+    place: the forms' kept solve where it is at t; a :class:`_Mirror` of
+    it where it is at -t, t nonzero, on graded forms
+    (:meth:`~eigenclose.forms.TrialForms.grading`), nothing solved,
+    bisected or polished afresh; otherwise :func:`zm_eigen` at t, kept
+    in place of the old solve, which is dropped first, so one solve is
+    alive at a time.  The forms keep only solves, and a solve that
+    raises leaves them none."""
     t = float(t)
-    kept = forms._kept.pop("pencil", (None, None))
-    if kept[0] == t:
-        pencil = kept[1]
-    elif t != 0.0 and kept[0] == -t and forms.grading() is not None:
-        pencil = _reflected(forms, kept[1], t)
-    else:
-        kept = None  # dropped before solving: one pencil alive at a time
-        pencil = zm_eigen(forms, t)
+    solved_t, kept = forms._kept.get("pencil", (None, None))
+    if solved_t == t:
+        return kept
+    if solved_t == -t != 0.0 and forms.grading() is not None:
+        return _Mirror(t, kept, forms.grading())
+    forms._kept.pop("pencil", None)
+    del kept  # dropped before solving: one solve alive at a time
+    pencil = zm_eigen(forms, t)
     forms._kept["pencil"] = (t, pencil)
     return pencil
-
-
-def _reflected(forms, pencil, t):
-    """The pencil at t read from ``pencil``, the one at -t, on graded
-    forms: where ``pencil`` is itself such a reading, the solve it reads,
-    and otherwise a new reading sharing ``pencil``'s arrays, its
-    signature's sides swapped, through a :class:`_ReflectedEigen`, with
-    the values of Q_t and L_t at t for a deeper polish.  What either has
-    polished the other holds too, each side's tau negated as the other
-    side's; the polish of the one is bit for bit the other's negated."""
-    if isinstance(pencil.eigen, _ReflectedEigen):
-        reflected = pencil.eigen.pencil
-    else:
-        sig = pencil.signature
-        reflected = PencilEigen(
-            t=t, signature=replace(sig, n_minus=sig.n_plus, n_plus=sig.n_minus),
-            eigen=_ReflectedEigen(pencil, forms.grading()),
-            Qt_values=shifted_square(forms, t), Lt_values=shifted_linear(forms, t),
-            pattern=pencil.pattern,
-        )
-    for side, other in (("left", "right"), ("right", "left")):
-        tau = pencil._polished[other]
-        if tau.size > reflected._polished[side].size:
-            tau = -tau
-            tau.flags.writeable = False
-            reflected._polished[side] = tau
-    return reflected
 
 
 def _bounds_pencil(forms, t, stacklevel):
@@ -574,67 +514,56 @@ def signature(forms, t):
 
 
 def zm_bounds_one_sided(forms, t, side):
-    """Certified one-sided bounds from the pencil at shift t.
+    """Certified one-sided bounds from the pencil at shift t, nearest
+    first: for ``side="left"`` the lower bounds ``t + 1/tau^-_j`` of the
+    spectral points below t (decreasing, but for roundoff ties after the
+    polished entries), for ``"right"`` the upper bounds ``t + 1/tau^+_j``
+    of those above t (increasing).
 
-    Parameters
-    ----------
-    side : {"left", "right"}
-        ``"left"`` returns lower bounds ``t + 1/tau^-_j`` for the
-        spectral points below t, nearest first (so the array is
-        decreasing, but for roundoff ties after the polished entries).
-        ``"right"`` returns upper bounds ``t + 1/tau^+_j`` for the
-        points above t, nearest first (increasing).
-
-    All bounds of the side are returned, so every eigenvalue of the side
-    is bisected (see :class:`PencilEigen`).  The nearest ``REFINE_COUNT``
-    come from polished eigenvalues (see :meth:`PencilEigen.nearest`) and
-    the rest from double-precision ones; the other side is not computed.
-    Every call at a shift with a deflated kernel issues a
-    ``DeflationWarning``, also when the forms' kept solve serves it.
+    Every tau of the side is bisected and its nearest ``REFINE_COUNT``
+    polished (:meth:`PencilEigen.nearest`); the other side is not
+    computed.  Every call at a shift with a deflated kernel warns
+    (``DeflationWarning``), also where the forms' kept solve serves it.
 
     Raises
     ------
     EmptySideError
         If the pencil has no eigenvalues of the requested sign.
+    ValueError
+        If ``side`` is neither ``"left"`` nor ``"right"``.
     """
     _check_side(side)
     pencil = _bounds_pencil(forms, t, 3)
-    return _side_bounds(pencil, side, pencil._size(side))
+    return _side_bounds(pencil, side, _side_size(pencil.signature, side))
 
 
 def zm_enclosures(forms, window, j_max):
-    """Two-sided enclosures inside a window ``(a, b)``.
+    """Two-sided enclosures inside a window ``(a, b)``, ascending.
 
-    Upper bounds are computed at the left end a (for spectral points
-    above a), lower bounds at the right end b (for points below b).
-    Bounds falling outside the open window are dropped; the k-th
-    smallest surviving lower bound is paired with the k-th smallest
-    surviving upper bound.  A pair with ``lower > upper`` is returned
-    flagged ``inconsistent`` rather than raised, because it conveys that
-    the two shifts disagree about how much spectrum the window holds.
+    Upper bounds ``a + 1/tau^+`` come from the pencil at a, lower bounds
+    ``b + 1/tau^-`` from the pencil at b.  Bounds outside the open window
+    are dropped, and the k-th smallest lower bound is paired with the
+    k-th smallest upper bound, at most ``j_max`` pairs.  A pair with
+    ``lower > upper`` is returned flagged ``inconsistent``, not raised:
+    the two ends disagree about how much spectrum the window holds.
+    Each window end with a deflated kernel warns (``DeflationWarning``).
+    This is :func:`zm_enclosures_all` on the one window, so the forms'
+    kept solve serves an end at its shift and, on graded forms, at
+    minus it.
 
-    This is :func:`zm_enclosures_all` on the one window, so each window
-    end is solved once, and the forms keep their last solve: touching
-    windows taken in ascending order solve the end they share once, on
-    graded forms a window end at -t read right after one at t reads
-    that solve mirrored, and each window end with a deflated kernel
-    warns.  Taken together by :func:`zm_enclosures_all`, the windows
-    (-b, -a), (a, b) solve two ends.  Only the pencil eigenvalues behind
-    bounds that can be emitted are bisected and polished (see
-    :meth:`PencilEigen.nearest`), counted before any is computed, by one
-    Sturm count at ``|tau| = 1/(b - a)`` per window end
-    (:meth:`~eigenclose.linalg.TridiagonalEigen.count`): at a the uppers
-    below b, at most ``j_max`` of them, and at b every lower above a
-    (the nearest ``REFINE_COUNT`` of them polished).  A window in a
-    spectral gap bisects no eigenvalue and computes no eigenvector.  The
-    bounds are those of both sides polished in full except where the
-    polish or the roundoff of the count would move a bound across the
-    window end it was counted against: one the count leaves outside is
-    dropped, though polished it might fall inside.  The polish moves a
-    bound only by the roundoff of the double-precision solve.
+    Only the tau behind bounds that can be emitted are bisected and
+    polished (:meth:`PencilEigen.nearest`), counted first by one Sturm
+    count at ``|tau| = 1/(b - a)`` per end: at a the uppers below b, at
+    most ``j_max``, and at b every lower above a.  A window in a
+    spectral gap bisects no tau and computes no vector.  The bounds are
+    those of both sides polished in full, except that a bound the count
+    leaves outside the window is dropped even where its polish, which
+    moves it only by the roundoff of the solve, would put it inside.
 
     Raises
     ------
+    ValueError
+        If not ``a < b``, or if ``j_max < 1``.
     EmptySideError
         Propagated when a window end detects nothing on the required
         side.
@@ -647,25 +576,20 @@ def zm_enclosures_all(forms, windows, j_max):
     one list per window, in the order the windows are given.
 
     Every window and ``j_max`` are checked before anything is solved.
-    Each window end reads what :func:`zm_enclosures` reads there, but the
-    ends of all windows are read in one schedule, grouped by ``|t|``, so
-    that equal and mirrored ends are read back to back and each is
-    served by the forms' kept solve: on graded forms
-    (:meth:`~eigenclose.forms.TrialForms.grading`) each distinct ``|t|``
-    is solved once, and on other forms each distinct t.  The group of
-    the forms' kept solve is read first, that solve's own shift first;
-    the others follow in ascending ``|t|``, each ascending in t.  The
-    windows (-b, -a), (a, b) solve two ends, and (-2.5, -0.5),
-    (0.5, 2.5) read -0.5, 0.5, -2.5 and 2.5.  One pencil is alive at a
-    time.  Where window ends raise, the error raised is the one that
-    reading the windows one by one in their order, a before b, meets
-    first.
+    The ends of all windows are read in one schedule grouped by ``|t|``:
+    the group of the forms' kept solve first, that solve's own shift
+    first, then the others in ascending ``|t|``, each ascending in t.
+    Each distinct ``|t|`` is so solved once on graded forms
+    (:meth:`~eigenclose.forms.TrialForms.grading`), and each distinct t
+    on others, one solve alive at a time: (-2.5, -0.5), (0.5, 2.5) read
+    -0.5, 0.5, -2.5 and 2.5 and solve two of them.  Where window ends
+    raise, the error raised is the one that reading the windows one by
+    one in their order, a before b, meets first.
 
     Raises
     ------
-    EmptySideError
-        Propagated when a window end detects nothing on the required
-        side.
+    ValueError, EmptySideError
+        As for :func:`zm_enclosures`.
     """
     return _enclosures(forms, windows, j_max)
 

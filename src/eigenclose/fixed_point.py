@@ -189,6 +189,8 @@ def optimal_shift(forms, t, j, side, fp_tol=None):
     NoSignChangeError
         If fewer than j Rayleigh quotients lie on the requested side of
         t -- then the fixed-point equation has no root there.
+    NonFiniteError
+        If t is not finite; the message names t.
     MaxIterationsError
         If bracketing or bisection exhausts its budget.
     """
@@ -235,6 +237,8 @@ def _root(forms, t, j, side, fp_tol, seed):
     if fp_tol is not None and not (math.isfinite(fp_tol) and fp_tol > 0.0):
         raise ValueError(f"fp_tol must be finite and positive, got {fp_tol:g}")
     t = float(t)
+    if not math.isfinite(t):
+        raise _overflow(t)
 
     theta = forms.ritz()
     detectable = int(np.sum(theta < t) if side == "left" else np.sum(theta > t))
@@ -411,6 +415,7 @@ def dp_bounds(forms, t, j_max, side, fp_tol=None):
     ``side="right"`` it increases.  The forms' kept pencil solve at t
     seeds every index, polished once for all ``j_max`` of them; the
     seed is drawn once, so a solve that fails is not retried per index.
+    A t that is not finite raises ``NonFiniteError`` naming it.
     """
     if j_max < 1:
         raise ValueError(f"j_max must be positive, got {j_max}")

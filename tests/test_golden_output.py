@@ -2,13 +2,15 @@
 
 The lines are the console-script lines of the three benchmark workloads
 at their smallest mesh sizes, a window holding 38 points under
-``--jmax 40``, two mirrored windows on the 2D model, whose end 0.8 is
-read from the solve at -0.8, four mirrored and touching windows on the
-2D model, whose 6 ends are 3 solves, and three overlapping windows on
-the 1D model, whose 6 ends are 3 solves; with them one fixed-point root
-whose F_j contradicts its counted sign is pinned.  Each runs in a fresh
-process with one BLAS
-thread, as the byte-identity figures are taken.  The last digits of the
+``--jmax 40``, that window with its mirror image, whose ends 0.5 and 40
+are read through the mirror of the solves at -0.5 and -40 (32 tau of
+each side read polished, 6 not), two mirrored windows on the 2D model,
+whose end 0.8 is read from the solve at -0.8, four mirrored and
+touching windows on the 2D model, whose 6 ends are 3 solves, and three
+overlapping windows on the 1D model, whose 6 ends are 3 solves; with
+them one fixed-point root whose F_j contradicts its counted sign is
+pinned.  Each runs in a fresh process with one BLAS thread, as the
+byte-identity figures are taken.  The last digits of the
 output depend on the numpy and scipy builds, the machine and the width
 of longdouble, so the comparison runs only where all four match what
 the expected files were recorded with, and is skipped, naming what
@@ -40,6 +42,7 @@ LINES = {
     "pollute-2d": "pollute --model maxwell2d --order 1 --mesh 6 --jitter 0.25 --seed 0 --window 0.2,0.8 --window 0.8,1.6 --window 1.6,2.3 --jmax 3",
     "equiv-1d": "equiv --model dirac1d --order 2 --mesh 5 --jitter 0.3 --seed 0 --shift 0.6 --shift 1.4 --shift 2.5 --jmax 1",
     "bounds-38-points": "bounds --model dirac1d --order 3 --mesh 30 --jitter 0.3 --seed 0 --window 0.5,40 --jmax 40",
+    "bounds-mirrored-38-points": "bounds --model dirac1d --order 3 --mesh 30 --jitter 0.3 --seed 0 --window=-40,-0.5 --window 0.5,40 --jmax 40",
     "bounds-mirrored-2d": "bounds --model maxwell2d --order 1 --mesh 6 --jitter 0.25 --seed 0 --window=-1.6,-0.8 --window 0.8,1.6 --jmax 3",
     "bounds-mirrored-touching-2d": "bounds --model maxwell2d --order 1 --mesh 8 --jitter 0.25 --seed 3 --window=-2.3,-1.6 --window=-1.6,-0.8 --window 0.8,1.6 --window 1.6,2.3 --jmax 3",
     "bounds-overlapping-1d": "bounds --model dirac1d --order 2 --mesh 8 --jitter 0.3 --seed 1 --window 0.5,1.5 --window 1.5,2.5 --window 0.5,2.5 --jmax 2",

@@ -33,7 +33,7 @@ from eigenclose.errors import (
     EmptySideError,
     NonFiniteError,
 )
-from eigenclose.fixed_point import _seed_taus, optimal_shift
+from eigenclose.fixed_point import _seed_taus, dp_bounds, equivalence_gap, optimal_shift
 from eigenclose.forms import (
     TrialForms,
     _on_pattern,
@@ -1261,6 +1261,26 @@ def test_overflowing_shift_raises_a_typed_error(model):
     assert zm_eigen(forms, 1e150).signature.n_minus > 0
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_shift_that_is_not_finite_is_refused(t):
+    # no answer, not even an empty one: each reader raises, naming t
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    message = re.escape(f"the shift t={t:g} is not finite")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        for read in (
+            lambda: dp_bounds(forms, t, 3, "left"),
+            lambda: optimal_shift(forms, t, 1, "right"),
+            lambda: equivalence_gap(forms, t, 1, "left"),
+            lambda: zm_eigen(forms, t),
+            lambda: local_counting(forms, t),
+            lambda: signature(forms, t),
+        ):
+            with pytest.raises(NonFiniteError, match=message):
+                read()
+    assert "pencil" not in forms._kept
+
+
 def test_public_zm_eigen_returns_an_unshared_pencil():
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     zm_bounds_one_sided(forms, 1.4, "left")
@@ -1305,6 +1325,43 @@ def test_a_mirrored_read_negates_the_kept_solve(case, pencil_solves):
     # the mirror of the mirror is the kept solve, holding both polishes
     assert enclosure_mod._pencil(forms, -t) is kept and pencil_solves == [-t]
     assert kept.polished == {"left": 5, "right": 5}
+
+
+@pytest.mark.parametrize("case", sorted(_MIRRORED))
+def test_a_mirrored_read_owns_no_state(case, pencil_solves, monkeypatch):
+    # the mirror evaluates no shifted form and keeps nothing: the forms
+    # keep the solve at -t, and what is read through the mirror is
+    # bisected and polished in that solve
+    build, t = _MIRRORED[case]
+    forms = build()
+    kept = enclosure_mod._pencil(forms, -t)
+    kept.nearest("right", 2)
+    evaluated = []
+    real = enclosure_mod.shifted_square
+
+    def spy(forms, s):
+        evaluated.append(s)
+        return real(forms, s)
+
+    monkeypatch.setattr(enclosure_mod, "shifted_square", spy)
+    mirrored = enclosure_mod._pencil(forms, t)
+    assert evaluated == [] and pencil_solves == [-t]
+    assert forms._kept["pencil"][0] == -t and forms._kept["pencil"][1] is kept
+    tau = mirrored.nearest("left", 4)
+    extended = np.finfo(np.longdouble).eps < 1e-18  # else nothing is polished
+    assert kept.polished == {"left": 0, "right": 4 if extended else 0}
+    assert mirrored.polished == {"left": kept.polished["right"], "right": 0}
+    assert evaluated == [] and forms._kept["pencil"][1] is kept
+    reads = (
+        tau, mirrored.nearest("right", 3), mirrored.end_values(2),
+        mirrored.end_values(2, top=True),
+    )
+    for array in reads:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 99.0
+    npt.assert_array_equal(mirrored.nearest("left", 4), tau)
+    assert enclosure_mod._pencil(forms, -t) is kept and pencil_solves == [-t]
 
 
 @pytest.mark.parametrize("case", sorted(_MIRRORED))
