@@ -33,7 +33,8 @@ from .linalg import (
     DEFAULT_TOL,
     _checked_potrf,
     check_symmetric,
-    schur_min,
+    graded_eigvals,
+    schur_reduce,
     sym_generalized_eigvals,
     symmetrize,
 )
@@ -99,9 +100,9 @@ class TrialForms:
         if not all(np.array_equal(a, b[mirror]) for a, b in pairs):
             raise ValueError("the forms are not symmetric as stored")
         # frozen: the state is set in the instance dict.  "ritz",
-        # "schur_min", "grading", the last "pencil" (t, PencilEigen) and
-        # the last "counting" ((t, j), F_j(t) <= 0) of a fixed-point root
-        # are _kept
+        # "schur" (the consistency gate's count and least eigenvalue),
+        # "grading", the last "pencil" (t, PencilEigen) and the last
+        # "counting" ((t, j), F_j(t) <= 0) of a fixed-point root are _kept
         state = vars(self)
         state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;
@@ -127,11 +128,26 @@ class TrialForms:
         return self._pattern
 
     def ritz(self):
-        """Ritz values of the pencil ``(M1, M0)``, ascending, solved once; read-only."""
+        """Ritz values of the pencil ``(M1, M0)``, ascending, solved once;
+        read-only.
+
+        On graded forms (:meth:`grading`) they are ``+-sigma_i`` of one
+        half-size block and ``|n_+ - n_-|`` exact zeros, exactly
+        symmetric, from the stored values with no n-size solve
+        (:func:`~eigenclose.linalg.graded_eigvals`).  Other forms reduce
+        the pencil by M0's factor
+        (:func:`~eigenclose.linalg.sym_generalized_eigvals`).
+        """
         if "ritz" not in self._kept:
-            # M1 is symmetric: its transpose is M1 in F order, reduced in place
-            m1 = _on_pattern(self, self._values[1])
-            ritz = sym_generalized_eigvals(m1.T, self._factor)
+            signs = self.grading()
+            if signs is None:
+                # M1 is symmetric: its transpose is M1 in F order, reduced in place
+                m1 = _on_pattern(self, self._values[1])
+                ritz = sym_generalized_eigvals(m1.T, self._factor)
+            else:
+                ritz = graded_eigvals(
+                    self._values[1], self._values[0], self._pattern, signs
+                )
             ritz.flags.writeable = False
             self._kept["ritz"] = ritz
         return self._kept["ritz"]
@@ -160,21 +176,28 @@ class TrialForms:
         test covers all shifts with no sampling.  An eigenvalue of S
         below ``-max(tol, n u)`` times the largest diagonal entry of M2
         fails it; u is the double unit roundoff, n u S's roundoff floor.
-        That eigenvalue is computed once, from M1 and M2 rounded to
-        double, and alone: only it is bisected from S's tridiagonal
-        reduction (:func:`~eigenclose.linalg.schur_min`).  Raises
+        The test is decided once, from M1 and M2 rounded to double, by
+        one Sturm count of S's tridiagonal reduction
+        (:func:`~eigenclose.linalg.schur_reduce`): the number of its
+        eigenvalues below that threshold.  Only where the count is not 0
+        is the smallest eigenvalue bisected, for the message.  Raises
         ``InconsistentFormsError`` (a ``ValueError``) on failure and
         returns the forms otherwise.
         """
-        if "schur_min" not in self._kept:
+        if "schur" not in self._kept:
+            floor = max(self.tol, self.n * np.finfo(float).eps / 2)
+            rows, cols = self._pattern
+            # M0 is definite, so the whole diagonal is on the pattern
+            top = max(float(np.max(self._values[2][rows == cols])), 0.0)
             m1, m2 = (_on_pattern(self, v) for v in self._values[1:])
             # M1 is symmetric, so its transpose is the F-ordered M1 trsm reads
-            self._kept["schur_min"] = schur_min(self._factor, m1.T, m2)
-        least = self._kept["schur_min"]
-        floor = max(self.tol, self.n * np.finfo(float).eps / 2)
-        rows, cols = self._pattern
-        # M0 is definite, so the whole diagonal is on the pattern
-        if least < -floor * max(float(np.max(self._values[2][rows == cols])), 0.0):
+            schur = schur_reduce(self._factor, m1.T, m2)
+            # a count at or below the double just below the threshold
+            below = schur.count(np.nextafter(-floor * top, -np.inf))
+            least = float(schur.end_values(1)[0]) if below else None
+            self._kept["schur"] = below, least
+        below, least = self._kept["schur"]
+        if below:
             raise InconsistentFormsError(
                 f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
                 f"eigenvalue {least:.3e}; the input forms look corrupted"

@@ -14,15 +14,21 @@ one function per job, each a direct LAPACK call:
   symmetric-definite pencil, optionally just the smallest few, from the
   Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
   ``syevd`` or ``syevx``);
+* :func:`graded_eigvals`, the eigenvalues of a symmetric-definite pencil
+  that a sign vector grades, as the singular values of one half-size
+  block (LAPACK ``potrf`` of the two diagonal blocks, BLAS ``trsm``,
+  then LAPACK ``gesdd``), with no n-size reduction;
 * :func:`kernel_split`, the tridiagonal reduction of a symmetric pencil
   whose right-hand matrix is positive semidefinite, from one pivoted
   Cholesky factorization of it (LAPACK ``pstrf``, then ``sygst`` and
   ``sytrd``): the factorization splits off its numerical kernel, and
-  where it deflates coordinates :func:`schur_min` shows an indefinite
-  one;
-* :func:`schur_min`, the smallest eigenvalue of a Schur complement from
-  the Cholesky factor of its leading block (BLAS ``trsm``, then
-  :func:`sym_reduce` and one bisected value);
+  where it deflates coordinates the Schur complement of
+  :func:`schur_reduce` shows an indefinite one;
+* :func:`schur_reduce`, the tridiagonal reduction of a Schur complement
+  from the Cholesky factor of its leading block (BLAS ``trsm``, then
+  :func:`sym_reduce`): a Sturm count of it decides the consistency gate,
+  and one bisected value is the least eigenvalue :func:`kernel_split`
+  reports;
 * :func:`count_nonpositive`, the number of eigenvalues <= 0 of a
   symmetric matrix, its inertia from one Bunch-Kaufman factorization
   (LAPACK ``sytrf``), no eigenvalue;
@@ -165,9 +171,10 @@ def sym_generalized_eigvals(a, factor, count=None):
     ``b`` enters as its lower Cholesky ``factor`` from
     :func:`cholesky_spd`, so a pencil family with one ``b`` factors it
     once.  LAPACK ``sygst`` reduces the pencil to standard form, and
-    ``syevd`` with its minimal workspace (or ``syevx`` for only the
-    ``count`` smallest) gives the eigenvalues ascending, bit for bit
-    those of the drivers ``sygvd`` / ``sygvx``.  Only the lower triangle
+    ``syevd`` in the workspace it asks for, so that its ``sytrd`` runs
+    blocked (or ``syevx`` for only the ``count`` smallest), gives the
+    eigenvalues ascending.  Forms that a sign vector grades have the
+    half-size route :func:`graded_eigvals`.  Only the lower triangle
     of ``a`` is read, so ``a`` must be exactly symmetric: forms checked
     by ``TrialForms`` and the shifted combinations of them are.  A
     double ``a`` that is not C-ordered, such as the transpose of a
@@ -182,8 +189,9 @@ def sym_generalized_eigvals(a, factor, count=None):
     in_place = not a.flags.c_contiguous
     c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
     if count is None or count >= n:
+        lwork, liwork = _syevd_lwork(n)
         values, _, info = scipy.linalg.lapack.dsyevd(
-            c, compute_v=0, lower=1, overwrite_a=1
+            c, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
         )
         m = n
     else:
@@ -195,6 +203,95 @@ def sym_generalized_eigvals(a, factor, count=None):
     if info != 0:
         raise np.linalg.LinAlgError(f"syevd/syevx did not converge (info={info})")
     return values[:m]
+
+
+@functools.cache
+def _syevd_lwork(n):
+    """The workspaces ``syevd`` asks for at order n, values only: with
+    the wrapper's minimal ones its ``sytrd`` runs unblocked (at n = 1775,
+    1.02 s against 0.56 s blocked on one core)."""
+    work, iwork, info = scipy.linalg.lapack.dsyevd_lwork(n, compute_v=0, lower=1)
+    if info != 0:
+        raise ValueError(f"syevd workspace query failed with info {info}")
+    return max(int(work), 1), max(int(iwork), 1)
+
+
+def graded_eigvals(a, b, pattern, signs):
+    """Eigenvalues of ``a x = lam b x`` with symmetric ``a`` and SPD ``b``
+    graded by the sign vector ``signs`` (J): ``J b J = b`` and
+    ``J a J = -a`` entry by entry, as :meth:`TrialForms.grading
+    <eigenclose.forms.TrialForms.grading>` finds them.
+
+    ``a`` and ``b`` are given by their double values on ``pattern``, the
+    ``(rows, cols)`` of a symmetric pattern, and +0 off it; ``signs``
+    holds n entries +1.0 or -1.0.  In J's order, the coordinates of sign
+    +1 first, ``b = diag(A, C)`` and ``a = [[0, B], [B', 0]]``.  Those
+    three half blocks are placed straight from the pattern, with no n by
+    n array.  LAPACK ``potrf`` factors ``A = L_A L_A'`` and
+    ``C = L_C L_C'``, which by interlacing are definite where ``b`` is;
+    two BLAS ``trsm`` form ``K = L_A^{-1} B L_C^{-T}``, and the pencil's
+    eigenvalues are ``+-sigma_i(K)`` and ``|n_+ - n_-|`` zeros (Golub and
+    Kahan).  One values-only LAPACK ``gesdd`` in the workspace it asks
+    for gives the singular values.  Returns the n eigenvalues ascending
+    and exactly symmetric, ``[-sigma, zeros, sigma]``; where a block is
+    empty, ``a`` is 0 and they are n zeros, and no LAPACK routine runs.
+
+    Raises
+    ------
+    NonFiniteError
+        If ``a`` or ``b`` holds an inf or a NaN.
+    numpy.linalg.LinAlgError
+        If a diagonal block of ``b`` is not positive definite, or the
+        singular values do not converge.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteError("array must not contain infs or NaNs")
+    plus = signs > 0
+    n = signs.size
+    n_plus = int(np.count_nonzero(plus))
+    n_minus = n - n_plus
+    if n_plus == 0 or n_minus == 0:
+        return np.zeros(n)
+    # each coordinate's place in its half
+    place = np.empty(n, dtype=np.intp)
+    place[plus] = np.arange(n_plus)
+    place[~plus] = np.arange(n_minus)
+    rows, cols = pattern
+    i, j, row_plus, col_plus = place[rows], place[cols], plus[rows], plus[cols]
+    factors = []
+    for half, size in ((row_plus & col_plus, n_plus), (~row_plus & ~col_plus, n_minus)):
+        # the block is symmetric: its transpose is the F-ordered block,
+        # factored in place
+        block = _placed(b[half], i[half], j[half], (size, size)).T
+        factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potrf of a diagonal block failed (info={info})")
+        factors.append(factor)
+    # B' is a[minus, plus]: its transpose is the F-ordered B
+    off = ~row_plus & col_plus
+    k = _placed(a[off], i[off], j[off], (n_minus, n_plus)).T
+    k = scipy.linalg.blas.dtrsm(1.0, factors[0], k, lower=1, overwrite_b=1)
+    k = scipy.linalg.blas.dtrsm(
+        1.0, factors[1], k, side=1, lower=1, trans_a=1, overwrite_b=1
+    )
+    _, sigma, _, info = scipy.linalg.lapack.dgesdd(
+        k, compute_uv=0, lwork=_gesdd_lwork(n_plus, n_minus), overwrite_a=1
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gesdd did not converge (info={info})")
+    # gesdd orders sigma descending
+    return np.concatenate([-sigma, np.zeros(abs(n_plus - n_minus)), sigma[::-1]])
+
+
+@functools.cache
+def _gesdd_lwork(m, n):
+    """The workspace a values-only ``gesdd`` asks for on an m by n matrix:
+    its bidiagonal reduction then runs blocked."""
+    work, info = scipy.linalg.lapack.dgesdd_lwork(m, n, compute_uv=0)
+    if info != 0:
+        raise ValueError(f"gesdd workspace query failed with info {info}")
+    return max(int(work), 1)
 
 
 def kernel_split(a, b, n, pattern, threshold):
@@ -220,9 +317,10 @@ def kernel_split(a, b, n, pattern, threshold):
     the deflated pencil.
 
     ``pstrf`` does not leave the Schur complement of ``b[keep, keep]``
-    in its trailing block, so :func:`schur_min` forms it from the values
-    of ``b``.  By Haynsworth's inertia additivity it has as many negative
-    eigenvalues as ``b``, and its smallest is at most that of ``b``.
+    in its trailing block, so :func:`schur_reduce` forms it from the
+    values of ``b``, and its smallest eigenvalue alone is bisected.  By
+    Haynsworth's inertia additivity it has as many negative eigenvalues
+    as ``b``, and its smallest is at most that of ``b``.
     Returns ``(eigen, schur_min)``: the :class:`TridiagonalEigen` of the
     deflated pencil, with no value where all of ``b`` is deflated, and
     the smallest eigenvalue of the Schur complement, ``inf`` where
@@ -258,7 +356,7 @@ def kernel_split(a, b, n, pattern, threshold):
         left, corner = (i >= r) & (j < r), (i >= r) & (j >= r)
         b12 = _placed(b[left], i[left] - r, j[left], (n - r, r)).T
         b22 = _placed(b[corner], i[corner] - r, j[corner] - r, (n - r, n - r))
-        least = schur_min(factor, b12, b22)
+        least = float(schur_reduce(factor, b12, b22).end_values(1)[0])
     # a[keep, keep] is symmetric: its F-ordered transpose is reduced in place
     a11 = _placed(a[kept], i[kept], j[kept], (r, r)).T
     if r:  # sygst's wrapper takes no empty matrix
@@ -269,21 +367,21 @@ def kernel_split(a, b, n, pattern, threshold):
     return eigen, least
 
 
-def schur_min(factor, b12, b22):
-    """The smallest eigenvalue of the Schur complement ``b22 - X' X``,
-    ``X = L^{-1} b12``, of the block ``L L'`` of a symmetric matrix, from
-    the lower Cholesky ``factor`` L of that block.
+def schur_reduce(factor, b12, b22):
+    """The :class:`TridiagonalEigen` of the Schur complement
+    ``b22 - X' X``, ``X = L^{-1} b12``, of the block ``L L'`` of a
+    symmetric matrix, from the lower Cholesky ``factor`` L of that block.
 
     BLAS ``trsm`` forms X, in place where ``b12`` is F-ordered, and the
     complement is formed in place of ``b22``, which must be exactly
     symmetric.  NumPy forms ``X' X`` by BLAS ``syrk`` and mirrors its
     triangle, so the complement is exactly symmetric too, and
-    :func:`sym_reduce` reduces its transpose in place; only the smallest
-    eigenvalue is bisected.
+    :func:`sym_reduce` reduces its transpose in place; no eigenvalue is
+    computed until read.
     """
     x = scipy.linalg.blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
     b22 -= x.T @ x
-    return float(sym_reduce(b22.T).end_values(1)[0])
+    return sym_reduce(b22.T)
 
 
 def count_nonpositive(a, n, pattern):

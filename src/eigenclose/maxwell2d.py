@@ -392,6 +392,8 @@ def galerkin_spectrum(model):
     These are what a naive Galerkin discretization reports and they are
     exactly the values subject to spectral pollution; they come with no
     certification whatsoever and are exposed for contrast with the
-    certified enclosures.  They are :meth:`TrialForms.ritz`.
+    certified enclosures.  They are :meth:`TrialForms.ritz`: the model's
+    forms are graded, so they are the singular values of one half-size
+    block, negated and not, with exact zeros between.
     """
     return model.forms.ritz()

@@ -241,8 +241,8 @@ def test_wrong_seed_costs_evaluations_not_the_root(fresh):
 def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     # the pencil's alpha* misses the bracket of this root: the search goes
     # on from the signs found at lo* and hi* instead of starting over, to
-    # the unseeded root at 27 evaluations instead of 46
-    forms = assemble_2d(structured_tri_mesh(4, 0.25, 6), 1).forms
+    # the unseeded root at 22 evaluations instead of 46
+    forms = assemble_2d(structured_tri_mesh(4, 0.25, 22), 1).forms
     t, j, side = 2.5, 3, "right"
     calls = _record_counting(monkeypatch)
     unseeded, seeded, seeded_calls, (lo, hi), _ = _both_searches(

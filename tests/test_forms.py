@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg.lapack
 
 import eigenclose.linalg as linalg_mod
 from eigenclose import dirac1d, enclosure, fixed_point, forms as forms_mod, maxwell2d
@@ -13,6 +14,7 @@ from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import local_counting, zm_eigen, zm_enclosures
 from eigenclose.errors import (
     FormsFormatError,
+    InconsistentFormsError,
     NegativeEigenvalueError,
     NotPositiveDefiniteError,
     NoSignChangeError,
@@ -370,15 +372,20 @@ def _key(m):
 
 def test_factor_and_ritz_values_are_computed_once(monkeypatch):
     """Over a fixed-point grid M0 is factored once per forms, at the
-    forms' tol, and the Ritz values of (M1, M0) are solved once per forms."""
-    factored, solved = [], []
+    forms' tol, and the Ritz values of (M1, M0) are solved once per forms,
+    by the graded route: the model's forms are graded."""
+    factored, solved, general = [], [], []
     _record_calls(
         monkeypatch, "_checked_potrf",
         lambda m, tol: factored.append((_key(m), tol)),
     )
     _record_calls(
-        monkeypatch, "sym_generalized_eigvals",
+        monkeypatch, "graded_eigvals",
         lambda a, *args, **kwargs: solved.append(_key(a)),
+    )
+    _record_calls(
+        monkeypatch, "sym_generalized_eigvals",
+        lambda a, *args, **kwargs: general.append(_key(a)),
     )
     models = [assemble_1d(uniform_mesh(6, 0.3, 0), order).forms for order in (1, 2)]
     tols = (linalg_mod.DEFAULT_TOL, 1e-9)
@@ -393,13 +400,16 @@ def test_factor_and_ritz_values_are_computed_once(monkeypatch):
                         pass
                 dp_bounds(forms, t, 2, side)
     m0 = {_key(forms.M0): i for i, forms in enumerate(models)}
-    m1 = {_key(forms.M1): i for i, forms in enumerate(models)}
+    # the graded route reads M1's stored values
+    m1 = {_key(forms._values[1]): i for i, forms in enumerate(models)}
     assert Counter((m0.get(k), tol) for k, tol in factored) == Counter(
         (i, tol) for i in range(len(models)) for tol in tols
     )
-    assert Counter(m1[k] for k in solved if k in m1) == Counter(
+    assert Counter(m1[k] for k in solved) == Counter(
         i for i in range(len(models)) for tol in tols
     )
+    dense_m1 = {_key(forms.M1) for forms in models}
+    assert general and not any(k in dense_m1 for k in general)
 
 
 def test_gram_factor_skips_the_repeated_symmetry_check(monkeypatch):
@@ -473,6 +483,123 @@ def test_grading_checks_every_entry():
     assert TrialForms(np.eye(2) + 0.5 * swap, swap, np.eye(2)).grading() is None
     triangle = np.ones((3, 3)) - np.eye(3)
     assert TrialForms(np.eye(3), triangle, 4.0 * np.eye(3)).grading() is None
+
+
+def _lapack_calls(monkeypatch, names):
+    """Log each call to the LAPACK routines ``names`` as the routine's
+    name and the shape of its first argument."""
+    calls = []
+    for name in names:
+        real = getattr(scipy.linalg.lapack, name)
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+    return calls
+
+
+#: every LAPACK routine a Ritz solve may call, by either route
+RITZ_ROUTINES = ("dsygst", "dsyevd", "dsyevx", "dsytrd", "dpotrf", "dgesdd")
+
+
+def _graded_model(model):
+    name, order = model.rsplit("-", 1)
+    if name == "dirac1d":  # forms assembled in longdouble
+        return assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), int(order)).forms
+    return maxwell2d.assemble_2d(maxwell2d.structured_tri_mesh(4, 0.25, 0), int(order)).forms
+
+
+@pytest.mark.parametrize(
+    "model", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2"]
+)
+def test_graded_ritz_values_come_from_one_half_size_svd(model, monkeypatch):
+    # two half-size factors and one SVD, no n-size sygst or syevd; the
+    # values are those of the general solve, exactly symmetric, with at
+    # least |n_+ - n_-| exact zeros
+    forms = _graded_model(model)
+    signs = forms.grading()
+    n_plus = int(np.count_nonzero(signs > 0))
+    n_minus = forms.n - n_plus
+    calls = _lapack_calls(monkeypatch, RITZ_ROUTINES)
+    theta = forms.ritz()
+    assert sorted(calls) == sorted(
+        [("dpotrf", (n_plus, n_plus)), ("dpotrf", (n_minus, n_minus)),
+         ("dgesdd", (n_plus, n_minus))]
+    )
+    general = linalg_mod.sym_generalized_eigvals(np.array(forms.M1, float), forms.factor())
+    scale = np.max(np.abs(general))
+    assert np.max(np.abs(theta - general)) <= 1e-13 * scale
+    assert np.array_equal(theta, -theta[::-1])
+    assert np.count_nonzero(theta == 0.0) >= abs(n_plus - n_minus)
+    assert np.all(np.diff(theta) >= 0.0) and not theta.flags.writeable
+
+
+def test_forms_with_no_m1_have_zero_ritz_values(monkeypatch):
+    # M1 = 0 grades every coordinate +1: n zeros, no LAPACK routine
+    m0 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    forms = TrialForms(m0, np.zeros((3, 3)), np.eye(3))
+    calls = _lapack_calls(monkeypatch, RITZ_ROUTINES)
+    npt.assert_array_equal(forms.grading(), np.ones(3))
+    npt.assert_array_equal(forms.ritz(), np.zeros(3))
+    assert calls == []
+
+
+def test_ungraded_forms_keep_the_general_solve(tmp_path, monkeypatch):
+    # README's 2x2 .forms example and a 3x3 file, each with a diagonal in
+    # M1: their Ritz values are the general solve's, bit for bit
+    files = {
+        "two.forms": "2\n%M0\n1 1 1.0\n2 2 1.0\n%M1\n1 1 1.0\n2 2 2.0\n"
+                     "%M2\n1 1 1.0\n2 2 4.0\n",
+        "three.forms": "3\n%M0\n1 1 1.0\n2 2 2.0\n2 3 1.0\n3 3 2.0\n%M1\n"
+                       "1 1 1.0\n2 2 7.0\n2 3 5.0\n3 3 12.0\n%M2\n1 1 1.0\n"
+                       "2 2 29.0\n2 3 25.0\n3 3 74.0\n",
+    }
+    graded = []
+    _record_calls(monkeypatch, "graded_eigvals", lambda *args: graded.append(args))
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        forms = read_forms(path)
+        assert forms.grading() is None
+        expected = linalg_mod.sym_generalized_eigvals(forms.M1.copy(), forms.factor())
+        assert np.array_equal(forms.ritz(), expected)
+    npt.assert_allclose(read_forms(tmp_path / "two.forms").ritz(), [1.0, 2.0], rtol=0.0)
+    assert graded == []
+
+
+def test_a_passing_gate_bisects_nothing(monkeypatch):
+    # one Sturm count decides the gate: no eigenvalue of the Schur
+    # complement is bisected where it passes
+    bisected = []
+    real = linalg_mod.TridiagonalEigen.end_values
+
+    def end_values(self, *args, **kwargs):
+        bisected.append(self.size)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod.TridiagonalEigen, "end_values", end_values)
+    for forms in (
+        TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0])),
+        _graded_model("dirac1d-2"),
+        _graded_model("maxwell2d-2"),
+    ):
+        assert forms.validate() is forms
+        assert forms._kept["schur"] == (0, None)
+    assert bisected == []
+
+
+def test_a_failing_gate_names_the_least_eigenvalue():
+    # S = diag(0.5 - 1, 2 - 4): two eigenvalues below the gate, and the
+    # least, -2, bisected for the message; the raise repeats from the
+    # kept count
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([0.5, 2.0]))
+    for _ in range(2):
+        with pytest.raises(InconsistentFormsError, match=r"negative eigenvalue -2\.000e\+00"):
+            forms.validate()
+    count, least = forms._kept["schur"]
+    assert count == 2 and least == pytest.approx(-2.0, rel=1e-14)
 
 
 def test_forms_roundtrip_bit_exact(tmp_path):

@@ -22,6 +22,7 @@ from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
     count_nonpositive,
+    graded_eigvals,
     kernel_split,
     sym_generalized_eigvals,
     sym_reduce,
@@ -172,6 +173,31 @@ def test_generalized_eig_rejects_indefinite_b():
     b = np.diag([1.0, -1.0])
     with pytest.raises(NotPositiveDefiniteError):
         sym_generalized_eigvals(a, cholesky_spd(b))
+
+
+@pytest.mark.parametrize("n_plus, n_minus", [(3, 3), (4, 2), (1, 5)])
+def test_graded_eigvals_match_the_dense_pencil(n_plus, n_minus):
+    # b = diag(A, C) and a = [[0, B], [B', 0]] in the order of J, the
+    # coordinates shuffled: +-sigma(L_A^-1 B L_C^-T) and |n_+ - n_-| zeros
+    rng = np.random.default_rng(n_plus * 10 + n_minus)
+    n = n_plus + n_minus
+    signs = np.array([1.0] * n_plus + [-1.0] * n_minus)
+    b, a = np.zeros((n, n)), np.zeros((n, n))
+    for half in (signs > 0, signs < 0):
+        x = rng.standard_normal((half.sum(), half.sum()))
+        b[np.ix_(half, half)] = x @ x.T + half.sum() * np.eye(half.sum())
+    a[:n_plus, n_plus:] = rng.standard_normal((n_plus, n_minus))
+    a[n_plus:, :n_plus] = a[:n_plus, n_plus:].T
+    order = rng.permutation(n)
+    a, b, signs = a[np.ix_(order, order)], b[np.ix_(order, order)], signs[order]
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    values = graded_eigvals(a[rows, cols], b[rows, cols], (rows, cols), signs)
+    expected = scipy.linalg.eigh(a, b, eigvals_only=True)
+    npt.assert_allclose(values, expected, atol=1e-13 * np.max(np.abs(expected)))
+    assert np.array_equal(values, -values[::-1])
+    assert np.count_nonzero(values == 0.0) >= abs(n_plus - n_minus)
+    with pytest.raises(NonFiniteError, match="infs or NaNs"):
+        graded_eigvals(np.full(n * n, np.inf), b[rows, cols], (rows, cols), signs)
 
 
 def _split(a, b, threshold):
