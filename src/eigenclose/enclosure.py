@@ -308,14 +308,14 @@ def _side_bounds(pencil, side, k):
     return pencil.t + 1.0 / pencil.nearest(side, k)
 
 
-def local_counting(forms, t, count=None):
+def local_counting(forms, t):
     """Values of the local counting function at shift t, as an array.
 
-    Returns ``F_j = sqrt(max(mu^2_j, 0))``, ascending, from the
-    eigenvalues of the pencil ``Q_t x = mu^2 M0 x``, solved for
+    Returns all n values ``F_j = sqrt(max(mu^2_j, 0))``, ascending, from
+    the eigenvalues of the pencil ``Q_t x = mu^2 M0 x``, solved for
     eigenvalues only with the forms' Cholesky factor of M0
-    (:meth:`TrialForms.factor`).  With ``count`` given only
-    ``F_1 .. F_count`` are computed (all n when ``count >= n``).
+    (:meth:`TrialForms.factor`).  The fixed-point route does not call
+    it: it decides every sign by an inertia count.
 
     Raises
     ------
@@ -325,18 +325,14 @@ def local_counting(forms, t, count=None):
         corrupted forms.
     NonFiniteError
         As for :func:`zm_eigen`.
-    ValueError
-        If ``count`` is given and below 1.
     """
-    if count is not None and count < 1:
-        raise ValueError(f"count must be positive, got {count}")
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
         qt = shifted_square(forms, t)
         qt_d = _on_pattern(forms, qt)
     try:
         # Q_t is symmetric: its transpose is Q_t in F order, reduced in place
-        values = sym_generalized_eigvals(qt_d.T, forms.factor(), count)
+        values = sym_generalized_eigvals(qt_d.T, forms.factor())
     except NonFiniteError:
         raise _overflow(t) from None
     if values[0] < 0.0:

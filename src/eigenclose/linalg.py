@@ -10,10 +10,10 @@ one function per job, each a direct LAPACK call:
 * :func:`sym_reduce`, the tridiagonal reduction (LAPACK ``sytrd``) of a
   standard symmetric matrix, the one way its spectrum is read; its only
   gate is that the input is finite;
-* :func:`sym_generalized_eigvals`, the eigenvalues of a
-  symmetric-definite pencil, optionally just the smallest few, from the
-  Cholesky factor of its right-hand matrix (LAPACK ``sygst``, then
-  ``syevd`` or ``syevx``);
+* :func:`sym_generalized_eigvals`, all eigenvalues of a
+  symmetric-definite pencil, from the Cholesky factor of its right-hand
+  matrix (LAPACK ``sygst``, then ``syevd``): whole spectra, such as the
+  Ritz values of ungraded forms and the local counting function;
 * :func:`graded_eigvals`, the eigenvalues of a symmetric-definite pencil
   that a sign vector grades, as the singular values of one half-size
   block (LAPACK ``potrf`` of the two diagonal blocks, BLAS ``trsm``,
@@ -31,7 +31,8 @@ one function per job, each a direct LAPACK call:
   reports;
 * :func:`count_nonpositive`, the number of eigenvalues <= 0 of a
   symmetric matrix, its inertia from one Bunch-Kaufman factorization
-  (LAPACK ``sytrf``), no eigenvalue;
+  (LAPACK ``sytrf``), no eigenvalue: it decides every sign of the
+  fixed-point search;
 * :class:`TridiagonalEigen`, what :func:`sym_reduce` and
   :func:`kernel_split` return: on demand, how many eigenvalues lie at or
   below a point (a Sturm count) and the eigenvalues nearest either end
@@ -165,15 +166,14 @@ def sym_reduce(a):
     return eigen
 
 
-def sym_generalized_eigvals(a, factor, count=None):
+def sym_generalized_eigvals(a, factor):
     """Eigenvalues of ``a x = lam b x`` with symmetric ``a`` and SPD ``b``.
 
     ``b`` enters as its lower Cholesky ``factor`` from
     :func:`cholesky_spd`, so a pencil family with one ``b`` factors it
     once.  LAPACK ``sygst`` reduces the pencil to standard form, and
     ``syevd`` in the workspace it asks for, so that its ``sytrd`` runs
-    blocked (or ``syevx`` for only the ``count`` smallest), gives the
-    eigenvalues ascending.  Forms that a sign vector grades have the
+    blocked, gives all n eigenvalues ascending.  Forms that a sign vector grades have the
     half-size route :func:`graded_eigvals`.  Only the lower triangle
     of ``a`` is read, so ``a`` must be exactly symmetric: forms checked
     by ``TrialForms`` and the shifted combinations of them are.  A
@@ -188,21 +188,13 @@ def sym_generalized_eigvals(a, factor, count=None):
         raise NonFiniteError("array must not contain infs or NaNs")
     in_place = not a.flags.c_contiguous
     c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
-    if count is None or count >= n:
-        lwork, liwork = _syevd_lwork(n)
-        values, _, info = scipy.linalg.lapack.dsyevd(
-            c, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
-        )
-        m = n
-    else:
-        lwork, _ = scipy.linalg.lapack.dsyevx_lwork(n, lower=1)
-        values, _, m, _, info = scipy.linalg.lapack.dsyevx(
-            c, compute_v=0, range="I", lower=1, il=1, iu=count, lwork=int(lwork),
-            overwrite_a=1,
-        )
+    lwork, liwork = _syevd_lwork(n)
+    values, _, info = scipy.linalg.lapack.dsyevd(
+        c, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
+    )
     if info != 0:
-        raise np.linalg.LinAlgError(f"syevd/syevx did not converge (info={info})")
-    return values[:m]
+        raise np.linalg.LinAlgError(f"syevd did not converge (info={info})")
+    return values
 
 
 @functools.cache

@@ -59,15 +59,6 @@ def test_counting_values_worked_model():
     npt.assert_allclose(f, [1.0, 2.0], atol=1e-12)
 
 
-def test_counting_count_range():
-    # a count past the dimension gives all n values; below 1 it is refused
-    for count in (2, 3):
-        npt.assert_array_equal(local_counting(WORKED, 3.0, count=count), [1.0, 2.0])
-    for count in (0, -1):
-        with pytest.raises(ValueError, match=f"count must be positive, got {count}"):
-            local_counting(WORKED, 3.0, count=count)
-
-
 def test_counting_dominates_distance_to_spectrum():
     # F_j(t) can never undercut the j-th nearest true distance
     for seed in range(40):

@@ -26,8 +26,8 @@ from eigenclose.fixed_point import (
 )
 from eigenclose.errors import (
     DegenerateShiftError,
+    InconsistentFormsError,
     MaxIterationsError,
-    NegativeEigenvalueError,
     NoSignChangeError,
 )
 from eigenclose.forms import TrialForms, operator_forms
@@ -170,23 +170,20 @@ def _same_root(seeded, unseeded):
     )
 
 
-def _record_shifts(monkeypatch):
-    """Make every evaluation of the fixed-point route, an eigensolve or an
-    inertia count, log its shift."""
-    shifts = []
-    real, real_count = fixed_point_mod.local_counting, fixed_point_mod._at_most
-
-    def counting(forms, s, count):
-        shifts.append(s)
-        return real(forms, s, count)
+def _record_counts(monkeypatch):
+    """Make every inertia count of the fixed-point route, its only
+    evaluation, log its shift and the sign it found (True where the
+    residual is <= 0), in order, in a list."""
+    calls = []
+    real = fixed_point_mod._at_most
 
     def at_most(forms, s, alpha, j):
-        shifts.append(s)
-        return real_count(forms, s, alpha, j)
+        result = real(forms, s, alpha, j)
+        calls.append((s, result))
+        return result
 
-    monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
     monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
-    return shifts
+    return calls
 
 
 @pytest.mark.parametrize("model", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"])
@@ -199,21 +196,24 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch, fresh)
         order = int(model[-1])
         forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), order).forms
     t = 1.4
-    shifts = _record_shifts(monkeypatch)
+    calls = _record_counts(monkeypatch)
     for side in ("left", "right"):
         tau = _pencil(forms, t).nearest(side, 3)
         for j in (1, 2, 3):
             unseeded = _unseeded(fresh(forms), t, j, side)
-            shifts.clear()
+            calls.clear()
             seeded = optimal_shift(forms, t, j, side)
             assert _same_root(seeded, unseeded), (side, j)
             assert seeded.tau == tau[j - 1]
             assert seeded.iterations <= 8 < unseeded.iterations
-            # each evaluation is a distinct shift but s_hat, the
-            # bisection's last hi: a count found its sign in the search
-            # and a solve its F_j at the end
-            assert len(set(shifts)) == len(shifts) - 1 == seeded.iterations
-            assert shifts[-1] == seeded.s_hat and shifts.count(seeded.s_hat) == 2
+            # each evaluation is a count at a distinct shift, s_hat among
+            # them, and it found the residual <= 0 there
+            shifts = [s for s, _ in calls]
+            assert len(set(shifts)) == len(shifts) == seeded.iterations
+            assert dict(calls)[seeded.s_hat]
+            # f_at_root is the distance that count certified
+            gap = seeded.f_at_root - abs(seeded.s_hat - t)
+            assert abs(gap) <= np.spacing(seeded.s_hat)
 
 
 def test_wrong_seed_costs_evaluations_not_the_root(fresh):
@@ -244,50 +244,19 @@ def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
     # the unseeded root at 22 evaluations instead of 46
     forms = assemble_2d(structured_tri_mesh(4, 0.25, 22), 1).forms
     t, j, side = 2.5, 3, "right"
-    calls = _record_counting(monkeypatch)
+    calls = _record_counts(monkeypatch)
     unseeded, seeded, seeded_calls, (lo, hi), _ = _both_searches(
         forms, t, j, side, calls, fresh
     )
-    counted, _ = _split(seeded_calls)
-    held = counted[t + lo] - lo > 0.0 and counted[t + hi] - hi <= 0.0
+    counted = dict(calls)
+    held = not counted[t + lo] and counted[t + hi]
     assert not held
     assert _same_root(seeded, unseeded)
     assert seeded.iterations < unseeded.iterations
-    # one evaluation per shift, but for s_hat: a count found its sign in
-    # the search and a solve its F_j at the end
+    # one count per shift, s_hat's among them
     shifts = [s for s, _ in seeded_calls]
-    assert len(set(shifts)) == len(shifts) - 1 == seeded.iterations
-    assert shifts[-1] == seeded.s_hat and shifts.count(seeded.s_hat) == 2
-
-
-def _record_counting(monkeypatch):
-    """Make every evaluation of the fixed-point route log its shift and
-    F_j, in order, in a list.  An inertia count logs the sign it found
-    as an F_j giving the residual that sign at any alpha: -inf where
-    F_j <= alpha, inf where not."""
-    calls = []
-    real, real_count = fixed_point_mod.local_counting, fixed_point_mod._at_most
-
-    def counting(forms, s, count):
-        values = real(forms, s, count)
-        calls.append((s, float(values[count - 1])))
-        return values
-
-    def at_most(forms, s, alpha, j):
-        result = real_count(forms, s, alpha, j)
-        calls.append((s, -np.inf if result else np.inf))
-        return result
-
-    monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
-    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
-    return calls
-
-
-def _split(calls):
-    """The logged signs a count found and the F_j a solve found, each as
-    a dict by shift."""
-    counted = {s: f for s, f in calls if np.isinf(f)}
-    return counted, {s: f for s, f in calls if np.isfinite(f)}
+    assert len(set(shifts)) == len(shifts) == seeded.iterations
+    assert seeded.s_hat in shifts
 
 
 def _replay(forms, t, certified):
@@ -327,25 +296,23 @@ def _both_searches(forms, t, j, side, calls, fresh):
     the unseeded path and of the predicted bracket (lo*, hi*; None
     without a prediction) that the seeded search checked, and the
     residual's counted sign at each, from the counts of either search.
-    ``calls`` is the log of :func:`_record_counting`; the unseeded
+    ``calls`` is the log of :func:`_record_counts`; the unseeded
     search counts the sign at t, which the seeded one may take from the
-    forms' kept value.  Where F_j at the counted path's end contradicts
-    its count, both searches go on beyond it with the signs of the F_j
-    they solved there and after, and the replay follows them."""
+    forms' kept value."""
     sign = -1.0 if side == "left" else 1.0
     unseeded_from = len(calls)
     unseeded = _unseeded(fresh(forms), t, j, side)
     seeded_from = len(calls)
     kept = forms._kept.get("counting", (None,))[0] == (t, j)
     seeded = optimal_shift(forms, t, j, side)
-    counted, solved = _split(calls[unseeded_from:])
+    counted = dict(calls[unseeded_from:])
 
-    def positive(f_at, alpha):
-        return f_at[t + sign * alpha] - alpha > 0.0
+    def positive(alpha):
+        return not counted[t + sign * alpha]
 
     bracket, checked = None, set()
-    if positive(counted, 0.0):
-        lo, hi, path = _replay(forms, t, lambda alpha: not positive(counted, alpha))
+    if positive(0.0):
+        lo, hi, path = _replay(forms, t, lambda alpha: not positive(alpha))
         taus = _pencil(forms, t).nearest(side, j)
         alpha_star = 0.5 / abs(taus[j - 1]) if taus.size >= j else np.inf
         predicted = _replay(forms, t, lambda alpha: alpha >= alpha_star)
@@ -353,17 +320,13 @@ def _both_searches(forms, t, j, side, calls, fresh):
         checked = {alpha for alpha in bracket or () if t + sign * alpha in counted}
     else:  # a captured shift: neither search draws a seed
         lo, hi, path = 0.0, 0.0, [0.0]
-        if not positive(solved, 0.0):
-            # each counts the sign at t (but a kept one) and solves F_j(t)
-            assert seeded == unseeded
-            assert [s for s, _ in calls[unseeded_from:]] == [t] * (4 - kept)
-    if positive(solved, hi):
-        lo, hi, _ = _replay(
-            forms, t, lambda alpha, end=hi: alpha > end and not positive(solved, alpha)
-        )
+        # each counts the sign at t, but for a kept one
+        assert _same_root(seeded, unseeded)
+        assert [s for s, _ in calls[unseeded_from:]] == [t] * (2 - kept)
+        assert seeded.iterations == 1 - kept
     assert (t + sign * hi, hi - lo) == (unseeded.s_hat, unseeded.bracket_width)
     alphas = sorted(set(path) | checked)
-    signs = [positive(counted, alpha) for alpha in alphas]
+    signs = [positive(alpha) for alpha in alphas]
     return unseeded, seeded, calls[seeded_from:], bracket, signs
 
 
@@ -378,10 +341,10 @@ def _monotone(signs):
 def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
     # a predicted bracket the residual confirms at both ends leaves the
     # search nothing to evaluate: the signs at t, lo* and hi* counted,
-    # F_j(hi*) solved, and the same root as the unseeded search.  In the
-    # equiv subcommand's order the second side at (t, j) takes the sign
-    # at t from the forms, so its root evaluates 2 shifts
-    calls = _record_counting(monkeypatch)
+    # and the same root as the unseeded search.  In the equiv
+    # subcommand's order the second side at (t, j) takes the sign at t
+    # from the forms, so its root evaluates 2 shifts
+    calls = _record_counts(monkeypatch)
     evaluations, fallbacks, non_monotone = [], 0, 0
     for model in ("dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"):
         if model == "maxwell2d":
@@ -403,17 +366,14 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
                     # the signs the root reads: its evaluations and a kept one
                     evaluations.append(seeded.iterations + 1 - counts_at_t)
                     lo, hi = bracket
-                    counted, solved = _split(calls)
+                    counted = dict(calls)
                     s_lo, s_hi = t + sign * lo, t + sign * hi
-                    # the counts confirm the bracket and F_j(hi*) its end
-                    if not (
-                        counted[s_lo] - lo > 0.0 >= counted[s_hi] - hi
-                        and solved[s_hi] - hi <= 0.0
-                    ):
+                    # the counts confirm the bracket
+                    if counted[s_lo] or not counted[s_hi]:
                         fallbacks += 1
                         continue
                     case = (model, t, side, j)
-                    shifts = [t] * counts_at_t + [s_lo, s_hi, s_hi]
+                    shifts = [t] * counts_at_t + [s_lo, s_hi]
                     assert seeded.iterations == 2 + counts_at_t, case
                     assert [s for s, _ in seeded_calls] == shifts, case
                     assert seeded.s_hat == shifts[-1], case
@@ -421,9 +381,9 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
                         assert _same_root(seeded, unseeded), case
                     else:
                         non_monotone += 1
-    # 96 roots, none falls back; the one whose residual's signs are not
-    # monotone is dirac1d-1 at t = 2.5, right, j = 3, a root near 471
-    # where the residual is flat to rounding
+    # 96 roots: here none falls back and the counted signs of each are
+    # monotone; the bounds leave room for a root on a residual flat to
+    # rounding, whose signs need not be
     assert len(evaluations) == 96
     assert statistics.fmean(evaluations) <= 3.2, (fallbacks, evaluations)
     assert fallbacks <= 2 and non_monotone <= 1
@@ -431,7 +391,8 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
 
 def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
     # at every point the seeded search counts, the inertia count gives
-    # the residual the sign F_j from an eigensolve gives it, but at ties:
+    # the residual the sign F_j from an independent eigensolve gives it,
+    # but at ties:
     # a residual below the fixed-point tolerance, which either rule may
     # round to either sign (13 of 1862 points here, all below 0.04
     # fp_tol: flat residuals of dirac1d r = 1 at t = 2.5, j = 3, and
@@ -463,7 +424,7 @@ def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
                             continue
                         for s, alpha, result in counted:
                             visited += 1
-                            f = enclosure_mod.local_counting(forms, s, j)[j - 1]
+                            f = enclosure_mod.local_counting(forms, s)[j - 1]
                             residual = float(f) - alpha
                             if abs(residual) > tie:
                                 assert result == (residual <= 0.0), (s, alpha, j)
@@ -471,12 +432,10 @@ def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
 
 
 def test_one_debug_line_per_root(caplog, fresh):
-    # each root reports the prediction's fate, the shifts it evaluated,
-    # inertia counts and eigensolves apart, and the final bracket width,
-    # and nothing else is logged: neither the dry run that finds the
-    # predicted bracket nor the search.  Each root counts every sign it
-    # evaluates and solves F_j once, at s_hat; a captured shift counts
-    # its sign and solves the F_j it returns
+    # each root reports the prediction's fate, the shifts it counted and
+    # the final bracket width, and nothing else is logged: neither the
+    # dry run that finds the predicted bracket nor the search.  A
+    # captured shift counts its one sign
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     unseeded = _unseeded(fresh(forms), 1.4, 2, "right")
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
@@ -487,12 +446,9 @@ def test_one_debug_line_per_root(caplog, fresh):
     width = f"final bracket width {unseeded.bracket_width:.3g}"
     shifts = unseeded.iterations
     assert messages == [
-        "root side=right j=2: predicted bracket held; shifts 3, "
-        f"inertia counts 3, eigensolves 1; {width}",
-        "root side=right j=2: predicted bracket not drawn; "
-        f"shifts {shifts}, inertia counts {shifts}, eigensolves 1; {width}",
-        "root side=left j=1: shift captured; shifts 1, inertia counts 1, "
-        "eigensolves 1; final bracket width 0",
+        f"root side=right j=2: predicted bracket held; shifts 3; {width}",
+        f"root side=right j=2: predicted bracket not drawn; shifts {shifts}; {width}",
+        "root side=left j=1: shift captured; shifts 1; final bracket width 0",
     ]
 
 
@@ -509,9 +465,9 @@ def test_one_debug_line_per_root(caplog, fresh):
     j=st.integers(min_value=1, max_value=3),
     side=st.sampled_from(["left", "right"]),
 )
-# t = 0, where M2's near-kernel makes F_1 flat to rounding: a count
-# finds a sign F_1 contradicts, on the Ritz-value shift and on a jittered
-# mesh, and both searches go on with eigensolve signs from there
+# t = 0, where M2's near-kernel makes F_1 flat to rounding, on the
+# Ritz-value shift and on a jittered mesh: the counted signs there need
+# not be monotone
 @example(seed=0, jitter=0.0, t=0.0, j=1, side="left")
 @example(seed=1960127676, jitter=0.21744999658616915, t=0.0, j=1, side="left")
 def test_seeded_search_property(fresh, seed, jitter, t, j, side):
@@ -521,7 +477,7 @@ def test_seeded_search_property(fresh, seed, jitter, t, j, side):
     # error the unseeded search does not raise
     forms = assemble_1d(uniform_mesh(6, jitter=jitter, seed=seed), 2).forms
     with pytest.MonkeyPatch.context() as patch:
-        calls = _record_counting(patch)
+        calls = _record_counts(patch)
         try:
             found = _both_searches(forms, t, j, side, calls, fresh)
             unseeded, seeded, _, _, signs = found
@@ -626,95 +582,83 @@ def test_dp_bounds_and_the_audit_share_one_solve(fresh, pencil_solves):
     assert pencil_solves == [0.6]
 
 
-def test_inconsistent_forms_get_the_unseeded_search():
-    # M2 scaled by 0.95 fails TrialForms.validate, so no seed is drawn:
-    # the unseeded search visits shifts where Q_s is indefinite and raises
+def test_inconsistent_forms_are_refused_up_front(monkeypatch, pencil_solves):
+    # M2 scaled by 0.95 fails TrialForms.validate: every fixed-point entry
+    # raises its error before any sign is counted or any pencil solved
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=0), 2).forms
     bad = TrialForms(
         np.asarray(forms.M0, dtype=float),
         np.asarray(forms.M1, dtype=float),
         0.95 * np.asarray(forms.M2, dtype=float),
     )
+    calls = _record_counts(monkeypatch)
     for t in (0.6, 1.4, 2.5):
         for side in ("left", "right"):
             for j in (1, 2):
-                with pytest.raises(NegativeEigenvalueError):
-                    equivalence_gap(bad, t, j, side)
+                for route in (optimal_shift, dp_bounds, equivalence_gap):
+                    with pytest.raises(InconsistentFormsError):
+                        route(bad, t, j, side)
+    assert calls == [] and pencil_solves == []
 
 
-def _eigensolve_signs(forms, t, j, side):
-    """The unseeded root with every sign from F_j, as on inconsistent
-    forms."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fixed_point_mod, "_consistent", lambda forms: False)
-        return _unseeded(forms, t, j, side)
-
-
-def test_a_contradicted_captured_count_searches_on_with_eigensolve_signs(
-    monkeypatch, caplog, fresh
-):
-    # a count that finds every residual <= 0 takes t as captured; F_j(t)
-    # contradicts it, and the search goes on from t with eigensolve
-    # signs, to the root they find alone, after one debug line that
-    # says so.  The root counts t once, as both searches evaluate it
+def test_a_captured_count_is_final(monkeypatch, caplog, fresh):
+    # a count that finds every residual <= 0 takes t as captured, where
+    # F_j(1.4) from an eigensolve is far from 0: the count's sign is the
+    # one rule, so the root is t itself, after one count and no seed
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
-    alone = _eigensolve_signs(fresh(forms), 1.4, 2, "right")
+    assert enclosure_mod.local_counting(forms, 1.4)[1] > 0.1
     monkeypatch.setattr(fixed_point_mod, "_at_most", lambda *args: True)
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
-    assert optimal_shift(forms, 1.4, 2, "right") == alone
-    contradiction, root = [record.getMessage() for record in caplog.records]
-    assert contradiction.startswith("root side=right j=2: F_j(1.4) - 0.0 = ")
-    assert contradiction.endswith("searching on with eigensolve signs")
-    assert root.startswith("root side=right j=2: shift captured; ")
-    assert f"inertia counts 1, eigensolves {alone.iterations}" in root
+    res = optimal_shift(forms, 1.4, 2, "right")
+    assert (res.s_hat, res.f_at_root, res.bound) == (1.4, 0.0, 1.4)
+    assert (res.iterations, res.bracket_width, res.tau) == (1, 0.0, None)
+    assert [record.getMessage() for record in caplog.records] == [
+        "root side=right j=2: shift captured; shifts 1; final bracket width 0"
+    ]
 
 
-def test_a_contradicted_count_keeps_the_signs_below_it(monkeypatch, fresh):
-    # counts that take every alpha from 0.9 of the root's on as <= 0 end
-    # the counted search short of the root; F_j there contradicts, and
-    # the search goes on beyond that end with eigensolve signs: it solves
-    # no shift nearer t and none twice, and the root counts the shifts
-    # of both parts
-    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
-    t, j, side = 1.4, 2, "right"
-    root = _eigensolve_signs(fresh(forms), t, j, side)
+def _short_counts(monkeypatch, root, t):
+    """Make the counts take every alpha from 0.9 of the distance of
+    ``root`` from t on as <= 0."""
     real = fixed_point_mod._at_most
 
     def short(forms, s, alpha, j):
-        return alpha >= 0.9 * (root.s_hat - t) or real(forms, s, alpha, j)
+        return alpha >= 0.9 * abs(root.s_hat - t) or real(forms, s, alpha, j)
 
     monkeypatch.setattr(fixed_point_mod, "_at_most", short)
-    calls = _record_counting(monkeypatch)
+
+
+def test_a_short_count_ends_the_search_where_it_says(monkeypatch, fresh):
+    # counts that take every alpha from 0.9 of the root's on as <= 0 end
+    # the search there: no eigensolve overrules them, and the root
+    # reports the end they certified
+    forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
+    t, j, side = 1.4, 2, "right"
+    root = _unseeded(fresh(forms), t, j, side)
+    _short_counts(monkeypatch, root, t)
+    calls = _record_counts(monkeypatch)
     res = _unseeded(forms, t, j, side)
-    counted, solved = _split(calls)
-    end = min(solved)  # the counted search's end
-    assert counted[end] == -np.inf < 0.0 < solved[end] - (end - t)
-    assert 0.9 * (root.s_hat - t) <= end - t < root.s_hat - t
-    assert len(solved) == sum(np.isfinite(f) for _, f in calls)
-    assert res.iterations == len(counted.keys() | solved.keys())
-    assert solved[res.s_hat] == res.f_at_root <= res.s_hat - t
-    npt.assert_allclose(res.bound, root.bound, rtol=0, atol=default_fp_tol(forms, t))
+    npt.assert_allclose(res.s_hat - t, 0.9 * (root.s_hat - t), rtol=0,
+                        atol=default_fp_tol(forms, t))
+    assert dict(calls)[res.s_hat]
+    assert abs(res.f_at_root - (res.s_hat - t)) <= np.spacing(res.s_hat)
+    assert res.iterations == len(calls)
 
 
 def test_a_contradicted_seeded_root_keeps_its_tau(monkeypatch, caplog, fresh):
-    # the same short counts miss the predicted bracket and end the search
-    # short of the root, where F_j contradicts them: the root still
-    # reports the tau that seeded it
+    # the same short counts contradict the pencil's prediction: the
+    # predicted bracket misses, the search ends where they say, and the
+    # root still reports the tau that seeded it
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     t, j, side = 1.4, 2, "right"
-    root = _eigensolve_signs(fresh(forms), t, j, side)
-    real = fixed_point_mod._at_most
-
-    def short(forms, s, alpha, j):
-        return alpha >= 0.9 * (root.s_hat - t) or real(forms, s, alpha, j)
-
-    monkeypatch.setattr(fixed_point_mod, "_at_most", short)
+    root = _unseeded(fresh(forms), t, j, side)
+    _short_counts(monkeypatch, root, t)
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
     res = optimal_shift(forms, t, j, side)
-    contradiction, summary = [record.getMessage() for record in caplog.records]
-    assert contradiction.endswith("searching on with eigensolve signs")
+    (summary,) = [record.getMessage() for record in caplog.records]
     assert "predicted bracket missed" in summary
     assert res.tau == float(_pencil(forms, t).nearest(side, j)[j - 1])
+    assert res.s_hat == _unseeded(fresh(forms), t, j, side).s_hat
 
 
 def test_contradicted_final_sign_falls_back(monkeypatch):
@@ -725,14 +669,10 @@ def test_contradicted_final_sign_falls_back(monkeypatch):
     t, tau, fp_tol = 1.5, -0.25, 1e-3
     s_high = t - (0.5 / abs(tau) + fp_tol)
 
-    def counting(forms, s, count):
-        # residual -1 at the window's upper end, +1 at every other shift
-        return np.array([t - s + (-1.0 if s == s_high else 1.0)])
-
     def at_most(forms, s, alpha, j):
-        return counting(forms, s, j)[0] <= alpha  # the count agrees
+        # residual -1 at the window's upper end, +1 at every other shift
+        return t - s + (-1.0 if s == s_high else 1.0) <= alpha
 
-    monkeypatch.setattr(fixed_point_mod, "local_counting", counting)
     monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
     with pytest.raises(MaxIterationsError):
         _root(WORKED, t, 1, "left", fp_tol, lambda: np.array([tau]))

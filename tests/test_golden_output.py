@@ -7,10 +7,10 @@ are read through the mirror of the solves at -0.5 and -40 (32 tau of
 each side read polished, 6 not), two mirrored windows on the 2D model,
 whose end 0.8 is read from the solve at -0.8, four mirrored and
 touching windows on the 2D model, whose 6 ends are 3 solves, and three
-overlapping windows on the 1D model, whose 6 ends are 3 solves; with
-them one fixed-point root whose F_j contradicts its counted sign is
-pinned.  Each runs in a fresh process with one BLAS thread, as the
-byte-identity figures are taken.  The last digits of the
+overlapping windows on the 1D model, whose 6 ends are 3 solves.  Each
+runs in a fresh process with one BLAS thread, as the byte-identity
+figures are taken.  With them one fixed-point root is pinned, the same
+at one and two BLAS threads.  The last digits of the
 output depend on the numpy and scipy builds, the machine and the width
 of longdouble, so the comparison runs only where all four match what
 the expected files were recorded with, and is skipped, naming what
@@ -59,12 +59,15 @@ def _environment():
     }
 
 
-def _run(argv, cwd, script=SCRIPT):
+def _run(argv, cwd, script=SCRIPT, threads=1):
     """The stdout of ``script`` (the CLI) for ``argv`` from a fresh process
-    with one BLAS thread; fails on a nonzero exit."""
+    with ``threads`` BLAS threads; fails on a nonzero exit."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    threads = str(threads)
+    env.update(
+        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads
+    )
     run = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True,
         env=env, cwd=cwd, timeout=120,
@@ -93,32 +96,28 @@ def test_cli_output_is_byte_identical(name, tmp_path):
 
 
 #: maxwell2d order 2 on the 4 x 4 mesh of jitter 0.3, seed 0: the right
-#: root j = 1 at t = 1.4, its tau, whether F_j contradicted the counted
-#: sign at s_hat, and its evaluations
-CONTRADICTED_ROOT = """
-import json, logging
+#: root j = 1 at t = 1.4, its s_hat (as the hex of its bits), tau and
+#: counted shifts
+ROOT = """
+import json
 from eigenclose.fixed_point import optimal_shift
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
-messages = []
-handler = logging.Handler()
-handler.emit = lambda record: messages.append(record.getMessage())
-logger = logging.getLogger("eigenclose.fixed_point")
-logger.addHandler(handler)
-logger.setLevel(logging.DEBUG)
 forms = assemble_2d(structured_tri_mesh(4, 0.3, 0), 2).forms
 root = optimal_shift(forms, 1.4, 1, "right")
-contradicted = any("contradicts the counted sign" in m for m in messages)
-print(json.dumps([root.tau, contradicted, root.iterations]))
+print(json.dumps([float(root.s_hat).hex(), root.tau, root.iterations]))
 """
 
 
-def test_a_contradicted_root_keeps_its_tau(tmp_path):
-    # F_j at the predicted bracket's end contradicts the counted sign, and
-    # the search goes on with eigensolve signs: the root evaluates 27
-    # shifts, and its tau is still the pencil eigenvalue that seeded it
+def test_a_root_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # every sign of the search is an inertia count, and the predicted
+    # bracket holds in 3 counted shifts at either thread count, to the
+    # same s_hat bits; its tau is the pencil eigenvalue that seeded it
     _skip_unless_comparable()
-    result = json.loads(_run([], tmp_path, CONTRADICTED_ROOT))
-    assert result == [2.890419800041339, True, 27]
+    results = [json.loads(_run([], tmp_path, ROOT, threads)) for threads in (1, 2)]
+    assert results[0] == results[1]
+    s_hat, tau, iterations = results[0]
+    assert float.fromhex(s_hat) == 1.5729852528666113
+    assert (tau, iterations) == (2.890419800041339, 3)
 
 
 def regenerate():

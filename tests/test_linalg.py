@@ -149,10 +149,6 @@ def test_generalized_eig_diagonal_oracle():
     b = np.eye(3)
     values = sym_generalized_eigvals(symmetrize(a), cholesky_spd(b))
     npt.assert_allclose(values, [-1.0, 2.0, 3.0], atol=1e-13)
-    # with a count only the smallest ones are computed
-    npt.assert_allclose(
-        sym_generalized_eigvals(a, cholesky_spd(b), count=2), [-1.0, 2.0], atol=1e-13
-    )
 
 
 def test_generalized_eig_matches_dense_inverse_route():
@@ -375,11 +371,10 @@ def test_on_demand_vectors_are_accurate_and_orthonormal():
 def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits(monkeypatch):
     for a, b in _pencils():
         factor, kept = cholesky_spd(b), a.copy()
-        for count in (None, 3):
-            values = sym_generalized_eigvals(a, factor, count)
-            work = np.asfortranarray(a)
-            npt.assert_array_equal(sym_generalized_eigvals(work, factor, count), values)
-            assert not np.array_equal(work, a)
+        values = sym_generalized_eigvals(a, factor)
+        work = np.asfortranarray(a)
+        npt.assert_array_equal(sym_generalized_eigvals(work, factor), values)
+        assert not np.array_equal(work, a)
         npt.assert_array_equal(a, kept)  # a C-ordered a is copied
     # kernel_split factors b and reduces a in place, in the arrays it
     # writes them into, to the bits of the out-of-place reduction
