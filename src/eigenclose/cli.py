@@ -188,9 +188,9 @@ def load_config_file(path):
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from None
@@ -364,6 +364,16 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _write_output(write, path, *args):
+    """Write the ``--out`` or ``--mesh-out`` file ``path`` by
+    ``write(*args, path)``; an OSError, such as a path that names a
+    directory or lies in no directory, is a configuration error."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
+
+
 def _emit_csv(header, rows, path):
     """Write sorted rows; to stdout when no path is given."""
     def _write(fh):
@@ -372,11 +382,14 @@ def _emit_csv(header, rows, path):
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
+    def _write_file(path):
+        with open(path, "w", newline="") as fh:
+            _write(fh)
+
     if path is None:
         _write(sys.stdout)
     else:
-        with open(path, "w", newline="") as fh:
-            _write(fh)
+        _write_output(_write_file, path)
 
 
 def _emit_json(obj):
@@ -609,11 +622,11 @@ def cmd_export_forms(cfg):
     if cfg.out is None:
         raise ConfigError("'export-forms' needs --out FILE")
     forms, model = _build(cfg, order, mesh_n)
-    write_forms(forms, cfg.out)
+    _write_output(write_forms, cfg.out, forms)
     if cfg.mesh_out is not None:
         if cfg.model != "maxwell2d":
             raise ConfigError("--mesh-out applies to maxwell2d only")
-        write_mesh(model.mesh, cfg.mesh_out)
+        _write_output(write_mesh, cfg.mesh_out, model.mesh)
     return 0
 
 

@@ -43,16 +43,52 @@ one function per job, each a direct LAPACK call:
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
 extended-precision input is rounded on the way in.
+
+The LAPACK and BLAS routines are scipy's own compiled wrappers, the
+extension modules ``scipy/linalg/_flapack`` and ``_fblas``, loaded from
+their files.  Importing the ``scipy.linalg`` package instead would more
+than double the package's start-up, because that package imports numpy
+submodules (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) that nothing
+here uses.
 """
 
 import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.lapack
+import scipy
 
 from .errors import NonFiniteError, NotPositiveDefiniteError
+
+
+def _scipy_linalg_extension(name):
+    """scipy's compiled module ``scipy/linalg/<name>``, loaded from its
+    file without running ``scipy/linalg/__init__.py``, or imported
+    through that package where no such file is found (a scipy of another
+    layout).  This function adds nothing to ``sys.modules``."""
+    for root in scipy.__path__:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", name + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(
+                    f"scipy.linalg.{name}", path
+                )
+                spec = importlib.util.spec_from_file_location(
+                    loader.name, path, loader=loader
+                )
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(f"scipy.linalg.{name}")
+
+
+#: scipy's f2py wrappers of LAPACK and BLAS, the objects that
+#: ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export
+lapack, blas = _scipy_linalg_extension("_flapack"), _scipy_linalg_extension("_fblas")
 
 #: default relative tolerance used for rank / definiteness decisions
 DEFAULT_TOL = 1e-10
@@ -130,7 +166,7 @@ def _checked_potrf(m, tol):
     if n == 0:
         return np.zeros((0, 0))
     threshold = tol * max(np.max(np.diag(a)), 0.0)
-    L, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    L, info = lapack.dpotrf(a, lower=1, clean=1)
     if info < 0:
         raise ValueError(f"potrf rejected argument {-info}")
     # potrf stops at the first pivot <= 0 and leaves it on the diagonal;
@@ -187,9 +223,9 @@ def sym_generalized_eigvals(a, factor):
     if not np.isfinite(a).all():
         raise NonFiniteError("array must not contain infs or NaNs")
     in_place = not a.flags.c_contiguous
-    c, _ = scipy.linalg.lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
+    c, _ = lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
     lwork, liwork = _syevd_lwork(n)
-    values, _, info = scipy.linalg.lapack.dsyevd(
+    values, _, info = lapack.dsyevd(
         c, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
     )
     if info != 0:
@@ -202,7 +238,7 @@ def _syevd_lwork(n):
     """The workspaces ``syevd`` asks for at order n, values only: with
     the wrapper's minimal ones its ``sytrd`` runs unblocked (at n = 1775,
     1.02 s against 0.56 s blocked on one core)."""
-    work, iwork, info = scipy.linalg.lapack.dsyevd_lwork(n, compute_v=0, lower=1)
+    work, iwork, info = lapack.dsyevd_lwork(n, compute_v=0, lower=1)
     if info != 0:
         raise ValueError(f"syevd workspace query failed with info {info}")
     return max(int(work), 1), max(int(iwork), 1)
@@ -256,18 +292,18 @@ def graded_eigvals(a, b, pattern, signs):
         # the block is symmetric: its transpose is the F-ordered block,
         # factored in place
         block = _placed(b[half], i[half], j[half], (size, size)).T
-        factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
+        factor, info = lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"potrf of a diagonal block failed (info={info})")
         factors.append(factor)
     # B' is a[minus, plus]: its transpose is the F-ordered B
     off = ~row_plus & col_plus
     k = _placed(a[off], i[off], j[off], (n_minus, n_plus)).T
-    k = scipy.linalg.blas.dtrsm(1.0, factors[0], k, lower=1, overwrite_b=1)
-    k = scipy.linalg.blas.dtrsm(
+    k = blas.dtrsm(1.0, factors[0], k, lower=1, overwrite_b=1)
+    k = blas.dtrsm(
         1.0, factors[1], k, side=1, lower=1, trans_a=1, overwrite_b=1
     )
-    _, sigma, _, info = scipy.linalg.lapack.dgesdd(
+    _, sigma, _, info = lapack.dgesdd(
         k, compute_uv=0, lwork=_gesdd_lwork(n_plus, n_minus), overwrite_a=1
     )
     if info != 0:
@@ -280,7 +316,7 @@ def graded_eigvals(a, b, pattern, signs):
 def _gesdd_lwork(m, n):
     """The workspace a values-only ``gesdd`` asks for on an m by n matrix:
     its bidiagonal reduction then runs blocked."""
-    work, info = scipy.linalg.lapack.dgesdd_lwork(m, n, compute_uv=0)
+    work, info = lapack.dgesdd_lwork(m, n, compute_uv=0)
     if info != 0:
         raise ValueError(f"gesdd workspace query failed with info {info}")
     return max(int(work), 1)
@@ -328,7 +364,7 @@ def kernel_split(a, b, n, pattern, threshold):
         raise NonFiniteError("array must not contain infs or NaNs")
     rows, cols = pattern
     # b is symmetric: the transpose is b in F order, factored in place
-    factor, pivots, r, info = scipy.linalg.lapack.dpstrf(
+    factor, pivots, r, info = lapack.dpstrf(
         _placed(b, rows, cols, (n, n)).T, tol=threshold, lower=1, overwrite_a=1
     )
     if info < 0:
@@ -352,7 +388,7 @@ def kernel_split(a, b, n, pattern, threshold):
     # a[keep, keep] is symmetric: its F-ordered transpose is reduced in place
     a11 = _placed(a[kept], i[kept], j[kept], (r, r)).T
     if r:  # sygst's wrapper takes no empty matrix
-        a11, _ = scipy.linalg.lapack.dsygst(a11, factor, lower=1, overwrite_a=1)
+        a11, _ = lapack.dsygst(a11, factor, lower=1, overwrite_a=1)
     eigen = _reduce(a11, pivots)
     # the factor's transpose fills the triangle sytrd leaves unused
     np.copyto(eigen.packed, factor.T, where=np.tri(r, dtype=bool).T)
@@ -371,7 +407,7 @@ def schur_reduce(factor, b12, b22):
     :func:`sym_reduce` reduces its transpose in place; no eigenvalue is
     computed until read.
     """
-    x = scipy.linalg.blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
+    x = blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
     b22 -= x.T @ x
     return sym_reduce(b22.T)
 
@@ -402,7 +438,7 @@ def count_nonpositive(a, n, pattern):
         raise NonFiniteError("array must not contain infs or NaNs")
     rows, cols = pattern
     # a is symmetric: the transpose is a in F order, factored in place
-    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(
+    ldu, ipiv, info = lapack.dsytrf(
         _placed(a, rows, cols, (n, n)).T,
         lower=1, lwork=_sytrf_lwork(n), overwrite_a=1,
     )
@@ -419,7 +455,7 @@ def _sytrf_lwork(n):
     """The workspace ``sytrf`` asks for at order n: without it, the
     wrapper's default of n makes LAPACK fall back to the unblocked
     ``sytf2`` (at n = 1800, 7 times slower on one core)."""
-    work, info = scipy.linalg.lapack.dsytrf_lwork(n, lower=1)
+    work, info = lapack.dsytrf_lwork(n, lower=1)
     if info != 0:
         raise ValueError(f"sytrf workspace query failed with info {info}")
     return max(int(work), 1)
@@ -443,8 +479,8 @@ def _reduce(c, pivots):
     if n == 0:
         empty = np.zeros(0)
         return TridiagonalEigen(empty, empty, empty, np.zeros((0, 0)), pivots)
-    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
-    packed, d, e, reflectors, info = scipy.linalg.lapack.dsytrd(
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    packed, d, e, reflectors, info = lapack.dsytrd(
         c, lower=1, lwork=max(int(lwork), 1), overwrite_a=1
     )
     if info != 0:
@@ -474,7 +510,7 @@ def _stebz(d, e, *args):
     ascending."""
     if d.size == 1:  # stebz's wrapper takes no empty e
         e = np.zeros(1)
-    m, w, _, _, info = scipy.linalg.lapack.dstebz(d, e, *args, "B")
+    m, w, _, _, info = lapack.dstebz(d, e, *args, "B")
     if info == 2 and args[0] == 2:
         il, iu, abstol = args[3:]
         return np.sort(_stebz(d, e, 0, 0.0, 0.0, 0, 0, abstol))[il - 1 : iu]
@@ -663,14 +699,14 @@ class TridiagonalEigen:
             # them one by one, faster than blocked for up to 8 columns
             columns = z.shape[1]
             lwork = columns if columns <= 8 else 64 * columns + 65 * 64
-            z[1:], _, info = scipy.linalg.lapack.dormqr(
+            z[1:], _, info = lapack.dormqr(
                 "L", "N", householder, self.reflectors, z[1:], lwork
             )
             if info != 0:
                 raise ValueError(f"ormqr rejected argument {-info}")
         # the BLAS trsm, not LAPACK trtrs: OpenBLAS's trtrs can take
         # milliseconds on a 2 x 2 system when it runs threaded
-        x = scipy.linalg.blas.dtrsm(1.0, self.packed, z, lower=0, overwrite_b=1)
+        x = blas.dtrsm(1.0, self.packed, z, lower=0, overwrite_b=1)
         out = np.zeros((self.pivots.size, x.shape[1]))
         out[self.pivots[: x.shape[0]]] = x
         return out
@@ -682,7 +718,7 @@ def _stein(d, e, values):
     size = d.size
     if size == 1:  # stein's wrapper takes no empty e
         return np.ones((1, values.size), order="F")
-    z, info = scipy.linalg.lapack.dstein(
+    z, info = lapack.dstein(
         d, e, values, np.ones(size, dtype=int), np.full(size, size)
     )
     if info != 0:

@@ -28,6 +28,17 @@ def worked_forms_path(tmp_path):
     return str(path)
 
 
+def run_fresh(script, *argv):
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    package, with Python's default warning filters."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+
+
 # --- compact enclosure notation ----------------------------------------
 
 
@@ -106,14 +117,9 @@ def test_bounds_deflated_window_ends_warn_at_the_call_site(tmp_path, capsys):
     path = tmp_path / "three.forms"
     points = np.array([1.0, 2.0, 3.0])
     write_forms(TrialForms(np.eye(3), np.diag(points), np.diag(points**2)), path)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     script = "import sys; from eigenclose.cli import main; sys.exit(main())"
     argv = ["bounds", "--model", str(path), "--window", "1.5,2", "--window", "2,2.5"]
-    run = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
-    )
+    run = run_fresh(script, *argv)
     with open(cli.__file__) as source:
         lines = source.read().splitlines()
     call = next(n for n, line in enumerate(lines, 1) if "= zm_enclosures_all(" in line)
@@ -526,6 +532,22 @@ def test_export_mesh_for_maxwell(tmp_path):
     assert mesh_out.read_text().startswith("vertices 16")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "4",
+     "--window", "0.5,1.5", "--out", "{tmp}"],
+    ["export-forms", "--model", "maxwell2d", "--order", "1", "--mesh", "4",
+     "--out", "{tmp}"],
+    ["export-forms", "--model", "maxwell2d", "--order", "1", "--mesh", "4",
+     "--out", "{tmp}/x.forms", "--mesh-out", "{tmp}/missing/m.txt"],
+])
+def test_unwritable_output_file_is_one_line_usage_error(argv, tmp_path, capsys):
+    # an --out that names a directory, and a --mesh-out in no directory
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output file: ")
+
+
 def test_export_mesh_rejected_for_1d(tmp_path, capsys):
     code = main(
         ["export-forms", "--model", "dirac1d", "--order", "1", "--mesh", "6",
@@ -559,6 +581,19 @@ def test_config_flags_override_file(tmp_path, capsys):
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     # the flag window wins: the certified point is 2, not 1
     assert float(row[1]) <= 2.0 <= float(row[2])
+
+
+def test_config_file_is_read_as_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("# Zimmermann–Mertins\n[run]\nmodel = dirac1d\nmesh = 8\n"
+                    "window = 0.5,1.5\njmax = 1\n".encode("utf-8"))
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    # a byte that is not UTF-8 is a one-line usage error, not a traceback
+    cfg.write_bytes(b"[run]\nmodel = dirac1d\xff\n")
+    assert main(["bounds", "--config", str(cfg), "--window", "0.5,1.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config file: ")
 
 
 def test_config_duplicate_key_rejected(tmp_path, capsys):
@@ -811,6 +846,26 @@ def test_repeated_main_calls_print_what_fresh_calls_print(tmp_path, capsys):
         return printed
 
     assert outputs(fresh=False) == outputs(fresh=True)
+
+
+def test_a_run_of_each_command_leaves_scipy_linalg_unimported():
+    # the package loads scipy's LAPACK and BLAS wrappers from their files:
+    # importing the scipy.linalg package would more than double start-up
+    script = (
+        "import sys; from eigenclose.cli import main\n"
+        "for argv in (\n"
+        "    ['bounds', '--model', 'dirac1d', '--order', '1', '--mesh', '4',\n"
+        "     '--window', '0.5,1.5'],\n"
+        "    ['pollute', '--model', 'maxwell2d', '--order', '1', '--mesh', '3',\n"
+        "     '--window', '0.5,1.5'],\n"
+        "    ['equiv', '--model', 'dirac1d', '--order', '1', '--mesh', '4',\n"
+        "     '--shift', '0.6', '--jmax', '1']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))\n"
+    )
+    run = run_fresh(script)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

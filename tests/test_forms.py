@@ -6,7 +6,6 @@ from collections import Counter
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg.lapack
 
 import eigenclose.linalg as linalg_mod
 from eigenclose import dirac1d, enclosure, fixed_point, forms as forms_mod, maxwell2d
@@ -496,13 +495,13 @@ def _lapack_calls(monkeypatch, names):
     name and the shape of its first argument."""
     calls = []
     for name in names:
-        real = getattr(scipy.linalg.lapack, name)
+        real = getattr(linalg_mod.lapack, name)
 
         def spy(a, *args, _name=name, _real=real, **kwargs):
             calls.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+        monkeypatch.setattr(linalg_mod.lapack, name, spy)
     return calls
 
 

@@ -1,5 +1,7 @@
 """Tests for the dense symmetric kernel routines."""
 
+import importlib
+import importlib.machinery
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,22 @@ from eigenclose.linalg import (
     symmetrize,
 )
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
+
+
+def test_lapack_and_blas_are_the_wrappers_scipy_exports():
+    # loaded from their files, they are the objects scipy.linalg.lapack
+    # and scipy.linalg.blas export, so every call is scipy's own
+    for name in ("dpotrf", "dsygst", "dsyevd", "dsytrd", "dstebz", "dstein"):
+        assert getattr(linalg_mod.lapack, name) is getattr(scipy.linalg.lapack, name)
+    assert linalg_mod.blas.dtrsm is scipy.linalg.blas.dtrsm
+
+
+def test_an_extension_not_found_as_a_file_is_imported_through_scipy(monkeypatch):
+    # a scipy whose layout differs: no file has a known extension suffix
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    for name in ("_flapack", "_fblas"):
+        module = linalg_mod._scipy_linalg_extension(name)
+        assert module is importlib.import_module(f"scipy.linalg.{name}")
 
 
 def test_symmetrize_is_bitwise_symmetric():
@@ -380,14 +398,14 @@ def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits(monkeypatch):
     # writes them into, to the bits of the out-of-place reduction
     in_place = []
     for name in ("dpstrf", "dsygst"):
-        real = getattr(scipy.linalg.lapack, name)
+        real = getattr(linalg_mod.lapack, name)
 
         def spy(x, *args, real=real, **kwargs):
             out = real(x, *args, **kwargs)
             in_place.append(np.shares_memory(out[0], x))
             return out
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+        monkeypatch.setattr(linalg_mod.lapack, name, spy)
     for a, b in _pencils():
         c, _ = _pivoted_reduction(a, b)
         in_place.clear()
@@ -504,13 +522,13 @@ def test_a_failed_bisection_by_index_reads_all_the_values(monkeypatch):
     # stebz by index can meet Sturm counts that are not monotone at values
     # tied to roundoff (info 2); the chunk is then read from all the
     # values, bisected by range 0, so a one-block T gives them sorted
-    real = scipy.linalg.lapack.dstebz
+    real = linalg_mod.lapack.dstebz
 
     def failing(d, e, range_, *args):
         m, w, iblock, isplit, info = real(d, e, range_, *args)
         return (0, w, iblock, isplit, 2) if range_ == 2 else (m, w, iblock, isplit, info)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
+    monkeypatch.setattr(linalg_mod.lapack, "dstebz", failing)
     for d, e in _tridiagonals():
         if d.size == 0 or not np.all(e):
             continue

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eigenclose.enclosure as enclosure_mod
+import eigenclose.linalg as linalg_mod
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.enclosure import (
     REFINE_COUNT,
@@ -521,13 +522,13 @@ def test_each_shift_is_factored_once(monkeypatch):
     forms, (t,) = _pencil_case("deflating")
     calls = []
     for name in ("dpstrf", "dpotrf"):
-        real = getattr(scipy.linalg.lapack, name)
+        real = getattr(linalg_mod.lapack, name)
 
         def spy(*args, name=name, real=real, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+        monkeypatch.setattr(linalg_mod.lapack, name, spy)
     for shift, n_inf in ((t, 1), (t + 0.5, 0)):
         calls.clear()
         assert zm_eigen(forms, shift).signature.n_inf == n_inf
@@ -802,14 +803,14 @@ def _bisection_spy(monkeypatch):
     call bisects during the test: every value it returns, but none for a
     Sturm count (an infinite tolerance), which bisects nothing."""
     bisected = []
-    real = scipy.linalg.lapack.dstebz
+    real = linalg_mod.lapack.dstebz
 
     def spy(d, e, *args):
         out = real(d, e, *args)
         bisected.append(out[0] if args[-2] < np.inf else 0)
         return out
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy)
+    monkeypatch.setattr(linalg_mod.lapack, "dstebz", spy)
     return bisected
 
 
