@@ -41,7 +41,6 @@ from .errors import (
     InconsistentFormsError,
     InsufficientPointsError,
     MaxIterationsError,
-    NegativeEigenvalueError,
     NoSignChangeError,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -92,7 +91,6 @@ __all__ = [
     "MaxIterationsError",
     "MaxwellModel",
     "Mesh1D",
-    "NegativeEigenvalueError",
     "NoSignChangeError",
     "NonFiniteError",
     "NotPositiveDefiniteError",

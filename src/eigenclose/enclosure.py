@@ -32,7 +32,7 @@ from .errors import (
     DegenerateShiftError,
     EmptySideError,
     GapViolationError,
-    NegativeEigenvalueError,
+    InconsistentFormsError,
     NonFiniteError,
 )
 from .forms import _on_pattern, shifted_linear, shifted_square
@@ -317,28 +317,28 @@ def local_counting(forms, t):
     (:meth:`TrialForms.factor`).  The fixed-point route does not call
     it: it decides every sign by an inertia count.
 
+    Q_t represents a square, so on forms that pass
+    :meth:`TrialForms.validate` a negative eigenvalue is roundoff and is
+    clamped to 0; where one is found, the forms are checked.
+
     Raises
     ------
-    NegativeEigenvalueError
-        If the pencil has an eigenvalue below ``-tol * ||Q_t||_2``, at
-        the forms' ``tol``; Q_t represents a square, so that signals
-        corrupted forms.
+    InconsistentFormsError
+        If an eigenvalue is negative and the forms fail
+        :meth:`TrialForms.validate`.
     NonFiniteError
         As for :func:`zm_eigen`.
     """
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        qt = shifted_square(forms, t)
-        qt_d = _on_pattern(forms, qt)
+        qt = _on_pattern(forms, shifted_square(forms, t))
     try:
         # Q_t is symmetric: its transpose is Q_t in F order, reduced in place
-        values = sym_generalized_eigvals(qt_d.T, forms.factor())
+        values = sym_generalized_eigvals(qt.T, forms.factor())
     except NonFiniteError:
         raise _overflow(t) from None
     if values[0] < 0.0:
-        floor = -forms.tol * _norm2(_on_pattern(forms, qt))
-        if values[0] < floor:
-            raise NegativeEigenvalueError(values[0], -floor)
+        forms.validate()
     return np.sqrt(np.maximum(values, 0.0))
 
 
@@ -353,20 +353,22 @@ def zm_eigen(forms, t):
     pivot at or below ``tol * max(1, ||Q_t||_inf)``, ``tol`` the forms'
     tolerance, and deflates the coordinates it did not factor
     (``n_inf``); the tau are the eigenvalues of one tridiagonal
-    reduction of the pencil on the kept coordinates.  A tau counts as
-    zero where ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``, and the census
-    is read from Sturm counts alone (:func:`_census`).  The solve does
-    not warn: a deflated kernel shows in ``signature.n_inf``.
+    reduction of the pencil on the kept coordinates.  Where nothing is
+    deflated the factorization shows Q_t definite; where something is,
+    the pencil is solved only on forms that pass
+    :meth:`TrialForms.validate`, which makes every Q_t semidefinite.  A
+    tau counts as zero where ``|tau| <= tol * ||L_t||_2 / ||Q_t||_2``,
+    and the census is read from Sturm counts alone (:func:`_census`).
+    The solve does not warn: a deflated kernel shows in
+    ``signature.n_inf``.
 
     Raises
     ------
+    InconsistentFormsError
+        If coordinates are deflated and the forms fail
+        :meth:`TrialForms.validate`.
     DegenerateShiftError
         If deflation removes the whole subspace.
-    NegativeEigenvalueError
-        If Q_t, a square, has an eigenvalue below ``-tol * ||Q_t||_2``
-        (where nothing is deflated the factorization shows Q_t definite;
-        where something is, the Schur complement of the kept coordinates
-        is checked).
     NonFiniteError
         If t is not finite, or Q_t or L_t overflows double (``|t|``
         beyond about 1e154 for forms with entries of order one); the
@@ -379,15 +381,13 @@ def zm_eigen(forms, t):
         qt_d, lt_d = qt.astype(float, copy=False), lt.astype(float, copy=False)
         q_norm, l_norm = _norm2_bounds(forms, qt_d), _norm2_bounds(forms, lt_d)
     try:
-        eigen, schur_min = kernel_split(
+        eigen = kernel_split(
             lt_d, qt_d, forms.n, forms.pattern(), forms.tol * max(1.0, q_norm[1])
         )
     except NonFiniteError:
         raise _overflow(t) from None
-    if schur_min < -forms.tol * q_norm[0]:
-        floor = forms.tol * _norm2(_on_pattern(forms, qt_d))
-        if schur_min < -floor:
-            raise NegativeEigenvalueError(schur_min, floor)
+    if eigen.size < forms.n:
+        forms.validate()
     if eigen.size == 0:
         raise DegenerateShiftError(
             f"the shifted form vanishes on the whole trial subspace at t={t:g}"
@@ -620,7 +620,7 @@ def _enclosures(forms, windows, j_max):
         try:
             bounds[r] = _end_bounds(forms, ends[r], r % 2 == 1, 1.0 / (b - a), j_max)
         except (
-            EmptySideError, NegativeEigenvalueError, DegenerateShiftError, NonFiniteError
+            EmptySideError, InconsistentFormsError, DegenerateShiftError, NonFiniteError
         ) as exc:
             # its traceback would keep the failing end's pencil alive
             failed = (r, exc.with_traceback(None))

@@ -29,21 +29,6 @@ class NotPositiveDefiniteError(EigencloseError):
         super().__init__(message)
 
 
-class NegativeEigenvalueError(EigencloseError):
-    """A matrix required to be positive semidefinite has a genuinely
-    negative eigenvalue (beyond the roundoff tolerance)."""
-
-    def __init__(self, value, threshold, message=None):
-        self.value = value
-        self.threshold = threshold
-        if message is None:
-            message = (
-                f"matrix has eigenvalue {value:.6e} below the roundoff "
-                f"threshold {-threshold:.6e}; the input forms look corrupted"
-            )
-        super().__init__(message)
-
-
 class InconsistentFormsError(EigencloseError, ValueError):
     """The trial forms fail the consistency test of ``TrialForms.validate``."""
 

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormsFormatError, InconsistentFormsError
+from .errors import FormsFormatError, InconsistentFormsError, NonFiniteError
 from .linalg import (
     DEFAULT_TOL,
     _checked_potrf,
     check_symmetric,
+    count_nonpositive,
     graded_eigvals,
-    schur_reduce,
     sym_generalized_eigvals,
     symmetrize,
 )
@@ -89,6 +89,9 @@ class TrialForms:
     def _store(self, n, rows, cols, values, tol):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and positive, got {tol:g}")
+        for k, v in enumerate(values):
+            if not np.isfinite(v).all():
+                raise NonFiniteError(f"M{k} holds an inf or a NaN")
         # row-major, without the entries zero in all three forms; the
         # stable sort is one pass over input already row-major (scatter's)
         keep = np.flatnonzero((values[0] != 0) | (values[1] != 0) | (values[2] != 0))
@@ -100,7 +103,7 @@ class TrialForms:
         if not all(np.array_equal(a, b[mirror]) for a, b in pairs):
             raise ValueError("the forms are not symmetric as stored")
         # frozen: the state is set in the instance dict.  "ritz",
-        # "schur" (the consistency gate's count and least eigenvalue),
+        # "gate" (the consistency gate's count and threshold c),
         # "grading", the last "pencil" (t, PencilEigen) and the last
         # "counting" ((t, j), F_j(t) <= 0) of a fixed-point root are _kept
         state = vars(self)
@@ -174,33 +177,39 @@ class TrialForms:
         trial space.  Conversely ``S >= 0`` makes every shifted form
         ``Q_t = S + L_t M0^{-1} L_t`` positive semidefinite, so this one
         test covers all shifts with no sampling.  An eigenvalue of S
-        below ``-max(tol, n u)`` times the largest diagonal entry of M2
-        fails it; u is the double unit roundoff, n u S's roundoff floor.
-        The test is decided once, from M1 and M2 rounded to double, by
-        one Sturm count of S's tridiagonal reduction
-        (:func:`~eigenclose.linalg.schur_reduce`): the number of its
-        eigenvalues below that threshold.  Only where the count is not 0
-        is the smallest eigenvalue bisected, for the message.  Raises
-        ``InconsistentFormsError`` (a ``ValueError``) on failure and
-        returns the forms otherwise.
+        below ``-c``, c being ``max(tol, n u)`` times the largest diagonal
+        entry of M2, fails it; u is the double unit roundoff, n u S's
+        roundoff floor.  The test is decided once, from the forms rounded
+        to double, with no eigenvalue and no S formed: M0 is definite, so
+        by Haynsworth's inertia additivity the bordered matrix
+        ``[[M0, M1], [M1, M2 + c I]]`` has as many eigenvalues <= 0 as
+        ``S + c I``, and one LDL' inertia count of it
+        (:func:`~eigenclose.linalg.count_nonpositive`) counts them.
+        Raises ``InconsistentFormsError`` (a ``ValueError``) on failure
+        and returns the forms otherwise.
         """
-        if "schur" not in self._kept:
+        if "gate" not in self._kept:
             floor = max(self.tol, self.n * np.finfo(float).eps / 2)
-            rows, cols = self._pattern
+            n, (rows, cols) = self.n, self._pattern
             # M0 is definite, so the whole diagonal is on the pattern
-            top = max(float(np.max(self._values[2][rows == cols])), 0.0)
-            m1, m2 = (_on_pattern(self, v) for v in self._values[1:])
-            # M1 is symmetric, so its transpose is the F-ordered M1 trsm reads
-            schur = schur_reduce(self._factor, m1.T, m2)
-            # a count at or below the double just below the threshold
-            below = schur.count(np.nextafter(-floor * top, -np.inf))
-            least = float(schur.end_values(1)[0]) if below else None
-            self._kept["schur"] = below, least
-        below, least = self._kept["schur"]
+            diagonal = rows == cols
+            m0, m1, m2 = (v.astype(float) for v in self._values)
+            threshold = floor * max(float(np.max(m2[diagonal])), 0.0)
+            # the double above c: an eigenvalue at -c, and S = 0 where c
+            # is 0, pass
+            m2[diagonal] += np.nextafter(threshold, np.inf)
+            bordered = (
+                np.concatenate([rows, rows, rows + n, rows + n]),
+                np.concatenate([cols, cols + n, cols, cols + n]),
+            )
+            below = count_nonpositive(np.concatenate([m0, m1, m1, m2]), 2 * n, bordered)
+            self._kept["gate"] = below, threshold
+        below, threshold = self._kept["gate"]
         if below:
             raise InconsistentFormsError(
-                f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has negative "
-                f"eigenvalue {least:.3e}; the input forms look corrupted"
+                f"forms fail the consistency gate: M2 - M1 M0^-1 M1 has {below} "
+                f"negative eigenvalue{'s' if below > 1 else ''} below "
+                f"{-threshold:.3e}; the input forms look corrupted"
             )
         return self
 

@@ -21,18 +21,11 @@ one function per job, each a direct LAPACK call:
 * :func:`kernel_split`, the tridiagonal reduction of a symmetric pencil
   whose right-hand matrix is positive semidefinite, from one pivoted
   Cholesky factorization of it (LAPACK ``pstrf``, then ``sygst`` and
-  ``sytrd``): the factorization splits off its numerical kernel, and
-  where it deflates coordinates the Schur complement of
-  :func:`schur_reduce` shows an indefinite one;
-* :func:`schur_reduce`, the tridiagonal reduction of a Schur complement
-  from the Cholesky factor of its leading block (BLAS ``trsm``, then
-  :func:`sym_reduce`): a Sturm count of it decides the consistency gate,
-  and one bisected value is the least eigenvalue :func:`kernel_split`
-  reports;
+  ``sytrd``): the factorization splits off its numerical kernel;
 * :func:`count_nonpositive`, the number of eigenvalues <= 0 of a
   symmetric matrix, its inertia from one Bunch-Kaufman factorization
-  (LAPACK ``sytrf``), no eigenvalue: it decides every sign of the
-  fixed-point search;
+  (LAPACK ``sytrf``), no eigenvalue: it decides the consistency gate and
+  every sign of the fixed-point search;
 * :class:`TridiagonalEigen`, what :func:`sym_reduce` and
   :func:`kernel_split` return: on demand, how many eigenvalues lie at or
   below a point (a Sturm count) and the eigenvalues nearest either end
@@ -116,10 +109,12 @@ def symmetrize(a):
 
 
 def check_symmetric(a, name="matrix"):
-    """Validate that ``a`` is square and symmetric as stored."""
+    """Validate that ``a`` is square, finite, and symmetric as stored."""
     a = _as_float_matrix(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{name} holds an inf or a NaN")
     if not np.array_equal(a, a.T):
         worst = np.max(np.abs(a - a.T))
         raise ValueError(
@@ -323,10 +318,10 @@ def _gesdd_lwork(m, n):
 
 
 def kernel_split(a, b, n, pattern, threshold):
-    """The tridiagonal reduction of ``a x = lam b x`` with the numerical
-    kernel of the positive semidefinite ``b`` split off, from which its
-    eigenvalue counts, eigenvalues and eigenvectors are computed on
-    demand; and the check that ``b`` is not indefinite.
+    """The :class:`TridiagonalEigen` of ``a x = lam b x`` with the
+    numerical kernel of the positive semidefinite ``b`` split off, from
+    which its eigenvalue counts, eigenvalues and eigenvectors are
+    computed on demand.
 
     ``a`` and ``b`` are n by n symmetric matrices given by their double
     values on ``pattern``, the ``(rows, cols)`` of a symmetric pattern,
@@ -339,20 +334,13 @@ def kernel_split(a, b, n, pattern, threshold):
     on ``keep`` is written in pivot order from the values of ``a`` and
     reduced through ``L11``: ``sygst`` forms ``C = L11^{-1} a L11^{-T}``
     in place, and :func:`_reduce` reduces it to a tridiagonal T; no
-    eigenvalue is computed here.  Its vectors, ``b``-orthonormal, are
-    zero on ``rest``.  Where the kernel of ``b`` lies in that of ``a``,
-    every complement of the kernel gives the same eigenvalues, those of
-    the deflated pencil.
-
-    ``pstrf`` does not leave the Schur complement of ``b[keep, keep]``
-    in its trailing block, so :func:`schur_reduce` forms it from the
-    values of ``b``, and its smallest eigenvalue alone is bisected.  By
-    Haynsworth's inertia additivity it has as many negative eigenvalues
-    as ``b``, and its smallest is at most that of ``b``.
-    Returns ``(eigen, schur_min)``: the :class:`TridiagonalEigen` of the
-    deflated pencil, with no value where all of ``b`` is deflated, and
-    the smallest eigenvalue of the Schur complement, ``inf`` where
-    nothing is deflated.
+    eigenvalue is computed here, and none where all of ``b`` is
+    deflated.  Its vectors, ``b``-orthonormal, are zero on ``rest``.
+    Where the kernel of ``b`` lies in that of ``a``, every complement of
+    the kernel gives the same eigenvalues, those of the deflated pencil.
+    ``pstrf`` stops at a negative pivot as at a zero one, so where
+    coordinates are deflated an indefinite ``b`` is not told apart here:
+    the forms' consistency gate rules it out.
 
     Raises
     ------
@@ -375,16 +363,7 @@ def kernel_split(a, b, n, pattern, threshold):
     place[pivots] = np.arange(n)
     i, j = place[rows], place[cols]
     factor = factor[:r, :r]
-    if r == n:
-        kept, least = slice(None), np.inf
-    else:
-        kept = (i < r) & (j < r)
-        # the Schur complement's blocks: b[rest, keep], whose transpose is
-        # the F-ordered b[keep, rest], and b[rest, rest]
-        left, corner = (i >= r) & (j < r), (i >= r) & (j >= r)
-        b12 = _placed(b[left], i[left] - r, j[left], (n - r, r)).T
-        b22 = _placed(b[corner], i[corner] - r, j[corner] - r, (n - r, n - r))
-        least = float(schur_reduce(factor, b12, b22).end_values(1)[0])
+    kept = slice(None) if r == n else (i < r) & (j < r)
     # a[keep, keep] is symmetric: its F-ordered transpose is reduced in place
     a11 = _placed(a[kept], i[kept], j[kept], (r, r)).T
     if r:  # sygst's wrapper takes no empty matrix
@@ -392,24 +371,7 @@ def kernel_split(a, b, n, pattern, threshold):
     eigen = _reduce(a11, pivots)
     # the factor's transpose fills the triangle sytrd leaves unused
     np.copyto(eigen.packed, factor.T, where=np.tri(r, dtype=bool).T)
-    return eigen, least
-
-
-def schur_reduce(factor, b12, b22):
-    """The :class:`TridiagonalEigen` of the Schur complement
-    ``b22 - X' X``, ``X = L^{-1} b12``, of the block ``L L'`` of a
-    symmetric matrix, from the lower Cholesky ``factor`` L of that block.
-
-    BLAS ``trsm`` forms X, in place where ``b12`` is F-ordered, and the
-    complement is formed in place of ``b22``, which must be exactly
-    symmetric.  NumPy forms ``X' X`` by BLAS ``syrk`` and mirrors its
-    triangle, so the complement is exactly symmetric too, and
-    :func:`sym_reduce` reduces its transpose in place; no eigenvalue is
-    computed until read.
-    """
-    x = blas.dtrsm(1.0, factor, b12, lower=1, overwrite_b=1)
-    b22 -= x.T @ x
-    return sym_reduce(b22.T)
+    return eigen
 
 
 def count_nonpositive(a, n, pattern):

@@ -720,6 +720,25 @@ def test_exact_spectrum_reaches_only_the_compared_values(capsys, monkeypatch):
     assert reaches == [2.0 + max(compared)]
 
 
+def test_forms_of_huge_entries_end_in_one_error_line(tmp_path):
+    # M2 = 1e160 [[1, 1], [1, 1]] passes the gate, whose count squares no
+    # entry; the window's left end deflates one coordinate and detects
+    # nothing right of it.  A fresh process shows the whole stderr
+    path = tmp_path / "huge.forms"
+    path.write_text(
+        "2\n%M0\n1 1 1.0\n2 2 1.0\n%M1\n1 2 1.0\n%M2\n1 1 1e160\n1 2 1e160\n2 2 1e160\n"
+    )
+    script = "import sys; from eigenclose.cli import main; sys.exit(main())"
+    run = run_fresh(script, "bounds", "--model", str(path), "--window", "0.5,1.5")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "DeflationWarning" in run.stderr
+    assert run.stderr.splitlines()[-1] == (
+        "error: no spectrum detectable right of t=0.5 in this trial subspace"
+    )
+
+
 def test_a_compared_value_beyond_the_exact_reach_is_refused():
     # the window's right end pairs lower bounds of about 1.9e84, flagged
     # inconsistent; the 2D exact spectrum out to them would take about

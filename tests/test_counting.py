@@ -17,7 +17,7 @@ from eigenclose.enclosure import (
 from eigenclose.errors import (
     DeflationWarning,
     DegenerateShiftError,
-    NegativeEigenvalueError,
+    InconsistentFormsError,
 )
 from eigenclose.forms import TrialForms, operator_forms
 
@@ -77,7 +77,7 @@ def test_counting_exact_at_represented_eigenvalue():
 
 def test_counting_rejects_corrupt_m2():
     forms = TrialForms(np.eye(2), np.zeros((2, 2)), np.diag([-1.0, 1.0]))
-    with pytest.raises(NegativeEigenvalueError):
+    with pytest.raises(InconsistentFormsError, match="consistency gate"):
         local_counting(forms, 0.0)
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import eigenclose.linalg as linalg_mod
 from eigenclose import dirac1d, enclosure, fixed_point, forms as forms_mod, maxwell2d
@@ -14,7 +15,7 @@ from eigenclose.enclosure import local_counting, zm_eigen, zm_enclosures
 from eigenclose.errors import (
     FormsFormatError,
     InconsistentFormsError,
-    NegativeEigenvalueError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     NoSignChangeError,
 )
@@ -323,6 +324,9 @@ def test_operator_forms_cauchy_schwarz_consistency():
 
 def test_validate_accepts_consistent_forms():
     assert WORKED.validate() is WORKED
+    # M1 = M2 = 0: S = 0 and the threshold c is 0, and S passes
+    zero = TrialForms(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
+    assert zero.validate() is zero and zero._kept["gate"] == (0, 0.0)
 
 
 def test_validate_rejects_inconsistent_m2():
@@ -338,7 +342,7 @@ def test_validate_samples_the_pencil_range():
     forms = TrialForms(np.diag([1.0, 1e4]), np.diag([1.0, 2e4]), np.diag([1.0, 3.75e4]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         forms.validate()
-    with pytest.raises(NegativeEigenvalueError):
+    with pytest.raises(InconsistentFormsError):
         local_counting(forms, 2.0)
 
 
@@ -348,7 +352,7 @@ def test_validate_is_exact_between_shifts():
     forms = TrialForms(np.eye(2), np.diag([1.0, 2.1]), np.diag([1.0, 2.1**2 - 1e-4]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         forms.validate()
-    with pytest.raises(NegativeEigenvalueError):
+    with pytest.raises(InconsistentFormsError):
         local_counting(forms, 2.1)
 
 
@@ -575,36 +579,96 @@ def test_ungraded_forms_keep_the_general_solve(tmp_path, monkeypatch):
 
 
 def test_a_passing_gate_bisects_nothing(monkeypatch):
-    # one Sturm count decides the gate: no eigenvalue of the Schur
-    # complement is bisected where it passes
-    bisected = []
-    real = linalg_mod.TridiagonalEigen.end_values
-
-    def end_values(self, *args, **kwargs):
-        bisected.append(self.size)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod.TridiagonalEigen, "end_values", end_values)
-    for forms in (
+    # one sytrf of the 2n-square bordered matrix decides the gate, once
+    # per forms, and no S is formed: no trsm, no tridiagonal reduction,
+    # no Sturm count and no bisection
+    models = [
         TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 4.0])),
-        _graded_model("dirac1d-2"),
+        _graded_model("dirac1d-3"),
         _graded_model("maxwell2d-2"),
-    ):
+    ]
+    calls = _lapack_calls(monkeypatch, ("dsytrf", "dsytrd", "dstebz", "dpotrf", "dpstrf"))
+    real = linalg_mod.blas.dtrsm
+    monkeypatch.setattr(
+        linalg_mod.blas, "dtrsm", lambda *a, **k: calls.append(("dtrsm",)) or real(*a, **k)
+    )
+    for forms in models:
         assert forms.validate() is forms
-        assert forms._kept["schur"] == (0, None)
-    assert bisected == []
+        assert forms.validate() is forms
+        assert forms._kept["gate"][0] == 0
+    assert calls == [("dsytrf", (2 * forms.n, 2 * forms.n)) for forms in models]
 
 
-def test_a_failing_gate_names_the_least_eigenvalue():
-    # S = diag(0.5 - 1, 2 - 4): two eigenvalues below the gate, and the
-    # least, -2, bisected for the message; the raise repeats from the
-    # kept count
+def test_a_failing_gate_names_its_count_and_threshold():
+    # S = diag(0.5 - 1, 2 - 4): two eigenvalues below -c, c = 1e-10 times
+    # the largest diagonal entry 2 of M2; the raise repeats from the kept
+    # count
     forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([0.5, 2.0]))
     for _ in range(2):
-        with pytest.raises(InconsistentFormsError, match=r"negative eigenvalue -2\.000e\+00"):
+        with pytest.raises(
+            InconsistentFormsError,
+            match=r"consistency gate: .* has 2 negative eigenvalues below -2\.000e-10;",
+        ):
             forms.validate()
-    count, least = forms._kept["schur"]
-    assert count == 2 and least == pytest.approx(-2.0, rel=1e-14)
+    assert forms._kept["gate"] == (2, 2e-10)
+    # one eigenvalue below: the singular
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([0.5, 4.0]))
+    with pytest.raises(InconsistentFormsError, match=r"has 1 negative eigenvalue below -4\.000e-10;"):
+        forms.validate()
+
+
+def _least_schur_eigenvalue(forms):
+    """The least eigenvalue of ``S = M2 - M1 M0^-1 M1``, by a dense
+    symmetric eigensolve of S formed from the double forms."""
+    m0, m1, m2 = (np.array(m, dtype=float) for m in (forms.M0, forms.M1, forms.M2))
+    x = scipy.linalg.solve_triangular(np.linalg.cholesky(m0), m1, lower=True)
+    return scipy.linalg.eigh(m2 - x.T @ x, eigvals_only=True)[0]
+
+
+@pytest.mark.parametrize(
+    "model", ["dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d-1", "maxwell2d-2"]
+)
+@pytest.mark.parametrize(
+    "tol, margin, noise",
+    # at tol 1e-10 c is far above roundoff; at tol 1e-300 c is S's
+    # roundoff floor n u max diag(M2) itself, and the double M2 - delta I,
+    # the dense oracle and the LDL' count each stray by up to about c / 5
+    [(1e-10, 0.05, 1e-3), (1e-300, 0.5, 0.25)],
+)
+def test_gate_threshold_agrees_with_a_dense_oracle(model, tol, margin, noise):
+    # M2 - delta I moves the least eigenvalue of S to -(1 - margin) c and
+    # to -(1 + margin) c, c = max(tol, n u) max diag(M2): the gate passes
+    # the first and refuses the second
+    forms = _graded_model(model)
+    n, (rows, cols), (m0, m1, m2) = forms.n, forms.pattern(), forms._values
+    diagonal = rows == cols
+    c = max(tol, n * np.finfo(float).eps / 2) * float(np.max(m2[diagonal]))
+    least = _least_schur_eigenvalue(forms)
+    for ratio in (1.0 - margin, 1.0 + margin):
+        shift = np.where(diagonal, least + ratio * c, 0.0).astype(m2.dtype)
+        moved = TrialForms._from_pattern(n, rows, cols, m0, m1, m2 - shift, tol=tol)
+        assert _least_schur_eigenvalue(moved) / c == pytest.approx(-ratio, abs=noise)
+        if ratio < 1.0:
+            assert moved.validate() is moved
+        else:
+            with pytest.raises(InconsistentFormsError, match="negative eigenvalue"):
+                moved.validate()
+        assert moved._kept["gate"][1] == pytest.approx(c, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_non_finite_forms_are_refused_when_built(k, bad):
+    # graded forms whose M2 holds an inf would give Ritz values, which
+    # never read M2, and blame the shift at the first pencil solve; they
+    # are refused, naming the form, whether built dense or on a pattern
+    dense = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 2))]
+    dense[k][0, 1] = dense[k][1, 0] = bad
+    with pytest.raises(NonFiniteError, match=f"M{k} holds an inf or a NaN"):
+        TrialForms(*dense)
+    rows, cols = np.indices((2, 2)).reshape(2, -1)
+    with pytest.raises(NonFiniteError, match=f"M{k} holds an inf or a NaN"):
+        TrialForms._from_pattern(2, rows, cols, *(m[rows, cols] for m in dense))
 
 
 def test_forms_roundtrip_bit_exact(tmp_path):

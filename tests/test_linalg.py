@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from eigenclose.dirac1d import assemble_1d, uniform_mesh
 from eigenclose.errors import (
-    NegativeEigenvalueError,
+    InconsistentFormsError,
     NonFiniteError,
     NotPositiveDefiniteError,
 )
@@ -224,8 +224,7 @@ def _split(a, b, threshold):
 
 def test_definite_pencil_diagonal_oracle():
     a, b = np.diag([3.0, -1.0]), np.diag([4.0, 2.0])
-    eigen, schur_min = _split(a, b, 0.1)
-    assert schur_min == np.inf
+    eigen = _split(a, b, 0.1)
     npt.assert_allclose(eigen.end_values(eigen.size), [-0.5, 0.75], atol=1e-15)
     vectors = eigen.vectors(2)
     npt.assert_allclose(np.abs(vectors), [[0.0, 0.5], [2**-0.5, 0.0]], atol=1e-15)
@@ -269,7 +268,7 @@ def _random_pencil(n, seed):
 
 def test_definite_pencil_matches_the_generalized_solve():
     a, b = _random_pencil(6, 23)
-    eigen, _ = _split(a, b, 0.1)
+    eigen = _split(a, b, 0.1)
     expected = scipy.linalg.eigh(a, b, eigvals_only=True)
     npt.assert_allclose(eigen.end_values(eigen.size), expected, rtol=1e-12)
     for top in (False, True):
@@ -359,7 +358,7 @@ def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
     for a, b in _pencils():
         # b is definite: the pivoted factor keeps every coordinate
         c, pivots = _pivoted_reduction(a, b)
-        eigen, _ = _split(a, b, 0.0)
+        eigen = _split(a, b, 0.0)
         npt.assert_array_equal(eigen.pivots, pivots)
         _assert_documented_values(eigen, c)
 
@@ -367,7 +366,7 @@ def test_on_demand_values_are_the_values_only_solve_bit_for_bit():
 def test_a_vector_does_not_depend_on_the_others_asked_for():
     for a, b in _pencils():
         n = a.shape[0]
-        eigen, _ = _split(a, b, 0.0)
+        eigen = _split(a, b, 0.0)
         for top in (False, True):
             every = eigen.vectors(min(n, 32), top)
             for k in range(every.shape[1]):
@@ -376,7 +375,7 @@ def test_a_vector_does_not_depend_on_the_others_asked_for():
 
 def test_on_demand_vectors_are_accurate_and_orthonormal():
     for a, b in _pencils():
-        eigen, _ = _split(a, b, 0.0)
+        eigen = _split(a, b, 0.0)
         for top in (False, True):
             x = eigen.vectors(min(a.shape[0], 32), top)
             values = eigen.end_values(x.shape[1], top)
@@ -409,7 +408,7 @@ def test_a_fortran_ordered_a_is_reduced_in_place_to_the_same_bits(monkeypatch):
     for a, b in _pencils():
         c, _ = _pivoted_reduction(a, b)
         in_place.clear()
-        eigen, _ = _split(a, b, 0.0)
+        eigen = _split(a, b, 0.0)
         assert in_place == [True, True]
         _assert_documented_values(eigen, c)
 
@@ -418,7 +417,7 @@ def test_split_tridiagonal_with_equal_values():
     # diagonal: every subdiagonal entry of T is 0, and the value 2 is
     # double; each block is its own tridiagonal solve
     a, b = np.diag([2.0, 1.0, 2.0, -3.0]), np.eye(4)
-    eigen, _ = _split(a, b, 0.5)
+    eigen = _split(a, b, 0.5)
     npt.assert_array_equal(eigen.pivots, np.arange(4))
     assert not eigen.e.any()
     npt.assert_array_equal(eigen.end_values(eigen.size), [-3.0, 1.0, 2.0, 2.0])
@@ -430,7 +429,7 @@ def test_split_tridiagonal_with_equal_values():
     x = rng.standard_normal((3, 3))
     block = symmetrize(x + x.T)
     a = scipy.linalg.block_diag(block, block)
-    eigen, _ = _split(a, np.eye(6), 0.5)
+    eigen = _split(a, np.eye(6), 0.5)
     npt.assert_array_equal(eigen.pivots, np.arange(6))
     assert eigen.e[2] == 0.0 and np.all(eigen.e[[0, 1, 3, 4]] != 0.0)
     _assert_documented_values(eigen, a)
@@ -470,7 +469,7 @@ def _tridiagonal_eigen(d, e):
     """The :class:`TridiagonalEigen` of the tridiagonal ``(d, e)``, solved
     as the pencil ``(T, I)``, whose reduction leaves T as it is; and T."""
     t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    eigen, _ = _split(t, np.eye(d.size), 0.5)
+    eigen = _split(t, np.eye(d.size), 0.5)
     npt.assert_array_equal(eigen.d, d)
     npt.assert_array_equal(eigen.e, e)
     return eigen, t
@@ -566,7 +565,7 @@ def test_stein_gets_its_values_ascending_within_each_block(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1])
 def test_on_demand_solve_of_the_smallest_sizes(n):
     a, b = 3.0 * np.eye(n), 4.0 * np.eye(n)
-    eigen, _ = _split(a, b, 1.0)
+    eigen = _split(a, b, 1.0)
     npt.assert_array_equal(eigen.end_values(eigen.size), [0.75] * n)
     for top in (False, True):
         npt.assert_array_equal(eigen.vectors(1, top), 0.5 * np.eye(n))
@@ -577,44 +576,40 @@ def test_kernel_basis_diagonal():
     # the pivots take the largest diagonal entry first; the zero one is
     # deflated, and the pencil is solved on the other two coordinates
     a, b = np.diag([5.0, 6.0, 7.0]), np.diag([0.0, 1.0, 2.0])
-    eigen, schur_min = _split(a, b, 1e-10)
+    eigen = _split(a, b, 1e-10)
     npt.assert_array_equal(eigen.pivots, [2, 1, 0])
-    assert schur_min == 0.0
     npt.assert_allclose(eigen.end_values(eigen.size), [3.5, 6.0], rtol=1e-15)
     x = eigen.vectors(2)
     npt.assert_allclose(np.abs(x), [[0.0, 0.0], [0.0, 1.0], [2**-0.5, 0.0]], rtol=1e-15)
 
 
 def test_kernel_basis_full_rank():
-    eigen, schur_min = _split(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-10)
-    assert schur_min == np.inf and eigen.size == 2
+    eigen = _split(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-10)
+    assert eigen.size == 2
     # a zero matrix is its own kernel: nothing is solved, no vector exists
-    eigen, schur_min = _split(np.eye(3), np.zeros((3, 3)), 1e-10)
-    assert schur_min == 0.0 and eigen.size == 0
+    eigen = _split(np.eye(3), np.zeros((3, 3)), 1e-10)
+    assert eigen.size == 0
     assert eigen.vectors(2).shape == (3, 0)
 
 
 def test_kernel_basis_rejects_negative():
     # the leading pivot 0.25 is definite and pstrf stops at -0.75 as at
-    # a kernel; only the Schur complement of the kept coordinate shows
-    # the negative eigenvalue
+    # a kernel: the split deflates the coordinate
     b = np.diag([0.25, -0.75])
     _, _, rank, _ = scipy.linalg.lapack.dpstrf(b, tol=1e-10, lower=1)
     assert rank == 1
-    eigen, schur_min = _split(np.eye(2), b, 1e-10)
-    assert schur_min == -0.75 and eigen.size == 1
-    # zm_eigen rejects it: Q_1.5 = M2 - 3 M1 + 2.25 M0 = diag(0.25, -0.75)
-    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
-    with pytest.raises(NegativeEigenvalueError):
-        zm_eigen(forms, 1.5)
-    # off the diagonal: the leading pivot 4 is definite, and its Schur
-    # complement 0.999 - 2 * 2 / 4 = -1e-3 lies below the smallest
-    # eigenvalue of b itself
-    b = np.array([[4.0, 2.0], [2.0, 0.999]])
-    eigen, schur_min = _split(np.eye(2), b, 1e-10)
+    eigen = _split(np.eye(2), b, 1e-10)
     assert eigen.size == 1
-    npt.assert_allclose(schur_min, -1e-3, rtol=1e-12)
-    assert schur_min < scipy.linalg.eigh(b, eigvals_only=True)[0] < 0.0
+    # zm_eigen rejects it by the forms' gate: Q_1.5 = M2 - 3 M1 + 2.25 M0
+    # = diag(0.25, -0.75)
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
+    with pytest.raises(InconsistentFormsError, match="consistency gate"):
+        zm_eigen(forms, 1.5)
+    # off the diagonal: the leading pivot 4 is definite, and pstrf stops
+    # at its Schur complement 0.999 - 2 * 2 / 4 = -1e-3
+    b = np.array([[4.0, 2.0], [2.0, 0.999]])
+    eigen = _split(np.eye(2), b, 1e-10)
+    assert eigen.size == 1
 
 
 def test_kernel_split_complement_is_orthonormal():
@@ -624,8 +619,7 @@ def test_kernel_split_complement_is_orthonormal():
     x = rng.standard_normal((3, 3))
     b = symmetrize(w @ w.T)
     a = symmetrize(w @ (x + x.T) @ w.T)
-    eigen, schur_min = _split(a, b, 1e-10 * np.abs(b).sum(axis=1).max())
-    assert abs(schur_min) < 1e-13 * np.linalg.norm(b, 2)
+    eigen = _split(a, b, 1e-10 * np.abs(b).sum(axis=1).max())
     kept, deflated = eigen.pivots[:3], eigen.pivots[3:]
     assert deflated.size == 2
     for top in (False, True):

@@ -32,6 +32,7 @@ from eigenclose.errors import (
     DeflationWarning,
     DegenerateShiftError,
     EmptySideError,
+    InconsistentFormsError,
     NonFiniteError,
 )
 from eigenclose.fixed_point import _seed_taus, dp_bounds, equivalence_gap, optimal_shift
@@ -256,6 +257,21 @@ def test_captured_point_routes_through_deflation(fresh, pencil_solves):
     with pytest.warns(DeflationWarning):
         npt.assert_array_equal(zm_bounds_one_sided(forms, 1.0, "right"), enc_bounds)
     assert pencil_solves == [1.0]
+
+
+def test_a_deflating_shift_relies_on_the_consistency_gate():
+    # these inconsistent forms have Q_t = diag((1 - t)^2, (t - 1)(t - 3)):
+    # a shift that deflates nothing is solved ungated; one that deflates a
+    # coordinate (t = 1.5 and 3) or all (t = 1) is refused by the forms'
+    # gate, and a window with such an end raises it
+    forms = TrialForms(np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, 3.0]))
+    assert zm_eigen(forms, 0.0).signature == Signature(0, 0, 0, 2)
+    assert "gate" not in forms._kept
+    for t in (1.5, 3.0, 1.0):
+        with pytest.raises(InconsistentFormsError, match="consistency gate"):
+            zm_eigen(forms, t)
+    with pytest.raises(InconsistentFormsError, match="consistency gate"):
+        zm_enclosures(forms, (0.0, 1.5), 1)
 
 
 def test_a_silent_solve_does_not_silence_the_bounds(fresh, pencil_solves):
