@@ -2,13 +2,18 @@
 
 Given the three form matrices of a finite trial subspace inside the
 operator domain, this package computes eigenvalue bounds that are
-mathematically guaranteed -- they hold for the underlying operator, not
-merely for its Galerkin discretization, and are therefore immune to
-spectral pollution.  Two equivalent routes are implemented (a shifted
+mathematically guaranteed -- every one-sided bound holds for the
+underlying operator, not merely for its Galerkin discretization, and is
+therefore immune to spectral pollution.  A pair of bounds in a window
+(a, b) holds a spectral point when the window holds exactly the number
+of points the trial space detects there,
+N(a, b) (:func:`eigenclose.forms.detected_count`); a pair flagged
+``inconsistent`` proves that the window holds more, and its absence
+proves nothing.  Two equivalent routes are implemented (a shifted
 matrix pencil and a fixed-point iteration on the local counting
-function) together with eigenvector residual bounds, two pollution-prone
-finite element models to exercise them, and a small command line
-harness.
+function), both reading that one count, together with eigenvector
+residual bounds, two pollution-prone finite element models to exercise
+them, and a small command line harness.
 """
 
 from .dirac1d import (

@@ -8,7 +8,11 @@ flags, one per experiment key, and ignores the keys it does not use.
 ``bounds``
     Certified enclosure table for one model / order / mesh over one or
     more windows.  CSV columns ``j, lower, upper, width, t_lower_from,
-    t_upper_from, flags``.  Exit 0 iff no row is flagged inconsistent.
+    t_upper_from, flags``.  Every lower and upper bound holds; a row
+    [lower, upper] holds a spectral point when the window holds exactly
+    the number of points detected there, N(a, b).  A row flagged
+    inconsistent proves the window holds more; no flag proves nothing.
+    Exit 0 iff no row is flagged inconsistent.
 ``converge``
     Mesh-refinement study: enclosure widths against the mesh size with a
     least-squares slope per (order, index).  Needs at least three mesh
@@ -16,8 +20,11 @@ flags, one per experiment key, and ignores the keys it does not use.
 ``pollute``
     Side-by-side table of raw Galerkin values and certified enclosures
     on the 2D model, with spurious values flagged by their distance to
-    the exact spectrum.  Exit 1 if a *certified* row is flagged (which
-    would mean containment failed).
+    the exact spectrum.  As for ``bounds``, every one-sided bound holds,
+    and an enclosure holds a spectral point when its window holds
+    exactly the N(a, b) points detected.  Exit 1 if a *certified* row is
+    flagged (which, under that hypothesis, would mean containment
+    failed).
 ``equiv``
     Audit that the fixed-point bound and the pencil bound agree: max gap
     over a grid of (shift, index, side).  Exit 0 iff the max gap is at

@@ -35,7 +35,7 @@ from .errors import (
     InconsistentFormsError,
     NonFiniteError,
 )
-from .forms import _on_pattern, shifted_linear, shifted_square
+from .forms import _on_pattern, shifted_linear, shifted_product
 from .linalg import TridiagonalEigen, kernel_split, sym_generalized_eigvals, sym_reduce
 
 
@@ -331,7 +331,7 @@ def local_counting(forms, t):
     """
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        qt = _on_pattern(forms, shifted_square(forms, t))
+        qt = _on_pattern(forms, shifted_product(forms, t, t))
     try:
         # Q_t is symmetric: its transpose is Q_t in F order, reduced in place
         values = sym_generalized_eigvals(qt.T, forms.factor())
@@ -376,7 +376,7 @@ def zm_eigen(forms, t):
     """
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        qt, lt = shifted_square(forms, t), shifted_linear(forms, t)
+        qt, lt = shifted_product(forms, t, t), shifted_linear(forms, t)
         # the values LAPACK reads, rounded to double
         qt_d, lt_d = qt.astype(float, copy=False), lt.astype(float, copy=False)
         q_norm, l_norm = _norm2_bounds(forms, qt_d), _norm2_bounds(forms, lt_d)

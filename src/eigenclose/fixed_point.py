@@ -15,20 +15,28 @@ Zimmermann-Mertins pencil, and the certified bound with
 ``t + 1/tau_j``; :func:`equivalence_gap` audits that identity
 numerically, which is a strong end-to-end check on both code paths.
 
-One rule decides every sign.  The residual at s = t -/+ alpha,
-``F_j(s) - alpha``, is <= 0 exactly where the pencil ``(Q_s, M0)`` has
-at least j eigenvalues <= alpha**2, and by Sylvester's law of inertia
-that is where ``Q_s - alpha**2 M0`` has at least j eigenvalues <= 0:
-one LDL' factorization counts them
-(:func:`~eigenclose.linalg.count_nonpositive`).  The count is the sign
-only where every Q_s is positive semidefinite, which
+One count decides every sign.  Let ``N(z, w)`` be the number of
+eigenvalues <= 0 of ``P(z, w) = M2 - (z + w) M1 + z w M0``, the form of
+``(A - z)(A - w)`` (:func:`~eigenclose.forms.detected_count`).  The
+residual at s = t + alpha, ``F_j(s) - alpha``, is <= 0 exactly where
+``Q_s - alpha**2 M0 = P(t, t + 2 alpha)`` has at least j eigenvalues
+<= 0 (Sylvester's law of inertia), so a root counts
+``N(t, t + 2 alpha)`` on the right and ``N(t - 2 alpha, t)`` on the
+left, the window's far end taken as ``s +/- alpha``, the bound a root at
+s reports.  The pencil at t reads the same count,
+``#{tau >= sigma} = N(t, t + 1/sigma)``, so its upper bound is
+``u_j = t + 1/tau_j = min{u : N(t, u) >= j}``.  That is the equivalence
+in one line: the Davies-Plum bound ``t + 2 alpha`` is u_j found by
+bisection on counts, looser by at most the fixed-point tolerance, and
+the root is ``s_hat = (t + u_j)/2``; mirrored on the left.  The count is
+the sign only where every Q_s is positive semidefinite, which
 :meth:`TrialForms.validate` proves; forms that fail it are refused
 before any count.  F_j itself is never solved.  The search ends on a
-bracket ``[lo, hi]`` whose end ``s_hat = t -/+ hi`` the count has shown
-to have ``F_j(s_hat) <= hi``, so ``s_hat -/+ hi`` is a certified bound.
-As the residual is > 0 at lo and F_j is 1-Lipschitz, it is looser than
-``s_hat -/+ F_j(s_hat)`` by less than ``2 (hi - lo)``, at most the
-fixed-point tolerance.
+bracket ``[lo, hi]`` of alpha whose count at hi found at least j points
+in the window from t to ``s_hat -/+ hi``, ``s_hat = t -/+ hi``: that
+far end is the bound.  As the count at lo found fewer, the bound is
+looser than u_j by less than ``2 (hi - lo)``, at most the fixed-point
+tolerance.
 
 The residual is nonincreasing in alpha, so one count gives its sign on
 a whole half-line.  Each root keeps one record of known signs, the
@@ -57,9 +65,9 @@ fails or has too few values, leaves the search unseeded.  The pencil
 is solved once per shift per forms (the forms keep their last solve,
 so both sides of an audit and every index share it), and a call
 bisects and polishes only the first j (``j_max`` for :func:`dp_bounds`)
-tau of the root's side, the ones it reads.  The forms keep the last
-sign at (t, j) too, so the second side of an audit at (t, j) counts 2
-shifts where the first counts 3.
+tau of the root's side, the ones it reads.  The forms keep the count
+``N(t, t)`` at the last t too, so every root at t after the first, of
+any index and side, counts 2 shifts where the first counts 3.
 """
 
 import functools
@@ -76,8 +84,7 @@ from .errors import (
     NoSignChangeError,
     NonFiniteError,
 )
-from .forms import shifted_square
-from .linalg import count_nonpositive
+from .forms import detected_count
 
 logger = logging.getLogger(__name__)
 
@@ -94,20 +101,20 @@ class FixedPointResult:
 
     ``s_hat`` is the certified endpoint of the final bracket (the root
     nearest t on the certified side), and ``f_at_root`` its distance
-    from t (``|t - s_hat|`` up to the rounding of s_hat), which an
-    inertia count has shown to be at least ``F_j(s_hat)``; it exceeds
-    ``F_j(s_hat)`` by less than twice the bracket width.
+    from t (``|t - s_hat|`` up to the rounding of s_hat): the count there
+    found at least j points in the window from t to :attr:`bound`, and
+    ``f_at_root`` exceeds ``F_j(s_hat)`` by less than twice the bracket
+    width.
     ``iterations`` counts the shifts at which the root counted the
     residual's sign: 3 for a root whose predicted bracket the residual
     confirms (at t and at both ends), 1 for a captured shift, and
     otherwise at most the unseeded search's count plus the two that
     checked the prediction, wherever the counted signs are monotone;
-    one less where the sign at t came from the forms (see
-    :func:`_root`), so 0 for a captured shift whose sign the forms
-    kept.  ``tau`` is the pencil eigenvalue tau_j offered as the seed,
-    None when none was drawn (a captured shift) or the pencil had none.
-    It is kept where the predicted bracket missed and the search went on
-    without it.
+    one less where ``N(t, t)`` came from the forms (see :func:`_root`),
+    so 0 for a captured shift whose count the forms kept.  ``tau`` is
+    the pencil eigenvalue tau_j offered as the seed, None when none was
+    drawn (a captured shift) or the pencil had none.  It is kept where
+    the predicted bracket missed and the search went on without it.
     """
 
     j: int
@@ -137,8 +144,10 @@ def default_fp_tol(forms, t):
 
     ``FP_TOL_FACTOR`` times a length scale of the problem: the spread of
     the trial Rayleigh quotients, floored by the distance from t to
-    either end of that range so it cannot degenerate for tiny (even
-    one-dimensional) trial spaces.
+    either end of that range, so that it is positive even for a
+    one-dimensional trial space.  It is 0 only where every Rayleigh
+    quotient equals t; then no index is detectable on either side, and
+    a root there raises ``NoSignChangeError`` before it reads fp_tol.
     """
     return FP_TOL_FACTOR * _scale(forms.ritz(), t)
 
@@ -207,24 +216,24 @@ def _root(forms, t, j, side, fp_tol, seed):
     predicts the root's final bracket (see the module docstring); one
     helper runs the search, for that dry run and for the real search,
     which asks the record of known signs first and counts the residual's
-    sign (:func:`_at_most`) only where the record leaves it open.  Where
-    the residual confirms the predicted bracket the real search is
-    skipped: the record would answer each of its points as the dry run
-    did, so the dry run's bracket is the search's.
+    sign (:func:`~eigenclose.forms.detected_count`) only where the
+    record leaves it open.  Where the residual confirms the predicted
+    bracket the real search is skipped: the record would answer each of
+    its points as the dry run did, so the dry run's bracket is the
+    search's.
 
-    The forms are checked by :meth:`TrialForms.validate` right after the
-    detectability check, and its ``InconsistentFormsError`` propagates:
-    the count is the residual's sign only on forms that pass it.  The
-    forms keep the sign at t for the last (t, j), and a root counts the
-    shifts it evaluates.  Each root logs one debug line: its side, index,
-    whether the shift was captured or the predicted bracket held, its
-    shifts, and the final bracket width.
+    ``fp_tol`` is checked after detectability, so an undetectable index
+    raises ``NoSignChangeError`` whatever the tolerance.  The forms are
+    checked by :meth:`TrialForms.validate` next, and its
+    ``InconsistentFormsError`` propagates: the count is the residual's
+    sign only on forms that pass it.  The forms keep ``N(t, t)`` for the
+    last t, and a root counts the shifts it evaluates.  Each root logs
+    one debug line: its side, index, whether the shift was captured or
+    the predicted bracket held, its shifts, and the final bracket width.
     """
     _check_side(side)
     if not 1 <= j <= forms.n:
         raise ValueError(f"index j={j} outside 1..{forms.n}")
-    if fp_tol is not None and not (math.isfinite(fp_tol) and fp_tol > 0.0):
-        raise ValueError(f"fp_tol must be finite and positive, got {fp_tol:g}")
     t = float(t)
     if not math.isfinite(t):
         raise _overflow(t)
@@ -236,6 +245,8 @@ def _root(forms, t, j, side, fp_tol, seed):
             f"only {detectable} spectral points detectable {side} of "
             f"t={t:g}, cannot bound index {j}"
         )
+    if fp_tol is not None and not (math.isfinite(fp_tol) and fp_tol > 0.0):
+        raise ValueError(f"fp_tol must be finite and positive, got {fp_tol:g}")
     forms.validate()
     scale = _scale(theta, t)
     if fp_tol is None:
@@ -250,26 +261,32 @@ def _root(forms, t, j, side, fp_tol, seed):
     # counted with residual <= 0.
     known = {False: -np.inf, True: np.inf}
 
+    def count(alpha):
+        """N on the window from t to the far end s + sign alpha of the
+        shift s = t + sign alpha: the bound a root at s reports."""
+        s = t + sign * alpha
+        counted.add(s)
+        try:
+            return detected_count(forms, t, s + sign * alpha)
+        except NonFiniteError:
+            raise _overflow(s) from None
+
     def certified(alpha):
         """Whether the residual at alpha is <= 0: from the record where
-        alpha lies outside it, else by an inertia count that narrows it."""
+        alpha lies outside it, else by a count that narrows it."""
         if alpha <= known[False]:
             return False
         if alpha >= known[True]:
             return True
-        s = t + sign * alpha
-        counted.add(s)
-        result = _at_most(forms, s, alpha, j)
+        result = count(alpha) >= j
         known[result] = alpha
         return result
 
-    key = (t, j)
-    if forms._kept.get("counting", (None,))[0] == key:
-        captured = forms._kept["counting"][1]  # the last root at (t, j) found it
-        known[captured] = 0.0
-    else:
-        captured = certified(0.0)
-        forms._kept["counting"] = (key, captured)
+    # N(t, t), one count for every index and side at t
+    if forms._kept.get("counting", (None,))[0] != t:
+        forms._kept["counting"] = (t, count(0.0))
+    captured = forms._kept["counting"][1] >= j
+    known[captured] = 0.0
 
     def search(test):
         """Expansion, then bisection, on the sign test ``test(alpha)``,
@@ -334,27 +351,6 @@ def _root(forms, t, j, side, fp_tol, seed):
         j=j, side=side, s_hat=t + sign * hi, f_at_root=hi,
         iterations=len(counted), bracket_width=hi - lo, tau=tau_j,
     )
-
-
-def _at_most(forms, s, alpha, j):
-    """Whether F_j(s) <= alpha, alpha >= 0, by an inertia count: exactly
-    where the pencil (Q_s, M0) has at least j eigenvalues <= alpha**2,
-    which by Sylvester's law of inertia (M0 is definite) is where
-    ``Q_s - alpha**2 M0`` has at least j eigenvalues <= 0.  That matrix
-    is formed on the forms' pattern in their precision and counted in
-    double (:func:`~eigenclose.linalg.count_nonpositive`).  A shift whose
-    Q_s overflows raises ``NonFiniteError`` naming it, as a pencil solve
-    there does."""
-    m0 = forms._values[0]
-    aa = m0.dtype.type(alpha)
-    # an overflow is reported once, as the typed error below
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = shifted_square(forms, s) - (aa * aa) * m0
-        values = values.astype(float, copy=False)
-    try:
-        return count_nonpositive(values, forms.n, forms.pattern()) >= j
-    except NonFiniteError:
-        raise _overflow(s) from None
 
 
 def dp_bounds(forms, t, j_max, side, fp_tol=None):

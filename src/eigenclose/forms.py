@@ -9,9 +9,11 @@ operator domain:
 * ``M2[i, j] = <A b_i, A b_j>`` (positive semidefinite).
 
 Everything the bound machinery needs is algebra on these three matrices.
-For a real shift t the quadratic form of ``(A - t)^2`` has matrix
-``Q_t = M2 - 2 t M1 + t^2 M0`` and the form of ``A - t`` has matrix
-``L_t = M1 - t M0``.
+For real z and w the form of ``(A - z)(A - w)`` has matrix
+``P(z, w) = M2 - (z + w) M1 + z w M0``, and its number of eigenvalues
+<= 0, ``N(z, w)``, is a lower bound on the number of spectral points in
+[z, w] (:func:`detected_count`).  For a shift t the form of ``(A - t)^2``
+is ``Q_t = P(t, t)`` and that of ``A - t`` is ``L_t = M1 - t M0``.
 
 The forms are stored on the pattern of the entries nonzero in any of
 them, one vector of values per form.  Dense matrices are built on
@@ -51,11 +53,11 @@ class TrialForms:
     check ``tol``, the mirrored entries' symmetry and M0's definiteness.
     They compute once what depends on no shift (M0's Cholesky factor, the
     Ritz values of (M1, M0), the consistency test, the grading) and keep
-    their last pencil solve and the last sign of F_j(t) a fixed-point
-    root found at its shift t, so callers reading one shift (the end two
-    touching windows share, both sides of a fixed-point audit) evaluate
-    it once.  On graded forms (:meth:`grading`) the kept solve at t also
-    serves a read at -t.
+    their last pencil solve and the count N(t, t) a fixed-point root
+    read at its shift t, so callers reading one shift (the end two
+    touching windows share, every root of a fixed-point audit at one
+    shift) evaluate it once.  On graded forms (:meth:`grading`) the kept
+    solve at t also serves a read at -t.
     The caches rely on the forms being immutable, so they are: the
     fields cannot be assigned, and M0, M1, M2 are read-only dense arrays
     built on each read.  Build new forms instead, e.g. with
@@ -105,7 +107,7 @@ class TrialForms:
         # frozen: the state is set in the instance dict.  "ritz",
         # "gate" (the consistency gate's count and threshold c),
         # "grading", the last "pencil" (t, PencilEigen) and the last
-        # "counting" ((t, j), F_j(t) <= 0) of a fixed-point root are _kept
+        # "counting" (t, N(t, t)) of a fixed-point root are _kept
         state = vars(self)
         state.update(tol=tol, n=n, _pattern=(rows, cols), _values=tuple(values), _kept={})
         # the Gram matrix must be SPD, at tol and never below DEFAULT_TOL;
@@ -260,19 +262,45 @@ def _grading(n, rows, cols, values):
     return signs
 
 
-def shifted_square(forms, t):
-    """The values of ``Q_t = M2 - 2t M1 + t^2 M0`` on the forms' pattern
-    (:meth:`TrialForms.pattern`), in the precision of the forms (``t^2``
-    is squared in it too).  Every other entry of Q_t is +0, and as an
-    entrywise combination of symmetric forms Q_t is exactly symmetric."""
+def shifted_product(forms, z, w):
+    """The values of ``P(z, w) = M2 - (z + w) M1 + z w M0``, the form of
+    ``(A - z)(A - w)``, on the forms' pattern (:meth:`TrialForms.pattern`),
+    in the precision of the forms.  P is formed as ``Q_h - d^2 M0``, h the
+    midpoint of [z, w] and d its half-width, every scalar and product
+    rounded in that precision: the matrix a Davies-Plum root at the shift
+    s = h counts at alpha = d (:mod:`~eigenclose.fixed_point`), rounded as
+    ``Q_s - alpha^2 M0`` is.  On a residual flat to rounding the count at
+    a predicted bracket end turns on the last bit of an entry, and formed
+    with ``z w`` P misses predictions that this form meets.  Every other
+    entry of P is +0; as an entrywise combination of symmetric forms P is
+    exactly symmetric, and it is symmetric in z and w bit for bit.
+    ``Q_t = P(t, t)`` (h = t, d = 0) has the values of
+    ``M2 - 2t M1 + t^2 M0``."""
     m0, m1, m2 = forms._values
-    tt = m0.dtype.type(t)
-    return m2 - (2.0 * tt) * m1 + (tt * tt) * m0
+    zz, ww = m0.dtype.type(z), m0.dtype.type(w)
+    h, d = (zz + ww) / 2, (ww - zz) / 2
+    return m2 - (2 * h) * m1 + (h * h) * m0 - (d * d) * m0
+
+
+def detected_count(forms, z, w):
+    """``N(z, w)``, the number of eigenvalues <= 0 of ``P(z, w)``
+    (:func:`shifted_product`), rounded once to double and counted by one
+    LDL' inertia count (:func:`~eigenclose.linalg.count_nonpositive`).
+
+    P is the compression of ``(A - z)(A - w)`` to the trial space, so by
+    min-max ``N(z, w) >= j`` shows that [z, w] holds at least j spectral
+    points of the operator, whatever the trial space.  Raises
+    ``NonFiniteError`` where P overflows double.
+    """
+    # an overflow is reported once, as count_nonpositive's typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = shifted_product(forms, z, w).astype(float, copy=False)
+    return count_nonpositive(values, forms.n, forms.pattern())
 
 
 def shifted_linear(forms, t):
     """The values of ``L_t = M1 - t M0`` on the forms' pattern, as
-    :func:`shifted_square` gives those of Q_t."""
+    :func:`shifted_product` gives those of P(z, w)."""
     m0, m1, _ = forms._values
     return m1 - m0.dtype.type(t) * m0
 

@@ -372,6 +372,21 @@ def test_equiv_skips_indices_beyond_the_trial_dimension(capsys):
     assert captured.err == ""
 
 
+def test_equiv_skips_every_row_where_every_ritz_value_is_the_shift(tmp_path, capsys):
+    # M1 = 2 M0: both Ritz values equal the shift 2, so no index is
+    # detectable on either side and the default fp_tol, the Ritz spread
+    # around t, is 0; every row is skipped as under an explicit --fp-tol
+    path = tmp_path / "eq.forms"
+    path.write_text("2\n%M0\n1 1 1.0\n2 2 1.0\n%M1\n1 1 2.0\n2 2 2.0\n"
+                    "%M2\n1 1 5.0\n2 2 5.0\n")
+    for extra in ([], ["--fp-tol", "1e-9"]):
+        code = main(["equiv", "--model", str(path), "--shift", "2", *extra])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert (report["rows"], report["skipped"], report["pass"]) == (4, 4, True)
+
+
 def test_equiv_needs_shifts(capsys):
     code = main(["equiv", "--model", "dirac1d", "--order", "1", "--mesh", "6"])
     assert code == 2

@@ -170,19 +170,26 @@ def _same_root(seeded, unseeded):
     )
 
 
-def _record_counts(monkeypatch):
-    """Make every inertia count of the fixed-point route, its only
-    evaluation, log its shift and the sign it found (True where the
-    residual is <= 0), in order, in a list."""
-    calls = []
-    real = fixed_point_mod._at_most
+def _end(t, side, alpha):
+    """The far end u of the window the root from t counts at alpha: the
+    bound ``s -/+ alpha`` a root at the shift ``s = t -/+ alpha`` reports."""
+    sign = -1.0 if side == "left" else 1.0
+    return t + sign * alpha + sign * alpha
 
-    def at_most(forms, s, alpha, j):
-        result = real(forms, s, alpha, j)
-        calls.append((s, result))
+
+def _record_counts(monkeypatch):
+    """Make every count N(t, u) of the fixed-point route, its only
+    evaluation, log the window's far end u (:func:`_end`) and the count,
+    in order, in a list: the residual is <= 0 where the count is >= j."""
+    calls = []
+    real = fixed_point_mod.detected_count
+
+    def count(forms, t, u):
+        result = real(forms, t, u)
+        calls.append((u, result))
         return result
 
-    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
+    monkeypatch.setattr(fixed_point_mod, "detected_count", count)
     return calls
 
 
@@ -206,11 +213,11 @@ def test_seeded_root_is_bit_equal_to_the_unseeded_one(model, monkeypatch, fresh)
             assert _same_root(seeded, unseeded), (side, j)
             assert seeded.tau == tau[j - 1]
             assert seeded.iterations <= 8 < unseeded.iterations
-            # each evaluation is a count at a distinct shift, s_hat among
-            # them, and it found the residual <= 0 there
-            shifts = [s for s, _ in calls]
-            assert len(set(shifts)) == len(shifts) == seeded.iterations
-            assert dict(calls)[seeded.s_hat]
+            # each evaluation is a count on a distinct window, the bound's
+            # among them, and it found at least j points there
+            ends = [u for u, _ in calls]
+            assert len(set(ends)) == len(ends) == seeded.iterations
+            assert dict(calls)[seeded.bound] >= j
             # f_at_root is the distance that count certified
             gap = seeded.f_at_root - abs(seeded.s_hat - t)
             assert abs(gap) <= np.spacing(seeded.s_hat)
@@ -239,24 +246,28 @@ def test_wrong_seed_costs_evaluations_not_the_root(fresh):
 
 
 def test_missed_prediction_narrows_the_search(monkeypatch, fresh):
-    # the pencil's alpha* misses the bracket of this root: the search goes
-    # on from the signs found at lo* and hi* instead of starting over, to
-    # the unseeded root at 22 evaluations instead of 46
+    # a pencil tau_j whose alpha* lies 2 fixed-point tolerances beyond
+    # the root: the count at lo* already finds j points, so the predicted
+    # bracket misses, and the search goes on from the signs found at lo*
+    # and hi* instead of starting over, to the unseeded root at 30
+    # evaluations instead of 46
     forms = assemble_2d(structured_tri_mesh(4, 0.25, 22), 1).forms
     t, j, side = 2.5, 3, "right"
+    unseeded = _unseeded(fresh(forms), t, j, side)
+    alpha_star = unseeded.f_at_root + 2.0 * default_fp_tol(forms, t)
+    tau = _pencil(forms, t).nearest(side, j).copy()
+    tau[j - 1] = 0.5 / alpha_star
+    lo = _replay(forms, t, lambda alpha: alpha >= alpha_star)[0]
     calls = _record_counts(monkeypatch)
-    unseeded, seeded, seeded_calls, (lo, hi), _ = _both_searches(
-        forms, t, j, side, calls, fresh
-    )
+    seeded = _root(forms, t, j, side, None, lambda: tau)
     counted = dict(calls)
-    held = not counted[t + lo] and counted[t + hi]
-    assert not held
+    assert counted[_end(t, side, lo)] >= j
     assert _same_root(seeded, unseeded)
     assert seeded.iterations < unseeded.iterations
-    # one count per shift, s_hat's among them
-    shifts = [s for s, _ in seeded_calls]
-    assert len(set(shifts)) == len(shifts) == seeded.iterations
-    assert seeded.s_hat in shifts
+    # one count per window, the bound's among them
+    ends = [u for u, _ in calls]
+    assert len(set(ends)) == len(ends) == seeded.iterations
+    assert seeded.bound in ends
 
 
 def _replay(forms, t, certified):
@@ -297,18 +308,17 @@ def _both_searches(forms, t, j, side, calls, fresh):
     without a prediction) that the seeded search checked, and the
     residual's counted sign at each, from the counts of either search.
     ``calls`` is the log of :func:`_record_counts`; the unseeded
-    search counts the sign at t, which the seeded one may take from the
+    search counts N(t, t), which the seeded one may take from the
     forms' kept value."""
-    sign = -1.0 if side == "left" else 1.0
     unseeded_from = len(calls)
     unseeded = _unseeded(fresh(forms), t, j, side)
     seeded_from = len(calls)
-    kept = forms._kept.get("counting", (None,))[0] == (t, j)
+    kept = forms._kept.get("counting", (None,))[0] == t
     seeded = optimal_shift(forms, t, j, side)
     counted = dict(calls[unseeded_from:])
 
     def positive(alpha):
-        return not counted[t + sign * alpha]
+        return counted[_end(t, side, alpha)] < j
 
     bracket, checked = None, set()
     if positive(0.0):
@@ -317,13 +327,14 @@ def _both_searches(forms, t, j, side, calls, fresh):
         alpha_star = 0.5 / abs(taus[j - 1]) if taus.size >= j else np.inf
         predicted = _replay(forms, t, lambda alpha: alpha >= alpha_star)
         bracket = predicted[:2] if predicted else None
-        checked = {alpha for alpha in bracket or () if t + sign * alpha in counted}
+        checked = {alpha for alpha in bracket or () if _end(t, side, alpha) in counted}
     else:  # a captured shift: neither search draws a seed
         lo, hi, path = 0.0, 0.0, [0.0]
-        # each counts the sign at t, but for a kept one
+        # each counts N(t, t), but for a kept one
         assert _same_root(seeded, unseeded)
-        assert [s for s, _ in calls[unseeded_from:]] == [t] * (2 - kept)
+        assert [u for u, _ in calls[unseeded_from:]] == [t] * (2 - kept)
         assert seeded.iterations == 1 - kept
+    sign = -1.0 if side == "left" else 1.0
     assert (t + sign * hi, hi - lo) == (unseeded.s_hat, unseeded.bracket_width)
     alphas = sorted(set(path) | checked)
     signs = [positive(alpha) for alpha in alphas]
@@ -340,10 +351,9 @@ def _monotone(signs):
 
 def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
     # a predicted bracket the residual confirms at both ends leaves the
-    # search nothing to evaluate: the signs at t, lo* and hi* counted,
-    # and the same root as the unseeded search.  In the equiv
-    # subcommand's order the second side at (t, j) takes the sign at t
-    # from the forms, so its root evaluates 2 shifts
+    # search nothing to evaluate: N(t, t) and the counts at lo* and hi*,
+    # and the same root as the unseeded search.  Every root at t after
+    # the first takes N(t, t) from the forms, so it evaluates 2 shifts
     calls = _record_counts(monkeypatch)
     evaluations, fallbacks, non_monotone = [], 0, 0
     for model in ("dirac1d-1", "dirac1d-2", "dirac1d-3", "maxwell2d"):
@@ -353,9 +363,9 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
             mesh = uniform_mesh(6, jitter=0.3, seed=1)
             forms = assemble_1d(mesh, int(model[-1])).forms
         for t in (-1.4, 0.6, 1.4, 2.5):
+            first = True  # no root at t has counted N(t, t) yet
             for j in (1, 2, 3):
-                first = True  # no root at (t, j) has counted at t yet
-                for side, sign in (("left", -1.0), ("right", 1.0)):
+                for side in ("left", "right"):
                     calls.clear()
                     try:
                         found = _both_searches(forms, t, j, side, calls, fresh)
@@ -367,16 +377,16 @@ def test_confirmed_prediction_costs_three_evaluations(monkeypatch, fresh):
                     evaluations.append(seeded.iterations + 1 - counts_at_t)
                     lo, hi = bracket
                     counted = dict(calls)
-                    s_lo, s_hi = t + sign * lo, t + sign * hi
+                    u_lo, u_hi = _end(t, side, lo), _end(t, side, hi)
                     # the counts confirm the bracket
-                    if counted[s_lo] or not counted[s_hi]:
+                    if counted[u_lo] >= j or counted[u_hi] < j:
                         fallbacks += 1
                         continue
                     case = (model, t, side, j)
-                    shifts = [t] * counts_at_t + [s_lo, s_hi]
+                    ends = [t] * counts_at_t + [u_lo, u_hi]
                     assert seeded.iterations == 2 + counts_at_t, case
-                    assert [s for s, _ in seeded_calls] == shifts, case
-                    assert seeded.s_hat == shifts[-1], case
+                    assert [u for u, _ in seeded_calls] == ends, case
+                    assert seeded.bound == ends[-1], case
                     if _monotone(signs):
                         assert _same_root(seeded, unseeded), case
                     else:
@@ -394,18 +404,19 @@ def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
     # the residual the sign F_j from an independent eigensolve gives it,
     # but at ties:
     # a residual below the fixed-point tolerance, which either rule may
-    # round to either sign (13 of 1862 points here, all below 0.04
+    # round to either sign (13 of 1644 points here, all below 0.04
     # fp_tol: flat residuals of dirac1d r = 1 at t = 2.5, j = 3, and
-    # three maxwell2d points within 2e-14 of a sign change)
+    # four maxwell2d points within 1e-14 of a sign change)
     counted = []
-    real = fixed_point_mod._at_most
+    real = fixed_point_mod.detected_count
 
-    def at_most(forms, s, alpha, j):
-        result = real(forms, s, alpha, j)
-        counted.append((s, alpha, result))
+    def count(forms, t, u):
+        # the residual at the window's midpoint s and half-width alpha
+        result = real(forms, t, u)
+        counted.append((0.5 * (t + u), 0.5 * abs(u - t), result))
         return result
 
-    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
+    monkeypatch.setattr(fixed_point_mod, "detected_count", count)
     visited = 0
     for seed in range(6):
         models = [assemble_1d(uniform_mesh(6, jitter=0.3, seed=seed), r).forms
@@ -427,7 +438,7 @@ def test_counted_signs_are_the_eigensolve_signs(monkeypatch):
                             f = enclosure_mod.local_counting(forms, s)[j - 1]
                             residual = float(f) - alpha
                             if abs(residual) > tie:
-                                assert result == (residual <= 0.0), (s, alpha, j)
+                                assert (result >= j) == (residual <= 0.0), (s, alpha, j)
     assert visited > 1000
 
 
@@ -501,6 +512,13 @@ def test_bad_fp_tol_rejected(fp_tol):
         dp_bounds(WORKED, 1.5, 1, "left", fp_tol=fp_tol)
     with pytest.raises(ValueError, match=message):
         equivalence_gap(WORKED, 1.5, 1, "left", fp_tol=fp_tol)
+    # it is read after detectability: an undetectable index raises
+    # NoSignChangeError whatever the tolerance, and dp_bounds stops there
+    with pytest.raises(NoSignChangeError):
+        optimal_shift(WORKED, 0.5, 1, "left", fp_tol=fp_tol)
+    with pytest.raises(NoSignChangeError):
+        equivalence_gap(WORKED, 0.5, 1, "left", fp_tol=fp_tol)
+    assert dp_bounds(WORKED, 0.5, 1, "left", fp_tol=fp_tol).size == 0
 
 
 def test_captured_shift_draws_no_seed(fresh):
@@ -607,7 +625,7 @@ def test_a_captured_count_is_final(monkeypatch, caplog, fresh):
     # one rule, so the root is t itself, after one count and no seed
     forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 2).forms
     assert enclosure_mod.local_counting(forms, 1.4)[1] > 0.1
-    monkeypatch.setattr(fixed_point_mod, "_at_most", lambda *args: True)
+    monkeypatch.setattr(fixed_point_mod, "detected_count", lambda forms, t, u: forms.n)
     caplog.set_level(logging.DEBUG, logger="eigenclose.fixed_point")
     res = optimal_shift(forms, 1.4, 2, "right")
     assert (res.s_hat, res.f_at_root, res.bound) == (1.4, 0.0, 1.4)
@@ -619,13 +637,16 @@ def test_a_captured_count_is_final(monkeypatch, caplog, fresh):
 
 def _short_counts(monkeypatch, root, t):
     """Make the counts take every alpha from 0.9 of the distance of
-    ``root`` from t on as <= 0."""
-    real = fixed_point_mod._at_most
+    ``root`` from t on as <= 0: every window from t of at least 1.8 times
+    that distance holds all n points."""
+    real = fixed_point_mod.detected_count
 
-    def short(forms, s, alpha, j):
-        return alpha >= 0.9 * abs(root.s_hat - t) or real(forms, s, alpha, j)
+    def short(forms, t, u):
+        if abs(u - t) >= 1.8 * abs(root.s_hat - t):
+            return forms.n
+        return real(forms, t, u)
 
-    monkeypatch.setattr(fixed_point_mod, "_at_most", short)
+    monkeypatch.setattr(fixed_point_mod, "detected_count", short)
 
 
 def test_a_short_count_ends_the_search_where_it_says(monkeypatch, fresh):
@@ -640,7 +661,7 @@ def test_a_short_count_ends_the_search_where_it_says(monkeypatch, fresh):
     res = _unseeded(forms, t, j, side)
     npt.assert_allclose(res.s_hat - t, 0.9 * (root.s_hat - t), rtol=0,
                         atol=default_fp_tol(forms, t))
-    assert dict(calls)[res.s_hat]
+    assert dict(calls)[res.bound] >= j
     assert abs(res.f_at_root - (res.s_hat - t)) <= np.spacing(res.s_hat)
     assert res.iterations == len(calls)
 
@@ -667,12 +688,12 @@ def test_contradicted_final_sign_falls_back(monkeypatch):
     # the search, starting from the residual > 0 found at hi*, finds no
     # sign change
     t, tau, fp_tol = 1.5, -0.25, 1e-3
-    s_high = t - (0.5 / abs(tau) + fp_tol)
+    u_high = _end(t, "left", 0.5 / abs(tau) + fp_tol)
 
-    def at_most(forms, s, alpha, j):
-        # residual -1 at the window's upper end, +1 at every other shift
-        return t - s + (-1.0 if s == s_high else 1.0) <= alpha
+    def count(forms, t, u):
+        # residual <= 0 on the window reaching u_high, > 0 on every other
+        return int(u == u_high)
 
-    monkeypatch.setattr(fixed_point_mod, "_at_most", at_most)
+    monkeypatch.setattr(fixed_point_mod, "detected_count", count)
     with pytest.raises(MaxIterationsError):
         _root(WORKED, t, 1, "left", fp_tol, lambda: np.array([tau]))

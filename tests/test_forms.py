@@ -29,7 +29,7 @@ from eigenclose.forms import (
     operator_forms,
     read_forms,
     shifted_linear,
-    shifted_square,
+    shifted_product,
     write_forms,
 )
 
@@ -58,7 +58,7 @@ def test_shift_worked_model_t3():
     # Q_3 = M2 - 6 M1 + 9 M0, L_3 = M1 - 3 M0, both diagonal here, so
     # their values on the pattern are their diagonals
     npt.assert_array_equal(WORKED.pattern(), np.diag_indices(2))
-    npt.assert_array_equal(shifted_square(WORKED, 3.0), [4.0, 1.0])
+    npt.assert_array_equal(shifted_product(WORKED, 3.0, 3.0), [4.0, 1.0])
     npt.assert_array_equal(pencil.Qt_values, [4.0, 1.0])
     npt.assert_array_equal(pencil.Lt_values, [-2.0, -1.0])
     npt.assert_array_equal(
@@ -69,7 +69,7 @@ def test_shift_worked_model_t3():
 
 def test_shift_worked_model_t_between():
     pencil = zm_eigen(WORKED, 1.5)
-    npt.assert_array_equal(shifted_square(WORKED, 1.5), [0.25, 0.25])
+    npt.assert_array_equal(shifted_product(WORKED, 1.5, 1.5), [0.25, 0.25])
     npt.assert_array_equal(pencil.Qt_values, [0.25, 0.25])
     npt.assert_array_equal(pencil.Lt_values, [-0.5, 0.5])
 
@@ -81,7 +81,7 @@ def test_shift_preserves_longdouble():
         np.diag(np.array([1, 4], dtype=np.longdouble)),
     )
     pencil = zm_eigen(forms, 1.0 / 3.0)
-    assert shifted_square(forms, 1.0 / 3.0).dtype == np.longdouble
+    assert shifted_product(forms, 1.0 / 3.0, 1.0 / 3.0).dtype == np.longdouble
     assert pencil.Qt_values.dtype == np.longdouble
     assert pencil.Lt_values.dtype == np.longdouble
     # what LAPACK reads is rounded to double
@@ -100,11 +100,30 @@ def test_shifted_forms_are_exactly_symmetric(model):
         assert forms.M0.dtype == np.float64
     for t in (-1.3, 0.0, 1.0 / 3.0, 0.6, 1.4, 2.5, 17.0):
         pencil = zm_eigen(forms, t)
-        npt.assert_array_equal(pencil.Qt_values, shifted_square(forms, t))
+        npt.assert_array_equal(pencil.Qt_values, shifted_product(forms, t, t))
         for values in (pencil.Qt_values, pencil.Lt_values):
             matrix = _matrix(forms, values)
             npt.assert_array_equal(matrix, matrix.T)
 
+
+
+@pytest.mark.parametrize("model", ["dirac1d", "maxwell2d"])
+def test_shifted_product_is_the_davies_plum_matrix(model):
+    # P(s - alpha, s + alpha) is Q_s - alpha^2 M0 bit for bit, the matrix
+    # a Davies-Plum root at the shift s counts at alpha, in either order
+    # of its ends: on a residual flat to rounding the count at a
+    # predicted bracket end turns on the last bits of P
+    if model == "dirac1d":
+        forms = assemble_1d(uniform_mesh(6, jitter=0.3, seed=1), 1).forms
+    else:
+        mesh = maxwell2d.structured_tri_mesh(4, jitter=0.25, seed=1)
+        forms = maxwell2d.assemble_2d(mesh, 1).forms
+    m0 = forms._values[0]
+    for s, alpha in ((0.0, 0.75), (1.375, 0.5), (-1.25, 3.0), (471.4375, 468.9375)):
+        aa = m0.dtype.type(alpha)
+        expected = shifted_product(forms, s, s) - (aa * aa) * m0
+        for z, w in ((s - alpha, s + alpha), (s + alpha, s - alpha)):
+            npt.assert_array_equal(shifted_product(forms, z, w), expected)
 
 def _matrix(forms, values):
     """The n by n matrix holding ``values`` on the forms' pattern, +0 off
@@ -155,7 +174,7 @@ def test_pattern_builders_give_the_dense_bits(model):
     off[rows, cols] = False
     for t in (-1.3, -1.0 / 3.0, 0.0, 0.6, 17.0):
         pencil = zm_eigen(forms, t)
-        built = (shifted_square(forms, t), shifted_linear(forms, t))
+        built = (shifted_product(forms, t, t), shifted_linear(forms, t))
         kept = (pencil.Qt_values, pencil.Lt_values)
         dense_forms = _dense_shifted((forms.M0, forms.M1, forms.M2), t)
         for values, stored, dense in zip(built, kept, dense_forms):
@@ -220,10 +239,10 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
     def spy(which):
         real = getattr(enclosure, which)
 
-        def built(f, t):
+        def built(f, t, *w):
             matrices = _dense_shifted(entries, t)
             dense.append(matrices[which == "shifted_linear"].astype(float))
-            return real(f, t)
+            return real(f, t, *w)
 
         return built
 
@@ -232,7 +251,7 @@ def test_a_negative_zero_entry_gives_the_dense_bounds(tmp_path, monkeypatch):
         every = np.indices((n, n)).reshape(2, -1)
         return real_split(lt.ravel(), qt.ravel(), n, tuple(every), threshold)
 
-    for which in ("shifted_square", "shifted_linear"):
+    for which in ("shifted_product", "shifted_linear"):
         monkeypatch.setattr(enclosure, which, spy(which))
     real_split = enclosure.kernel_split
     monkeypatch.setattr(enclosure, "kernel_split", split)
@@ -476,7 +495,7 @@ def test_model_forms_are_graded_and_so_are_their_files(model, tmp_path):
     rows, cols = forms.pattern()
     flip = grading[rows] * grading[cols]
     for t in (0.6, 1.4):
-        npt.assert_array_equal(shifted_square(forms, -t), flip * shifted_square(forms, t))
+        npt.assert_array_equal(shifted_product(forms, -t, -t), flip * shifted_product(forms, t, t))
         npt.assert_array_equal(shifted_linear(forms, -t), -flip * shifted_linear(forms, t))
     path = tmp_path / "model.forms"
     write_forms(forms, path)

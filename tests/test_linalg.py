@@ -19,7 +19,7 @@ from eigenclose.errors import (
 )
 from eigenclose import linalg as linalg_mod
 from eigenclose.enclosure import zm_eigen
-from eigenclose.forms import TrialForms, _on_pattern, shifted_linear, shifted_square
+from eigenclose.forms import TrialForms, _on_pattern, shifted_linear, shifted_product
 from eigenclose.linalg import (
     cholesky_spd,
     check_symmetric,
@@ -288,7 +288,7 @@ def _pencils():
         # jitter 0: the discrete gradient kernel gives a cluster of equal tau
         (assemble_2d(structured_tri_mesh(4, 0.0, 0), 1).forms, 0.8),
     ):
-        qt = _on_pattern(forms, shifted_square(forms, t))
+        qt = _on_pattern(forms, shifted_product(forms, t, t))
         out.append((_on_pattern(forms, shifted_linear(forms, t)), qt))
     return out
 
@@ -716,15 +716,16 @@ def test_count_nonpositive_pivots_of_order_two_and_zero(a, count):
 
 
 def test_count_nonpositive_on_the_pattern_of_forms():
-    # Q_s - alpha^2 M0 on the forms' pattern: the count is that of the
-    # pencil (Q_s, M0) below alpha^2.  At s = alpha = 0 it is M2, whose
-    # 32-dimensional gradient kernel rounding puts on either side of 0:
-    # there the count lies between the pencil values below and at 0
+    # P(s - alpha, s + alpha) = Q_s - alpha^2 M0 on the forms' pattern:
+    # the count is that of the pencil (Q_s, M0) below alpha^2.  At
+    # s = alpha = 0 it is M2, whose 32-dimensional gradient kernel
+    # rounding puts on either side of 0: there the count lies between
+    # the pencil values below and at 0
     forms = assemble_2d(structured_tri_mesh(4, jitter=0.25, seed=1), 2).forms
     m0 = np.asarray(forms.M0, dtype=float)
     for s, alpha in ((0.0, 0.0), (0.0, 0.7), (1.4, 0.3), (2.5, 1.0)):
-        values = shifted_square(forms, s) - alpha**2 * forms._values[0]
-        q = _on_pattern(forms, shifted_square(forms, s))
+        values = shifted_product(forms, s - alpha, s + alpha)
+        q = _on_pattern(forms, shifted_product(forms, s, s))
         mu = scipy.linalg.eigvalsh(q, m0) - alpha**2
         tie = 1e-12 * np.max(np.abs(mu))
         below, at = np.count_nonzero(mu < -tie), np.count_nonzero(mu <= tie)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from eigenclose.dirac1d import _reference_integrals, assemble_1d, uniform_mesh
-from eigenclose.forms import TrialForms, shifted_linear, shifted_square, write_forms
+from eigenclose.forms import TrialForms, shifted_linear, shifted_product, write_forms
 from eigenclose.linalg import symmetrize
 from eigenclose.maxwell2d import (
     _reference_p1,
@@ -128,7 +128,7 @@ def _assert_same_forms(forms, dense):
     assert forms._kept["gate"] == reference._kept["gate"]
     assert _bits_equal(_schur_complement(forms), _schur_complement(reference))
     for t in SHIFTS:
-        assert _bits_equal(shifted_square(forms, t), shifted_square(reference, t))
+        assert _bits_equal(shifted_product(forms, t, t), shifted_product(reference, t, t))
         assert _bits_equal(shifted_linear(forms, t), shifted_linear(reference, t))
 
 

@@ -41,7 +41,7 @@ from eigenclose.forms import (
     _on_pattern,
     operator_forms,
     shifted_linear,
-    shifted_square,
+    shifted_product,
 )
 from eigenclose.linalg import DEFAULT_TOL, TridiagonalEigen
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
@@ -63,7 +63,7 @@ def test_pencil_vectors_qt_orthonormal():
     forms = operator_forms(np.diag(lam), w)
     pencil = zm_eigen(forms, 1.4)
     vecs = _both_sides_vectors(pencil)
-    qt = _on_pattern(forms, shifted_square(forms, 1.4))
+    qt = _on_pattern(forms, shifted_product(forms, 1.4, 1.4))
     npt.assert_allclose(vecs.T @ qt @ vecs, np.eye(3), atol=1e-9)
 
 
@@ -98,7 +98,7 @@ def test_diagonal_forms_split_the_reduction():
         npt.assert_array_equal(pencil.nearest("left", forms.n), minus)
         npt.assert_array_equal(pencil.nearest("right", forms.n), plus)
         x = _both_sides_vectors(pencil)
-        qt = _on_pattern(forms, shifted_square(forms, t))
+        qt = _on_pattern(forms, shifted_product(forms, t, t))
         npt.assert_array_equal(x.T @ qt @ x, np.eye(forms.n))
 
 
@@ -446,7 +446,7 @@ def test_split_route_matches_the_eigh_oracle_where_q_t_has_a_kernel(case, split_
     pencil = zm_eigen(forms, t)
     assert pencil.signature == census
     # the vectors are Q_t-orthonormal and exactly zero where deflated
-    qt = _on_pattern(forms, shifted_square(forms, t))
+    qt = _on_pattern(forms, shifted_product(forms, t, t))
     deflated = pencil.eigen.pivots[forms.n - census.n_inf :]
     for top in (False, True):
         x = pencil.eigen.vectors(8, top)
@@ -523,7 +523,7 @@ def test_uncertified_shifts_take_the_split_route(split_route, monkeypatch):
         decomposed.clear()
         assert zm_eigen(forms, shift).signature == census, (forms, shift)
         assert len(split_route) == 1
-        shifted = {"Q_t": shifted_square(forms, shift), "L_t": shifted_linear(forms, shift)}
+        shifted = {"Q_t": shifted_product(forms, shift, shift), "L_t": shifted_linear(forms, shift)}
         computed = tuple(
             name for name, values in shifted.items()
             if any(np.array_equal(a, _on_pattern(forms, values)) for a in decomposed)
@@ -598,7 +598,7 @@ def _rayleigh_quotients(forms, t, x):
     """``x' L_t x / x' Q_t x`` per column in longdouble: what the polish
     makes of a pencil eigenvalue."""
     lt, qt = (_matrix(forms.pattern(), forms.n, values) for values in (
-        shifted_linear(forms, t), shifted_square(forms, t)
+        shifted_linear(forms, t), shifted_product(forms, t, t)
     ))
     x = x.astype(np.longdouble)
     num = np.einsum("ij,ij->j", x, lt @ x)
@@ -1237,7 +1237,7 @@ def test_each_side_keeps_the_vectors_the_polish_can_read(route, split_route):
     assert len(split_route) == 1
     assert pencil.signature.n_inf == (route == "split")
     assert min(pencil.tau_minus.size, pencil.tau_plus.size) > REFINE_COUNT
-    qt = _on_pattern(forms, shifted_square(forms, t))
+    qt = _on_pattern(forms, shifted_product(forms, t, t))
     lt = _on_pattern(forms, shifted_linear(forms, t))
     for name, top in (("minus", False), ("plus", True)):
         tau = getattr(pencil, "tau_" + name)
@@ -1347,13 +1347,13 @@ def test_a_mirrored_read_owns_no_state(case, pencil_solves, monkeypatch):
     kept = enclosure_mod._pencil(forms, -t)
     kept.nearest("right", 2)
     evaluated = []
-    real = enclosure_mod.shifted_square
+    real = enclosure_mod.shifted_product
 
-    def spy(forms, s):
-        evaluated.append(s)
-        return real(forms, s)
+    def spy(forms, z, w):
+        evaluated.append(z)
+        return real(forms, z, w)
 
-    monkeypatch.setattr(enclosure_mod, "shifted_square", spy)
+    monkeypatch.setattr(enclosure_mod, "shifted_product", spy)
     mirrored = enclosure_mod._pencil(forms, t)
     assert evaluated == [] and pencil_solves == [-t]
     assert forms._kept["pencil"][0] == -t and forms._kept["pencil"][1] is kept
