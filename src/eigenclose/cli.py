@@ -47,7 +47,8 @@ emission.
 
 Exit codes: 0 success, 1 contract violation or computation failure,
 2 configuration/usage error, among them a window end or shift so large
-that the shifted forms overflow double.
+that the shifted forms overflow double, and a mesh or forms file too
+large for memory.
 """
 
 import argparse
@@ -58,6 +59,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -416,10 +418,12 @@ def compact_enclosure(lower, upper, max_digits=14):
 
     The common decimal prefix is printed once, then the remaining digits
     of the upper bound raised and of the lower bound sunk, e.g.
-    ``[2.7108, 2.7143] -> 2.71^{43}_{08}``.  Rounding is always outward
-    so the printed interval still encloses the true one.  Falls back to
-    a plain ``[lower, upper]`` bracket when the two bounds share no
-    useful prefix.  Display only: machine output keeps full precision.
+    ``[2.7108, 2.7143] -> 2.71^{44}_{07}``.  Rounding is always outward
+    from the exact value of each double (2.7108 is 2.71079999999999987...
+    and 2.7143 is 2.71430000000000015...), so the printed interval still
+    encloses the true one.  Falls back to a plain ``[lower, upper]``
+    bracket when the two bounds share no useful prefix.  Display only:
+    machine output keeps full precision.
     """
     lower, upper = float(lower), float(upper)
     width = upper - lower
@@ -429,8 +433,8 @@ def compact_enclosure(lower, upper, max_digits=14):
         return repr(lower)
     digits = min(max_digits, max(1, math.ceil(-math.log10(width)) + 1))
     scale = 10 ** digits
-    lo = _fixed_digits(math.floor(lower * scale), digits)
-    up = _fixed_digits(math.ceil(upper * scale), digits)
+    lo = _fixed_digits(math.floor(Fraction(lower) * scale), digits)
+    up = _fixed_digits(math.ceil(Fraction(upper) * scale), digits)
     if lo == up:
         return lo
     prefix = 0
@@ -673,6 +677,10 @@ def main(argv=None):
         return COMMANDS[args.command](cfg)
     except (ConfigError, InsufficientPointsError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except EigencloseError as exc:
         print(f"error: {exc}", file=sys.stderr)

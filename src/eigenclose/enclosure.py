@@ -35,8 +35,14 @@ from .errors import (
     InconsistentFormsError,
     NonFiniteError,
 )
-from .forms import _on_pattern, shifted_linear, shifted_product
-from .linalg import TridiagonalEigen, kernel_split, sym_generalized_eigvals, sym_reduce
+from .forms import shifted_linear, shifted_product
+from .linalg import (
+    TridiagonalEigen,
+    kernel_split,
+    placed,
+    sym_generalized_eigvals,
+    sym_norm2,
+)
 
 
 #: extended precision is worth using only if it genuinely beats double
@@ -312,10 +318,13 @@ def local_counting(forms, t):
     """Values of the local counting function at shift t, as an array.
 
     Returns all n values ``F_j = sqrt(max(mu^2_j, 0))``, ascending, from
-    the eigenvalues of the pencil ``Q_t x = mu^2 M0 x``, solved for
-    eigenvalues only with the forms' Cholesky factor of M0
-    (:meth:`TrialForms.factor`).  The fixed-point route does not call
-    it: it decides every sign by an inertia count.
+    the eigenvalues of the pencil ``Q_t x = mu^2 M0 x``: Q_t is placed
+    once, in the layout LAPACK reduces in place, and
+    :func:`~eigenclose.linalg.sym_generalized_eigvals` reduces it by the
+    forms' Cholesky factor of M0 (:meth:`TrialForms.factor`) to one
+    tridiagonal T, whose values one ``sterf`` reads; no eigenvector is
+    computed.  The fixed-point route does not call it: it decides every
+    sign by an inertia count.
 
     Q_t represents a square, so on forms that pass
     :meth:`TrialForms.validate` a negative eigenvalue is roundoff and is
@@ -331,10 +340,9 @@ def local_counting(forms, t):
     """
     # an overflow is reported once, as the typed error below
     with np.errstate(over="ignore", invalid="ignore"):
-        qt = _on_pattern(forms, shifted_product(forms, t, t))
+        qt = placed(shifted_product(forms, t, t), *forms.pattern(), (forms.n, forms.n))
     try:
-        # Q_t is symmetric: its transpose is Q_t in F order, reduced in place
-        values = sym_generalized_eigvals(qt.T, forms.factor())
+        values = sym_generalized_eigvals(qt, forms.factor())
     except NonFiniteError:
         raise _overflow(t) from None
     if values[0] < 0.0:
@@ -416,14 +424,6 @@ def _norm2_bounds(forms, values):
     return float(lo), float(np.bincount(rows, np.abs(values), forms.n).max())
 
 
-def _norm2(a):
-    """``||a||_2`` of a nonempty symmetric C-ordered ``a``, overwritten:
-    the larger absolute eigenvalue at either end of its spectrum."""
-    eigen = sym_reduce(a.T)  # a is symmetric: a.T is a in F order
-    ends = eigen.end_values(1)[0], eigen.end_values(1, top=True)[0]
-    return float(max(abs(ends[0]), abs(ends[1])))
-
-
 def _census(forms, eigen, q_norm, l_norm, qt, lt):
     """The numbers ``(n_zero, n_minus, n_plus)`` of zero, negative and
     positive tau in ``eigen``, the solve of :func:`zm_eigen`, by Sturm
@@ -435,11 +435,11 @@ def _census(forms, eigen, q_norm, l_norm, qt, lt):
     ``(-edge, edge]`` is empty, as it usually is.  Where counts at ``-r``
     and ``r``, ``r = tol l_lo / (2 q_hi)``, find every tau of the band
     in ``(-r, r)``, all are zero; where not, the exact 2-norms
-    (:func:`_norm2`) of Q_t and L_t, from their double values ``qt`` and
-    ``lt``, give the threshold ``limit``, and counts at ``-limit`` and
-    ``limit`` split the band.  The three points are kept above the
-    underflow threshold, where a Sturm count cannot tell an exact zero
-    from its neighbours.
+    (:func:`~eigenclose.linalg.sym_norm2`) of Q_t and L_t, from their
+    double values ``qt`` and ``lt``, give the threshold ``limit``, and
+    counts at ``-limit`` and ``limit`` split the band.  The three points
+    are kept above the underflow threshold, where a Sturm count cannot
+    tell an exact zero from its neighbours.
     """
     q_lo, q_hi = q_norm
     l_lo, l_hi = l_norm
@@ -451,8 +451,9 @@ def _census(forms, eigen, q_norm, l_norm, qt, lt):
     if band:
         r = max(forms.tol * l_lo / (2.0 * q_hi), floor)
         if eigen.count(np.nextafter(r, -np.inf)) - eigen.count(-r) < band:
-            norm_q = q_lo if q_lo == q_hi else _norm2(_on_pattern(forms, qt))
-            limit = max(forms.tol * (_norm2(_on_pattern(forms, lt)) / norm_q), floor)
+            n, pattern = forms.n, forms.pattern()
+            norm_q = q_lo if q_lo == q_hi else sym_norm2(qt, n, pattern)
+            limit = max(forms.tol * (sym_norm2(lt, n, pattern) / norm_q), floor)
             n_minus = eigen.count(np.nextafter(-limit, -np.inf))
             n_zero = eigen.count(limit) - n_minus
     return n_zero, n_minus, eigen.size - n_minus - n_zero

@@ -23,10 +23,15 @@ residual at s = t + alpha, ``F_j(s) - alpha``, is <= 0 exactly where
 <= 0 (Sylvester's law of inertia), so a root counts
 ``N(t, t + 2 alpha)`` on the right and ``N(t - 2 alpha, t)`` on the
 left, the window's far end taken as ``s +/- alpha``, the bound a root at
-s reports.  The pencil at t reads the same count,
-``#{tau >= sigma} = N(t, t + 1/sigma)``, so its upper bound is
-``u_j = t + 1/tau_j = min{u : N(t, u) >= j}``.  That is the equivalence
-in one line: the Davies-Plum bound ``t + 2 alpha`` is u_j found by
+s reports.  Where Q_t is definite (``signature.n_inf == 0``) the pencil
+at t reads the same count, ``#{tau >= sigma} = N(t, t + 1/sigma)``, so
+its upper bound is ``u_j = t + 1/tau_j = min{u : N(t, u) >= j}``.  Where
+Q_t has a numerical kernel the pencil deflates it, while N counts those
+directions by whatever sign rounding gives them, and the identity can
+fail, by more than ``N(t, t)``: deciding "zero" for both by one count is
+the "one zero rule" of ROADMAP item 4, and a shift that is numerically
+a Ritz value is an open FOUND line in CHANGES.md.  That is the
+equivalence in one line: the Davies-Plum bound ``t + 2 alpha`` is u_j found by
 bisection on counts, looser by at most the fixed-point tolerance, and
 the root is ``s_hat = (t + u_j)/2``; mirrored on the left.  The count is
 the sign only where every Q_s is positive semidefinite, which

@@ -37,6 +37,7 @@ from .linalg import (
     check_symmetric,
     count_nonpositive,
     graded_eigvals,
+    placed,
     sym_generalized_eigvals,
     symmetrize,
 )
@@ -146,9 +147,8 @@ class TrialForms:
         if "ritz" not in self._kept:
             signs = self.grading()
             if signs is None:
-                # M1 is symmetric: its transpose is M1 in F order, reduced in place
-                m1 = _on_pattern(self, self._values[1])
-                ritz = sym_generalized_eigvals(m1.T, self._factor)
+                m1 = placed(self._values[1], *self._pattern, (self.n, self.n))
+                ritz = sym_generalized_eigvals(m1, self._factor)
             else:
                 ritz = graded_eigvals(
                     self._values[1], self._values[0], self._pattern, signs

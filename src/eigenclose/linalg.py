@@ -7,13 +7,14 @@ one function per job, each a direct LAPACK call:
 * :func:`cholesky_spd`, a pivot-checked Cholesky factorization (LAPACK
   ``potrf`` plus a relative test on every pivot); it is the
   definiteness gate;
-* :func:`sym_reduce`, the tridiagonal reduction (LAPACK ``sytrd``) of a
-  standard symmetric matrix, the one way its spectrum is read; its only
-  gate is that the input is finite;
 * :func:`sym_generalized_eigvals`, all eigenvalues of a
   symmetric-definite pencil, from the Cholesky factor of its right-hand
-  matrix (LAPACK ``sygst``, then ``syevd``): whole spectra, such as the
-  Ritz values of ungraded forms and the local counting function;
+  matrix (LAPACK ``sygst``, then ``sytrd`` and ``sterf``): whole
+  spectra, such as the Ritz values of ungraded forms and the local
+  counting function;
+* :func:`sym_norm2`, the 2-norm of a symmetric matrix given on a
+  pattern, its end eigenvalue largest in size (LAPACK ``sytrd``, then
+  ``stebz``);
 * :func:`graded_eigvals`, the eigenvalues of a symmetric-definite pencil
   that a sign vector grades, as the singular values of one half-size
   block (LAPACK ``potrf`` of the two diagonal blocks, BLAS ``trsm``,
@@ -26,12 +27,18 @@ one function per job, each a direct LAPACK call:
   symmetric matrix, its inertia from one Bunch-Kaufman factorization
   (LAPACK ``sytrf``), no eigenvalue: it decides the consistency gate and
   every sign of the fixed-point search;
-* :class:`TridiagonalEigen`, what :func:`sym_reduce` and
-  :func:`kernel_split` return: on demand, how many eigenvalues lie at or
-  below a point (a Sturm count) and the eigenvalues nearest either end
-  of the spectrum (bisection), both by LAPACK ``stebz``, and the
-  eigenvectors of those values (LAPACK ``stein`` and ``ormqr``, then
-  BLAS ``trsm``).
+* :class:`TridiagonalEigen`, what :func:`kernel_split` returns: on
+  demand, how many eigenvalues lie at or below a point (a Sturm count)
+  and the eigenvalues nearest either end of the spectrum (bisection),
+  both by LAPACK ``stebz``, and the eigenvectors of those values (LAPACK
+  ``stein`` and ``ormqr``, then BLAS ``trsm``).
+
+Every spectrum is read from one tridiagonal reduction, :func:`_reduce`,
+the package's one ``sytrd`` call.  Every array that LAPACK factors is
+placed from the values on a pattern by :func:`placed`, in the Fortran
+order in which LAPACK factors it in place; every blocked routine runs in
+the workspace it asks for (:func:`_lwork`); and every input is checked
+finite by :func:`_check_finite`.
 
 All tolerances are relative to the matrix scale so the routines behave
 identically under rescaling.  LAPACK works in double precision:
@@ -176,67 +183,55 @@ def _checked_potrf(m, tol):
     return L
 
 
-def sym_reduce(a):
-    """The :class:`TridiagonalEigen` of a real symmetric matrix, from its
-    lower triangle by :func:`_reduce` alone: no eigenvalue is computed
-    until read.  The factor in ``packed`` is that of I.  A double ``a``
-    that is F-ordered, such as the transpose of a C-ordered one, is
-    reduced in place and left overwritten.
-
-    Raises
-    ------
-    NonFiniteError
-        If the matrix holds an inf or a NaN.
-    """
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise NonFiniteError("array must not contain infs or NaNs")
-    n = a.shape[0]
-    eigen = _reduce(a, np.arange(n))
-    np.copyto(eigen.packed, np.eye(n), where=np.tri(n, dtype=bool).T)
-    return eigen
-
-
 def sym_generalized_eigvals(a, factor):
     """Eigenvalues of ``a x = lam b x`` with symmetric ``a`` and SPD ``b``.
 
     ``b`` enters as its lower Cholesky ``factor`` from
     :func:`cholesky_spd`, so a pencil family with one ``b`` factors it
-    once.  LAPACK ``sygst`` reduces the pencil to standard form, and
-    ``syevd`` in the workspace it asks for, so that its ``sytrd`` runs
-    blocked, gives all n eigenvalues ascending.  Forms that a sign vector grades have the
-    half-size route :func:`graded_eigvals`.  Only the lower triangle
-    of ``a`` is read, so ``a`` must be exactly symmetric: forms checked
-    by ``TrialForms`` and the shifted combinations of them are.  A
-    double ``a`` that is not C-ordered, such as the transpose of a
-    C-ordered one, is reduced in place and left overwritten.
+    once.  LAPACK ``sygst`` reduces the pencil to a standard matrix C,
+    :func:`_reduce` reduces C to a tridiagonal T, and ``sterf`` gives all
+    n eigenvalues of T ascending: the steps of LAPACK's values-only
+    ``syevd``, and its bits, where ``syevd`` does not rescale C (its
+    largest entry between about 1e-146 and 1e146 in size).  Beyond that
+    range ``syevd`` scales C first, and the two agree to rounding.
+    Forms that a sign vector grades have the half-size route
+    :func:`graded_eigvals`.  Only the lower triangle of ``a`` is read, so
+    ``a`` must be exactly symmetric: forms checked by ``TrialForms`` and
+    the shifted combinations of them are.  A double ``a`` that is not
+    C-ordered, such as one from :func:`placed`, is reduced in place and
+    left overwritten.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros(0)
-    if not np.isfinite(a).all():
-        raise NonFiniteError("array must not contain infs or NaNs")
-    in_place = not a.flags.c_contiguous
-    c, _ = lapack.dsygst(a, factor, lower=1, overwrite_a=in_place)
-    lwork, liwork = _syevd_lwork(n)
-    values, _, info = lapack.dsyevd(
-        c, compute_v=0, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1
-    )
+    _check_finite(a)
+    c, _ = lapack.dsygst(a, factor, lower=1, overwrite_a=not a.flags.c_contiguous)
+    eigen = _reduce(c)
+    if eigen.size == 1:  # sterf's wrapper takes no empty e
+        return eigen.d
+    values, info = lapack.dsterf(eigen.d, eigen.e, overwrite_d=1, overwrite_e=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"syevd did not converge (info={info})")
+        raise np.linalg.LinAlgError(f"sterf did not converge (info={info})")
     return values
 
 
-@functools.cache
-def _syevd_lwork(n):
-    """The workspaces ``syevd`` asks for at order n, values only: with
-    the wrapper's minimal ones its ``sytrd`` runs unblocked (at n = 1775,
-    1.02 s against 0.56 s blocked on one core)."""
-    work, iwork, info = lapack.dsyevd_lwork(n, compute_v=0, lower=1)
-    if info != 0:
-        raise ValueError(f"syevd workspace query failed with info {info}")
-    return max(int(work), 1), max(int(iwork), 1)
+def sym_norm2(values, n, pattern):
+    """``||a||_2`` of the nonempty n by n symmetric matrix holding the
+    double ``values`` on ``pattern``, the ``(rows, cols)`` of a symmetric
+    pattern, and +0 off it: the larger in size of its two end
+    eigenvalues, bisected by ``stebz`` on the tridiagonal T of
+    :func:`_reduce`.
+
+    Raises
+    ------
+    NonFiniteError
+        If ``values`` holds an inf or a NaN.
+    """
+    values = np.asarray(values, dtype=float)
+    _check_finite(values)
+    eigen = _reduce(placed(values, *pattern, (n, n)))
+    ends = eigen.end_values(1)[0], eigen.end_values(1, top=True)[0]
+    return float(max(abs(ends[0]), abs(ends[1])))
 
 
 def graded_eigvals(a, b, pattern, signs):
@@ -268,8 +263,7 @@ def graded_eigvals(a, b, pattern, signs):
         singular values do not converge.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NonFiniteError("array must not contain infs or NaNs")
+    _check_finite(a, b)
     plus = signs > 0
     n = signs.size
     n_plus = int(np.count_nonzero(plus))
@@ -284,37 +278,25 @@ def graded_eigvals(a, b, pattern, signs):
     i, j, row_plus, col_plus = place[rows], place[cols], plus[rows], plus[cols]
     factors = []
     for half, size in ((row_plus & col_plus, n_plus), (~row_plus & ~col_plus, n_minus)):
-        # the block is symmetric: its transpose is the F-ordered block,
-        # factored in place
-        block = _placed(b[half], i[half], j[half], (size, size)).T
+        block = placed(b[half], i[half], j[half], (size, size))
         factor, info = lapack.dpotrf(block, lower=1, clean=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"potrf of a diagonal block failed (info={info})")
         factors.append(factor)
-    # B' is a[minus, plus]: its transpose is the F-ordered B
-    off = ~row_plus & col_plus
-    k = _placed(a[off], i[off], j[off], (n_minus, n_plus)).T
+    # B = a[plus, minus]
+    off = row_plus & ~col_plus
+    k = placed(a[off], i[off], j[off], (n_plus, n_minus))
     k = blas.dtrsm(1.0, factors[0], k, lower=1, overwrite_b=1)
     k = blas.dtrsm(
         1.0, factors[1], k, side=1, lower=1, trans_a=1, overwrite_b=1
     )
-    _, sigma, _, info = lapack.dgesdd(
-        k, compute_uv=0, lwork=_gesdd_lwork(n_plus, n_minus), overwrite_a=1
-    )
+    # its bidiagonal reduction runs blocked only in the workspace it asks for
+    lwork = _lwork("dgesdd", n_plus, n_minus, compute_uv=0)
+    _, sigma, _, info = lapack.dgesdd(k, compute_uv=0, lwork=lwork, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"gesdd did not converge (info={info})")
     # gesdd orders sigma descending
     return np.concatenate([-sigma, np.zeros(abs(n_plus - n_minus)), sigma[::-1]])
-
-
-@functools.cache
-def _gesdd_lwork(m, n):
-    """The workspace a values-only ``gesdd`` asks for on an m by n matrix:
-    its bidiagonal reduction then runs blocked."""
-    work, info = lapack.dgesdd_lwork(m, n, compute_uv=0)
-    if info != 0:
-        raise ValueError(f"gesdd workspace query failed with info {info}")
-    return max(int(work), 1)
 
 
 def kernel_split(a, b, n, pattern, threshold):
@@ -348,12 +330,10 @@ def kernel_split(a, b, n, pattern, threshold):
         If ``a`` or ``b`` holds an inf or a NaN.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise NonFiniteError("array must not contain infs or NaNs")
+    _check_finite(a, b)
     rows, cols = pattern
-    # b is symmetric: the transpose is b in F order, factored in place
     factor, pivots, r, info = lapack.dpstrf(
-        _placed(b, rows, cols, (n, n)).T, tol=threshold, lower=1, overwrite_a=1
+        placed(b, rows, cols, (n, n)), tol=threshold, lower=1, overwrite_a=1
     )
     if info < 0:
         raise ValueError(f"pstrf rejected argument {-info}")
@@ -364,8 +344,7 @@ def kernel_split(a, b, n, pattern, threshold):
     i, j = place[rows], place[cols]
     factor = factor[:r, :r]
     kept = slice(None) if r == n else (i < r) & (j < r)
-    # a[keep, keep] is symmetric: its F-ordered transpose is reduced in place
-    a11 = _placed(a[kept], i[kept], j[kept], (r, r)).T
+    a11 = placed(a[kept], i[kept], j[kept], (r, r))
     if r:  # sygst's wrapper takes no empty matrix
         a11, _ = lapack.dsygst(a11, factor, lower=1, overwrite_a=1)
     eigen = _reduce(a11, pivots)
@@ -396,13 +375,13 @@ def count_nonpositive(a, n, pattern):
         If ``a`` holds an inf or a NaN.
     """
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise NonFiniteError("array must not contain infs or NaNs")
-    rows, cols = pattern
-    # a is symmetric: the transpose is a in F order, factored in place
+    _check_finite(a)
+    # without the workspace it asks for, the wrapper's default of n makes
+    # LAPACK fall back to the unblocked sytf2: at n = 1800, 7 times slower
+    # on one core
     ldu, ipiv, info = lapack.dsytrf(
-        _placed(a, rows, cols, (n, n)).T,
-        lower=1, lwork=_sytrf_lwork(n), overwrite_a=1,
+        placed(a, *pattern, (n, n)), lower=1, lwork=_lwork("dsytrf", n, lower=1),
+        overwrite_a=1,
     )
     if info < 0:
         raise ValueError(f"sytrf rejected argument {-info}")
@@ -412,38 +391,46 @@ def count_nonpositive(a, n, pattern):
     return int(ones + np.count_nonzero(ipiv < 0) // 2)
 
 
-@functools.cache
-def _sytrf_lwork(n):
-    """The workspace ``sytrf`` asks for at order n: without it, the
-    wrapper's default of n makes LAPACK fall back to the unblocked
-    ``sytf2`` (at n = 1800, 7 times slower on one core)."""
-    work, info = lapack.dsytrf_lwork(n, lower=1)
-    if info != 0:
-        raise ValueError(f"sytrf workspace query failed with info {info}")
-    return max(int(work), 1)
-
-
-def _placed(values, i, j, shape):
-    """The double array of ``shape`` holding ``values`` at ``(i, j)`` and
-    +0 elsewhere."""
-    out = np.zeros(shape)
-    out[i, j] = values
+def placed(values, rows, cols, shape):
+    """The F-ordered double array of ``shape`` holding ``values`` at
+    ``(rows, cols)`` and +0 elsewhere: the layout in which LAPACK
+    factors an array in place."""
+    out = np.zeros(shape, order="F")
+    out[rows, cols] = values
     return out
 
 
-def _reduce(c, pivots):
+@functools.cache
+def _lwork(routine, *shape, **options):
+    """The workspace that the LAPACK ``routine`` (such as ``"dsytrd"``)
+    asks for on a problem of ``shape`` with ``options``: where one is
+    blocked, it runs blocked only in this workspace."""
+    work, info = getattr(lapack, routine + "_lwork")(*shape, **options)
+    if info != 0:
+        raise ValueError(f"{routine} workspace query failed with info {info}")
+    return max(int(work), 1)
+
+
+def _check_finite(*arrays):
+    """Raise ``NonFiniteError`` if any of ``arrays`` holds an inf or a NaN."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError("array must not contain infs or NaNs")
+
+
+def _reduce(c, pivots=None):
     """The :class:`TridiagonalEigen` of the symmetric ``c`` (its lower
-    triangle, overwritten) on the coordinates ``pivots``: LAPACK
+    triangle, overwritten where ``c`` is a double F-ordered array) on the
+    coordinates ``pivots``, None where no vector is read: LAPACK
     ``sytrd`` reduces ``c`` to a tridiagonal T, and nothing else is
-    computed.  It runs blocked, with level-3 BLAS, in the workspace it
-    asks for: about half as long as unblocked at n = 1775."""
+    computed."""
     n = c.shape[0]
     if n == 0:
         empty = np.zeros(0)
         return TridiagonalEigen(empty, empty, empty, np.zeros((0, 0)), pivots)
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    # blocked, with level-3 BLAS, only in the workspace it asks for: at
+    # n = 1775, 0.56 s against 1.02 s unblocked on one core
     packed, d, e, reflectors, info = lapack.dsytrd(
-        c, lower=1, lwork=max(int(lwork), 1), overwrite_a=1
+        c, lower=1, lwork=_lwork("dsytrd", n, lower=1), overwrite_a=1
     )
     if info != 0:
         raise ValueError(f"sytrd rejected argument {-info}")
@@ -496,7 +483,10 @@ class TridiagonalEigen:
     subdiagonal and the transpose of the Cholesky factor of the pencil's
     right-hand matrix on and above its diagonal.  ``pivots`` orders the
     coordinates of the vectors, which may be more than n, and its first n
-    are the ones the pencil was solved on (:func:`kernel_split`).
+    are the ones the pencil was solved on (:func:`kernel_split`).  Where
+    only values are read (:func:`sym_generalized_eigvals`,
+    :func:`sym_norm2`), ``pivots`` is None, no factor is stored, and
+    :meth:`vectors` is not called.
     """
 
     d: np.ndarray

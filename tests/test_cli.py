@@ -6,7 +6,9 @@ import io
 import json
 import os
 import subprocess
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -43,7 +45,8 @@ def run_fresh(script, *argv):
 
 
 def test_compact_enclosure_shared_prefix():
-    assert compact_enclosure(2.7108, 2.7143) == "2.71^{43}_{08}"
+    # outward from the doubles 2.71079999999999987... and 2.71430000000000015...
+    assert compact_enclosure(2.7108, 2.7143) == "2.71^{44}_{07}"
 
 
 def test_compact_enclosure_bracket_fallback():
@@ -53,7 +56,7 @@ def test_compact_enclosure_bracket_fallback():
 
 def test_compact_enclosure_prefix_must_cover_decimal_point():
     out = compact_enclosure(0.999999999999, 1.000000000001)
-    assert out == "[0.9999999999990, 1.0000000000010]"
+    assert out == "[0.9999999999990, 1.0000000000011]"
 
 
 def test_compact_enclosure_inconsistent_tag():
@@ -64,6 +67,43 @@ def test_compact_enclosure_outward_rounding():
     # displayed digits must still enclose the interval
     out = compact_enclosure(1.23456781, 1.23456789, max_digits=8)
     assert out.startswith("1.234567")
+
+
+def _printed_ends(out):
+    """The lower and upper ends that ``compact_enclosure`` printed."""
+    shared = re.fullmatch(r"(.*)\^\{(\d+)\}_\{(\d+)\}", out)
+    if shared:
+        prefix, up, lo = shared.groups()
+        return prefix + lo, prefix + up
+    bracket = re.fullmatch(r"\[(\S+), (\S+)\]", out)
+    if bracket:
+        return bracket.groups()
+    return out, out
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        # the doubles 0.7 and -0.7 lie below and above the decimals they
+        # print as: rounded at the decimal, they would print inward
+        (0.7, 0.71), (-0.71, -0.7), (2.7108, 2.7143), (-2.7143, -2.7108),
+        (0.999999999999, 1.000000000001), (1.1, 1.1 + 2**-52), (0.1, 0.3),
+        (2.0000000000000004, 2.000000000001), (-1e-5, 1e-5), (123.456, 123.457),
+    ],
+)
+def test_compact_enclosure_prints_outward_of_the_exact_doubles(lower, upper):
+    lo, up = _printed_ends(compact_enclosure(lower, upper))
+    assert Fraction(lo) <= Fraction(lower) and Fraction(up) >= Fraction(upper)
+
+
+def test_compact_enclosure_prints_random_intervals_outward():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        lower = float(rng.uniform(-3.0, 3.0))
+        upper = lower + float(10.0 ** rng.uniform(-15.0, 0.0))
+        for digits in (4, 8, 14):
+            lo, up = _printed_ends(compact_enclosure(lower, upper, max_digits=digits))
+            assert Fraction(lo) <= Fraction(lower) and Fraction(up) >= Fraction(upper)
 
 
 # --- bounds ------------------------------------------------------------
@@ -152,6 +192,28 @@ def test_bounds_negative_window_syntax(capsys):
     assert code == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert float(row[1]) <= -1.0 <= float(row[2])
+
+
+def test_a_mesh_too_large_for_memory_exits_2_with_one_line(monkeypatch, capsys):
+    # numpy's message for the dense forms of a 100000-element mesh; the
+    # assembler raises it here, so nothing that large is allocated
+    message = (
+        "Unable to allocate 298. GiB for an array with shape (200000, 200000) "
+        "and data type float64"
+    )
+
+    def too_large(mesh, order):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "assemble_1d", too_large)
+    code = main(
+        ["bounds", "--model", "dirac1d", "--order", "1", "--mesh", "100000",
+         "--window", "0.5,1.5", "--jmax", "1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {message}\n"
 
 
 def test_bounds_reports_the_first_failing_window_end_in_window_order(capsys):

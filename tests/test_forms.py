@@ -529,7 +529,7 @@ def _lapack_calls(monkeypatch, names):
 
 
 #: every LAPACK routine a Ritz solve may call, by either route
-RITZ_ROUTINES = ("dsygst", "dsyevd", "dsyevx", "dsytrd", "dpotrf", "dgesdd")
+RITZ_ROUTINES = ("dsygst", "dsyevd", "dsyevx", "dsytrd", "dsterf", "dpotrf", "dgesdd")
 
 
 def _graded_model(model):
@@ -595,6 +595,20 @@ def test_ungraded_forms_keep_the_general_solve(tmp_path, monkeypatch):
         assert np.array_equal(forms.ritz(), expected)
     npt.assert_allclose(read_forms(tmp_path / "two.forms").ritz(), [1.0, 2.0], rtol=0.0)
     assert graded == []
+
+
+def test_whole_spectra_come_from_the_one_reduction(monkeypatch):
+    # the Ritz values of ungraded forms and the local counting function
+    # each reduce one n-size pencil and read its values by one sterf: no
+    # syevd
+    worked, forms = dataclasses.replace(WORKED), _graded_model("dirac1d-2")
+    calls = _lapack_calls(monkeypatch, RITZ_ROUTINES)
+    npt.assert_array_equal(worked.ritz(), [1.0, 2.0])
+    assert calls == [("dsygst", (2, 2)), ("dsytrd", (2, 2)), ("dsterf", (2,))]
+    calls.clear()
+    local_counting(forms, 1.4)
+    n = forms.n
+    assert calls == [("dsygst", (n, n)), ("dsytrd", (n, n)), ("dsterf", (n,))]
 
 
 def test_a_passing_gate_bisects_nothing(monkeypatch):

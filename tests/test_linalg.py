@@ -26,8 +26,9 @@ from eigenclose.linalg import (
     count_nonpositive,
     graded_eigvals,
     kernel_split,
+    placed,
     sym_generalized_eigvals,
-    sym_reduce,
+    sym_norm2,
     symmetrize,
 )
 from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
@@ -36,7 +37,7 @@ from eigenclose.maxwell2d import assemble_2d, structured_tri_mesh
 def test_lapack_and_blas_are_the_wrappers_scipy_exports():
     # loaded from their files, they are the objects scipy.linalg.lapack
     # and scipy.linalg.blas export, so every call is scipy's own
-    for name in ("dpotrf", "dsygst", "dsyevd", "dsytrd", "dstebz", "dstein"):
+    for name in ("dpotrf", "dsygst", "dsyevd", "dsytrd", "dsterf", "dstebz", "dstein"):
         assert getattr(linalg_mod.lapack, name) is getattr(scipy.linalg.lapack, name)
     assert linalg_mod.blas.dtrsm is scipy.linalg.blas.dtrsm
 
@@ -235,28 +236,122 @@ def test_definite_pencil_diagonal_oracle():
         _split(a, np.diag([1.0, np.nan]), 0.1)
 
 
-def test_sym_reduce_reads_a_standard_spectrum():
+def test_the_norm_reads_a_standard_spectrum():
+    # the 2-norm is the end value largest in size, read from the one
+    # tridiagonal reduction, which counts and bisects the standard
+    # problem's eigenvalues
     rng = np.random.default_rng(5)
     a = symmetrize(rng.standard_normal((9, 9)))
     exact = scipy.linalg.eigvalsh(a)
-    kept = a.copy()
-    eigen = sym_reduce(a)
-    # a C-ordered matrix is copied, not overwritten
-    npt.assert_array_equal(a, kept)
+    pattern = np.indices((9, 9)).reshape(2, -1)
+    for sign in (1.0, -1.0):  # the value largest in size at either end
+        values = sign * a[tuple(pattern)]
+        kept = values.copy()
+        norm = sym_norm2(values, 9, pattern)
+        npt.assert_allclose(norm, np.max(np.abs(exact)), rtol=1e-14)
+        npt.assert_array_equal(values, kept)  # the values are not overwritten
+    placed_a = placed(a[tuple(pattern)], *pattern, (9, 9))
+    eigen = linalg_mod._reduce(placed_a)
+    # a placed array is reduced in place
+    assert not np.array_equal(placed_a, a)
     assert eigen.count(0.0) == np.count_nonzero(exact <= 0.0)
     for top in (False, True):
         values = eigen.end_values(3, top)
         npt.assert_allclose(values, (exact[::-1] if top else exact)[:3], atol=1e-13)
-        # the vectors are the standard problem's, orthonormal
-        x = eigen.vectors(3, top)
-        npt.assert_allclose(x.T @ x, np.eye(3), atol=1e-13)
-        npt.assert_allclose(a @ x, x * values, atol=1e-12)
-    # an F-ordered one is reduced in place
-    f = np.asfortranarray(kept)
-    sym_reduce(f)
-    assert not np.array_equal(f, kept)
+    diagonal = (np.arange(2), np.arange(2))
     with pytest.raises(NonFiniteError, match="infs or NaNs"):
-        sym_reduce(np.diag([1.0, np.inf]))
+        sym_norm2(np.array([1.0, np.inf]), 2, diagonal)
+
+
+def _model_forms():
+    """The 1D model at order 3 (extended precision) and the 2D model at
+    order 1, as the benchmark runs them."""
+    return (
+        assemble_1d(uniform_mesh(40, jitter=0.3, seed=0), 3).forms,
+        assemble_2d(structured_tri_mesh(8, 0.25, 0), 1).forms,
+    )
+
+
+def test_the_norm_is_the_dense_2_norm_on_the_shifted_forms():
+    for forms in _model_forms():
+        for t in (0.6, 1.4, 2.5):
+            for values in (shifted_product(forms, t, t), shifted_linear(forms, t)):
+                values = values.astype(float)
+                dense = _on_pattern(forms, values)
+                npt.assert_allclose(
+                    sym_norm2(values, forms.n, forms.pattern()),
+                    np.linalg.norm(dense, 2), rtol=1e-13,
+                )
+    with pytest.raises(NonFiniteError, match="infs or NaNs"):
+        values = shifted_product(forms, 1.4, 1.4).astype(float)
+        values[0] = np.inf
+        sym_norm2(values, forms.n, forms.pattern())
+
+
+def _syevd(a, factor):
+    """The eigenvalues of the pencil ``(a, L L')`` by ``sygst`` and
+    LAPACK's own values-only ``syevd``, in the workspace it asks for:
+    the reference for :func:`sym_generalized_eigvals`."""
+    lapack, n = linalg_mod.lapack, a.shape[0]
+    c, _ = lapack.dsygst(a, factor, lower=1)
+    work, iwork, info = lapack.dsyevd_lwork(n, compute_v=0, lower=1)
+    assert info == 0
+    values, _, info = lapack.dsyevd(
+        c, compute_v=0, lower=1, lwork=int(work), liwork=int(iwork)
+    )
+    assert info == 0
+    return values
+
+
+def _syevd_cases():
+    """Pencils ``(a, factor)``: Q_t of both models at three shifts, the
+    ungraded M1 of a 3x3 .forms file, a random pencil, and n = 1."""
+    out = []
+    for forms in _model_forms():
+        for t in (0.6, 1.4, 2.5):
+            qt = _on_pattern(forms, shifted_product(forms, t, t))
+            out.append((qt, forms.factor()))
+    three = TrialForms(
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
+        [[1.0, 0.0, 0.0], [0.0, 7.0, 5.0], [0.0, 5.0, 12.0]],
+        [[1.0, 0.0, 0.0], [0.0, 29.0, 25.0], [0.0, 25.0, 74.0]],
+    )
+    assert three.grading() is None
+    out.append((np.array(three.M1), three.factor()))
+    a, b = _random_pencil(40, 2)
+    out.append((a, cholesky_spd(b)))
+    out.append((np.array([[3.0]]), cholesky_spd([[4.0]])))
+    return out
+
+
+def test_the_eigenvalues_are_syevd_bit_for_bit():
+    for a, factor in _syevd_cases():
+        values = sym_generalized_eigvals(a.copy(), factor)
+        npt.assert_array_equal(values, _syevd(a.copy(), factor))
+        # from a placed array, reduced in place, the same bits
+        pattern = np.indices(a.shape).reshape(2, -1)
+        work = placed(a[tuple(pattern)], *pattern, a.shape)
+        npt.assert_array_equal(sym_generalized_eigvals(work, factor), values)
+    npt.assert_array_equal(values, [0.75])  # the last case, n = 1
+
+
+def test_the_eigenvalues_are_syevd_to_rounding_where_syevd_rescales():
+    # syevd scales the standard matrix first where its largest entry lies
+    # beyond about 1e-146 or 1e146 in size; the reduction here does not,
+    # and the values agree to rounding and stay finite.  Within that
+    # range they are the same bits
+    forms = _model_forms()[0]
+    qt = _on_pattern(forms, shifted_product(forms, 1.4, 1.4))
+    factor = forms.factor()
+    base = np.max(np.abs(linalg_mod.lapack.dsygst(qt, factor, lower=1)[0]))
+    for scale in (1e-300, 1e-150, 1e150, 1e160, 1e250):
+        a = qt * (scale / base)
+        values, expected = sym_generalized_eigvals(a.copy(), factor), _syevd(a, factor)
+        assert np.isfinite(values).all()
+        assert np.max(np.abs(values - expected)) <= 1e-14 * np.max(np.abs(expected))
+    for scale in (1e-140, 1e140):
+        a = qt * (scale / base)
+        npt.assert_array_equal(sym_generalized_eigvals(a.copy(), factor), _syevd(a, factor))
 
 
 def _random_pencil(n, seed):
